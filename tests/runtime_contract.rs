@@ -1,0 +1,456 @@
+//! The runtime's behaviour contract: exact f64 bits of every entry point's
+//! results on small jittered fixtures, pinned in a committed JSON fixture.
+//!
+//! Each case drives one public entry point of `real-runtime` — `run`
+//! (plain, speculative, faulted), `run_async`, `run_replan` (dead-worker
+//! and straggler triggers), `run_multi` (disjoint co-tenant, committed
+//! elastic growth) and `TenantSession` (iterations, cross-mesh resume,
+//! checkpoint/restore) — and records timings, totals, fault/re-plan/async
+//! statistics, the master log and a digest of the kernel trace, with every
+//! float written as its IEEE-754 bit pattern. A refactor of the runtime
+//! must leave the fixture byte-identical. Regenerate deliberately with
+//! `BLESS=1 cargo test -p real-core --test runtime_contract`.
+
+use real_core::prelude::*;
+use real_core::real_runtime::{
+    run_multi, MasterLog, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
+};
+use serde_json::{Number, Value};
+
+/// Replaces every float in `v` with its bit pattern as a hex string, so
+/// the fixture pins exact values rather than their decimal rendering.
+fn bits(v: Value) -> Value {
+    match v {
+        Value::Number(Number::F(f)) => f64_bits(f),
+        Value::Array(items) => Value::Array(items.into_iter().map(bits).collect()),
+        Value::Object(members) => {
+            Value::Object(members.into_iter().map(|(k, v)| (k, bits(v))).collect())
+        }
+        other => other,
+    }
+}
+
+fn f64_bits(f: f64) -> Value {
+    Value::String(format!("{:016x}", f.to_bits()))
+}
+
+fn obj(members: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// 64-bit FNV-1a over the trace's `(label, gpu, start, end)` tuples.
+fn trace_digest(trace: &Trace) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for e in trace.events() {
+        feed(e.label.as_bytes());
+        feed(&(e.gpu as u64).to_le_bytes());
+        feed(&e.start.to_bits().to_le_bytes());
+        feed(&e.end.to_bits().to_le_bytes());
+    }
+    format!("{h:016x}")
+}
+
+/// One line per request and response, in log order.
+fn master_log_json(log: &MasterLog) -> Value {
+    let requests = log.requests.iter().map(|q| {
+        let locations: Vec<String> = q
+            .data_locations
+            .iter()
+            .map(|d| format!("{}<-{}@{:?}", d.key, d.produced_by, d.shard_leaders))
+            .collect();
+        Value::String(format!(
+            "{} {}#{} {:016x} x{} [{}]",
+            q.call.0,
+            q.handle,
+            q.iter,
+            q.dispatch_time.to_bits(),
+            q.worker_count,
+            locations.join(" ")
+        ))
+    });
+    let responses = log.responses.iter().map(|p| {
+        Value::String(format!(
+            "{}#{} {:016x}",
+            p.call.0,
+            p.iter,
+            p.completed_at.to_bits()
+        ))
+    });
+    obj(vec![
+        ("requests", Value::Array(requests.collect())),
+        ("responses", Value::Array(responses.collect())),
+    ])
+}
+
+fn report_json(r: &RunReport) -> Value {
+    let timings = r
+        .timings
+        .iter()
+        .map(|t| {
+            Value::String(format!(
+                "{}#{} {:016x} {:016x}",
+                t.call_name,
+                t.iter,
+                t.start.to_bits(),
+                t.end.to_bits()
+            ))
+        })
+        .collect();
+    let totals = r
+        .category_totals
+        .iter()
+        .map(|(c, v)| Value::String(format!("{c:?} {:016x}", v.to_bits())))
+        .collect();
+    obj(vec![
+        ("iterations", Value::from(r.iterations as u64)),
+        ("total_time", f64_bits(r.total_time)),
+        ("iter_time", f64_bits(r.iter_time)),
+        ("idle_total", f64_bits(r.idle_total)),
+        ("category_totals", Value::Array(totals)),
+        ("timings", Value::Array(timings)),
+        ("faults", bits(serde_json::to_value(&r.faults))),
+        ("replan", bits(serde_json::to_value(&r.replan))),
+        ("async_stats", bits(serde_json::to_value(&r.async_stats))),
+        ("master_log", master_log_json(&r.master_log)),
+        ("trace_events", Value::from(r.trace.events().len() as u64)),
+        ("trace_digest", Value::String(trace_digest(&r.trace))),
+    ])
+}
+
+/// Jittered engine config with tracing on.
+fn jittered(seed: u64) -> EngineConfig {
+    EngineConfig {
+        seed,
+        trace_capacity: 1 << 16,
+        ..EngineConfig::default()
+    }
+}
+
+fn ppo_graph(batch: u64) -> DataflowGraph {
+    let actor = ModelSpec::llama3_7b();
+    algo::ppo(&actor, &actor.critic(), &RlhfConfig::instruct_gpt(batch))
+}
+
+fn assignment(mesh: DeviceMesh, dp: u32, tp: u32, pp: u32, mbs: u32) -> CallAssignment {
+    CallAssignment::new(mesh, ParallelStrategy::new(dp, tp, pp, mbs).unwrap()).unwrap()
+}
+
+/// Every call on the full cluster except actor training, which moves to
+/// node 0 with another shape: reallocations and transfers on every
+/// iteration.
+fn asymmetric_plan(cluster: &ClusterSpec, graph: &DataflowGraph) -> ExecutionPlan {
+    let full = assignment(DeviceMesh::full(cluster), 2, 8, 1, 4);
+    let mut assignments = vec![full; graph.n_calls()];
+    let train = graph.find("actor_train").unwrap();
+    assignments[train.0] = assignment(DeviceMesh::whole_nodes(cluster, 0, 1).unwrap(), 1, 4, 2, 8);
+    ExecutionPlan::new(graph, cluster, assignments).unwrap()
+}
+
+fn symmetric_plan(cluster: &ClusterSpec, graph: &DataflowGraph) -> ExecutionPlan {
+    let a = assignment(DeviceMesh::full(cluster), 1, 8, 1, 8);
+    ExecutionPlan::new(graph, cluster, vec![a; graph.n_calls()]).unwrap()
+}
+
+/// Actor generation speculates with a 1B draft on two GPUs of `node`.
+fn with_draft(
+    cluster: &ClusterSpec,
+    graph: &DataflowGraph,
+    plan: ExecutionPlan,
+    node: u32,
+) -> ExecutionPlan {
+    let choice = real_core::real_dataflow::SpecChoice {
+        config: SpecDecodeConfig {
+            draft_model: ModelSpec::llama3_1b(),
+            speculation_len: 4,
+            acceptance_curve: AcceptanceCurve::Constant(0.8),
+        },
+        assignment: assignment(
+            DeviceMesh::sub_node(cluster, node, 0, 2).unwrap(),
+            1,
+            2,
+            1,
+            1,
+        ),
+    };
+    let gen = graph.find("actor_gen").unwrap();
+    plan.with_spec(gen, Some(choice)).unwrap()
+}
+
+/// Generation on node 0's first half, everything else on the second half.
+fn split_plan(cluster: &ClusterSpec, graph: &DataflowGraph) -> ExecutionPlan {
+    let gen = DeviceMesh::sub_node(cluster, 0, 0, 4).unwrap();
+    let rest = DeviceMesh::sub_node(cluster, 0, 4, 4).unwrap();
+    let assignments = graph
+        .calls()
+        .iter()
+        .map(|c| {
+            let mesh = if matches!(c.call_type, CallType::Generate { .. }) {
+                gen
+            } else {
+                rest
+            };
+            assignment(mesh, 1, 4, 1, 4)
+        })
+        .collect();
+    ExecutionPlan::new(graph, cluster, assignments).unwrap()
+}
+
+fn engine_cases() -> Vec<(&'static str, Value)> {
+    let mut cases = Vec::new();
+
+    let two = ClusterSpec::h100(2);
+    let graph = ppo_graph(64);
+    let plan = asymmetric_plan(&two, &graph);
+    let eng = RuntimeEngine::new(two.clone(), graph.clone(), jittered(5));
+    cases.push(("run_plain", report_json(&eng.run(&plan, 2).unwrap())));
+
+    let spec = with_draft(
+        &two,
+        &graph,
+        ExecutionPlan::new(
+            &graph,
+            &two,
+            vec![
+                assignment(DeviceMesh::whole_nodes(&two, 0, 1).unwrap(), 1, 8, 1, 8);
+                graph.n_calls()
+            ],
+        )
+        .unwrap(),
+        1,
+    );
+    cases.push(("run_speculative", report_json(&eng.run(&spec, 2).unwrap())));
+
+    let one = ClusterSpec::h100(1);
+    let graph1 = ppo_graph(64);
+    let sym = symmetric_plan(&one, &graph1);
+    let faults = FaultPlan::new(5)
+        .crash(3, 9.0, 2.0)
+        .slowdown(5, 2.0, 40.0, 2.5);
+    let cfg = jittered(9).with_fault_plan(faults);
+    let faulted = RuntimeEngine::new(one.clone(), graph1.clone(), cfg)
+        .run(&sym, 2)
+        .unwrap();
+    assert!(faulted.faults.crashes >= 1, "{:?}", faulted.faults);
+    cases.push(("run_crash_slowdown", report_json(&faulted)));
+
+    let graph16 = ppo_graph(16);
+    let split = split_plan(&one, &graph16);
+    let eng = RuntimeEngine::new(one.clone(), graph16.clone(), jittered(13));
+    cases.push((
+        "run_async_s0",
+        report_json(&eng.run_async(&split, 4, 0).unwrap()),
+    ));
+    let split_spec = with_draft(&one, &graph16, split.clone(), 0);
+    let asy = eng.run_async(&split_spec, 4, 1).unwrap();
+    assert!(asy.async_stats.relaxed_calls > 0);
+    cases.push(("run_async_s1_speculative", report_json(&asy)));
+    let cfg = jittered(13).with_fault_plan(FaultPlan::new(3).slowdown(1, 0.0, 30.0, 1.5));
+    let asy = RuntimeEngine::new(one.clone(), graph16.clone(), cfg)
+        .run_async(&split, 4, 1)
+        .unwrap();
+    cases.push(("run_async_s1_slowdown", report_json(&asy)));
+    cases
+}
+
+/// One h100 node running quick-profiled PPO under `faults`.
+fn replan_experiment(faults: FaultPlan) -> Experiment {
+    Experiment::ppo(
+        ClusterSpec::h100(1),
+        ModelSpec::llama3_7b(),
+        ModelSpec::llama3_7b().critic(),
+        RlhfConfig::instruct_gpt(32),
+    )
+    .with_quick_profile()
+    .with_seed(17)
+    .with_engine_config(EngineConfig {
+        fault_plan: Some(faults),
+        ..jittered(17)
+    })
+}
+
+fn replan_cases() -> Vec<(&'static str, Value)> {
+    let mut cases = Vec::new();
+    let policy = ReplanPolicy::new().with_search_steps(300);
+
+    let exp = replan_experiment(FaultPlan::new(23).crash(3, 12.0, 1.0e6))
+        .with_replan_policy(policy.clone());
+    let plan = exp.plan_heuristic();
+    let dead = exp.run(&plan, 2).unwrap().run;
+    assert!(
+        dead.replan.switches >= 1
+            && matches!(
+                dead.replan.events[0].reason,
+                ReplanReason::DeadWorker { .. }
+            ),
+        "{:?}",
+        dead.replan
+    );
+    cases.push(("replan_dead_worker", report_json(&dead)));
+
+    let exp = replan_experiment(FaultPlan::new(29).slowdown(2, 0.0, 1.0e6, 6.0))
+        .with_replan_policy(policy);
+    let slow = exp.run(&plan, 3).unwrap().run;
+    assert!(
+        slow.replan
+            .events
+            .iter()
+            .any(|e| matches!(e.reason, ReplanReason::Straggler { .. })),
+        "{:?}",
+        slow.replan
+    );
+    cases.push(("replan_straggler", report_json(&slow)));
+    cases
+}
+
+fn tenant_on(cluster: &ClusterSpec, graph: &DataflowGraph, id: u64, node: u32) -> TenantRun {
+    let mesh = DeviceMesh::whole_nodes(cluster, node, 1).unwrap();
+    let a = assignment(mesh, 1, 8, 1, 4);
+    TenantRun {
+        id,
+        name: format!("tenant{id}"),
+        graph: graph.clone(),
+        plan: ExecutionPlan::new(graph, cluster, vec![a; graph.n_calls()]).unwrap(),
+        config: jittered(0),
+        iterations: 2,
+        allocation: mesh.gpus().collect(),
+        solo_step_secs: 0.0,
+        elastic: None,
+    }
+}
+
+fn multi_cases() -> Vec<(&'static str, Value)> {
+    let mut cases = Vec::new();
+    let cluster = ClusterSpec::h100(2);
+
+    let t0 = tenant_on(&cluster, &ppo_graph(64), 0, 0);
+    let mut t1 = tenant_on(&cluster, &ppo_graph(32), 1, 1);
+    t1.config.fault_plan = Some(FaultPlan::new(4).crash(10, 5.0, 3.0));
+    let reports = run_multi(&cluster, &[t0, t1], 7).unwrap();
+    for (name, r) in ["multi_disjoint_t0", "multi_disjoint_t1"]
+        .into_iter()
+        .zip(&reports)
+    {
+        cases.push((name, report_json(r)));
+    }
+
+    let dpo = |batch| {
+        Experiment::dpo(
+            cluster.clone(),
+            ModelSpec::llama3_7b(),
+            RlhfConfig::instruct_gpt(batch),
+        )
+        .with_quick_profile()
+    };
+    let long_exp = dpo(64);
+    let mut long = tenant_on(&cluster, long_exp.graph(), 0, 0);
+    long.iterations = 4;
+    long.solo_step_secs = 1.0;
+    long.elastic = Some(TenantElastic {
+        policy: ReplanPolicy {
+            min_speedup: 1.0,
+            min_benefit_ratio: 0.0,
+            search_steps: 500,
+            ..ReplanPolicy::default()
+        },
+        estimator: long_exp.prepare().0,
+    });
+    let mut short = tenant_on(&cluster, dpo(32).graph(), 1, 1);
+    short.iterations = 1;
+    let reports = run_multi(&cluster, &[long, short], 3).unwrap();
+    assert!(reports[0].replan.switches >= 1, "{:?}", reports[0].replan);
+    for (name, r) in ["multi_elastic_long", "multi_elastic_short"]
+        .into_iter()
+        .zip(&reports)
+    {
+        cases.push((name, report_json(r)));
+    }
+    cases
+}
+
+fn session_json(s: &TenantSession) -> Value {
+    obj(vec![
+        ("completed", Value::from(s.completed() as u64)),
+        (
+            "iter_secs",
+            Value::Array(s.iter_secs().iter().map(|&d| f64_bits(d)).collect()),
+        ),
+        ("rel_time", f64_bits(s.rel_time())),
+        ("realloc_secs", f64_bits(s.realloc_secs())),
+        ("resumes", Value::from(s.resumes() as u64)),
+        ("faults", bits(serde_json::to_value(s.fault_stats()))),
+        ("checkpoint", bits(serde_json::to_value(&s.checkpoint()))),
+    ])
+}
+
+fn session_cases() -> Vec<(&'static str, Value)> {
+    let cluster = ClusterSpec::h100(2);
+    let graph = algo::dpo(&ModelSpec::llama3_7b(), &RlhfConfig::instruct_gpt(32));
+    let plan_on = |node| {
+        let a = assignment(
+            DeviceMesh::whole_nodes(&cluster, node, 1).unwrap(),
+            1,
+            8,
+            1,
+            4,
+        );
+        ExecutionPlan::new(&graph, &cluster, vec![a; graph.n_calls()]).unwrap()
+    };
+    let config = jittered(0).with_fault_plan(FaultPlan::new(8).slowdown(2, 1.0, 20.0, 2.0));
+    let mut s =
+        TenantSession::new(&cluster, graph.clone(), plan_on(0), config.clone(), 3, 5, 7).unwrap();
+    s.run_iteration();
+    s.run_iteration();
+    let ckpt: SessionCheckpoint = s.checkpoint();
+    let same = s.plan().clone();
+    assert_eq!(s.resume_on(&same), 0.0);
+    s.resume_on(&plan_on(1));
+    s.run_iteration();
+    let moved = session_json(&s);
+    s.resume_on(&plan_on(0));
+    s.run_iteration();
+    let back = session_json(&s);
+
+    let mut restored = TenantSession::restore(&cluster, graph, config, &ckpt, 7).unwrap();
+    restored.run_iteration();
+    vec![
+        ("session_cross_mesh", moved),
+        ("session_round_trip", back),
+        ("session_restored", session_json(&restored)),
+    ]
+}
+
+#[test]
+fn runtime_results_match_the_contract_fixture() {
+    let cases: Vec<(String, Value)> = engine_cases()
+        .into_iter()
+        .chain(replan_cases())
+        .chain(multi_cases())
+        .chain(session_cases())
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    let json = serde_json::to_string_pretty(&Value::Object(cases)).unwrap() + "\n";
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/runtime_contract.json"
+    );
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(path, &json).unwrap();
+    }
+    let expected = std::fs::read_to_string(path).unwrap();
+    assert!(
+        json == expected,
+        "runtime results drifted from the contract fixture; BLESS=1 to regenerate"
+    );
+}
