@@ -7,6 +7,12 @@ cargo test -q
 cargo test --doc -q
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
+# The benchmark package (perf/, see BENCHMARK.json) is a workspace of its
+# own, so the commands above skip it: keep it formatted, lint-clean and
+# tested here, so a library change that breaks the benchmark's build fails.
+cargo fmt --check --manifest-path perf/Cargo.toml
+cargo clippy --manifest-path perf/Cargo.toml -- -D warnings
+cargo test --manifest-path perf/Cargo.toml
 # Documentation gate: every public item documented, no broken intra-doc
 # links. Vendored proptest predates the gate and is excluded.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest

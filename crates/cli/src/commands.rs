@@ -584,9 +584,25 @@ fn cmd_plan_speculative(
     Ok(out)
 }
 
+/// Elastic re-planning runs the synchronous schedule only, so `--replan`
+/// together with async off-policy execution (`--async-offpolicy` or a
+/// graph's `offpolicy` section) is rejected rather than silently run
+/// synchronously.
+fn reject_replan_with_async(args: &Args, exp: &Experiment) -> Result<(), CliError> {
+    if args.flag("replan") && exp.async_staleness().is_some() {
+        return Err(CliError::Invalid(
+            "--replan cannot be combined with async off-policy execution \
+             (--async-offpolicy or a graph `offpolicy` section)"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
 /// `real run`
 pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     let mut exp = experiment_from(args)?;
+    reject_replan_with_async(args, &exp)?;
     if args.flag("replan") {
         let policy = ReplanPolicy::new()
             .with_search_steps(args.num_or("replan-steps", 2_000u64)?)
@@ -767,6 +783,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
         real_core::real_obs::ProfileReport::from_stream(&stream, top_k)
     } else {
         let exp = experiment_from(args)?;
+        reject_replan_with_async(args, &exp)?;
         // Profiling needs the kernel spans regardless of --trace.
         let mut engine = exp.engine_config().clone();
         if engine.trace_capacity == 0 {
@@ -1656,6 +1673,41 @@ mod tests {
         let out = cmd_run(&parse(&argv)).unwrap();
         assert!(out.contains("replan:"), "{out}");
         assert!(out.contains("1 switched"), "{out}");
+    }
+
+    #[test]
+    fn replan_with_async_offpolicy_is_rejected() {
+        let graph = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/graphs/async-ppo.json"
+        );
+        let base = [
+            "--nodes",
+            "1",
+            "--batch",
+            "32",
+            "--quick-profile",
+            "--replan",
+        ];
+        for cmd in ["run", "profile"] {
+            let mut by_flag = vec![cmd, "--async-offpolicy"];
+            by_flag.extend(base);
+            let mut by_spec = vec![cmd, "--graph", graph];
+            by_spec.extend(base);
+            for argv in [by_flag, by_spec] {
+                let args = parse(&argv);
+                let err = if cmd == "run" {
+                    cmd_run(&args)
+                } else {
+                    cmd_profile(&args)
+                }
+                .unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Invalid(m) if m.contains("--replan")),
+                    "{argv:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -510,9 +510,18 @@ impl Experiment {
 
     /// Executes a plan on the runtime engine for `iterations` iterations.
     ///
+    /// With a re-plan policy and a fault plan both set, the run goes
+    /// through [`RuntimeEngine::run_replan`]; otherwise an async staleness
+    /// bound routes it through [`RuntimeEngine::run_async`]. Re-planning
+    /// runs the synchronous schedule only, so when both modes are set the
+    /// staleness bound is not applied; the `real` CLI rejects that
+    /// combination (`--replan` with `--async-offpolicy` or a graph's
+    /// `offpolicy` section) instead of running it.
+    ///
     /// # Errors
     ///
-    /// Returns [`RunError::OutOfMemory`] when the plan does not fit.
+    /// Returns [`RunError::OutOfMemory`] when the plan does not fit, and
+    /// [`RunError::NoIterations`] when `iterations == 0`.
     pub fn run(
         &self,
         plan: &ExecutionPlan,

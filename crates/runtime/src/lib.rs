@@ -7,7 +7,11 @@
 //! ([`master`]) resolves the same dependency graph and dispatches requests
 //! (with RPC latency), and each model worker is a FIFO
 //! [`real_sim::GpuTimeline`] that executes the requests' kernels, collectives,
-//! reallocation broadcasts, and transfers in arrival order.
+//! reallocation broadcasts, and transfers in arrival order. Every entry
+//! point — [`RuntimeEngine::run`], `run_async`, `run_replan`,
+//! [`run_multi`] and [`TenantSession`] — drives one crate-private iteration
+//! driver, so dependency resolution, reallocation, DSL hooks, and dispatch
+//! are implemented once and differ only in policy.
 //!
 //! Fidelity is deliberately *finer* than the estimator's closed forms:
 //! execution is simulated per micro-batch, per pipeline stage, and per
@@ -63,6 +67,7 @@
 
 pub mod baselines;
 pub mod config;
+mod driver;
 pub mod exec;
 pub mod layout;
 pub mod master;

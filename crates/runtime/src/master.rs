@@ -27,24 +27,15 @@
 //!    disabled — so a run always completes.
 
 use crate::config::EngineConfig;
-use crate::exec::{draft_cost_models, execute_call_spec, spec_exec_for, ExecCtx, SpecExec};
-use crate::memcheck;
-use crate::realloc::execute_realloc;
-use crate::replan::{ReplanEvent, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanStats};
-use crate::report::{AsyncStats, CallTiming, FaultAbort, FaultStats, RequestFault, RunReport};
-use crate::workers::{MasterLog, Request, Response};
-use real_cluster::{ClusterHealth, ClusterSpec, CommModel, GpuId};
-use real_dataflow::{CallAssignment, CallId, CallType, DataflowGraph, ExecutionPlan};
-use real_estimator::{maxmem, Estimator};
-use real_model::CostModel;
-use real_search::{compare, search_warm, McmcConfig, SearchSpace};
-use real_sim::{Category, FaultClock, Timelines, Trace};
-use real_util::DeterministicRng;
-use std::collections::HashMap;
+use crate::driver::{run_solo, Replan};
+use crate::replan::ReplanPolicy;
+use crate::report::RunReport;
+use real_cluster::ClusterSpec;
+use real_dataflow::{DataflowGraph, ExecutionPlan};
+use real_estimator::Estimator;
 use std::fmt;
-use std::time::Duration;
 
-/// Errors from [`RuntimeEngine::run`].
+/// Errors from [`RuntimeEngine::run`] and the other runtime entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The plan exceeds device memory (the paper's red-cross markers in
@@ -55,6 +46,8 @@ pub enum RunError {
         /// Device capacity bytes.
         capacity: u64,
     },
+    /// A run, tenant or session was asked for zero iterations.
+    NoIterations,
 }
 
 impl fmt::Display for RunError {
@@ -66,6 +59,7 @@ impl fmt::Display for RunError {
                 real_util::units::fmt_bytes(*peak),
                 real_util::units::fmt_bytes(*capacity)
             ),
+            RunError::NoIterations => write!(f, "must run at least one iteration"),
         }
     }
 }
@@ -80,15 +74,6 @@ pub struct RuntimeEngine {
     cluster: ClusterSpec,
     graph: DataflowGraph,
     config: EngineConfig,
-}
-
-/// Result of a capped dispatch: either the request completed, or the wait
-/// for a dead participant exceeded the cap and the master should re-plan.
-enum DispatchOutcome {
-    /// Completion time of the successful attempt.
-    Done(f64),
-    /// At `at`, participant `gpu` was at least the cap away from restarting.
-    NeedsReplan { at: f64, gpu: u32 },
 }
 
 impl RuntimeEngine {
@@ -121,465 +106,10 @@ impl RuntimeEngine {
     /// # Errors
     ///
     /// Returns [`RunError::OutOfMemory`] when the plan does not fit device
-    /// memory (unless `skip_mem_check` is set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations == 0`.
+    /// memory (unless `skip_mem_check` is set), and
+    /// [`RunError::NoIterations`] when `iterations == 0`.
     pub fn run(&self, plan: &ExecutionPlan, iterations: usize) -> Result<RunReport, RunError> {
-        assert!(iterations > 0, "must run at least one iteration");
-        let peak = memcheck::max_mem(
-            &self.cluster,
-            &self.graph,
-            plan,
-            &self.config.zero3_models,
-            &self.config.dist_optim_models,
-        );
-        if !self.config.skip_mem_check && peak > self.cluster.gpu.mem_capacity {
-            return Err(RunError::OutOfMemory {
-                peak,
-                capacity: self.cluster.gpu.mem_capacity,
-            });
-        }
-
-        // One cost model per distinct architecture.
-        let mut costs: HashMap<String, CostModel> = HashMap::new();
-        for call in self.graph.calls() {
-            costs
-                .entry(call.model.name.clone())
-                .or_insert_with(|| CostModel::new(self.cluster.clone(), call.model.clone()));
-        }
-        let draft_costs = draft_cost_models(&self.cluster, plan);
-        let comm = CommModel::new(&self.cluster);
-        let mut tl = Timelines::new(self.cluster.total_gpus() as usize);
-        let mut trace = if self.config.trace_capacity > 0 {
-            Trace::with_capacity(self.config.trace_capacity)
-        } else {
-            Trace::disabled()
-        };
-        let mut rng = DeterministicRng::from_seed(self.config.seed).derive("runtime");
-
-        // Compiled fault schedule. `None` keeps every site below on the
-        // exact fault-free code path (identical RNG draws and arithmetic),
-        // so fault-free runs stay byte-identical.
-        let fault_clock = self.config.fault_plan.as_ref().map(|p| {
-            FaultClock::new(
-                p,
-                self.cluster.total_gpus() as usize,
-                self.cluster.gpus_per_node as usize,
-            )
-        });
-        let mut fault_stats = FaultStats::default();
-        if let Some(clock) = fault_clock.as_ref() {
-            fault_stats.injected = clock.n_windows();
-        }
-        let predicted: HashMap<&str, f64> = self
-            .config
-            .predicted_secs
-            .iter()
-            .map(|(name, secs)| (name.as_str(), *secs))
-            .collect();
-
-        let mut master_log = MasterLog::default();
-        let topo = self
-            .graph
-            .topo_order()
-            .expect("validated graphs are acyclic");
-        let mut completion: Vec<Vec<f64>> = vec![vec![0.0; self.graph.n_calls()]; iterations];
-        let mut timings: Vec<CallTiming> = Vec::new();
-        let mut iter_end = vec![0.0f64; iterations];
-
-        for iter in 0..iterations {
-            for &call in &topo {
-                let def = self.graph.call(call);
-                let a = plan.assignment(call);
-                let cost = &costs[&def.model.name];
-                let zero3 = self.config.zero3_models.contains(&def.model_name);
-
-                // Data-dependency readiness (+ transfer when layouts differ).
-                let mut ready: f64 = 0.0;
-                for &dep in self.graph.deps(call) {
-                    let dep_done = completion[iter][dep.0];
-                    let b = plan.assignment(dep);
-                    let end = if a.mesh == b.mesh && a.strategy == b.strategy {
-                        dep_done
-                    } else {
-                        let bytes = self.graph.call(dep).call_type.total_tokens() as f64 * 8.0;
-                        let per_src = bytes / f64::from(b.strategy.dp());
-                        let within = a.mesh.n_nodes() == 1
-                            && b.mesh.n_nodes() == 1
-                            && a.mesh.node_start() == b.mesh.node_start();
-                        let mut dur = comm.broadcast(per_src, 2, within)
-                            * rng.lognormal_factor(self.config.jitter_sigma);
-                        // Only the consumer mesh is occupied: the producer's
-                        // GPUs serve the send from copy engines without
-                        // stalling whatever they run next (otherwise a tiny
-                        // transfer would serialize disjoint-mesh calls
-                        // through the producer's busy queue).
-                        let gpus: Vec<usize> = a.mesh.gpus().map(|g| g.0 as usize).collect();
-                        if let Some(clock) = fault_clock.as_ref() {
-                            let start = gpus
-                                .iter()
-                                .map(|&g| tl.gpu(g).busy_until())
-                                .fold(dep_done, f64::max);
-                            dur = clock.stretched(&gpus, start, dur, true);
-                        }
-                        tl.collective(&gpus, dep_done, dur, Category::Transfer)
-                    };
-                    ready = ready.max(end);
-                }
-
-                // Parameter availability: previous call of the same model
-                // (this iteration), else the model's last call of the
-                // previous iteration; reallocate when layouts differ.
-                let model_calls = self.graph.calls_of_model(&def.model_name);
-                let order: Vec<CallId> = topo
-                    .iter()
-                    .copied()
-                    .filter(|c| model_calls.contains(c))
-                    .collect();
-                let my_pos = order.iter().position(|&c| c == call).expect("listed");
-                let prev: Option<(usize, CallId)> = if my_pos > 0 {
-                    Some((iter, order[my_pos - 1]))
-                } else if iter > 0 {
-                    Some((iter - 1, *order.last().expect("non-empty")))
-                } else {
-                    None
-                };
-                if let Some((piter, pcall)) = prev {
-                    let pdone = completion[piter][pcall.0];
-                    let pa = plan.assignment(pcall);
-                    let end = execute_realloc(
-                        &mut tl,
-                        &mut trace,
-                        &comm,
-                        &def.model,
-                        pa,
-                        a,
-                        pdone,
-                        &mut rng,
-                        self.config.jitter_sigma,
-                        fault_clock.as_ref(),
-                    );
-                    ready = ready.max(end);
-                }
-
-                // Master dispatch RPC: the request carries the upstream
-                // data locations, never the data itself (§6). User hooks
-                // from the graph DSL are host-side: the pre hook delays
-                // dispatch and the post hook delays completion visibility
-                // without occupying the mesh.
-                let (pre_hook, post_hook) = self.config.hook_secs(&def.call_name);
-                let ready = ready + self.config.rpc_latency + pre_hook;
-                master_log.requests.push(Request {
-                    call,
-                    handle: def.call_name.clone(),
-                    iter,
-                    dispatch_time: ready,
-                    data_locations: MasterLog::data_locations(&self.graph, plan, call),
-                    worker_count: a.mesh.n_gpus(),
-                });
-
-                let spec_exec = spec_exec_for(plan, call, &draft_costs);
-                let end = if let Some(clock) = fault_clock.as_ref() {
-                    self.dispatch_resilient(
-                        clock,
-                        cost,
-                        &comm,
-                        &mut tl,
-                        &mut trace,
-                        &mut rng,
-                        zero3,
-                        a,
-                        def.call_type,
-                        &def.call_name,
-                        predicted.get(def.call_name.as_str()).copied(),
-                        ready,
-                        iter,
-                        &mut fault_stats,
-                        spec_exec.as_ref(),
-                    )
-                } else {
-                    let mut ctx = ExecCtx {
-                        cost,
-                        comm: &comm,
-                        tl: &mut tl,
-                        trace: &mut trace,
-                        rng: &mut rng,
-                        cfg: &self.config,
-                        zero3,
-                        faults: None,
-                    };
-                    execute_call_spec(&mut ctx, a, def.call_type, ready, spec_exec.as_ref())
-                };
-                let end = end + post_hook;
-                master_log.responses.push(Response {
-                    call,
-                    iter,
-                    completed_at: end,
-                });
-                completion[iter][call.0] = end;
-                iter_end[iter] = iter_end[iter].max(end);
-                timings.push(CallTiming {
-                    call_name: def.call_name.clone(),
-                    iter,
-                    start: ready,
-                    end,
-                });
-            }
-        }
-
-        let total_time = tl.makespan();
-        // Steady-state per-iteration time: boundary-to-boundary when more
-        // than one iteration ran.
-        let iter_time = if iterations > 1 {
-            (iter_end[iterations - 1] - iter_end[0]) / (iterations - 1) as f64
-        } else {
-            iter_end[0]
-        };
-        Ok(RunReport {
-            iterations,
-            total_time,
-            iter_time,
-            timings,
-            category_totals: tl.totals(),
-            idle_total: tl.idle_total(),
-            mem_peak: peak,
-            static_utilization: maxmem::static_utilization(&self.cluster, &self.graph, plan),
-            trace,
-            master_log,
-            faults: fault_stats,
-            replan: ReplanStats::default(),
-            async_stats: AsyncStats::default(),
-        })
-    }
-
-    /// Executes one request under the retry protocol described in the
-    /// module docs. Always returns a completion time: after
-    /// `max_retries` failed attempts the final attempt runs in degraded
-    /// mode (past the schedule's last crash, checks disabled), so the loop
-    /// terminates even under a hostile schedule. Crate-visible so the
-    /// multi-tenant loop ([`run_multi`]) dispatches through the same
-    /// protocol.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dispatch_resilient(
-        &self,
-        clock: &FaultClock,
-        cost: &CostModel,
-        comm: &CommModel,
-        tl: &mut Timelines,
-        trace: &mut Trace,
-        rng: &mut DeterministicRng,
-        zero3: bool,
-        a: &CallAssignment,
-        call_type: CallType,
-        call_name: &str,
-        predicted_secs: Option<f64>,
-        ready: f64,
-        iter: usize,
-        stats: &mut FaultStats,
-        spec: Option<&SpecExec<'_>>,
-    ) -> f64 {
-        match self.dispatch_capped(
-            clock,
-            cost,
-            comm,
-            tl,
-            trace,
-            rng,
-            zero3,
-            a,
-            call_type,
-            call_name,
-            predicted_secs,
-            ready,
-            iter,
-            stats,
-            spec,
-            None,
-        ) {
-            DispatchOutcome::Done(end) => end,
-            DispatchOutcome::NeedsReplan { .. } => {
-                unreachable!("dispatch without a wait cap never re-plans")
-            }
-        }
-    }
-
-    /// [`RuntimeEngine::run`]'s retry protocol with an optional wait cap:
-    /// when every retry avenue first requires waiting at least `wait_cap`
-    /// seconds for a participant to restart, the attempt is *not* dispatched
-    /// and the caller is asked to re-plan instead of waiting out the
-    /// downtime. Nothing is mutated on that path, so the caller can switch
-    /// plans and re-enter, or retry uncapped to reproduce the plain
-    /// behavior.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_capped(
-        &self,
-        clock: &FaultClock,
-        cost: &CostModel,
-        comm: &CommModel,
-        tl: &mut Timelines,
-        trace: &mut Trace,
-        rng: &mut DeterministicRng,
-        zero3: bool,
-        a: &CallAssignment,
-        call_type: CallType,
-        call_name: &str,
-        predicted_secs: Option<f64>,
-        ready: f64,
-        iter: usize,
-        stats: &mut FaultStats,
-        spec: Option<&SpecExec<'_>>,
-        wait_cap: Option<f64>,
-    ) -> DispatchOutcome {
-        // Participants: the target mesh, plus the draft mesh when the call
-        // decodes speculatively — availability waits, crash detection, and
-        // lost-work accounting all cover the draft workers too.
-        let mut mesh: Vec<usize> = a.mesh.gpus().map(|g| g.0 as usize).collect();
-        if let Some(spec) = spec {
-            for g in spec.choice.assignment.mesh.gpus() {
-                let g = g.0 as usize;
-                if !mesh.contains(&g) {
-                    mesh.push(g);
-                }
-            }
-        }
-        let mut attempt_ready = ready;
-        let mut failed: u32 = 0;
-        loop {
-            let degraded = failed > self.config.max_retries;
-            // Wait for every participant to be restarted; a degraded
-            // attempt additionally waits out the whole crash schedule so it
-            // cannot be aborted.
-            let mut start = clock.available_from(&mesh, attempt_ready);
-            if degraded {
-                start = start.max(clock.quiet_after(&mesh));
-            }
-            if let Some(cap) = wait_cap {
-                if start - attempt_ready >= cap {
-                    // The master cannot see the future: it concludes a
-                    // worker is dead only after actually waiting out the
-                    // patience window in silence, so the decision instant
-                    // is `attempt_ready + cap` — never earlier than the
-                    // crash that caused the stall. The culprit is whichever
-                    // participant is still down at that instant.
-                    let at = attempt_ready + cap;
-                    let gpu = mesh
-                        .iter()
-                        .copied()
-                        .find(|&g| clock.available_from(&[g], at) > at)
-                        .unwrap_or(mesh[0]) as u32;
-                    return DispatchOutcome::NeedsReplan { at, gpu };
-                }
-            }
-            stats.dispatches += 1;
-
-            // Fault-free duration from this exact timeline state: cloned
-            // timelines and RNG make queueing identical between the nominal
-            // and the real attempt, so the deadline fires only on genuine
-            // fault-induced stretch, never on queueing delay.
-            let nominal_wall = {
-                let mut tl_nom = tl.clone();
-                let mut rng_nom = rng.clone();
-                let mut scratch = Trace::disabled();
-                let mut ctx = ExecCtx {
-                    cost,
-                    comm,
-                    tl: &mut tl_nom,
-                    trace: &mut scratch,
-                    rng: &mut rng_nom,
-                    cfg: &self.config,
-                    zero3,
-                    faults: None,
-                };
-                execute_call_spec(&mut ctx, a, call_type, start, spec) - start
-            };
-            let predicted_wall = predicted_secs.map_or(nominal_wall, |p| p.max(nominal_wall));
-            let deadline = if self.config.deadline_factor > 0.0 && !degraded {
-                self.config.deadline_factor * predicted_wall
-            } else {
-                f64::INFINITY
-            };
-
-            let tl_snap = tl.clone();
-            let rng_snap = rng.clone();
-            let cp = trace.checkpoint();
-            let end = {
-                let mut ctx = ExecCtx {
-                    cost,
-                    comm,
-                    tl,
-                    trace,
-                    rng,
-                    cfg: &self.config,
-                    zero3,
-                    faults: Some(clock),
-                };
-                execute_call_spec(&mut ctx, a, call_type, start, spec)
-            };
-
-            let crash = if degraded {
-                None
-            } else {
-                clock.first_crash(&mesh, start, end)
-            };
-            let timed_out = end - start > deadline;
-            if crash.is_none() && !timed_out {
-                if failed > 0 {
-                    stats.requests_retried += 1;
-                    if degraded {
-                        stats.requests_degraded += 1;
-                    } else {
-                        stats.requests_recovered += 1;
-                    }
-                }
-                return DispatchOutcome::Done(end);
-            }
-
-            // The attempt is dead: roll back its timeline, RNG, and trace
-            // effects, then charge the wasted interval as lost work.
-            let abort_at = match crash {
-                Some((_, at)) => at.min(start + deadline),
-                None => start + deadline,
-            };
-            *tl = tl_snap;
-            *rng = rng_snap;
-            trace.rewind(cp);
-            if trace.enabled() {
-                for &g in &mesh {
-                    let s = tl.gpu(g).busy_until().max(start);
-                    if s < abort_at {
-                        trace.record(g, s, abort_at, Category::Compute, "lost_work");
-                    }
-                }
-            }
-            stats.lost_gpu_seconds += tl.occupy_until(&mesh, start, abort_at, Category::Compute);
-
-            let kind = match crash {
-                Some((g, at)) if at <= start + deadline => FaultAbort::Crash { gpu: g as u32 },
-                _ => FaultAbort::Timeout,
-            };
-            match kind {
-                FaultAbort::Crash { .. } => stats.crashes += 1,
-                FaultAbort::Timeout => stats.timeouts += 1,
-            }
-            stats.retries += 1;
-            let backoff = (self.config.backoff_base * 2f64.powi(failed as i32))
-                .min(self.config.backoff_cap)
-                .max(0.0);
-            stats.events.push(RequestFault {
-                call_name: call_name.to_string(),
-                iter,
-                attempt: failed,
-                kind,
-                at: abort_at,
-                backoff_secs: backoff,
-            });
-
-            failed += 1;
-            stats.backoff_seconds += backoff;
-            attempt_ready = abort_at + backoff;
-        }
+        run_solo(self, plan, iterations, None, None)
     }
 
     /// Executes `plan` under the elastic re-planning loop: resilient
@@ -617,12 +147,9 @@ impl RuntimeEngine {
     /// # Errors
     ///
     /// Returns [`RunError::OutOfMemory`] when the *initial* plan does not
-    /// fit device memory (unless `skip_mem_check` is set). Candidate plans
+    /// fit device memory (unless `skip_mem_check` is set), and
+    /// [`RunError::NoIterations`] when `iterations == 0`. Candidate plans
     /// failing the memory check are rejected during evaluation instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations == 0`.
     pub fn run_replan(
         &self,
         plan: &ExecutionPlan,
@@ -630,515 +157,17 @@ impl RuntimeEngine {
         policy: &ReplanPolicy,
         est: &Estimator,
     ) -> Result<RunReport, RunError> {
-        assert!(iterations > 0, "must run at least one iteration");
         if self.config.fault_plan.is_none() {
             return self.run(plan, iterations);
         }
-        let peak = memcheck::max_mem(
-            &self.cluster,
-            &self.graph,
-            plan,
-            &self.config.zero3_models,
-            &self.config.dist_optim_models,
-        );
-        if !self.config.skip_mem_check && peak > self.cluster.gpu.mem_capacity {
-            return Err(RunError::OutOfMemory {
-                peak,
-                capacity: self.cluster.gpu.mem_capacity,
-            });
-        }
-
-        let mut costs: HashMap<String, CostModel> = HashMap::new();
-        for call in self.graph.calls() {
-            costs
-                .entry(call.model.name.clone())
-                .or_insert_with(|| CostModel::new(self.cluster.clone(), call.model.clone()));
-        }
-        let draft_costs = draft_cost_models(&self.cluster, plan);
-        let comm = CommModel::new(&self.cluster);
-        let mut tl = Timelines::new(self.cluster.total_gpus() as usize);
-        let mut trace = if self.config.trace_capacity > 0 {
-            Trace::with_capacity(self.config.trace_capacity)
-        } else {
-            Trace::disabled()
-        };
-        let mut rng = DeterministicRng::from_seed(self.config.seed).derive("runtime");
-        let clock = FaultClock::new(
-            self.config.fault_plan.as_ref().expect("checked above"),
-            self.cluster.total_gpus() as usize,
-            self.cluster.gpus_per_node as usize,
-        );
-        let mut fault_stats = FaultStats {
-            injected: clock.n_windows(),
-            ..FaultStats::default()
-        };
-        let mut replan_stats = ReplanStats::default();
-        let mut predicted: HashMap<String, f64> =
-            self.config.predicted_secs.iter().cloned().collect();
-
-        let mut current = plan.clone();
-        // The layout actually holding each model's parameters: assignment
-        // of the model's last executed call (or switch prologue), and when
-        // the parameters become available there. Replaces `run`'s static
-        // previous-call lookup, which assumes the plan never changes.
-        let mut param_layout: HashMap<String, (CallAssignment, f64)> = HashMap::new();
-
-        let mut master_log = MasterLog::default();
-        let topo = self
-            .graph
-            .topo_order()
-            .expect("validated graphs are acyclic");
-        let mut completion: Vec<Vec<f64>> = vec![vec![0.0; self.graph.n_calls()]; iterations];
-        let mut timings: Vec<CallTiming> = Vec::new();
-        let mut iter_end = vec![0.0f64; iterations];
-        // Per-iteration fault-counter epochs for the boundary triggers.
-        let (mut epoch_timeouts, mut epoch_degraded, mut epoch_dispatches) =
-            (0usize, 0usize, 0usize);
-
-        for iter in 0..iterations {
-            // Assignments this iteration's requests actually executed on
-            // (the plan may switch mid-iteration, so the static plan is not
-            // authoritative for dependency-transfer decisions).
-            let mut executed: Vec<Option<CallAssignment>> = vec![None; self.graph.n_calls()];
-            for &call in &topo {
-                let def = self.graph.call(call);
-                let cost = &costs[&def.model.name];
-                let zero3 = self.config.zero3_models.contains(&def.model_name);
-                let mut capped = true;
-                let (start_at, end, assignment) = loop {
-                    let a = *current.assignment(call);
-                    // Snapshot: on a dead-worker re-plan this call's
-                    // transfers, reallocations, and fault accounting are
-                    // rolled back and replayed under the switched plan.
-                    let tl_snap = tl.clone();
-                    let rng_snap = rng.clone();
-                    let fs_snap = fault_stats.clone();
-                    let cp = trace.checkpoint();
-
-                    // Data-dependency readiness (+ transfer when layouts
-                    // differ), against the dep's *executed* assignment.
-                    let mut ready: f64 = 0.0;
-                    for &dep in self.graph.deps(call) {
-                        let dep_done = completion[iter][dep.0];
-                        let b = executed[dep.0].expect("deps precede in topo order");
-                        let end = if a.mesh == b.mesh && a.strategy == b.strategy {
-                            dep_done
-                        } else {
-                            let bytes = self.graph.call(dep).call_type.total_tokens() as f64 * 8.0;
-                            let per_src = bytes / f64::from(b.strategy.dp());
-                            let within = a.mesh.n_nodes() == 1
-                                && b.mesh.n_nodes() == 1
-                                && a.mesh.node_start() == b.mesh.node_start();
-                            let mut dur = comm.broadcast(per_src, 2, within)
-                                * rng.lognormal_factor(self.config.jitter_sigma);
-                            let gpus: Vec<usize> = a.mesh.gpus().map(|g| g.0 as usize).collect();
-                            let start = gpus
-                                .iter()
-                                .map(|&g| tl.gpu(g).busy_until())
-                                .fold(dep_done, f64::max);
-                            dur = clock.stretched(&gpus, start, dur, true);
-                            tl.collective(&gpus, dep_done, dur, Category::Transfer)
-                        };
-                        ready = ready.max(end);
-                    }
-
-                    // Parameter availability from the live layout map;
-                    // reallocate when the executing layout differs.
-                    if let Some((pa, pdone)) = param_layout.get(&def.model_name).copied() {
-                        let end = execute_realloc(
-                            &mut tl,
-                            &mut trace,
-                            &comm,
-                            &def.model,
-                            &pa,
-                            &a,
-                            pdone,
-                            &mut rng,
-                            self.config.jitter_sigma,
-                            Some(&clock),
-                        );
-                        ready = ready.max(end);
-                    }
-                    let ready = ready + self.config.rpc_latency;
-
-                    let cap = (capped && replan_stats.switches < policy.max_replans)
-                        .then_some(policy.dead_after_secs);
-                    let spec_exec = spec_exec_for(&current, call, &draft_costs);
-                    match self.dispatch_capped(
-                        &clock,
-                        cost,
-                        &comm,
-                        &mut tl,
-                        &mut trace,
-                        &mut rng,
-                        zero3,
-                        &a,
-                        def.call_type,
-                        &def.call_name,
-                        predicted.get(def.call_name.as_str()).copied(),
-                        ready,
-                        iter,
-                        &mut fault_stats,
-                        spec_exec.as_ref(),
-                        cap,
-                    ) {
-                        DispatchOutcome::Done(end) => break (ready, end, a),
-                        DispatchOutcome::NeedsReplan { at, gpu } => {
-                            tl = tl_snap;
-                            rng = rng_snap;
-                            fault_stats = fs_snap;
-                            trace.rewind(cp);
-                            match self.try_replan(
-                                &clock,
-                                est,
-                                policy,
-                                &comm,
-                                &mut tl,
-                                &mut trace,
-                                &mut rng,
-                                &current,
-                                &mut param_layout,
-                                &mut predicted,
-                                &topo,
-                                at,
-                                iter,
-                                iterations,
-                                ReplanReason::DeadWorker { gpu },
-                                &mut replan_stats,
-                            ) {
-                                Some(new_plan) => current = new_plan,
-                                // No switch: re-dispatch uncapped, waiting
-                                // out the downtime exactly like `run`.
-                                None => capped = false,
-                            }
-                        }
-                    }
-                };
-                master_log.requests.push(Request {
-                    call,
-                    handle: def.call_name.clone(),
-                    iter,
-                    dispatch_time: start_at,
-                    data_locations: MasterLog::data_locations(&self.graph, &current, call),
-                    worker_count: assignment.mesh.n_gpus(),
-                });
-                master_log.responses.push(Response {
-                    call,
-                    iter,
-                    completed_at: end,
-                });
-                executed[call.0] = Some(assignment);
-                param_layout.insert(def.model_name.clone(), (assignment, end));
-                completion[iter][call.0] = end;
-                iter_end[iter] = iter_end[iter].max(end);
-                timings.push(CallTiming {
-                    call_name: def.call_name.clone(),
-                    iter,
-                    start: start_at,
-                    end,
-                });
-            }
-
-            // Iteration-boundary triggers over this iteration's fault
-            // deltas (persistent stragglers, degraded-mode completion rate).
-            let timeouts_d = fault_stats.timeouts - epoch_timeouts;
-            let degraded_d = fault_stats.requests_degraded - epoch_degraded;
-            let dispatch_d = fault_stats.dispatches - epoch_dispatches;
-            epoch_timeouts = fault_stats.timeouts;
-            epoch_degraded = fault_stats.requests_degraded;
-            epoch_dispatches = fault_stats.dispatches;
-            if iter + 1 < iterations && replan_stats.switches < policy.max_replans {
-                let degraded_rate = if dispatch_d > 0 {
-                    degraded_d as f64 / dispatch_d as f64
-                } else {
-                    0.0
-                };
-                let reason = if timeouts_d as u64 >= policy.straggler_requests {
-                    Some(ReplanReason::Straggler {
-                        timeouts: timeouts_d as u64,
-                    })
-                } else if degraded_d > 0 && degraded_rate >= policy.degraded_rate_threshold {
-                    Some(ReplanReason::DegradedRate {
-                        rate: degraded_rate,
-                    })
-                } else {
-                    None
-                };
-                if let Some(reason) = reason {
-                    if let Some(new_plan) = self.try_replan(
-                        &clock,
-                        est,
-                        policy,
-                        &comm,
-                        &mut tl,
-                        &mut trace,
-                        &mut rng,
-                        &current,
-                        &mut param_layout,
-                        &mut predicted,
-                        &topo,
-                        iter_end[iter],
-                        iter,
-                        iterations,
-                        reason,
-                        &mut replan_stats,
-                    ) {
-                        current = new_plan;
-                    }
-                }
-            }
-        }
-
-        let total_time = tl.makespan();
-        let iter_time = if iterations > 1 {
-            (iter_end[iterations - 1] - iter_end[0]) / (iterations - 1) as f64
-        } else {
-            iter_end[0]
-        };
-        Ok(RunReport {
-            iterations,
-            total_time,
-            iter_time,
-            timings,
-            category_totals: tl.totals(),
-            idle_total: tl.idle_total(),
-            mem_peak: peak,
-            static_utilization: maxmem::static_utilization(&self.cluster, &self.graph, plan),
-            trace,
-            master_log,
-            faults: fault_stats,
-            replan: replan_stats,
-            async_stats: AsyncStats::default(),
-        })
-    }
-
-    /// Evaluates one re-plan trigger. On commit, the switch's reallocation
-    /// prologue has executed on the timelines, the parameter layouts and
-    /// deadline predictions reflect the candidate, and the candidate plan
-    /// is returned. On every other outcome (no surviving plan, gate
-    /// rejection, prologue crash) all engine state is rolled back and
-    /// `None` is returned; only the decision log records the attempt.
-    #[allow(clippy::too_many_arguments)]
-    fn try_replan(
-        &self,
-        clock: &FaultClock,
-        est: &Estimator,
-        policy: &ReplanPolicy,
-        comm: &CommModel,
-        tl: &mut Timelines,
-        trace: &mut Trace,
-        rng: &mut DeterministicRng,
-        current: &ExecutionPlan,
-        param_layout: &mut HashMap<String, (CallAssignment, f64)>,
-        predicted: &mut HashMap<String, f64>,
-        topo: &[CallId],
-        now: f64,
-        iter: usize,
-        iterations: usize,
-        reason: ReplanReason,
-        stats: &mut ReplanStats,
-    ) -> Option<ExecutionPlan> {
-        stats.evaluations += 1;
-        let record = |stats: &mut ReplanStats, outcome: ReplanOutcome| {
-            stats.events.push(ReplanEvent {
-                at: now,
-                iter,
-                reason,
-                outcome,
-            });
-        };
-
-        // Cluster health as observed at the trigger instant: workers past
-        // the patience window are dead, upcoming slowdown windows tag their
-        // GPUs with the factor the estimator degrades by.
-        let mut health = ClusterHealth::healthy(&self.cluster);
-        for g in 0..self.cluster.total_gpus() as usize {
-            if clock.available_from(&[g], now) - now >= policy.dead_after_secs {
-                health.mark_dead(GpuId(g as u32));
-            } else {
-                let factor = clock.max_slowdown_in(g, now, now + policy.slowdown_lookahead);
-                if factor > 1.0 {
-                    health.mark_slow(GpuId(g as u32), factor);
-                }
-            }
-        }
-        let health = health.with_dead_penalty(policy.dead_penalty);
-
-        // Warm-started re-search over the surviving meshes, seeded from the
-        // incumbent projected onto the shrunken space.
-        let space = match SearchSpace::try_build_on(
-            &self.cluster,
-            &self.graph,
-            policy.prune,
-            &health.surviving_meshes(),
-        ) {
-            Ok(space) => space,
-            Err(_) => {
-                stats.no_plan += 1;
-                record(stats, ReplanOutcome::NoSurvivingPlan);
-                return None;
-            }
-        };
-        let est_h = est.clone().with_health(health);
-        let mut seed_rng = DeterministicRng::from_seed(self.config.seed)
-            .derive("replan")
-            .derive(&format!("eval{}", stats.evaluations));
-        let cfg = McmcConfig {
-            beta: policy.beta,
-            max_steps: policy.search_steps,
-            // Effectively unlimited: a wall-clock cutoff would break
-            // replayability, and the step budget already bounds the search.
-            time_limit: Duration::from_secs(86_400),
-            seed: seed_rng.next_u64(),
-            record_trace: false,
-            memo: true,
-        };
-        let result = search_warm(&est_h, &space, &cfg, current);
-        let candidate = result.best_plan;
-
-        let cand_peak = memcheck::max_mem(
-            &self.cluster,
-            &self.graph,
-            &candidate,
-            &self.config.zero3_models,
-            &self.config.dist_optim_models,
-        );
-        if !self.config.skip_mem_check && cand_peak > self.cluster.gpu.mem_capacity {
-            stats.no_plan += 1;
-            record(stats, ReplanOutcome::NoSurvivingPlan);
-            return None;
-        }
-
-        let comparison = compare(&est_h, current, &candidate);
-        let (base_time, target_time) = (comparison.base_time, comparison.target_time);
-        // Estimated-speedup gate first: skip the (rolled-back anyway)
-        // reallocation prologue when the candidate is not clearly faster on
-        // the degraded cluster.
-        if target_time >= base_time || base_time / target_time < policy.min_speedup {
-            stats.gate_rejections += 1;
-            record(
-                stats,
-                ReplanOutcome::GateRejected {
-                    base_time,
-                    target_time,
-                    switch_secs: 0.0,
-                },
-            );
-            return None;
-        }
-
-        // Reallocation prologue under snapshot-rollback: move every held
-        // model's parameters to the candidate layout (its first call's
-        // assignment — later same-model calls realloc per-call as usual).
-        let tl_snap = tl.clone();
-        let rng_snap = rng.clone();
-        let cp = trace.checkpoint();
-        let mut prologue_end = now;
-        let mut participants: Vec<usize> = Vec::new();
-        let mut moved: Vec<(String, CallAssignment)> = Vec::new();
-        for &call in topo {
-            let def = self.graph.call(call);
-            if moved.iter().any(|(m, _)| *m == def.model_name) {
-                continue;
-            }
-            let Some((pa, pdone)) = param_layout.get(&def.model_name).copied() else {
-                continue;
-            };
-            let ta = *candidate.assignment(call);
-            if pa == ta {
-                continue;
-            }
-            let end = execute_realloc(
-                tl,
-                trace,
-                comm,
-                &def.model,
-                &pa,
-                &ta,
-                pdone.max(now),
-                rng,
-                self.config.jitter_sigma,
-                Some(clock),
-            );
-            prologue_end = prologue_end.max(end);
-            participants.extend(pa.mesh.gpus().map(|g| g.0 as usize));
-            participants.extend(ta.mesh.gpus().map(|g| g.0 as usize));
-            moved.push((def.model_name.clone(), ta));
-        }
-        participants.sort_unstable();
-        participants.dedup();
-        let switch_secs = prologue_end - now;
-
-        // Abort only on a *fresh* crash among participants that were up when
-        // the prologue started: the broadcasts source from surviving
-        // replicas, so a worker already down at `now` (typically the very
-        // one being evacuated) cannot fault the switch.
-        let live: Vec<usize> = participants
-            .iter()
-            .copied()
-            .filter(|&g| clock.available_from(&[g], now) <= now)
-            .collect();
-        if let Some((gpu, at)) = clock.first_crash(&live, now, prologue_end) {
-            *tl = tl_snap;
-            *rng = rng_snap;
-            trace.rewind(cp);
-            stats.aborted_switches += 1;
-            record(
-                stats,
-                ReplanOutcome::SwitchFaulted {
-                    gpu: gpu as u32,
-                    at,
-                },
-            );
-            return None;
-        }
-
-        // Cost/benefit gate on the *measured* switch cost: the estimated
-        // saving over the remaining iterations must pay for the prologue
-        // with margin.
-        let remaining = (iterations - iter) as f64;
-        if (base_time - target_time) * remaining <= policy.min_benefit_ratio * switch_secs {
-            *tl = tl_snap;
-            *rng = rng_snap;
-            trace.rewind(cp);
-            stats.gate_rejections += 1;
-            record(
-                stats,
-                ReplanOutcome::GateRejected {
-                    base_time,
-                    target_time,
-                    switch_secs,
-                },
-            );
-            return None;
-        }
-
-        // Commit: adopt the moved layouts and refresh deadline predictions
-        // for the candidate's assignments under the degraded estimator.
-        for (model, ta) in moved {
-            param_layout.insert(model, (ta, prologue_end));
-        }
-        for &call in topo {
-            let def = self.graph.call(call);
-            predicted.insert(
-                def.call_name.clone(),
-                est_h.call_duration(call, candidate.assignment(call)),
-            );
-        }
-        stats.switches += 1;
-        stats.switch_seconds += switch_secs;
-        record(
-            stats,
-            ReplanOutcome::Switched {
-                base_time,
-                target_time,
-                switch_secs,
-                n_diffs: comparison.diffs.len(),
-            },
-        );
-        Some(candidate)
+        run_solo(self, plan, iterations, None, Some(Replan { policy, est }))
     }
 }
+
+#[cfg(test)] // names the unit tests take via `super::*`
+use crate::{replan::ReplanReason, report::FaultAbort};
+#[cfg(test)]
+use real_sim::Category;
 
 #[cfg(test)]
 mod tests {

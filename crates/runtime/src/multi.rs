@@ -37,22 +37,16 @@
 //! bit-exactly where it was.
 
 use crate::config::EngineConfig;
-use crate::exec::{execute_call_spec, spec_exec_for, ExecCtx};
+use crate::driver::Driver;
 use crate::master::{RunError, RuntimeEngine};
-use crate::memcheck;
-use crate::realloc::execute_realloc;
-use crate::replan::{ReplanEvent, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanStats};
-use crate::report::{AsyncStats, CallTiming, FaultStats, RunReport};
-use crate::workers::{MasterLog, Request, Response};
-use real_cluster::{partition, ClusterSpec, CommModel, GpuId};
-use real_dataflow::{CallAssignment, CallId, DataflowGraph, ExecutionPlan};
-use real_estimator::{maxmem, Estimator};
-use real_model::CostModel;
-use real_search::{compare, search_warm, McmcConfig, SearchSpace};
-use real_sim::{Category, FaultClock, Timelines, Trace};
+use crate::replan::{ReplanPolicy, ReplanReason};
+use crate::report::RunReport;
+use real_cluster::{partition, ClusterSpec, GpuId};
+use real_dataflow::{DataflowGraph, ExecutionPlan};
+use real_estimator::Estimator;
+use real_search::SearchSpace;
+use real_sim::{Category, Timelines};
 use real_util::DeterministicRng;
-use std::collections::HashMap;
-use std::time::Duration;
 
 /// Elastic-rebalancing opt-in for one tenant: the re-plan gate parameters
 /// and the §5 estimator (for the tenant's graph on the shared cluster) that
@@ -113,386 +107,78 @@ fn accumulate_busy(state: &mut TenantState, tl: &Timelines, before: &[Vec<f64>])
     }
 }
 
-/// Per-tenant live state of the multi-tenant loop.
+/// Per-tenant live state of the multi-tenant loop: the tenant's driver on
+/// the shared timelines plus its holdings and accounting.
 struct TenantState {
-    id: u64,
-    engine: RuntimeEngine,
-    costs: HashMap<String, CostModel>,
-    draft_costs: HashMap<String, CostModel>,
-    clock: Option<FaultClock>,
-    rng: DeterministicRng,
-    trace: Trace,
-    master_log: MasterLog,
-    fault_stats: FaultStats,
-    replan_stats: ReplanStats,
-    topo: Vec<CallId>,
-    completion: Vec<Vec<f64>>,
-    timings: Vec<CallTiming>,
-    iter_end: Vec<f64>,
-    param_layout: HashMap<String, (CallAssignment, f64)>,
-    predicted: HashMap<String, f64>,
-    current: ExecutionPlan,
+    driver: Driver,
     owned: Vec<GpuId>,
     totals_acc: Vec<f64>,
-    mem_peak: u64,
-    static_util: f64,
-    iterations: usize,
-    solo_step_secs: f64,
-    elastic: Option<TenantElastic>,
     done: bool,
     total_time: f64,
 }
 
 impl TenantState {
-    /// Mean measured step seconds over the iterations completed so far
-    /// (boundary-to-boundary past the first iteration, matching
-    /// [`crate::RunReport::iter_time`]).
-    fn measured_step(&self, last_iter: usize) -> f64 {
-        if last_iter == 0 {
-            self.iter_end[0]
-        } else {
-            (self.iter_end[last_iter] - self.iter_end[0]) / last_iter as f64
-        }
-    }
-
-    /// Observed stretch: measured step time over the solo estimate; `1.0`
-    /// when no solo estimate was supplied.
-    fn stretch(&self, last_iter: usize) -> f64 {
-        if self.solo_step_secs > 0.0 {
-            self.measured_step(last_iter) / self.solo_step_secs
+    /// Observed stretch of tenant `t`: measured step time over its solo
+    /// estimate; `1.0` when no solo estimate was supplied.
+    fn stretch(&self, t: &TenantRun, last_iter: usize) -> f64 {
+        if t.solo_step_secs > 0.0 {
+            self.driver.mean_step(last_iter) / t.solo_step_secs
         } else {
             1.0
         }
     }
 
-    /// Executes one RLHF iteration of this tenant on the shared timelines.
-    /// Mirrors the inner loop of [`RuntimeEngine::run`], with the live
-    /// parameter-layout map from `run_replan` so the plan may switch
-    /// between iterations (elastic growth).
-    fn exec_iteration(&mut self, tl: &mut Timelines, comm: &CommModel, iter: usize) {
-        let jitter = self.engine.config().jitter_sigma;
-        let rpc = self.engine.config().rpc_latency;
-        let mut executed: Vec<Option<CallAssignment>> = vec![None; self.engine.graph().n_calls()];
-        for pos in 0..self.topo.len() {
-            let call = self.topo[pos];
-            let graph = self.engine.graph();
-            let def = graph.call(call);
-            let a = *self.current.assignment(call);
-            let zero3 = self.engine.config().zero3_models.contains(&def.model_name);
-
-            // Data-dependency readiness (+ transfer when layouts differ).
-            let mut ready: f64 = 0.0;
-            for &dep in graph.deps(call) {
-                let dep_done = self.completion[iter][dep.0];
-                let b = executed[dep.0].expect("deps precede in topo order");
-                let end = if a.mesh == b.mesh && a.strategy == b.strategy {
-                    dep_done
-                } else {
-                    let bytes = graph.call(dep).call_type.total_tokens() as f64 * 8.0;
-                    let per_src = bytes / f64::from(b.strategy.dp());
-                    let within = a.mesh.n_nodes() == 1
-                        && b.mesh.n_nodes() == 1
-                        && a.mesh.node_start() == b.mesh.node_start();
-                    let mut dur =
-                        comm.broadcast(per_src, 2, within) * self.rng.lognormal_factor(jitter);
-                    let gpus: Vec<usize> = a.mesh.gpus().map(|g| g.0 as usize).collect();
-                    if let Some(clock) = self.clock.as_ref() {
-                        let start = gpus
-                            .iter()
-                            .map(|&g| tl.gpu(g).busy_until())
-                            .fold(dep_done, f64::max);
-                        dur = clock.stretched(&gpus, start, dur, true);
-                    }
-                    tl.collective(&gpus, dep_done, dur, Category::Transfer)
-                };
-                ready = ready.max(end);
-            }
-
-            // Parameter availability from the live layout map.
-            if let Some((pa, pdone)) = self.param_layout.get(&def.model_name).copied() {
-                let end = execute_realloc(
-                    tl,
-                    &mut self.trace,
-                    comm,
-                    &def.model,
-                    &pa,
-                    &a,
-                    pdone,
-                    &mut self.rng,
-                    jitter,
-                    self.clock.as_ref(),
-                );
-                ready = ready.max(end);
-            }
-
-            let ready = ready + rpc;
-            self.master_log.requests.push(Request {
-                call,
-                handle: def.call_name.clone(),
-                iter,
-                dispatch_time: ready,
-                data_locations: MasterLog::data_locations(graph, &self.current, call),
-                worker_count: a.mesh.n_gpus(),
-            });
-
-            let spec_exec = spec_exec_for(&self.current, call, &self.draft_costs);
-            let end = if let Some(clock) = self.clock.as_ref() {
-                self.engine.dispatch_resilient(
-                    clock,
-                    &self.costs[&def.model.name],
-                    comm,
-                    tl,
-                    &mut self.trace,
-                    &mut self.rng,
-                    zero3,
-                    &a,
-                    def.call_type,
-                    &def.call_name,
-                    self.predicted.get(def.call_name.as_str()).copied(),
-                    ready,
-                    iter,
-                    &mut self.fault_stats,
-                    spec_exec.as_ref(),
-                )
-            } else {
-                let mut ctx = ExecCtx {
-                    cost: &self.costs[&def.model.name],
-                    comm,
-                    tl,
-                    trace: &mut self.trace,
-                    rng: &mut self.rng,
-                    cfg: self.engine.config(),
-                    zero3,
-                    faults: None,
-                };
-                execute_call_spec(&mut ctx, &a, def.call_type, ready, spec_exec.as_ref())
-            };
-            self.master_log.responses.push(Response {
-                call,
-                iter,
-                completed_at: end,
-            });
-            executed[call.0] = Some(a);
-            self.param_layout
-                .insert(self.engine.graph().call(call).model_name.clone(), (a, end));
-            self.completion[iter][call.0] = end;
-            self.iter_end[iter] = self.iter_end[iter].max(end);
-            self.timings.push(CallTiming {
-                call_name: self.engine.graph().call(call).call_name.clone(),
-                iter,
-                start: ready,
-                end,
-            });
-        }
-    }
-
-    /// Offers `pool` (freed GPUs) to this tenant through the re-plan gate.
+    /// Offers `pool` (freed GPUs) to elastic tenant `id` through the
+    /// re-plan gate, searching the meshes inside its grown holdings.
     /// Returns `true` when the tenant committed to a grown plan (holdings
     /// extended by the pool); every other outcome rolls back bit-exactly.
+    #[allow(clippy::too_many_arguments)]
     fn try_grow(
         &mut self,
         tl: &mut Timelines,
-        comm: &CommModel,
         cluster: &ClusterSpec,
         pool: &[GpuId],
         seed: u64,
         iter: usize,
+        id: u64,
+        el: &TenantElastic,
     ) -> bool {
-        let Some(el) = self.elastic.clone() else {
-            return false;
-        };
-        if self.replan_stats.switches >= el.policy.max_replans {
+        if self.driver.replan.switches >= el.policy.max_replans {
             return false;
         }
-        let now = self.iter_end[iter];
-        let remaining = (self.iterations - (iter + 1)) as f64;
+        let mut grown: Vec<GpuId> = self.owned.iter().chain(pool).copied().collect();
+        grown.sort_unstable();
+        grown.dedup();
+        let meshes = partition::meshes_within_gpus(cluster, &grown);
+        let graph = self.driver.engine().graph();
+        let space = SearchSpace::try_build_on(cluster, graph, el.policy.prune, &meshes).ok();
+        let now = self.driver.iter_end[iter];
+        let remaining = (self.driver.iterations() - (iter + 1)) as f64;
         let reason = ReplanReason::FreedCapacity {
             gpus: pool.len() as u32,
         };
-        self.replan_stats.evaluations += 1;
-        let record = |stats: &mut ReplanStats, outcome: ReplanOutcome| {
-            stats.events.push(ReplanEvent {
-                at: now,
-                iter,
-                reason,
-                outcome,
-            });
-        };
-
-        let mut owned_grown: Vec<GpuId> = self.owned.iter().chain(pool).copied().collect();
-        owned_grown.sort_unstable();
-        owned_grown.dedup();
-        let meshes = partition::meshes_within_gpus(cluster, &owned_grown);
-        let space =
-            match SearchSpace::try_build_on(cluster, self.engine.graph(), el.policy.prune, &meshes)
-            {
-                Ok(space) => space,
-                Err(_) => {
-                    self.replan_stats.no_plan += 1;
-                    record(&mut self.replan_stats, ReplanOutcome::NoSurvivingPlan);
-                    return false;
-                }
-            };
-        let mut seed_rng = DeterministicRng::from_seed(seed)
-            .derive("tenant")
-            .derive_index(self.id)
-            .derive("rebalance")
-            .derive_index(self.replan_stats.evaluations);
-        let cfg = McmcConfig {
-            beta: el.policy.beta,
-            max_steps: el.policy.search_steps,
-            // Effectively unlimited: a wall-clock cutoff would break
-            // replayability; the step budget bounds the search.
-            time_limit: Duration::from_secs(86_400),
-            seed: seed_rng.next_u64(),
-            record_trace: false,
-            memo: true,
-        };
-        let result = search_warm(&el.estimator, &space, &cfg, &self.current);
-        let candidate = result.best_plan;
-
-        let config = self.engine.config();
-        let cand_peak = memcheck::max_mem(
-            cluster,
-            self.engine.graph(),
-            &candidate,
-            &config.zero3_models,
-            &config.dist_optim_models,
-        );
-        if !config.skip_mem_check && cand_peak > cluster.gpu.mem_capacity {
-            self.replan_stats.no_plan += 1;
-            record(&mut self.replan_stats, ReplanOutcome::NoSurvivingPlan);
-            return false;
-        }
-
-        let comparison = compare(&el.estimator, &self.current, &candidate);
-        let (base_time, target_time) = (comparison.base_time, comparison.target_time);
-        if target_time >= base_time || base_time / target_time < el.policy.min_speedup {
-            self.replan_stats.gate_rejections += 1;
-            record(
-                &mut self.replan_stats,
-                ReplanOutcome::GateRejected {
-                    base_time,
-                    target_time,
-                    switch_secs: 0.0,
-                },
-            );
-            return false;
-        }
-
-        // Reallocation prologue under snapshot-rollback: move every held
-        // model's parameters to the candidate layout.
-        let jitter = self.engine.config().jitter_sigma;
-        let tl_snap = tl.clone();
-        let rng_snap = self.rng.clone();
-        let cp = self.trace.checkpoint();
-        let mut prologue_end = now;
-        let mut participants: Vec<usize> = Vec::new();
-        let mut moved: Vec<(String, CallAssignment)> = Vec::new();
-        for pos in 0..self.topo.len() {
-            let call = self.topo[pos];
-            let graph = self.engine.graph();
-            let def = graph.call(call);
-            if moved.iter().any(|(m, _)| *m == def.model_name) {
-                continue;
-            }
-            let Some((pa, pdone)) = self.param_layout.get(&def.model_name).copied() else {
-                continue;
-            };
-            let ta = *candidate.assignment(call);
-            if pa == ta {
-                continue;
-            }
-            let end = execute_realloc(
-                tl,
-                &mut self.trace,
-                comm,
-                &def.model,
-                &pa,
-                &ta,
-                pdone.max(now),
-                &mut self.rng,
-                jitter,
-                self.clock.as_ref(),
-            );
-            prologue_end = prologue_end.max(end);
-            participants.extend(pa.mesh.gpus().map(|g| g.0 as usize));
-            participants.extend(ta.mesh.gpus().map(|g| g.0 as usize));
-            moved.push((def.model_name.clone(), ta));
-        }
-        participants.sort_unstable();
-        participants.dedup();
-        let switch_secs = prologue_end - now;
-
-        // Abort only on a fresh crash among participants that were up when
-        // the prologue started (same rule as mid-run re-planning).
-        if let Some(clock) = self.clock.as_ref() {
-            let live: Vec<usize> = participants
-                .iter()
-                .copied()
-                .filter(|&g| clock.available_from(&[g], now) <= now)
-                .collect();
-            if let Some((gpu, at)) = clock.first_crash(&live, now, prologue_end) {
-                *tl = tl_snap;
-                self.rng = rng_snap;
-                self.trace.rewind(cp);
-                self.replan_stats.aborted_switches += 1;
-                record(
-                    &mut self.replan_stats,
-                    ReplanOutcome::SwitchFaulted {
-                        gpu: gpu as u32,
-                        at,
-                    },
-                );
-                return false;
-            }
-        }
-
-        // Cost/benefit gate on the measured switch cost.
-        if (base_time - target_time) * remaining <= el.policy.min_benefit_ratio * switch_secs {
-            *tl = tl_snap;
-            self.rng = rng_snap;
-            self.trace.rewind(cp);
-            self.replan_stats.gate_rejections += 1;
-            record(
-                &mut self.replan_stats,
-                ReplanOutcome::GateRejected {
-                    base_time,
-                    target_time,
-                    switch_secs,
-                },
-            );
-            return false;
-        }
-
-        // Commit: adopt the moved layouts, refresh deadline predictions,
-        // and extend the holdings.
-        for (model, ta) in moved {
-            self.param_layout.insert(model, (ta, prologue_end));
-        }
-        for pos in 0..self.topo.len() {
-            let call = self.topo[pos];
-            let name = self.engine.graph().call(call).call_name.clone();
-            self.predicted.insert(
-                name,
-                el.estimator.call_duration(call, candidate.assignment(call)),
-            );
-        }
-        let n_diffs = comparison.diffs.len();
-        self.owned = owned_grown;
-        self.current = candidate;
-        self.replan_stats.switches += 1;
-        self.replan_stats.switch_seconds += switch_secs;
-        record(
-            &mut self.replan_stats,
-            ReplanOutcome::Switched {
-                base_time,
-                target_time,
-                switch_secs,
-                n_diffs,
+        let grew = self.driver.gate(
+            tl,
+            space,
+            &el.estimator,
+            &el.policy,
+            now,
+            iter,
+            remaining,
+            reason,
+            |n| {
+                DeterministicRng::from_seed(seed)
+                    .derive("tenant")
+                    .derive_index(id)
+                    .derive("rebalance")
+                    .derive_index(n)
+                    .next_u64()
             },
         );
-        true
+        if grew {
+            self.owned = grown;
+        }
+        grew
     }
 }
 
@@ -509,13 +195,14 @@ impl TenantState {
 ///
 /// Returns [`RunError::OutOfMemory`] when any tenant's initial plan does
 /// not fit device memory (unless that tenant's config sets
-/// `skip_mem_check`). Candidate plans produced by elastic growth are
+/// `skip_mem_check`), and [`RunError::NoIterations`] when any tenant has
+/// zero iterations. Candidate plans produced by elastic growth are
 /// memory-checked during evaluation instead.
 ///
 /// # Panics
 ///
-/// Panics if `tenants` is empty, any tenant has zero iterations, or any
-/// plan references GPUs outside `cluster`.
+/// Panics if `tenants` is empty or any plan references GPUs outside
+/// `cluster`.
 pub fn run_multi(
     cluster: &ClusterSpec,
     tenants: &[TenantRun],
@@ -525,76 +212,20 @@ pub fn run_multi(
     let n_gpus = cluster.total_gpus() as usize;
     let mut states: Vec<TenantState> = Vec::with_capacity(tenants.len());
     for t in tenants {
-        assert!(t.iterations > 0, "tenant {} has zero iterations", t.name);
-        let peak = memcheck::max_mem(
-            cluster,
-            &t.graph,
-            &t.plan,
-            &t.config.zero3_models,
-            &t.config.dist_optim_models,
-        );
-        if !t.config.skip_mem_check && peak > cluster.gpu.mem_capacity {
-            return Err(RunError::OutOfMemory {
-                peak,
-                capacity: cluster.gpu.mem_capacity,
-            });
-        }
-        let mut costs: HashMap<String, CostModel> = HashMap::new();
-        for call in t.graph.calls() {
-            costs
-                .entry(call.model.name.clone())
-                .or_insert_with(|| CostModel::new(cluster.clone(), call.model.clone()));
-        }
-        let draft_costs = crate::exec::draft_cost_models(cluster, &t.plan);
-        let clock = t
-            .config
-            .fault_plan
-            .as_ref()
-            .map(|p| FaultClock::new(p, n_gpus, cluster.gpus_per_node as usize));
-        let mut fault_stats = FaultStats::default();
-        if let Some(clock) = clock.as_ref() {
-            fault_stats.injected = clock.n_windows();
-        }
-        let trace = if t.config.trace_capacity > 0 {
-            Trace::with_capacity(t.config.trace_capacity)
-        } else {
-            Trace::disabled()
-        };
-        let topo = t.graph.topo_order().expect("validated graphs are acyclic");
+        let engine = RuntimeEngine::new(cluster.clone(), t.graph.clone(), t.config.clone());
+        let rng = DeterministicRng::from_seed(seed)
+            .derive("tenant")
+            .derive_index(t.id)
+            .derive("runtime");
         states.push(TenantState {
-            id: t.id,
-            engine: RuntimeEngine::new(cluster.clone(), t.graph.clone(), t.config.clone()),
-            costs,
-            draft_costs,
-            clock,
-            rng: DeterministicRng::from_seed(seed)
-                .derive("tenant")
-                .derive_index(t.id)
-                .derive("runtime"),
-            trace,
-            master_log: MasterLog::default(),
-            fault_stats,
-            replan_stats: ReplanStats::default(),
-            topo,
-            completion: vec![vec![0.0; t.graph.n_calls()]; t.iterations],
-            timings: Vec::new(),
-            iter_end: vec![0.0; t.iterations],
-            param_layout: HashMap::new(),
-            predicted: t.config.predicted_secs.iter().cloned().collect(),
-            current: t.plan.clone(),
+            driver: Driver::new(engine, &t.plan, t.iterations, rng)?,
             owned: t.allocation.clone(),
             totals_acc: vec![0.0; Category::ALL.len()],
-            mem_peak: peak,
-            static_util: maxmem::static_utilization(cluster, &t.graph, &t.plan),
-            iterations: t.iterations,
-            solo_step_secs: t.solo_step_secs,
-            elastic: t.elastic.clone(),
             done: false,
             total_time: 0.0,
         });
     }
 
-    let comm = CommModel::new(cluster);
     let mut tl = Timelines::new(n_gpus);
     let max_iters = tenants
         .iter()
@@ -612,9 +243,9 @@ pub fn run_multi(
                 continue;
             }
             let before = busy_snapshot(&tl);
-            state.exec_iteration(&mut tl, &comm, iter);
+            state.driver.run_iteration(&mut tl, iter, 0.0, None);
             accumulate_busy(state, &tl, &before);
-            if iter + 1 == state.iterations {
+            if iter + 1 == state.driver.iterations() {
                 state.done = true;
                 state.total_time = state
                     .owned
@@ -642,13 +273,11 @@ pub fn run_multi(
             if pool.is_empty() || pool == last_offered {
                 break;
             }
-            let target = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.done && s.elastic.is_some() && iter + 1 < s.iterations)
-                .max_by(|(_, a), (_, b)| {
-                    a.stretch(iter)
-                        .partial_cmp(&b.stretch(iter))
+            let target = (states.iter().zip(tenants).enumerate())
+                .filter(|(_, (s, t))| !s.done && t.elastic.is_some() && iter + 1 < t.iterations)
+                .max_by(|(_, (a, ta)), (_, (b, tb))| {
+                    a.stretch(ta, iter)
+                        .partial_cmp(&b.stretch(tb, iter))
                         .expect("stretch values are finite")
                 })
                 .map(|(i, _)| i);
@@ -656,8 +285,9 @@ pub fn run_multi(
             let Some(i) = target else {
                 break;
             };
+            let (t, el) = (&tenants[i], tenants[i].elastic.as_ref().expect("elastic"));
             let before = busy_snapshot(&tl);
-            let grew = states[i].try_grow(&mut tl, &comm, cluster, &pool, seed, iter);
+            let grew = states[i].try_grow(&mut tl, cluster, &pool, seed, iter, t.id, el);
             accumulate_busy(&mut states[i], &tl, &before);
             if !grew {
                 break;
@@ -669,35 +299,19 @@ pub fn run_multi(
 
     Ok(states
         .into_iter()
-        .map(|s| {
+        .zip(tenants)
+        .map(|(s, t)| {
             let busy: f64 = s.totals_acc.iter().sum();
-            let iter_time = if s.iterations > 1 {
-                (s.iter_end[s.iterations - 1] - s.iter_end[0]) / (s.iterations - 1) as f64
-            } else {
-                s.iter_end[0]
-            };
-            RunReport {
-                iterations: s.iterations,
-                total_time: s.total_time,
-                iter_time,
-                timings: s.timings,
-                category_totals: Category::ALL
-                    .iter()
-                    .zip(&s.totals_acc)
-                    .map(|(c, v)| (*c, *v))
-                    .collect(),
-                idle_total: (s.owned.len() as f64 * s.total_time - busy).max(0.0),
-                mem_peak: s.mem_peak,
-                static_utilization: s.static_util,
-                trace: s.trace,
-                master_log: s.master_log,
-                faults: s.fault_stats,
-                replan: s.replan_stats,
-                async_stats: AsyncStats::default(),
-            }
+            let totals = Category::ALL.iter().copied().zip(s.totals_acc).collect();
+            let idle_total = (s.owned.len() as f64 * s.total_time - busy).max(0.0);
+            s.driver
+                .into_report(&t.plan, s.total_time, totals, idle_total)
         })
         .collect())
 }
+
+#[cfg(test)] // names the unit tests take via `super::*`
+use real_dataflow::CallAssignment;
 
 #[cfg(test)]
 mod tests {
@@ -787,11 +401,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero iterations")]
-    fn zero_iteration_tenant_panics() {
+    fn zero_iteration_tenant_is_rejected() {
         let cluster = ClusterSpec::h100(1);
         let mut t = tenant_on(&cluster, 0, 0, 32, 1);
         t.iterations = 0;
-        let _ = run_multi(&cluster, &[t], 1);
+        assert_eq!(
+            run_multi(&cluster, &[t], 1).unwrap_err(),
+            RunError::NoIterations
+        );
     }
 }

@@ -36,7 +36,7 @@
 //! very calls this mode exists to overlap.) The shipped volume is the full
 //! parameter footprint of the generation layout
 //! ([`crate::realloc::realloc_volume`]), charged as
-//! [`Category::Realloc`].
+//! [`real_sim::Category::Realloc`].
 //!
 //! # Staleness accounting
 //!
@@ -48,18 +48,10 @@
 //! count, the observed maximum, and the wall seconds during which
 //! generation and training were simultaneously in flight.
 
-use crate::exec::{draft_cost_models, execute_call_spec, spec_exec_for, ExecCtx};
+use crate::driver::run_solo;
 use crate::master::{RunError, RuntimeEngine};
-use crate::memcheck;
-use crate::realloc::{execute_realloc, realloc_volume};
-use crate::report::{AsyncStats, CallTiming, FaultStats, RunReport};
-use crate::workers::{MasterLog, Request, Response};
-use real_cluster::CommModel;
-use real_dataflow::{CallId, CallType, ExecutionPlan};
-use real_estimator::maxmem;
-use real_model::CostModel;
-use real_sim::{Category, FaultClock, Timelines, Trace};
-use real_util::DeterministicRng;
+use crate::report::{CallTiming, RunReport};
+use real_dataflow::{CallType, ExecutionPlan};
 use std::collections::HashMap;
 
 impl RuntimeEngine {
@@ -72,11 +64,8 @@ impl RuntimeEngine {
     /// # Errors
     ///
     /// Returns [`RunError::OutOfMemory`] when the plan does not fit device
-    /// memory (unless `skip_mem_check` is set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations == 0`.
+    /// memory (unless `skip_mem_check` is set), and
+    /// [`RunError::NoIterations`] when `iterations == 0`.
     ///
     /// # Examples
     ///
@@ -105,314 +94,17 @@ impl RuntimeEngine {
         iterations: usize,
         staleness: u32,
     ) -> Result<RunReport, RunError> {
-        assert!(iterations > 0, "must run at least one iteration");
-        let graph = self.graph();
-        let config = self.config();
-        let cluster = self.cluster();
-        let peak = memcheck::max_mem(
-            cluster,
-            graph,
-            plan,
-            &config.zero3_models,
-            &config.dist_optim_models,
-        );
-        if !config.skip_mem_check && peak > cluster.gpu.mem_capacity {
-            return Err(RunError::OutOfMemory {
-                peak,
-                capacity: cluster.gpu.mem_capacity,
-            });
-        }
-
-        let mut costs: HashMap<String, CostModel> = HashMap::new();
-        for call in graph.calls() {
-            costs
-                .entry(call.model.name.clone())
-                .or_insert_with(|| CostModel::new(cluster.clone(), call.model.clone()));
-        }
-        let draft_costs = draft_cost_models(cluster, plan);
-        let comm = CommModel::new(cluster);
-        let mut tl = Timelines::new(cluster.total_gpus() as usize);
-        let mut trace = if config.trace_capacity > 0 {
-            Trace::with_capacity(config.trace_capacity)
-        } else {
-            Trace::disabled()
-        };
-        let mut rng = DeterministicRng::from_seed(config.seed).derive("runtime");
-        let fault_clock = config.fault_plan.as_ref().map(|p| {
-            FaultClock::new(
-                p,
-                cluster.total_gpus() as usize,
-                cluster.gpus_per_node as usize,
-            )
-        });
-        let mut fault_stats = FaultStats::default();
-        if let Some(clock) = fault_clock.as_ref() {
-            fault_stats.injected = clock.n_windows();
-        }
-        let predicted: HashMap<&str, f64> = config
-            .predicted_secs
-            .iter()
-            .map(|(name, secs)| (name.as_str(), *secs))
-            .collect();
-
-        let mut master_log = MasterLog::default();
-        let topo = graph.topo_order().expect("validated graphs are acyclic");
-        // The relaxed set: generation calls of trainable models.
-        let relaxed: Vec<bool> = (0..graph.n_calls())
-            .map(|i| {
-                let def = graph.call(CallId(i));
-                matches!(def.call_type, CallType::Generate { .. })
-                    && graph.is_trainable(&def.model_name)
-            })
-            .collect();
-        let mut completion: Vec<Vec<f64>> = vec![vec![0.0; graph.n_calls()]; iterations];
-        let mut timings: Vec<CallTiming> = Vec::new();
-        let mut iter_end = vec![0.0f64; iterations];
-        let mut async_stats = AsyncStats {
-            staleness_bound: staleness,
-            ..AsyncStats::default()
-        };
-
-        for iter in 0..iterations {
-            for &call in &topo {
-                let def = graph.call(call);
-                let a = plan.assignment(call);
-                let cost = &costs[&def.model.name];
-                let zero3 = config.zero3_models.contains(&def.model_name);
-
-                // Data-dependency readiness (+ transfer when layouts
-                // differ) — identical to the synchronous master.
-                let mut ready: f64 = 0.0;
-                for &dep in graph.deps(call) {
-                    let dep_done = completion[iter][dep.0];
-                    let b = plan.assignment(dep);
-                    let end = if a.mesh == b.mesh && a.strategy == b.strategy {
-                        dep_done
-                    } else {
-                        let bytes = graph.call(dep).call_type.total_tokens() as f64 * 8.0;
-                        let per_src = bytes / f64::from(b.strategy.dp());
-                        let within = a.mesh.n_nodes() == 1
-                            && b.mesh.n_nodes() == 1
-                            && a.mesh.node_start() == b.mesh.node_start();
-                        let mut dur = comm.broadcast(per_src, 2, within)
-                            * rng.lognormal_factor(config.jitter_sigma);
-                        let gpus: Vec<usize> = a.mesh.gpus().map(|g| g.0 as usize).collect();
-                        if let Some(clock) = fault_clock.as_ref() {
-                            let start = gpus
-                                .iter()
-                                .map(|&g| tl.gpu(g).busy_until())
-                                .fold(dep_done, f64::max);
-                            dur = clock.stretched(&gpus, start, dur, true);
-                        }
-                        tl.collective(&gpus, dep_done, dur, Category::Transfer)
-                    };
-                    ready = ready.max(end);
-                }
-
-                // Parameter availability with the relaxed edge.
-                let model_calls = graph.calls_of_model(&def.model_name);
-                let order: Vec<CallId> = topo
-                    .iter()
-                    .copied()
-                    .filter(|c| model_calls.contains(c))
-                    .collect();
-                let nongen: Vec<CallId> = order.iter().copied().filter(|c| !relaxed[c.0]).collect();
-                let mut snapshot_src: Option<(i64, CallId)> = None;
-                if relaxed[call.0] {
-                    // Generation samples from the staleness-bounded
-                    // snapshot. `is_trainable` guarantees a training step
-                    // exists, so `nongen` is non-empty.
-                    let src = *nongen.last().expect("trainable model has a train call");
-                    let version = iter as i64 - 1 - i64::from(staleness);
-                    snapshot_src = Some((version, src));
-                    if version >= 0 {
-                        let pdone = completion[version as usize][src.0];
-                        let pa = plan.assignment(src);
-                        let end = if pa == a {
-                            pdone
-                        } else {
-                            // Consumer-mesh-only snapshot shipment (module
-                            // docs): the trainer's copy engines serve the
-                            // send, only the generation mesh is occupied.
-                            let per_gpu =
-                                realloc_volume(&def.model, a) as f64 / a.mesh.n_gpus() as f64;
-                            let within = a.mesh.n_nodes() == 1
-                                && pa.mesh.n_nodes() == 1
-                                && a.mesh.node_start() == pa.mesh.node_start();
-                            let mut dur = comm.broadcast(per_gpu, 2, within)
-                                * rng.lognormal_factor(config.jitter_sigma);
-                            let gpus: Vec<usize> = a.mesh.gpus().map(|g| g.0 as usize).collect();
-                            if let Some(clock) = fault_clock.as_ref() {
-                                let start = gpus
-                                    .iter()
-                                    .map(|&g| tl.gpu(g).busy_until())
-                                    .fold(pdone, f64::max);
-                                dur = clock.stretched(&gpus, start, dur, true);
-                            }
-                            tl.collective(&gpus, pdone, dur, Category::Realloc)
-                        };
-                        ready = ready.max(end);
-                        // When the call decodes speculatively the snapshot
-                        // also covers the draft's weights: the draft mesh
-                        // receives its (distilled) copy of the same stale
-                        // version before generation starts. Spec-free plans
-                        // never reach this branch, so they draw no extra
-                        // jitter and stay byte-identical.
-                        if let Some(c) = plan.spec_choice(call) {
-                            let da = &c.assignment;
-                            let per_gpu = realloc_volume(&c.config.draft_model, da) as f64
-                                / da.mesh.n_gpus() as f64;
-                            let within = da.mesh.n_nodes() == 1
-                                && pa.mesh.n_nodes() == 1
-                                && da.mesh.node_start() == pa.mesh.node_start();
-                            let mut dur = comm.broadcast(per_gpu, 2, within)
-                                * rng.lognormal_factor(config.jitter_sigma);
-                            let gpus: Vec<usize> = da.mesh.gpus().map(|g| g.0 as usize).collect();
-                            if let Some(clock) = fault_clock.as_ref() {
-                                let start = gpus
-                                    .iter()
-                                    .map(|&g| tl.gpu(g).busy_until())
-                                    .fold(pdone, f64::max);
-                                dur = clock.stretched(&gpus, start, dur, true);
-                            }
-                            let end = tl.collective(&gpus, pdone, dur, Category::Realloc);
-                            ready = ready.max(end);
-                        }
-                    }
-                } else {
-                    // Fresh chain among the model's non-generation calls.
-                    let my_pos = nongen.iter().position(|&c| c == call).expect("listed");
-                    let prev: Option<(usize, CallId)> = if my_pos > 0 {
-                        Some((iter, nongen[my_pos - 1]))
-                    } else if iter > 0 {
-                        Some((iter - 1, *nongen.last().expect("non-empty")))
-                    } else {
-                        None
-                    };
-                    if let Some((piter, pcall)) = prev {
-                        let pdone = completion[piter][pcall.0];
-                        let pa = plan.assignment(pcall);
-                        let end = execute_realloc(
-                            &mut tl,
-                            &mut trace,
-                            &comm,
-                            &def.model,
-                            pa,
-                            a,
-                            pdone,
-                            &mut rng,
-                            config.jitter_sigma,
-                            fault_clock.as_ref(),
-                        );
-                        ready = ready.max(end);
-                    }
-                }
-
-                let (pre_hook, post_hook) = config.hook_secs(&def.call_name);
-                let ready = ready + config.rpc_latency + pre_hook;
-                master_log.requests.push(Request {
-                    call,
-                    handle: def.call_name.clone(),
-                    iter,
-                    dispatch_time: ready,
-                    data_locations: MasterLog::data_locations(graph, plan, call),
-                    worker_count: a.mesh.n_gpus(),
-                });
-
-                if let Some((version, src)) = snapshot_src {
-                    if iter > 0 {
-                        async_stats.relaxed_calls += 1;
-                        // Completed-but-unconsumed training steps at
-                        // dispatch: versions newer than the snapshot whose
-                        // training had already finished when generation
-                        // started.
-                        let newer_from = usize::try_from(version + 1).unwrap_or(0);
-                        let observed = (newer_from..iter)
-                            .filter(|&j| completion[j][src.0] <= ready)
-                            .count() as u32;
-                        async_stats.max_observed_staleness =
-                            async_stats.max_observed_staleness.max(observed);
-                    }
-                }
-
-                let spec_exec = spec_exec_for(plan, call, &draft_costs);
-                let end = if let Some(clock) = fault_clock.as_ref() {
-                    self.dispatch_resilient(
-                        clock,
-                        cost,
-                        &comm,
-                        &mut tl,
-                        &mut trace,
-                        &mut rng,
-                        zero3,
-                        a,
-                        def.call_type,
-                        &def.call_name,
-                        predicted.get(def.call_name.as_str()).copied(),
-                        ready,
-                        iter,
-                        &mut fault_stats,
-                        spec_exec.as_ref(),
-                    )
-                } else {
-                    let mut ctx = ExecCtx {
-                        cost,
-                        comm: &comm,
-                        tl: &mut tl,
-                        trace: &mut trace,
-                        rng: &mut rng,
-                        cfg: config,
-                        zero3,
-                        faults: None,
-                    };
-                    execute_call_spec(&mut ctx, a, def.call_type, ready, spec_exec.as_ref())
-                };
-                let end = end + post_hook;
-                master_log.responses.push(Response {
-                    call,
-                    iter,
-                    completed_at: end,
-                });
-                completion[iter][call.0] = end;
-                iter_end[iter] = iter_end[iter].max(end);
-                timings.push(CallTiming {
-                    call_name: def.call_name.clone(),
-                    iter,
-                    start: ready,
-                    end,
-                });
-            }
-        }
-
-        async_stats.gen_train_overlap_secs = gen_train_overlap(graph, &timings);
-        let total_time = tl.makespan();
-        let iter_time = if iterations > 1 {
-            (iter_end[iterations - 1] - iter_end[0]) / (iterations - 1) as f64
-        } else {
-            iter_end[0]
-        };
-        Ok(RunReport {
-            iterations,
-            total_time,
-            iter_time,
-            timings,
-            category_totals: tl.totals(),
-            idle_total: tl.idle_total(),
-            mem_peak: peak,
-            static_utilization: maxmem::static_utilization(cluster, graph, plan),
-            trace,
-            master_log,
-            faults: fault_stats,
-            replan: crate::replan::ReplanStats::default(),
-            async_stats,
-        })
+        run_solo(self, plan, iterations, Some(staleness), None)
     }
 }
 
 /// Wall seconds during which at least one [`CallType::Generate`] call and
 /// at least one [`CallType::TrainStep`] call were simultaneously in
 /// flight, from the report's call timings.
-fn gen_train_overlap(graph: &real_dataflow::DataflowGraph, timings: &[CallTiming]) -> f64 {
+pub(crate) fn gen_train_overlap(
+    graph: &real_dataflow::DataflowGraph,
+    timings: &[CallTiming],
+) -> f64 {
     let kind_of: HashMap<&str, &CallType> = graph
         .calls()
         .iter()
@@ -460,6 +152,9 @@ fn intersection_len(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     }
     total
 }
+
+#[cfg(test)] // names the unit tests take via `super::*`
+use real_sim::Category;
 
 #[cfg(test)]
 mod tests {

@@ -8,8 +8,9 @@
 //! iterate/suspend/resume interface:
 //!
 //! - [`TenantSession::run_iteration`] executes exactly one RLHF iteration
-//!   (the same event-by-event master loop as `run_multi`'s inner step) on the
-//!   session's *private* timelines, so a tenant's iteration durations are a
+//!   through the runtime's one iteration driver (the same event-by-event
+//!   master loop as [`RuntimeEngine::run`] and `run_multi`, with the session
+//!   clock as the iteration floor) on the session's *private* timelines, so a tenant's iteration durations are a
 //!   pure function of `(plan, tenant id, seed)` — co-tenants, queueing, and
 //!   suspension cannot perturb them. The serving loop maps the session's
 //!   relative clock onto wall time.
@@ -34,18 +35,15 @@
 //! `tests/serving.rs`.
 
 use crate::config::EngineConfig;
-use crate::exec::{draft_cost_models, execute_call_spec, spec_exec_for, ExecCtx};
+use crate::driver::Driver;
+use crate::exec::draft_cost_models;
 use crate::master::{RunError, RuntimeEngine};
-use crate::memcheck;
-use crate::realloc::execute_realloc;
 use crate::report::FaultStats;
-use real_cluster::{ClusterSpec, CommModel};
-use real_dataflow::{CallAssignment, CallId, DataflowGraph, ExecutionPlan};
-use real_model::CostModel;
-use real_sim::{Category, FaultClock, Timelines, Trace};
+use real_cluster::ClusterSpec;
+use real_dataflow::{DataflowGraph, ExecutionPlan};
+use real_sim::Timelines;
 use real_util::{DeterministicRng, RngState};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// The serde-visible resumable state of a [`TenantSession`], captured at an
@@ -100,22 +98,9 @@ impl std::error::Error for SessionError {}
 #[derive(Debug, Clone)]
 pub struct TenantSession {
     id: u64,
-    engine: RuntimeEngine,
-    comm: CommModel,
-    costs: HashMap<String, CostModel>,
-    draft_costs: HashMap<String, CostModel>,
-    clock: Option<FaultClock>,
-    rng: DeterministicRng,
+    driver: Driver,
     prologue_rng: DeterministicRng,
-    trace: Trace,
-    fault_stats: FaultStats,
-    topo: Vec<CallId>,
-    param_layout: HashMap<String, (CallAssignment, f64)>,
-    predicted: HashMap<String, f64>,
-    current: ExecutionPlan,
     tl: Timelines,
-    iterations: usize,
-    completed: usize,
     iter_secs: Vec<f64>,
     rel_time: f64,
     realloc_secs: f64,
@@ -132,12 +117,12 @@ impl TenantSession {
     /// # Errors
     ///
     /// Returns [`SessionError::Run`] when the plan does not fit device
-    /// memory (unless `config.skip_mem_check`).
+    /// memory (unless `config.skip_mem_check`), or with
+    /// [`RunError::NoIterations`] when `iterations == 0`.
     ///
     /// # Panics
     ///
-    /// Panics if `iterations == 0` or the plan references GPUs outside
-    /// `cluster`.
+    /// Panics if the plan references GPUs outside `cluster`.
     pub fn new(
         cluster: &ClusterSpec,
         graph: DataflowGraph,
@@ -147,66 +132,18 @@ impl TenantSession {
         iterations: usize,
         seed: u64,
     ) -> Result<Self, SessionError> {
-        assert!(
-            iterations > 0,
-            "tenant session needs at least one iteration"
-        );
-        let n_gpus = cluster.total_gpus() as usize;
-        let peak = memcheck::max_mem(
-            cluster,
-            &graph,
-            &plan,
-            &config.zero3_models,
-            &config.dist_optim_models,
-        );
-        if !config.skip_mem_check && peak > cluster.gpu.mem_capacity {
-            return Err(SessionError::Run(RunError::OutOfMemory {
-                peak,
-                capacity: cluster.gpu.mem_capacity,
-            }));
-        }
-        let mut costs: HashMap<String, CostModel> = HashMap::new();
-        for call in graph.calls() {
-            costs
-                .entry(call.model.name.clone())
-                .or_insert_with(|| CostModel::new(cluster.clone(), call.model.clone()));
-        }
-        let clock = config
-            .fault_plan
-            .as_ref()
-            .map(|p| FaultClock::new(p, n_gpus, cluster.gpus_per_node as usize));
-        let mut fault_stats = FaultStats::default();
-        if let Some(clock) = clock.as_ref() {
-            fault_stats.injected = clock.n_windows();
-        }
-        let trace = if config.trace_capacity > 0 {
-            Trace::with_capacity(config.trace_capacity)
-        } else {
-            Trace::disabled()
-        };
-        let topo = graph.topo_order().expect("validated graphs are acyclic");
         let tenant = DeterministicRng::from_seed(seed)
             .derive("tenant")
             .derive_index(id);
-        let predicted = config.predicted_secs.iter().cloned().collect();
+        let engine = RuntimeEngine::new(cluster.clone(), graph, config);
+        let driver = Driver::new(engine, &plan, iterations, tenant.derive("runtime"))
+            .map_err(SessionError::Run)?
+            .unlogged();
         Ok(Self {
             id,
-            draft_costs: draft_cost_models(cluster, &plan),
-            comm: CommModel::new(cluster),
-            engine: RuntimeEngine::new(cluster.clone(), graph, config),
-            costs,
-            clock,
-            rng: tenant.derive("runtime"),
+            driver,
             prologue_rng: tenant.derive("prologue"),
-            trace,
-            fault_stats,
-            topo,
-            param_layout: HashMap::new(),
-            predicted,
-            current: plan,
-            tl: Timelines::new(n_gpus),
-            iterations,
-            completed: 0,
+            tl: Timelines::new(cluster.total_gpus() as usize),
             iter_secs: Vec::with_capacity(iterations),
             rel_time: 0.0,
             realloc_secs: 0.0,
@@ -221,27 +158,27 @@ impl TenantSession {
 
     /// Iterations completed so far.
     pub fn completed(&self) -> usize {
-        self.completed
+        self.iter_secs.len()
     }
 
     /// Total iterations admitted for.
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.driver.iterations()
     }
 
     /// Iterations still to run.
     pub fn remaining(&self) -> usize {
-        self.iterations - self.completed
+        self.iterations() - self.completed()
     }
 
     /// `true` once every admitted iteration has run.
     pub fn is_done(&self) -> bool {
-        self.completed >= self.iterations
+        self.completed() >= self.iterations()
     }
 
     /// The plan the session is currently executing under.
     pub fn plan(&self) -> &ExecutionPlan {
-        &self.current
+        &self.driver.current
     }
 
     /// Session-relative clock: the end instant of the last completed
@@ -269,122 +206,25 @@ impl TenantSession {
 
     /// Fault statistics accumulated so far (all zero without a fault plan).
     pub fn fault_stats(&self) -> &FaultStats {
-        &self.fault_stats
+        &self.driver.faults
     }
 
     /// Executes the next RLHF iteration on the session's private timelines
-    /// and returns its duration in seconds. Mirrors the inner loop of
-    /// `run_multi` (dependency transfers, live parameter-layout map,
-    /// resilient dispatch under a fault clock).
+    /// and returns its duration in seconds. The runtime's one iteration
+    /// driver runs it with the session clock as the iteration floor.
     ///
     /// # Panics
     ///
     /// Panics if the session [`is_done`](Self::is_done).
     pub fn run_iteration(&mut self) -> f64 {
         assert!(!self.is_done(), "session already ran all iterations");
-        let iter = self.completed;
-        let comm = self.comm.clone();
-        let jitter = self.engine.config().jitter_sigma;
-        let rpc = self.engine.config().rpc_latency;
-        let n_calls = self.engine.graph().n_calls();
-        let mut executed: Vec<Option<CallAssignment>> = vec![None; n_calls];
-        let mut completion = vec![0.0f64; n_calls];
-        let mut iter_end = self.rel_time;
-        for pos in 0..self.topo.len() {
-            let call = self.topo[pos];
-            let graph = self.engine.graph();
-            let def = graph.call(call);
-            let a = *self.current.assignment(call);
-            let zero3 = self.engine.config().zero3_models.contains(&def.model_name);
-
-            // Data-dependency readiness (+ transfer when layouts differ).
-            let mut ready: f64 = self.rel_time;
-            for &dep in graph.deps(call) {
-                let dep_done = completion[dep.0];
-                let b = executed[dep.0].expect("deps precede in topo order");
-                let end = if a.mesh == b.mesh && a.strategy == b.strategy {
-                    dep_done
-                } else {
-                    let bytes = graph.call(dep).call_type.total_tokens() as f64 * 8.0;
-                    let per_src = bytes / f64::from(b.strategy.dp());
-                    let within = a.mesh.n_nodes() == 1
-                        && b.mesh.n_nodes() == 1
-                        && a.mesh.node_start() == b.mesh.node_start();
-                    let mut dur =
-                        comm.broadcast(per_src, 2, within) * self.rng.lognormal_factor(jitter);
-                    let gpus: Vec<usize> = a.mesh.gpus().map(|g| g.0 as usize).collect();
-                    if let Some(clock) = self.clock.as_ref() {
-                        let start = gpus
-                            .iter()
-                            .map(|&g| self.tl.gpu(g).busy_until())
-                            .fold(dep_done, f64::max);
-                        dur = clock.stretched(&gpus, start, dur, true);
-                    }
-                    self.tl.collective(&gpus, dep_done, dur, Category::Transfer)
-                };
-                ready = ready.max(end);
-            }
-
-            // Parameter availability from the live layout map.
-            if let Some((pa, pdone)) = self.param_layout.get(&def.model_name).copied() {
-                let end = execute_realloc(
-                    &mut self.tl,
-                    &mut self.trace,
-                    &comm,
-                    &def.model,
-                    &pa,
-                    &a,
-                    pdone,
-                    &mut self.rng,
-                    jitter,
-                    self.clock.as_ref(),
-                );
-                ready = ready.max(end);
-            }
-
-            let ready = ready + rpc;
-            let spec_exec = spec_exec_for(&self.current, call, &self.draft_costs);
-            let end = if let Some(clock) = self.clock.as_ref() {
-                self.engine.dispatch_resilient(
-                    clock,
-                    &self.costs[&def.model.name],
-                    &comm,
-                    &mut self.tl,
-                    &mut self.trace,
-                    &mut self.rng,
-                    zero3,
-                    &a,
-                    def.call_type,
-                    &def.call_name,
-                    self.predicted.get(def.call_name.as_str()).copied(),
-                    ready,
-                    iter,
-                    &mut self.fault_stats,
-                    spec_exec.as_ref(),
-                )
-            } else {
-                let mut ctx = ExecCtx {
-                    cost: &self.costs[&def.model.name],
-                    comm: &comm,
-                    tl: &mut self.tl,
-                    trace: &mut self.trace,
-                    rng: &mut self.rng,
-                    cfg: self.engine.config(),
-                    zero3,
-                    faults: None,
-                };
-                execute_call_spec(&mut ctx, &a, def.call_type, ready, spec_exec.as_ref())
-            };
-            executed[call.0] = Some(a);
-            self.param_layout
-                .insert(self.engine.graph().call(call).model_name.clone(), (a, end));
-            completion[call.0] = end;
-            iter_end = iter_end.max(end);
-        }
-        let dur = iter_end - self.rel_time;
+        let iter = self.completed();
+        self.driver
+            .run_iteration(&mut self.tl, iter, self.rel_time, None);
+        let end = self.driver.iter_end[iter];
+        let dur = end - self.rel_time;
         self.iter_secs.push(dur);
-        self.rel_time = iter_end;
-        self.completed = iter + 1;
+        self.rel_time = end;
         dur
     }
 
@@ -394,11 +234,11 @@ impl TenantSession {
     pub fn checkpoint(&self) -> SessionCheckpoint {
         SessionCheckpoint {
             tenant_id: self.id,
-            completed: self.completed,
-            iterations: self.iterations,
-            plan: self.current.clone(),
+            completed: self.completed(),
+            iterations: self.iterations(),
+            plan: self.driver.current.clone(),
             rel_time: self.rel_time,
-            rng: self.rng.state(),
+            rng: self.driver.rng.state(),
             prologue_rng: self.prologue_rng.state(),
         }
     }
@@ -411,52 +251,20 @@ impl TenantSession {
     /// layout on the session clock (drawing jitter from the dedicated
     /// prologue substream) and the prologue duration is returned.
     pub fn resume_on(&mut self, plan: &ExecutionPlan) -> f64 {
-        if *plan == self.current {
+        if *plan == self.driver.current {
             return 0.0;
         }
-        let comm = self.comm.clone();
-        let jitter = self.engine.config().jitter_sigma;
         let start = self.rel_time;
-        let mut prologue_end = start;
-        let mut moved: Vec<(String, CallAssignment)> = Vec::new();
-        for pos in 0..self.topo.len() {
-            let call = self.topo[pos];
-            let graph = self.engine.graph();
-            let def = graph.call(call);
-            if moved.iter().any(|(m, _)| *m == def.model_name) {
-                continue;
-            }
-            let Some((pa, pdone)) = self.param_layout.get(&def.model_name).copied() else {
-                continue;
-            };
-            let ta = *plan.assignment(call);
-            if pa == ta {
-                continue;
-            }
-            let end = execute_realloc(
-                &mut self.tl,
-                &mut self.trace,
-                &comm,
-                &def.model,
-                &pa,
-                &ta,
-                pdone.max(start),
-                &mut self.prologue_rng,
-                jitter,
-                self.clock.as_ref(),
-            );
-            prologue_end = prologue_end.max(end);
-            moved.push((def.model_name.clone(), ta));
-        }
-        for (model, ta) in moved {
-            self.param_layout.insert(model, (ta, prologue_end));
-        }
-        let secs = prologue_end - start;
-        self.rel_time = prologue_end;
+        let (end, _, moved) =
+            self.driver
+                .prologue(&mut self.tl, plan, start, Some(&mut self.prologue_rng));
+        self.driver.adopt(moved, end);
+        let secs = end - start;
+        self.rel_time = end;
         self.realloc_secs += secs;
         self.resumes += 1;
-        self.current = plan.clone();
-        self.draft_costs = draft_cost_models(self.engine.cluster(), plan);
+        self.driver.current = plan.clone();
+        self.driver.draft_costs = draft_cost_models(self.driver.engine().cluster(), plan);
         secs
     }
 
@@ -493,7 +301,7 @@ impl TenantSession {
         for _ in 0..checkpoint.completed {
             session.run_iteration();
         }
-        if session.rng.state() != checkpoint.rng {
+        if session.driver.rng.state() != checkpoint.rng {
             return Err(SessionError::Diverged { field: "rng" });
         }
         if session.prologue_rng.state() != checkpoint.prologue_rng {
@@ -507,6 +315,9 @@ impl TenantSession {
         Ok(session)
     }
 }
+
+#[cfg(test)] // names the unit tests take via `super::*`
+use real_dataflow::CallAssignment;
 
 #[cfg(test)]
 mod tests {

@@ -202,7 +202,7 @@ pub fn price_template(
 /// moves off and later back on), scaled by the `min_benefit_ratio` γ. With
 /// γ = 0 this degrades to pure weighted-priority preemption; large γ
 /// preempts only when the avoided wait dwarfs the switch cost — exactly the
-/// role `min_benefit_ratio` plays in `master::run_replan`'s gate.
+/// role `min_benefit_ratio` plays in the runtime's re-plan gate.
 pub fn preemption_gate(
     p_high: f64,
     victim_remaining_secs: f64,

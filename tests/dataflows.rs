@@ -251,3 +251,110 @@ fn staleness_bound_holds_under_injected_faults() {
     }
     assert!(gated > 0, "expected staleness-gated generation calls");
 }
+
+// ---------------------------------------------------------------------------
+// DSL hooks on every runtime path
+// ---------------------------------------------------------------------------
+
+/// Call timings as exact bit patterns.
+fn timing_bits(timings: &[real_core::real_runtime::CallTiming]) -> Vec<(String, usize, u64, u64)> {
+    timings
+        .iter()
+        .map(|t| {
+            (
+                t.call_name.clone(),
+                t.iter,
+                t.start.to_bits(),
+                t.end.to_bits(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn dsl_hooks_apply_on_every_runtime_path() {
+    use real_core::real_runtime::{run_multi, TenantRun, TenantSession};
+
+    // Jitter-free and fixed-length, so every path draws identical events
+    // whatever RNG substream it uses.
+    let spec: GraphSpec = serde_json::from_str(&read_example("rm-ensemble.json")).unwrap();
+    let exp = Experiment::from_graph(ClusterSpec::h100(1), &spec)
+        .unwrap()
+        .with_quick_profile();
+    let config = EngineConfig {
+        jitter_sigma: 0.0,
+        gen_len_cv: 0.0,
+        ..exp.engine_config().clone()
+    };
+    assert!(
+        !config.call_hooks.is_empty(),
+        "rm-ensemble ships a post hook"
+    );
+    let (cluster, graph, plan) = (
+        exp.cluster().clone(),
+        exp.graph().clone(),
+        exp.plan_heuristic(),
+    );
+    let iters = 3;
+    let base = RuntimeEngine::new(cluster.clone(), graph.clone(), config.clone())
+        .run(&plan, iters)
+        .unwrap();
+    let hookless = RuntimeEngine::new(
+        cluster.clone(),
+        graph.clone(),
+        config.clone().with_call_hooks(Vec::new()),
+    )
+    .run(&plan, iters)
+    .unwrap();
+    assert_ne!(
+        timing_bits(&hookless.timings),
+        timing_bits(&base.timings),
+        "the hook must delay reward_b_inf's completion"
+    );
+
+    // `--replan` with an empty fault schedule.
+    let (est, _) = exp.prepare();
+    let replanned = RuntimeEngine::new(
+        cluster.clone(),
+        graph.clone(),
+        config.clone().with_fault_plan(FaultPlan::new(1)),
+    )
+    .run_replan(&plan, iters, &ReplanPolicy::new(), &est)
+    .unwrap();
+    assert_eq!(timing_bits(&replanned.timings), timing_bits(&base.timings));
+
+    // `real sched`: a solo tenant.
+    let solo = TenantRun {
+        id: 0,
+        name: "solo".into(),
+        graph: graph.clone(),
+        plan: plan.clone(),
+        config: config.clone(),
+        iterations: iters,
+        allocation: DeviceMesh::full(&cluster).gpus().collect(),
+        solo_step_secs: 0.0,
+        elastic: None,
+    };
+    let multi = run_multi(&cluster, &[solo], 1).unwrap();
+    assert_eq!(timing_bits(&multi[0].timings), timing_bits(&base.timings));
+
+    // `real serve`: per-iteration durations of a session.
+    let mut session = TenantSession::new(&cluster, graph, plan, config, 0, iters, 1).unwrap();
+    let durations: Vec<u64> = (0..iters)
+        .map(|_| session.run_iteration().to_bits())
+        .collect();
+    let iter_end = |i: usize| {
+        base.timings
+            .iter()
+            .filter(|t| t.iter == i)
+            .map(|t| t.end)
+            .fold(0.0, f64::max)
+    };
+    let expected: Vec<u64> = (0..iters)
+        .map(|i| {
+            let start = if i == 0 { 0.0 } else { iter_end(i - 1) };
+            (iter_end(i) - start).to_bits()
+        })
+        .collect();
+    assert_eq!(durations, expected);
+}
