@@ -133,15 +133,11 @@ pub(crate) struct Driver {
     master_log: MasterLog,
     timings: Vec<CallTiming>,
     completion: Vec<Vec<f64>>,
-    /// The assignment each call last executed on; the plan may switch
-    /// mid-iteration, so the current plan is not authoritative for
-    /// dependency transfers.
-    executed: Vec<CallAssignment>,
     pub(crate) iter_end: Vec<f64>,
     /// Deadline predictions per call name.
     predicted: HashMap<String, f64>,
     pub(crate) current: ExecutionPlan,
-    pub(crate) draft_costs: HashMap<String, CostModel>,
+    draft_costs: HashMap<String, CostModel>,
     /// The layout actually holding each model's parameters and when they
     /// become available there.
     param_layout: HashMap<String, (CallAssignment, f64)>,
@@ -178,7 +174,10 @@ impl Driver {
         }
         let n_gpus = cluster.total_gpus() as usize;
         let per_node = cluster.gpus_per_node as usize;
-        let clock = (config.fault_plan.as_ref()).map(|p| FaultClock::new(p, n_gpus, per_node));
+        let clock = config
+            .fault_plan
+            .as_ref()
+            .map(|p| FaultClock::new(p, n_gpus, per_node));
         let trace = if config.trace_capacity > 0 {
             Trace::with_capacity(config.trace_capacity)
         } else {
@@ -196,7 +195,6 @@ impl Driver {
             master_log: MasterLog::default(),
             timings: Vec::new(),
             completion: vec![vec![0.0; graph.n_calls()]; iterations],
-            executed: plan.assignments().to_vec(),
             iter_end: vec![0.0; iterations],
             predicted: config.predicted_secs.iter().cloned().collect(),
             current: plan.clone(),
@@ -229,7 +227,10 @@ impl Driver {
             .map(|i| {
                 relaxed(CallId(i)).then(|| {
                     let model = &graph.call(CallId(i)).model_name;
-                    (self.env.topo.iter().copied())
+                    self.env
+                        .topo
+                        .iter()
+                        .copied()
                         .rfind(|&c| graph.call(c).model_name == *model && !relaxed(c))
                         .expect("trainable model has a train call")
                 })
@@ -244,10 +245,6 @@ impl Driver {
     pub(crate) fn unlogged(mut self) -> Self {
         self.logged = false;
         self
-    }
-
-    pub(crate) fn engine(&self) -> &RuntimeEngine {
-        &self.env.engine
     }
 
     pub(crate) fn iterations(&self) -> usize {
@@ -277,6 +274,9 @@ impl Driver {
     ) {
         self.iter_end[iter] = floor;
         let epoch = replan.map(|_| self.faults.clone());
+        // The assignment each call executed on this iteration: the plan may
+        // switch mid-iteration, so it is not authoritative for transfers.
+        let mut executed = self.current.assignments().to_vec();
         for pos in 0..self.env.topo.len() {
             let call = self.env.topo[pos];
             // Without a switch the request re-dispatches uncapped, waiting
@@ -286,7 +286,7 @@ impl Driver {
                 let cap = replan
                     .filter(|r| capped && self.replan.switches < r.policy.max_replans)
                     .map(|r| r.policy.dead_after_secs);
-                match self.step_call(tl, iter, call, floor, cap) {
+                match self.step_call(tl, &mut executed, iter, call, floor, cap) {
                     Ok(()) => break,
                     Err((at, gpu)) => {
                         let r = replan.expect("only capped dispatches ask to re-plan");
@@ -330,6 +330,7 @@ impl Driver {
     fn step_call(
         &mut self,
         tl: &mut Timelines,
+        executed: &mut [CallAssignment],
         iter: usize,
         call: CallId,
         floor: f64,
@@ -346,7 +347,7 @@ impl Driver {
         let mut ready = floor;
         for &dep in graph.deps(call) {
             let dep_done = self.completion[iter][dep.0];
-            let b = self.executed[dep.0];
+            let b = executed[dep.0];
             let end = if a.mesh == b.mesh && a.strategy == b.strategy {
                 dep_done
             } else {
@@ -487,7 +488,7 @@ impl Driver {
                 end,
             });
         }
-        self.executed[call.0] = a;
+        executed[call.0] = a;
         self.completion[iter][call.0] = end;
         self.iter_end[iter] = self.iter_end[iter].max(end);
         Ok(())
@@ -671,9 +672,8 @@ impl Driver {
             return outcome;
         }
 
-        // Commit: adopt the moved layouts and refresh deadline predictions
-        // for the candidate's assignments.
-        self.adopt(moved, prologue_end);
+        // Commit: refresh deadline predictions for the candidate's
+        // assignments and adopt the moved layouts.
         let graph = self.env.engine.graph();
         for &call in &self.env.topo {
             self.predicted.insert(
@@ -681,7 +681,7 @@ impl Driver {
                 est.call_duration(call, candidate.assignment(call)),
             );
         }
-        self.current = candidate;
+        self.switch_to(candidate, moved, prologue_end);
         ReplanOutcome::Switched {
             base_time,
             target_time,
@@ -696,7 +696,7 @@ impl Driver {
     /// as usual), starting no earlier than `now`, with jitter from `rng`
     /// (the driver's own stream when `None`). Returns the prologue's end,
     /// its participating GPUs, and the moved `(model, layout)` pairs for
-    /// [`Self::adopt`].
+    /// [`Self::switch_to`].
     pub(crate) fn prologue(
         &mut self,
         tl: &mut Timelines,
@@ -746,12 +746,19 @@ impl Driver {
         (end, participants, moved)
     }
 
-    /// Commits a prologue: the moved models' parameters live on their new
-    /// layouts from `at`.
-    pub(crate) fn adopt(&mut self, moved: Vec<(String, CallAssignment)>, at: f64) {
+    /// Commits a switch to `plan` whose [`Self::prologue`] moved `moved`:
+    /// those models' parameters live on their new layouts from `at`.
+    pub(crate) fn switch_to(
+        &mut self,
+        plan: ExecutionPlan,
+        moved: Vec<(String, CallAssignment)>,
+        at: f64,
+    ) {
         for (model, layout) in moved {
             self.param_layout.insert(model, (layout, at));
         }
+        self.draft_costs = draft_cost_models(self.env.engine.cluster(), &plan);
+        self.current = plan;
     }
 
     /// Folds the run into a report. The timelines policy supplies the

@@ -35,6 +35,10 @@
 //! gate, a reallocation prologue executed under snapshot-rollback, and a
 //! measured cost/benefit gate — a rejected offer leaves the tenant
 //! bit-exactly where it was.
+//!
+//! Each tenant's iterations run through the runtime's one iteration driver
+//! (the same per-call step and gate as [`RuntimeEngine::run`] and
+//! `run_replan`), here on timelines shared by all tenants.
 
 use crate::config::EngineConfig;
 use crate::driver::Driver;
@@ -126,59 +130,6 @@ impl TenantState {
         } else {
             1.0
         }
-    }
-
-    /// Offers `pool` (freed GPUs) to elastic tenant `id` through the
-    /// re-plan gate, searching the meshes inside its grown holdings.
-    /// Returns `true` when the tenant committed to a grown plan (holdings
-    /// extended by the pool); every other outcome rolls back bit-exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn try_grow(
-        &mut self,
-        tl: &mut Timelines,
-        cluster: &ClusterSpec,
-        pool: &[GpuId],
-        seed: u64,
-        iter: usize,
-        id: u64,
-        el: &TenantElastic,
-    ) -> bool {
-        if self.driver.replan.switches >= el.policy.max_replans {
-            return false;
-        }
-        let mut grown: Vec<GpuId> = self.owned.iter().chain(pool).copied().collect();
-        grown.sort_unstable();
-        grown.dedup();
-        let meshes = partition::meshes_within_gpus(cluster, &grown);
-        let graph = self.driver.engine().graph();
-        let space = SearchSpace::try_build_on(cluster, graph, el.policy.prune, &meshes).ok();
-        let now = self.driver.iter_end[iter];
-        let remaining = (self.driver.iterations() - (iter + 1)) as f64;
-        let reason = ReplanReason::FreedCapacity {
-            gpus: pool.len() as u32,
-        };
-        let grew = self.driver.gate(
-            tl,
-            space,
-            &el.estimator,
-            &el.policy,
-            now,
-            iter,
-            remaining,
-            reason,
-            |n| {
-                DeterministicRng::from_seed(seed)
-                    .derive("tenant")
-                    .derive_index(id)
-                    .derive("rebalance")
-                    .derive_index(n)
-                    .next_u64()
-            },
-        );
-        if grew {
-            self.owned = grown;
-        }
-        grew
     }
 }
 
@@ -273,7 +224,10 @@ pub fn run_multi(
             if pool.is_empty() || pool == last_offered {
                 break;
             }
-            let target = (states.iter().zip(tenants).enumerate())
+            let target = states
+                .iter()
+                .zip(tenants)
+                .enumerate()
                 .filter(|(_, (s, t))| !s.done && t.elastic.is_some() && iter + 1 < t.iterations)
                 .max_by(|(_, (a, ta)), (_, (b, tb))| {
                     a.stretch(ta, iter)
@@ -285,13 +239,47 @@ pub fn run_multi(
             let Some(i) = target else {
                 break;
             };
-            let (t, el) = (&tenants[i], tenants[i].elastic.as_ref().expect("elastic"));
+            // The offer goes through the re-plan gate over the meshes inside
+            // the tenant's grown holdings; a rejection rolls back bit-exactly.
+            let (t, state) = (&tenants[i], &mut states[i]);
+            let el = t.elastic.as_ref().expect("offers go to elastic tenants");
+            if state.driver.replan.switches >= el.policy.max_replans {
+                break;
+            }
+            let mut grown: Vec<GpuId> = state.owned.iter().chain(&pool).copied().collect();
+            grown.sort_unstable();
+            grown.dedup();
+            let meshes = partition::meshes_within_gpus(cluster, &grown);
+            let space = SearchSpace::try_build_on(cluster, &t.graph, el.policy.prune, &meshes);
+            let now = state.driver.iter_end[iter];
+            let remaining = (t.iterations - (iter + 1)) as f64;
+            let reason = ReplanReason::FreedCapacity {
+                gpus: pool.len() as u32,
+            };
             let before = busy_snapshot(&tl);
-            let grew = states[i].try_grow(&mut tl, cluster, &pool, seed, iter, t.id, el);
-            accumulate_busy(&mut states[i], &tl, &before);
+            let grew = state.driver.gate(
+                &mut tl,
+                space.ok(),
+                &el.estimator,
+                &el.policy,
+                now,
+                iter,
+                remaining,
+                reason,
+                |n| {
+                    DeterministicRng::from_seed(seed)
+                        .derive("tenant")
+                        .derive_index(t.id)
+                        .derive("rebalance")
+                        .derive_index(n)
+                        .next_u64()
+                },
+            );
+            accumulate_busy(state, &tl, &before);
             if !grew {
                 break;
             }
+            state.owned = grown;
             // Committed: the pool was absorbed; re-derive in case nothing
             // is left (loop exits on the empty pool).
         }

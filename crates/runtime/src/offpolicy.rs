@@ -5,9 +5,10 @@
 //! of a model to the model's previous call — generation for iteration `i`
 //! waits for the training step of iteration `i - 1`. That edge is a
 //! *policy* choice, not a dataflow necessity: off-policy RLHF variants
-//! tolerate generating with parameters a few versions old. This module
+//! tolerate generating with parameters a few versions old. This mode
 //! relaxes exactly that edge, and nothing else, under a user-set staleness
-//! bound `s`:
+//! bound `s` (the staleness parameter-version gate of the runtime's one
+//! iteration driver, shared with every other entry point):
 //!
 //! - every **generation call of a trainable model** samples from a
 //!   parameter *snapshot*: its cross-iteration edge points at the model's

@@ -10,7 +10,8 @@
 //! - [`TenantSession::run_iteration`] executes exactly one RLHF iteration
 //!   through the runtime's one iteration driver (the same event-by-event
 //!   master loop as [`RuntimeEngine::run`] and `run_multi`, with the session
-//!   clock as the iteration floor) on the session's *private* timelines, so a tenant's iteration durations are a
+//!   clock as the iteration floor) on the session's *private* timelines, so
+//!   a tenant's iteration durations are a
 //!   pure function of `(plan, tenant id, seed)` — co-tenants, queueing, and
 //!   suspension cannot perturb them. The serving loop maps the session's
 //!   relative clock onto wall time.
@@ -36,7 +37,6 @@
 
 use crate::config::EngineConfig;
 use crate::driver::Driver;
-use crate::exec::draft_cost_models;
 use crate::master::{RunError, RuntimeEngine};
 use crate::report::FaultStats;
 use real_cluster::ClusterSpec;
@@ -98,7 +98,9 @@ impl std::error::Error for SessionError {}
 #[derive(Debug, Clone)]
 pub struct TenantSession {
     id: u64,
-    driver: Driver,
+    /// Boxed: the serving loop keeps one slot per arrival, most of them
+    /// empty or finished.
+    driver: Box<Driver>,
     prologue_rng: DeterministicRng,
     tl: Timelines,
     iter_secs: Vec<f64>,
@@ -141,7 +143,7 @@ impl TenantSession {
             .unlogged();
         Ok(Self {
             id,
-            driver,
+            driver: Box::new(driver),
             prologue_rng: tenant.derive("prologue"),
             tl: Timelines::new(cluster.total_gpus() as usize),
             iter_secs: Vec::with_capacity(iterations),
@@ -258,13 +260,11 @@ impl TenantSession {
         let (end, _, moved) =
             self.driver
                 .prologue(&mut self.tl, plan, start, Some(&mut self.prologue_rng));
-        self.driver.adopt(moved, end);
+        self.driver.switch_to(plan.clone(), moved, end);
         let secs = end - start;
         self.rel_time = end;
         self.realloc_secs += secs;
         self.resumes += 1;
-        self.driver.current = plan.clone();
-        self.driver.draft_costs = draft_cost_models(self.driver.engine().cluster(), plan);
         secs
     }
 
