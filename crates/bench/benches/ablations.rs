@@ -13,6 +13,7 @@
 use real_bench::{ppo_experiment, Setting};
 use real_core::prelude::*;
 use real_core::real_model::ModelSpec;
+use real_core::real_search::mcmc::search_reference;
 use real_core::real_util::Table;
 use std::time::{Duration, Instant};
 
@@ -70,7 +71,6 @@ fn beta_sweep() {
             time_limit: Duration::from_secs(30),
             record_trace: false,
             seed: 5,
-            memo: true,
         };
         let r = search(&est, &space, &cfg);
         table.row(vec![
@@ -770,27 +770,26 @@ fn async_overlap() {
     );
 }
 
-/// One memo-off vs memo-on search pair at a fixed step budget. Returns
-/// `(off_secs, on_secs, hit_rate)` and asserts the plans are identical —
-/// the fast path is an optimization, never a different search.
+/// One reference-chain vs pricer-chain search pair at a fixed step budget.
+/// Returns `(reference_secs, pricer_secs, hit_rate)` and asserts the plans
+/// are identical — the pricer is an optimization, never a different search.
 fn throughput_pair(nodes: u32, actor: ModelSpec, batch: u64, steps: u64) -> (f64, f64, f64) {
     let s = Setting::new(nodes, actor, batch);
     let exp = ppo_experiment(&s).with_quick_profile();
     let (est, _) = exp.prepare();
     let space = exp.search_space();
-    let cfg = |memo: bool| McmcConfig {
+    let cfg = McmcConfig {
         max_steps: steps,
         time_limit: Duration::from_secs(86_400), // step-bounded only
         record_trace: false,
         seed: 7,
-        memo,
         ..McmcConfig::default()
     };
     let t = Instant::now();
-    let off = search(&est, &space, &cfg(false));
+    let off = search_reference(&est, &space, &cfg);
     let off_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let on = search(&est, &space, &cfg(true));
+    let on = search(&est, &space, &cfg);
     let on_secs = t.elapsed().as_secs_f64();
     assert_eq!(
         off.best_plan, on.best_plan,
@@ -801,10 +800,11 @@ fn throughput_pair(nodes: u32, actor: ModelSpec, batch: u64, steps: u64) -> (f64
 }
 
 /// The fast-path headline: MCMC steps/sec with the incremental memoized
-/// pricer vs from-scratch estimator pricing, from one node up to a
+/// pricer vs the from-scratch reference chain
+/// ([`search_reference`]), from one node up to a
 /// simulated 8192-GPU cluster (70B actor + 7B critic 4-model PPO).
 fn search_throughput() {
-    println!("memoized incremental pricing vs from-scratch (identical plans, seed 7)");
+    println!("memoized incremental pricing vs the from-scratch reference chain (identical plans, seed 7)");
     let mut table = Table::new(vec![
         "GPUs",
         "steps",
@@ -858,7 +858,7 @@ fn spec_search_at(
         seed: 7,
         ..McmcConfig::default()
     };
-    search_speculative_with_memo(est, space, &menu, &cfg, memo)
+    search_speculative(est, space, &menu, &cfg, memo)
 }
 
 /// A decode-dominant PPO experiment (long rollouts, short prompts): the
@@ -985,16 +985,21 @@ fn spec_decode_gate() {
 }
 
 /// CI-sized regression gate for the fast path: same plan, and the memoized
-/// search must beat from-scratch pricing by a conservative margin on the
-/// quick config (the full ablation shows far larger wins at scale).
+/// search must beat the from-scratch reference chain by a conservative
+/// margin on the quick config (the full ablation shows far larger wins at
+/// scale).
 fn search_throughput_gate() {
-    // The 1024-GPU pair: big enough that the per-GPU MaxMem scan dominates
-    // the from-scratch path (measured ~2.7x on the reference machine, so a
-    // 1.5x floor has real margin), small enough to finish in ~15s of CI.
+    // The 1024-GPU pair (128 nodes, 70B actor), small enough to finish in
+    // ~10 s of CI. Most of the ratio comes from the coordinate-descent
+    // polish, which prices every option of every call against the best
+    // plan, not from the chain's per-GPU MaxMem scans: on a 2-vCPU VM a
+    // 1-step search (greedy start plus polish) takes 3.60 s from scratch vs
+    // 1.58 s memoized, the full 1000-step search 5.36 s vs 2.55 s, and the
+    // greedy start alone 0.02 s — ~2.1x, so the 1.5x floor has margin.
     let (off_secs, on_secs, hit_rate) = throughput_pair(128, ModelSpec::llama3_70b(), 4096, 1_000);
     let speedup = off_secs / on_secs;
     println!(
-        "memo off {off_secs:.2}s, on {on_secs:.2}s -> {speedup:.1}x (hit rate {:.0}%)",
+        "reference chain {off_secs:.2}s, pricer chain {on_secs:.2}s -> {speedup:.1}x (hit rate {:.0}%)",
         hit_rate * 100.0
     );
     assert!(hit_rate > 0.5, "memo hit rate collapsed: {:.2}", hit_rate);

@@ -59,7 +59,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "replan",
     "dry-run",
     "check",
-    "no-memo",
     "memo-stats",
     "async-offpolicy",
     "admit-all",

@@ -147,11 +147,11 @@ WORKLOAD FLAGS (plan/run/baselines):
 SEARCH FLAGS (plan/run):
   --steps N        MCMC step budget                  [default 40000]
   --time SECS      search wall-clock budget          [default 20]
-  --chains N       parallel chains                   [default 1]
+  --chains N       parallel chains; above 1 it cannot be combined with
+                   the speculation or --memo-in/--memo-out flags
+                   (those searches run one chain)    [default 1]
   --threads N      worker threads for --chains; the chosen plan is
                    bit-identical for any value       [default: chains]
-  --no-memo        disable the incremental memoized cost path (prices
-                   every proposal from scratch; same plan, slower)
   --memo-stats     print memo-cache hits/misses/hit-rate after the search
   --memo-in FILE   warm-start pricing from a saved cost-memo snapshot; a
                    snapshot from a different pricing context (cluster,
@@ -337,11 +337,7 @@ fn model_flag(args: &Args, flag: &str) -> Result<ModelSpec, CliError> {
 /// `--spec-k` / `--acceptance`. Returns `None` when speculation stays off:
 /// the default, or forced with `--no-spec` (which wins over the others).
 fn spec_menu_from(args: &Args, cluster: &ClusterSpec) -> Result<Option<SpecMenu>, CliError> {
-    let requested = args.flag("spec-decode")
-        || args.str_opt("draft-model").is_some()
-        || args.str_opt("spec-k").is_some()
-        || args.str_opt("acceptance").is_some();
-    if args.flag("no-spec") || !requested {
+    if !speculation_requested(args) {
         return Ok(None);
     }
     let drafts = match args.str_opt("draft-model") {
@@ -429,18 +425,42 @@ fn plan_speculative_from(
     Ok((planned, notes))
 }
 
+/// Whether any speculation flag asks for speculative planning (`--no-spec`
+/// wins over all of them).
+fn speculation_requested(args: &Args) -> bool {
+    let requested = args.flag("spec-decode")
+        || args.str_opt("draft-model").is_some()
+        || args.str_opt("spec-k").is_some()
+        || args.str_opt("acceptance").is_some();
+    requested && !args.flag("no-spec")
+}
+
 /// Search configuration from flags: `(config, chains, threads)`.
+///
+/// # Errors
+///
+/// Rejects zero chains or threads, and `--chains` above one together with
+/// speculation or `--memo-in`/`--memo-out`: those searches run one chain.
 pub fn mcmc_from(args: &Args) -> Result<(McmcConfig, usize, usize), CliError> {
     let cfg = McmcConfig {
         max_steps: args.num_or("steps", 40_000u64)?,
         time_limit: Duration::from_secs(args.num_or("time", 20u64)?),
         seed: args.num_or("seed", 1u64)?,
-        memo: !args.flag("no-memo"),
         ..McmcConfig::default()
     };
     let chains: usize = args.num_or("chains", 1usize)?;
     if chains == 0 {
         return Err(CliError::Invalid("--chains must be positive".into()));
+    }
+    let single_chain = speculation_requested(args)
+        || args.str_opt("memo-in").is_some()
+        || args.str_opt("memo-out").is_some();
+    if chains > 1 && single_chain {
+        return Err(CliError::Invalid(
+            "--chains above 1 cannot be combined with speculation (--spec-decode and \
+             friends) or --memo-in/--memo-out: those searches run one chain"
+                .into(),
+        ));
     }
     // The plan is bit-identical for any thread count; --threads only caps
     // the worker pool (e.g. on a shared login node).
@@ -458,17 +478,12 @@ fn plan_searched(
     chains: usize,
     threads: usize,
 ) -> Result<real_core::PlannedExperiment, CliError> {
-    if chains > 1 {
-        exp.plan_auto_parallel_on(cfg, chains, threads)
-    } else {
-        exp.plan_auto(cfg)
-    }
-    .map_err(|_| CliError::NoFeasiblePlan)
+    exp.plan_auto_parallel_on(cfg, chains, threads)
+        .map_err(|_| CliError::NoFeasiblePlan)
 }
 
 /// The `--memo-stats` section: memo-cache effectiveness for one search.
-fn memo_stats_line(search: &SearchResult) -> String {
-    let m = &search.memo;
+fn memo_stats_line(m: &real_core::real_estimator::MemoStats) -> String {
     format!(
         "memo: {} hits / {} misses (hit rate {:.1}%), {} entries, {} invalidations\n",
         m.hits,
@@ -479,106 +494,68 @@ fn memo_stats_line(search: &SearchResult) -> String {
     )
 }
 
-/// `real plan`
+/// `real plan`: the plain search, or — behind speculation flags and
+/// `--memo-in/--memo-out` — the speculation-aware search through the
+/// persistent cost memo. Without speculation flags the memo path's menu is
+/// empty and its plan is identical to the plain path's; only the memo
+/// persistence differs.
 pub fn cmd_plan(args: &Args) -> Result<String, CliError> {
     let exp = experiment_from(args)?;
     let menu = spec_menu_from(args, exp.cluster())?;
-    if menu.is_some() || args.str_opt("memo-in").is_some() || args.str_opt("memo-out").is_some() {
-        return cmd_plan_speculative(args, &exp, menu);
-    }
     let (cfg, chains, threads) = mcmc_from(args)?;
-    let planned = plan_searched(&exp, &cfg, chains, threads)?;
+    let memo_path = args.str_opt("memo-in").is_some() || args.str_opt("memo-out").is_some();
+    let mut speculation = None;
+    let mut notes = String::new();
+    // Both paths report (plan, its TimeCost, memo counters, the assignment
+    // search, simulated profiling seconds).
+    let (plan, best_time_cost, memo, search, profiling_secs) = if menu.is_some() || memo_path {
+        let speculating = menu.is_some();
+        let (planned, memo_notes) = plan_speculative_from(args, &exp, menu)?;
+        notes = memo_notes;
+        let r = planned.result;
+        if speculating {
+            speculation = Some(format!(
+                "speculation: {} proposals, {} accepted; TimeCost {:.2}s vs {:.2}s plain ({:.2}x)\n",
+                r.spec_steps,
+                r.spec_accepted,
+                r.best_time_cost,
+                r.base.best_time_cost,
+                r.speedup_over_base(),
+            ));
+        }
+        let p = planned.plan;
+        (p, r.best_time_cost, r.memo, r.base, planned.profiling_secs)
+    } else {
+        let p = plan_searched(&exp, &cfg, chains, threads)?;
+        let s = p.search;
+        (p.plan, s.best_time_cost, s.memo, s, p.profiling_secs)
+    };
 
     if let Some(path) = args.str_opt("out") {
-        std::fs::write(path, serde_json::to_string_pretty(&planned.plan)?)?;
+        std::fs::write(path, serde_json::to_string_pretty(&plan)?)?;
     }
     if let Some(path) = args.str_opt("checkpoint") {
-        planned
-            .search
-            .checkpoint()
-            .save(std::path::Path::new(path))?;
+        search.checkpoint().save(std::path::Path::new(path))?;
     }
-    let mut out = String::new();
-    out.push_str(&planned.plan.render(exp.graph()));
+    let mut out = plan.render(exp.graph());
     if args.flag("explain") {
         let (est, _) = exp.prepare();
         let heuristic = exp.plan_heuristic();
-        let cmp = compare(&est, &heuristic, &planned.plan);
+        let cmp = compare(&est, &heuristic, &plan);
         out.push_str("\nvs the symmetric heuristic (single-swap contributions):\n");
         out.push_str(&cmp.render());
     }
     out.push_str(&format!(
         "\nsearch: {} steps, {} accepted ({:.0}%), best TimeCost {:.2}s, profiling {:.0}s (simulated)\n",
-        planned.search.steps,
-        planned.search.accepted,
-        planned.search.acceptance_rate() * 100.0,
-        planned.search.best_time_cost,
-        planned.profiling_secs,
+        search.steps,
+        search.accepted,
+        search.acceptance_rate() * 100.0,
+        best_time_cost,
+        profiling_secs,
     ));
+    out.push_str(speculation.as_deref().unwrap_or_default());
     if args.flag("memo-stats") {
-        out.push_str(&memo_stats_line(&planned.search));
-    }
-    Ok(out)
-}
-
-/// The `real plan` variant behind `--spec-decode` and `--memo-in/--memo-out`:
-/// speculation-aware search through the persistent cost memo. Without
-/// speculation flags the menu is empty and the chosen plan is identical to
-/// the default path's — only the memo persistence differs.
-fn cmd_plan_speculative(
-    args: &Args,
-    exp: &Experiment,
-    menu: Option<SpecMenu>,
-) -> Result<String, CliError> {
-    let speculating = menu.is_some();
-    let (planned, notes) = plan_speculative_from(args, exp, menu)?;
-    if let Some(path) = args.str_opt("out") {
-        std::fs::write(path, serde_json::to_string_pretty(&planned.plan)?)?;
-    }
-    if let Some(path) = args.str_opt("checkpoint") {
-        planned
-            .result
-            .base
-            .checkpoint()
-            .save(std::path::Path::new(path))?;
-    }
-    let mut out = String::new();
-    out.push_str(&planned.plan.render(exp.graph()));
-    if args.flag("explain") {
-        let (est, _) = exp.prepare();
-        let heuristic = exp.plan_heuristic();
-        let cmp = compare(&est, &heuristic, &planned.plan);
-        out.push_str("\nvs the symmetric heuristic (single-swap contributions):\n");
-        out.push_str(&cmp.render());
-    }
-    out.push_str(&format!(
-        "\nsearch: {} steps, {} accepted ({:.0}%), best TimeCost {:.2}s, profiling {:.0}s (simulated)\n",
-        planned.result.base.steps,
-        planned.result.base.accepted,
-        planned.result.base.acceptance_rate() * 100.0,
-        planned.result.best_time_cost,
-        planned.profiling_secs,
-    ));
-    if speculating {
-        out.push_str(&format!(
-            "speculation: {} proposals, {} accepted; TimeCost {:.2}s vs {:.2}s plain ({:.2}x)\n",
-            planned.result.spec_steps,
-            planned.result.spec_accepted,
-            planned.result.best_time_cost,
-            planned.result.base.best_time_cost,
-            planned.result.speedup_over_base(),
-        ));
-    }
-    if args.flag("memo-stats") {
-        let m = &planned.result.memo;
-        out.push_str(&format!(
-            "memo: {} hits / {} misses (hit rate {:.1}%), {} entries, {} invalidations\n",
-            m.hits,
-            m.misses,
-            m.hit_rate() * 100.0,
-            m.entries,
-            m.invalidations,
-        ));
+        out.push_str(&memo_stats_line(&memo));
     }
     out.push_str(&notes);
     Ok(out)
@@ -599,6 +576,37 @@ fn reject_replan_with_async(args: &Args, exp: &Experiment) -> Result<(), CliErro
     Ok(())
 }
 
+/// The plan `run` and `profile` execute: `--plan FILE`, `--heuristic`, the
+/// gen/train split for async off-policy runs, or a search —
+/// speculation-aware when speculation flags are set, in which case the
+/// runtime executes whatever the search attached (draft/verify loops on the
+/// draft mesh). Returns the plan, the search behind it, if any, and the
+/// memo notes of [`plan_speculative_from`].
+fn plan_to_execute(
+    args: &Args,
+    exp: &Experiment,
+) -> Result<(ExecutionPlan, Option<SearchResult>, String), CliError> {
+    if let Some(path) = args.str_opt("plan") {
+        return Ok((load_json(path)?, None, String::new()));
+    }
+    if args.flag("heuristic") {
+        return Ok((exp.plan_heuristic(), None, String::new()));
+    }
+    // Async off-policy wants generation and training on disjoint meshes;
+    // the MCMC search optimizes the synchronous TimeCost and tends to
+    // colocate them, so default to the split placement.
+    if let Some(split) = exp.async_staleness().and_then(|_| exp.plan_split()) {
+        return Ok((split, None, String::new()));
+    }
+    if let Some(menu) = spec_menu_from(args, exp.cluster())? {
+        let (planned, notes) = plan_speculative_from(args, exp, Some(menu))?;
+        return Ok((planned.plan, Some(planned.result.base), notes));
+    }
+    let (cfg, chains, threads) = mcmc_from(args)?;
+    let planned = plan_searched(exp, &cfg, chains, threads)?;
+    Ok((planned.plan, Some(planned.search), String::new()))
+}
+
 /// `real run`
 pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     let mut exp = experiment_from(args)?;
@@ -609,31 +617,7 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
             .with_dead_after(args.num_or("dead-after", 120.0f64)?);
         exp = exp.with_replan_policy(policy);
     }
-    let mut search: Option<SearchResult> = None;
-    let mut plan_notes = String::new();
-    let plan: ExecutionPlan = if let Some(path) = args.str_opt("plan") {
-        load_json(path)?
-    } else if args.flag("heuristic") {
-        exp.plan_heuristic()
-    } else if let Some(split) = exp.async_staleness().and_then(|_| exp.plan_split()) {
-        // Async off-policy wants generation and training on disjoint
-        // meshes; the MCMC search optimizes the synchronous TimeCost and
-        // tends to colocate them, so default to the split placement.
-        split
-    } else if let Some(menu) = spec_menu_from(args, exp.cluster())? {
-        // Speculation-aware planning: the runtime executes whatever the
-        // search attached (draft/verify loops on the draft mesh).
-        let (planned, notes) = plan_speculative_from(args, &exp, Some(menu))?;
-        plan_notes = notes;
-        search = Some(planned.result.base.clone());
-        planned.plan
-    } else {
-        let (cfg, chains, threads) = mcmc_from(args)?;
-        let planned = plan_searched(&exp, &cfg, chains, threads)?;
-        let plan = planned.plan;
-        search = Some(planned.search);
-        plan
-    };
+    let (plan, search, plan_notes) = plan_to_execute(args, &exp)?;
     let iters: usize = args.num_or("iters", 2)?;
     let report = exp.run(&plan, iters)?;
     if let Some(path) = args.str_opt("trace") {
@@ -661,7 +645,7 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     }
     if args.flag("memo-stats") {
         if let Some(search) = &search {
-            out.push_str(&memo_stats_line(search));
+            out.push_str(&memo_stats_line(&search.memo));
         }
     }
     out.push_str(&plan_notes);
@@ -790,22 +774,9 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
             engine.trace_capacity = 500_000;
         }
         let exp = exp.with_engine_config(engine);
-        let plan: ExecutionPlan = if let Some(path) = args.str_opt("plan") {
-            load_json(path)?
-        } else if args.flag("heuristic") {
-            exp.plan_heuristic()
-        } else if let Some(split) = exp.async_staleness().and_then(|_| exp.plan_split()) {
-            // Same default as `real run`: async off-policy profiles against
-            // the disjoint gen/train placement (see cmd_run).
-            split
-        } else if let Some(menu) = spec_menu_from(args, exp.cluster())? {
-            // Speculative plans profile with gen/draft, gen/verify, and
-            // gen/fallback sub-rows in the phase attribution.
-            plan_speculative_from(args, &exp, Some(menu))?.0.plan
-        } else {
-            let (cfg, chains, threads) = mcmc_from(args)?;
-            plan_searched(&exp, &cfg, chains, threads)?.plan
-        };
+        // Speculative plans profile with gen/draft, gen/verify, and
+        // gen/fallback sub-rows in the phase attribution.
+        let (plan, _, _) = plan_to_execute(args, &exp)?;
         let iters: usize = args.num_or("iters", 2)?;
         let run = exp.run(&plan, iters)?;
         overlap = overlap_line(&exp.event_stream(&run));
@@ -1265,13 +1236,42 @@ mod tests {
         let two = with(&["--threads", "2", "--memo-stats"]);
         assert!(one.contains("memo:"), "--memo-stats prints the cache line");
         assert_eq!(one, two);
-        // Disabling the memoized fast path changes nothing but speed.
-        assert_eq!(with(&[]), with(&["--no-memo"]));
         // Zero worker threads is rejected up front.
         assert!(matches!(
             mcmc_from(&parse(&["plan", "--threads", "0"])),
             Err(CliError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn chains_are_rejected_where_the_search_runs_one_chain() {
+        // Speculation and memo persistence run one chain, so asking for
+        // more is an error rather than silently ignored.
+        for command in ["plan", "run"] {
+            for extra in [
+                &["--spec-decode"][..],
+                &["--acceptance", "0.8"],
+                &["--memo-in", "memo.json"],
+                &["--memo-out", "memo.json"],
+            ] {
+                let mut argv = vec![command, "--chains", "2"];
+                argv.extend_from_slice(extra);
+                assert!(
+                    matches!(dispatch(&parse(&argv)), Err(CliError::Invalid(_))),
+                    "{argv:?}"
+                );
+            }
+        }
+        // One chain, or --no-spec, stays accepted.
+        assert!(mcmc_from(&parse(&["plan", "--chains", "1", "--spec-decode"])).is_ok());
+        assert!(mcmc_from(&parse(&[
+            "plan",
+            "--chains",
+            "2",
+            "--spec-decode",
+            "--no-spec"
+        ]))
+        .is_ok());
     }
 
     #[test]
@@ -1942,8 +1942,6 @@ mod tests {
             "--time",
             "10",
             "--quick-profile",
-            "--chains",
-            "2",
         ];
         let with = |extra: &[&str]| {
             let mut argv = base.clone();
@@ -2000,8 +1998,6 @@ mod tests {
             "--time",
             "10",
             "--quick-profile",
-            "--chains",
-            "2",
         ];
         let with = |extra: &[&str]| {
             let mut argv = base.clone();

@@ -11,8 +11,8 @@ use real_model::ModelSpec;
 use real_profiler::{ProfileConfig, Profiler};
 use real_runtime::{EngineConfig, ReplanPolicy, RunError, RuntimeEngine};
 use real_search::{
-    greedy_plan, heuristic_plan, search, search_speculative_with_memo, ImpossibleCall, McmcConfig,
-    PruneLevel, SearchResult, SearchSpace, SpecMenu, SpecSearchResult,
+    heuristic_plan, search_speculative, ImpossibleCall, McmcConfig, PruneLevel, SearchResult,
+    SearchSpace, SpecMenu, SpecSearchResult,
 };
 use std::collections::HashSet;
 
@@ -346,21 +346,7 @@ impl Experiment {
     /// Returns [`PlanFailure`] when the workload cannot fit the cluster or
     /// no memory-feasible plan was found within the budget.
     pub fn plan_auto(&self, cfg: &McmcConfig) -> Result<PlannedExperiment, PlanFailure> {
-        let space = self
-            .try_search_space()
-            .map_err(PlanFailure::ImpossibleWorkload)?;
-        let (est, profiling_secs) = self.prepare();
-        let mut cfg = cfg.clone();
-        cfg.seed = self.seed.wrapping_add(cfg.seed);
-        let result = search(&est, &space, &cfg);
-        if !result.feasible {
-            return Err(PlanFailure::NoFeasiblePlan(Box::new(result)));
-        }
-        Ok(PlannedExperiment {
-            plan: result.best_plan.clone(),
-            search: result,
-            profiling_secs,
-        })
+        self.plan_auto_parallel_on(cfg, 1, 1)
     }
 
     /// Automatic planning with `n_chains` independent MCMC chains on
@@ -443,7 +429,7 @@ impl Experiment {
         let restored = warm.and_then(|s| CostMemo::from_snapshot(s, context));
         let warm_start = restored.is_some();
         let mut memo = restored.unwrap_or_default();
-        let result = search_speculative_with_memo(&est, &space, menu, &cfg, &mut memo);
+        let result = search_speculative(&est, &space, menu, &cfg, &mut memo);
         if !result.feasible {
             return Err(PlanFailure::NoFeasiblePlan(Box::new(result.base)));
         }
@@ -460,12 +446,6 @@ impl Experiment {
     pub fn plan_heuristic(&self) -> ExecutionPlan {
         let (est, _) = self.prepare();
         heuristic_plan(&est)
-    }
-
-    /// The greedy per-call-minimum plan (§5.2's search seed; may OOM).
-    pub fn plan_greedy(&self) -> ExecutionPlan {
-        let (est, _) = self.prepare();
-        greedy_plan(&est, &self.search_space())
     }
 
     /// A disjoint-mesh plan for async off-policy runs: generation calls of

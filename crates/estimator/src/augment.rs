@@ -4,7 +4,7 @@
 
 use crate::Estimator;
 use real_cluster::DeviceMesh;
-use real_dataflow::{CallId, DataflowGraph, ExecutionPlan};
+use real_dataflow::{CallAssignment, CallId, DataflowGraph, ExecutionPlan, SpecChoice};
 use real_model::MemoryModel;
 
 /// What an augmented node does.
@@ -69,8 +69,8 @@ impl AugNode {
 pub fn realloc_cost(
     est: &Estimator,
     model: &real_model::ModelSpec,
-    src: &real_dataflow::CallAssignment,
-    dst: &real_dataflow::CallAssignment,
+    src: &CallAssignment,
+    dst: &CallAssignment,
 ) -> f64 {
     if src == dst {
         return 0.0;
@@ -86,27 +86,16 @@ pub fn realloc_cost(
     est.comm().broadcast(shard_bytes, 2, within) + stage_pairs * est.comm().p2p(0.0, within)
 }
 
-/// Estimated cost of transferring one call's outputs to a consumer on a
-/// different mesh. Token ids, log-probs and scalar rewards are small (§6
-/// notes this cost is minor); we price 8 bytes per token of payload.
-pub fn transfer_cost(
-    est: &Estimator,
-    graph: &DataflowGraph,
-    from: CallId,
-    plan: &ExecutionPlan,
-    to: CallId,
-) -> f64 {
-    transfer_cost_between(est, graph, from, plan.assignment(from), plan.assignment(to))
-}
-
-/// [`transfer_cost`] with the producer/consumer assignments given directly
-/// instead of read off a plan — the form the memo cache keys on.
+/// Estimated cost of transferring one call's outputs, produced under
+/// assignment `a`, to a consumer under `b` on a different mesh. Token ids,
+/// log-probs and scalar rewards are small (§6 notes this cost is minor); we
+/// price 8 bytes per token of payload.
 pub fn transfer_cost_between(
     est: &Estimator,
     graph: &DataflowGraph,
     from: CallId,
-    a: &real_dataflow::CallAssignment,
-    b: &real_dataflow::CallAssignment,
+    a: &CallAssignment,
+    b: &CallAssignment,
 ) -> f64 {
     if a.mesh == b.mesh && a.strategy == b.strategy {
         return 0.0;
@@ -124,61 +113,43 @@ pub fn transfer_cost_between(
 /// Edge-cost oracle for [`Template::instantiate`].
 ///
 /// The template fixes the *structure* of the augmented graph; an
-/// implementation of this trait supplies the three per-edge prices. The
-/// direct implementation ([`DirectCosts`]) calls the estimator's pricing
+/// implementation of this trait supplies the per-node prices. The
+/// direct implementation (on `&Estimator`) calls the estimator's pricing
 /// functions; the memoized one ([`crate::memo::CostMemo`] via
 /// [`crate::PlanPricer`]) consults its cache first. Both must return
 /// bit-identical values for the two paths to produce bit-identical
 /// makespans.
 pub trait NodeCosts {
     /// Duration of `call` under assignment `a` (seconds).
-    fn duration(&mut self, call: CallId, a: &real_dataflow::CallAssignment) -> f64;
+    fn duration(&mut self, call: CallId, a: &CallAssignment) -> f64;
     /// Cost of reallocating the model of `dst_call` from layout `src` to
     /// layout `dst` (seconds).
-    fn realloc(
-        &mut self,
-        dst_call: CallId,
-        src: &real_dataflow::CallAssignment,
-        dst: &real_dataflow::CallAssignment,
-    ) -> f64;
+    fn realloc(&mut self, dst_call: CallId, src: &CallAssignment, dst: &CallAssignment) -> f64;
     /// Cost of moving `from`'s outputs (under `a`) to a consumer under `b`
     /// (seconds).
-    fn transfer(
-        &mut self,
-        from: CallId,
-        a: &real_dataflow::CallAssignment,
-        b: &real_dataflow::CallAssignment,
-    ) -> f64;
+    fn transfer(&mut self, from: CallId, a: &CallAssignment, b: &CallAssignment) -> f64;
+    /// Duration of generation call `call` under `a`, decoding speculatively
+    /// under `choice` (seconds).
+    fn spec_duration(&mut self, call: CallId, a: &CallAssignment, choice: &SpecChoice) -> f64;
 }
 
 /// The unmemoized [`NodeCosts`]: every query goes straight to the
 /// estimator's pricing functions.
-pub struct DirectCosts<'a> {
-    /// The backing estimator.
-    pub est: &'a Estimator,
-}
-
-impl NodeCosts for DirectCosts<'_> {
-    fn duration(&mut self, call: CallId, a: &real_dataflow::CallAssignment) -> f64 {
-        self.est.call_duration(call, a)
+impl NodeCosts for &Estimator {
+    fn duration(&mut self, call: CallId, a: &CallAssignment) -> f64 {
+        self.call_duration(call, a)
     }
 
-    fn realloc(
-        &mut self,
-        dst_call: CallId,
-        src: &real_dataflow::CallAssignment,
-        dst: &real_dataflow::CallAssignment,
-    ) -> f64 {
-        realloc_cost(self.est, &self.est.graph().call(dst_call).model, src, dst)
+    fn realloc(&mut self, dst_call: CallId, src: &CallAssignment, dst: &CallAssignment) -> f64 {
+        realloc_cost(self, &self.graph().call(dst_call).model, src, dst)
     }
 
-    fn transfer(
-        &mut self,
-        from: CallId,
-        a: &real_dataflow::CallAssignment,
-        b: &real_dataflow::CallAssignment,
-    ) -> f64 {
-        transfer_cost_between(self.est, self.est.graph(), from, a, b)
+    fn transfer(&mut self, from: CallId, a: &CallAssignment, b: &CallAssignment) -> f64 {
+        transfer_cost_between(self, self.graph(), from, a, b)
+    }
+
+    fn spec_duration(&mut self, call: CallId, a: &CallAssignment, choice: &SpecChoice) -> f64 {
+        self.spec_call_duration(call, a, choice)
     }
 }
 
@@ -245,19 +216,20 @@ impl Template {
     }
 
     /// Materializes the augmented node list for one plan, with assignments
-    /// supplied by `assign` (so a one-call perturbation needs no plan clone)
-    /// and edge prices supplied by `costs`.
-    ///
-    /// Node order and contents are bit-identical to [`build`] on the
-    /// equivalent plan.
+    /// supplied by `assign` (so a one-call perturbation needs no plan clone),
+    /// speculation choices read off `plan`, and node prices supplied by
+    /// `costs`. A speculative generation call takes its spec-aware duration
+    /// and also occupies the draft mesh, so Algorithm 1 serializes colocated
+    /// work against the draft.
     pub fn instantiate<F>(
         &self,
         graph: &DataflowGraph,
+        plan: &ExecutionPlan,
         assign: F,
         costs: &mut dyn NodeCosts,
     ) -> Vec<AugNode>
     where
-        F: Fn(CallId) -> real_dataflow::CallAssignment,
+        F: Fn(CallId) -> CallAssignment,
     {
         let n = graph.n_calls();
         let mut nodes: Vec<AugNode> = Vec::with_capacity(self.iterations * n * 2);
@@ -331,10 +303,17 @@ impl Template {
 
                 parents.sort_unstable();
                 parents.dedup();
+                let (duration, meshes) = match plan.spec_choice(call) {
+                    Some(choice) => (
+                        costs.spec_duration(call, &a, choice),
+                        vec![a.mesh, choice.assignment.mesh],
+                    ),
+                    None => (costs.duration(call, &a), vec![a.mesh]),
+                };
                 nodes.push(AugNode {
                     kind: NodeKind::Call { call, iter },
-                    duration: costs.duration(call, &a),
-                    meshes: vec![a.mesh],
+                    duration,
+                    meshes,
                     parents,
                 });
                 call_node[iter][call.0] = nodes.len() - 1;
@@ -351,20 +330,17 @@ impl Template {
 /// call in iteration `t` to its calls in iteration `t+1` (through the
 /// reallocation node when layouts differ).
 ///
-/// Equivalent to [`Template::new`] + [`Template::instantiate`] with
-/// [`DirectCosts`]; callers pricing many plans against one graph should
-/// build the template once instead.
+/// Equivalent to [`Template::new`] + [`Template::instantiate`] with the
+/// estimator as its own [`NodeCosts`]; callers pricing many plans against
+/// one graph should build the template once instead.
 pub fn build(
     graph: &DataflowGraph,
     plan: &ExecutionPlan,
     est: &Estimator,
     iterations: usize,
 ) -> Vec<AugNode> {
-    Template::new(graph, iterations).instantiate(
-        graph,
-        |id| *plan.assignment(id),
-        &mut DirectCosts { est },
-    )
+    let mut costs = est;
+    Template::new(graph, iterations).instantiate(graph, plan, |id| *plan.assignment(id), &mut costs)
 }
 
 #[cfg(test)]

@@ -281,29 +281,11 @@ impl Estimator {
         }
     }
 
-    /// Rewrites the augmented nodes of a speculative plan's generation
-    /// calls: the spec-aware duration replaces the plain one, and the draft
-    /// mesh joins the node's occupied meshes so Algorithm 1 serializes
-    /// colocated work against the draft. No-op for speculation-free plans.
-    fn patch_spec_nodes(&self, plan: &ExecutionPlan, nodes: &mut [augment::AugNode]) {
-        for node in nodes.iter_mut() {
-            if let augment::NodeKind::Call { call, .. } = node.kind {
-                if let Some(choice) = plan.spec_choice(call) {
-                    node.duration = self.spec_call_duration(call, plan.assignment(call), choice);
-                    node.meshes.push(choice.assignment.mesh);
-                }
-            }
-        }
-    }
-
     /// `TimeCost(G_p)`: the Algorithm 1 makespan of the augmented graph
     /// unrolled over the configured iterations, divided by the iteration
     /// count (steady-state per-iteration time).
     pub fn time_cost(&self, plan: &ExecutionPlan) -> f64 {
-        let mut nodes = augment::build(&self.graph, plan, self, self.iterations);
-        if plan.has_speculation() {
-            self.patch_spec_nodes(plan, &mut nodes);
-        }
+        let nodes = augment::build(&self.graph, plan, self, self.iterations);
         algorithm1::makespan(&nodes) / self.iterations as f64
     }
 
@@ -324,10 +306,7 @@ impl Estimator {
             };
             metrics.gauge_set("estimator/call_seconds", &[("call", &def.call_name)], secs);
         }
-        let mut nodes = augment::build(&self.graph, plan, self, self.iterations);
-        if plan.has_speculation() {
-            self.patch_spec_nodes(plan, &mut nodes);
-        }
+        let nodes = augment::build(&self.graph, plan, self, self.iterations);
         let per_iter = algorithm1::makespan_instrumented(&nodes, metrics) / self.iterations as f64;
         metrics.gauge_set("estimator/time_cost_seconds", &[], per_iter);
         per_iter
@@ -352,60 +331,18 @@ impl Estimator {
     /// [`Estimator::cost`] plus whether the OOM penalty was applied — lets
     /// the search count penalty hits without a second memory pass.
     pub fn cost_checked(&self, plan: &ExecutionPlan) -> (f64, bool) {
-        let t = self.time_cost(plan);
-        if self.mem_ok(plan) {
-            (t, false)
-        } else {
-            (t * OOM_PENALTY, true)
-        }
-    }
-
-    /// Mean static-memory utilization across GPUs (Fig. 17 right).
-    pub fn static_mem_utilization(&self, plan: &ExecutionPlan) -> f64 {
-        maxmem::static_utilization(&self.cluster, &self.graph, plan)
-    }
-
-    /// Costs a plan *as an allocation candidate* for the multi-tenant
-    /// scheduler: the steady-state step time, whether it fits device memory,
-    /// and whether every call's mesh stays inside `allocation` — the
-    /// containment check the top-level allocation search uses to reject
-    /// plans that leak onto a co-tenant's GPUs.
-    pub fn allocation_cost(
-        &self,
-        plan: &ExecutionPlan,
-        allocation: &real_cluster::DeviceMesh,
-    ) -> AllocationCost {
-        let contained = self
-            .graph
-            .iter()
-            .all(|(id, _)| allocation.contains_mesh(&plan.assignment(id).mesh))
-            && plan
-                .spec_choices()
-                .all(|(_, c)| allocation.contains_mesh(&c.assignment.mesh));
-        AllocationCost {
-            step_secs: self.time_cost(plan),
-            mem_ok: self.mem_ok(plan),
-            contained,
-        }
+        penalized(self.time_cost(plan), self.mem_ok(plan))
     }
 }
 
-/// Per-allocation cost summary returned by [`Estimator::allocation_cost`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AllocationCost {
-    /// Estimated steady-state per-iteration time of the plan (seconds).
-    pub step_secs: f64,
-    /// Whether the plan's peak memory fits device capacity.
-    pub mem_ok: bool,
-    /// Whether every call's mesh is contained in the candidate allocation.
-    pub contained: bool,
-}
-
-impl AllocationCost {
-    /// Whether the candidate is usable: fits memory and stays inside its
-    /// allocation.
-    pub fn feasible(&self) -> bool {
-        self.mem_ok && self.contained
+/// The §5.2 cost composition shared by [`Estimator::cost_checked`] and
+/// [`PlanPricer::cost_checked`]: `TimeCost`, multiplied by [`OOM_PENALTY`]
+/// when the plan does not fit, plus whether the penalty applied.
+pub(crate) fn penalized(time_cost: f64, fits: bool) -> (f64, bool) {
+    if fits {
+        (time_cost, false)
+    } else {
+        (time_cost * OOM_PENALTY, true)
     }
 }
 
@@ -472,21 +409,6 @@ mod tests {
         assert!(!est.mem_ok(&bad), "bad plan should OOM");
         assert!(est.cost(&bad) > est.time_cost(&bad) * 100.0);
         assert_eq!(est.cost(&good), est.time_cost(&good));
-    }
-
-    #[test]
-    fn allocation_cost_checks_containment_and_memory() {
-        let (cluster, graph, est) = setup(2, 64);
-        let plan = symmetric_plan(&cluster, &graph, 2, 8, 1, 4);
-        let full = DeviceMesh::full(&cluster);
-        let cost = est.allocation_cost(&plan, &full);
-        assert!(cost.feasible());
-        assert_eq!(cost.step_secs, est.time_cost(&plan));
-        // The same full-cluster plan leaks out of a one-node allocation.
-        let node0 = DeviceMesh::whole_nodes(&cluster, 0, 1).unwrap();
-        let leaked = est.allocation_cost(&plan, &node0);
-        assert!(!leaked.contained && !leaked.feasible());
-        assert!(leaked.mem_ok);
     }
 
     #[test]

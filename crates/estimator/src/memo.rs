@@ -26,8 +26,8 @@
 //! experiment against nested mesh regions and therefore revisit the same
 //! `(call, assignment)` keys constantly.
 
-use crate::augment::{self, NodeCosts, NodeKind, Template};
-use crate::{algorithm1, maxmem, Estimator, OOM_PENALTY};
+use crate::augment::{self, NodeCosts, Template};
+use crate::{algorithm1, maxmem, penalized, Estimator};
 use real_cluster::DeviceMesh;
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan, SpecChoice};
 use serde::{Deserialize, Serialize};
@@ -220,18 +220,10 @@ impl CostMemo {
     }
 
     fn duration(&mut self, est: &Estimator, call: CallId, a: &CallAssignment) -> f64 {
-        match self.durations.get(&(call, *a)) {
-            Some(&v) => {
-                self.hits += 1;
-                v
-            }
-            None => {
-                self.misses += 1;
-                let v = est.call_duration(call, a);
-                self.durations.insert((call, *a), v);
-                v
-            }
-        }
+        let counts = (&mut self.hits, &mut self.misses);
+        cached(&mut self.durations, counts, (call, *a), || {
+            est.call_duration(call, a)
+        })
     }
 
     fn realloc(
@@ -241,18 +233,10 @@ impl CostMemo {
         src: &CallAssignment,
         dst: &CallAssignment,
     ) -> f64 {
-        match self.reallocs.get(&(dst_call, *src, *dst)) {
-            Some(&v) => {
-                self.hits += 1;
-                v
-            }
-            None => {
-                self.misses += 1;
-                let v = augment::realloc_cost(est, &est.graph().call(dst_call).model, src, dst);
-                self.reallocs.insert((dst_call, *src, *dst), v);
-                v
-            }
-        }
+        let counts = (&mut self.hits, &mut self.misses);
+        cached(&mut self.reallocs, counts, (dst_call, *src, *dst), || {
+            augment::realloc_cost(est, &est.graph().call(dst_call).model, src, dst)
+        })
     }
 
     fn transfer(
@@ -262,48 +246,24 @@ impl CostMemo {
         a: &CallAssignment,
         b: &CallAssignment,
     ) -> f64 {
-        match self.transfers.get(&(from, *a, *b)) {
-            Some(&v) => {
-                self.hits += 1;
-                v
-            }
-            None => {
-                self.misses += 1;
-                let v = augment::transfer_cost_between(est, est.graph(), from, a, b);
-                self.transfers.insert((from, *a, *b), v);
-                v
-            }
-        }
+        let counts = (&mut self.hits, &mut self.misses);
+        cached(&mut self.transfers, counts, (from, *a, *b), || {
+            augment::transfer_cost_between(est, est.graph(), from, a, b)
+        })
     }
 
     fn active_bytes(&mut self, est: &Estimator, call: CallId, a: &CallAssignment) -> u64 {
-        match self.actives.get(&(call, *a)) {
-            Some(&v) => {
-                self.hits += 1;
-                v
-            }
-            None => {
-                self.misses += 1;
-                let v = maxmem::call_active_bytes(est.graph().call(call), a);
-                self.actives.insert((call, *a), v);
-                v
-            }
-        }
+        let counts = (&mut self.hits, &mut self.misses);
+        cached(&mut self.actives, counts, (call, *a), || {
+            maxmem::call_active_bytes(est.graph().call(call), a)
+        })
     }
 
     fn static_bytes(&mut self, est: &Estimator, anchor: CallId, a: &CallAssignment) -> u64 {
-        match self.statics.get(&(anchor, *a)) {
-            Some(&v) => {
-                self.hits += 1;
-                v
-            }
-            None => {
-                self.misses += 1;
-                let v = maxmem::anchor_static_bytes(est.graph().call(anchor), a);
-                self.statics.insert((anchor, *a), v);
-                v
-            }
-        }
+        let counts = (&mut self.hits, &mut self.misses);
+        cached(&mut self.statics, counts, (anchor, *a), || {
+            maxmem::anchor_static_bytes(est.graph().call(anchor), a)
+        })
     }
 
     fn spec_duration(
@@ -314,18 +274,10 @@ impl CostMemo {
         choice: &SpecChoice,
     ) -> f64 {
         let key = (call, *a, choice.assignment, choice.config.fingerprint());
-        match self.spec_durations.get(&key) {
-            Some(&v) => {
-                self.hits += 1;
-                v
-            }
-            None => {
-                self.misses += 1;
-                let v = est.spec_call_duration(call, a, choice);
-                self.spec_durations.insert(key, v);
-                v
-            }
-        }
+        let counts = (&mut self.hits, &mut self.misses);
+        cached(&mut self.spec_durations, counts, key, || {
+            est.spec_call_duration(call, a, choice)
+        })
     }
 
     /// Serializes the cache for cross-process reuse (`real plan
@@ -451,6 +403,24 @@ impl CostMemo {
     }
 }
 
+/// One memo-table lookup: the cached value on a hit, otherwise `compute`'s
+/// result, cached. Counts the outcome in `(hits, misses)`.
+fn cached<K: std::hash::Hash + Eq, V: Copy>(
+    table: &mut HashMap<K, V, FxBuild>,
+    (hits, misses): (&mut u64, &mut u64),
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    if let Some(&v) = table.get(&key) {
+        *hits += 1;
+        return v;
+    }
+    *misses += 1;
+    let v = compute();
+    table.insert(key, v);
+    v
+}
+
 /// A serialized [`CostMemo`]: the persistence format behind `real plan
 /// --memo-out/--memo-in`. Prices are stored as raw `f64` bits and entries
 /// in a deterministic sorted order; the embedded context fingerprint and
@@ -532,6 +502,10 @@ impl NodeCosts for MemoCosts<'_, '_> {
 
     fn transfer(&mut self, from: CallId, a: &CallAssignment, b: &CallAssignment) -> f64 {
         self.memo.transfer(self.est, from, a, b)
+    }
+
+    fn spec_duration(&mut self, call: CallId, a: &CallAssignment, choice: &SpecChoice) -> f64 {
+        self.memo.spec_duration(self.est, call, a, choice)
     }
 }
 
@@ -617,28 +591,15 @@ impl<'a> PlanPricer<'a> {
     where
         F: Fn(CallId) -> CallAssignment,
     {
-        let mut nodes = self.template.instantiate(
+        let nodes = self.template.instantiate(
             self.est.graph(),
-            &assign,
+            plan,
+            assign,
             &mut MemoCosts {
                 est: self.est,
                 memo: &mut self.memo,
             },
         );
-        if plan.has_speculation() {
-            // Mirror `Estimator::patch_spec_nodes` through the memo: swap in
-            // the speculative duration and occupy the draft mesh.
-            for node in nodes.iter_mut() {
-                if let NodeKind::Call { call, .. } = node.kind {
-                    if let Some(choice) = plan.spec_choice(call) {
-                        node.duration =
-                            self.memo
-                                .spec_duration(self.est, call, &assign(call), choice);
-                        node.meshes.push(choice.assignment.mesh);
-                    }
-                }
-            }
-        }
         algorithm1::makespan(&nodes) / self.est.iterations() as f64
     }
 
@@ -674,12 +635,8 @@ impl<'a> PlanPricer<'a> {
         F: Fn(CallId) -> CallAssignment,
     {
         let t = self.time_cost_at(plan, &assign);
-        let cap = self.est.cluster().gpu.mem_capacity;
-        if self.max_mem_at(plan, &assign) <= cap {
-            (t, false)
-        } else {
-            (t * OOM_PENALTY, true)
-        }
+        let fits = self.max_mem_at(plan, &assign) <= self.est.cluster().gpu.mem_capacity;
+        penalized(t, fits)
     }
 
     /// `TimeCost` of the plan; bit-identical to [`Estimator::time_cost`].

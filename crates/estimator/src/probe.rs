@@ -162,8 +162,8 @@ pub fn fit_assignment(mesh: &DeviceMesh, call: &ModelFunctionCallDef) -> Option<
 /// let est = Estimator::new(cluster.clone(), graph, profiles).unwrap();
 /// let node1 = DeviceMesh::whole_nodes(&cluster, 1, 1).unwrap();
 /// let plan = fit_plan(&est, &node1).unwrap();
-/// let cost = est.allocation_cost(&plan, &node1);
-/// assert!(cost.contained && cost.step_secs > 0.0);
+/// assert!(plan.assignments().iter().all(|a| node1.contains_mesh(&a.mesh)));
+/// assert!(est.time_cost(&plan) > 0.0);
 /// ```
 pub fn fit_plan(est: &Estimator, mesh: &DeviceMesh) -> Option<ExecutionPlan> {
     let graph = est.graph();
@@ -344,9 +344,12 @@ mod tests {
         for node in 0..2 {
             let mesh = DeviceMesh::whole_nodes(&cluster, node, 1).unwrap();
             let plan = fit_plan(&est, &mesh).unwrap();
-            let cost = est.allocation_cost(&plan, &mesh);
-            assert!(cost.contained, "plan escaped node {node}");
-            assert!(cost.step_secs > 0.0);
+            let contained = plan
+                .assignments()
+                .iter()
+                .all(|a| mesh.contains_mesh(&a.mesh));
+            assert!(contained, "plan escaped node {node}");
+            assert!(est.time_cost(&plan) > 0.0);
         }
     }
 

@@ -32,7 +32,7 @@ use crate::report::{AsyncStats, CallTiming, FaultAbort, FaultStats, RequestFault
 use crate::workers::{MasterLog, Request, Response};
 use real_cluster::{ClusterHealth, CommModel, GpuId};
 use real_dataflow::{CallAssignment, CallId, CallType, ExecutionPlan, ModelFunctionCallDef};
-use real_estimator::{maxmem, Estimator};
+use real_estimator::{maxmem, CostMemo, Estimator};
 use real_model::{CostModel, ModelSpec};
 use real_search::{compare, search_warm, McmcConfig, SearchSpace};
 use real_sim::{Category, FaultClock, Timelines, Trace};
@@ -614,9 +614,9 @@ impl Driver {
             time_limit: Duration::from_secs(86_400),
             seed,
             record_trace: false,
-            memo: true,
         };
-        let candidate = search_warm(est, &space, &cfg, &self.current).best_plan;
+        let candidate =
+            search_warm(est, &space, &cfg, &self.current, &mut CostMemo::new()).best_plan;
         if mem_peak(&self.env.engine, &candidate).is_err() {
             return ReplanOutcome::NoSurvivingPlan;
         }

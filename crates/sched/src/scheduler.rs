@@ -3,9 +3,11 @@
 //! [`Scheduler::plan`] partitions the cluster between tenants:
 //!
 //! 1. **Candidate generation** — for every §4 buddy-aligned mesh, build the
-//!    tenant's restricted [`SearchSpace`] (assignments confined to meshes
+//!    tenant's restricted search space (assignments confined to meshes
 //!    nested in the candidate allocation) and price it with a short MCMC
-//!    chain under [`Estimator::allocation_cost`]. The chain is deliberately
+//!    chain ([`real_search::search_within`], which keeps only
+//!    memory-feasible plans contained in the allocation and prices each
+//!    chosen plan once, in the search itself). The chain is deliberately
 //!    short ([`SchedConfig::score_steps`]): the allocation search evaluates
 //!    dozens of (tenant, mesh) pairs and only needs a consistent relative
 //!    ranking plus a memory-feasible plan (the greedy start alone is
@@ -38,7 +40,7 @@ use real_core::Tenant;
 use real_dataflow::ExecutionPlan;
 use real_estimator::{CostMemo, Estimator, MemoStats};
 use real_runtime::{run_multi, RunError, RunReport, TenantElastic, TenantRun};
-use real_search::{search_warm_with_memo, search_with_memo, McmcConfig, PruneLevel, SearchSpace};
+use real_search::{search_within, McmcConfig, PruneLevel};
 use real_util::DeterministicRng;
 use std::fmt;
 use std::time::Duration;
@@ -393,15 +395,8 @@ impl Scheduler {
         let mut candidates: Vec<Vec<Candidate>> = Vec::with_capacity(tenants.len());
         let mut solo: Vec<f64> = Vec::with_capacity(tenants.len());
         for (i, tenant) in tenants.iter().enumerate() {
-            let graph = tenant.experiment().graph();
             let mut cands = Vec::new();
             for (mesh_index, mesh) in all_meshes.iter().enumerate() {
-                let inner = partition::meshes_within(&self.cluster, mesh);
-                let Ok(space) =
-                    SearchSpace::try_build_on(&self.cluster, graph, self.config.prune, &inner)
-                else {
-                    continue;
-                };
                 // Seeded by (seed, tenant id, mesh): a tenant's candidate
                 // prices are independent of co-tenant membership.
                 let mut rng = DeterministicRng::from_seed(self.config.seed)
@@ -414,18 +409,15 @@ impl Scheduler {
                     time_limit: Duration::from_secs(86_400),
                     seed: rng.next_u64(),
                     record_trace: false,
-                    memo: true,
                 };
-                let result = search_with_memo(&ests[i], &space, &cfg, &mut memos[i]);
-                let cost = ests[i].allocation_cost(&result.best_plan, mesh);
-                if !result.feasible || !cost.feasible() {
-                    continue;
+                let prune = self.config.prune;
+                if let Some(r) = search_within(&ests[i], mesh, prune, &cfg, None, &mut memos[i]) {
+                    cands.push(Candidate {
+                        mesh: *mesh,
+                        plan: r.best_plan,
+                        step: r.best_time_cost,
+                    });
                 }
-                cands.push(Candidate {
-                    mesh: *mesh,
-                    plan: result.best_plan,
-                    step: cost.step_secs,
-                });
             }
             if cands.is_empty() {
                 return Err(SchedError::Infeasible {
@@ -511,14 +503,6 @@ impl Scheduler {
             let mut plan = incumbent.plan.clone();
             let mut step = incumbent.step;
             if self.config.refine_steps > 0 {
-                let inner = partition::meshes_within(&self.cluster, &mesh);
-                let space = SearchSpace::try_build_on(
-                    &self.cluster,
-                    tenant.experiment().graph(),
-                    self.config.prune,
-                    &inner,
-                )
-                .expect("candidate meshes already built this space");
                 // Seeded per tenant id, not list position: co-tenant
                 // membership must not perturb a tenant's refined plan.
                 let mut rng = DeterministicRng::from_seed(self.config.seed)
@@ -532,13 +516,18 @@ impl Scheduler {
                     time_limit: Duration::from_secs(86_400),
                     seed: rng.next_u64(),
                     record_trace: false,
-                    memo: true,
                 };
-                let refined = search_warm_with_memo(&ests[i], &space, &cfg, &plan, &mut memos[i]);
-                let cost = ests[i].allocation_cost(&refined.best_plan, &mesh);
-                if cost.feasible() && cost.step_secs < step {
-                    plan = refined.best_plan;
-                    step = cost.step_secs;
+                let refined = search_within(
+                    &ests[i],
+                    &mesh,
+                    self.config.prune,
+                    &cfg,
+                    Some(&plan),
+                    &mut memos[i],
+                );
+                if let Some(r) = refined.filter(|r| r.best_time_cost < step) {
+                    plan = r.best_plan;
+                    step = r.best_time_cost;
                 }
             }
             placements.push(TenantPlan {

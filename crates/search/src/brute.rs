@@ -11,7 +11,7 @@
 
 use crate::space::SearchSpace;
 use real_dataflow::{CallId, ExecutionPlan};
-use real_estimator::Estimator;
+use real_estimator::{Estimator, PlanPricer};
 use std::time::{Duration, Instant};
 
 /// Brute-force configuration.
@@ -85,6 +85,7 @@ pub fn brute_force(est: &Estimator, space: &SearchSpace, cfg: &BruteConfig) -> B
         .map(|c| est.call_duration(CallId(c), &small.options(c)[0]))
         .collect();
 
+    let mut pricer = PlanPricer::new(est);
     let mut best_plan: Option<ExecutionPlan> = None;
     let mut best_cost = f64::INFINITY;
     let mut evaluated = 0u64;
@@ -104,7 +105,7 @@ pub fn brute_force(est: &Estimator, space: &SearchSpace, cfg: &BruteConfig) -> B
             let assignments: Vec<_> = (0..n).map(|c| small.options(c)[choice[c]]).collect();
             if let Ok(plan) = ExecutionPlan::new(graph, est.cluster(), assignments) {
                 evaluated += 1;
-                let cost = est.cost(&plan);
+                let cost = pricer.cost(&plan);
                 if cost < best_cost {
                     best_cost = cost;
                     best_plan = Some(plan);
@@ -160,7 +161,7 @@ pub fn brute_force(est: &Estimator, space: &SearchSpace, cfg: &BruteConfig) -> B
 
     let best_plan = best_plan.expect("at least one complete plan is evaluated");
     BruteResult {
-        best_time_cost: est.time_cost(&best_plan),
+        best_time_cost: pricer.time_cost(&best_plan),
         best_plan,
         evaluated,
         pruned,
@@ -240,7 +241,6 @@ mod tests {
             time_limit: Duration::from_secs(60),
             seed: 5,
             record_trace: false,
-            memo: true,
         };
         let result = search(&est, &space, &mcmc_cfg);
         // MCMC searches the *full* pruned space, so it may even beat the

@@ -178,6 +178,7 @@ mod tests {
     use crate::space::PruneLevel;
     use real_cluster::{ClusterHealth, ClusterSpec, GpuId};
     use real_dataflow::algo::{ppo, RlhfConfig};
+    use real_estimator::CostMemo;
     use real_model::ModelSpec;
     use real_profiler::{ProfileConfig, Profiler};
     use std::time::Duration;
@@ -201,7 +202,6 @@ mod tests {
             time_limit: Duration::from_secs(3600), // bound by steps only
             seed,
             record_trace: true,
-            memo: true,
         }
     }
 
@@ -241,27 +241,6 @@ mod tests {
         assert_eq!(a.accepted, b.accepted);
         assert_eq!(a.chain, b.chain);
         assert_eq!(a.steps, 500, "resumed chain runs to the new budget");
-    }
-
-    #[test]
-    fn resume_is_bit_identical_with_the_memo_cache_on_and_off() {
-        let (_, est, space) = setup(1, 128);
-        let ckpt = search(&est, &space, &steps_cfg(17, 200)).checkpoint();
-        let mut on = steps_cfg(17, 500);
-        let mut off = on.clone();
-        on.memo = true;
-        off.memo = false;
-        let a = resume(&est, &space, &on, &ckpt);
-        let b = resume(&est, &space, &off, &ckpt);
-        assert_eq!(a.best_plan, b.best_plan);
-        assert_eq!(a.best_time_cost.to_bits(), b.best_time_cost.to_bits());
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.accepted, b.accepted);
-        assert_eq!(a.chain, b.chain);
-        assert!(
-            a.memo.hits + a.memo.misses > 0,
-            "memoized run priced via the cache"
-        );
     }
 
     #[test]
@@ -320,8 +299,8 @@ mod tests {
         .unwrap();
         let degraded = est.clone().with_health(health);
         let cfg = steps_cfg(17, 400);
-        let a = search_warm(&degraded, &shrunken, &cfg, &incumbent);
-        let b = search_warm(&degraded, &shrunken, &cfg, &incumbent);
+        let a = search_warm(&degraded, &shrunken, &cfg, &incumbent, &mut CostMemo::new());
+        let b = search_warm(&degraded, &shrunken, &cfg, &incumbent, &mut CostMemo::new());
         assert_eq!(a.best_plan, b.best_plan);
         assert_eq!(a.accepted, b.accepted);
         for call in 0..shrunken.n_calls() {

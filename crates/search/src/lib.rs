@@ -38,9 +38,7 @@ pub use greedy::greedy_plan;
 pub use heuristic::heuristic_plan;
 pub use mcmc::{
     chain_seed, merge_results, parallel_search, parallel_search_on, resume, search, search_warm,
-    search_warm_with_memo, search_with_memo, McmcConfig, SearchResult,
+    search_with_memo, search_within, McmcConfig, SearchResult,
 };
 pub use space::{ImpossibleCall, PruneLevel, SearchSpace};
-pub use specsearch::{
-    search_speculative, search_speculative_with_memo, SpecMenu, SpecSearchResult,
-};
+pub use specsearch::{search_speculative, SpecMenu, SpecSearchResult};

@@ -11,14 +11,15 @@
 //! acceptance the final plan is guaranteed non-speculative, because a
 //! speculative option is only kept when it strictly lowers the plan cost.
 //!
-//! [`mcmc::run_chain`](crate::mcmc) itself is untouched — spec-free searches
+//! The speculation chain continues on the base search's [`CostMemo`], and
+//! the assignment chain in [`crate::mcmc`] is untouched — spec-free searches
 //! remain bit-identical to their pre-speculation behavior.
 
 use crate::mcmc::{self, McmcConfig, SearchResult};
 use crate::space::SearchSpace;
 use real_cluster::{ClusterSpec, DeviceMesh};
 use real_dataflow::{CallAssignment, CallId, CallType, ExecutionPlan, SpecChoice};
-use real_estimator::{Estimator, MemoStats, PlanPricer};
+use real_estimator::{CostMemo, Estimator, MemoStats, PlanPricer};
 use real_model::specdec::{AcceptanceCurve, SpecDecodeConfig};
 use real_model::{ModelSpec, ParallelStrategy};
 use real_profiler::{calibrated_acceptance, SpecTask};
@@ -74,8 +75,8 @@ impl SpecMenu {
     }
 
     /// A menu offering nothing: [`search_speculative`] with it degenerates
-    /// to the plain assignment search (used by callers that want the shared
-    /// memo path of [`search_speculative_with_memo`] without speculation).
+    /// to the plain assignment search (used by callers that want its shared
+    /// memo without speculation).
     pub fn empty() -> Self {
         Self {
             drafts: Vec::new(),
@@ -163,7 +164,8 @@ pub struct SpecSearchResult {
     pub spec_steps: u64,
     /// Speculation-chain proposals accepted.
     pub spec_accepted: u64,
-    /// Memo counters of the speculation chain's pricer.
+    /// Memo counters of the whole search: the base search plus the
+    /// speculation chain, which continues on the base search's memo.
     pub memo: MemoStats,
 }
 
@@ -180,45 +182,22 @@ impl SpecSearchResult {
 /// that, per generation call, keeps the single best menu option only if it
 /// strictly beats plain decode. With an empty menu (or no generation calls)
 /// the result is exactly the base search's plan.
+///
+/// Both the base search and the speculation chain price through the
+/// caller-owned `memo` — the hook behind cross-search memo persistence
+/// (`real plan --memo-in/--memo-out`): a warm cache restored from a
+/// snapshot skips re-pricing any `(call, assignment)` it has seen in an
+/// earlier search. Memoization is exact, so the chosen plan is
+/// bit-identical whatever the cache holds.
 pub fn search_speculative(
     est: &Estimator,
     space: &SearchSpace,
     menu: &SpecMenu,
     cfg: &McmcConfig,
+    memo: &mut CostMemo,
 ) -> SpecSearchResult {
-    run_speculative(est, space, menu, cfg, None)
-}
-
-/// [`search_speculative`] sharing a caller-owned
-/// [`CostMemo`](real_estimator::CostMemo) — the hook
-/// behind cross-search memo persistence (`real plan --memo-in/--memo-out`).
-/// Both the base assignment search and the speculation chain price through
-/// `memo`, so a warm cache restored from a snapshot skips re-pricing any
-/// `(call, assignment)` it has seen in an earlier search. Memoization is
-/// exact, so the chosen plan is bit-identical to a cold
-/// [`search_speculative`] run.
-pub fn search_speculative_with_memo(
-    est: &Estimator,
-    space: &SearchSpace,
-    menu: &SpecMenu,
-    cfg: &McmcConfig,
-    memo: &mut real_estimator::CostMemo,
-) -> SpecSearchResult {
-    run_speculative(est, space, menu, cfg, Some(memo))
-}
-
-fn run_speculative(
-    est: &Estimator,
-    space: &SearchSpace,
-    menu: &SpecMenu,
-    cfg: &McmcConfig,
-    external_memo: Option<&mut real_estimator::CostMemo>,
-) -> SpecSearchResult {
-    let mut external_memo = external_memo;
-    let base = match &mut external_memo {
-        Some(memo) => mcmc::search_with_memo(est, space, cfg, memo),
-        None => mcmc::search(est, space, cfg),
-    };
+    let memo_before = memo.stats();
+    let base = mcmc::search_with_memo(est, space, cfg, memo);
     let graph = est.graph();
     let gen_calls: Vec<CallId> = graph
         .iter()
@@ -230,10 +209,7 @@ fn run_speculative(
         .map(|&id| menu.options(&graph.call(id).model))
         .collect();
 
-    let mut pricer = match &mut external_memo {
-        Some(memo) => PlanPricer::with_memo(est, std::mem::take(*memo)),
-        None => PlanPricer::new(est),
-    };
+    let mut pricer = PlanPricer::with_memo(est, std::mem::take(memo));
     let mut current = base.best_plan.clone();
     let (mut current_cost, _) = pricer.cost_checked(&current);
     let mut best = current.clone();
@@ -335,10 +311,8 @@ fn run_speculative(
 
     let best_time_cost = pricer.time_cost(&best);
     let feasible = pricer.mem_ok(&best);
-    let memo = pricer.memo_stats();
-    if let Some(m) = external_memo {
-        *m = pricer.into_memo();
-    }
+    let memo_stats = pricer.memo_stats().since(memo_before);
+    *memo = pricer.into_memo();
     SpecSearchResult {
         base,
         best_plan: best,
@@ -346,7 +320,7 @@ fn run_speculative(
         feasible,
         spec_steps,
         spec_accepted,
-        memo,
+        memo: memo_stats,
     }
 }
 
@@ -414,7 +388,7 @@ mod tests {
     fn high_acceptance_finds_speculative_speedup() {
         let (cluster, est, space) = setup();
         let menu = menu_at(&cluster, 0.8);
-        let r = search_speculative(&est, &space, &menu, &cfg(5));
+        let r = search_speculative(&est, &space, &menu, &cfg(5), &mut CostMemo::new());
         assert!(r.feasible);
         assert!(
             r.best_plan.has_speculation(),
@@ -431,7 +405,7 @@ mod tests {
     fn low_acceptance_selects_plain_decode() {
         let (cluster, est, space) = setup();
         let menu = menu_at(&cluster, 0.3);
-        let r = search_speculative(&est, &space, &menu, &cfg(5));
+        let r = search_speculative(&est, &space, &menu, &cfg(5), &mut CostMemo::new());
         assert!(
             !r.best_plan.has_speculation(),
             "α=0.3 speculation must be stripped by the polish"
@@ -444,7 +418,7 @@ mod tests {
         let (cluster, est, space) = setup();
         let menu = SpecMenu::build(&cluster, vec![], vec![4], SpecTask::RlhfRollout);
         assert!(menu.is_empty());
-        let r = search_speculative(&est, &space, &menu, &cfg(5));
+        let r = search_speculative(&est, &space, &menu, &cfg(5), &mut CostMemo::new());
         assert_eq!(r.spec_steps, 0);
         assert!(!r.best_plan.has_speculation());
         assert_eq!(
@@ -457,8 +431,8 @@ mod tests {
     fn search_is_deterministic_per_seed() {
         let (cluster, est, space) = setup();
         let menu = menu_at(&cluster, 0.8);
-        let a = search_speculative(&est, &space, &menu, &cfg(7));
-        let b = search_speculative(&est, &space, &menu, &cfg(7));
+        let a = search_speculative(&est, &space, &menu, &cfg(7), &mut CostMemo::new());
+        let b = search_speculative(&est, &space, &menu, &cfg(7), &mut CostMemo::new());
         assert_eq!(
             serde_json::to_string(&a.best_plan).unwrap(),
             serde_json::to_string(&b.best_plan).unwrap()
@@ -474,15 +448,15 @@ mod tests {
         let menu = menu_at(&cluster, 0.8);
         // Cold search, persisting the memo through a snapshot round-trip —
         // the search-level half of `real plan --memo-out` / `--memo-in`.
-        let mut memo = real_estimator::CostMemo::new();
-        let cold = search_speculative_with_memo(&est, &space, &menu, &cfg(5), &mut memo);
+        let mut memo = CostMemo::new();
+        let cold = search_speculative(&est, &space, &menu, &cfg(5), &mut memo);
         let ctx = est.context_fingerprint();
         let snap = memo.snapshot(ctx);
         assert!(snap.n_entries() > 0);
 
-        let mut warm_memo = real_estimator::CostMemo::from_snapshot(&snap, ctx)
-            .expect("same pricing context restores");
-        let warm = search_speculative_with_memo(&est, &space, &menu, &cfg(5), &mut warm_memo);
+        let mut warm_memo =
+            CostMemo::from_snapshot(&snap, ctx).expect("same pricing context restores");
+        let warm = search_speculative(&est, &space, &menu, &cfg(5), &mut warm_memo);
         // Memoization is exact: warm and cold searches pick the same plan
         // at the same cost...
         assert_eq!(
@@ -490,8 +464,8 @@ mod tests {
             serde_json::to_string(&warm.best_plan).unwrap()
         );
         assert_eq!(cold.best_time_cost.to_bits(), warm.best_time_cost.to_bits());
-        // ...and the shared-memo path matches the memo-free one too.
-        let plain = search_speculative(&est, &space, &menu, &cfg(5));
+        // ...and a fresh memo picks the same plan too.
+        let plain = search_speculative(&est, &space, &menu, &cfg(5), &mut CostMemo::new());
         assert_eq!(
             serde_json::to_string(&plain.best_plan).unwrap(),
             serde_json::to_string(&cold.best_plan).unwrap()
@@ -499,7 +473,7 @@ mod tests {
         // The warm run actually hit the cache.
         assert!(warm.base.memo.hits > 0 || warm.memo.hits > 0);
         // A different pricing context refuses the snapshot (cold start).
-        assert!(real_estimator::CostMemo::from_snapshot(&snap, ctx ^ 1).is_none());
+        assert!(CostMemo::from_snapshot(&snap, ctx ^ 1).is_none());
     }
 
     #[test]

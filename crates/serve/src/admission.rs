@@ -6,10 +6,11 @@
 //! like every other `prod-*` — so the serving loop prices each template
 //! **once** ([`price_template`]): for every §4 candidate mesh, a canonical
 //! feasibility probe ([`real_estimator::probe::fit_plan`]) answers "does
-//! the template fit here at all", and a short warm-started MCMC chain under
-//! [`Estimator::allocation_cost`] refines it into a priced plan (the same
-//! per-(tenant, mesh) candidate pipeline as `real-sched`'s allocation
-//! search, sharing one `CostMemo` across the template's meshes). Each
+//! the template fit here at all", and a short warm-started MCMC chain
+//! ([`real_search::search_within`]) refines it into a plan priced once, by
+//! the search itself (the same per-(tenant, mesh) candidate probe as
+//! `real-sched`'s allocation search, sharing one `CostMemo` across the
+//! template's meshes). Each
 //! arrival then probes the resulting [`TemplatePrices`] table against the
 //! live free-GPU overlay in O(candidates).
 //!
@@ -20,7 +21,7 @@
 use real_cluster::DeviceMesh;
 use real_dataflow::ExecutionPlan;
 use real_estimator::{probe, CostMemo, Estimator};
-use real_search::{search_warm_with_memo, McmcConfig, PruneLevel, SearchSpace};
+use real_search::{search_within, McmcConfig, PruneLevel};
 use real_util::DeterministicRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -121,11 +122,6 @@ pub fn price_template(
         let Some(canonical) = probe::fit_plan(est, mesh) else {
             continue;
         };
-        let inner = real_cluster::partition::meshes_within(cluster, mesh);
-        let Ok(space) = SearchSpace::try_build_on(cluster, graph, PruneLevel::Aggressive, &inner)
-        else {
-            continue;
-        };
         let mut rng = DeterministicRng::from_seed(seed)
             .derive("serve")
             .derive("price")
@@ -139,18 +135,15 @@ pub fn price_template(
             time_limit: Duration::from_secs(86_400),
             seed: rng.next_u64(),
             record_trace: false,
-            memo: true,
         };
-        let result = search_warm_with_memo(est, &space, &cfg, &canonical, memo);
-        let cost = est.allocation_cost(&result.best_plan, mesh);
-        if !result.feasible || !cost.feasible() {
-            continue;
+        let prune = PruneLevel::Aggressive;
+        if let Some(r) = search_within(est, mesh, prune, &cfg, Some(&canonical), memo) {
+            candidates.push(TemplateCandidate {
+                mesh: *mesh,
+                plan: r.best_plan,
+                step_secs: r.best_time_cost,
+            });
         }
-        candidates.push(TemplateCandidate {
-            mesh: *mesh,
-            plan: result.best_plan,
-            step_secs: cost.step_secs,
-        });
     }
     if candidates.is_empty() {
         return None;

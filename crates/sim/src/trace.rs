@@ -299,78 +299,9 @@ pub fn to_event_stream(trace: &Trace, gpus_per_node: usize) -> real_obs::EventSt
     stream
 }
 
-/// Serializes a trace to the Chrome trace-event JSON format, loadable in
-/// `chrome://tracing` or Perfetto. Each GPU becomes a thread lane; times are
-/// converted from seconds to microseconds.
-///
-/// Kept for backwards compatibility as a thin wrapper over the serde_json
-/// exporter in `real-obs`; the old hand-rolled string concatenation
-/// interpolated labels unescaped, so a label containing a quote could inject
-/// arbitrary JSON fields.
-pub fn to_chrome_trace(trace: &Trace) -> String {
-    // Flat traces don't know the node topology; export on a single node.
-    let stream = to_event_stream(trace, usize::MAX);
-    real_obs::chrome::to_chrome_string(&stream)
-}
-
 #[cfg(test)]
 mod chrome_tests {
     use super::*;
-    use serde::Value;
-
-    #[test]
-    fn chrome_trace_is_valid_shape() {
-        let mut t = Trace::with_capacity(4);
-        t.record(0, 0.0, 0.001, Category::Compute, "layer_fwd");
-        t.record(1, 0.001, 0.003, Category::TpComm, "tp_allreduce");
-        let json = to_chrome_trace(&t);
-        let parsed: Value = serde_json::from_str(&json).expect("export is valid JSON");
-        let events = parsed.as_array().unwrap();
-        let begin = |name: &str| {
-            events
-                .iter()
-                .find(|e| e["ph"].as_str() == Some("B") && e["name"].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("no begin event `{name}`"))
-        };
-        assert_eq!(begin("layer_fwd")["cat"].as_str(), Some("compute"));
-        let ar = begin("tp_allreduce");
-        assert_eq!(ar["cat"].as_str(), Some("tp-comm"));
-        assert_eq!(ar["tid"].as_u64(), Some(1));
-        // Timestamps in microseconds.
-        assert!((ar["ts"].as_f64().unwrap() - 1000.0).abs() < 1e-9);
-        // The comm interval also produces a link-utilization counter track.
-        assert!(events
-            .iter()
-            .any(|e| e["ph"].as_str() == Some("C") && e["name"].as_str() == Some("links/tp-comm")));
-    }
-
-    #[test]
-    fn empty_trace_serializes_to_empty_array() {
-        assert_eq!(to_chrome_trace(&Trace::disabled()), "[]");
-    }
-
-    #[test]
-    fn hostile_labels_stay_inside_strings() {
-        let mut t = Trace::with_capacity(2);
-        // A &'static str label with JSON metacharacters must not be able to
-        // inject fields (the bug in the old string-concatenation exporter).
-        t.record(
-            0,
-            0.0,
-            1.0,
-            Category::Compute,
-            "evil\",\"pid\":999,\"x\":\"",
-        );
-        let parsed: Value = serde_json::from_str(&to_chrome_trace(&t)).unwrap();
-        let begin = parsed
-            .as_array()
-            .unwrap()
-            .iter()
-            .find(|e| e["ph"].as_str() == Some("B"))
-            .unwrap();
-        assert_eq!(begin["name"].as_str(), Some("evil\",\"pid\":999,\"x\":\""));
-        assert_eq!(begin["pid"].as_u64(), Some(0));
-    }
 
     #[test]
     fn event_stream_has_lane_metadata_and_balanced_spans() {

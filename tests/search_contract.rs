@@ -189,7 +189,8 @@ fn warm_case() -> (&'static str, Value) {
     )
     .unwrap();
     let degraded = est.with_health(health);
-    let warm = search_warm(&degraded, &shrunken, &steps_cfg(17, 300), &incumbent);
+    let cfg = steps_cfg(17, 300);
+    let warm = search_warm(&degraded, &shrunken, &cfg, &incumbent, &mut CostMemo::new());
     ("search_warm_degraded", result_json(&warm))
 }
 
@@ -211,7 +212,13 @@ fn speculative_case() -> (&'static str, Value) {
         SpecTask::RlhfRollout,
     )
     .with_curve(AcceptanceCurve::Constant(0.8));
-    let r = search_speculative(&est, &space, &menu, &steps_cfg(5, 400));
+    let r = search_speculative(
+        &est,
+        &space,
+        &menu,
+        &steps_cfg(5, 400),
+        &mut CostMemo::new(),
+    );
     (
         "search_speculative",
         obj(vec![
