@@ -503,12 +503,12 @@ pub fn cmd_plan(args: &Args) -> Result<String, CliError> {
     let exp = experiment_from(args)?;
     let menu = spec_menu_from(args, exp.cluster())?;
     let (cfg, chains, threads) = mcmc_from(args)?;
-    let memo_path = args.str_opt("memo-in").is_some() || args.str_opt("memo-out").is_some();
+    let persist_memo = args.str_opt("memo-in").is_some() || args.str_opt("memo-out").is_some();
     let mut speculation = None;
     let mut notes = String::new();
     // Both paths report (plan, its TimeCost, memo counters, the assignment
     // search, simulated profiling seconds).
-    let (plan, best_time_cost, memo, search, profiling_secs) = if menu.is_some() || memo_path {
+    let (plan, best_time_cost, memo, search, profiling_secs) = if menu.is_some() || persist_memo {
         let speculating = menu.is_some();
         let (planned, memo_notes) = plan_speculative_from(args, &exp, menu)?;
         notes = memo_notes;

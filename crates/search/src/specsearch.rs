@@ -11,9 +11,9 @@
 //! acceptance the final plan is guaranteed non-speculative, because a
 //! speculative option is only kept when it strictly lowers the plan cost.
 //!
-//! The speculation chain continues on the base search's [`CostMemo`], and
-//! the assignment chain in [`crate::mcmc`] is untouched — spec-free searches
-//! remain bit-identical to their pre-speculation behavior.
+//! The speculation chain continues on the base search's [`CostMemo`]. With
+//! an empty menu it proposes nothing, so the result is exactly the base
+//! search's plan.
 
 use crate::mcmc::{self, McmcConfig, SearchResult};
 use crate::space::SearchSpace;

@@ -10,9 +10,9 @@
 //! ([`real_search::search_within`]) refines it into a plan priced once, by
 //! the search itself (the same per-(tenant, mesh) candidate probe as
 //! `real-sched`'s allocation search, sharing one `CostMemo` across the
-//! template's meshes). Each
-//! arrival then probes the resulting [`TemplatePrices`] table against the
-//! live free-GPU overlay in O(candidates).
+//! template's meshes). Each arrival then probes the resulting
+//! [`TemplatePrices`] table against the live free-GPU overlay in
+//! O(candidates).
 //!
 //! The admission verdict is an [`AdmissionDecision`]; the preemption
 //! decision generalizes the re-plan gate's measured cost/benefit rule to
