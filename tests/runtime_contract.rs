@@ -15,50 +15,22 @@ use real_core::prelude::*;
 use real_core::real_runtime::{
     run_multi, MasterLog, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
 };
-use serde_json::{Number, Value};
+use serde_json::Value;
 
-/// Replaces every float in `v` with its bit pattern as a hex string, so
-/// the fixture pins exact values rather than their decimal rendering.
-fn bits(v: Value) -> Value {
-    match v {
-        Value::Number(Number::F(f)) => f64_bits(f),
-        Value::Array(items) => Value::Array(items.into_iter().map(bits).collect()),
-        Value::Object(members) => {
-            Value::Object(members.into_iter().map(|(k, v)| (k, bits(v))).collect())
-        }
-        other => other,
-    }
-}
+mod contract;
 
-fn f64_bits(f: f64) -> Value {
-    Value::String(format!("{:016x}", f.to_bits()))
-}
-
-fn obj(members: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use contract::{assert_matches_fixture, bits, f64_bits, obj, Fnv};
 
 /// 64-bit FNV-1a over the trace's `(label, gpu, start, end)` tuples.
 fn trace_digest(trace: &Trace) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::new();
     for e in trace.events() {
-        feed(e.label.as_bytes());
-        feed(&(e.gpu as u64).to_le_bytes());
-        feed(&e.start.to_bits().to_le_bytes());
-        feed(&e.end.to_bits().to_le_bytes());
+        h.feed(e.label.as_bytes());
+        h.feed(&(e.gpu as u64).to_le_bytes());
+        h.feed(&e.start.to_bits().to_le_bytes());
+        h.feed(&e.end.to_bits().to_le_bytes());
     }
-    format!("{h:016x}")
+    h.hex()
 }
 
 /// One line per request and response, in log order.
@@ -439,18 +411,5 @@ fn runtime_results_match_the_contract_fixture() {
         .chain(session_cases())
         .map(|(k, v)| (k.to_string(), v))
         .collect();
-    let json = serde_json::to_string_pretty(&Value::Object(cases)).unwrap() + "\n";
-
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/runtime_contract.json"
-    );
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &json).unwrap();
-    }
-    let expected = std::fs::read_to_string(path).unwrap();
-    assert!(
-        json == expected,
-        "runtime results drifted from the contract fixture; BLESS=1 to regenerate"
-    );
+    assert_matches_fixture("runtime_contract.json", "runtime results", cases);
 }

@@ -17,38 +17,12 @@ use real_core::prelude::*;
 use real_core::real_search::brute::BruteResult;
 use real_core::real_search::{parallel_search_on, search_with_memo};
 use real_sched::{SchedConfig, Scheduler};
-use serde_json::{Number, Value};
+use serde_json::Value;
 use std::time::Duration;
 
-/// Replaces every float in `v` with its bit pattern as a hex string, so
-/// the fixture pins exact values rather than their decimal rendering.
-fn bits(v: Value) -> Value {
-    match v {
-        Value::Number(Number::F(f)) => f64_bits(f),
-        Value::Array(items) => Value::Array(items.into_iter().map(bits).collect()),
-        Value::Object(members) => {
-            Value::Object(members.into_iter().map(|(k, v)| (k, bits(v))).collect())
-        }
-        other => other,
-    }
-}
+mod contract;
 
-fn f64_bits(f: f64) -> Value {
-    Value::String(format!("{:016x}", f.to_bits()))
-}
-
-fn obj(members: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn to_bits_json<T: serde::Serialize>(value: &T) -> Value {
-    bits(serde_json::to_value(value))
-}
+use contract::{assert_matches_fixture, f64_bits, obj, to_bits_json};
 
 fn result_json(r: &SearchResult) -> Value {
     obj(vec![
@@ -319,18 +293,5 @@ fn search_results_match_the_contract_fixture() {
         ])
         .map(|(k, v)| (k.to_string(), v))
         .collect();
-    let json = serde_json::to_string_pretty(&Value::Object(cases)).unwrap() + "\n";
-
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/search_contract.json"
-    );
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &json).unwrap();
-    }
-    let expected = std::fs::read_to_string(path).unwrap();
-    assert!(
-        json == expected,
-        "search results drifted from the contract fixture; BLESS=1 to regenerate"
-    );
+    assert_matches_fixture("search_contract.json", "search results", cases);
 }
