@@ -1059,7 +1059,7 @@ pub fn cmd_sched(args: &Args) -> Result<String, CliError> {
     }
     let outcome = scheduler.run(&tenants).map_err(sched_err)?;
     if let Some(path) = args.str_opt("trace") {
-        let stream = real_sched::obs::sched_event_stream(&outcome.schedule, &outcome.reports);
+        let stream = real_sched::obs::sched_event_stream(&tenants, &outcome);
         std::fs::write(path, real_core::real_obs::chrome::to_chrome_string(&stream))?;
     }
     if let Some(path) = args.str_opt("metrics") {

@@ -5,8 +5,8 @@
 //! instant events, counter samples, and flow arrows that link a master
 //! `Request` dispatch to the worker `Response` that completes it. Events are
 //! placed on *lanes* ([`LaneId`]), which map one-to-one onto Chrome trace
-//! `pid`/`tid` rows — by convention `pid = node`, `tid = gpu`, with a small
-//! number of synthetic lanes for master/controller activity.
+//! `pid`/`tid` rows; [`crate::lanes::Scope`] owns which row each node, GPU,
+//! call and synthetic control lane gets.
 //!
 //! Nesting is enforced at record time with a per-lane span stack: `end`
 //! without a matching `begin` is rejected, and [`EventStream::open_spans`]
@@ -26,24 +26,6 @@ pub struct LaneId {
     pub pid: u32,
     /// Thread row within the process (GPU index, or a control thread).
     pub tid: u32,
-}
-
-impl LaneId {
-    /// The lane of GPU `gpu` on node `node`.
-    pub fn gpu(node: u32, gpu: u32) -> Self {
-        Self {
-            pid: node,
-            tid: gpu,
-        }
-    }
-
-    /// The synthetic master/controller lane.
-    pub fn master() -> Self {
-        Self {
-            pid: u32::MAX,
-            tid: 0,
-        }
-    }
 }
 
 /// One event in the stream. Timestamps are virtual-clock seconds.
@@ -125,6 +107,8 @@ pub struct EventStream {
     thread_names: BTreeMap<(u32, u32), String>,
     /// Per-lane count of currently open spans.
     open: BTreeMap<LaneId, u32>,
+    /// Flow arrows started so far (recorded or dropped).
+    flows: u64,
 }
 
 impl EventStream {
@@ -209,6 +193,7 @@ impl EventStream {
 
     /// Records the start of a flow arrow.
     pub fn flow_start(&mut self, id: u64, name: &str, lane: LaneId, ts: f64) -> bool {
+        self.flows += 1;
         self.push(StreamEvent::FlowStart {
             id,
             name: name.to_string(),
@@ -230,6 +215,12 @@ impl EventStream {
     /// The recorded events, in record order.
     pub fn events(&self) -> &[StreamEvent] {
         &self.events
+    }
+
+    /// Number of flow arrows started so far. Emitters that number their
+    /// arrows from it keep ids unique across everything one stream holds.
+    pub fn flows(&self) -> u64 {
+        self.flows
     }
 
     /// Number of events dropped after the stream filled up.

@@ -12,6 +12,10 @@
 //! - [`events`] — a span-based structured event stream over the *virtual*
 //!   clock: nested begin/end spans, instant events, counter tracks, and flow
 //!   events linking a master `Request` dispatch to its worker `Response`.
+//! - [`lanes`] — the one lane layout: which Chrome process and thread each
+//!   GPU, function call, fault window and control lane of a run gets, for
+//!   a solo run ([`lanes::Scope::cluster`]) or one tenant of several
+//!   ([`lanes::Scope::tenant`]).
 //! - [`chrome`] — a serde_json-backed Chrome/Perfetto trace exporter (and
 //!   importer, for offline analysis of saved traces) for
 //!   [`events::EventStream`], with metadata records naming lanes
@@ -23,19 +27,22 @@
 //!   utilization, comm-vs-compute overlap, and the [`profile::ProfileReport`]
 //!   behind `real profile` and its CI regression gate.
 //!
-//! Producers upstream: `real-sim` (per-GPU busy spans, per-link utilization
-//! counters), `real-runtime` (function-call spans, micro-batches, realloc
-//! broadcasts, transfers, per-GPU memory tracks), `real-search` (MCMC chain
-//! telemetry), `real-estimator` (Algorithm-1 queue events).
+//! Producers upstream: `real-runtime::obs::record_run` (the one run
+//! recorder: per-GPU kernel spans from the `real-sim` trace, per-link
+//! utilization counters, function-call spans, fault and re-plan lanes,
+//! per-GPU memory tracks), `real-serve` (tenant lifecycle lanes) and
+//! `real-search` (MCMC chain telemetry).
 
 pub mod chrome;
 pub mod critpath;
 pub mod events;
+pub mod lanes;
 pub mod metrics;
 pub mod profile;
 
 pub use chrome::{from_chrome_value, to_chrome_value};
 pub use critpath::{CritEntry, CriticalPath, Span};
 pub use events::{EventStream, LaneId, StreamEvent};
+pub use lanes::{Lane, Scope};
 pub use metrics::{Histogram, MergeError, MetricValue, MetricsRegistry, MetricsSnapshot, Series};
 pub use profile::{phase_overlap, Phase, PhaseShare, ProfileReport};

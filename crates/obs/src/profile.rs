@@ -95,21 +95,6 @@ pub fn phase_of_category(category: &str) -> Option<Phase> {
     }
 }
 
-/// Classifies a call by its conventional name suffix (`actor_gen`,
-/// `critic_train`, `reward_inf`, ...) into a phase-bearing span category.
-/// Emitters with access to the dataflow graph should prefer the graph's
-/// own call type; this is for emitters that only see the master log (e.g.
-/// the multi-tenant scheduler).
-pub fn call_category_for_name(name: &str) -> &'static str {
-    if name.ends_with("_gen") {
-        "call/gen"
-    } else if name.ends_with("_train") {
-        "call/train"
-    } else {
-        "call/inf"
-    }
-}
-
 /// One phase's share of the makespan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseShare {
@@ -1054,13 +1039,5 @@ mod tests {
             violations.iter().any(|v| v.contains("gen/draft")),
             "{violations:?}"
         );
-    }
-
-    #[test]
-    fn call_name_classification_follows_suffix_convention() {
-        assert_eq!(call_category_for_name("actor_gen"), "call/gen");
-        assert_eq!(call_category_for_name("critic_train"), "call/train");
-        assert_eq!(call_category_for_name("reward_inf"), "call/inf");
-        assert_eq!(call_category_for_name("ref"), "call/inf");
     }
 }

@@ -5,39 +5,47 @@
 //! worker's request/response log, and per-call timings. This module turns
 //! that into:
 //!
-//! * [`build_event_stream`] — one [`real_obs::EventStream`] combining the
-//!   per-GPU kernel spans (micro-batches, pipeline stages, reallocation
-//!   broadcasts, transfers), one master control lane per function call with
-//!   a span per dispatched request (category `call/gen`, `call/train`, or
-//!   `call/inf` after the call's type, so `real profile` can attribute
-//!   phases), retry-backoff windows as `backoff` spans nested in their
-//!   call span, flow arrows linking each master `Request` to the worker
-//!   `Response` that completes it, and per-GPU memory-in-use counter
+//! * [`record_run`] — the one run recorder behind every Chrome export. It
+//!   records one run into a caller-owned [`real_obs::EventStream`], with
+//!   every lane placed by a [`real_obs::Scope`]: the cluster scope for a
+//!   solo run ([`build_event_stream`]), a tenant scope per tenant for
+//!   `real-sched`'s multi-tenant export. It emits the per-GPU kernel spans
+//!   (micro-batches, pipeline stages, reallocation broadcasts, transfers)
+//!   with one link-utilization counter track per communication category;
+//!   one master control lane per function call with a span per dispatched
+//!   request (category `call/gen`, `call/train`, or `call/inf` after the
+//!   call's type in the dataflow graph, so `real profile` can attribute
+//!   phases); retry-backoff windows as `backoff` spans nested in their call
+//!   span; flow arrows linking each master `Request` to the worker
+//!   `Response` that completes it; and per-GPU memory-in-use counter
 //!   tracks derived from the engine's memory model.
 //! * [`run_metrics`] — a [`real_obs::MetricsRegistry`] with per-category
 //!   busy-second counters (matching [`crate::RunReport::category_totals`]),
 //!   run-level gauges, and per-call duration histograms.
 //!
-//! Faulted runs additionally get a synthetic fault process in the stream
-//! ([`FAULT_PID`]): one lane per affected GPU or node link carrying the
+//! Faulted runs additionally get fault lanes ([`Lane::GpuFault`],
+//! [`Lane::LinkFault`]): one per affected GPU or node link carrying the
 //! injected slowdown / crash / link-degradation windows as spans, abort
 //! instants on the master call lanes, and `runtime/fault_*` counters in the
 //! metrics registry. Fault-free runs emit none of this, keeping their
 //! exports byte-identical to pre-fault builds.
 //!
 //! Runs executed under an elastic re-plan policy
-//! ([`crate::RuntimeEngine::run_replan`]) get one more synthetic process
-//! ([`REPLAN_PID`]) with a decision lane: an instant per trigger evaluation
+//! ([`crate::RuntimeEngine::run_replan`], or an elastic tenant) get a
+//! decision lane ([`Lane::Replan`]): an instant per trigger evaluation
 //! (labelled `reason: outcome`), a span covering each committed switch's
 //! reallocation prologue, and `runtime/replan_*` counters in the registry.
 //! Runs whose policy never triggered emit none of this either.
 
 use crate::config::EngineConfig;
 use crate::memcheck;
-use crate::report::RunReport;
+use crate::replan::{ReplanOutcome, ReplanReason};
+use crate::report::{FaultAbort, RequestFault, RunReport};
 use real_cluster::ClusterSpec;
 use real_dataflow::{DataflowGraph, ExecutionPlan};
-use real_obs::{EventStream, LaneId, MetricsRegistry};
+use real_obs::{EventStream, Lane, LaneId, MetricsRegistry, Scope};
+use real_sim::{Category, FaultEvent};
+use std::collections::BTreeMap;
 
 /// Histogram bounds for per-call wall times (seconds): RLHF calls range
 /// from sub-second inference shards to minutes-long generation.
@@ -45,29 +53,8 @@ pub const CALL_SECONDS_BOUNDS: &[f64] = &[
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
 ];
 
-/// Synthetic process id of the fault-injection lanes in the event stream
-/// (`u32::MAX` is the master worker).
-pub const FAULT_PID: u32 = u32::MAX - 1;
-
-/// Synthetic process id of the re-plan decision lane in the event stream.
-pub const REPLAN_PID: u32 = u32::MAX - 2;
-
-/// Lane tid offset separating node-link lanes from per-GPU lanes within the
-/// fault process.
-const FAULT_LINK_TID_BASE: u32 = 1 << 16;
-
-/// Thread-id stride between overflow layers of one fault lane: overlapping
-/// injected windows on the same GPU/link are layered onto `tid`,
-/// `tid + STRIDE`, `tid + 2*STRIDE`, ... so each lane's span timestamps
-/// stay monotone.
-const FAULT_LAYER_TID_STRIDE: u32 = 1 << 24;
-
-/// Assembles the unified event stream for a finished run.
-///
-/// `plan` and `config` must be the ones the run executed with: the plan
-/// supplies each call's device mesh (flow-arrow targets and memory
-/// accounting), the config supplies the ZeRO/distributed-optimizer modes
-/// the memory model depends on.
+/// Assembles the unified event stream for a finished solo run: the run
+/// recorded in the cluster scope (see [`record_run`]).
 pub fn build_event_stream(
     cluster: &ClusterSpec,
     graph: &DataflowGraph,
@@ -75,64 +62,130 @@ pub fn build_event_stream(
     config: &EngineConfig,
     report: &RunReport,
 ) -> EventStream {
-    let gpn = cluster.gpus_per_node as usize;
-    let n_gpus = cluster.total_gpus() as usize;
-    let log = &report.master_log;
-    let profile = memcheck::mem_profile(
-        cluster,
-        graph,
-        plan,
-        &config.zero3_models,
-        &config.dist_optim_models,
-    );
+    let mut stream = EventStream::default();
+    let scope = Scope::cluster(cluster.gpus_per_node as usize);
+    record_run(&mut stream, &scope, cluster, graph, plan, config, report);
+    stream
+}
 
-    let mem_edges: usize = log
-        .requests
-        .iter()
-        .map(|r| 2 * plan.assignment(r.call).mesh.n_gpus() as usize)
-        .sum();
-    let fault_extra = config.fault_plan.as_ref().map_or(0, |p| p.events.len() * 3)
-        + report.faults.events.len() * 4;
-    let replan_extra = report.replan.events.len() * 3 + 2;
-    let capacity = report.trace.events().len() * 4
-        + log.requests.len() * 4
-        + mem_edges
-        + n_gpus
-        + fault_extra
-        + replan_extra
-        + 64;
-    let mut stream = EventStream::with_capacity(capacity);
-
-    // GPU kernel lanes and link-utilization counters from the kernel trace.
-    real_sim::record_event_stream(&report.trace, gpn, &mut stream);
-
-    // One master control lane per function call (calls overlap in time, so
-    // a single lane could not keep begin/end nesting balanced).
-    let master = LaneId::master().pid;
-    for (id, def) in graph.iter() {
-        stream.set_lane_name(
-            LaneId {
-                pid: master,
-                tid: id.0 as u32,
-            },
-            "master",
-            &def.call_name,
-        );
+/// Records one finished run into `stream`, its lanes placed by `scope`
+/// (see the module docs for what it emits).
+///
+/// `graph`, `plan` and `config` must be the ones the run executed with:
+/// the graph supplies each call's name and type, the plan each call's
+/// device mesh (flow-arrow targets and memory accounting), the config the
+/// fault plan and the ZeRO/distributed-optimizer modes the memory model
+/// depends on. Flow ids continue from [`EventStream::flows`], so several
+/// runs recorded into one stream never share an id.
+pub fn record_run(
+    stream: &mut EventStream,
+    scope: &Scope,
+    cluster: &ClusterSpec,
+    graph: &DataflowGraph,
+    plan: &ExecutionPlan,
+    config: &EngineConfig,
+    report: &RunReport,
+) {
+    record_kernels(stream, scope, cluster, report);
+    record_calls(stream, scope, graph, plan, report);
+    if let Some(fault_plan) = config.fault_plan.as_ref().filter(|p| !p.is_empty()) {
+        record_faults(stream, scope, &fault_plan.events);
+        // Abort events as instants on the affected master call lane.
+        for f in &report.faults.events {
+            let Some(call) = graph.find(&f.call_name) else {
+                continue;
+            };
+            let lane = scope.lane(Lane::Call {
+                index: call.0,
+                name: &f.call_name,
+            });
+            let name = match f.kind {
+                FaultAbort::Timeout => format!("timeout#{}", f.attempt),
+                FaultAbort::Crash { gpu } => format!("crash@gpu{gpu}#{}", f.attempt),
+            };
+            stream.instant(lane, &name, "fault", f.at);
+        }
     }
+    record_replans(stream, scope, report);
+    record_memory(stream, scope, cluster, graph, plan, config, report);
+}
 
-    // Phase-bearing span categories, one per call, after the call's type.
-    let call_category: Vec<String> = graph
+/// GPU kernel lanes (named on first use) and link-utilization counters
+/// from the kernel trace: for each communication category, a counter
+/// track sampling how many links are simultaneously busy at every
+/// busy-interval edge.
+fn record_kernels(
+    stream: &mut EventStream,
+    scope: &Scope,
+    cluster: &ClusterSpec,
+    report: &RunReport,
+) {
+    let trace = report.trace.events();
+    let mut lanes: Vec<Option<LaneId>> = vec![None; cluster.total_gpus() as usize];
+    for e in trace {
+        let lane = *lanes[e.gpu].get_or_insert_with(|| scope.name(stream, Lane::Gpu(e.gpu)));
+        stream.span(lane, e.label, &e.category.to_string(), e.start, e.end);
+    }
+    for cat in [
+        Category::TpComm,
+        Category::PpComm,
+        Category::DpComm,
+        Category::Transfer,
+    ] {
+        let mut edges: Vec<(f64, i64)> = Vec::new();
+        for e in trace.iter().filter(|e| e.category == cat) {
+            edges.push((e.start, 1));
+            edges.push((e.end, -1));
+        }
+        if edges.is_empty() {
+            continue;
+        }
+        edges.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite times")
+                .then(a.1.cmp(&b.1))
+        });
+        let mut active: i64 = 0;
+        let track = format!("links/{cat}");
+        for (ts, delta) in edges {
+            active += delta;
+            stream.counter(scope.counter_pid(0), &track, ts, active as f64);
+        }
+    }
+}
+
+/// One master control lane per function call (calls overlap in time, so a
+/// single lane could not keep begin/end nesting balanced), a span per
+/// answered request with its backoff windows nested inside, and a flow
+/// arrow from each dispatch to the lane of the first GPU executing it.
+fn record_calls(
+    stream: &mut EventStream,
+    scope: &Scope,
+    graph: &DataflowGraph,
+    plan: &ExecutionPlan,
+    report: &RunReport,
+) {
+    let log = &report.master_log;
+    let lanes: Vec<LaneId> = graph
+        .iter()
+        .map(|(id, def)| {
+            scope.name(
+                stream,
+                Lane::Call {
+                    index: id.0,
+                    name: &def.call_name,
+                },
+            )
+        })
+        .collect();
+    let categories: Vec<String> = graph
         .iter()
         .map(|(_, def)| format!("call/{}", def.call_type.label()))
         .collect();
 
-    // Retry backoff windows, grouped per (call, iter) so they can nest
-    // inside their request's call span. Attempts are sequential, so the
-    // windows of one request never overlap.
-    let mut backoffs: std::collections::BTreeMap<
-        (usize, usize),
-        Vec<&crate::report::RequestFault>,
-    > = std::collections::BTreeMap::new();
+    // Retry backoff windows, grouped per (call, iter). Attempts are
+    // sequential, so the windows of one request never overlap.
+    let mut backoffs: BTreeMap<(usize, usize), Vec<&RequestFault>> = BTreeMap::new();
     for f in &report.faults.events {
         if f.backoff_secs > 0.0 {
             if let Some(call) = graph.find(&f.call_name) {
@@ -141,32 +194,25 @@ pub fn build_event_stream(
         }
     }
 
-    // Request spans on the master lanes, plus a flow arrow from each
-    // dispatch to the lane of the first GPU executing it.
-    for (idx, req) in log.requests.iter().enumerate() {
+    for req in &log.requests {
         let Some(resp) = log.response(req.call, req.iter) else {
             continue;
         };
-        let lane = LaneId {
-            pid: master,
-            tid: req.call.0 as u32,
-        };
+        let lane = lanes[req.call.0];
         stream.begin(
             lane,
             &format!("{}#{}", req.handle, req.iter),
-            &call_category[req.call.0],
+            &categories[req.call.0],
             req.dispatch_time,
         );
-        if let Some(faults) = backoffs.get(&(req.call.0, req.iter)) {
-            for f in faults {
-                stream.span(
-                    lane,
-                    &format!("backoff#{}", f.attempt),
-                    "backoff",
-                    f.at,
-                    (f.at + f.backoff_secs).min(resp.completed_at),
-                );
-            }
+        for f in backoffs.get(&(req.call.0, req.iter)).into_iter().flatten() {
+            stream.span(
+                lane,
+                &format!("backoff#{}", f.attempt),
+                "backoff",
+                f.at,
+                (f.at + f.backoff_secs).min(resp.completed_at),
+            );
         }
         stream.end(lane, resp.completed_at);
         let first = plan
@@ -174,168 +220,147 @@ pub fn build_event_stream(
             .mesh
             .gpus()
             .next()
-            .expect("meshes are non-empty")
-            .0 as usize;
-        let dst = LaneId::gpu((first / gpn) as u32, (first % gpn) as u32);
+            .expect("meshes are non-empty");
+        let dst = scope.lane(Lane::Gpu(first.0 as usize));
+        let id = stream.flows();
         let name = format!("req:{}", req.handle);
-        stream.flow_start(idx as u64, &name, lane, req.dispatch_time);
-        stream.flow_end(idx as u64, &name, dst, resp.completed_at);
+        stream.flow_start(id, &name, lane, req.dispatch_time);
+        stream.flow_end(id, &name, dst, resp.completed_at);
     }
+}
 
-    // Fault surface: injected windows as spans on a synthetic fault
-    // process, abort events as instants on the affected master call lane.
-    if let Some(fault_plan) = config.fault_plan.as_ref().filter(|p| !p.is_empty()) {
-        // Random plans may schedule overlapping windows on one GPU; spans on
-        // a lane must keep monotone timestamps, so overlapping windows are
-        // layered onto overflow lanes (`gpu3+1`, ...) greedily by start time.
-        // Per base-tid: (thread label, windows as (start, end, name)).
-        type FaultWindows = (String, Vec<(f64, f64, String)>);
-        let mut windows: std::collections::BTreeMap<u32, FaultWindows> =
-            std::collections::BTreeMap::new();
-        for ev in &fault_plan.events {
-            let (tid, thread, name, start, end) = match *ev {
-                real_sim::FaultEvent::Slowdown {
-                    gpu,
-                    start,
-                    end,
-                    factor,
-                } => (
-                    gpu,
-                    format!("gpu{gpu}"),
-                    format!("slowdown x{factor:.1}"),
-                    start,
-                    end,
-                ),
-                real_sim::FaultEvent::Crash {
-                    gpu,
-                    at,
-                    restart_after,
-                } => (
-                    gpu,
-                    format!("gpu{gpu}"),
-                    "crash+restart".to_string(),
-                    at,
-                    at + restart_after,
-                ),
-                real_sim::FaultEvent::LinkDegrade {
-                    node,
-                    start,
-                    end,
-                    factor,
-                } => (
-                    FAULT_LINK_TID_BASE + node,
-                    format!("node{node}-link"),
-                    format!("link x{factor:.1}"),
-                    start,
-                    end,
-                ),
-            };
-            windows
-                .entry(tid)
-                .or_insert_with(|| (thread, Vec::new()))
-                .1
-                .push((start, end, name));
-        }
-        let mut named: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for (tid, (thread, mut spans)) in windows {
-            spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let mut layer_ends: Vec<f64> = Vec::new();
-            for (start, end, name) in spans {
-                let layer = layer_ends
-                    .iter()
-                    .position(|&e| e <= start)
-                    .unwrap_or_else(|| {
-                        layer_ends.push(f64::NEG_INFINITY);
-                        layer_ends.len() - 1
-                    });
-                layer_ends[layer] = end;
-                let lane_tid = tid + layer as u32 * FAULT_LAYER_TID_STRIDE;
-                let lane = LaneId {
-                    pid: FAULT_PID,
-                    tid: lane_tid,
-                };
-                if named.insert(lane_tid) {
-                    let label = if layer == 0 {
-                        thread.clone()
-                    } else {
-                        format!("{thread}+{layer}")
-                    };
-                    stream.set_lane_name(lane, "faults", &label);
-                }
-                stream.span(lane, &name, "fault", start, end);
-            }
-        }
-        for f in &report.faults.events {
-            let Some(call) = graph.find(&f.call_name) else {
-                continue;
-            };
-            let lane = LaneId {
-                pid: master,
-                tid: call.0 as u32,
-            };
-            let name = match f.kind {
-                crate::report::FaultAbort::Timeout => format!("timeout#{}", f.attempt),
-                crate::report::FaultAbort::Crash { gpu } => {
-                    format!("crash@gpu{gpu}#{}", f.attempt)
-                }
-            };
-            stream.instant(lane, &name, "fault", f.at);
-        }
-    }
-
-    // Re-plan decision lane: one instant per trigger evaluation, plus a
-    // span over each committed switch's reallocation prologue.
-    if !report.replan.events.is_empty() {
-        let lane = LaneId {
-            pid: REPLAN_PID,
-            tid: 0,
+/// Injected windows as spans on the fault lanes. Random plans may schedule
+/// overlapping windows on one GPU; spans on a lane must keep monotone
+/// timestamps, so overlapping windows are layered onto overflow lanes
+/// greedily by start time.
+fn record_faults(stream: &mut EventStream, scope: &Scope, events: &[FaultEvent]) {
+    // Per target (is-link, GPU or node index): windows as (start, end, name).
+    type Window = (f64, f64, String);
+    let mut windows: BTreeMap<(bool, usize), Vec<Window>> = BTreeMap::new();
+    for ev in events {
+        let (target, name, start, end) = match *ev {
+            FaultEvent::Slowdown {
+                gpu,
+                start,
+                end,
+                factor,
+            } => (
+                (false, gpu as usize),
+                format!("slowdown x{factor:.1}"),
+                start,
+                end,
+            ),
+            FaultEvent::Crash {
+                gpu,
+                at,
+                restart_after,
+            } => (
+                (false, gpu as usize),
+                "crash+restart".to_string(),
+                at,
+                at + restart_after,
+            ),
+            FaultEvent::LinkDegrade {
+                node,
+                start,
+                end,
+                factor,
+            } => (
+                (true, node as usize),
+                format!("link x{factor:.1}"),
+                start,
+                end,
+            ),
         };
-        stream.set_lane_name(lane, "replan", "decisions");
-        for ev in &report.replan.events {
-            let reason = match ev.reason {
-                crate::replan::ReplanReason::DeadWorker { gpu } => format!("dead-worker@gpu{gpu}"),
-                crate::replan::ReplanReason::Straggler { timeouts } => {
-                    format!("straggler({timeouts} timeouts)")
-                }
-                crate::replan::ReplanReason::DegradedRate { rate } => {
-                    format!("degraded-rate({:.0}%)", rate * 100.0)
-                }
-                crate::replan::ReplanReason::FreedCapacity { gpus } => {
-                    format!("freed-capacity({gpus} gpus)")
-                }
+        windows.entry(target).or_default().push((start, end, name));
+    }
+    for ((link, index), mut spans) in windows {
+        spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let mut layer_ends: Vec<f64> = Vec::new();
+        for (start, end, name) in spans {
+            let layer = layer_ends
+                .iter()
+                .position(|&e| e <= start)
+                .unwrap_or_else(|| {
+                    layer_ends.push(f64::NEG_INFINITY);
+                    layer_ends.len() - 1
+                });
+            layer_ends[layer] = end;
+            let lane = if link {
+                Lane::LinkFault { node: index, layer }
+            } else {
+                Lane::GpuFault { gpu: index, layer }
             };
-            let outcome = match &ev.outcome {
-                crate::replan::ReplanOutcome::Switched {
-                    base_time,
-                    target_time,
-                    switch_secs,
-                    ..
-                } => {
-                    if *switch_secs > 0.0 {
-                        stream.span(
-                            lane,
-                            "switch prologue",
-                            "replan",
-                            ev.at,
-                            ev.at + switch_secs,
-                        );
-                    }
-                    format!("switched x{:.2}", base_time / target_time)
-                }
-                crate::replan::ReplanOutcome::GateRejected { .. } => "gate-rejected".to_string(),
-                crate::replan::ReplanOutcome::SwitchFaulted { gpu, .. } => {
-                    format!("switch-faulted@gpu{gpu}")
-                }
-                crate::replan::ReplanOutcome::NoSurvivingPlan => "no-surviving-plan".to_string(),
-            };
-            stream.instant(lane, &format!("{reason}: {outcome}"), "replan", ev.at);
+            let lane = scope.name(stream, lane);
+            stream.span(lane, &name, "fault", start, end);
         }
     }
+}
 
-    // Per-GPU memory-in-use counter tracks: the static (optimizer-state)
-    // floor plus each running call's active bytes, sampled at every call
-    // boundary on that GPU.
-    let mut edges: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_gpus];
+/// The re-plan decision lane: one instant per trigger evaluation, plus a
+/// span over each committed switch's reallocation prologue.
+fn record_replans(stream: &mut EventStream, scope: &Scope, report: &RunReport) {
+    if report.replan.events.is_empty() {
+        return;
+    }
+    let lane = scope.name(stream, Lane::Replan);
+    for ev in &report.replan.events {
+        let reason = match ev.reason {
+            ReplanReason::DeadWorker { gpu } => format!("dead-worker@gpu{gpu}"),
+            ReplanReason::Straggler { timeouts } => format!("straggler({timeouts} timeouts)"),
+            ReplanReason::DegradedRate { rate } => {
+                format!("degraded-rate({:.0}%)", rate * 100.0)
+            }
+            ReplanReason::FreedCapacity { gpus } => format!("freed-capacity({gpus} gpus)"),
+        };
+        let outcome = match &ev.outcome {
+            ReplanOutcome::Switched {
+                base_time,
+                target_time,
+                switch_secs,
+                ..
+            } => {
+                if *switch_secs > 0.0 {
+                    stream.span(
+                        lane,
+                        "switch prologue",
+                        "replan",
+                        ev.at,
+                        ev.at + switch_secs,
+                    );
+                }
+                format!("switched x{:.2}", base_time / target_time)
+            }
+            ReplanOutcome::GateRejected { .. } => "gate-rejected".to_string(),
+            ReplanOutcome::SwitchFaulted { gpu, .. } => format!("switch-faulted@gpu{gpu}"),
+            ReplanOutcome::NoSurvivingPlan => "no-surviving-plan".to_string(),
+        };
+        stream.instant(lane, &format!("{reason}: {outcome}"), "replan", ev.at);
+    }
+}
+
+/// Per-GPU memory-in-use counter tracks: the static (optimizer-state)
+/// floor plus each running call's active bytes, sampled at every call
+/// boundary on that GPU.
+fn record_memory(
+    stream: &mut EventStream,
+    scope: &Scope,
+    cluster: &ClusterSpec,
+    graph: &DataflowGraph,
+    plan: &ExecutionPlan,
+    config: &EngineConfig,
+    report: &RunReport,
+) {
+    let gpn = cluster.gpus_per_node as usize;
+    let log = &report.master_log;
+    let profile = memcheck::mem_profile(
+        cluster,
+        graph,
+        plan,
+        &config.zero3_models,
+        &config.dist_optim_models,
+    );
+    let mut edges: Vec<Vec<(f64, f64)>> = vec![Vec::new(); cluster.total_gpus() as usize];
     for req in &log.requests {
         let Some(resp) = log.response(req.call, req.iter) else {
             continue;
@@ -358,17 +383,16 @@ pub fn build_event_stream(
                 .expect("finite times")
                 .then(a.1.partial_cmp(&b.1).expect("finite deltas"))
         });
-        let node = (g / gpn) as u32;
+        let node = g / gpn;
+        let pid = scope.counter_pid(node);
         let track = format!("mem/node{node}/gpu{}", g % gpn);
         let mut level = floor;
-        stream.counter(node, &track, 0.0, level);
+        stream.counter(pid, &track, 0.0, level);
         for (ts, delta) in ev {
             level += delta;
-            stream.counter(node, &track, ts, level);
+            stream.counter(pid, &track, ts, level);
         }
     }
-
-    stream
 }
 
 /// Builds the runtime metrics registry for a finished run.
@@ -478,6 +502,16 @@ mod tests {
     use real_model::{ModelSpec, ParallelStrategy};
     use real_obs::{MetricValue, StreamEvent};
 
+    fn fault_pid() -> u32 {
+        Scope::cluster(8)
+            .lane(Lane::GpuFault { gpu: 0, layer: 0 })
+            .pid
+    }
+
+    fn replan_pid() -> u32 {
+        Scope::cluster(8).lane(Lane::Replan).pid
+    }
+
     fn run() -> (
         ClusterSpec,
         DataflowGraph,
@@ -505,7 +539,6 @@ mod tests {
         let (cluster, graph, plan, config, report) = run();
         let stream = build_event_stream(&cluster, &graph, &plan, &config, &report);
         stream.check_invariants().expect("balanced stream");
-        assert_eq!(stream.dropped(), 0, "capacity estimate must hold");
 
         // One call span per dispatched request, on the master process.
         let call_begins = stream
@@ -582,21 +615,20 @@ mod tests {
 
         let stream = build_event_stream(&cluster, &graph, &plan, &config, &report);
         stream.check_invariants().expect("balanced stream");
-        assert_eq!(stream.dropped(), 0, "capacity estimate must hold");
         // Fault process lanes are named and carry the three window spans.
         assert!(stream
             .thread_names()
-            .any(|(pid, _, name)| pid == FAULT_PID && name == "gpu3"));
+            .any(|(pid, _, name)| pid == fault_pid() && name == "gpu3"));
         assert!(stream
             .thread_names()
-            .any(|(pid, _, name)| pid == FAULT_PID && name == "node0-link"));
+            .any(|(pid, _, name)| pid == fault_pid() && name == "node0-link"));
         let fault_spans = stream
             .events()
             .iter()
             .filter(|e| {
                 matches!(e,
                     StreamEvent::Begin { lane, category, .. }
-                        if lane.pid == FAULT_PID && category == "fault")
+                        if lane.pid == fault_pid() && category == "fault")
             })
             .count();
         assert_eq!(fault_spans, 3);
@@ -625,11 +657,11 @@ mod tests {
         assert!(!stream
             .events()
             .iter()
-            .any(|e| matches!(e, StreamEvent::Begin { lane, .. } if lane.pid == FAULT_PID)));
+            .any(|e| matches!(e, StreamEvent::Begin { lane, .. } if lane.pid == fault_pid())));
         assert!(!stream
             .events()
             .iter()
-            .any(|e| matches!(e, StreamEvent::Instant { lane, .. } if lane.pid == REPLAN_PID)));
+            .any(|e| matches!(e, StreamEvent::Instant { lane, .. } if lane.pid == replan_pid())));
         let m = run_metrics(&cluster, &report);
         assert!(m.get("runtime/fault_injected", &[]).is_none());
         assert!(m.get("runtime/replan_evaluations", &[]).is_none());
@@ -667,17 +699,16 @@ mod tests {
 
         let stream = build_event_stream(&cluster, &graph, &plan, &config, &report);
         stream.check_invariants().expect("balanced stream");
-        assert_eq!(stream.dropped(), 0, "capacity estimate must hold");
         assert!(stream
             .thread_names()
-            .any(|(pid, _, name)| pid == REPLAN_PID && name == "decisions"));
+            .any(|(pid, _, name)| pid == replan_pid() && name == "decisions"));
         let decisions = stream
             .events()
             .iter()
             .filter(|e| {
                 matches!(e,
                     StreamEvent::Instant { lane, category, .. }
-                        if lane.pid == REPLAN_PID && category == "replan")
+                        if lane.pid == replan_pid() && category == "replan")
             })
             .count();
         assert_eq!(decisions, report.replan.events.len());

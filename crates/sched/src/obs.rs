@@ -3,27 +3,19 @@
 //!
 //! Single-tenant traces map nodes to Chrome processes; with several
 //! tenants sharing one cluster that grouping interleaves unrelated
-//! workloads. [`sched_event_stream`] instead gives every tenant its own
-//! process row (`tenant:<name>`), with one thread lane per GPU the tenant
-//! actually touched — open the export in Perfetto and each tenant reads as
-//! an isolated program, including any time-shared GPUs appearing in two
-//! process groups at disjoint times.
+//! workloads. [`sched_event_stream`] instead records every tenant's run
+//! with the runtime's one run recorder ([`real_runtime::obs::record_run`])
+//! in the tenant's own scope ([`Scope::tenant`]): one process row
+//! (`tenant:<name>`) holding a lane per GPU the tenant touched, a master
+//! lane per call, and its fault, re-plan and counter tracks. Open the
+//! export in Perfetto and each tenant reads as an isolated program,
+//! including any time-shared GPUs appearing in two process groups at
+//! disjoint times.
 
 use crate::report::{SchedReport, TenantOutcome};
-use crate::scheduler::Schedule;
-use real_obs::profile::PercentileSummary;
-use real_obs::{EventStream, LaneId, MetricsRegistry};
-use real_runtime::RunReport;
-
-/// First Chrome process id used for tenant groups. High enough that node
-/// pids (small integers) and the runtime's synthetic lanes (near
-/// `u32::MAX`) can never collide with a tenant row.
-pub const TENANT_PID_BASE: u32 = 1 << 20;
-
-/// Thread-id base for a tenant's master control lanes (one per call),
-/// placed far above any global GPU index so the two never collide inside
-/// one tenant process group.
-pub const TENANT_MASTER_TID_BASE: u32 = 1 << 16;
+use crate::scheduler::SchedOutcome;
+use real_core::Tenant;
+use real_obs::{EventStream, Lane, MetricsRegistry, Scope};
 
 /// Histogram bucket bounds for per-tenant stretch observations
 /// (`sched/stretch_hist`): stretch 1.0 is a solo-speed run, the top bucket
@@ -41,67 +33,35 @@ pub fn queue_wait_secs(t: &TenantOutcome) -> f64 {
     (t.total_secs - t.iterations as f64 * t.measured_step_secs).max(0.0)
 }
 
-/// Stretch and queue-wait percentile summaries across the run's tenants.
-/// [`SchedReport::new`] now computes and embeds these
-/// ([`SchedReport::percentiles`], rendered by `real sched` and mirrored in
-/// `--json`); this accessor remains for callers holding only a report.
-pub fn sched_percentiles(report: &SchedReport) -> Vec<PercentileSummary> {
-    report.percentiles.clone()
-}
-
-/// Builds one event stream with a Chrome process group per tenant, spans
-/// taken from each tenant's kernel trace. Tenants whose engine config left
-/// tracing disabled contribute an empty (but named) process group.
+/// Builds one event stream with a Chrome process group per tenant: each
+/// tenant's run recorded in its tenant scope, with the graph, plan and
+/// engine config it ran with. Every lane of a tenant's allocation is named
+/// up front, so an idle or untraced tenant still shows its process group.
 ///
 /// # Panics
 ///
-/// Panics if `reports` does not parallel `schedule.tenants`.
-pub fn sched_event_stream(schedule: &Schedule, reports: &[RunReport]) -> EventStream {
-    assert_eq!(
-        schedule.tenants.len(),
-        reports.len(),
-        "one report per scheduled tenant"
-    );
-    let total: usize = reports.iter().map(|r| r.trace.events().len()).sum();
-    let requests: usize = reports.iter().map(|r| r.master_log.requests.len()).sum();
-    let mut stream = EventStream::with_capacity(total * 2 + requests * 2 + reports.len() * 8 + 16);
-    for (index, (placed, report)) in schedule.tenants.iter().zip(reports).enumerate() {
-        let pid = TENANT_PID_BASE + index as u32;
-        let process = format!("tenant:{}", placed.name);
-        // Name every lane in the tenant's allocation up front so even an
-        // idle or untraced tenant shows its process group.
+/// Panics if `tenants` does not parallel the outcome's schedule.
+pub fn sched_event_stream(tenants: &[Tenant], outcome: &SchedOutcome) -> EventStream {
+    let placed = &outcome.schedule.tenants;
+    assert_eq!(tenants.len(), placed.len(), "one tenant per scheduled slot");
+    let mut stream = EventStream::default();
+    for (index, ((tenant, placed), report)) in
+        tenants.iter().zip(placed).zip(&outcome.reports).enumerate()
+    {
+        let scope = Scope::tenant(index, &placed.name);
         for gpu in placed.allocation.gpus() {
-            let lane = LaneId { pid, tid: gpu.0 };
-            stream.set_lane_name(lane, &process, &format!("{gpu}"));
+            scope.name(&mut stream, Lane::Gpu(gpu.0 as usize));
         }
-        for ev in report.trace.events() {
-            let lane = LaneId {
-                pid,
-                tid: ev.gpu as u32,
-            };
-            stream.span(lane, ev.label, &ev.category.to_string(), ev.start, ev.end);
-        }
-        // Master control lanes: one span per dispatched request, tagged with
-        // its call phase so `real profile` can attribute tenant makespans.
-        // Tenant plans carry no dataflow graph, so the phase is read off the
-        // call-name suffix convention.
-        for req in &report.master_log.requests {
-            let Some(resp) = report.master_log.response(req.call, req.iter) else {
-                continue;
-            };
-            let lane = LaneId {
-                pid,
-                tid: TENANT_MASTER_TID_BASE + req.call.0 as u32,
-            };
-            stream.set_lane_name(lane, &process, &format!("master:{}", req.handle));
-            stream.span(
-                lane,
-                &format!("{}#{}", req.handle, req.iter),
-                real_obs::profile::call_category_for_name(&req.handle),
-                req.dispatch_time,
-                resp.completed_at,
-            );
-        }
+        let exp = tenant.experiment();
+        real_runtime::obs::record_run(
+            &mut stream,
+            &scope,
+            exp.cluster(),
+            exp.graph(),
+            &placed.plan,
+            exp.engine_config(),
+            report,
+        );
     }
     stream
 }

@@ -2,8 +2,8 @@
 //! per-tenant Chrome-trace lifecycle lanes.
 //!
 //! [`serve_event_stream`] gives every arrival its own Chrome process row
-//! (`tenant:<name>`, sharing the pid base with `real sched`'s per-tenant
-//! groups) with one lifecycle lane: a `queued` span from arrival to first
+//! (`tenant:<name>`, the same tenant scope as `real sched`'s per-tenant
+//! groups, [`Scope::tenant`]) with one lifecycle lane: a `queued` span from arrival to first
 //! admission, then per service [`Segment`](crate::report::Segment) an
 //! optional `realloc` prologue span followed by the `serve` span. Open the
 //! export in Perfetto and a preempted tenant reads as
@@ -14,8 +14,8 @@
 //! batch-scheduler and serving runs.
 
 use crate::report::ServeReport;
-use real_obs::{EventStream, LaneId, MetricsRegistry};
-use real_sched::obs::{QUEUE_WAIT_BOUNDS, STRETCH_BOUNDS, TENANT_PID_BASE};
+use real_obs::{EventStream, Lane, MetricsRegistry, Scope};
+use real_sched::obs::{QUEUE_WAIT_BOUNDS, STRETCH_BOUNDS};
 
 /// `serve/*` metrics for a finished serving run: admission counters and
 /// rates, preemption/resume counters, makespan and weighted flow gauges,
@@ -58,18 +58,9 @@ pub fn serve_metrics(report: &ServeReport) -> MetricsRegistry {
 /// the module docs). Rejected arrivals contribute a named but span-less
 /// group, so a Perfetto view shows them turned away rather than missing.
 pub fn serve_event_stream(report: &ServeReport) -> EventStream {
-    let spans: usize = report
-        .tenants
-        .iter()
-        .map(|t| t.segments.len() * 2 + 1)
-        .sum();
-    let mut stream = EventStream::with_capacity(spans * 2 + 16);
+    let mut stream = EventStream::default();
     for (index, t) in report.tenants.iter().enumerate() {
-        let lane = LaneId {
-            pid: TENANT_PID_BASE + index as u32,
-            tid: 0,
-        };
-        stream.set_lane_name(lane, &format!("tenant:{}", t.name), "lifecycle");
+        let lane = Scope::tenant(index, &t.name).name(&mut stream, Lane::Lifecycle);
         if let Some(admitted) = t.admitted_secs {
             if admitted > t.arrival_secs {
                 stream.span(lane, "queued", "queue", t.arrival_secs, admitted);

@@ -34,4 +34,4 @@ pub mod trace;
 
 pub use fault::{FaultClock, FaultEvent, FaultPlan, FaultPlanError};
 pub use timeline::{Category, GpuTimeline, Timelines};
-pub use trace::{record_event_stream, to_event_stream, Trace, TraceCheckpoint, TraceEvent};
+pub use trace::{Trace, TraceCheckpoint, TraceEvent};

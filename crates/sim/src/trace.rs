@@ -233,86 +233,3 @@ mod tests {
         Trace::with_capacity(1).render_lane(0, 0.0, 10);
     }
 }
-
-/// Records a flat [`Trace`] into an existing [`real_obs::EventStream`]:
-/// one span per recorded interval on lane `node{n}/gpu{g}` (lanes are named
-/// via metadata), plus one utilization counter track per communication
-/// category — the number of concurrently busy links over time, sampled at
-/// every busy-interval edge.
-///
-/// Recording into a caller-owned stream lets the runtime engine compose the
-/// GPU kernel lanes with its own master-lane spans, flow arrows, and memory
-/// counter tracks in a single export.
-pub fn record_event_stream(
-    trace: &Trace,
-    gpus_per_node: usize,
-    stream: &mut real_obs::EventStream,
-) {
-    assert!(gpus_per_node > 0, "need at least one GPU per node");
-    let mut named: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    for e in trace.events() {
-        let node = (e.gpu / gpus_per_node) as u32;
-        let gpu = (e.gpu % gpus_per_node) as u32;
-        let lane = real_obs::LaneId::gpu(node, gpu);
-        if named.insert(e.gpu) {
-            stream.set_lane_name(lane, &format!("node{node}"), &format!("gpu{gpu}"));
-        }
-        stream.span(lane, e.label, &e.category.to_string(), e.start, e.end);
-    }
-    // Per-link utilization: for each comm category, a counter track sampling
-    // how many links are simultaneously busy.
-    for cat in [
-        Category::TpComm,
-        Category::PpComm,
-        Category::DpComm,
-        Category::Transfer,
-    ] {
-        let mut edges: Vec<(f64, i64)> = Vec::new();
-        for e in trace.events().iter().filter(|e| e.category == cat) {
-            edges.push((e.start, 1));
-            edges.push((e.end, -1));
-        }
-        if edges.is_empty() {
-            continue;
-        }
-        edges.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite times")
-                .then(a.1.cmp(&b.1))
-        });
-        let mut active: i64 = 0;
-        let track = format!("links/{cat}");
-        for (ts, delta) in edges {
-            active += delta;
-            stream.counter(0, &track, ts, active as f64);
-        }
-    }
-}
-
-/// Converts a flat [`Trace`] into a fresh [`real_obs::EventStream`] sized to
-/// hold every span and counter sample. See [`record_event_stream`].
-pub fn to_event_stream(trace: &Trace, gpus_per_node: usize) -> real_obs::EventStream {
-    let mut stream = real_obs::EventStream::with_capacity(
-        trace.events().len() * 2 + Category::ALL.len() * trace.events().len() + 64,
-    );
-    record_event_stream(trace, gpus_per_node, &mut stream);
-    stream
-}
-
-#[cfg(test)]
-mod chrome_tests {
-    use super::*;
-
-    #[test]
-    fn event_stream_has_lane_metadata_and_balanced_spans() {
-        let mut t = Trace::with_capacity(16);
-        t.record(0, 0.0, 1.0, Category::Compute, "a");
-        t.record(9, 1.0, 2.0, Category::PpComm, "b");
-        let stream = to_event_stream(&t, 8);
-        stream.check_invariants().expect("balanced");
-        let threads: Vec<_> = stream.thread_names().collect();
-        // GPU 9 with 8 GPUs per node lands on node1/gpu1.
-        assert!(threads.contains(&(0, 0, "gpu0")));
-        assert!(threads.contains(&(1, 1, "gpu1")));
-    }
-}

@@ -269,7 +269,7 @@ fn sched_observability_covers_every_tenant() {
     });
     let outcome = sched.run(&tenants).unwrap();
 
-    let stream = obs::sched_event_stream(&outcome.schedule, &outcome.reports);
+    let stream = obs::sched_event_stream(&tenants, &outcome);
     stream.check_invariants().unwrap();
     let procs: Vec<&str> = stream.process_names().map(|(_, name)| name).collect();
     assert!(procs.contains(&"tenant:prod") && procs.contains(&"tenant:dev"));

@@ -283,7 +283,7 @@ fn sched_case() -> (&'static str, Value) {
         "{:?}",
         outcome.reports[1].faults
     );
-    let stream = real_sched::obs::sched_event_stream(&outcome.schedule, &outcome.reports);
+    let stream = real_sched::obs::sched_event_stream(&tenants, &outcome);
     ("sched_two_dpo_faulted", stream_json(&stream))
 }
 
