@@ -1828,6 +1828,18 @@ mod tests {
             .collect();
         assert!(names.contains(&"tenant:prod") && names.contains(&"tenant:dev"));
 
+        // The saved trace profiles offline like a solo run's: DPO tenants
+        // attribute their makespan to training and inference calls.
+        let profile = cmd_profile(&parse(&[
+            "profile",
+            "--trace",
+            trace_path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(profile.contains("makespan"), "{profile}");
+        assert!(profile.contains("training"), "{profile}");
+        assert!(profile.contains("tenant:prod/gpu"), "{profile}");
+
         // Metrics snapshot carries the sched/* namespace.
         let snap: MetricsSnapshot =
             serde_json::from_str(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();

@@ -282,3 +282,75 @@ fn sched_observability_covers_every_tenant() {
         .get("sched/stretch", &[("tenant", "prod")])
         .is_some());
 }
+
+/// The tenant export is each tenant's solo recording in its own process
+/// group: call spans take their phase from the tenant's dataflow graph (a
+/// DSL generation call named `rollout` still reads as generation), and a
+/// faulted tenant shows its retry-backoff windows, fault lanes and abort
+/// instants, so `ProfileReport` attributes both phases.
+#[test]
+fn tenant_export_takes_phases_from_the_graph_and_keeps_fault_lanes() {
+    let cluster = ClusterSpec::h100(2);
+    let spec: real_dataflow::GraphSpec = serde_json::from_str(
+        r#"{
+          "models": [{"role": "policy", "arch": "7b"}],
+          "data": ["prompts"],
+          "calls": [
+            {"name": "rollout", "model": "policy", "kind": "gen",
+             "batch": 32, "prompt_len": 256, "gen_len": 256,
+             "inputs": ["prompts"], "outputs": ["seq"]},
+            {"name": "update", "model": "policy", "kind": "train",
+             "batch": 32, "seq_len": 512, "inputs": ["seq"]}
+          ]
+        }"#,
+    )
+    .unwrap();
+    let dsl = Experiment::from_graph(cluster.clone(), &spec)
+        .unwrap()
+        .with_quick_profile();
+    // Every GPU is down for two seconds early on, whichever node the
+    // faulted tenant lands on.
+    let crashes =
+        (0..cluster.total_gpus()).fold(FaultPlan::new(3), |p, gpu| p.crash(gpu, 3.0, 2.0));
+    let faulted = Experiment::dpo(
+        cluster.clone(),
+        ModelSpec::llama3_7b(),
+        RlhfConfig::instruct_gpt(32),
+    )
+    .with_quick_profile()
+    .with_fault_plan(crashes);
+    let tenants = vec![
+        Tenant::new("dsl", 0, dsl),
+        Tenant::new("faulted", 1, faulted),
+    ];
+    let sched = Scheduler::new(cluster).with_config(SchedConfig {
+        trace_capacity: 50_000,
+        ..quick_config()
+    });
+    let outcome = sched.run(&tenants).unwrap();
+    assert!(outcome.reports[1].faults.crashes >= 1);
+
+    let stream = obs::sched_event_stream(&tenants, &outcome);
+    stream.check_invariants().unwrap();
+    let spans = real_obs::critpath::reconstruct_spans(&stream);
+    let has = |name: &str, category: &str| {
+        spans
+            .iter()
+            .any(|s| s.name.starts_with(name) && s.category == category)
+    };
+    assert!(has("rollout#", "call/gen"));
+    assert!(has("update#", "call/train"));
+    assert!(has("backoff#", "backoff"));
+    assert!(has("crash+restart", "fault"));
+
+    let profile = real_obs::ProfileReport::from_stream(&stream, 5);
+    let share = |phase: &str| {
+        profile
+            .phases
+            .iter()
+            .find(|p| p.phase == phase)
+            .map_or(0.0, |p| p.share)
+    };
+    assert!(share("generation") > 0.0, "{:?}", profile.phases);
+    assert!(share("retry-backoff") > 0.0, "{:?}", profile.phases);
+}
