@@ -156,7 +156,7 @@ SEARCH FLAGS (plan/run):
   --memo-in FILE   warm-start pricing from a saved cost-memo snapshot; a
                    snapshot from a different pricing context (cluster,
                    graph, profiles, health) is ignored with a warning
-  --memo-out FILE  save the search's cost memo for the next `real plan`
+  --memo-out FILE  save the search's cost memo for the next search
   --spec-decode    make speculative draft/verify decode a search dimension
                    on generation calls (see docs/SPECULATION.md)
   --draft-model S  comma-separated draft sizes to consider  [default 1b,7b]
@@ -425,6 +425,12 @@ fn plan_speculative_from(
     Ok((planned, notes))
 }
 
+/// Whether `--memo-in` or `--memo-out` asks for the memo-persistent
+/// search path.
+fn memo_persisted(args: &Args) -> bool {
+    args.str_opt("memo-in").is_some() || args.str_opt("memo-out").is_some()
+}
+
 /// Whether any speculation flag asks for speculative planning (`--no-spec`
 /// wins over all of them).
 fn speculation_requested(args: &Args) -> bool {
@@ -452,9 +458,7 @@ pub fn mcmc_from(args: &Args) -> Result<(McmcConfig, usize, usize), CliError> {
     if chains == 0 {
         return Err(CliError::Invalid("--chains must be positive".into()));
     }
-    let single_chain = speculation_requested(args)
-        || args.str_opt("memo-in").is_some()
-        || args.str_opt("memo-out").is_some();
+    let single_chain = speculation_requested(args) || memo_persisted(args);
     if chains > 1 && single_chain {
         return Err(CliError::Invalid(
             "--chains above 1 cannot be combined with speculation (--spec-decode and \
@@ -503,7 +507,7 @@ pub fn cmd_plan(args: &Args) -> Result<String, CliError> {
     let exp = experiment_from(args)?;
     let menu = spec_menu_from(args, exp.cluster())?;
     let (cfg, chains, threads) = mcmc_from(args)?;
-    let persist_memo = args.str_opt("memo-in").is_some() || args.str_opt("memo-out").is_some();
+    let persist_memo = memo_persisted(args);
     let mut speculation = None;
     let mut notes = String::new();
     // Both paths report (plan, its TimeCost, memo counters, the assignment
@@ -577,11 +581,12 @@ fn reject_replan_with_async(args: &Args, exp: &Experiment) -> Result<(), CliErro
 }
 
 /// The plan `run` and `profile` execute: `--plan FILE`, `--heuristic`, the
-/// gen/train split for async off-policy runs, or a search —
-/// speculation-aware when speculation flags are set, in which case the
-/// runtime executes whatever the search attached (draft/verify loops on the
-/// draft mesh). Returns the plan, the search behind it, if any, and the
-/// memo notes of [`plan_speculative_from`].
+/// gen/train split for async off-policy runs, or a search. Under the same
+/// rule as `real plan`, speculation flags or `--memo-in`/`--memo-out` take
+/// the speculation-aware, memo-persistent search (the runtime executes
+/// whatever it attached: draft/verify loops on the draft mesh). Returns the
+/// plan, the search behind it, if any, and the memo notes of
+/// [`plan_speculative_from`].
 fn plan_to_execute(
     args: &Args,
     exp: &Experiment,
@@ -598,8 +603,9 @@ fn plan_to_execute(
     if let Some(split) = exp.async_staleness().and_then(|_| exp.plan_split()) {
         return Ok((split, None, String::new()));
     }
-    if let Some(menu) = spec_menu_from(args, exp.cluster())? {
-        let (planned, notes) = plan_speculative_from(args, exp, Some(menu))?;
+    let menu = spec_menu_from(args, exp.cluster())?;
+    if menu.is_some() || memo_persisted(args) {
+        let (planned, notes) = plan_speculative_from(args, exp, menu)?;
         return Ok((planned.plan, Some(planned.result.base), notes));
     }
     let (cfg, chains, threads) = mcmc_from(args)?;
@@ -2046,5 +2052,35 @@ mod tests {
         argv.extend_from_slice(&["--memo-in", memo_path.to_str().unwrap()]);
         let stale = cmd_plan(&parse(&argv)).unwrap();
         assert!(stale.contains("cold start"), "{stale}");
+    }
+
+    #[test]
+    fn run_honours_memo_flags_without_speculation() {
+        let dir = std::env::temp_dir().join("real-cli-run-memo");
+        std::fs::create_dir_all(&dir).unwrap();
+        let memo_path = dir.join("memo.json");
+        let _ = std::fs::remove_file(&memo_path);
+        let run = |flag: &str| {
+            cmd_run(&parse(&[
+                "run",
+                "--nodes",
+                "1",
+                "--batch",
+                "32",
+                "--iters",
+                "1",
+                "--steps",
+                "200",
+                "--quick-profile",
+                flag,
+                memo_path.to_str().unwrap(),
+            ]))
+            .unwrap()
+        };
+        let cold = run("--memo-out");
+        assert!(memo_path.is_file(), "{cold}");
+        assert!(cold.contains("entries saved to"), "{cold}");
+        let warm = run("--memo-in");
+        assert!(warm.contains("warm start from"), "{warm}");
     }
 }
