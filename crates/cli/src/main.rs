@@ -11,6 +11,7 @@ mod args;
 mod commands;
 
 use args::Args;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -24,8 +25,17 @@ fn main() -> ExitCode {
     };
     match commands::dispatch(&args) {
         Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
+            // A reader that stopped early (`real models | head -1`) is not
+            // an error: exit quietly instead of panicking in `println!`.
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");
