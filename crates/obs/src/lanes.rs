@@ -1,114 +1,67 @@
-//! The one lane layout of every Chrome export.
+//! The one lane layout of every Chrome export: [`Scope`] is the only code
+//! that picks a Chrome `pid`/`tid` or names a process or thread.
 //!
-//! Producers place their events through a [`Scope`]; nothing else picks a
-//! Chrome `pid`/`tid` or names a process or thread. A scope is either:
-//!
-//! - [`Scope::cluster`] — a solo run owns the whole trace: one process per
-//!   node (`node{n}`) with a thread per GPU, a `master` process with a
-//!   thread per function call, and one synthetic process each for the
-//!   injected-fault lanes (`faults`), the re-plan decision lane (`replan`)
-//!   and a lifecycle lane (`lifecycle`);
-//! - [`Scope::tenant`] — one tenant of several sharing a cluster: every
-//!   lane of the run lives in the tenant's own process (`tenant:<name>`),
-//!   so each tenant reads as an isolated program in Perfetto.
-//!
-//! Inside one process, lane kinds occupy disjoint thread-id bands of
-//! [`BAND`] ids each, so no two kinds can collide whatever the GPU, call or
-//! node counts (each stays below [`BAND`]). Overlapping fault windows are
-//! layered onto further bands, [`LAYER_BANDS`] bands per layer.
-//!
-//! Counter tracks are keyed by process only; [`Scope::counter_pid`] picks
-//! the process of a node's tracks.
+//! [`Scope::cluster`] lays out a solo run: a process per node (`node{n}`,
+//! a thread per GPU), a `master` process (a thread per call) and synthetic
+//! `faults`, `replan` and `lifecycle` processes. [`Scope::tenant`] keeps
+//! every lane of one tenant in its own `tenant:<name>` process. Inside a
+//! process, lane kinds sit in disjoint bands of [`BAND`] thread ids, and
+//! the overlap layers of a fault lane [`LAYER_BANDS`] bands apart, so no
+//! two lanes can collide.
 
 use crate::events::{EventStream, LaneId};
 
-/// Thread ids per band; GPU, call and node indices must stay below it.
+/// Thread ids per band; GPU, call and node indices stay below it.
 pub const BAND: u32 = 1 << 16;
 
-/// Bands between two overlap layers of one fault lane (so layer `k` of a
-/// fault lane sits `k * LAYER_BANDS * BAND` tids above layer 0).
+/// Bands between two overlap layers of one fault lane.
 pub const LAYER_BANDS: u32 = 1 << 8;
 
-/// Cluster scope: the master's per-call lanes.
 const MASTER_PID: u32 = u32::MAX;
-/// Cluster scope: the injected-fault lanes.
-const FAULT_PID: u32 = u32::MAX - 1;
-/// Cluster scope: the re-plan decision lane.
-const REPLAN_PID: u32 = u32::MAX - 2;
-/// Cluster scope: the lifecycle lane.
-const LIFECYCLE_PID: u32 = u32::MAX - 3;
-/// First tenant process id: far above any node index and below the
-/// cluster scope's synthetic processes.
 const TENANT_PID_BASE: u32 = 1 << 20;
 
-/// Tenant-scope bands: control lanes (lifecycle, re-plan), GPU kernel
-/// lanes, call lanes, then the first GPU-fault and link-fault bands.
-const TENANT_CONTROL_BAND: u32 = 0;
-const TENANT_GPU_BAND: u32 = 1;
-const TENANT_CALL_BAND: u32 = 2;
-const TENANT_FAULT_BAND: u32 = 3;
-
-/// One logical lane of a run's export.
+/// One logical lane of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane<'a> {
-    /// Kernel spans of one GPU (global index).
+    /// Kernel spans of a GPU (global index).
     Gpu(usize),
-    /// The master's control lane of one function call.
-    Call {
-        /// Call index in its dataflow graph.
-        index: usize,
-        /// Call name.
-        name: &'a str,
-    },
-    /// Injected windows on one GPU (global index); overlapping windows
-    /// go to `layer` 1, 2, ...
-    GpuFault {
-        /// Global GPU index.
-        gpu: usize,
-        /// Overlap layer (0 for the first window at any instant).
-        layer: usize,
-    },
-    /// Injected degradation windows on one node's link.
-    LinkFault {
-        /// Node index.
-        node: usize,
-        /// Overlap layer.
-        layer: usize,
-    },
-    /// Re-plan trigger evaluations and switch prologues.
+    /// The master's lane of a call: its index in the graph, its name.
+    Call(usize, &'a str),
+    /// Injected windows on a GPU (global index), by overlap layer.
+    GpuFault(usize, usize),
+    /// Injected windows on a node's link, by overlap layer.
+    LinkFault(usize, usize),
+    /// Re-plan decisions.
     Replan,
-    /// A served tenant's queued/serve lifecycle.
+    /// A served tenant's lifecycle.
     Lifecycle,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Kind {
-    Cluster { gpus_per_node: usize },
-    Tenant { pid: u32, process: String },
+    /// GPUs per node.
+    Cluster(usize),
+    /// Process id and name.
+    Tenant(u32, String),
 }
 
-/// Where one run's lanes go in an export (see the module docs).
+/// Where one run's lanes go (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scope(Kind);
 
-/// `band * BAND + index`, checking the index fits its band.
-fn banded(band: u32, index: usize) -> u32 {
-    assert!(
-        index < BAND as usize,
-        "lane index {index} overflows its band"
-    );
-    band * BAND + index as u32
-}
-
+/// The band of a fault lane's overlap `layer`, counted from `first`.
 fn fault_band(first: u32, layer: usize) -> u32 {
-    assert!(
-        layer < (BAND / LAYER_BANDS - 1) as usize,
-        "fault layer {layer} out of range"
-    );
+    assert!(layer < 255, "fault layer {layer} out of range");
     first + layer as u32 * LAYER_BANDS
 }
 
-fn layered(label: String, layer: usize) -> String {
+/// A fault lane's thread label, `+layer` for overflow layers.
+fn fault_label(lane: Lane) -> String {
+    let (label, layer) = match lane {
+        Lane::GpuFault(gpu, layer) => (format!("gpu{gpu}"), layer),
+        Lane::LinkFault(node, layer) => (format!("node{node}-link"), layer),
+        _ => unreachable!("not a fault lane"),
+    };
     if layer == 0 {
         label
     } else {
@@ -117,121 +70,91 @@ fn layered(label: String, layer: usize) -> String {
 }
 
 impl Scope {
-    /// A solo run owning the whole trace on a cluster with
-    /// `gpus_per_node` GPUs per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `gpus_per_node` is zero.
+    /// A solo run on a cluster with `gpus_per_node` GPUs per node.
     pub fn cluster(gpus_per_node: usize) -> Self {
         assert!(gpus_per_node > 0, "need at least one GPU per node");
-        Scope(Kind::Cluster { gpus_per_node })
+        Scope(Kind::Cluster(gpus_per_node))
     }
 
-    /// Tenant number `index` (its position in the export), named `name`.
+    /// Tenant number `index` of an export, named `name`.
     pub fn tenant(index: usize, name: &str) -> Self {
-        Scope(Kind::Tenant {
-            pid: TENANT_PID_BASE + u32::try_from(index).expect("tenant index fits a pid"),
-            process: format!("tenant:{name}"),
-        })
+        let pid = TENANT_PID_BASE + u32::try_from(index).expect("tenant index fits a pid");
+        Scope(Kind::Tenant(pid, format!("tenant:{name}")))
     }
 
     /// The Chrome lane of `lane`, without naming it.
     pub fn lane(&self, lane: Lane) -> LaneId {
-        match &self.0 {
-            Kind::Cluster { gpus_per_node } => match lane {
-                Lane::Gpu(gpu) => {
-                    LaneId::gpu((gpu / gpus_per_node) as u32, (gpu % gpus_per_node) as u32)
-                }
-                Lane::Call { index, .. } => LaneId {
-                    pid: MASTER_PID,
-                    tid: banded(0, index),
-                },
-                Lane::GpuFault { gpu, layer } => LaneId {
-                    pid: FAULT_PID,
-                    tid: banded(fault_band(0, layer), gpu),
-                },
-                Lane::LinkFault { node, layer } => LaneId {
-                    pid: FAULT_PID,
-                    tid: banded(fault_band(1, layer), node),
-                },
-                Lane::Replan => LaneId {
-                    pid: REPLAN_PID,
-                    tid: 0,
-                },
-                Lane::Lifecycle => LaneId {
-                    pid: LIFECYCLE_PID,
-                    tid: 0,
-                },
-            },
-            Kind::Tenant { pid, .. } => {
-                let tid = match lane {
-                    Lane::Lifecycle => banded(TENANT_CONTROL_BAND, 0),
-                    Lane::Replan => banded(TENANT_CONTROL_BAND, 1),
-                    Lane::Gpu(gpu) => banded(TENANT_GPU_BAND, gpu),
-                    Lane::Call { index, .. } => banded(TENANT_CALL_BAND, index),
-                    Lane::GpuFault { gpu, layer } => {
-                        banded(fault_band(TENANT_FAULT_BAND, layer), gpu)
-                    }
-                    Lane::LinkFault { node, layer } => {
-                        banded(fault_band(TENANT_FAULT_BAND + 1, layer), node)
-                    }
-                };
-                LaneId { pid: *pid, tid }
+        let (pid, band, index) = match (&self.0, lane) {
+            (Kind::Cluster(gpn), Lane::Gpu(gpu)) => ((gpu / gpn) as u32, 0, gpu % gpn),
+            (Kind::Cluster(_), Lane::Call(index, _)) => (MASTER_PID, 0, index),
+            (Kind::Cluster(_), Lane::GpuFault(gpu, layer)) => {
+                (MASTER_PID - 1, fault_band(0, layer), gpu)
             }
+            (Kind::Cluster(_), Lane::LinkFault(node, layer)) => {
+                (MASTER_PID - 1, fault_band(1, layer), node)
+            }
+            (Kind::Cluster(_), Lane::Replan) => (MASTER_PID - 2, 0, 0),
+            (Kind::Cluster(_), Lane::Lifecycle) => (MASTER_PID - 3, 0, 0),
+            (Kind::Tenant(pid, _), lane) => {
+                let (band, index) = match lane {
+                    Lane::Lifecycle => (0, 0),
+                    Lane::Replan => (0, 1),
+                    Lane::Gpu(gpu) => (1, gpu),
+                    Lane::Call(index, _) => (2, index),
+                    Lane::GpuFault(gpu, layer) => (fault_band(3, layer), gpu),
+                    Lane::LinkFault(node, layer) => (fault_band(4, layer), node),
+                };
+                (*pid, band, index)
+            }
+        };
+        assert!(index < BAND as usize, "{index} overflows a band");
+        LaneId {
+            pid,
+            tid: band * BAND + index as u32,
         }
     }
 
-    /// Names `lane`'s process and thread in `stream` and returns its
-    /// Chrome lane.
+    /// Names `lane`'s process and thread in `stream`; returns its lane.
     pub fn name(&self, stream: &mut EventStream, lane: Lane) -> LaneId {
         let id = self.lane(lane);
-        match &self.0 {
-            Kind::Cluster { .. } => {
-                let (process, thread) = match lane {
-                    Lane::Gpu(_) => (format!("node{}", id.pid), format!("gpu{}", id.tid)),
-                    Lane::Call { name, .. } => ("master".into(), name.to_string()),
-                    Lane::GpuFault { gpu, layer } => {
-                        ("faults".into(), layered(format!("gpu{gpu}"), layer))
-                    }
-                    Lane::LinkFault { node, layer } => {
-                        ("faults".into(), layered(format!("node{node}-link"), layer))
-                    }
-                    Lane::Replan => ("replan".into(), "decisions".into()),
-                    Lane::Lifecycle => ("lifecycle".into(), "lifecycle".into()),
-                };
-                stream.set_lane_name(id, &process, &thread);
+        let (process, thread) = match (&self.0, lane) {
+            (Kind::Cluster(_), Lane::Gpu(_)) => {
+                (format!("node{}", id.pid), format!("gpu{}", id.tid))
             }
-            Kind::Tenant { process, .. } => {
+            (Kind::Cluster(_), Lane::Call(_, name)) => ("master".into(), name.into()),
+            (Kind::Cluster(_), Lane::GpuFault(..) | Lane::LinkFault(..)) => {
+                ("faults".into(), fault_label(lane))
+            }
+            (Kind::Cluster(_), Lane::Replan) => ("replan".into(), "decisions".into()),
+            (Kind::Cluster(_), Lane::Lifecycle) => ("lifecycle".into(), "lifecycle".into()),
+            (Kind::Tenant(_, process), lane) => {
                 let thread = match lane {
                     Lane::Gpu(gpu) => format!("gpu{gpu}"),
-                    Lane::Call { name, .. } => format!("master:{name}"),
-                    Lane::GpuFault { gpu, layer } => layered(format!("fault:gpu{gpu}"), layer),
-                    Lane::LinkFault { node, layer } => {
-                        layered(format!("fault:node{node}-link"), layer)
+                    Lane::Call(_, name) => format!("master:{name}"),
+                    Lane::GpuFault(..) | Lane::LinkFault(..) => {
+                        format!("fault:{}", fault_label(lane))
                     }
                     Lane::Replan => "replan".into(),
                     Lane::Lifecycle => "lifecycle".into(),
                 };
-                stream.set_lane_name(id, process, &thread);
+                (process.clone(), thread)
             }
-        }
+        };
+        stream.set_lane_name(id, &process, &thread);
         id
     }
 
-    /// The process carrying node `node`'s counter tracks (memory, link
-    /// utilization).
+    /// The process carrying node `node`'s counter tracks.
     pub fn counter_pid(&self, node: usize) -> u32 {
         match &self.0 {
-            Kind::Cluster { .. } => node as u32,
-            Kind::Tenant { pid, .. } => *pid,
+            Kind::Cluster(_) => node as u32,
+            Kind::Tenant(pid, _) => *pid,
         }
     }
 }
 
 impl LaneId {
-    /// GPU `gpu` of node `node` in a cluster-scope export — shorthand for
-    /// [`Scope::cluster`]'s [`Lane::Gpu`].
+    /// GPU `gpu` of node `node` in the cluster scope.
     pub fn gpu(node: u32, gpu: u32) -> Self {
         Self {
             pid: node,
@@ -239,7 +162,7 @@ impl LaneId {
         }
     }
 
-    /// The cluster scope's first master lane (call 0).
+    /// The cluster scope's master lane of call 0.
     pub fn master() -> Self {
         Self {
             pid: MASTER_PID,
@@ -257,10 +180,10 @@ mod tests {
         let mut lanes = vec![Lane::Replan, Lane::Lifecycle];
         for i in [0, 1, 7, 8, 255, 4095] {
             lanes.push(Lane::Gpu(i));
-            lanes.push(Lane::Call { index: i, name });
+            lanes.push(Lane::Call(i, name));
             for layer in 0..3 {
-                lanes.push(Lane::GpuFault { gpu: i, layer });
-                lanes.push(Lane::LinkFault { node: i, layer });
+                lanes.push(Lane::GpuFault(i, layer));
+                lanes.push(Lane::LinkFault(i, layer));
             }
         }
         lanes
@@ -294,22 +217,16 @@ mod tests {
     fn cluster_scope_is_the_solo_layout() {
         let scope = Scope::cluster(8);
         assert_eq!(scope.lane(Lane::Gpu(9)), LaneId::gpu(1, 1));
-        assert_eq!(
-            scope.lane(Lane::Call {
-                index: 0,
-                name: "x"
-            }),
-            LaneId::master()
-        );
-        let fault = scope.lane(Lane::LinkFault { node: 2, layer: 1 });
+        assert_eq!(scope.lane(Lane::Call(0, "x")), LaneId::master());
+        let fault = scope.lane(Lane::LinkFault(2, 1));
         assert_eq!(fault.tid, (1 << 24) + (1 << 16) + 2);
         let mut s = EventStream::default();
-        scope.name(&mut s, Lane::GpuFault { gpu: 3, layer: 1 });
+        scope.name(&mut s, Lane::GpuFault(3, 1));
         scope.name(&mut s, Lane::Gpu(9));
         let threads: Vec<_> = s.thread_names().collect();
         assert_eq!(
             threads,
-            vec![(1, 1, "gpu1"), (FAULT_PID, (1 << 24) + 3, "gpu3+1")]
+            vec![(1, 1, "gpu1"), (u32::MAX - 1, (1 << 24) + 3, "gpu3+1")]
         );
         assert_eq!(scope.counter_pid(1), 1);
     }

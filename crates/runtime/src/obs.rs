@@ -1,41 +1,27 @@
 //! Observability assembly for runtime-engine runs.
 //!
-//! A [`crate::RunReport`] already carries everything the unified
-//! observability layer needs — the kernel [`real_sim::Trace`], the master
-//! worker's request/response log, and per-call timings. This module turns
-//! that into:
-//!
 //! * [`record_run`] — the one run recorder behind every Chrome export. It
-//!   records one run into a caller-owned [`real_obs::EventStream`], with
-//!   every lane placed by a [`real_obs::Scope`]: the cluster scope for a
-//!   solo run ([`build_event_stream`]), a tenant scope per tenant for
-//!   `real-sched`'s multi-tenant export. It emits the per-GPU kernel spans
-//!   (micro-batches, pipeline stages, reallocation broadcasts, transfers)
-//!   with one link-utilization counter track per communication category;
-//!   one master control lane per function call with a span per dispatched
-//!   request (category `call/gen`, `call/train`, or `call/inf` after the
-//!   call's type in the dataflow graph, so `real profile` can attribute
-//!   phases); retry-backoff windows as `backoff` spans nested in their call
-//!   span; flow arrows linking each master `Request` to the worker
-//!   `Response` that completes it; and per-GPU memory-in-use counter
-//!   tracks derived from the engine's memory model.
+//!   records a finished [`crate::RunReport`] into a caller-owned
+//!   [`real_obs::EventStream`], every lane placed by a [`real_obs::Scope`]
+//!   (the cluster scope for a solo run, [`build_event_stream`]; a tenant
+//!   scope per tenant in `real-sched`'s export): per-GPU kernel spans with
+//!   a `links/*` utilization counter per communication category; a master
+//!   lane per function call with a span per answered request (category
+//!   `call/gen`, `call/train` or `call/inf` after the call's type in the
+//!   dataflow graph, so `real profile` can attribute phases) and its
+//!   retry-backoff windows nested inside as `backoff` spans; flow arrows
+//!   from each master `Request` to the worker `Response` completing it;
+//!   and per-GPU `mem/*` counter tracks from the engine's memory model.
 //! * [`run_metrics`] — a [`real_obs::MetricsRegistry`] with per-category
 //!   busy-second counters (matching [`crate::RunReport::category_totals`]),
 //!   run-level gauges, and per-call duration histograms.
 //!
-//! Faulted runs additionally get fault lanes ([`Lane::GpuFault`],
-//! [`Lane::LinkFault`]): one per affected GPU or node link carrying the
-//! injected slowdown / crash / link-degradation windows as spans, abort
-//! instants on the master call lanes, and `runtime/fault_*` counters in the
-//! metrics registry. Fault-free runs emit none of this, keeping their
-//! exports byte-identical to pre-fault builds.
-//!
-//! Runs executed under an elastic re-plan policy
-//! ([`crate::RuntimeEngine::run_replan`], or an elastic tenant) get a
-//! decision lane ([`Lane::Replan`]): an instant per trigger evaluation
-//! (labelled `reason: outcome`), a span covering each committed switch's
-//! reallocation prologue, and `runtime/replan_*` counters in the registry.
-//! Runs whose policy never triggered emit none of this either.
+//! Faulted runs also get a fault lane per affected GPU or node link with
+//! the injected windows as spans, abort instants on the call lanes, and
+//! `runtime/fault_*` metrics; re-planned runs get a decision lane (an
+//! instant per trigger evaluation, a span per committed switch prologue)
+//! and `runtime/replan_*` metrics. Runs without faults or triggers emit
+//! none of this, keeping their exports byte-identical to earlier builds.
 
 use crate::config::EngineConfig;
 use crate::memcheck;
@@ -44,7 +30,7 @@ use crate::report::{FaultAbort, RequestFault, RunReport};
 use real_cluster::ClusterSpec;
 use real_dataflow::{DataflowGraph, ExecutionPlan};
 use real_obs::{EventStream, Lane, LaneId, MetricsRegistry, Scope};
-use real_sim::{Category, FaultEvent};
+use real_sim::{Category, FaultEvent, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Histogram bounds for per-call wall times (seconds): RLHF calls range
@@ -68,15 +54,13 @@ pub fn build_event_stream(
     stream
 }
 
-/// Records one finished run into `stream`, its lanes placed by `scope`
-/// (see the module docs for what it emits).
+/// Records one finished run into `stream`, its lanes placed by `scope`.
 ///
 /// `graph`, `plan` and `config` must be the ones the run executed with:
-/// the graph supplies each call's name and type, the plan each call's
-/// device mesh (flow-arrow targets and memory accounting), the config the
-/// fault plan and the ZeRO/distributed-optimizer modes the memory model
-/// depends on. Flow ids continue from [`EventStream::flows`], so several
-/// runs recorded into one stream never share an id.
+/// they supply each call's name and type, each call's mesh (flow targets
+/// and memory accounting), the fault plan, and the ZeRO/distributed-
+/// optimizer modes of the memory model. Flow ids continue from
+/// [`EventStream::flows`], so runs recorded into one stream never share one.
 pub fn record_run(
     stream: &mut EventStream,
     scope: &Scope,
@@ -86,52 +70,75 @@ pub fn record_run(
     config: &EngineConfig,
     report: &RunReport,
 ) {
-    record_kernels(stream, scope, cluster, report);
-    record_calls(stream, scope, graph, plan, report);
+    record_kernels(stream, scope, report.trace.events(), cluster.total_gpus());
+    let calls = record_calls(stream, scope, graph, plan, report);
     if let Some(fault_plan) = config.fault_plan.as_ref().filter(|p| !p.is_empty()) {
         record_faults(stream, scope, &fault_plan.events);
-        // Abort events as instants on the affected master call lane.
         for f in &report.faults.events {
-            let Some(call) = graph.find(&f.call_name) else {
-                continue;
-            };
-            let lane = scope.lane(Lane::Call {
-                index: call.0,
-                name: &f.call_name,
-            });
-            let name = match f.kind {
-                FaultAbort::Timeout => format!("timeout#{}", f.attempt),
-                FaultAbort::Crash { gpu } => format!("crash@gpu{gpu}#{}", f.attempt),
-            };
-            stream.instant(lane, &name, "fault", f.at);
+            if let Some(call) = graph.find(&f.call_name) {
+                let name = match f.kind {
+                    FaultAbort::Timeout => format!("timeout#{}", f.attempt),
+                    FaultAbort::Crash { gpu } => format!("crash@gpu{gpu}#{}", f.attempt),
+                };
+                stream.instant(calls[call.0], &name, "fault", f.at);
+            }
         }
     }
     record_replans(stream, scope, report);
-    record_memory(stream, scope, cluster, graph, plan, config, report);
+
+    // Per-GPU memory in use: the static (optimizer-state) floor plus each
+    // running call's active bytes, sampled at every call boundary.
+    let gpn = cluster.gpus_per_node as usize;
+    let log = &report.master_log;
+    let zero3 = &config.zero3_models;
+    let profile = memcheck::mem_profile(cluster, graph, plan, zero3, &config.dist_optim_models);
+    let mut edges: Vec<Vec<(f64, f64)>> = vec![Vec::new(); cluster.total_gpus() as usize];
+    for req in &log.requests {
+        let Some(resp) = log.response(req.call, req.iter) else {
+            continue;
+        };
+        let active = profile.call_active[req.call.0] as f64;
+        for gpu in plan.assignment(req.call).mesh.gpus() {
+            edges[gpu.0 as usize].push((req.dispatch_time, active));
+            edges[gpu.0 as usize].push((resp.completed_at, -active));
+        }
+    }
+    for (g, mut ev) in edges.into_iter().enumerate() {
+        let floor = profile.static_bytes[g] as f64;
+        if ev.is_empty() && floor == 0.0 {
+            continue;
+        }
+        // Releases before acquisitions at equal timestamps, so back-to-back
+        // calls do not produce a spurious double-occupancy sample.
+        ev.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite times")
+                .then(a.1.partial_cmp(&b.1).expect("finite deltas"))
+        });
+        let pid = scope.counter_pid(g / gpn);
+        let track = format!("mem/node{}/gpu{}", g / gpn, g % gpn);
+        let mut level = floor;
+        stream.counter(pid, &track, 0.0, level);
+        for (ts, delta) in ev {
+            level += delta;
+            stream.counter(pid, &track, ts, level);
+        }
+    }
 }
 
 /// GPU kernel lanes (named on first use) and link-utilization counters
 /// from the kernel trace: for each communication category, a counter
 /// track sampling how many links are simultaneously busy at every
 /// busy-interval edge.
-fn record_kernels(
-    stream: &mut EventStream,
-    scope: &Scope,
-    cluster: &ClusterSpec,
-    report: &RunReport,
-) {
-    let trace = report.trace.events();
-    let mut lanes: Vec<Option<LaneId>> = vec![None; cluster.total_gpus() as usize];
+fn record_kernels(stream: &mut EventStream, scope: &Scope, trace: &[TraceEvent], gpus: u32) {
+    let mut lanes: Vec<Option<LaneId>> = vec![None; gpus as usize];
     for e in trace {
         let lane = *lanes[e.gpu].get_or_insert_with(|| scope.name(stream, Lane::Gpu(e.gpu)));
         stream.span(lane, e.label, &e.category.to_string(), e.start, e.end);
     }
-    for cat in [
-        Category::TpComm,
-        Category::PpComm,
-        Category::DpComm,
-        Category::Transfer,
-    ] {
+    let comm =
+        |c: &Category| !matches!(c, Category::Compute | Category::Launch | Category::Realloc);
+    for cat in Category::ALL.into_iter().filter(comm) {
         let mut edges: Vec<(f64, i64)> = Vec::new();
         for e in trace.iter().filter(|e| e.category == cat) {
             edges.push((e.start, 1));
@@ -154,43 +161,29 @@ fn record_kernels(
     }
 }
 
-/// One master control lane per function call (calls overlap in time, so a
-/// single lane could not keep begin/end nesting balanced), a span per
-/// answered request with its backoff windows nested inside, and a flow
-/// arrow from each dispatch to the lane of the first GPU executing it.
+/// One master lane per function call (calls overlap in time, so one lane
+/// could not keep begin/end nesting balanced), a span per answered request
+/// with its backoff windows nested inside, and a flow arrow from each
+/// dispatch to the lane of the first GPU executing it. Returns the lanes.
 fn record_calls(
     stream: &mut EventStream,
     scope: &Scope,
     graph: &DataflowGraph,
     plan: &ExecutionPlan,
     report: &RunReport,
-) {
+) -> Vec<LaneId> {
     let log = &report.master_log;
     let lanes: Vec<LaneId> = graph
         .iter()
-        .map(|(id, def)| {
-            scope.name(
-                stream,
-                Lane::Call {
-                    index: id.0,
-                    name: &def.call_name,
-                },
-            )
-        })
-        .collect();
-    let categories: Vec<String> = graph
-        .iter()
-        .map(|(_, def)| format!("call/{}", def.call_type.label()))
+        .map(|(id, def)| scope.name(stream, Lane::Call(id.0, &def.call_name)))
         .collect();
 
     // Retry backoff windows, grouped per (call, iter). Attempts are
     // sequential, so the windows of one request never overlap.
     let mut backoffs: BTreeMap<(usize, usize), Vec<&RequestFault>> = BTreeMap::new();
-    for f in &report.faults.events {
-        if f.backoff_secs > 0.0 {
-            if let Some(call) = graph.find(&f.call_name) {
-                backoffs.entry((call.0, f.iter)).or_default().push(f);
-            }
+    for f in report.faults.events.iter().filter(|f| f.backoff_secs > 0.0) {
+        if let Some(call) = graph.find(&f.call_name) {
+            backoffs.entry((call.0, f.iter)).or_default().push(f);
         }
     }
 
@@ -199,12 +192,9 @@ fn record_calls(
             continue;
         };
         let lane = lanes[req.call.0];
-        stream.begin(
-            lane,
-            &format!("{}#{}", req.handle, req.iter),
-            &categories[req.call.0],
-            req.dispatch_time,
-        );
+        let category = format!("call/{}", graph.call(req.call).call_type.label());
+        let name = format!("{}#{}", req.handle, req.iter);
+        stream.begin(lane, &name, &category, req.dispatch_time);
         for f in backoffs.get(&(req.call.0, req.iter)).into_iter().flatten() {
             stream.span(
                 lane,
@@ -215,18 +205,14 @@ fn record_calls(
             );
         }
         stream.end(lane, resp.completed_at);
-        let first = plan
-            .assignment(req.call)
-            .mesh
-            .gpus()
-            .next()
-            .expect("meshes are non-empty");
-        let dst = scope.lane(Lane::Gpu(first.0 as usize));
+        let first = plan.assignment(req.call).mesh.gpus().next();
+        let dst = scope.lane(Lane::Gpu(first.expect("non-empty mesh").0 as usize));
         let id = stream.flows();
         let name = format!("req:{}", req.handle);
         stream.flow_start(id, &name, lane, req.dispatch_time);
         stream.flow_end(id, &name, dst, resp.completed_at);
     }
+    lanes
 }
 
 /// Injected windows as spans on the fault lanes. Random plans may schedule
@@ -287,9 +273,9 @@ fn record_faults(stream: &mut EventStream, scope: &Scope, events: &[FaultEvent])
                 });
             layer_ends[layer] = end;
             let lane = if link {
-                Lane::LinkFault { node: index, layer }
+                Lane::LinkFault(index, layer)
             } else {
-                Lane::GpuFault { gpu: index, layer }
+                Lane::GpuFault(index, layer)
             };
             let lane = scope.name(stream, lane);
             stream.span(lane, &name, "fault", start, end);
@@ -336,62 +322,6 @@ fn record_replans(stream: &mut EventStream, scope: &Scope, report: &RunReport) {
             ReplanOutcome::NoSurvivingPlan => "no-surviving-plan".to_string(),
         };
         stream.instant(lane, &format!("{reason}: {outcome}"), "replan", ev.at);
-    }
-}
-
-/// Per-GPU memory-in-use counter tracks: the static (optimizer-state)
-/// floor plus each running call's active bytes, sampled at every call
-/// boundary on that GPU.
-fn record_memory(
-    stream: &mut EventStream,
-    scope: &Scope,
-    cluster: &ClusterSpec,
-    graph: &DataflowGraph,
-    plan: &ExecutionPlan,
-    config: &EngineConfig,
-    report: &RunReport,
-) {
-    let gpn = cluster.gpus_per_node as usize;
-    let log = &report.master_log;
-    let profile = memcheck::mem_profile(
-        cluster,
-        graph,
-        plan,
-        &config.zero3_models,
-        &config.dist_optim_models,
-    );
-    let mut edges: Vec<Vec<(f64, f64)>> = vec![Vec::new(); cluster.total_gpus() as usize];
-    for req in &log.requests {
-        let Some(resp) = log.response(req.call, req.iter) else {
-            continue;
-        };
-        let active = profile.call_active[req.call.0] as f64;
-        for gpu in plan.assignment(req.call).mesh.gpus() {
-            edges[gpu.0 as usize].push((req.dispatch_time, active));
-            edges[gpu.0 as usize].push((resp.completed_at, -active));
-        }
-    }
-    for (g, mut ev) in edges.into_iter().enumerate() {
-        let floor = profile.static_bytes[g] as f64;
-        if ev.is_empty() && floor == 0.0 {
-            continue;
-        }
-        // Releases before acquisitions at equal timestamps, so back-to-back
-        // calls do not produce a spurious double-occupancy sample.
-        ev.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite times")
-                .then(a.1.partial_cmp(&b.1).expect("finite deltas"))
-        });
-        let node = g / gpn;
-        let pid = scope.counter_pid(node);
-        let track = format!("mem/node{node}/gpu{}", g % gpn);
-        let mut level = floor;
-        stream.counter(pid, &track, 0.0, level);
-        for (ts, delta) in ev {
-            level += delta;
-            stream.counter(pid, &track, ts, level);
-        }
     }
 }
 
@@ -503,9 +433,7 @@ mod tests {
     use real_obs::{MetricValue, StreamEvent};
 
     fn fault_pid() -> u32 {
-        Scope::cluster(8)
-            .lane(Lane::GpuFault { gpu: 0, layer: 0 })
-            .pid
+        Scope::cluster(8).lane(Lane::GpuFault(0, 0)).pid
     }
 
     fn replan_pid() -> u32 {

@@ -1,16 +1,11 @@
 //! Observability for multi-tenant runs: per-tenant Chrome-trace process
 //! groups and the `sched/*` metrics namespace.
 //!
-//! Single-tenant traces map nodes to Chrome processes; with several
-//! tenants sharing one cluster that grouping interleaves unrelated
-//! workloads. [`sched_event_stream`] instead records every tenant's run
-//! with the runtime's one run recorder ([`real_runtime::obs::record_run`])
-//! in the tenant's own scope ([`Scope::tenant`]): one process row
-//! (`tenant:<name>`) holding a lane per GPU the tenant touched, a master
-//! lane per call, and its fault, re-plan and counter tracks. Open the
-//! export in Perfetto and each tenant reads as an isolated program,
-//! including any time-shared GPUs appearing in two process groups at
-//! disjoint times.
+//! [`sched_event_stream`] records every tenant's run with the runtime's
+//! run recorder ([`real_runtime::obs::record_run`]) in the tenant's own
+//! scope ([`Scope::tenant`]): one `tenant:<name>` process holding every
+//! lane of its solo export. In Perfetto each tenant reads as an isolated
+//! program, time-shared GPUs appearing in two groups at disjoint times.
 
 use crate::report::{SchedReport, TenantOutcome};
 use crate::scheduler::SchedOutcome;
