@@ -5,17 +5,17 @@
 //! a thread per GPU), a `master` process (a thread per call) and synthetic
 //! `faults`, `replan` and `lifecycle` processes. [`Scope::tenant`] keeps
 //! every lane of one tenant in its own `tenant:<name>` process. Inside a
-//! process, lane kinds sit in disjoint bands of [`BAND`] thread ids, and
-//! the overlap layers of a fault lane [`LAYER_BANDS`] bands apart, so no
+//! process, lane kinds sit in disjoint bands of `BAND` thread ids, and
+//! the overlap layers of a fault lane `LAYER_BANDS` bands apart, so no
 //! two lanes can collide.
 
 use crate::events::{EventStream, LaneId};
 
 /// Thread ids per band; GPU, call and node indices stay below it.
-pub const BAND: u32 = 1 << 16;
+const BAND: u32 = 1 << 16;
 
 /// Bands between two overlap layers of one fault lane.
-pub const LAYER_BANDS: u32 = 1 << 8;
+const LAYER_BANDS: u32 = 1 << 8;
 
 const MASTER_PID: u32 = u32::MAX;
 const TENANT_PID_BASE: u32 = 1 << 20;

@@ -30,8 +30,9 @@
 //! Producers upstream: `real-runtime::obs::record_run` (the one run
 //! recorder: per-GPU kernel spans from the `real-sim` trace, per-link
 //! utilization counters, function-call spans, fault and re-plan lanes,
-//! per-GPU memory tracks), `real-serve` (tenant lifecycle lanes) and
-//! `real-search` (MCMC chain telemetry).
+//! per-GPU memory tracks), `real-serve` (tenant lifecycle lanes),
+//! `real-search` (MCMC chain telemetry), `real-estimator` (Algorithm-1
+//! queue events).
 
 pub mod chrome;
 pub mod critpath;
