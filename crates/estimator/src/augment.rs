@@ -131,6 +131,16 @@ pub trait NodeCosts {
     /// Duration of generation call `call` under `a`, decoding speculatively
     /// under `choice` (seconds).
     fn spec_duration(&mut self, call: CallId, a: &CallAssignment, choice: &SpecChoice) -> f64;
+
+    /// Duration of `call`'s node under `a`: [`NodeCosts::spec_duration`]
+    /// when `plan` decodes `call` speculatively, [`NodeCosts::duration`]
+    /// otherwise (seconds).
+    fn call_node(&mut self, plan: &ExecutionPlan, call: CallId, a: &CallAssignment) -> f64 {
+        match plan.spec_choice(call) {
+            Some(choice) => self.spec_duration(call, a, choice),
+            None => self.duration(call, a),
+        }
+    }
 }
 
 /// The unmemoized [`NodeCosts`]: every query goes straight to the
@@ -213,6 +223,52 @@ impl Template {
     /// Number of unrolled iterations the template was built for.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// A lower bound on `TimeCost` that reads only call durations
+    /// (`durations[call]`, the value the call node takes in
+    /// [`Template::instantiate`]): the longest path through the unrolled
+    /// call nodes over the edges `instantiate` wires — data dependencies,
+    /// the model's previous call in the iteration, and the cross-iteration
+    /// wrap-around from the model's last call — divided by the iteration
+    /// count.
+    ///
+    /// The bound is exact in floating point, with no epsilon: Algorithm 1
+    /// starts every node no earlier than each parent's end, the transfer and
+    /// reallocation nodes this path skips only add non-negative time, and
+    /// `fl(x + d)` and `fl(x / K)` are monotone in `x`. So it never exceeds
+    /// the makespan-derived `TimeCost` of the same durations, nor the §5.2
+    /// cost (the OOM penalty is ≥ 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `durations` has one entry per call of `graph`.
+    pub fn critical_path_bound(&self, graph: &DataflowGraph, durations: &[f64]) -> f64 {
+        let n = graph.n_calls();
+        assert_eq!(durations.len(), n, "one duration per call");
+        // End times of the current and the previous iteration's call nodes;
+        // topological order writes every entry before this iteration reads it.
+        let mut end = vec![0.0f64; n];
+        let mut prev_end = vec![0.0f64; n];
+        let mut longest = 0.0f64;
+        for iter in 0..self.iterations {
+            for &call in &self.topo {
+                let mut start = 0.0f64;
+                for &dep in graph.deps(call) {
+                    start = start.max(end[dep.0]);
+                }
+                if let Some(p) = self.prev_in_iter[call.0] {
+                    start = start.max(end[p.0]);
+                } else if iter > 0 {
+                    start = start.max(prev_end[self.model_last[call.0].0]);
+                }
+                let e = start + durations[call.0];
+                end[call.0] = e;
+                longest = longest.max(e);
+            }
+            std::mem::swap(&mut end, &mut prev_end);
+        }
+        longest / self.iterations as f64
     }
 
     /// Materializes the augmented node list for one plan, with assignments
@@ -303,13 +359,11 @@ impl Template {
 
                 parents.sort_unstable();
                 parents.dedup();
-                let (duration, meshes) = match plan.spec_choice(call) {
-                    Some(choice) => (
-                        costs.spec_duration(call, &a, choice),
-                        vec![a.mesh, choice.assignment.mesh],
-                    ),
-                    None => (costs.duration(call, &a), vec![a.mesh]),
-                };
+                let duration = costs.call_node(plan, call, &a);
+                let mut meshes = vec![a.mesh];
+                if let Some(choice) = plan.spec_choice(call) {
+                    meshes.push(choice.assignment.mesh);
+                }
                 nodes.push(AugNode {
                     kind: NodeKind::Call { call, iter },
                     duration,
@@ -453,6 +507,30 @@ mod tests {
         // Moving a 7B shard over the fabric: milliseconds-to-seconds scale,
         // far below a full generation call.
         assert!(c < 5.0, "realloc {c}");
+    }
+
+    #[test]
+    fn critical_path_bound_covers_every_model_chain_and_stays_below_time_cost() {
+        let (cluster, graph, est) = setup();
+        let plan = symmetric(&cluster, &graph);
+        let durations: Vec<f64> = (0..graph.n_calls())
+            .map(|c| est.call_duration(CallId(c), plan.assignment(CallId(c))))
+            .collect();
+        for iterations in 1..=3 {
+            let est = est.clone().with_iterations(iterations);
+            let bound = Template::new(&graph, iterations).critical_path_bound(&graph, &durations);
+            assert!(bound <= est.time_cost(&plan), "{iterations} iterations");
+            // Calls of one model serialize, so the bound is at least the
+            // per-iteration sum of any model's call durations.
+            for model in graph.model_names() {
+                let chain: f64 = graph
+                    .calls_of_model(model)
+                    .iter()
+                    .map(|c| durations[c.0])
+                    .sum();
+                assert!(bound >= chain * (1.0 - 1e-12), "{model}: {bound} < {chain}");
+            }
+        }
     }
 
     #[test]

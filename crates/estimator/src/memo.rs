@@ -677,6 +677,34 @@ impl<'a> PlanPricer<'a> {
     ) -> (f64, bool) {
         self.cost_checked_at(plan, |id| if id == call { a } else { *plan.assignment(id) })
     }
+
+    /// A lower bound on [`PlanPricer::cost_checked_perturbed`] of the same
+    /// arguments that reads only call durations through the memo (the
+    /// speculation-aware duration where `plan` has a
+    /// [`SpecChoice`]): the [`Template::critical_path_bound`] of the
+    /// perturbed plan. Never above the perturbed plan's `TimeCost` or
+    /// penalized cost, bit-for-bit, so a search may skip any candidate whose
+    /// bound already reaches the cost it must beat.
+    pub fn cost_lower_bound_perturbed(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        a: CallAssignment,
+    ) -> f64 {
+        let graph = self.est.graph();
+        let mut costs = MemoCosts {
+            est: self.est,
+            memo: &mut self.memo,
+        };
+        let durations: Vec<f64> = (0..graph.n_calls())
+            .map(CallId)
+            .map(|id| {
+                let assigned = if id == call { a } else { *plan.assignment(id) };
+                costs.call_node(plan, id, &assigned)
+            })
+            .collect();
+        self.template.critical_path_bound(graph, &durations)
+    }
 }
 
 #[cfg(test)]
@@ -918,6 +946,48 @@ mod tests {
             let slow = est.cost_checked(&plan.with_assignment(call, a).unwrap());
             proptest::prop_assert_eq!(fast.0.to_bits(), slow.0.to_bits());
             proptest::prop_assert_eq!(fast.1, slow.1);
+        }
+
+        /// The polish's pruning contract: the critical-path bound never
+        /// exceeds the penalized cost or the `TimeCost` it stands in for —
+        /// plain `<=` on `f64`, no epsilon — on plain and speculative plans,
+        /// under a slowed GPU, at one to three unrolled iterations.
+        #[test]
+        fn critical_path_bound_never_exceeds_the_cost(
+            picks in proptest::collection::vec(0usize..10_000, 6),
+            perturb in 0usize..6,
+            alt in 0usize..10_000,
+            iterations in 1usize..4,
+            speculative in 0u8..2,
+            slow_gpu in 0u32..32,
+        ) {
+            let (cluster, _, est) = setup();
+            let mut est = est.clone().with_iterations(iterations);
+            // Half the draws slow one GPU of the 16-GPU cluster.
+            if slow_gpu < cluster.total_gpus() {
+                let mut health = ClusterHealth::healthy(cluster);
+                health.mark_slow(GpuId(slow_gpu), 2.5);
+                est = est.with_health(health);
+            }
+            let mut plan = plan_from(&picks);
+            if speculative == 1 {
+                plan = spec_plan(&plan);
+            }
+            let mut pricer = PlanPricer::new(&est);
+            let call = CallId(perturb);
+            let own = *plan.assignment(call);
+            let bound = pricer.cost_lower_bound_perturbed(&plan, call, own);
+            proptest::prop_assert!(bound > 0.0);
+            proptest::prop_assert!(bound <= pricer.cost_checked(&plan).0);
+            proptest::prop_assert!(bound <= est.time_cost(&plan));
+
+            let opts = options(cluster);
+            let a = opts[alt % opts.len()];
+            let bound = pricer.cost_lower_bound_perturbed(&plan, call, a);
+            proptest::prop_assert!(bound <= pricer.cost_checked_perturbed(&plan, call, a).0);
+            let perturbed = plan.with_assignment(call, a).unwrap();
+            proptest::prop_assert!(bound <= est.cost_checked(&perturbed).0);
+            proptest::prop_assert!(bound <= est.time_cost(&perturbed));
         }
     }
 }

@@ -4,13 +4,15 @@
 //! The raw space is not enumerable (hundreds of options per call, six
 //! calls), so, as recorded in DESIGN.md, the reference enumerates the same
 //! pruned space the MCMC searches, truncated to the top-`k` options per
-//! call by isolated duration, with an admissible lower bound: calls of the
-//! same model must serialize (parameter-version edges), so the max over
-//! models of the sum of per-call minimum durations never overestimates the
-//! makespan.
+//! call by isolated duration, with an admissible lower bound: the
+//! [`Template::critical_path_bound`] of the fixed calls' durations plus each
+//! open call's minimum duration. The makespan is at least the longest path
+//! through the call nodes, and the path only grows with any call's
+//! duration, so the bound never overestimates any plan in the subtree.
 
 use crate::space::SearchSpace;
 use real_dataflow::{CallId, ExecutionPlan};
+use real_estimator::augment::Template;
 use real_estimator::{Estimator, PlanPricer};
 use std::time::{Duration, Instant};
 
@@ -64,26 +66,12 @@ pub fn brute_force(est: &Estimator, space: &SearchSpace, cfg: &BruteConfig) -> B
     // Truncate and sort each call's options by isolated duration.
     let small = space.truncated_by(cfg.top_k, |call, a| est.call_duration(CallId(call), a));
 
-    // Per-model groups for the serialization lower bound.
-    let model_of: Vec<usize> = {
-        let names = graph.model_names();
-        graph
-            .calls()
-            .iter()
-            .map(|c| {
-                names
-                    .iter()
-                    .position(|&m| m == c.model_name)
-                    .expect("model listed")
-            })
-            .collect()
-    };
-    let n_models = graph.model_names().len();
     // min_dur[call] over the truncated options (options are sorted by
     // duration, so index 0 is the minimum).
     let min_dur: Vec<f64> = (0..n)
         .map(|c| est.call_duration(CallId(c), &small.options(c)[0]))
         .collect();
+    let template = Template::new(graph, est.iterations());
 
     let mut pricer = PlanPricer::new(est);
     let mut best_plan: Option<ExecutionPlan> = None;
@@ -127,19 +115,17 @@ pub fn brute_force(est: &Estimator, space: &SearchSpace, cfg: &BruteConfig) -> B
             continue;
         }
 
-        // Lower bound with calls < depth fixed, rest at their minima: the
-        // per-model serialization bound.
-        let mut per_model = vec![0.0f64; n_models];
-        for c in 0..n {
-            let d = if c < depth {
-                est.call_duration(CallId(c), &small.options(c)[choice[c]])
-            } else {
-                min_dur[c]
-            };
-            per_model[model_of[c]] += d;
-        }
-        let lb = per_model.iter().cloned().fold(0.0, f64::max);
-        if lb >= best_cost {
+        // Lower bound with calls < depth fixed, rest at their minima.
+        let durations: Vec<f64> = (0..n)
+            .map(|c| {
+                if c < depth {
+                    est.call_duration(CallId(c), &small.options(c)[choice[c]])
+                } else {
+                    min_dur[c]
+                }
+            })
+            .collect();
+        if template.critical_path_bound(graph, &durations) >= best_cost {
             pruned += 1;
             // Skip this subtree.
             loop {

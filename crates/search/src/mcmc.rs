@@ -29,7 +29,9 @@
 //! outputs of the exact pricing functions [`Estimator::cost`] calls, so a
 //! search's plan and prices are bit-identical to the from-scratch
 //! [`search_reference`] chain — `docs/SEARCH.md` spells out the full
-//! contract.
+//! contract. The post-chain polish skips every candidate whose
+//! [`PlanPricer::cost_lower_bound_perturbed`] already reaches the best
+//! cost; the reference chain polishes exhaustively.
 
 use crate::checkpoint::{project_onto, ChainState, SearchCheckpoint};
 use crate::greedy::greedy_plan;
@@ -94,9 +96,11 @@ pub struct SearchResult {
     /// `(elapsed_secs, best_time_cost)` improvement trace.
     pub trace: Vec<(f64, f64)>,
     /// Per-step chain telemetry, keyed by a `chain=<seed>` label: the
-    /// `search/energy` and `search/best_time_cost` series over steps, and
-    /// the `search/steps` / `search/accepted` / `search/oom_penalty_hits`
-    /// counters plus the `search/acceptance_rate` gauge.
+    /// `search/energy` and `search/best_time_cost` series over steps, the
+    /// `search/steps` / `search/accepted` / `search/oom_penalty_hits`
+    /// counters plus the `search/acceptance_rate` gauge, and the polish's
+    /// `search/polish_priced` / `search/polish_pruned` candidate counters
+    /// (pruned: skipped by the pricer's lower bound).
     pub telemetry: MetricsRegistry,
     /// Resumable chain state, captured at the end of the chain loop (the
     /// polish refines only `best_plan`). Serialize via
@@ -240,8 +244,8 @@ pub fn search_reference(est: &Estimator, space: &SearchSpace, cfg: &McmcConfig) 
 }
 
 /// What a chain prices plans through: the memoized [`PlanPricer`], or the
-/// from-scratch [`Reference`]. Both return bit-identical values for every
-/// query the chain makes.
+/// from-scratch [`Reference`]. Both return bit-identical prices for every
+/// query the chain makes; only the pricer bounds polish candidates.
 trait ChainPricer {
     fn cost_checked(&mut self, plan: &ExecutionPlan) -> (f64, bool);
     fn time_cost(&mut self, plan: &ExecutionPlan) -> f64;
@@ -262,6 +266,18 @@ trait ChainPricer {
             .with_assignment(call, a)
             .expect("options are internally consistent");
         self.cost_checked(&proposal)
+    }
+
+    /// A lower bound on [`ChainPricer::cost_checked_perturbed`] of the same
+    /// arguments, for pruning the polish. The default bounds nothing, so a
+    /// chain without an override prices every polish candidate.
+    fn cost_lower_bound_perturbed(
+        &mut self,
+        _plan: &ExecutionPlan,
+        _call: CallId,
+        _a: CallAssignment,
+    ) -> f64 {
+        f64::NEG_INFINITY
     }
 
     fn memo_stats(&self) -> MemoStats {
@@ -290,6 +306,15 @@ impl ChainPricer for PlanPricer<'_> {
         a: CallAssignment,
     ) -> (f64, bool) {
         PlanPricer::cost_checked_perturbed(self, plan, call, a)
+    }
+
+    fn cost_lower_bound_perturbed(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        a: CallAssignment,
+    ) -> f64 {
+        PlanPricer::cost_lower_bound_perturbed(self, plan, call, a)
     }
 
     fn memo_stats(&self) -> MemoStats {
@@ -457,7 +482,11 @@ fn run_chain_on(
     // Coordinate-descent polish: sweep the calls, replacing each assignment
     // with its best alternative while the others stay fixed. Converges to a
     // local optimum of the same cost the chain sampled; bounded by the
-    // remaining wall-clock budget.
+    // remaining wall-clock budget. A candidate is taken only at a strictly
+    // lower cost and the pricer's lower bound never exceeds the cost, so
+    // skipping every candidate whose bound reaches `best_cost` takes the
+    // same moves in the same order as pricing them all.
+    let (mut polish_priced, mut polish_pruned) = (0u64, 0u64);
     let mut improved = true;
     while improved && start.elapsed() < cfg.time_limit {
         improved = false;
@@ -469,6 +498,11 @@ fn run_chain_on(
                 if opt == *best_plan.assignment(CallId(call)) {
                     continue;
                 }
+                if pricer.cost_lower_bound_perturbed(&best_plan, CallId(call), opt) >= best_cost {
+                    polish_pruned += 1;
+                    continue;
+                }
+                polish_priced += 1;
                 let (cost, _) = pricer.cost_checked_perturbed(&best_plan, CallId(call), opt);
                 if cost < best_cost {
                     best_plan = best_plan
@@ -486,6 +520,8 @@ fn run_chain_on(
 
     telemetry.counter_add("search/steps", &labels, steps as f64);
     telemetry.counter_add("search/accepted", &labels, accepted as f64);
+    telemetry.counter_add("search/polish_priced", &labels, polish_priced as f64);
+    telemetry.counter_add("search/polish_pruned", &labels, polish_pruned as f64);
     telemetry.gauge_set(
         "search/acceptance_rate",
         &labels,
@@ -810,6 +846,23 @@ mod tests {
         assert_eq!(a.chain, b.chain, "chain state must match bit-for-bit");
         assert!(a.memo.hits > 0, "the fast path must actually hit");
         assert_eq!(b.memo, MemoStats::default());
+        // The pricer chain's polish skips candidates by the critical-path
+        // bound; the reference chain's stays exhaustive.
+        let polish = |r: &SearchResult, name: &str| {
+            let chain = cfg.seed.to_string();
+            r.telemetry
+                .get(name, &[("chain", chain.as_str())])
+                .unwrap()
+                .scalar()
+        };
+        assert!(polish(&a, "search/polish_pruned") > 0.0);
+        assert_eq!(polish(&b, "search/polish_pruned"), 0.0);
+        assert!(polish(&b, "search/polish_priced") > polish(&a, "search/polish_priced"));
+        assert_eq!(
+            polish(&a, "search/polish_priced") + polish(&a, "search/polish_pruned"),
+            polish(&b, "search/polish_priced"),
+            "both polishes visit the same candidates"
+        );
     }
 
     #[test]
