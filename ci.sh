@@ -98,9 +98,11 @@ for flag in spec-decode draft-model spec-k acceptance no-spec memo-in memo-out; 
 done
 
 # Search-throughput gate: the memoized fast path must beat from-scratch
-# pricing on the CI-sized config while choosing the identical plan (see
-# docs/SEARCH.md). The full three-scale table is the `search_throughput`
-# ablation; this runs only the small gate pair.
+# pricing on the CI-sized config while choosing the identical plan, and the
+# critical-path bound must keep rejecting most chain steps unpriced and
+# pruning most polish candidates (see docs/SEARCH.md). The full three-scale
+# table is the `search_throughput` ablation; this runs only the small gate
+# pair.
 cargo bench -q -p real-bench --bench ablations -- search_throughput_gate
 
 # Speculation gate: on the decode-dominant CI pairing the searched

@@ -770,12 +770,22 @@ fn async_overlap() {
     );
 }
 
-/// One reference-chain vs pricer-chain search pair at a fixed step budget.
-/// Returns `(reference_secs, pricer_secs, hit_rate, pruned_frac)` — the
-/// last is the share of the pricer chain's polish candidates skipped by the
-/// critical-path bound — and asserts the plans are identical: the pricer is
-/// an optimization, never a different search.
-fn throughput_pair(nodes: u32, actor: ModelSpec, batch: u64, steps: u64) -> (f64, f64, f64, f64) {
+/// One reference-chain vs pricer-chain search pair at a fixed step budget,
+/// in the shape [`throughput_pair`] returns.
+struct ThroughputPair {
+    reference_secs: f64,
+    pricer_secs: f64,
+    hit_rate: f64,
+    /// Share of the pricer chain's polish candidates skipped by the
+    /// critical-path bound.
+    pruned_frac: f64,
+    /// Share of the pricer chain's steps rejected by the bound unpriced.
+    gated_frac: f64,
+}
+
+/// Runs one [`ThroughputPair`] and asserts the plans and chains are
+/// identical: the pricer is an optimization, never a different search.
+fn throughput_pair(nodes: u32, actor: ModelSpec, batch: u64, steps: u64) -> ThroughputPair {
     let s = Setting::new(nodes, actor, batch);
     let exp = ppo_experiment(&s).with_quick_profile();
     let (est, _) = exp.prepare();
@@ -798,16 +808,22 @@ fn throughput_pair(nodes: u32, actor: ModelSpec, batch: u64, steps: u64) -> (f64
         "memoization must not change the chosen plan"
     );
     assert_eq!(off.best_time_cost.to_bits(), on.best_time_cost.to_bits());
+    assert_eq!(off.chain, on.chain, "gating must not change the chain");
     let chain = cfg.seed.to_string();
-    let polish = |name: &str| {
+    let counter = |name: &str| {
         on.telemetry
             .get(name, &[("chain", chain.as_str())])
-            .expect("every chain counts its polish")
+            .expect("every chain counts its steps and polish")
             .scalar()
     };
-    let pruned = polish("search/polish_pruned");
-    let pruned_frac = pruned / (pruned + polish("search/polish_priced")).max(1.0);
-    (off_secs, on_secs, on.memo.hit_rate(), pruned_frac)
+    let pruned = counter("search/polish_pruned");
+    ThroughputPair {
+        reference_secs: off_secs,
+        pricer_secs: on_secs,
+        hit_rate: on.memo.hit_rate(),
+        pruned_frac: pruned / (pruned + counter("search/polish_priced")).max(1.0),
+        gated_frac: counter("search/bound_rejected") / (on.steps as f64).max(1.0),
+    }
 }
 
 /// The fast-path headline: MCMC steps/sec with the incremental memoized
@@ -825,21 +841,22 @@ fn search_throughput() {
         "on steps/s",
         "speedup",
         "hit rate",
+        "steps gated",
         "polish pruned",
     ]);
     for (nodes, steps) in [(8u32, 4_000u64), (128, 1_000), (1_024, 400)] {
-        let (off_secs, on_secs, hit_rate, pruned_frac) =
-            throughput_pair(nodes, ModelSpec::llama3_70b(), 4096, steps);
+        let p = throughput_pair(nodes, ModelSpec::llama3_70b(), 4096, steps);
         table.row(vec![
             (nodes * 8).to_string(),
             steps.to_string(),
-            format!("{off_secs:.2}"),
-            format!("{on_secs:.2}"),
-            format!("{:.0}", steps as f64 / off_secs),
-            format!("{:.0}", steps as f64 / on_secs),
-            format!("{:.1}x", off_secs / on_secs),
-            format!("{:.0}%", hit_rate * 100.0),
-            format!("{:.0}%", pruned_frac * 100.0),
+            format!("{:.2}", p.reference_secs),
+            format!("{:.2}", p.pricer_secs),
+            format!("{:.0}", steps as f64 / p.reference_secs),
+            format!("{:.0}", steps as f64 / p.pricer_secs),
+            format!("{:.1}x", p.reference_secs / p.pricer_secs),
+            format!("{:.0}%", p.hit_rate * 100.0),
+            format!("{:.0}%", p.gated_frac * 100.0),
+            format!("{:.0}%", p.pruned_frac * 100.0),
         ]);
     }
     println!("{table}\n(speedup grows with cluster size: from-scratch MaxMem scans every GPU,\n the fast path re-prices only what the one-call perturbation touched)");
@@ -1000,31 +1017,44 @@ fn spec_decode_gate() {
 /// CI-sized regression gate for the fast path: same plan, the memoized
 /// search must beat the from-scratch reference chain by a conservative
 /// margin on the quick config (the full ablation shows far larger wins at
-/// scale), and the critical-path bound must keep pruning the polish.
+/// scale), and the critical-path bound must keep gating the chain and
+/// pruning the polish.
 fn search_throughput_gate() {
-    // The 1024-GPU pair (128 nodes, 70B actor). The reference chain's
-    // exhaustive coordinate-descent polish dominates it; the pricer chain
-    // skips most polish candidates by the critical-path bound. On a shared
-    // 2-vCPU VM a 1-step search (greedy start plus polish) takes 11.4 s
-    // from scratch vs 1.27 s memoized, the full 1000-step search 16.6 s vs
-    // 0.69 s, and the greedy start alone 0.06 s — ~24x, with 94% of the
-    // pricer chain's polish candidates pruned, so both floors have margin.
-    let (off_secs, on_secs, hit_rate, pruned_frac) =
-        throughput_pair(128, ModelSpec::llama3_70b(), 4096, 1_000);
-    let speedup = off_secs / on_secs;
+    // The 1024-GPU pair (128 nodes, 70B actor). The reference chain prices
+    // every proposal and polish candidate from scratch; the pricer chain
+    // rejects most proposals by the critical-path bound unpriced and skips
+    // most polish candidates by the per-call duration threshold. On a
+    // shared 2-vCPU VM the full 1000-step search takes 6.3 s from scratch
+    // vs 0.18 s through the pricer (~35x), with 88% of the pricer chain's
+    // steps gated and 94% of its polish candidates pruned, so every floor
+    // has margin.
+    let p = throughput_pair(128, ModelSpec::llama3_70b(), 4096, 1_000);
+    let speedup = p.reference_secs / p.pricer_secs;
     println!(
-        "reference chain {off_secs:.2}s, pricer chain {on_secs:.2}s -> {speedup:.1}x (hit rate {:.0}%, polish pruned {:.0}%)",
-        hit_rate * 100.0,
-        pruned_frac * 100.0
+        "reference chain {:.2}s, pricer chain {:.2}s -> {speedup:.1}x (hit rate {:.0}%, steps gated {:.0}%, polish pruned {:.0}%)",
+        p.reference_secs,
+        p.pricer_secs,
+        p.hit_rate * 100.0,
+        p.gated_frac * 100.0,
+        p.pruned_frac * 100.0
     );
-    assert!(hit_rate > 0.5, "memo hit rate collapsed: {:.2}", hit_rate);
+    assert!(
+        p.hit_rate > 0.5,
+        "memo hit rate collapsed: {:.2}",
+        p.hit_rate
+    );
     assert!(
         speedup > 1.5,
         "fast path regressed: only {speedup:.2}x over from-scratch pricing"
     );
     assert!(
-        pruned_frac > 0.8,
+        p.pruned_frac > 0.8,
         "critical-path bound stopped pruning the polish: {:.2}",
-        pruned_frac
+        p.pruned_frac
+    );
+    assert!(
+        p.gated_frac > 0.7,
+        "critical-path bound stopped gating the chain: {:.2}",
+        p.gated_frac
     );
 }

@@ -691,19 +691,78 @@ impl<'a> PlanPricer<'a> {
         call: CallId,
         a: CallAssignment,
     ) -> f64 {
-        let graph = self.est.graph();
-        let mut costs = MemoCosts {
+        let durations =
+            self.call_node_durations(plan, |id| if id == call { a } else { *plan.assignment(id) });
+        self.template
+            .critical_path_bound(self.est.graph(), &durations)
+    }
+
+    /// The duration `call`'s node takes under `a` in `plan`'s augmented
+    /// graph, read through the memo: the speculation-aware duration where
+    /// `plan` has a [`SpecChoice`] for `call`, the plain one otherwise.
+    pub fn call_node_duration(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        a: &CallAssignment,
+    ) -> f64 {
+        MemoCosts {
             est: self.est,
             memo: &mut self.memo,
-        };
-        let durations: Vec<f64> = (0..graph.n_calls())
+        }
+        .call_node(plan, call, a)
+    }
+
+    fn call_node_durations<F>(&mut self, plan: &ExecutionPlan, assign: F) -> Vec<f64>
+    where
+        F: Fn(CallId) -> CallAssignment,
+    {
+        (0..self.est.graph().n_calls())
             .map(CallId)
-            .map(|id| {
-                let assigned = if id == call { a } else { *plan.assignment(id) };
-                costs.call_node(plan, id, &assigned)
-            })
-            .collect();
-        self.template.critical_path_bound(graph, &durations)
+            .map(|id| self.call_node_duration(plan, id, &assign(id)))
+            .collect()
+    }
+
+    /// The least call-node duration `d*` at which
+    /// [`PlanPricer::cost_lower_bound_perturbed`] of `plan` with `call`
+    /// reassigned reaches `target`: every `a` whose
+    /// [`PlanPricer::call_node_duration`] is `>= d*` has a bound `>=
+    /// target`, and every `a` below it has a bound `< target`.
+    ///
+    /// Exact, with no epsilon: the bound is monotone non-decreasing in one
+    /// call's duration in floating point (`fl(+)`, `max` and `fl(x / K)`
+    /// are), so `d*` is found by bisection over the bit patterns of the
+    /// non-negative `f64`s — about 64 bound evaluations, after which each
+    /// candidate costs one memo lookup and one comparison. `+∞` when no
+    /// finite duration reaches `target`.
+    pub fn lower_bound_threshold(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        target: f64,
+    ) -> f64 {
+        let graph = self.est.graph();
+        let mut durations = self.call_node_durations(plan, |id| *plan.assignment(id));
+        let mut reaches = |bits: u64| {
+            durations[call.0] = f64::from_bits(bits);
+            self.template.critical_path_bound(graph, &durations) >= target
+        };
+        // Non-negative f64s order like their bit patterns. Invariant: the
+        // bound at `lo` misses `target`, the bound at `hi` does not (at
+        // `+∞` the bound is `+∞`).
+        let (mut lo, mut hi) = (0u64, f64::INFINITY.to_bits());
+        if reaches(lo) {
+            return 0.0;
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if reaches(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        f64::from_bits(hi)
     }
 }
 
@@ -988,6 +1047,47 @@ mod tests {
             let perturbed = plan.with_assignment(call, a).unwrap();
             proptest::prop_assert!(bound <= est.cost_checked(&perturbed).0);
             proptest::prop_assert!(bound <= est.time_cost(&perturbed));
+        }
+
+        /// The polish's threshold decides exactly as the full bound: a
+        /// candidate's duration reaches the threshold iff its bound reaches
+        /// the target, for targets around the plan's own cost and at the
+        /// threshold itself.
+        #[test]
+        fn lower_bound_threshold_decides_exactly_as_the_bound(
+            picks in proptest::collection::vec(0usize..10_000, 6),
+            perturb in 0usize..6,
+            alts in proptest::collection::vec(0usize..10_000, 8),
+            scale in 0.25..1.5f64,
+            speculative in 0u8..2,
+        ) {
+            let (cluster, _, est) = setup();
+            let mut plan = plan_from(&picks);
+            if speculative == 1 {
+                plan = spec_plan(&plan);
+            }
+            let mut pricer = PlanPricer::new(est);
+            let call = CallId(perturb);
+            let target = pricer.cost(&plan) * scale;
+            let d_star = pricer.lower_bound_threshold(&plan, call, target);
+            let opts = options(cluster);
+            for alt in &alts {
+                let a = opts[alt % opts.len()];
+                let pruned = pricer.call_node_duration(&plan, call, &a) >= d_star;
+                let bound = pricer.cost_lower_bound_perturbed(&plan, call, a);
+                proptest::prop_assert_eq!(pruned, bound >= target);
+            }
+            // `d*` is the least duration that reaches the target.
+            let own = pricer.call_node_durations(&plan, |id| *plan.assignment(id));
+            let bound_at = |d: f64| {
+                let mut durations = own.clone();
+                durations[call.0] = d;
+                pricer.template.critical_path_bound(est.graph(), &durations)
+            };
+            proptest::prop_assert!(bound_at(d_star) >= target);
+            if d_star > 0.0 {
+                proptest::prop_assert!(bound_at(f64::from_bits(d_star.to_bits() - 1)) < target);
+            }
         }
     }
 }

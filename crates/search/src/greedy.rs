@@ -24,14 +24,12 @@ pub fn greedy_plan(est: &Estimator, space: &SearchSpace) -> ExecutionPlan {
     let mut assignments = Vec::with_capacity(graph.n_calls());
     for call in 0..graph.n_calls() {
         let id = CallId(call);
-        let best = space
+        // Each option is priced once; `min_by` keeps the first minimum.
+        let (best, _) = space
             .options(call)
             .iter()
-            .min_by(|a, b| {
-                est.call_duration(id, a)
-                    .partial_cmp(&est.call_duration(id, b))
-                    .expect("durations are finite")
-            })
+            .map(|a| (a, est.call_duration(id, a)))
+            .min_by(|(_, x), (_, y)| x.partial_cmp(y).expect("durations are finite"))
             .expect("search space guarantees non-empty option lists");
         assignments.push(*best);
     }

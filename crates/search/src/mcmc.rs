@@ -29,15 +29,17 @@
 //! outputs of the exact pricing functions [`Estimator::cost`] calls, so a
 //! search's plan and prices are bit-identical to the from-scratch
 //! [`search_reference`] chain — `docs/SEARCH.md` spells out the full
-//! contract. The post-chain polish skips every candidate whose
-//! [`PlanPricer::cost_lower_bound_perturbed`] already reaches the best
-//! cost; the reference chain polishes exhaustively.
+//! contract. The chain rejects a proposal without pricing it when its
+//! [`PlanPricer::cost_lower_bound_perturbed`] already loses the Metropolis
+//! draw, and the post-chain polish skips every candidate whose bound
+//! already reaches the best cost; the reference chain does neither.
 
 use crate::checkpoint::{project_onto, ChainState, SearchCheckpoint};
 use crate::greedy::greedy_plan;
 use crate::space::{PruneLevel, SearchSpace};
 use real_cluster::{partition, DeviceMesh};
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan};
+use real_estimator::augment::NodeCosts;
 use real_estimator::{CostMemo, Estimator, MemoStats, PlanPricer};
 use real_obs::MetricsRegistry;
 use real_util::DeterministicRng;
@@ -98,9 +100,12 @@ pub struct SearchResult {
     /// Per-step chain telemetry, keyed by a `chain=<seed>` label: the
     /// `search/energy` and `search/best_time_cost` series over steps, the
     /// `search/steps` / `search/accepted` / `search/oom_penalty_hits`
-    /// counters plus the `search/acceptance_rate` gauge, and the polish's
-    /// `search/polish_priced` / `search/polish_pruned` candidate counters
-    /// (pruned: skipped by the pricer's lower bound).
+    /// counters plus the `search/acceptance_rate` gauge, the
+    /// `search/bound_rejected` counter (steps rejected by the pricer's
+    /// lower bound without being priced; `search/oom_penalty_hits` counts
+    /// priced proposals only), and the polish's `search/polish_priced` /
+    /// `search/polish_pruned` candidate counters (pruned: skipped by the
+    /// pricer's lower bound).
     pub telemetry: MetricsRegistry,
     /// Resumable chain state, captured at the end of the chain loop (the
     /// polish refines only `best_plan`). Serialize via
@@ -269,8 +274,8 @@ trait ChainPricer {
     }
 
     /// A lower bound on [`ChainPricer::cost_checked_perturbed`] of the same
-    /// arguments, for pruning the polish. The default bounds nothing, so a
-    /// chain without an override prices every polish candidate.
+    /// arguments, for gating proposals. The default bounds nothing, so a
+    /// chain without an override prices every proposal.
     fn cost_lower_bound_perturbed(
         &mut self,
         _plan: &ExecutionPlan,
@@ -279,6 +284,23 @@ trait ChainPricer {
     ) -> f64 {
         f64::NEG_INFINITY
     }
+
+    /// The polish's pruning threshold for `call` against `target`: a
+    /// candidate whose [`ChainPricer::call_node_duration`] reaches it has a
+    /// lower bound `>= target`. The default bounds nothing (`None`), so a
+    /// chain without an override prices every polish candidate.
+    fn polish_threshold(
+        &mut self,
+        _plan: &ExecutionPlan,
+        _call: CallId,
+        _target: f64,
+    ) -> Option<f64> {
+        None
+    }
+
+    /// The duration `call`'s node takes under `a` in `plan`.
+    fn call_node_duration(&mut self, plan: &ExecutionPlan, call: CallId, a: &CallAssignment)
+        -> f64;
 
     fn memo_stats(&self) -> MemoStats {
         MemoStats::default()
@@ -317,6 +339,19 @@ impl ChainPricer for PlanPricer<'_> {
         PlanPricer::cost_lower_bound_perturbed(self, plan, call, a)
     }
 
+    fn polish_threshold(&mut self, plan: &ExecutionPlan, call: CallId, target: f64) -> Option<f64> {
+        Some(PlanPricer::lower_bound_threshold(self, plan, call, target))
+    }
+
+    fn call_node_duration(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        a: &CallAssignment,
+    ) -> f64 {
+        PlanPricer::call_node_duration(self, plan, call, a)
+    }
+
     fn memo_stats(&self) -> MemoStats {
         PlanPricer::memo_stats(self)
     }
@@ -336,6 +371,15 @@ impl ChainPricer for Reference<'_> {
 
     fn mem_ok(&mut self, plan: &ExecutionPlan) -> bool {
         self.0.mem_ok(plan)
+    }
+
+    fn call_node_duration(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        a: &CallAssignment,
+    ) -> f64 {
+        NodeCosts::call_node(&mut self.0, plan, call, a)
     }
 }
 
@@ -411,28 +455,40 @@ fn run_chain_on(
         trace.push((0.0, pricer.time_cost(&best_plan)));
     }
 
+    let mut bound_rejected = 0u64;
     while steps < cfg.max_steps && start.elapsed() < cfg.time_limit {
         steps += 1;
         // Propose: re-draw one call's assignment uniformly from its options.
         let call = CallId(rng.index(n_calls));
         let opts = space.options(call.0);
         let proposal_assignment = opts[rng.index(opts.len())];
-        // Priced as a one-call perturbation of the incumbent: the fast path
-        // re-uses every cached sub-result the perturbation did not touch.
-        let (proposal_cost, oom_penalized) =
-            pricer.cost_checked_perturbed(&current, call, proposal_assignment);
-        if oom_penalized {
-            telemetry.counter_inc("search/oom_penalty_hits", &labels);
-        }
 
         // Metropolis acceptance over the scale-free relative energy, with a
         // linear annealing schedule: the chain explores early and freezes
-        // toward the step budget.
+        // toward the step budget. Pricing draws no randomness, so drawing
+        // `u` before it leaves the RNG stream unchanged, and a proposal
+        // whose lower bound already loses to `u` is rejected unpriced.
         let progress = steps as f64 / cfg.max_steps as f64;
         let beta = cfg.beta * (1.0 + 3.0 * progress);
-        let delta = (proposal_cost - current_cost) / current_cost.max(f64::MIN_POSITIVE);
-        let accept_p = (-beta * delta).exp().min(1.0);
-        if rng.uniform() < accept_p {
+        let u = rng.uniform();
+        let bound = pricer.cost_lower_bound_perturbed(&current, call, proposal_assignment);
+        let proposal_cost = if bound_rejects(u, accept_weight(beta, bound, current_cost)) {
+            bound_rejected += 1;
+            None
+        } else {
+            // Priced as a one-call perturbation of the incumbent: the fast
+            // path re-uses every cached sub-result the perturbation did not
+            // touch.
+            let (cost, oom_penalized) =
+                pricer.cost_checked_perturbed(&current, call, proposal_assignment);
+            if oom_penalized {
+                telemetry.counter_inc("search/oom_penalty_hits", &labels);
+            }
+            Some(cost)
+        };
+        if let Some(proposal_cost) =
+            proposal_cost.filter(|&c| u < accept_weight(beta, c, current_cost).min(1.0))
+        {
             current = current
                 .with_assignment(call, proposal_assignment)
                 .expect("options are internally consistent");
@@ -485,7 +541,10 @@ fn run_chain_on(
     // remaining wall-clock budget. A candidate is taken only at a strictly
     // lower cost and the pricer's lower bound never exceeds the cost, so
     // skipping every candidate whose bound reaches `best_cost` takes the
-    // same moves in the same order as pricing them all.
+    // same moves in the same order as pricing them all. The bound is
+    // monotone in the candidate's own duration, so "bound reaches
+    // `best_cost`" is exactly "duration reaches a per-(call, best_cost)
+    // threshold".
     let (mut polish_priced, mut polish_pruned) = (0u64, 0u64);
     let mut improved = true;
     while improved && start.elapsed() < cfg.time_limit {
@@ -494,22 +553,27 @@ fn run_chain_on(
             if start.elapsed() >= cfg.time_limit {
                 break;
             }
-            for &opt in space.options(call) {
-                if opt == *best_plan.assignment(CallId(call)) {
+            let call = CallId(call);
+            let mut threshold = pricer.polish_threshold(&best_plan, call, best_cost);
+            for &opt in space.options(call.0) {
+                if opt == *best_plan.assignment(call) {
                     continue;
                 }
-                if pricer.cost_lower_bound_perturbed(&best_plan, CallId(call), opt) >= best_cost {
-                    polish_pruned += 1;
-                    continue;
+                if let Some(d_star) = threshold {
+                    if pricer.call_node_duration(&best_plan, call, &opt) >= d_star {
+                        polish_pruned += 1;
+                        continue;
+                    }
                 }
                 polish_priced += 1;
-                let (cost, _) = pricer.cost_checked_perturbed(&best_plan, CallId(call), opt);
+                let (cost, _) = pricer.cost_checked_perturbed(&best_plan, call, opt);
                 if cost < best_cost {
                     best_plan = best_plan
-                        .with_assignment(CallId(call), opt)
+                        .with_assignment(call, opt)
                         .expect("options are internally consistent");
                     best_cost = cost;
                     improved = true;
+                    threshold = pricer.polish_threshold(&best_plan, call, best_cost);
                     if cfg.record_trace {
                         trace.push((start.elapsed().as_secs_f64(), pricer.time_cost(&best_plan)));
                     }
@@ -520,6 +584,7 @@ fn run_chain_on(
 
     telemetry.counter_add("search/steps", &labels, steps as f64);
     telemetry.counter_add("search/accepted", &labels, accepted as f64);
+    telemetry.counter_add("search/bound_rejected", &labels, bound_rejected as f64);
     telemetry.counter_add("search/polish_priced", &labels, polish_priced as f64);
     telemetry.counter_add("search/polish_pruned", &labels, polish_pruned as f64);
     telemetry.gauge_set(
@@ -558,6 +623,31 @@ fn run_chain_on(
         chain: chain_state,
         memo: memo_stats,
     }
+}
+
+/// Relative margin on the gate's acceptance weight: `exp` is only
+/// faithfully rounded, so `exp` of a larger argument may come out up to an
+/// ulp or two *below* `exp` of a smaller one.
+const GATE_MARGIN: f64 = 1e-12;
+
+/// The Metropolis weight `exp(-β · (cost − current) / current)` of moving to
+/// a plan of `cost`; the acceptance probability is its `min(1, ·)`.
+fn accept_weight(beta: f64, cost: f64, current: f64) -> f64 {
+    let delta = (cost - current) / current.max(f64::MIN_POSITIVE);
+    (-beta * delta).exp()
+}
+
+/// Whether a proposal whose lower bound has Metropolis weight
+/// `bound_weight` is rejected at `u` without being priced — only when
+/// pricing would reject it too. A cost at or above its bound gives, through
+/// monotone `fl(−)`, `fl(/)` by a positive number and `fl(×)` by `−β`, an
+/// `exp` argument at or below the bound's, so its faithfully rounded weight
+/// exceeds `bound_weight` by at most a relative ~4.4e-16 (normal range) or
+/// two subnormal ulps (below it). The relative [`GATE_MARGIN`] covers the
+/// first and the absolute `f64::MIN_POSITIVE` the second, so `u == 0` is
+/// never gated.
+fn bound_rejects(u: f64, bound_weight: f64) -> bool {
+    bound_weight < 1.0 && u >= bound_weight * (1.0 + GATE_MARGIN) + f64::MIN_POSITIVE
 }
 
 /// The seed chain `k` of a parallel search runs with: chain 0 keeps the
@@ -684,6 +774,7 @@ mod tests {
     use real_dataflow::algo::{ppo, RlhfConfig};
     use real_model::ModelSpec;
     use real_profiler::{ProfileConfig, Profiler};
+    use std::sync::OnceLock;
 
     fn setup(nodes: u32, batch: u64) -> (Estimator, SearchSpace) {
         let cluster = ClusterSpec::h100(nodes);
@@ -848,21 +939,80 @@ mod tests {
         assert_eq!(b.memo, MemoStats::default());
         // The pricer chain's polish skips candidates by the critical-path
         // bound; the reference chain's stays exhaustive.
-        let polish = |r: &SearchResult, name: &str| {
+        let counter = |r: &SearchResult, name: &str| {
             let chain = cfg.seed.to_string();
             r.telemetry
                 .get(name, &[("chain", chain.as_str())])
                 .unwrap()
                 .scalar()
         };
-        assert!(polish(&a, "search/polish_pruned") > 0.0);
-        assert_eq!(polish(&b, "search/polish_pruned"), 0.0);
-        assert!(polish(&b, "search/polish_priced") > polish(&a, "search/polish_priced"));
+        assert!(counter(&a, "search/polish_pruned") > 0.0);
+        assert_eq!(counter(&b, "search/polish_pruned"), 0.0);
+        // Likewise the chain: the pricer gates proposals by the same bound,
+        // the reference prices every one — and both chains end bit-equal.
+        assert!(counter(&a, "search/bound_rejected") > 0.0);
+        assert_eq!(counter(&b, "search/bound_rejected"), 0.0);
+        assert!(counter(&b, "search/polish_priced") > counter(&a, "search/polish_priced"));
         assert_eq!(
-            polish(&a, "search/polish_priced") + polish(&a, "search/polish_pruned"),
-            polish(&b, "search/polish_priced"),
+            counter(&a, "search/polish_priced") + counter(&a, "search/polish_pruned"),
+            counter(&b, "search/polish_priced"),
             "both polishes visit the same candidates"
         );
+    }
+
+    /// One estimator and space per node count, shared across proptest cases.
+    fn shared_setup(nodes: u32) -> &'static (Estimator, SearchSpace) {
+        static ONE: OnceLock<(Estimator, SearchSpace)> = OnceLock::new();
+        static TWO: OnceLock<(Estimator, SearchSpace)> = OnceLock::new();
+        let cell = if nodes == 1 { &ONE } else { &TWO };
+        cell.get_or_init(|| setup(nodes, 128))
+    }
+
+    proptest::proptest! {
+        /// The gate's exactness contract: whenever the lower bound rejects a
+        /// proposal unpriced, pricing it would have rejected it too — at a
+        /// random `u`, at the least `u` the gate rejects, and for the
+        /// tightest admissible bound — over random 1–2-node plans, calls,
+        /// options and the whole annealing range of β.
+        #[test]
+        fn bound_gate_only_rejects_what_pricing_rejects(
+            nodes in 1u32..3,
+            picks in proptest::collection::vec(0usize..1_000_000, 6),
+            call in 0usize..6,
+            alt in 0usize..1_000_000,
+            u in 0.0..1.0f64,
+            progress in 0.0..1.0f64,
+        ) {
+            let (est, space) = shared_setup(nodes);
+            let assignments: Vec<CallAssignment> = (0..space.n_calls())
+                .map(|c| space.options(c)[picks[c % picks.len()] % space.options(c).len()])
+                .collect();
+            let plan = ExecutionPlan::new(est.graph(), est.cluster(), assignments).unwrap();
+            let call = CallId(call % space.n_calls());
+            let a = space.options(call.0)[alt % space.options(call.0).len()];
+            let beta = McmcConfig::default().beta * (1.0 + 3.0 * progress);
+
+            let mut pricer = PlanPricer::new(est);
+            let current = pricer.cost(&plan);
+            let bound = pricer.cost_lower_bound_perturbed(&plan, call, a);
+            let (cost, _) = pricer.cost_checked_perturbed(&plan, call, a);
+            let bound_weight = accept_weight(beta, bound, current);
+            let accept_p = accept_weight(beta, cost, current).min(1.0);
+            if bound_rejects(u, bound_weight) {
+                proptest::prop_assert!(u >= accept_p, "u {u} gated below accept_p {accept_p}");
+            }
+            let edge = bound_weight * (1.0 + GATE_MARGIN) + f64::MIN_POSITIVE;
+            if edge < 1.0 {
+                proptest::prop_assert!(bound_rejects(edge, bound_weight));
+                proptest::prop_assert!(edge >= accept_p, "edge {edge} below accept_p {accept_p}");
+            }
+            // The tightest admissible bound is the cost itself: even then no
+            // `u` below `accept_p` may be gated.
+            if accept_p > 0.0 {
+                let below = f64::from_bits(accept_p.to_bits() - 1);
+                proptest::prop_assert!(!bound_rejects(below, accept_weight(beta, cost, current)));
+            }
+        }
     }
 
     #[test]
