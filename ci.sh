@@ -119,3 +119,15 @@ cargo bench -q -p real-bench --bench ablations -- spec_decode_gate
 ./target/release/real profile --nodes 1 --batch 32 --iters 2 \
     --quick-profile --heuristic \
     --baseline baselines/ppo-1node-quick.json --check --tolerance-pct 2
+
+# Memory gate: the `real profile` path at 128 GPUs (the benchmark's
+# profile-128 workload) must peak under 130 MB of RSS. The interned event
+# stream keeps it near 100 MB; owned per-event strings took it to 247 MB
+# (see docs/PROFILING.md).
+rss=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \
+    --workload profile-128 --seconds 2 | tail -n 1 |
+    sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 130) }'; then
+    echo "memory gate: profile-128 peak_rss_mb '$rss' exceeds 130" >&2
+    exit 1
+fi

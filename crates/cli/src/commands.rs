@@ -755,22 +755,15 @@ pub fn cmd_baselines(args: &Args) -> Result<String, CliError> {
 /// a fresh run or a saved trace, with an optional regression gate against
 /// a committed baseline report.
 pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
-    use real_core::real_obs::{phase_overlap, Phase};
+    use real_core::real_obs::{phase_overlap, Phase, ProfileReport};
     let top_k: usize = args.num_or("top", 10)?;
-    let overlap_line = |stream: &real_core::real_obs::EventStream| {
-        format!(
-            "gen/train phase overlap: {:.2}s\n",
-            phase_overlap(stream, Phase::Generation, Phase::Training)
-        )
-    };
-    let overlap;
-    let report: real_core::real_obs::ProfileReport = if let Some(path) = args.str_opt("trace") {
-        // Analyze a saved Chrome trace. The estimator gap needs the live
-        // experiment, so that section stays empty in this mode.
+    // One stream feeds the overlap line and the report. Analyzing a saved
+    // Chrome trace leaves the estimator gap empty: it needs the live
+    // experiment.
+    let (stream, estimator_gap) = if let Some(path) = args.str_opt("trace") {
         let value: serde_json::Value = load_json(path)?;
         let stream = real_core::real_obs::from_chrome_value(&value).map_err(CliError::Invalid)?;
-        overlap = overlap_line(&stream);
-        real_core::real_obs::ProfileReport::from_stream(&stream, top_k)
+        (stream, Vec::new())
     } else {
         let exp = experiment_from(args)?;
         reject_replan_with_async(args, &exp)?;
@@ -785,10 +778,15 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
         let (plan, _, _) = plan_to_execute(args, &exp)?;
         let iters: usize = args.num_or("iters", 2)?;
         let run = exp.run(&plan, iters)?;
-        overlap = overlap_line(&exp.event_stream(&run));
         let (est, _) = exp.prepare();
-        exp.profile_report(&run, &est, top_k)
+        (exp.event_stream(&run), exp.estimator_gap(&run, &est))
     };
+    let overlap = format!(
+        "gen/train phase overlap: {:.2}s\n",
+        phase_overlap(&stream, Phase::Generation, Phase::Training)
+    );
+    let mut report = ProfileReport::from_stream(&stream, top_k);
+    report.estimator_gap = estimator_gap;
 
     if let Some(path) = args.str_opt("out") {
         std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
@@ -801,7 +799,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
         rendered
     };
     if let Some(bpath) = args.str_opt("baseline") {
-        let baseline: real_core::real_obs::ProfileReport = load_json(bpath)?;
+        let baseline: ProfileReport = load_json(bpath)?;
         let tolerance: f64 = args.num_or("tolerance-pct", 5.0)?;
         let violations = report.check_against(&baseline, tolerance);
         if violations.is_empty() {
@@ -1526,6 +1524,41 @@ mod tests {
         .unwrap();
         assert!(out.contains("makespan"), "{out}");
         assert!(out.contains("generation"), "{out}");
+    }
+
+    #[test]
+    fn profile_rejects_malformed_saved_traces() {
+        let dir = std::env::temp_dir().join("real-cli-profile-bad-trace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let span = |ph: &str, ts: &str| {
+            format!(r#"{{"ph":"{ph}","name":"k","cat":"compute","pid":0,"tid":0,"ts":{ts}}}"#)
+        };
+        let cases = [
+            (
+                "overflowing-ts",
+                format!("[{}]", span("B", "1e400")),
+                "non-finite ts",
+            ),
+            (
+                "end-before-begin",
+                format!("[{},{}]", span("B", "5"), span("E", "1")),
+                "out-of-order",
+            ),
+            (
+                "unclosed-begin",
+                format!("[{}]", span("B", "1")),
+                "left open",
+            ),
+        ];
+        for (name, json, needle) in cases {
+            let path = dir.join(format!("{name}.json"));
+            std::fs::write(&path, json).unwrap();
+            let argv = ["profile", "--trace", path.to_str().unwrap()];
+            match dispatch(&parse(&argv)) {
+                Err(CliError::Invalid(m)) => assert!(m.contains(needle), "{name}: {m}"),
+                other => panic!("{name}: expected Invalid, got {other:?}"),
+            }
+        }
     }
 
     #[test]

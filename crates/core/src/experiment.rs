@@ -595,19 +595,33 @@ impl Experiment {
         est: &Estimator,
         top_k: usize,
     ) -> real_obs::ProfileReport {
-        let stream = self.event_stream(report);
-        let mut profile = real_obs::ProfileReport::from_stream(&stream, top_k);
-        for (id, def) in self.graph.iter() {
-            let estimated = est.call_duration(id, report.plan.assignment(id));
-            if let Some(simulated) = report.run.call_mean(&def.call_name) {
-                profile.estimator_gap.push(real_obs::profile::CallGap::new(
+        let mut profile = real_obs::ProfileReport::from_stream(&self.event_stream(report), top_k);
+        profile.estimator_gap = self.estimator_gap(report, est);
+        profile
+    }
+
+    /// The per-call estimator-vs-simulated gap (Fig. 12) of a finished run:
+    /// `est`'s Algorithm-1 duration of each call's placement against the
+    /// call's mean simulated wall time, in graph order, for the calls the
+    /// run executed. This is [`real_obs::ProfileReport::estimator_gap`] as
+    /// [`Experiment::profile_report`] fills it.
+    pub fn estimator_gap(
+        &self,
+        report: &ExperimentReport,
+        est: &Estimator,
+    ) -> Vec<real_obs::profile::CallGap> {
+        self.graph
+            .iter()
+            .filter_map(|(id, def)| {
+                let simulated = report.run.call_mean(&def.call_name)?;
+                let estimated = est.call_duration(id, report.plan.assignment(id));
+                Some(real_obs::profile::CallGap::new(
                     &def.call_name,
                     estimated,
                     simulated,
-                ));
-            }
-        }
-        profile
+                ))
+            })
+            .collect()
     }
 }
 

@@ -17,7 +17,9 @@
 //! | lane names          | `M`         | `process_name` / `thread_name`      |
 //!
 //! Virtual-clock seconds are converted to microseconds (the unit Chrome
-//! expects in `ts`).
+//! expects in `ts`). The writer is where interned names, categories and
+//! counter tracks turn back into strings ([`EventStream::str`]); the
+//! importer interns them again as it parses.
 
 use serde::Value;
 
@@ -59,7 +61,8 @@ pub fn to_chrome_value(stream: &EventStream) -> Value {
         ]));
     }
 
-    for event in stream.events() {
+    let text = |id| Value::from(stream.str(id));
+    for &event in stream.events() {
         events.push(match event {
             StreamEvent::Begin {
                 lane,
@@ -68,8 +71,8 @@ pub fn to_chrome_value(stream: &EventStream) -> Value {
                 ts,
             } => obj(vec![
                 ("ph", Value::from("B")),
-                ("name", Value::from(name.as_str())),
-                ("cat", Value::from(category.as_str())),
+                ("name", text(name)),
+                ("cat", text(category)),
                 ("pid", Value::from(lane.pid)),
                 ("tid", Value::from(lane.tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
@@ -87,8 +90,8 @@ pub fn to_chrome_value(stream: &EventStream) -> Value {
                 ts,
             } => obj(vec![
                 ("ph", Value::from("i")),
-                ("name", Value::from(name.as_str())),
-                ("cat", Value::from(category.as_str())),
+                ("name", text(name)),
+                ("cat", text(category)),
                 ("pid", Value::from(lane.pid)),
                 ("tid", Value::from(lane.tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
@@ -101,25 +104,25 @@ pub fn to_chrome_value(stream: &EventStream) -> Value {
                 value,
             } => obj(vec![
                 ("ph", Value::from("C")),
-                ("name", Value::from(track.as_str())),
-                ("pid", Value::from(*pid)),
+                ("name", text(track)),
+                ("pid", Value::from(pid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
-                ("args", obj(vec![("value", Value::from(*value))])),
+                ("args", obj(vec![("value", Value::from(value))])),
             ]),
             StreamEvent::FlowStart { id, name, lane, ts } => obj(vec![
                 ("ph", Value::from("s")),
-                ("name", Value::from(name.as_str())),
+                ("name", text(name)),
                 ("cat", Value::from("flow")),
-                ("id", Value::from(*id)),
+                ("id", Value::from(id)),
                 ("pid", Value::from(lane.pid)),
                 ("tid", Value::from(lane.tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
             ]),
             StreamEvent::FlowEnd { id, name, lane, ts } => obj(vec![
                 ("ph", Value::from("f")),
-                ("name", Value::from(name.as_str())),
+                ("name", text(name)),
                 ("cat", Value::from("flow")),
-                ("id", Value::from(*id)),
+                ("id", Value::from(id)),
                 ("bp", Value::from("e")),
                 ("pid", Value::from(lane.pid)),
                 ("tid", Value::from(lane.tid)),
@@ -138,27 +141,38 @@ pub fn to_chrome_string(stream: &EventStream) -> String {
 
 /// Imports a Chrome trace event array back into an [`EventStream`] — the
 /// inverse of [`to_chrome_value`], used by `real profile --trace file.json`
-/// to analyze saved traces offline. Unknown phases are skipped; timestamps
+/// to analyze saved traces offline. Names, categories and counter tracks
+/// are interned as they are parsed. Unknown phases are skipped; timestamps
 /// convert from microseconds back to virtual seconds.
 ///
 /// # Errors
 ///
-/// Returns a description when the value is not an event array or an `E`
-/// event closes a lane with no open span (a malformed or truncated trace).
+/// Returns a description when the value is not an event array, an event
+/// lacks its timestamp or carries a non-finite timestamp or counter value
+/// (naming the event's index), an `E` event closes a lane with no open
+/// span, or the imported stream breaks an
+/// [`EventStream::check_invariants`] invariant (a span ending before it
+/// begins, a span left open, an unpaired flow): a malformed or truncated
+/// trace.
 pub fn from_chrome_value(value: &Value) -> Result<EventStream, String> {
     let events = value
         .as_array()
         .ok_or("chrome trace must be a JSON array")?;
     let mut stream = EventStream::with_capacity(0);
     let mut open: std::collections::BTreeMap<(u32, u32), u32> = std::collections::BTreeMap::new();
-    let str_of = |e: &Value, key: &str| e[key].as_str().map(str::to_string);
     let u32_of = |e: &Value, key: &str| e[key].as_f64().map(|v| v as u32);
-    let ts_of = |e: &Value| e["ts"].as_f64().map(|v| v / SECS_TO_MICROS);
+    let finite = |i: usize, what: &str, v: f64| {
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(format!("event {i}: non-finite {what} {v}"))
+        }
+    };
 
     // Metadata pre-pass: process names carry no tid, so pair each thread
     // record with its process record before applying lane names.
-    let mut procs: std::collections::BTreeMap<u32, String> = std::collections::BTreeMap::new();
-    let mut threads: std::collections::BTreeMap<(u32, u32), String> =
+    let mut procs: std::collections::BTreeMap<u32, &str> = std::collections::BTreeMap::new();
+    let mut threads: std::collections::BTreeMap<(u32, u32), &str> =
         std::collections::BTreeMap::new();
     for e in events {
         if e["ph"].as_str() != Some("M") {
@@ -167,62 +181,63 @@ pub fn from_chrome_value(value: &Value) -> Result<EventStream, String> {
         let pid = u32_of(e, "pid").unwrap_or(0);
         match (e["name"].as_str(), e["args"]["name"].as_str()) {
             (Some("process_name"), Some(n)) => {
-                procs.insert(pid, n.to_string());
+                procs.insert(pid, n);
             }
             (Some("thread_name"), Some(n)) => {
-                threads.insert((pid, u32_of(e, "tid").unwrap_or(0)), n.to_string());
+                threads.insert((pid, u32_of(e, "tid").unwrap_or(0)), n);
             }
             _ => {}
         }
     }
     for (&(pid, tid), thread) in &threads {
-        let process = procs.get(&pid).map_or("", String::as_str);
+        let process = procs.get(&pid).copied().unwrap_or("");
         stream.set_lane_name(LaneId { pid, tid }, process, thread);
     }
 
-    for e in events {
+    for (i, e) in events.iter().enumerate() {
         let Some(ph) = e["ph"].as_str() else { continue };
+        if !matches!(ph, "B" | "E" | "i" | "C" | "s" | "f") {
+            continue;
+        }
+        let ts = e["ts"]
+            .as_f64()
+            .ok_or_else(|| format!("event {i}: {ph} event missing ts"))?;
+        let ts = finite(i, "ts", ts / SECS_TO_MICROS)?;
         let pid = u32_of(e, "pid").unwrap_or(0);
         let tid = u32_of(e, "tid").unwrap_or(0);
         let lane = LaneId { pid, tid };
-        let name = str_of(e, "name").unwrap_or_default();
-        let category = str_of(e, "cat").unwrap_or_default();
+        let name = e["name"].as_str().unwrap_or_default();
+        let category = e["cat"].as_str().unwrap_or_default();
         match ph {
-            "M" => {}
             "B" => {
-                let ts = ts_of(e).ok_or("B event missing ts")?;
                 *open.entry((pid, tid)).or_insert(0) += 1;
-                stream.begin(lane, &name, &category, ts);
+                stream.begin(lane, name, category, ts);
             }
             "E" => {
-                let ts = ts_of(e).ok_or("E event missing ts")?;
                 match open.get_mut(&(pid, tid)) {
                     Some(n) if *n > 0 => *n -= 1,
-                    _ => return Err(format!("unmatched E event on lane {lane:?}")),
+                    _ => return Err(format!("event {i}: unmatched E event on lane {lane:?}")),
                 }
                 stream.end(lane, ts);
             }
             "i" => {
-                let ts = ts_of(e).ok_or("i event missing ts")?;
-                stream.instant(lane, &name, &category, ts);
+                stream.instant(lane, name, category, ts);
             }
             "C" => {
-                let ts = ts_of(e).ok_or("C event missing ts")?;
                 let v = e["args"]["value"].as_f64().unwrap_or(0.0);
-                stream.counter(pid, &name, ts, v);
+                stream.counter(pid, name, ts, finite(i, "counter value", v)?);
             }
-            "s" | "f" => {
-                let ts = ts_of(e).ok_or("flow event missing ts")?;
+            _ => {
                 let id = e["id"].as_f64().map_or(0, |v| v as u64);
                 if ph == "s" {
-                    stream.flow_start(id, &name, lane, ts);
+                    stream.flow_start(id, name, lane, ts);
                 } else {
-                    stream.flow_end(id, &name, lane, ts);
+                    stream.flow_end(id, name, lane, ts);
                 }
             }
-            _ => {}
         }
     }
+    stream.check_invariants()?;
     Ok(stream)
 }
 
@@ -277,84 +292,38 @@ mod tests {
         assert!((begin["ts"].as_f64().unwrap() - 0.1e6).abs() < 1e-6);
     }
 
-    /// Structural event equality with timestamp tolerance: micros-to-secs
-    /// conversion can differ from the original in the last float bit.
-    fn approx_eq(a: &StreamEvent, b: &StreamEvent) -> bool {
+    /// An event with its strings resolved and its timestamp split off, so
+    /// events of two streams compare.
+    fn resolved(s: &EventStream, e: &StreamEvent) -> (String, f64) {
         use StreamEvent::*;
-        let close = |x: f64, y: f64| (x - y).abs() < 1e-9;
-        match (a, b) {
-            (
-                Begin {
-                    lane: l1,
-                    name: n1,
-                    category: c1,
-                    ts: t1,
-                },
-                Begin {
-                    lane: l2,
-                    name: n2,
-                    category: c2,
-                    ts: t2,
-                },
-            ) => l1 == l2 && n1 == n2 && c1 == c2 && close(*t1, *t2),
-            (End { lane: l1, ts: t1 }, End { lane: l2, ts: t2 }) => l1 == l2 && close(*t1, *t2),
-            (
-                Instant {
-                    lane: l1,
-                    name: n1,
-                    ts: t1,
-                    ..
-                },
-                Instant {
-                    lane: l2,
-                    name: n2,
-                    ts: t2,
-                    ..
-                },
-            ) => l1 == l2 && n1 == n2 && close(*t1, *t2),
-            (
-                Counter {
-                    pid: p1,
-                    track: k1,
-                    ts: t1,
-                    value: v1,
-                },
-                Counter {
-                    pid: p2,
-                    track: k2,
-                    ts: t2,
-                    value: v2,
-                },
-            ) => p1 == p2 && k1 == k2 && close(*t1, *t2) && v1 == v2,
-            (
-                FlowStart {
-                    id: i1,
-                    name: n1,
-                    lane: l1,
-                    ts: t1,
-                },
-                FlowStart {
-                    id: i2,
-                    name: n2,
-                    lane: l2,
-                    ts: t2,
-                },
-            )
-            | (
-                FlowEnd {
-                    id: i1,
-                    name: n1,
-                    lane: l1,
-                    ts: t1,
-                },
-                FlowEnd {
-                    id: i2,
-                    name: n2,
-                    lane: l2,
-                    ts: t2,
-                },
-            ) => i1 == i2 && n1 == n2 && l1 == l2 && close(*t1, *t2),
-            _ => false,
+        match *e {
+            Begin {
+                lane,
+                name,
+                category,
+                ts,
+            } => (
+                format!("B {lane:?} {} {}", s.str(name), s.str(category)),
+                ts,
+            ),
+            End { lane, ts } => (format!("E {lane:?}"), ts),
+            Instant {
+                lane,
+                name,
+                category,
+                ts,
+            } => (
+                format!("i {lane:?} {} {}", s.str(name), s.str(category)),
+                ts,
+            ),
+            Counter {
+                pid,
+                track,
+                ts,
+                value,
+            } => (format!("C {pid} {} {value}", s.str(track)), ts),
+            FlowStart { id, name, lane, ts } => (format!("s {id} {} {lane:?}", s.str(name)), ts),
+            FlowEnd { id, name, lane, ts } => (format!("f {id} {} {lane:?}", s.str(name)), ts),
         }
     }
 
@@ -364,7 +333,9 @@ mod tests {
         let back = from_chrome_value(&to_chrome_value(&s)).unwrap();
         assert_eq!(back.events().len(), s.events().len());
         for (a, b) in back.events().iter().zip(s.events()) {
-            assert!(approx_eq(a, b), "{a:?} vs {b:?}");
+            let ((ka, ta), (kb, tb)) = (resolved(&back, a), resolved(&s, b));
+            // Micros-to-secs conversion can differ in the last float bit.
+            assert!(ka == kb && (ta - tb).abs() < 1e-9, "{ka} {ta} vs {kb} {tb}");
         }
         let names: Vec<_> = back.process_names().collect();
         assert_eq!(names, s.process_names().collect::<Vec<_>>());
@@ -384,6 +355,37 @@ mod tests {
         ])]);
         let err = from_chrome_value(&orphan_end).unwrap_err();
         assert!(err.contains("unmatched"), "{err}");
+
+        let event = |ph: &str, ts: f64| {
+            obj(vec![
+                ("ph", Value::from(ph)),
+                ("name", Value::from("x")),
+                ("pid", Value::from(0u32)),
+                ("tid", Value::from(0u32)),
+                ("ts", Value::from(ts)),
+            ])
+        };
+        let reject = |events: Vec<Value>, needle: &str| {
+            let err = from_chrome_value(&Value::Array(events)).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        };
+        reject(
+            vec![event("B", 0.0), event("E", f64::INFINITY)],
+            "event 1: non-finite ts",
+        );
+        let counter = obj(vec![
+            ("ph", Value::from("C")),
+            ("name", Value::from("mem")),
+            ("ts", Value::from(0.0)),
+            ("args", obj(vec![("value", Value::from(f64::NAN))])),
+        ]);
+        reject(vec![counter], "event 0: non-finite counter value");
+        reject(vec![event("B", 5.0), event("E", 1.0)], "out-of-order");
+        reject(vec![event("B", 5.0)], "left open");
+        reject(
+            vec![event("i", 1.0), event("s", 2.0)],
+            "without matching end",
+        );
     }
 
     #[test]

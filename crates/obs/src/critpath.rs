@@ -18,21 +18,22 @@
 //! makespan. Aggregating span segments by `(name, category)` yields the
 //! top-k table the `real profile` report prints.
 
-use crate::events::{EventStream, LaneId, StreamEvent};
+use crate::events::{EventStream, LaneId, StreamEvent, Sym};
 use serde::{Deserialize, Serialize};
 
 /// Tolerance for float comparisons on the virtual clock.
 pub const EPS: f64 = 1e-9;
 
-/// A closed span reconstructed from a stream's begin/end events.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
+/// A closed span reconstructed from a stream's begin/end events. Its name
+/// and category borrow from the stream's symbol table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Span<'s> {
     /// Lane the span was recorded on.
     pub lane: LaneId,
     /// Span name (e.g. `actor_gen#0`).
-    pub name: String,
+    pub name: &'s str,
     /// Span category (e.g. `compute`, `call/gen`).
-    pub category: String,
+    pub category: &'s str,
     /// Start time (virtual seconds).
     pub start: f64,
     /// End time (virtual seconds).
@@ -41,7 +42,7 @@ pub struct Span {
     pub depth: u32,
 }
 
-impl Span {
+impl Span<'_> {
     /// Wall duration of the span.
     pub fn duration(&self) -> f64 {
         self.end - self.start
@@ -51,11 +52,11 @@ impl Span {
 /// Reconstructs every *closed* span from the stream, in end order of the
 /// per-lane stacks (record order of the `End` events). Spans left open and
 /// events other than `Begin`/`End` are ignored.
-pub fn reconstruct_spans(stream: &EventStream) -> Vec<Span> {
-    let mut stacks: std::collections::BTreeMap<LaneId, Vec<(String, String, f64, u32)>> =
+pub fn reconstruct_spans(stream: &EventStream) -> Vec<Span<'_>> {
+    let mut stacks: std::collections::BTreeMap<LaneId, Vec<(Sym, Sym, f64, u32)>> =
         std::collections::BTreeMap::new();
     let mut spans = Vec::new();
-    for event in stream.events() {
+    for &event in stream.events() {
         match event {
             StreamEvent::Begin {
                 lane,
@@ -63,20 +64,20 @@ pub fn reconstruct_spans(stream: &EventStream) -> Vec<Span> {
                 category,
                 ts,
             } => {
-                let stack = stacks.entry(*lane).or_default();
+                let stack = stacks.entry(lane).or_default();
                 let depth = stack.len() as u32;
-                stack.push((name.clone(), category.clone(), *ts, depth));
+                stack.push((name, category, ts, depth));
             }
             StreamEvent::End { lane, ts } => {
                 if let Some((name, category, start, depth)) =
-                    stacks.get_mut(lane).and_then(Vec::pop)
+                    stacks.get_mut(&lane).and_then(Vec::pop)
                 {
                     spans.push(Span {
-                        lane: *lane,
-                        name,
-                        category,
+                        lane,
+                        name: stream.str(name),
+                        category: stream.str(category),
                         start,
-                        end: *ts,
+                        end: ts,
                         depth,
                     });
                 }
@@ -165,7 +166,7 @@ impl CriticalPath {
                 .then(b.depth.cmp(&a.depth))
                 .then(a.end.partial_cmp(&b.end).expect("finite"))
                 .then(a.lane.cmp(&b.lane))
-                .then(a.name.cmp(&b.name))
+                .then(a.name.cmp(b.name))
         });
         // suffix_max_end[i] = max end over order[i..]; lets the scan stop
         // early when no remaining candidate can cover the frontier.
@@ -241,14 +242,12 @@ impl CriticalPath {
     /// Aggregates span segments by `(name, category)` and returns the `k`
     /// entries gating the most time, largest first (name-ordered on ties).
     pub fn top_spans(&self, spans: &[Span], k: usize) -> Vec<CritEntry> {
-        let mut agg: std::collections::BTreeMap<(String, String), (f64, u64)> =
+        let mut agg: std::collections::BTreeMap<(&str, &str), (f64, u64)> =
             std::collections::BTreeMap::new();
         for seg in &self.segments {
             if let Some(i) = seg.span {
                 let s = &spans[i];
-                let e = agg
-                    .entry((s.name.clone(), s.category.clone()))
-                    .or_insert((0.0, 0));
+                let e = agg.entry((s.name, s.category)).or_insert((0.0, 0));
                 e.0 += seg.duration();
                 e.1 += 1;
             }
@@ -256,8 +255,8 @@ impl CriticalPath {
         let mut entries: Vec<CritEntry> = agg
             .into_iter()
             .map(|((name, category), (seconds, count))| CritEntry {
-                name,
-                category,
+                name: name.to_string(),
+                category: category.to_string(),
                 seconds,
                 count,
             })
@@ -278,11 +277,18 @@ impl CriticalPath {
 mod tests {
     use super::*;
 
-    fn span(lane: LaneId, name: &str, cat: &str, start: f64, end: f64, depth: u32) -> Span {
+    fn span(
+        lane: LaneId,
+        name: &'static str,
+        cat: &'static str,
+        start: f64,
+        end: f64,
+        depth: u32,
+    ) -> Span<'static> {
         Span {
             lane,
-            name: name.into(),
-            category: cat.into(),
+            name,
+            category: cat,
             start,
             end,
             depth,
@@ -367,7 +373,7 @@ mod tests {
         let names: Vec<&str> = cp
             .segments
             .iter()
-            .filter_map(|g| g.span.map(|i| spans[i].name.as_str()))
+            .filter_map(|g| g.span.map(|i| spans[i].name))
             .collect();
         assert_eq!(names, vec!["call", "kernel"]);
     }

@@ -13,8 +13,12 @@
 //! exposes the dangling count so tests (and the exporter) can assert that
 //! every span was closed. Timestamps are virtual seconds; the Chrome
 //! exporter converts to microseconds.
+//!
+//! Names, categories and counter tracks are interned: the stream stores
+//! each distinct string once in a symbol table, and events carry [`Sym`]
+//! ids, so an event owns no heap data. [`EventStream::str`] resolves an id.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A trace lane: one horizontal row in the trace viewer.
 ///
@@ -28,17 +32,24 @@ pub struct LaneId {
     pub tid: u32,
 }
 
-/// One event in the stream. Timestamps are virtual-clock seconds.
-#[derive(Debug, Clone, PartialEq)]
+/// An interned string of one [`EventStream`]: a span or flow name, a
+/// category, or a counter track. Resolve it with [`EventStream::str`] on
+/// the stream that recorded it; ids from different streams do not compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Sym(u32);
+
+/// One event in the stream. Timestamps are virtual-clock seconds; strings
+/// are [`Sym`] ids into the stream's symbol table.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamEvent {
     /// Opens a nested span on `lane`.
     Begin {
         /// Lane the span lives on.
         lane: LaneId,
         /// Span name (e.g. `layer_fwd`).
-        name: String,
+        name: Sym,
         /// Category (e.g. `compute`, `tp-comm`).
-        category: String,
+        category: Sym,
         /// Start time.
         ts: f64,
     },
@@ -54,9 +65,9 @@ pub enum StreamEvent {
         /// Lane the marker sits on.
         lane: LaneId,
         /// Marker name.
-        name: String,
+        name: Sym,
         /// Category.
-        category: String,
+        category: Sym,
         /// Time of the marker.
         ts: f64,
     },
@@ -65,7 +76,7 @@ pub enum StreamEvent {
         /// Process the track belongs to.
         pid: u32,
         /// Track name (e.g. `mem/node0/gpu1`).
-        track: String,
+        track: Sym,
         /// Sample time.
         ts: f64,
         /// Sampled value.
@@ -76,7 +87,7 @@ pub enum StreamEvent {
         /// Correlation id shared with the matching [`StreamEvent::FlowEnd`].
         id: u64,
         /// Flow name.
-        name: String,
+        name: Sym,
         /// Lane the arrow leaves from.
         lane: LaneId,
         /// Departure time.
@@ -87,7 +98,7 @@ pub enum StreamEvent {
         /// Correlation id shared with the matching [`StreamEvent::FlowStart`].
         id: u64,
         /// Flow name.
-        name: String,
+        name: Sym,
         /// Lane the arrow lands on.
         lane: LaneId,
         /// Arrival time.
@@ -95,10 +106,30 @@ pub enum StreamEvent {
     },
 }
 
+/// Each distinct string of a stream, stored once.
+#[derive(Debug, Clone, Default)]
+struct Symbols {
+    strs: Vec<Box<str>>,
+    ids: HashMap<Box<str>, Sym>,
+}
+
+impl Symbols {
+    fn intern(&mut self, s: &str) -> Sym {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = Sym(u32::try_from(self.strs.len()).expect("fewer than 2^32 symbols"));
+        self.strs.push(s.into());
+        self.ids.insert(s.into(), id);
+        id
+    }
+}
+
 /// Bounded, append-only event stream with lane metadata.
 #[derive(Debug, Clone, Default)]
 pub struct EventStream {
     events: Vec<StreamEvent>,
+    symbols: Symbols,
     capacity: usize,
     dropped: u64,
     /// `pid -> process name` (e.g. `node0`).
@@ -128,11 +159,15 @@ impl EventStream {
             .insert((lane.pid, lane.tid), thread.to_string());
     }
 
-    fn push(&mut self, event: StreamEvent) -> bool {
+    /// Appends the event `make` builds, interning its strings, unless the
+    /// stream is full: a dropped event interns nothing, so capacity bounds
+    /// the symbol table too.
+    fn push(&mut self, make: impl FnOnce(&mut Symbols) -> StreamEvent) -> bool {
         if self.capacity > 0 && self.events.len() >= self.capacity {
             self.dropped += 1;
             return false;
         }
+        let event = make(&mut self.symbols);
         self.events.push(event);
         true
     }
@@ -142,10 +177,10 @@ impl EventStream {
     /// stack is tracked independently of storage so nesting stays balanced.
     pub fn begin(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) -> bool {
         *self.open.entry(lane).or_insert(0) += 1;
-        self.push(StreamEvent::Begin {
+        self.push(|syms| StreamEvent::Begin {
             lane,
-            name: name.to_string(),
-            category: category.to_string(),
+            name: syms.intern(name),
+            category: syms.intern(category),
             ts,
         })
     }
@@ -162,7 +197,7 @@ impl EventStream {
             Some(n) if *n > 0 => *n -= 1,
             _ => panic!("EventStream::end on lane {lane:?} with no open span"),
         }
-        self.push(StreamEvent::End { lane, ts })
+        self.push(|_| StreamEvent::End { lane, ts })
     }
 
     /// Records a complete span (begin + end in one call).
@@ -173,19 +208,19 @@ impl EventStream {
 
     /// Records an instant marker.
     pub fn instant(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) -> bool {
-        self.push(StreamEvent::Instant {
+        self.push(|syms| StreamEvent::Instant {
             lane,
-            name: name.to_string(),
-            category: category.to_string(),
+            name: syms.intern(name),
+            category: syms.intern(category),
             ts,
         })
     }
 
     /// Records one counter-track sample.
     pub fn counter(&mut self, pid: u32, track: &str, ts: f64, value: f64) -> bool {
-        self.push(StreamEvent::Counter {
+        self.push(|syms| StreamEvent::Counter {
             pid,
-            track: track.to_string(),
+            track: syms.intern(track),
             ts,
             value,
         })
@@ -194,9 +229,9 @@ impl EventStream {
     /// Records the start of a flow arrow.
     pub fn flow_start(&mut self, id: u64, name: &str, lane: LaneId, ts: f64) -> bool {
         self.flows += 1;
-        self.push(StreamEvent::FlowStart {
+        self.push(|syms| StreamEvent::FlowStart {
             id,
-            name: name.to_string(),
+            name: syms.intern(name),
             lane,
             ts,
         })
@@ -204,9 +239,9 @@ impl EventStream {
 
     /// Records the end of a flow arrow.
     pub fn flow_end(&mut self, id: u64, name: &str, lane: LaneId, ts: f64) -> bool {
-        self.push(StreamEvent::FlowEnd {
+        self.push(|syms| StreamEvent::FlowEnd {
             id,
-            name: name.to_string(),
+            name: syms.intern(name),
             lane,
             ts,
         })
@@ -215,6 +250,20 @@ impl EventStream {
     /// The recorded events, in record order.
     pub fn events(&self) -> &[StreamEvent] {
         &self.events
+    }
+
+    /// The string an id of this stream stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` was not interned by this stream.
+    pub fn str(&self, id: Sym) -> &str {
+        &self.symbols.strs[id.0 as usize]
+    }
+
+    /// Number of distinct strings the stream's events refer to.
+    pub fn symbols(&self) -> usize {
+        self.symbols.strs.len()
     }
 
     /// Number of flow arrows started so far. Emitters that number their
@@ -238,6 +287,18 @@ impl EventStream {
         self.process_names
             .iter()
             .map(|(&pid, name)| (pid, name.as_str()))
+    }
+
+    /// The name of process `pid`, if it was named.
+    pub fn process_name(&self, pid: u32) -> Option<&str> {
+        self.process_names.get(&pid).map(String::as_str)
+    }
+
+    /// The name of `lane`'s thread, if it was named.
+    pub fn thread_name(&self, lane: LaneId) -> Option<&str> {
+        self.thread_names
+            .get(&(lane.pid, lane.tid))
+            .map(String::as_str)
     }
 
     /// Named threads, sorted by (pid, tid).
@@ -525,7 +586,43 @@ mod tests {
             let json = crate::chrome::to_chrome_string(&s);
             let v: serde_json::Value = serde_json::from_str(&json).expect("export parses");
             prop_assert_eq!(v.as_array().unwrap().len(), s.events().len());
+            // Import interns the names afresh; the re-export is the same
+            // bytes (the driver's timestamps convert to microseconds and
+            // back exactly).
+            let back = crate::chrome::from_chrome_value(&v).expect("export imports");
+            prop_assert_eq!(crate::chrome::to_chrome_string(&back), json);
         }
+    }
+
+    #[test]
+    fn events_hold_no_heap_data() {
+        assert!(std::mem::size_of::<StreamEvent>() <= 32);
+    }
+
+    #[test]
+    fn repeated_strings_are_stored_once() {
+        let mut s = EventStream::with_capacity(0);
+        let lane = LaneId::gpu(0, 0);
+        for i in 0..100 {
+            let t = f64::from(i);
+            s.span(lane, "layer_fwd", "compute", t, t + 0.5);
+            s.counter(0, "mem", t, t);
+        }
+        assert_eq!(s.events().len(), 300);
+        assert_eq!(s.symbols(), 3);
+        let StreamEvent::Begin { name, category, .. } = s.events()[0] else {
+            panic!("first event is a begin");
+        };
+        assert_eq!((s.str(name), s.str(category)), ("layer_fwd", "compute"));
+    }
+
+    #[test]
+    fn dropped_events_intern_nothing() {
+        let mut s = EventStream::with_capacity(1);
+        s.instant(LaneId::gpu(0, 0), "kept", "compute", 0.0);
+        s.instant(LaneId::gpu(0, 0), "dropped", "other", 1.0);
+        assert_eq!(s.dropped(), 1);
+        assert_eq!(s.symbols(), 2);
     }
 
     #[test]
@@ -537,5 +634,9 @@ mod tests {
         assert_eq!(procs, vec![(0, "node0"), (1, "node1")]);
         let threads: Vec<_> = s.thread_names().collect();
         assert_eq!(threads, vec![(0, 3, "gpu3"), (1, 0, "gpu0")]);
+        assert_eq!(s.process_name(1), Some("node1"));
+        assert_eq!(s.process_name(2), None);
+        assert_eq!(s.thread_name(LaneId::gpu(0, 3)), Some("gpu3"));
+        assert_eq!(s.thread_name(LaneId::gpu(0, 0)), None);
     }
 }

@@ -113,7 +113,7 @@ pub fn attribute_phases(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
     // Boundary events: (ts, phase index, +1/-1), clamped to the makespan.
     let mut bounds: Vec<(f64, usize, i32)> = Vec::new();
     for s in spans {
-        if let Some(p) = phase_of_category(&s.category) {
+        if let Some(p) = phase_of_category(s.category) {
             let (a, b) = (s.start.clamp(0.0, makespan), s.end.clamp(0.0, makespan));
             if b - a > 0.0 {
                 bounds.push((a, p.index(), 1));
@@ -191,7 +191,7 @@ fn gen_subrow(name: &str) -> Option<usize> {
 /// seconds therefore sum to the `generation` row of [`attribute_phases`]
 /// bit-exactly — the conservation invariant the tests pin.
 pub fn attribute_generation(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
-    if !spans.iter().any(|s| gen_subrow(&s.name).is_some()) {
+    if !spans.iter().any(|s| gen_subrow(s.name).is_some()) {
         return Vec::new();
     }
     // Boundary events: phase spans tagged `[0, ALL)`, speculative sub-spans
@@ -199,10 +199,10 @@ pub fn attribute_generation(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
     const SUB_BASE: usize = Phase::ALL.len();
     let mut bounds: Vec<(f64, usize, i32)> = Vec::new();
     for s in spans {
-        let tag = if let Some(p) = phase_of_category(&s.category) {
+        let tag = if let Some(p) = phase_of_category(s.category) {
             Some(p.index())
         } else {
-            gen_subrow(&s.name).map(|j| SUB_BASE + j)
+            gen_subrow(s.name).map(|j| SUB_BASE + j)
         };
         if let Some(tag) = tag {
             let (a, b) = (s.start.clamp(0.0, makespan), s.end.clamp(0.0, makespan));
@@ -281,7 +281,7 @@ pub fn phase_overlap(stream: &EventStream, a: Phase, b: Phase) -> f64 {
         merge_intervals(
             spans
                 .iter()
-                .filter(|s| phase_of_category(&s.category) == Some(phase))
+                .filter(|s| phase_of_category(s.category) == Some(phase))
                 .map(|s| (s.start, s.end))
                 .collect(),
         )
@@ -532,17 +532,13 @@ impl ProfileReport {
         let gen_breakdown = attribute_generation(&spans, makespan);
 
         // Lane names for the per-GPU views.
-        let lane_name = |lane: &crate::events::LaneId| -> String {
+        let lane_name = |lane: crate::events::LaneId| -> String {
             let proc = stream
-                .process_names()
-                .find(|&(pid, _)| pid == lane.pid)
-                .map(|(_, n)| n.to_string())
-                .unwrap_or_else(|| format!("pid{}", lane.pid));
+                .process_name(lane.pid)
+                .map_or_else(|| format!("pid{}", lane.pid), str::to_string);
             let thread = stream
-                .thread_names()
-                .find(|&(pid, tid, _)| pid == lane.pid && tid == lane.tid)
-                .map(|(_, _, n)| n.to_string())
-                .unwrap_or_else(|| format!("tid{}", lane.tid));
+                .thread_name(lane)
+                .map_or_else(|| format!("tid{}", lane.tid), str::to_string);
             format!("{proc}/{thread}")
         };
 
@@ -551,11 +547,11 @@ impl ProfileReport {
         let mut by_lane: std::collections::BTreeMap<crate::events::LaneId, LaneIntervals> =
             std::collections::BTreeMap::new();
         for s in &spans {
-            if !SIM_CATEGORIES.contains(&s.category.as_str()) {
+            if !SIM_CATEGORIES.contains(&s.category) {
                 continue;
             }
             let entry = by_lane.entry(s.lane).or_default();
-            if COMPUTE_CATEGORIES.contains(&s.category.as_str()) {
+            if COMPUTE_CATEGORIES.contains(&s.category) {
                 entry.0.push((s.start, s.end));
             } else {
                 entry.1.push((s.start, s.end));
@@ -593,7 +589,7 @@ impl ProfileReport {
             }
             let busy_seconds = union_len(&busy);
             gpus.push(GpuStat {
-                lane: lane_name(&lane),
+                lane: lane_name(lane),
                 busy_seconds,
                 idle_seconds: makespan - busy_seconds,
                 utilization: if makespan > 0.0 {
@@ -848,7 +844,8 @@ mod tests {
 
     #[test]
     fn phases_conserve_makespan() {
-        let spans = reconstruct_spans(&stream());
+        let s = stream();
+        let spans = reconstruct_spans(&s);
         let phases = attribute_phases(&spans, 10.0);
         let total: f64 = phases.iter().map(|p| p.seconds).sum();
         assert!((total - 10.0).abs() < 1e-9, "{total}");
@@ -983,7 +980,8 @@ mod tests {
 
     #[test]
     fn gen_breakdown_tiles_the_generation_phase() {
-        let spans = reconstruct_spans(&spec_stream());
+        let s = spec_stream();
+        let spans = reconstruct_spans(&s);
         let phases = attribute_phases(&spans, 10.0);
         let breakdown = attribute_generation(&spans, 10.0);
         let gen = phases

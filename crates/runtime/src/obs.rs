@@ -134,7 +134,7 @@ fn record_kernels(stream: &mut EventStream, scope: &Scope, trace: &[TraceEvent],
     let mut lanes: Vec<Option<LaneId>> = vec![None; gpus as usize];
     for e in trace {
         let lane = *lanes[e.gpu].get_or_insert_with(|| scope.name(stream, Lane::Gpu(e.gpu)));
-        stream.span(lane, e.label, &e.category.to_string(), e.start, e.end);
+        stream.span(lane, e.label, e.category.name(), e.start, e.end);
     }
     let comm =
         |c: &Category| !matches!(c, Category::Compute | Category::Launch | Category::Realloc);
@@ -475,7 +475,7 @@ mod tests {
             .filter(|e| {
                 matches!(e,
                 StreamEvent::Begin { lane, category, .. }
-                    if lane.pid == u32::MAX && category.starts_with("call/"))
+                    if lane.pid == u32::MAX && stream.str(*category).starts_with("call/"))
             })
             .count();
         assert_eq!(call_begins, report.master_log.requests.len());
@@ -500,7 +500,9 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e {
-                StreamEvent::Counter { track, value, .. } if track.starts_with("mem/") => {
+                StreamEvent::Counter { track, value, .. }
+                    if stream.str(*track).starts_with("mem/") =>
+                {
                     Some(*value)
                 }
                 _ => None,
@@ -518,6 +520,16 @@ mod tests {
         assert!(stream
             .thread_names()
             .any(|(pid, _, name)| pid == u32::MAX && name == "actor_gen"));
+    }
+
+    #[test]
+    fn stream_stores_each_string_once() {
+        let (cluster, graph, plan, config, report) = run();
+        let stream = build_event_stream(&cluster, &graph, &plan, &config, &report);
+        // Thousands of kernel, call and counter events share a few dozen
+        // names, categories and tracks.
+        assert!(stream.events().len() > 5_000, "{}", stream.events().len());
+        assert!(stream.symbols() < 100, "{}", stream.symbols());
     }
 
     #[test]
@@ -556,14 +568,14 @@ mod tests {
             .filter(|e| {
                 matches!(e,
                     StreamEvent::Begin { lane, category, .. }
-                        if lane.pid == fault_pid() && category == "fault")
+                        if lane.pid == fault_pid() && stream.str(*category) == "fault")
             })
             .count();
         assert_eq!(fault_spans, 3);
         // Abort instants land on the master's call lanes.
         assert!(stream.events().iter().any(|e| matches!(e,
             StreamEvent::Instant { lane, category, .. }
-                if lane.pid == u32::MAX && category == "fault")));
+                if lane.pid == u32::MAX && stream.str(*category) == "fault")));
 
         let m = run_metrics(&cluster, &report);
         assert_eq!(m.get("runtime/fault_injected", &[]).unwrap().scalar(), 3.0);
@@ -636,7 +648,7 @@ mod tests {
             .filter(|e| {
                 matches!(e,
                     StreamEvent::Instant { lane, category, .. }
-                        if lane.pid == replan_pid() && category == "replan")
+                        if lane.pid == replan_pid() && stream.str(*category) == "replan")
             })
             .count();
         assert_eq!(decisions, report.replan.events.len());

@@ -174,7 +174,7 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e {
-                real_obs::StreamEvent::Begin { name, .. } => Some(name.as_str()),
+                real_obs::StreamEvent::Begin { name, .. } => Some(stream.str(*name)),
                 _ => None,
             })
             .collect();

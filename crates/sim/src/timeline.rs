@@ -47,11 +47,10 @@ impl Category {
             Category::Transfer => 6,
         }
     }
-}
 
-impl fmt::Display for Category {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The category's trace and report label (`compute`, `tp-comm`, ...).
+    pub fn name(self) -> &'static str {
+        match self {
             Category::Compute => "compute",
             Category::Launch => "launch",
             Category::TpComm => "tp-comm",
@@ -59,8 +58,13 @@ impl fmt::Display for Category {
             Category::DpComm => "dp-comm",
             Category::Realloc => "realloc",
             Category::Transfer => "transfer",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for Category {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
