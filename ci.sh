@@ -6,7 +6,7 @@ cargo build --release
 cargo test -q
 cargo test --doc -q
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark package (perf/, see BENCHMARK.json) is a workspace of its
 # own, so the commands above skip it: keep it formatted, lint-clean and
 # tested here, so a library change that breaks the benchmark's build fails.

@@ -888,7 +888,7 @@ fn spec_search_at(
         seed: 7,
         ..McmcConfig::default()
     };
-    search_speculative(est, space, &menu, &cfg, memo)
+    search_speculative(est, space, &menu, &cfg, 1, 1, memo)
 }
 
 /// A decode-dominant PPO experiment (long rollouts, short prompts): the
@@ -949,6 +949,7 @@ fn spec_decode() {
         for alpha in [0.5, 0.6, 0.7, 0.8, 0.9] {
             let r = spec_search_at(&cluster, &est, &space, &draft, alpha, &mut memo);
             let chosen = r
+                .best()
                 .best_plan
                 .spec_choices()
                 .map(|(_, c)| {
@@ -962,7 +963,7 @@ fn spec_decode() {
             table.row(vec![
                 format!("{alpha}"),
                 format!("{:.0}", tokens / r.base.best_time_cost),
-                format!("{:.0}", tokens / r.best_time_cost),
+                format!("{:.0}", tokens / r.best().best_time_cost),
                 format!("{:+.0}%", (r.speedup_over_base() - 1.0) * 100.0),
                 chosen,
             ]);
@@ -989,10 +990,11 @@ fn spec_decode_gate() {
     let speedup = high.speedup_over_base();
     println!(
         "alpha 0.8: plain {:.2}s, speculative {:.2}s -> {speedup:.2}x",
-        high.base.best_time_cost, high.best_time_cost
+        high.base.best_time_cost,
+        high.best().best_time_cost
     );
     assert!(
-        high.best_plan.has_speculation(),
+        high.best().best_plan.has_speculation(),
         "alpha=0.8 must keep a draft"
     );
     assert!(
@@ -1004,14 +1006,14 @@ fn spec_decode_gate() {
     println!(
         "alpha 0.3: plain {:.2}s, speculative path {:.2}s (speculation stripped: {})",
         low.base.best_time_cost,
-        low.best_time_cost,
-        !low.best_plan.has_speculation()
+        low.best().best_time_cost,
+        !low.best().best_plan.has_speculation()
     );
     assert!(
-        !low.best_plan.has_speculation(),
+        !low.best().best_plan.has_speculation(),
         "alpha=0.3 must fall back to plain decode"
     );
-    assert!(low.best_time_cost <= low.base.best_time_cost + 1e-9);
+    assert!(low.best().best_time_cost <= low.base.best_time_cost + 1e-9);
 }
 
 /// CI-sized regression gate for the fast path: same plan, the memoized

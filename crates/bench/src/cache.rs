@@ -64,13 +64,13 @@ impl PlanCache {
                 .unwrap_or(4)
                 .min(8);
             let planned = exp
-                .plan_auto_parallel(&cfg, chains)
+                .plan_search(&cfg, chains, chains, &SpecMenu::empty(), None)
                 .unwrap_or_else(|e| panic!("no feasible plan for {}: {e}", s.name));
             let heuristic = exp.plan_heuristic();
             PlannedSetting {
                 searched: planned.plan,
                 heuristic,
-                search: planned.search,
+                search: planned.search.base,
                 profiling_secs: planned.profiling_secs,
             }
         })

@@ -147,9 +147,7 @@ WORKLOAD FLAGS (plan/run/baselines):
 SEARCH FLAGS (plan/run):
   --steps N        MCMC step budget                  [default 40000]
   --time SECS      search wall-clock budget          [default 20]
-  --chains N       parallel chains; above 1 it cannot be combined with
-                   the speculation or --memo-in/--memo-out flags
-                   (those searches run one chain)    [default 1]
+  --chains N       parallel chains                   [default 1]
   --threads N      worker threads for --chains; the chosen plan is
                    bit-identical for any value       [default: chains]
   --memo-stats     print memo-cache hits/misses/hit-rate after the search
@@ -334,11 +332,12 @@ fn model_flag(args: &Args, flag: &str) -> Result<ModelSpec, CliError> {
 }
 
 /// Builds the speculation menu from `--spec-decode` / `--draft-model` /
-/// `--spec-k` / `--acceptance`. Returns `None` when speculation stays off:
-/// the default, or forced with `--no-spec` (which wins over the others).
-fn spec_menu_from(args: &Args, cluster: &ClusterSpec) -> Result<Option<SpecMenu>, CliError> {
+/// `--spec-k` / `--acceptance`. The menu is empty when speculation stays
+/// off: the default, or forced with `--no-spec` (which wins over the
+/// others).
+fn spec_menu_from(args: &Args, cluster: &ClusterSpec) -> Result<SpecMenu, CliError> {
     if !speculation_requested(args) {
-        return Ok(None);
+        return Ok(SpecMenu::empty());
     }
     let drafts = match args.str_opt("draft-model") {
         Some(sizes) => {
@@ -382,27 +381,23 @@ fn spec_menu_from(args: &Args, cluster: &ClusterSpec) -> Result<Option<SpecMenu>
         }
         menu = menu.with_curve(AcceptanceCurve::Constant(alpha));
     }
-    Ok(Some(menu))
+    Ok(menu)
 }
 
-/// The speculation-aware / memo-persistent planning path shared by `plan`,
-/// `run`, and `profile`: runs [`Experiment::plan_speculative`] (with an
-/// empty menu when only memo persistence was asked for), handles
-/// `--memo-in` restore (warning on a context mismatch) and `--memo-out`
-/// snapshot, and returns the planned outcome.
-fn plan_speculative_from(
-    args: &Args,
-    exp: &Experiment,
-    menu: Option<SpecMenu>,
-) -> Result<(SpecPlannedExperiment, String), CliError> {
-    let (cfg, _, _) = mcmc_from(args)?;
+/// The search-planning path shared by `plan`, `run`, and `profile`: runs
+/// [`Experiment::plan_search`] with the `--chains`/`--threads` budget and
+/// the speculation menu (empty unless asked for), handles the `--memo-in`
+/// restore (warning on a context mismatch) and the `--memo-out` snapshot,
+/// and returns the planned outcome plus those memo notes.
+fn plan_searched(args: &Args, exp: &Experiment) -> Result<(PlannedExperiment, String), CliError> {
+    let menu = spec_menu_from(args, exp.cluster())?;
+    let (cfg, chains, threads) = mcmc_from(args)?;
     let warm: Option<MemoSnapshot> = match args.str_opt("memo-in") {
         Some(path) => Some(load_json(path)?),
         None => None,
     };
-    let menu = menu.unwrap_or_else(SpecMenu::empty);
     let planned = exp
-        .plan_speculative(&cfg, &menu, warm.as_ref())
+        .plan_search(&cfg, chains, threads, &menu, warm.as_ref())
         .map_err(|_| CliError::NoFeasiblePlan)?;
     let mut notes = String::new();
     if let Some(path) = args.str_opt("memo-in") {
@@ -416,19 +411,14 @@ fn plan_speculative_from(
         }
     }
     if let Some(path) = args.str_opt("memo-out") {
-        std::fs::write(path, serde_json::to_string(&planned.memo)?)?;
+        let snapshot = planned.memo_snapshot();
+        std::fs::write(path, serde_json::to_string(&snapshot)?)?;
         notes.push_str(&format!(
             "memo: {} entries saved to {path}\n",
-            planned.memo.n_entries()
+            snapshot.n_entries()
         ));
     }
     Ok((planned, notes))
-}
-
-/// Whether `--memo-in` or `--memo-out` asks for the memo-persistent
-/// search path.
-fn memo_persisted(args: &Args) -> bool {
-    args.str_opt("memo-in").is_some() || args.str_opt("memo-out").is_some()
 }
 
 /// Whether any speculation flag asks for speculative planning (`--no-spec`
@@ -445,8 +435,7 @@ fn speculation_requested(args: &Args) -> bool {
 ///
 /// # Errors
 ///
-/// Rejects zero chains or threads, and `--chains` above one together with
-/// speculation or `--memo-in`/`--memo-out`: those searches run one chain.
+/// Rejects zero chains or threads.
 pub fn mcmc_from(args: &Args) -> Result<(McmcConfig, usize, usize), CliError> {
     let cfg = McmcConfig {
         max_steps: args.num_or("steps", 40_000u64)?,
@@ -458,14 +447,6 @@ pub fn mcmc_from(args: &Args) -> Result<(McmcConfig, usize, usize), CliError> {
     if chains == 0 {
         return Err(CliError::Invalid("--chains must be positive".into()));
     }
-    let single_chain = speculation_requested(args) || memo_persisted(args);
-    if chains > 1 && single_chain {
-        return Err(CliError::Invalid(
-            "--chains above 1 cannot be combined with speculation (--spec-decode and \
-             friends) or --memo-in/--memo-out: those searches run one chain"
-                .into(),
-        ));
-    }
     // The plan is bit-identical for any thread count; --threads only caps
     // the worker pool (e.g. on a shared login node).
     let threads: usize = args.num_or("threads", chains)?;
@@ -473,17 +454,6 @@ pub fn mcmc_from(args: &Args) -> Result<(McmcConfig, usize, usize), CliError> {
         return Err(CliError::Invalid("--threads must be positive".into()));
     }
     Ok((cfg, chains, threads))
-}
-
-/// Runs the configured search: multi-chain when `--chains > 1`.
-fn plan_searched(
-    exp: &Experiment,
-    cfg: &McmcConfig,
-    chains: usize,
-    threads: usize,
-) -> Result<real_core::PlannedExperiment, CliError> {
-    exp.plan_auto_parallel_on(cfg, chains, threads)
-        .map_err(|_| CliError::NoFeasiblePlan)
 }
 
 /// The `--memo-stats` section: memo-cache effectiveness for one search.
@@ -498,68 +468,50 @@ fn memo_stats_line(m: &real_core::real_estimator::MemoStats) -> String {
     )
 }
 
-/// `real plan`: the plain search, or — behind speculation flags and
-/// `--memo-in/--memo-out` — the speculation-aware search through the
-/// persistent cost memo. Without speculation flags the memo path's menu is
-/// empty and its plan is identical to the plain path's; only the memo
-/// persistence differs.
+/// `real plan`: the MCMC search over `--chains` chains, with speculation
+/// as a search dimension behind the speculation flags and the cost memo
+/// persisted behind `--memo-in`/`--memo-out`.
 pub fn cmd_plan(args: &Args) -> Result<String, CliError> {
     let exp = experiment_from(args)?;
-    let menu = spec_menu_from(args, exp.cluster())?;
-    let (cfg, chains, threads) = mcmc_from(args)?;
-    let persist_memo = memo_persisted(args);
-    let mut speculation = None;
-    let mut notes = String::new();
-    // Both paths report (plan, its TimeCost, memo counters, the assignment
-    // search, simulated profiling seconds).
-    let (plan, best_time_cost, memo, search, profiling_secs) = if menu.is_some() || persist_memo {
-        let speculating = menu.is_some();
-        let (planned, memo_notes) = plan_speculative_from(args, &exp, menu)?;
-        notes = memo_notes;
-        let r = planned.result;
-        if speculating {
-            speculation = Some(format!(
-                "speculation: {} proposals, {} accepted; TimeCost {:.2}s vs {:.2}s plain ({:.2}x)\n",
-                r.spec_steps,
-                r.spec_accepted,
-                r.best_time_cost,
-                r.base.best_time_cost,
-                r.speedup_over_base(),
-            ));
-        }
-        let p = planned.plan;
-        (p, r.best_time_cost, r.memo, r.base, planned.profiling_secs)
-    } else {
-        let p = plan_searched(&exp, &cfg, chains, threads)?;
-        let s = p.search;
-        (p.plan, s.best_time_cost, s.memo, s, p.profiling_secs)
-    };
+    let (planned, notes) = plan_searched(args, &exp)?;
+    let (plan, search) = (&planned.plan, &planned.search);
+    let best_time_cost = search.best().best_time_cost;
 
     if let Some(path) = args.str_opt("out") {
-        std::fs::write(path, serde_json::to_string_pretty(&plan)?)?;
+        std::fs::write(path, serde_json::to_string_pretty(plan)?)?;
     }
     if let Some(path) = args.str_opt("checkpoint") {
-        search.checkpoint().save(std::path::Path::new(path))?;
+        search.base.checkpoint().save(std::path::Path::new(path))?;
     }
     let mut out = plan.render(exp.graph());
     if args.flag("explain") {
         let (est, _) = exp.prepare();
         let heuristic = exp.plan_heuristic();
-        let cmp = compare(&est, &heuristic, &plan);
+        let cmp = compare(&est, &heuristic, plan);
         out.push_str("\nvs the symmetric heuristic (single-swap contributions):\n");
         out.push_str(&cmp.render());
     }
     out.push_str(&format!(
         "\nsearch: {} steps, {} accepted ({:.0}%), best TimeCost {:.2}s, profiling {:.0}s (simulated)\n",
-        search.steps,
-        search.accepted,
-        search.acceptance_rate() * 100.0,
+        search.base.steps,
+        search.base.accepted,
+        search.base.acceptance_rate() * 100.0,
         best_time_cost,
-        profiling_secs,
+        planned.profiling_secs,
     ));
-    out.push_str(speculation.as_deref().unwrap_or_default());
+    if speculation_requested(args) {
+        let (steps, accepted) = search
+            .refined
+            .as_ref()
+            .map_or((0, 0), |r| (r.steps, r.accepted));
+        out.push_str(&format!(
+            "speculation: {steps} proposals, {accepted} accepted; TimeCost {best_time_cost:.2}s vs {:.2}s plain ({:.2}x)\n",
+            search.base.best_time_cost,
+            search.speedup_over_base(),
+        ));
+    }
     if args.flag("memo-stats") {
-        out.push_str(&memo_stats_line(&memo));
+        out.push_str(&memo_stats_line(&search.memo()));
     }
     out.push_str(&notes);
     Ok(out)
@@ -581,12 +533,10 @@ fn reject_replan_with_async(args: &Args, exp: &Experiment) -> Result<(), CliErro
 }
 
 /// The plan `run` and `profile` execute: `--plan FILE`, `--heuristic`, the
-/// gen/train split for async off-policy runs, or a search. Under the same
-/// rule as `real plan`, speculation flags or `--memo-in`/`--memo-out` take
-/// the speculation-aware, memo-persistent search (the runtime executes
-/// whatever it attached: draft/verify loops on the draft mesh). Returns the
-/// plan, the search behind it, if any, and the memo notes of
-/// [`plan_speculative_from`].
+/// gen/train split for async off-policy runs, or the search of `real plan`
+/// (the runtime executes whatever speculation it attached: draft/verify
+/// loops on the draft mesh). Returns the plan, the plain search behind it,
+/// if any, and the memo notes of [`plan_searched`].
 fn plan_to_execute(
     args: &Args,
     exp: &Experiment,
@@ -603,14 +553,8 @@ fn plan_to_execute(
     if let Some(split) = exp.async_staleness().and_then(|_| exp.plan_split()) {
         return Ok((split, None, String::new()));
     }
-    let menu = spec_menu_from(args, exp.cluster())?;
-    if menu.is_some() || memo_persisted(args) {
-        let (planned, notes) = plan_speculative_from(args, exp, menu)?;
-        return Ok((planned.plan, Some(planned.result.base), notes));
-    }
-    let (cfg, chains, threads) = mcmc_from(args)?;
-    let planned = plan_searched(exp, &cfg, chains, threads)?;
-    Ok((planned.plan, Some(planned.search), String::new()))
+    let (planned, notes) = plan_searched(args, exp)?;
+    Ok((planned.plan, Some(planned.search.base), notes))
 }
 
 /// `real run`
@@ -740,7 +684,7 @@ pub fn cmd_baselines(args: &Args) -> Result<String, CliError> {
         };
     }
     let (cfg, chains, threads) = mcmc_from(args)?;
-    if let Ok(planned) = plan_searched(&exp, &cfg, chains, threads) {
+    if let Ok(planned) = exp.plan_search(&cfg, chains, threads, &SpecMenu::empty(), None) {
         let r = exp.run(&planned.plan, iters)?;
         table.row(vec![
             "ReaL (searched)".into(),
@@ -1248,34 +1192,51 @@ mod tests {
     }
 
     #[test]
-    fn chains_are_rejected_where_the_search_runs_one_chain() {
-        // Speculation and memo persistence run one chain, so asking for
-        // more is an error rather than silently ignored.
-        for command in ["plan", "run"] {
-            for extra in [
-                &["--spec-decode"][..],
-                &["--acceptance", "0.8"],
-                &["--memo-in", "memo.json"],
-                &["--memo-out", "memo.json"],
-            ] {
-                let mut argv = vec![command, "--chains", "2"];
-                argv.extend_from_slice(extra);
-                assert!(
-                    matches!(dispatch(&parse(&argv)), Err(CliError::Invalid(_))),
-                    "{argv:?}"
-                );
-            }
-        }
-        // One chain, or --no-spec, stays accepted.
-        assert!(mcmc_from(&parse(&["plan", "--chains", "1", "--spec-decode"])).is_ok());
-        assert!(mcmc_from(&parse(&[
+    fn speculative_memo_search_runs_any_chain_count() {
+        let dir = std::env::temp_dir().join("real-cli-spec-chains");
+        std::fs::create_dir_all(&dir).unwrap();
+        let memo_path = dir.join("memo.json");
+        let memo = memo_path.to_str().unwrap();
+        let base = vec![
             "plan",
+            "--nodes",
+            "1",
+            "--batch",
+            "32",
+            "--steps",
+            "300",
+            "--time",
+            "10",
+            "--quick-profile",
             "--chains",
             "2",
             "--spec-decode",
-            "--no-spec"
-        ]))
-        .is_ok());
+            "--acceptance",
+            "0.95",
+        ];
+        let with = |extra: &[&str]| {
+            let mut argv = base.clone();
+            argv.extend_from_slice(extra);
+            cmd_plan(&parse(&argv)).unwrap()
+        };
+        // Speculation and memo persistence take the same multi-chain path
+        // as the plain search: the output is the same for any thread count.
+        let one = with(&["--threads", "1", "--memo-out", memo]);
+        let two = with(&["--threads", "2", "--memo-out", memo]);
+        assert!(one.contains("speculation:"), "{one}");
+        assert!(one.contains("entries saved to"), "{one}");
+        assert_eq!(one, two);
+        // The saved memo warm-starts the next search, which picks the same
+        // plan.
+        let warm = with(&["--threads", "2", "--memo-in", memo]);
+        assert!(warm.contains("warm start from"), "{warm}");
+        let table = |out: &str| {
+            out.lines()
+                .take_while(|l| !l.starts_with("memo:"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(table(&one), table(&warm));
     }
 
     #[test]

@@ -59,7 +59,11 @@ impl std::error::Error for MeshError {}
 /// Two flavours exist (see module docs): sub-node slices (`node_count == 1`,
 /// `gpu_width < gpus_per_node`) and whole-node spans
 /// (`gpu_width == gpus_per_node`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Meshes order by their fields in declaration order (`node_start`,
+/// `node_count`, `gpu_start`, `gpu_width`): a deterministic total order that
+/// schedulers use to break ties.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct DeviceMesh {
     node_start: u32,
     node_count: u32,

@@ -68,33 +68,30 @@ impl std::error::Error for PlanFailure {}
 /// The outcome of automatic planning.
 #[derive(Debug, Clone)]
 pub struct PlannedExperiment {
-    /// The selected execution plan.
+    /// The selected execution plan (speculative only when speculation
+    /// strictly beat plain decode).
     pub plan: ExecutionPlan,
-    /// Search statistics (trace, acceptance, best cost).
-    pub search: SearchResult,
+    /// Search statistics: the plain assignment search (trace, acceptance,
+    /// chain state) and the speculation refinement, if one ran.
+    pub search: SpecSearchResult,
     /// Simulated seconds spent profiling before the search (Fig. 12 left).
     pub profiling_secs: f64,
+    /// Whether the warm snapshot passed to [`Experiment::plan_search`] was
+    /// accepted (matching context fingerprint); `false` means a cold start.
+    pub warm_start: bool,
+    /// The cost memo the search priced through (chain 0 and the
+    /// refinement) and its pricing context fingerprint.
+    memo: CostMemo,
+    context: u64,
 }
 
-/// The outcome of speculation-aware planning
-/// ([`Experiment::plan_speculative`]): the chosen plan (possibly with
-/// draft/verify decode attached), the full search statistics, and the cost
-/// memo snapshot for the next search to warm-start from.
-#[derive(Debug, Clone)]
-pub struct SpecPlannedExperiment {
-    /// The selected execution plan (speculative only when it strictly beat
-    /// plain decode).
-    pub plan: ExecutionPlan,
-    /// Base-search plus speculation-chain statistics.
-    pub result: SpecSearchResult,
-    /// Simulated seconds spent profiling before the search.
-    pub profiling_secs: f64,
-    /// Cost-memo snapshot taken after the search, restorable by a later
-    /// search over the same pricing context (`real plan --memo-out`).
-    pub memo: MemoSnapshot,
-    /// Whether the `warm` snapshot passed in was accepted (matching context
-    /// fingerprint) — `false` means a cold start.
-    pub warm_start: bool,
+impl PlannedExperiment {
+    /// A snapshot of the cost memo the search priced through, restorable by
+    /// a later search over the same pricing context (`real plan
+    /// --memo-out`).
+    pub fn memo_snapshot(&self) -> MemoSnapshot {
+        self.memo.snapshot(self.context)
+    }
 }
 
 impl Experiment {
@@ -339,86 +336,46 @@ impl Experiment {
         SearchSpace::try_build(&self.cluster, &self.graph, self.prune_level)
     }
 
-    /// Automatic planning: profile, build the space, run the MCMC search.
+    /// Automatic planning: profile, build the space, run one MCMC chain.
+    /// Shorthand for [`Self::plan_search`] with one chain, no speculation
+    /// and a cold memo.
     ///
     /// # Errors
     ///
     /// Returns [`PlanFailure`] when the workload cannot fit the cluster or
     /// no memory-feasible plan was found within the budget.
     pub fn plan_auto(&self, cfg: &McmcConfig) -> Result<PlannedExperiment, PlanFailure> {
-        self.plan_auto_parallel_on(cfg, 1, 1)
+        self.plan_search(cfg, 1, 1, &SpecMenu::empty(), None)
     }
 
-    /// Automatic planning with `n_chains` independent MCMC chains on
-    /// separate cores (the paper's multi-core search extension).
+    /// Automatic planning: profile, build the space, and run
+    /// [`search_speculative`] — `n_chains` independent MCMC chains (the
+    /// paper's multi-core search extension) over at most `threads` worker
+    /// threads, then, when `menu` offers options, a refinement that may
+    /// attach draft/verify decode to generation calls. Pass
+    /// [`SpecMenu::empty`] to keep speculation off.
+    ///
+    /// The chosen plan is bit-identical for any `threads >= 1`: chain
+    /// outcomes depend only on their per-chain seeds and the merge scans
+    /// results in chain order, never in completion order (the `real plan
+    /// --threads` contract, see `docs/SEARCH.md`). `warm` restores a memo
+    /// snapshot from an earlier search; it is accepted only when its context
+    /// fingerprint (cluster, graph, profiles, health overlay) matches, and
+    /// ignored otherwise. Memoization is exact, so warm and cold searches
+    /// choose bit-identical plans.
     ///
     /// # Errors
     ///
     /// Returns [`PlanFailure`] when the workload cannot fit the cluster or
     /// no memory-feasible plan was found within the budget.
-    pub fn plan_auto_parallel(
-        &self,
-        cfg: &McmcConfig,
-        n_chains: usize,
-    ) -> Result<PlannedExperiment, PlanFailure> {
-        self.plan_auto_parallel_on(cfg, n_chains, n_chains)
-    }
-
-    /// Like [`plan_auto_parallel`](Self::plan_auto_parallel), but with an
-    /// explicit worker-thread cap. The chosen plan is bit-identical for any
-    /// `threads >= 1`: chain outcomes depend only on their per-chain seeds
-    /// and the merge scans results in chain order, never in completion
-    /// order (the `real plan --threads` contract, see `docs/SEARCH.md`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanFailure`] when the workload cannot fit the cluster or
-    /// no memory-feasible plan was found within the budget.
-    pub fn plan_auto_parallel_on(
+    pub fn plan_search(
         &self,
         cfg: &McmcConfig,
         n_chains: usize,
         threads: usize,
-    ) -> Result<PlannedExperiment, PlanFailure> {
-        let space = self
-            .try_search_space()
-            .map_err(PlanFailure::ImpossibleWorkload)?;
-        let (est, profiling_secs) = self.prepare();
-        let mut cfg = cfg.clone();
-        cfg.seed = self.seed.wrapping_add(cfg.seed);
-        let result = real_search::parallel_search_on(&est, &space, &cfg, n_chains, threads);
-        if !result.feasible {
-            return Err(PlanFailure::NoFeasiblePlan(Box::new(result)));
-        }
-        Ok(PlannedExperiment {
-            plan: result.best_plan.clone(),
-            search: result,
-            profiling_secs,
-        })
-    }
-
-    /// Speculation-aware automatic planning: like [`Self::plan_auto`], but
-    /// the search may attach draft/verify decode ([`SpecMenu`]) to
-    /// generation calls, and prices every proposal through a persistent
-    /// cost memo. Pass [`SpecMenu::empty`] to keep speculation off while
-    /// still using the memo path (`real plan --memo-in/--memo-out` without
-    /// `--spec-decode`); pass `warm` to restore a snapshot from an earlier
-    /// search — it is accepted only when its context fingerprint (cluster,
-    /// graph, profiles, health overlay) matches, and ignored otherwise.
-    /// Memoization is exact, so warm and cold searches choose bit-identical
-    /// plans; with an empty menu the plan is identical to
-    /// [`Self::plan_auto`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanFailure`] when the workload cannot fit the cluster or
-    /// no memory-feasible plan was found within the budget.
-    pub fn plan_speculative(
-        &self,
-        cfg: &McmcConfig,
         menu: &SpecMenu,
         warm: Option<&MemoSnapshot>,
-    ) -> Result<SpecPlannedExperiment, PlanFailure> {
+    ) -> Result<PlannedExperiment, PlanFailure> {
         let space = self
             .try_search_space()
             .map_err(PlanFailure::ImpossibleWorkload)?;
@@ -429,16 +386,17 @@ impl Experiment {
         let restored = warm.and_then(|s| CostMemo::from_snapshot(s, context));
         let warm_start = restored.is_some();
         let mut memo = restored.unwrap_or_default();
-        let result = search_speculative(&est, &space, menu, &cfg, &mut memo);
-        if !result.feasible {
-            return Err(PlanFailure::NoFeasiblePlan(Box::new(result.base)));
+        let search = search_speculative(&est, &space, menu, &cfg, n_chains, threads, &mut memo);
+        if !search.best().feasible {
+            return Err(PlanFailure::NoFeasiblePlan(Box::new(search.base)));
         }
-        Ok(SpecPlannedExperiment {
-            plan: result.best_plan.clone(),
-            result,
+        Ok(PlannedExperiment {
+            plan: search.best().best_plan.clone(),
+            search,
             profiling_secs,
-            memo: memo.snapshot(context),
+            memo,
             warm_start,
+            context,
         })
     }
 
@@ -566,7 +524,7 @@ impl Experiment {
 
     /// Metrics for a finished run: per-category busy seconds, throughput
     /// gauges, request/response counters, and per-call duration histograms.
-    /// When `search` statistics are supplied (e.g. from
+    /// When `search` statistics are supplied (e.g. the plain search of
     /// [`PlannedExperiment::search`]), the MCMC chain telemetry is merged in
     /// so one snapshot covers both planning and execution. The namespaces
     /// (`runtime/`, `search/`) are disjoint, so the merge cannot collide.
@@ -720,7 +678,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, real_obs::StreamEvent::Counter { .. })));
 
-        let metrics = exp.metrics(&report, Some(&planned.search));
+        let metrics = exp.metrics(&report, Some(&planned.search.base));
         assert!(metrics.get("runtime/iterations", &[]).is_some());
         assert!(metrics.iter().any(|(k, _)| k.name() == "search/steps"));
         assert!(metrics

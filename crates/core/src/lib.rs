@@ -46,7 +46,7 @@ pub mod report;
 pub mod tenant;
 
 pub use advisor::{recommend, Recommendation, SizePoint};
-pub use experiment::{Experiment, PlanFailure, PlannedExperiment, SpecPlannedExperiment};
+pub use experiment::{Experiment, PlanFailure, PlannedExperiment};
 pub use report::ExperimentReport;
 pub use tenant::Tenant;
 

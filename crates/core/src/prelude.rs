@@ -9,9 +9,7 @@
 //! ```
 
 pub use crate::advisor::{recommend, Recommendation};
-pub use crate::{
-    Experiment, ExperimentReport, PlanFailure, PlannedExperiment, SpecPlannedExperiment, Tenant,
-};
+pub use crate::{Experiment, ExperimentReport, PlanFailure, PlannedExperiment, Tenant};
 pub use real_cluster::{
     ClusterHealth, ClusterSpec, CommModel, DeviceMesh, GpuHealth, GpuId, GpuSpec,
 };

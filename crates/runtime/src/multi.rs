@@ -353,7 +353,7 @@ mod tests {
         let cluster = ClusterSpec::h100(2);
         let t0 = tenant_on(&cluster, 0, 0, 64, 2);
         let t1 = tenant_on(&cluster, 1, 1, 32, 2);
-        let solo = run_multi(&cluster, &[t0.clone()], 7).unwrap();
+        let solo = run_multi(&cluster, std::slice::from_ref(&t0), 7).unwrap();
         let both = run_multi(&cluster, &[t0, t1], 7).unwrap();
         assert_eq!(both.len(), 2);
         assert_reports_eq(&solo[0], &both[0]);
@@ -380,7 +380,7 @@ mod tests {
         // serialize their iterations.
         let t0 = tenant_on(&cluster, 0, 0, 32, 2);
         let t1 = tenant_on(&cluster, 1, 0, 32, 2);
-        let solo_time = run_multi(&cluster, &[t0.clone()], 3).unwrap()[0].total_time;
+        let solo_time = run_multi(&cluster, std::slice::from_ref(&t0), 3).unwrap()[0].total_time;
         let both = run_multi(&cluster, &[t0, t1], 3).unwrap();
         assert!(both.iter().all(|r| r.total_time > 0.0));
         // Shared hardware means each tenant finishes later than alone.

@@ -431,7 +431,7 @@ impl Scheduler {
                 a.step
                     .partial_cmp(&b.step)
                     .expect("step times are finite")
-                    .then_with(|| mesh_key(&a.mesh).cmp(&mesh_key(&b.mesh)))
+                    .then_with(|| a.mesh.cmp(&b.mesh))
             });
             let solo_step = cands
                 .iter()
@@ -613,16 +613,6 @@ impl Scheduler {
             .map(|c| c.expect("every tenant was placed"))
             .collect()
     }
-}
-
-/// Deterministic total order on meshes for tie-breaking.
-fn mesh_key(mesh: &DeviceMesh) -> (u32, u32, u32, u32) {
-    (
-        mesh.node_start(),
-        mesh.n_nodes(),
-        mesh.gpu_start(),
-        mesh.gpu_width(),
-    )
 }
 
 #[cfg(test)]

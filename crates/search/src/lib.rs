@@ -10,7 +10,8 @@
 //!   memory),
 //! - [`mcmc`] — Metropolis–Hastings sampling over the energy distribution
 //!   `P(p) ∝ exp(-β · cost(G_p))`, plus a multi-chain parallel driver (the
-//!   paper's noted multi-core extension),
+//!   paper's noted multi-core extension); the one search driver, which also
+//!   proposes and polishes speculation choices when the space has them,
 //! - [`brute`] — branch-and-bound exhaustive search over the same pruned
 //!   space, used as the optimality reference of Fig. 15,
 //! - [`checkpoint`] — serde checkpoint/restore of the MCMC chain state
@@ -18,9 +19,9 @@
 //!   incumbent plan onto a shrunken space, powering warm-started mid-run
 //!   re-planning (`search_warm` / `resume`),
 //! - [`specsearch`] — speculative decoding as a searchable plan dimension: a
-//!   speculation menu (drafts × speculation lengths × draft placements), an
-//!   MH chain mixing assignment moves with spec toggle/resize/move moves,
-//!   and a greedy polish that strips non-improving speculation.
+//!   speculation menu (drafts × speculation lengths × draft placements) and
+//!   the two-phase speculative search (the plain search, then one
+//!   [`mcmc`] chain over the speculation space from the plain winner).
 
 pub mod brute;
 pub mod checkpoint;

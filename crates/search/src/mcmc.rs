@@ -19,6 +19,12 @@
 //! caller's seed and merged in chain order, so the chosen plan is
 //! bit-identical whatever the thread count.
 //!
+//! A space with speculation options ([`SearchSpace::with_speculation`])
+//! adds a second move kind — set, re-draw or clear one generation call's
+//! draft/verify choice — and a per-generation-call sweep over the menu to
+//! the polish. Without such options neither draws randomness nor prices
+//! anything, so the chain is exactly the assignment-only chain.
+//!
 //! # Pricing
 //!
 //! Every search prices proposals through one [`PlanPricer`]: the
@@ -409,9 +415,17 @@ fn run_chain_on(
     let n_calls = space.n_calls();
     let memo_before = pricer.memo_stats();
 
+    // A chain over a speculation space draws from its own substream: the
+    // speculative search runs it after a plain chain of the same seed, and
+    // sharing the plain chain's stream would replay its draws.
+    let stream = if space.spec_options().is_empty() {
+        "mcmc"
+    } else {
+        "specsearch"
+    };
     let (mut rng, mut current, mut steps, mut accepted, prior_best, mut trace) = match start_from {
         ChainStart::Greedy => (
-            DeterministicRng::from_seed(cfg.seed).derive("mcmc"),
+            DeterministicRng::from_seed(cfg.seed).derive(stream),
             greedy_plan(est, space),
             0,
             0,
@@ -419,7 +433,7 @@ fn run_chain_on(
             Vec::new(),
         ),
         ChainStart::Warm(plan) => (
-            DeterministicRng::from_seed(cfg.seed).derive("mcmc"),
+            DeterministicRng::from_seed(cfg.seed).derive(stream),
             plan.clone(),
             0,
             0,
@@ -458,10 +472,7 @@ fn run_chain_on(
     let mut bound_rejected = 0u64;
     while steps < cfg.max_steps && start.elapsed() < cfg.time_limit {
         steps += 1;
-        // Propose: re-draw one call's assignment uniformly from its options.
-        let call = CallId(rng.index(n_calls));
-        let opts = space.options(call.0);
-        let proposal_assignment = opts[rng.index(opts.len())];
+        let proposal = propose(&mut rng, space, &current);
 
         // Metropolis acceptance over the scale-free relative energy, with a
         // linear annealing schedule: the chain explores early and freezes
@@ -471,16 +482,21 @@ fn run_chain_on(
         let progress = steps as f64 / cfg.max_steps as f64;
         let beta = cfg.beta * (1.0 + 3.0 * progress);
         let u = rng.uniform();
-        let bound = pricer.cost_lower_bound_perturbed(&current, call, proposal_assignment);
+        let bound = match &proposal {
+            Proposal::Assign(call, a) => pricer.cost_lower_bound_perturbed(&current, *call, *a),
+            Proposal::Spec(_) => f64::NEG_INFINITY,
+        };
         let proposal_cost = if bound_rejects(u, accept_weight(beta, bound, current_cost)) {
             bound_rejected += 1;
             None
         } else {
-            // Priced as a one-call perturbation of the incumbent: the fast
-            // path re-uses every cached sub-result the perturbation did not
-            // touch.
-            let (cost, oom_penalized) =
-                pricer.cost_checked_perturbed(&current, call, proposal_assignment);
+            // An assignment move is priced as a one-call perturbation of the
+            // incumbent: the fast path re-uses every cached sub-result the
+            // perturbation did not touch.
+            let (cost, oom_penalized) = match &proposal {
+                Proposal::Assign(call, a) => pricer.cost_checked_perturbed(&current, *call, *a),
+                Proposal::Spec(plan) => pricer.cost_checked(plan),
+            };
             if oom_penalized {
                 telemetry.counter_inc("search/oom_penalty_hits", &labels);
             }
@@ -489,9 +505,12 @@ fn run_chain_on(
         if let Some(proposal_cost) =
             proposal_cost.filter(|&c| u < accept_weight(beta, c, current_cost).min(1.0))
         {
-            current = current
-                .with_assignment(call, proposal_assignment)
-                .expect("options are internally consistent");
+            current = match proposal {
+                Proposal::Assign(call, a) => current
+                    .with_assignment(call, a)
+                    .expect("options are internally consistent"),
+                Proposal::Spec(plan) => plan,
+            };
             current_cost = proposal_cost;
             accepted += 1;
 
@@ -536,15 +555,16 @@ fn run_chain_on(
     };
 
     // Coordinate-descent polish: sweep the calls, replacing each assignment
-    // with its best alternative while the others stay fixed. Converges to a
-    // local optimum of the same cost the chain sampled; bounded by the
-    // remaining wall-clock budget. A candidate is taken only at a strictly
-    // lower cost and the pricer's lower bound never exceeds the cost, so
-    // skipping every candidate whose bound reaches `best_cost` takes the
-    // same moves in the same order as pricing them all. The bound is
-    // monotone in the candidate's own duration, so "bound reaches
-    // `best_cost`" is exactly "duration reaches a per-(call, best_cost)
-    // threshold".
+    // with its best alternative while the others stay fixed, then each
+    // speculating call's choice with its best menu option or plain decode.
+    // Converges to a local optimum of the same cost the chain sampled;
+    // bounded by the remaining wall-clock budget. An assignment is taken
+    // only at a strictly lower cost and the pricer's lower bound never
+    // exceeds the cost, so skipping every candidate whose bound reaches
+    // `best_cost` takes the same moves in the same order as pricing them
+    // all. The bound is monotone in the candidate's own duration, so "bound
+    // reaches `best_cost`" is exactly "duration reaches a per-(call,
+    // best_cost) threshold".
     let (mut polish_priced, mut polish_pruned) = (0u64, 0u64);
     let mut improved = true;
     while improved && start.elapsed() < cfg.time_limit {
@@ -577,6 +597,41 @@ fn run_chain_on(
                     if cfg.record_trace {
                         trace.push((start.elapsed().as_secs_f64(), pricer.time_cost(&best_plan)));
                     }
+                }
+            }
+        }
+        // Speculation sweep: plain decode is the first candidate and a menu
+        // option replaces it only at a strictly lower cost, so ties keep
+        // plain decode and speculation that does not pay is stripped.
+        for (call, choices) in space.spec_options() {
+            if start.elapsed() >= cfg.time_limit {
+                break;
+            }
+            let mut chosen = best_plan
+                .with_spec(*call, None)
+                .expect("clearing speculation always validates");
+            let (mut chosen_cost, _) = pricer.cost_checked(&chosen);
+            for choice in choices {
+                let candidate = best_plan
+                    .with_spec(*call, Some(choice.clone()))
+                    .expect("menu choices validate");
+                let (cost, _) = pricer.cost_checked(&candidate);
+                if cost < chosen_cost {
+                    chosen = candidate;
+                    chosen_cost = cost;
+                }
+            }
+            polish_priced += 1 + choices.len() as u64;
+            // The incumbent's own choice is a candidate unless it came from
+            // outside the menu (a resumed plan's), which is kept over a
+            // costlier one.
+            if chosen_cost <= best_cost {
+                let better = chosen_cost < best_cost;
+                best_plan = chosen;
+                best_cost = chosen_cost;
+                improved |= better;
+                if better && cfg.record_trace {
+                    trace.push((start.elapsed().as_secs_f64(), pricer.time_cost(&best_plan)));
                 }
             }
         }
@@ -623,6 +678,37 @@ fn run_chain_on(
         chain: chain_state,
         memo: memo_stats,
     }
+}
+
+/// One chain step's move.
+enum Proposal {
+    /// Re-draw one call's assignment.
+    Assign(CallId, CallAssignment),
+    /// A speculation move, already applied to the incumbent.
+    Spec(ExecutionPlan),
+}
+
+/// Draws the next move from `current`. In a space without speculation
+/// options every move re-draws one call's assignment uniformly from its
+/// options. With them, half the moves are speculation moves on a random
+/// speculating call: set or re-draw its choice from the menu, or clear it.
+fn propose(rng: &mut DeterministicRng, space: &SearchSpace, current: &ExecutionPlan) -> Proposal {
+    let spec = space.spec_options();
+    if !spec.is_empty() {
+        let kind = rng.index(4);
+        if kind >= 2 {
+            let (call, choices) = &spec[rng.index(spec.len())];
+            let choice = (kind == 2).then(|| choices[rng.index(choices.len())].clone());
+            return Proposal::Spec(
+                current
+                    .with_spec(*call, choice)
+                    .expect("menu choices validate"),
+            );
+        }
+    }
+    let call = CallId(rng.index(space.n_calls()));
+    let opts = space.options(call.0);
+    Proposal::Assign(call, opts[rng.index(opts.len())])
 }
 
 /// Relative margin on the gate's acceptance weight: `exp` is only
@@ -699,7 +785,8 @@ pub fn merge_results(results: Vec<SearchResult>) -> SearchResult {
 
 /// Runs `n_chains` independent chains across worker threads (derived
 /// seeds) and returns the best result; ties favour feasibility then lower
-/// time. Shorthand for [`parallel_search_on`] with one thread per chain.
+/// time. Shorthand for [`parallel_search_on`] with one thread per chain and
+/// a fresh memo.
 ///
 /// # Panics
 ///
@@ -710,7 +797,7 @@ pub fn parallel_search(
     cfg: &McmcConfig,
     n_chains: usize,
 ) -> SearchResult {
-    parallel_search_on(est, space, cfg, n_chains, n_chains)
+    parallel_search_on(est, space, cfg, n_chains, n_chains, &mut CostMemo::new())
 }
 
 /// Runs `n_chains` logical chains over a pool of `threads` workers.
@@ -723,6 +810,10 @@ pub fn parallel_search(
 /// core count — which is what lets operators crank parallelism without
 /// losing reproducibility (see `docs/SEARCH.md`).
 ///
+/// Chain 0 prices through the caller's `memo`, as [`search_with_memo`]
+/// does, and leaves what it learned there; the other chains price through
+/// private memos. Memoization is exact, so the memo never changes the plan.
+///
 /// # Panics
 ///
 /// Panics if `n_chains == 0` or `threads == 0`.
@@ -732,14 +823,16 @@ pub fn parallel_search_on(
     cfg: &McmcConfig,
     n_chains: usize,
     threads: usize,
+    memo: &mut CostMemo,
 ) -> SearchResult {
     assert!(n_chains > 0, "need at least one chain");
     assert!(threads > 0, "need at least one worker thread");
     if n_chains == 1 {
-        return search(est, space, cfg);
+        return search_with_memo(est, space, cfg, memo);
     }
     let workers = threads.min(n_chains);
     let next = AtomicUsize::new(0);
+    let memo = Mutex::new(memo);
     let slots: Vec<Mutex<Option<SearchResult>>> = (0..n_chains).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -750,7 +843,12 @@ pub fn parallel_search_on(
                 }
                 let mut chain_cfg = cfg.clone();
                 chain_cfg.seed = chain_seed(cfg.seed, chain);
-                let result = search(est, space, &chain_cfg);
+                let result = if chain == 0 {
+                    let mut memo = memo.lock().expect("memo not poisoned");
+                    search_with_memo(est, space, &chain_cfg, &mut memo)
+                } else {
+                    search(est, space, &chain_cfg)
+                };
                 *slots[chain].lock().expect("result slot not poisoned") = Some(result);
             });
         }
@@ -1056,7 +1154,9 @@ mod tests {
         let cfg = steps_only_cfg(31, 400);
         let results: Vec<SearchResult> = [1usize, 2, 8]
             .iter()
-            .map(|&threads| parallel_search_on(&est, &space, &cfg, 8, threads))
+            .map(|&threads| {
+                parallel_search_on(&est, &space, &cfg, 8, threads, &mut CostMemo::new())
+            })
             .collect();
         let reference = serde_json::to_string(&results[0].best_plan).unwrap();
         for r in &results[1..] {

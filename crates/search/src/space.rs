@@ -1,7 +1,10 @@
-//! Per-call option enumeration with the §8.2 pruning heuristics.
+//! Per-call option enumeration with the §8.2 pruning heuristics, plus the
+//! optional speculation dimension: per-generation-call draft/verify choices
+//! drawn from a [`SpecMenu`].
 
+use crate::specsearch::SpecMenu;
 use real_cluster::{ClusterSpec, DeviceMesh};
-use real_dataflow::{CallAssignment, CallType, DataflowGraph};
+use real_dataflow::{CallAssignment, CallId, CallType, DataflowGraph, SpecChoice};
 use real_model::{MemoryModel, ParallelStrategy};
 use serde::{Deserialize, Serialize};
 
@@ -49,10 +52,13 @@ impl std::fmt::Display for ImpossibleCall {
 
 impl std::error::Error for ImpossibleCall {}
 
-/// The pruned option lists, one per call of the workflow.
+/// The pruned option lists, one per call of the workflow, and the
+/// speculation choices of the generation calls (none unless added with
+/// [`SearchSpace::with_speculation`]).
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     options: Vec<Vec<CallAssignment>>,
+    spec: Vec<(CallId, Vec<SpecChoice>)>,
 }
 
 impl SearchSpace {
@@ -177,7 +183,30 @@ impl SearchSpace {
             }
             options.push(opts);
         }
-        Ok(Self { options })
+        Ok(Self {
+            options,
+            spec: Vec::new(),
+        })
+    }
+
+    /// Adds the speculation dimension: every generation call of `graph`
+    /// for which `menu` offers a choice may carry one of those choices, or
+    /// none (plain decode). An empty menu leaves the space unchanged.
+    #[must_use]
+    pub fn with_speculation(mut self, graph: &DataflowGraph, menu: &SpecMenu) -> Self {
+        self.spec = graph
+            .iter()
+            .filter(|(_, c)| matches!(c.call_type, CallType::Generate { .. }))
+            .map(|(id, c)| (id, menu.options(&c.model)))
+            .filter(|(_, choices)| !choices.is_empty())
+            .collect();
+        self
+    }
+
+    /// The generation calls that may speculate, each with its menu choices
+    /// (never empty); empty when the space has no speculation dimension.
+    pub(crate) fn spec_options(&self) -> &[(CallId, Vec<SpecChoice>)] {
+        &self.spec
     }
 
     /// Option list for one call.
@@ -222,7 +251,10 @@ impl SearchSpace {
                 scored.into_iter().take(k).map(|(_, a)| a).collect()
             })
             .collect();
-        Self { options }
+        Self {
+            options,
+            spec: self.spec.clone(),
+        }
     }
 }
 

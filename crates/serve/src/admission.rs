@@ -152,7 +152,7 @@ pub fn price_template(
         a.step_secs
             .partial_cmp(&b.step_secs)
             .expect("step times are finite")
-            .then_with(|| mesh_key(&a.mesh).cmp(&mesh_key(&b.mesh)))
+            .then_with(|| a.mesh.cmp(&b.mesh))
     });
     let solo_step_secs = candidates
         .iter()
@@ -205,17 +205,6 @@ pub fn preemption_gate(
     gamma: f64,
 ) -> bool {
     p_high * victim_remaining_secs > p_victim * arrival_service_secs + gamma * 2.0 * prologue_secs
-}
-
-/// Deterministic total order on meshes for tie-breaking (mirrors the
-/// scheduler's).
-fn mesh_key(mesh: &DeviceMesh) -> (u32, u32, u32, u32) {
-    (
-        mesh.node_start(),
-        mesh.n_nodes(),
-        mesh.gpu_start(),
-        mesh.gpu_width(),
-    )
 }
 
 #[cfg(test)]
@@ -274,7 +263,7 @@ mod tests {
         if let Some(c) = prices.fit_on(&half) {
             assert!(c.mesh.gpus().all(|g| g.0 >= 8));
         }
-        assert!(prices.fit_on(&vec![false; 16]).is_none());
+        assert!(prices.fit_on(&[false; 16]).is_none());
     }
 
     #[test]

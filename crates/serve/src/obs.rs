@@ -181,7 +181,7 @@ mod tests {
         // queued → serve#0 → queued (suspension gap) → realloc → serve#1.
         assert!(labels.iter().filter(|l| **l == "queued").count() >= 2);
         assert!(labels.iter().any(|l| l.starts_with("serve#0")));
-        assert!(labels.iter().any(|l| *l == "realloc"));
+        assert!(labels.contains(&"realloc"));
         assert!(labels.iter().any(|l| l.starts_with("serve#1")));
     }
 }

@@ -31,9 +31,9 @@ fn main() {
     println!(
         "profiling took {:.0}s (simulated); search visited {} plans, accepted {} ({:.0}% rate)",
         planned.profiling_secs,
-        planned.search.steps,
-        planned.search.accepted,
-        planned.search.acceptance_rate() * 100.0,
+        planned.search.base.steps,
+        planned.search.base.accepted,
+        planned.search.base.acceptance_rate() * 100.0,
     );
 
     // Compare against the pre-training-style symmetric heuristic.

@@ -4,9 +4,9 @@
 //!
 //! Each case drives one public entry point that prices plans — `search`,
 //! `search_with_memo` (twice on one memo), `search_warm` under a degraded
-//! health overlay, `resume`, `parallel_search_on`, `search_speculative`,
-//! `brute_force`, `compare`, `Scheduler::plan` and `price_template` — and
-//! records the chosen plan, every price and step time as its IEEE-754 bit
+//! health overlay, `resume`, `parallel_search_on`, `search_speculative`
+//! (one chain, and three chains on two threads), `brute_force`, `compare`,
+//! `Scheduler::plan` and `price_template` — and records the chosen plan, every price and step time as its IEEE-754 bit
 //! pattern, feasibility and the chain's step/acceptance counts. Memo
 //! hit/miss counters are deliberately left out: they describe how a price
 //! was found, not what it is. A refactor of the pricing path must leave
@@ -120,7 +120,14 @@ fn chain_cases() -> Vec<(&'static str, Value)> {
     let checkpoint = search(&est, &space, &steps_cfg(7, 200)).checkpoint();
     let resumed = resume(&est, &space, &steps_cfg(7, 400), &checkpoint);
 
-    let parallel = parallel_search_on(&est, &space, &steps_cfg(11, 200), 3, 2);
+    let parallel = parallel_search_on(
+        &est,
+        &space,
+        &steps_cfg(11, 200),
+        3,
+        2,
+        &mut CostMemo::new(),
+    );
 
     let brute = brute_force(
         &est,
@@ -168,7 +175,10 @@ fn warm_case() -> (&'static str, Value) {
     ("search_warm_degraded", result_json(&warm))
 }
 
-fn speculative_case() -> (&'static str, Value) {
+/// The speculative search over `n_chains` chains on `threads` workers: the
+/// plain phase merges the chains, and the refinement starts from their
+/// winner.
+fn speculative_case(name: &'static str, n_chains: usize, threads: usize) -> (&'static str, Value) {
     let cluster = ClusterSpec::h100(2);
     let actor = ModelSpec::llama3_7b();
     let rlhf = RlhfConfig {
@@ -191,19 +201,24 @@ fn speculative_case() -> (&'static str, Value) {
         &space,
         &menu,
         &steps_cfg(5, 400),
+        n_chains,
+        threads,
         &mut CostMemo::new(),
     );
-    (
-        "search_speculative",
-        obj(vec![
-            ("base", result_json(&r.base)),
-            ("best_plan", to_bits_json(&r.best_plan)),
-            ("best_time_cost", f64_bits(r.best_time_cost)),
-            ("feasible", Value::Bool(r.feasible)),
-            ("spec_steps", Value::from(r.spec_steps)),
-            ("spec_accepted", Value::from(r.spec_accepted)),
-        ]),
-    )
+    (name, speculative_json(&r))
+}
+
+fn speculative_json(r: &SpecSearchResult) -> Value {
+    let best = r.best();
+    let (spec_steps, spec_accepted) = r.refined.as_ref().map_or((0, 0), |r| (r.steps, r.accepted));
+    obj(vec![
+        ("base", result_json(&r.base)),
+        ("best_plan", to_bits_json(&best.best_plan)),
+        ("best_time_cost", f64_bits(best.best_time_cost)),
+        ("feasible", Value::Bool(best.feasible)),
+        ("spec_steps", Value::from(spec_steps)),
+        ("spec_accepted", Value::from(spec_accepted)),
+    ])
 }
 
 fn dpo(cluster: &ClusterSpec, batch: u64) -> Experiment {
@@ -287,7 +302,8 @@ fn search_results_match_the_contract_fixture() {
         .into_iter()
         .chain([
             warm_case(),
-            speculative_case(),
+            speculative_case("search_speculative", 1, 1),
+            speculative_case("search_speculative_chains", 3, 2),
             sched_case(),
             price_template_case(),
         ])

@@ -78,7 +78,7 @@ fn export_json(stream: &EventStream) -> Value {
         a.start
             .total_cmp(&b.start)
             .then(a.end.total_cmp(&b.end))
-            .then(a.name.cmp(&b.name))
+            .then(a.name.cmp(b.name))
             .then(ta.cmp(tb))
             .then(a.depth.cmp(&b.depth))
     });
