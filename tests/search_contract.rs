@@ -7,13 +7,17 @@
 //! health overlay, `resume`, `parallel_search_on`, `search_speculative`
 //! (one chain, and three chains on two threads), `brute_force`, `compare`,
 //! `Scheduler::plan` and `price_template` — and records the chosen plan, every price and step time as its IEEE-754 bit
-//! pattern, feasibility and the chain's step/acceptance counts. Memo
+//! pattern, feasibility and the chain's step/acceptance counts. One more
+//! case pins `Estimator::time_cost_instrumented`'s full metrics snapshot
+//! (Algorithm 1's queue counters) on a searched asymmetric plan with
+//! reallocation and transfer nodes and on a speculative plan. Memo
 //! hit/miss counters are deliberately left out: they describe how a price
 //! was found, not what it is. A refactor of the pricing path must leave
 //! the fixture byte-identical. Regenerate deliberately with
 //! `BLESS=1 cargo test -p real-core --test search_contract`.
 
 use real_core::prelude::*;
+use real_core::real_dataflow::SpecChoice;
 use real_core::real_search::brute::BruteResult;
 use real_core::real_search::{parallel_search_on, search_with_memo};
 use real_sched::{SchedConfig, Scheduler};
@@ -296,6 +300,48 @@ fn price_template_case() -> (&'static str, Value) {
     )
 }
 
+/// Algorithm 1's instrumented run on two plans: a searched asymmetric
+/// 2-node PPO plan (reallocation and transfer nodes present) and the same
+/// plan decoding `actor_gen` speculatively on a draft sub-mesh (a call node
+/// on two meshes). Every metric of the snapshot is pinned, counters
+/// included.
+fn instrumented_case() -> (&'static str, Value) {
+    let cluster = ClusterSpec::h100(2);
+    let actor = ModelSpec::llama3_7b();
+    let graph = algo::ppo(&actor, &actor.critic(), &RlhfConfig::instruct_gpt(256));
+    let est = estimator(&cluster, &graph, 21);
+    let space = SearchSpace::build(&cluster, &graph, PruneLevel::Aggressive);
+    let searched = search(&est, &space, &steps_cfg(23, 300)).best_plan;
+    let choice = SpecChoice {
+        config: SpecDecodeConfig {
+            draft_model: ModelSpec::llama3_1b(),
+            speculation_len: 4,
+            acceptance_curve: AcceptanceCurve::Constant(0.8),
+        },
+        assignment: CallAssignment::new(
+            DeviceMesh::sub_node(&cluster, 1, 0, 2).unwrap(),
+            ParallelStrategy::new(1, 2, 1, 1).unwrap(),
+        )
+        .unwrap(),
+    };
+    let speculative = searched
+        .with_spec(graph.find("actor_gen").unwrap(), Some(choice))
+        .unwrap();
+    let snapshot = |plan: &ExecutionPlan| {
+        let mut metrics = MetricsRegistry::new();
+        let time_cost = est.time_cost_instrumented(plan, &mut metrics);
+        obj(vec![
+            ("plan", to_bits_json(plan)),
+            ("time_cost", f64_bits(time_cost)),
+            ("metrics", to_bits_json(&metrics.snapshot())),
+        ])
+    };
+    (
+        "time_cost_instrumented",
+        Value::Array(vec![snapshot(&searched), snapshot(&speculative)]),
+    )
+}
+
 #[test]
 fn search_results_match_the_contract_fixture() {
     let cases: Vec<(String, Value)> = chain_cases()
@@ -306,6 +352,7 @@ fn search_results_match_the_contract_fixture() {
             speculative_case("search_speculative_chains", 3, 2),
             sched_case(),
             price_template_case(),
+            instrumented_case(),
         ])
         .map(|(k, v)| (k.to_string(), v))
         .collect();
