@@ -1,6 +1,12 @@
 //! Construction of the augmented dataflow graph `G_p` (§4, Fig. 5): the
 //! per-iteration call nodes plus parameter-reallocation and data-transfer
 //! nodes, unrolled over a fixed number of iterations.
+//!
+//! The graph is flat ([`AugGraph`]): per-node arrays of kind, duration and
+//! one or two ids into a table of the plan's distinct device meshes, with
+//! every node's parents in one CSR list. [`Template::instantiate`] refills a
+//! caller-owned `AugGraph`, so re-pricing a plan reuses its buffers instead
+//! of allocating a node list.
 
 use crate::Estimator;
 use real_cluster::DeviceMesh;
@@ -8,54 +14,204 @@ use real_dataflow::{CallAssignment, CallId, DataflowGraph, ExecutionPlan, SpecCh
 use real_model::MemoryModel;
 
 /// What an augmented node does.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// A model function call.
-    Call {
-        /// The underlying call.
-        call: CallId,
-        /// Which unrolled iteration it belongs to.
-        iter: usize,
-    },
+    Call,
     /// Moving a model's parameters from one layout to another.
-    Realloc {
-        /// Owning model name.
-        model: String,
-        /// Iteration of the *destination* call.
-        iter: usize,
-    },
+    Realloc,
     /// Moving output data between producer and consumer meshes.
-    Transfer {
-        /// Producer call.
-        from: CallId,
-        /// Consumer call.
-        to: CallId,
-        /// Iteration.
-        iter: usize,
-    },
+    Transfer,
 }
 
-/// A node of the augmented graph, ready for Algorithm 1.
+impl NodeKind {
+    /// Short label for the kind, used as the `kind` metric label.
+    pub fn label(self) -> &'static str {
+        match self {
+            NodeKind::Call => "call",
+            NodeKind::Realloc => "realloc",
+            NodeKind::Transfer => "transfer",
+        }
+    }
+}
+
+/// Mesh id standing for a node's absent second mesh.
+const NO_MESH: u32 = u32::MAX;
+
+/// Node id standing for an unrolled call not placed yet.
+const NO_NODE: u32 = u32::MAX;
+
+/// The augmented graph, ready for Algorithm 1, in flat arrays.
+///
+/// Node `i` has a [`NodeKind`], a duration in seconds, one or two device
+/// meshes (one for calls and transfers, source + destination for
+/// reallocations, target + draft for speculative generation calls) stored
+/// as ids into the graph's table of distinct meshes, and parents that all
+/// precede it. Nodes are only appended; [`AugGraph::clear`] empties the
+/// graph but keeps every buffer's capacity.
 #[derive(Debug, Clone)]
-pub struct AugNode {
-    /// Node role (for debugging and breakdowns).
-    pub kind: NodeKind,
-    /// Estimated duration in seconds.
-    pub duration: f64,
-    /// Device meshes the node occupies (one for calls; source + destination
-    /// for reallocations and transfers).
-    pub meshes: Vec<DeviceMesh>,
-    /// Indices of parent nodes within the node list.
-    pub parents: Vec<usize>,
+pub struct AugGraph {
+    kinds: Vec<NodeKind>,
+    durations: Vec<f64>,
+    node_meshes: Vec<[u32; 2]>,
+    /// CSR offsets: node `i`'s parents are
+    /// `parents[parent_start[i]..parent_start[i + 1]]`.
+    parent_start: Vec<u32>,
+    parents: Vec<u32>,
+    /// The distinct meshes, indexed by mesh id.
+    meshes: Vec<DeviceMesh>,
+    /// Instantiation scratch: per call its assignment and mesh id, per
+    /// unrolled call its node, and the parents of the call node being built.
+    assigns: Vec<CallAssignment>,
+    call_mesh: Vec<u32>,
+    call_node: Vec<u32>,
+    gathered: Vec<u32>,
 }
 
-impl AugNode {
-    /// Whether this node contends for devices with `other` (any mesh pair
-    /// overlapping).
-    pub fn overlaps(&self, other: &AugNode) -> bool {
-        self.meshes
-            .iter()
-            .any(|a| other.meshes.iter().any(|b| a.overlaps(b)))
+impl Default for AugGraph {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl AugGraph {
+    /// An empty graph.
+    pub fn new() -> Self {
+        Self {
+            kinds: Vec::new(),
+            durations: Vec::new(),
+            node_meshes: Vec::new(),
+            parent_start: vec![0],
+            parents: Vec::new(),
+            meshes: Vec::new(),
+            assigns: Vec::new(),
+            call_mesh: Vec::new(),
+            call_node: Vec::new(),
+            gathered: Vec::new(),
+        }
+    }
+
+    /// Removes every node and mesh, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.kinds.clear();
+        self.durations.clear();
+        self.node_meshes.clear();
+        self.parent_start.clear();
+        self.parent_start.push(0);
+        self.parents.clear();
+        self.meshes.clear();
+        self.assigns.clear();
+        self.call_mesh.clear();
+        self.call_node.clear();
+        self.gathered.clear();
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Whether the graph has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.kinds.is_empty()
+    }
+
+    /// Node `i`'s role.
+    pub fn kind(&self, i: usize) -> NodeKind {
+        self.kinds[i]
+    }
+
+    /// Node `i`'s estimated duration in seconds.
+    pub fn duration(&self, i: usize) -> f64 {
+        self.durations[i]
+    }
+
+    /// Ids of the one or two distinct meshes node `i` occupies.
+    pub fn node_meshes(&self, i: usize) -> &[u32] {
+        let ids = &self.node_meshes[i];
+        if ids[1] == NO_MESH {
+            &ids[..1]
+        } else {
+            ids
+        }
+    }
+
+    /// Node `i`'s parents, ascending and without duplicates.
+    pub fn parents(&self, i: usize) -> &[u32] {
+        &self.parents[self.parent_start[i] as usize..self.parent_start[i + 1] as usize]
+    }
+
+    /// The graph's distinct meshes, indexed by mesh id.
+    pub fn meshes(&self) -> &[DeviceMesh] {
+        &self.meshes
+    }
+
+    /// The id of `mesh`, added to the mesh table if new. A plan has at most
+    /// a few dozen distinct meshes, so a linear scan beats hashing.
+    pub fn intern(&mut self, mesh: DeviceMesh) -> u32 {
+        match self.meshes.iter().position(|m| *m == mesh) {
+            Some(id) => id as u32,
+            None => {
+                self.meshes.push(mesh);
+                (self.meshes.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Appends a node on one or two meshes whose parents are `parents`
+    /// (sorted and deduplicated here), returning its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `meshes` holds one or two meshes and every parent
+    /// precedes the new node (augmented nodes must be topologically
+    /// ordered).
+    pub fn push(
+        &mut self,
+        kind: NodeKind,
+        duration: f64,
+        meshes: &[DeviceMesh],
+        parents: &[usize],
+    ) -> usize {
+        assert!(
+            matches!(meshes.len(), 1 | 2),
+            "a node occupies one or two meshes"
+        );
+        let i = self.len();
+        let first = self.intern(meshes[0]);
+        let second = meshes.get(1).map_or(NO_MESH, |&m| self.intern(m));
+        self.gathered.clear();
+        for &p in parents {
+            assert!(p < i, "augmented nodes must be topologically ordered");
+            self.gathered.push(p as u32);
+        }
+        self.push_gathered(kind, duration, [first, second]) as usize
+    }
+
+    /// Appends a node whose only parent is `parent`.
+    fn push_child_of(&mut self, parent: u32, kind: NodeKind, duration: f64, meshes: [u32; 2]) -> u32 {
+        self.parents.push(parent);
+        self.push_node(kind, duration, meshes)
+    }
+
+    /// Appends a node whose parents are the gathered list, sorted and
+    /// deduplicated first.
+    fn push_gathered(&mut self, kind: NodeKind, duration: f64, meshes: [u32; 2]) -> u32 {
+        self.gathered.sort_unstable();
+        self.gathered.dedup();
+        self.parents.extend_from_slice(&self.gathered);
+        self.push_node(kind, duration, meshes)
+    }
+
+    /// Appends a node whose parents were just appended to `parents`.
+    fn push_node(&mut self, kind: NodeKind, duration: f64, [first, second]: [u32; 2]) -> u32 {
+        let i = self.kinds.len() as u32;
+        self.kinds.push(kind);
+        self.durations.push(duration);
+        let second = if second == first { NO_MESH } else { second };
+        self.node_meshes.push([first, second]);
+        self.parent_start.push(self.parents.len() as u32);
+        i
     }
 }
 
@@ -244,12 +400,24 @@ impl Template {
     ///
     /// Panics unless `durations` has one entry per call of `graph`.
     pub fn critical_path_bound(&self, graph: &DataflowGraph, durations: &[f64]) -> f64 {
+        self.critical_path_bound_in(graph, durations, &mut Vec::new())
+    }
+
+    /// [`Template::critical_path_bound`] with its end-time buffers in
+    /// `ends`, so repeated bounds reuse one allocation.
+    pub(crate) fn critical_path_bound_in(
+        &self,
+        graph: &DataflowGraph,
+        durations: &[f64],
+        ends: &mut Vec<f64>,
+    ) -> f64 {
         let n = graph.n_calls();
         assert_eq!(durations.len(), n, "one duration per call");
         // End times of the current and the previous iteration's call nodes;
         // topological order writes every entry before this iteration reads it.
-        let mut end = vec![0.0f64; n];
-        let mut prev_end = vec![0.0f64; n];
+        ends.clear();
+        ends.resize(2 * n, 0.0);
+        let (mut end, mut prev_end) = ends.split_at_mut(n);
         let mut longest = 0.0f64;
         for iter in 0..self.iterations {
             for &call in &self.topo {
@@ -271,56 +439,59 @@ impl Template {
         longest / self.iterations as f64
     }
 
-    /// Materializes the augmented node list for one plan, with assignments
-    /// supplied by `assign` (so a one-call perturbation needs no plan clone),
-    /// speculation choices read off `plan`, and node prices supplied by
-    /// `costs`. A speculative generation call takes its spec-aware duration
-    /// and also occupies the draft mesh, so Algorithm 1 serializes colocated
-    /// work against the draft.
+    /// Fills `out` with the augmented graph of one plan, with assignments
+    /// supplied by `assign` (so a one-call perturbation needs no plan
+    /// clone), speculation choices read off `plan`, and node prices
+    /// supplied by `costs`. A speculative generation call takes its
+    /// spec-aware duration and also occupies the draft mesh, so Algorithm 1
+    /// serializes colocated work against the draft.
+    ///
+    /// Node order: for each iteration, every call in topological order,
+    /// preceded by its transfer and reallocation nodes. Parameter-version
+    /// edges connect a model's last call in iteration `t` to its first call
+    /// in iteration `t+1` (through the reallocation node when layouts
+    /// differ). Zero-cost transfers and reallocations add no node.
     pub fn instantiate<F>(
         &self,
         graph: &DataflowGraph,
         plan: &ExecutionPlan,
         assign: F,
         costs: &mut dyn NodeCosts,
-    ) -> Vec<AugNode>
-    where
+        out: &mut AugGraph,
+    ) where
         F: Fn(CallId) -> CallAssignment,
     {
         let n = graph.n_calls();
-        let mut nodes: Vec<AugNode> = Vec::with_capacity(self.iterations * n * 2);
-        // call_node[iter][call] = node index.
-        let mut call_node = vec![vec![usize::MAX; n]; self.iterations];
+        out.clear();
+        for call in 0..n {
+            let a = assign(CallId(call));
+            let mesh = out.intern(a.mesh);
+            out.assigns.push(a);
+            out.call_mesh.push(mesh);
+        }
+        // call_node[iter * n + call] = node index.
+        out.call_node.resize(self.iterations * n, NO_NODE);
 
         for iter in 0..self.iterations {
             for &call in &self.topo {
-                let def = graph.call(call);
-                let a = assign(call);
-                let mut parents: Vec<usize> = Vec::new();
+                let a = out.assigns[call.0];
+                let mesh = out.call_mesh[call.0];
+                out.gathered.clear();
 
                 // Data dependencies (+ transfer nodes when layouts differ).
                 for &dep in graph.deps(call) {
-                    let dep_node = call_node[iter][dep.0];
-                    debug_assert_ne!(dep_node, usize::MAX, "topo order places deps first");
-                    let cost = costs.transfer(dep, &assign(dep), &a);
-                    if cost > 0.0 {
+                    let dep_node = out.call_node[iter * n + dep.0];
+                    debug_assert_ne!(dep_node, NO_NODE, "topo order places deps first");
+                    let cost = costs.transfer(dep, &out.assigns[dep.0], &a);
+                    let parent = if cost > 0.0 {
                         // Transfers occupy the consumer mesh only; the
                         // producer sends from copy engines (mirrors the
                         // runtime engine).
-                        nodes.push(AugNode {
-                            kind: NodeKind::Transfer {
-                                from: dep,
-                                to: call,
-                                iter,
-                            },
-                            duration: cost,
-                            meshes: vec![a.mesh],
-                            parents: vec![dep_node],
-                        });
-                        parents.push(nodes.len() - 1);
+                        out.push_child_of(dep_node, NodeKind::Transfer, cost, [mesh, NO_MESH])
                     } else {
-                        parents.push(dep_node);
-                    }
+                        dep_node
+                    };
+                    out.gathered.push(parent);
                 }
 
                 // Parameter availability: the model's previous call in this
@@ -337,64 +508,51 @@ impl Template {
                     None
                 };
                 if let Some((piter, pcall)) = prev {
-                    let pnode = call_node[piter][pcall.0];
-                    debug_assert_ne!(pnode, usize::MAX);
-                    let pa = assign(pcall);
-                    let cost = costs.realloc(call, &pa, &a);
-                    if cost > 0.0 {
-                        nodes.push(AugNode {
-                            kind: NodeKind::Realloc {
-                                model: def.model_name.clone(),
-                                iter,
-                            },
-                            duration: cost,
-                            meshes: vec![pa.mesh, a.mesh],
-                            parents: vec![pnode],
-                        });
-                        parents.push(nodes.len() - 1);
+                    let pnode = out.call_node[piter * n + pcall.0];
+                    debug_assert_ne!(pnode, NO_NODE);
+                    let cost = costs.realloc(call, &out.assigns[pcall.0], &a);
+                    let parent = if cost > 0.0 {
+                        let meshes = [out.call_mesh[pcall.0], mesh];
+                        out.push_child_of(pnode, NodeKind::Realloc, cost, meshes)
                     } else {
-                        parents.push(pnode);
-                    }
+                        pnode
+                    };
+                    out.gathered.push(parent);
                 }
 
-                parents.sort_unstable();
-                parents.dedup();
                 let duration = costs.call_node(plan, call, &a);
-                let mut meshes = vec![a.mesh];
-                if let Some(choice) = plan.spec_choice(call) {
-                    meshes.push(choice.assignment.mesh);
-                }
-                nodes.push(AugNode {
-                    kind: NodeKind::Call { call, iter },
-                    duration,
-                    meshes,
-                    parents,
-                });
-                call_node[iter][call.0] = nodes.len() - 1;
+                let draft = match plan.spec_choice(call) {
+                    Some(choice) => out.intern(choice.assignment.mesh),
+                    None => NO_MESH,
+                };
+                let node = out.push_gathered(NodeKind::Call, duration, [mesh, draft]);
+                out.call_node[iter * n + call.0] = node;
             }
         }
-        nodes
     }
 }
 
-/// Builds the augmented node list for `iterations` unrolled iterations.
-///
-/// Node order: for each iteration, every call preceded by its transfer and
-/// reallocation nodes. Parameter-version edges connect a model's training
-/// call in iteration `t` to its calls in iteration `t+1` (through the
-/// reallocation node when layouts differ).
+/// Builds the augmented graph for `iterations` unrolled iterations (see
+/// [`Template::instantiate`] for the node order).
 ///
 /// Equivalent to [`Template::new`] + [`Template::instantiate`] with the
 /// estimator as its own [`NodeCosts`]; callers pricing many plans against
-/// one graph should build the template once instead.
+/// one graph should build the template and the [`AugGraph`] once instead.
 pub fn build(
     graph: &DataflowGraph,
     plan: &ExecutionPlan,
     est: &Estimator,
     iterations: usize,
-) -> Vec<AugNode> {
-    let mut costs = est;
-    Template::new(graph, iterations).instantiate(graph, plan, |id| *plan.assignment(id), &mut costs)
+) -> AugGraph {
+    let mut out = AugGraph::new();
+    Template::new(graph, iterations).instantiate(
+        graph,
+        plan,
+        |id| *plan.assignment(id),
+        &mut { est },
+        &mut out,
+    );
+    out
 }
 
 #[cfg(test)]
@@ -429,11 +587,10 @@ mod tests {
     fn symmetric_plan_has_no_realloc_or_transfer_nodes() {
         let (cluster, graph, est) = setup();
         let plan = symmetric(&cluster, &graph);
-        let nodes = build(&graph, &plan, &est, 1);
-        assert_eq!(nodes.len(), graph.n_calls());
-        assert!(nodes
-            .iter()
-            .all(|n| matches!(n.kind, NodeKind::Call { .. })));
+        let g = build(&graph, &plan, &est, 1);
+        assert_eq!(g.len(), graph.n_calls());
+        assert!((0..g.len()).all(|i| g.kind(i) == NodeKind::Call));
+        assert_eq!(g.meshes().len(), 1, "every call shares one mesh");
     }
 
     #[test]
@@ -448,10 +605,9 @@ mod tests {
         )
         .unwrap();
         plan = plan.with_assignment(train, new).unwrap();
-        let nodes = build(&graph, &plan, &est, 1);
-        let reallocs = nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Realloc { .. }))
+        let g = build(&graph, &plan, &est, 1);
+        let reallocs = (0..g.len())
+            .filter(|&i| g.kind(i) == NodeKind::Realloc)
             .count();
         assert!(reallocs >= 1, "expected a realloc before actor_train");
     }
@@ -460,22 +616,16 @@ mod tests {
     fn unrolling_two_iterations_doubles_call_nodes() {
         let (cluster, graph, est) = setup();
         let plan = symmetric(&cluster, &graph);
-        let nodes = build(&graph, &plan, &est, 2);
-        let calls = nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Call { .. }))
-            .count();
-        assert_eq!(calls, 2 * graph.n_calls());
-        // Second-iteration generation depends (transitively) on
-        // first-iteration actor training.
-        let gen2 = nodes
-            .iter()
-            .position(|n| {
-                matches!(n.kind, NodeKind::Call { call, iter: 1 }
-                if call == graph.find("actor_gen").unwrap())
-            })
-            .unwrap();
-        assert!(!nodes[gen2].parents.is_empty());
+        let g = build(&graph, &plan, &est, 2);
+        let calls: Vec<usize> = (0..g.len())
+            .filter(|&i| g.kind(i) == NodeKind::Call)
+            .collect();
+        assert_eq!(calls.len(), 2 * graph.n_calls());
+        // Every second-iteration call waits on the first iteration: its
+        // data dependencies or its model's previous (wrap-around) call.
+        for &i in &calls[graph.n_calls()..] {
+            assert!(!g.parents(i).is_empty(), "node {i} has no parent");
+        }
     }
 
     #[test]
@@ -537,10 +687,10 @@ mod tests {
     fn parents_reference_earlier_nodes_only() {
         let (cluster, graph, est) = setup();
         let plan = symmetric(&cluster, &graph);
-        let nodes = build(&graph, &plan, &est, 3);
-        for (i, n) in nodes.iter().enumerate() {
-            for &p in &n.parents {
-                assert!(p < i, "node {i} has forward parent {p}");
+        let g = build(&graph, &plan, &est, 3);
+        for i in 0..g.len() {
+            for &p in g.parents(i) {
+                assert!((p as usize) < i, "node {i} has forward parent {p}");
             }
         }
     }

@@ -285,12 +285,12 @@ impl Estimator {
     /// unrolled over the configured iterations, divided by the iteration
     /// count (steady-state per-iteration time).
     pub fn time_cost(&self, plan: &ExecutionPlan) -> f64 {
-        let nodes = augment::build(&self.graph, plan, self, self.iterations);
-        algorithm1::makespan(&nodes) / self.iterations as f64
+        let graph = augment::build(&self.graph, plan, self, self.iterations);
+        algorithm1::makespan(&graph) / self.iterations as f64
     }
 
     /// [`Estimator::time_cost`] with observability: records Algorithm 1's
-    /// queue telemetry (see [`algorithm1::makespan_instrumented`]) plus an
+    /// queue telemetry (see [`algorithm1::Simulator::makespan_instrumented`]) plus an
     /// `estimator/call_seconds{call=<name>}` gauge per function call — the
     /// estimator side of the per-category Fig. 12 divergence comparison
     /// against the runtime's measured call durations.
@@ -306,8 +306,8 @@ impl Estimator {
             };
             metrics.gauge_set("estimator/call_seconds", &[("call", &def.call_name)], secs);
         }
-        let nodes = augment::build(&self.graph, plan, self, self.iterations);
-        let per_iter = algorithm1::makespan_instrumented(&nodes, metrics) / self.iterations as f64;
+        let graph = augment::build(&self.graph, plan, self, self.iterations);
+        let per_iter = algorithm1::makespan_instrumented(&graph, metrics) / self.iterations as f64;
         metrics.gauge_set("estimator/time_cost_seconds", &[], per_iter);
         per_iter
     }

@@ -44,67 +44,91 @@ pub(crate) fn call_active_bytes(def: &ModelFunctionCallDef, a: &CallAssignment) 
     }
 }
 
-/// Appends a mesh's global-GPU index ranges to `out`. Every valid mesh is a
-/// union of at most `node_count` contiguous ranges (one per node); a
-/// whole-width mesh collapses to a single range.
-fn mesh_ranges(mesh: &DeviceMesh, out: &mut Vec<(u64, u64)>) {
+/// Calls `range(start, end)` for each of a mesh's global-GPU index ranges.
+/// Every valid mesh is a union of at most `node_count` contiguous ranges
+/// (one per node); a whole-width mesh collapses to a single range.
+fn mesh_ranges(mesh: &DeviceMesh, mut range: impl FnMut(u64, u64)) {
     let gpn = u64::from(mesh.gpus_per_node());
     if u64::from(mesh.gpu_width()) == gpn {
         let start = u64::from(mesh.node_start()) * gpn;
-        out.push((start, start + u64::from(mesh.n_gpus())));
+        range(start, start + u64::from(mesh.n_gpus()));
         return;
     }
     for node in mesh.node_start()..mesh.node_start() + mesh.n_nodes() {
         let start = u64::from(node) * gpn + u64::from(mesh.gpu_start());
-        out.push((start, start + u64::from(mesh.gpu_width())));
+        range(start, start + u64::from(mesh.gpu_width()));
     }
 }
 
 /// Peak per-GPU bytes from per-mesh contributions, without materializing a
-/// per-GPU array: `statics` sum on every GPU their mesh covers, `actives`
-/// max (calls sharing a GPU serialize, §5.1). Exact — an interval sweep
-/// over range boundaries visits a superset of the distinct per-GPU sums, so
-/// the result is bit-identical to the `O(total_gpus)` reference above while
-/// costing `O(contributions²)`; at 8192 GPUs that's the difference between
-/// touching tens of bytes and tens of kilobytes per MCMC proposal.
-pub(crate) fn peak_from_contributions(
-    statics: &[(DeviceMesh, u64)],
-    actives: &[(DeviceMesh, u64)],
-) -> u64 {
-    let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(statics.len() + actives.len() * 2);
-    let mut static_ranges: Vec<(u64, u64, u64)> = Vec::with_capacity(statics.len() * 2);
-    let mut active_ranges: Vec<(u64, u64, u64)> = Vec::with_capacity(actives.len() * 2);
-    for (mesh, bytes) in statics {
-        let at = ranges.len();
-        mesh_ranges(mesh, &mut ranges);
-        static_ranges.extend(ranges[at..].iter().map(|&(s, e)| (s, e, *bytes)));
+/// per-GPU array: static contributions sum on every GPU their mesh covers,
+/// active ones max (calls sharing a GPU serialize, §5.1). Exact — an
+/// interval sweep over range boundaries visits a superset of the distinct
+/// per-GPU sums, so the result is bit-identical to [`max_mem`]'s
+/// `O(total_gpus)` scan while costing `O(contributions²)`; at 8192 GPUs
+/// that's the difference between touching tens of bytes and tens of
+/// kilobytes per MCMC proposal. The buffers are kept between sweeps, so a
+/// warm sweep allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PeakSweep {
+    /// `(start, end, bytes)` GPU ranges of the static contributions.
+    statics: Vec<(u64, u64, u64)>,
+    /// `(start, end, bytes)` GPU ranges of the active contributions.
+    actives: Vec<(u64, u64, u64)>,
+    /// Every range start: the elementary intervals' left ends.
+    bounds: Vec<u64>,
+}
+
+impl PeakSweep {
+    /// Drops every contribution.
+    pub(crate) fn clear(&mut self) {
+        self.statics.clear();
+        self.actives.clear();
+        self.bounds.clear();
     }
-    for (mesh, bytes) in actives {
-        let at = ranges.len();
-        mesh_ranges(mesh, &mut ranges);
-        active_ranges.extend(ranges[at..].iter().map(|&(s, e)| (s, e, *bytes)));
+
+    /// Adds `bytes` on every GPU of `mesh`, summing with other statics.
+    pub(crate) fn add_static(&mut self, mesh: &DeviceMesh, bytes: u64) {
+        mesh_ranges(mesh, |s, e| {
+            self.statics.push((s, e, bytes));
+            self.bounds.push(s);
+        });
     }
-    // Elementary intervals: between consecutive boundaries the covering set
-    // is constant, so probing each interval start sees every distinct sum.
-    let mut bounds: Vec<u64> = ranges.iter().map(|&(s, _)| s).collect();
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mut peak = 0u64;
-    for &x in &bounds {
-        let s: u64 = static_ranges
-            .iter()
-            .filter(|&&(lo, hi, _)| lo <= x && x < hi)
-            .map(|&(_, _, b)| b)
-            .sum();
-        let a: u64 = active_ranges
-            .iter()
-            .filter(|&&(lo, hi, _)| lo <= x && x < hi)
-            .map(|&(_, _, b)| b)
-            .max()
-            .unwrap_or(0);
-        peak = peak.max(s + a);
+
+    /// Charges `bytes` on every GPU of `mesh`, maxing with other actives.
+    pub(crate) fn add_active(&mut self, mesh: &DeviceMesh, bytes: u64) {
+        mesh_ranges(mesh, |s, e| {
+            self.actives.push((s, e, bytes));
+            self.bounds.push(s);
+        });
     }
-    peak
+
+    /// The peak over GPUs of static sum plus active max.
+    pub(crate) fn peak(&mut self) -> u64 {
+        // Elementary intervals: between consecutive boundaries the covering
+        // set is constant, so probing each interval start sees every
+        // distinct sum.
+        self.bounds.sort_unstable();
+        self.bounds.dedup();
+        let mut peak = 0u64;
+        for &x in &self.bounds {
+            let s: u64 = self
+                .statics
+                .iter()
+                .filter(|&&(lo, hi, _)| lo <= x && x < hi)
+                .map(|&(_, _, b)| b)
+                .sum();
+            let a: u64 = self
+                .actives
+                .iter()
+                .filter(|&&(lo, hi, _)| lo <= x && x < hi)
+                .map(|&(_, _, b)| b)
+                .max()
+                .unwrap_or(0);
+            peak = peak.max(s + a);
+        }
+        peak
+    }
 }
 
 /// Per-GPU static bytes implied by the plan.

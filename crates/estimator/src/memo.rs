@@ -26,9 +26,10 @@
 //! experiment against nested mesh regions and therefore revisit the same
 //! `(call, assignment)` keys constantly.
 
-use crate::augment::{self, NodeCosts, Template};
-use crate::{algorithm1, maxmem, penalized, Estimator};
-use real_cluster::DeviceMesh;
+use crate::algorithm1::Simulator;
+use crate::augment::{self, AugGraph, NodeCosts, Template};
+use crate::maxmem::{self, PeakSweep};
+use crate::{penalized, Estimator};
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan, SpecChoice};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -517,7 +518,9 @@ impl NodeCosts for MemoCosts<'_, '_> {
 /// The peak-memory check additionally swaps the `O(total_gpus)` per-GPU
 /// scan for an exact interval sweep over the plan's (at most a few dozen)
 /// mesh contributions, which is what makes per-proposal pricing flat in
-/// cluster size.
+/// cluster size. The pricer owns every buffer a query needs — the
+/// augmented graph, Algorithm 1's state, the sweep and the bound's
+/// durations — so once the memo is warm a query allocates nothing.
 ///
 /// ```
 /// use real_cluster::{ClusterSpec, DeviceMesh};
@@ -551,6 +554,26 @@ pub struct PlanPricer<'a> {
     template: Template,
     anchors: Vec<CallId>,
     memo: CostMemo,
+    work: Workspace,
+}
+
+/// The buffers every [`PlanPricer`] query reuses.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// The augmented graph of the plan being priced.
+    graph: AugGraph,
+    /// Algorithm 1's state.
+    sim: Simulator,
+    /// Per-call node durations for the critical-path bound.
+    durations: Vec<f64>,
+    /// The bound's per-call end times.
+    ends: Vec<f64>,
+    /// The peak-memory interval sweep.
+    peak: PeakSweep,
+    /// Draft residency per (call, draft assignment, speculation-config
+    /// fingerprint): pure in its key, and kept here because computing it
+    /// builds a memory model.
+    drafts: HashMap<(CallId, CallAssignment, u64), u64, FxBuild>,
 }
 
 impl<'a> PlanPricer<'a> {
@@ -569,6 +592,7 @@ impl<'a> PlanPricer<'a> {
             template: Template::new(est.graph(), est.iterations()),
             anchors: maxmem::static_anchors(est.graph()),
             memo,
+            work: Workspace::default(),
         }
     }
 
@@ -591,16 +615,14 @@ impl<'a> PlanPricer<'a> {
     where
         F: Fn(CallId) -> CallAssignment,
     {
-        let nodes = self.template.instantiate(
-            self.est.graph(),
-            plan,
-            assign,
-            &mut MemoCosts {
-                est: self.est,
-                memo: &mut self.memo,
-            },
-        );
-        algorithm1::makespan(&nodes) / self.est.iterations() as f64
+        let mut costs = MemoCosts {
+            est: self.est,
+            memo: &mut self.memo,
+        };
+        let graph = &mut self.work.graph;
+        self.template
+            .instantiate(self.est.graph(), plan, assign, &mut costs, graph);
+        self.work.sim.makespan(graph) / self.est.iterations() as f64
     }
 
     fn max_mem_at<F>(&mut self, plan: &ExecutionPlan, assign: F) -> u64
@@ -608,26 +630,28 @@ impl<'a> PlanPricer<'a> {
         F: Fn(CallId) -> CallAssignment,
     {
         let graph = self.est.graph();
-        let mut statics: Vec<(DeviceMesh, u64)> = Vec::with_capacity(self.anchors.len());
-        for i in 0..self.anchors.len() {
-            let anchor = self.anchors[i];
+        let peak = &mut self.work.peak;
+        peak.clear();
+        for &anchor in &self.anchors {
             let a = assign(anchor);
             let bytes = self.memo.static_bytes(self.est, anchor, &a);
-            statics.push((a.mesh, bytes));
+            peak.add_static(&a.mesh, bytes);
         }
         // Draft residency sums like static memory (see `maxmem::max_mem`).
         for (id, choice) in plan.spec_choices() {
-            let bytes = crate::spec::draft_active_bytes(&graph.call(id).call_type, choice);
-            statics.push((choice.assignment.mesh, bytes));
+            let key = (id, choice.assignment, choice.config.fingerprint());
+            let bytes = *self.work.drafts.entry(key).or_insert_with(|| {
+                crate::spec::draft_active_bytes(&graph.call(id).call_type, choice)
+            });
+            peak.add_static(&choice.assignment.mesh, bytes);
         }
-        let mut actives: Vec<(DeviceMesh, u64)> = Vec::with_capacity(graph.n_calls());
         for id in 0..graph.n_calls() {
             let id = CallId(id);
             let a = assign(id);
             let bytes = self.memo.active_bytes(self.est, id, &a);
-            actives.push((a.mesh, bytes));
+            peak.add_active(&a.mesh, bytes);
         }
-        maxmem::peak_from_contributions(&statics, &actives)
+        peak.peak()
     }
 
     fn cost_checked_at<F>(&mut self, plan: &ExecutionPlan, assign: F) -> (f64, bool)
@@ -691,10 +715,16 @@ impl<'a> PlanPricer<'a> {
         call: CallId,
         a: CallAssignment,
     ) -> f64 {
-        let durations =
-            self.call_node_durations(plan, |id| if id == call { a } else { *plan.assignment(id) });
+        self.fill_durations(plan, |id| if id == call { a } else { *plan.assignment(id) });
+        let work = &mut self.work;
         self.template
-            .critical_path_bound(self.est.graph(), &durations)
+            .critical_path_bound_in(self.est.graph(), &work.durations, &mut work.ends)
+    }
+
+    /// [`Estimator::call_duration`] of `call` under `a`, read through the
+    /// memo.
+    pub fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64 {
+        self.memo.duration(self.est, call, a)
     }
 
     /// The duration `call`'s node takes under `a` in `plan`'s augmented
@@ -713,14 +743,21 @@ impl<'a> PlanPricer<'a> {
         .call_node(plan, call, a)
     }
 
-    fn call_node_durations<F>(&mut self, plan: &ExecutionPlan, assign: F) -> Vec<f64>
+    /// Fills the workspace's per-call durations with every call's
+    /// [`PlanPricer::call_node_duration`] under `assign`.
+    fn fill_durations<F>(&mut self, plan: &ExecutionPlan, assign: F)
     where
         F: Fn(CallId) -> CallAssignment,
     {
-        (0..self.est.graph().n_calls())
-            .map(CallId)
-            .map(|id| self.call_node_duration(plan, id, &assign(id)))
-            .collect()
+        let mut costs = MemoCosts {
+            est: self.est,
+            memo: &mut self.memo,
+        };
+        let durations = &mut self.work.durations;
+        durations.clear();
+        for id in (0..self.est.graph().n_calls()).map(CallId) {
+            durations.push(costs.call_node(plan, id, &assign(id)));
+        }
     }
 
     /// The least call-node duration `d*` at which
@@ -741,11 +778,12 @@ impl<'a> PlanPricer<'a> {
         call: CallId,
         target: f64,
     ) -> f64 {
+        self.fill_durations(plan, |id| *plan.assignment(id));
         let graph = self.est.graph();
-        let mut durations = self.call_node_durations(plan, |id| *plan.assignment(id));
+        let (template, work) = (&self.template, &mut self.work);
         let mut reaches = |bits: u64| {
-            durations[call.0] = f64::from_bits(bits);
-            self.template.critical_path_bound(graph, &durations) >= target
+            work.durations[call.0] = f64::from_bits(bits);
+            template.critical_path_bound_in(graph, &work.durations, &mut work.ends) >= target
         };
         // Non-negative f64s order like their bit patterns. Invariant: the
         // bound at `lo` misses `target`, the bound at `hi` does not (at
@@ -769,7 +807,7 @@ impl<'a> PlanPricer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use real_cluster::{ClusterHealth, ClusterSpec, GpuId};
+    use real_cluster::{ClusterHealth, ClusterSpec, DeviceMesh, GpuId};
     use real_dataflow::{algo, DataflowGraph};
     use real_model::{ModelSpec, ParallelStrategy};
     use real_profiler::{ProfileConfig, Profiler};
@@ -1078,7 +1116,8 @@ mod tests {
                 proptest::prop_assert_eq!(pruned, bound >= target);
             }
             // `d*` is the least duration that reaches the target.
-            let own = pricer.call_node_durations(&plan, |id| *plan.assignment(id));
+            pricer.fill_durations(&plan, |id| *plan.assignment(id));
+            let own = pricer.work.durations.clone();
             let bound_at = |d: f64| {
                 let mut durations = own.clone();
                 durations[call.0] = d;
