@@ -5,16 +5,28 @@
 //! Markov chain's starting point.
 
 use crate::space::SearchSpace;
-use real_dataflow::{CallId, ExecutionPlan};
+use real_dataflow::{CallAssignment, CallId, ExecutionPlan};
 use real_estimator::Estimator;
 
-/// Builds the greedy plan `p0`: per call, the fastest isolated option.
+/// Builds the greedy plan `p0`: per call, the fastest isolated option,
+/// every option priced from scratch.
 ///
 /// # Panics
 ///
 /// Panics if the space and estimator disagree on the call count, or if the
 /// resulting plan fails validation (the space guarantees it cannot).
 pub fn greedy_plan(est: &Estimator, space: &SearchSpace) -> ExecutionPlan {
+    greedy_plan_with(est, space, |call, a| est.call_duration(call, a))
+}
+
+/// [`greedy_plan`] with each option's duration read from `duration`, which
+/// must return [`Estimator::call_duration`]'s value (a chain passes its
+/// memoized pricer, so the polish later hits the entries priced here).
+pub(crate) fn greedy_plan_with(
+    est: &Estimator,
+    space: &SearchSpace,
+    mut duration: impl FnMut(CallId, &CallAssignment) -> f64,
+) -> ExecutionPlan {
     let graph = est.graph();
     assert_eq!(
         space.n_calls(),
@@ -28,7 +40,7 @@ pub fn greedy_plan(est: &Estimator, space: &SearchSpace) -> ExecutionPlan {
         let (best, _) = space
             .options(call)
             .iter()
-            .map(|a| (a, est.call_duration(id, a)))
+            .map(|a| (a, duration(id, a)))
             .min_by(|(_, x), (_, y)| x.partial_cmp(y).expect("durations are finite"))
             .expect("search space guarantees non-empty option lists");
         assignments.push(*best);
@@ -72,6 +84,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn greedy_through_the_memo_matches_from_scratch() {
+        let (est, space) = setup();
+        let mut pricer = real_estimator::PlanPricer::new(&est);
+        let memoized = greedy_plan_with(&est, &space, |c, a| pricer.call_duration(c, a));
+        assert_eq!(memoized, greedy_plan(&est, &space));
+        // Every option was priced once and left in the memo for the polish.
+        let options: usize = (0..space.n_calls()).map(|c| space.options(c).len()).sum();
+        let stats = pricer.memo_stats();
+        assert_eq!(stats.hits + stats.misses, options as u64);
+        assert!(stats.entries > 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! already reaches the best cost; the reference chain does neither.
 
 use crate::checkpoint::{project_onto, ChainState, SearchCheckpoint};
-use crate::greedy::greedy_plan;
+use crate::greedy::greedy_plan_with;
 use crate::space::{PruneLevel, SearchSpace};
 use real_cluster::{partition, DeviceMesh};
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan};
@@ -308,6 +308,9 @@ trait ChainPricer {
     fn call_node_duration(&mut self, plan: &ExecutionPlan, call: CallId, a: &CallAssignment)
         -> f64;
 
+    /// [`Estimator::call_duration`] of `call` under `a`.
+    fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64;
+
     fn memo_stats(&self) -> MemoStats {
         MemoStats::default()
     }
@@ -358,6 +361,10 @@ impl ChainPricer for PlanPricer<'_> {
         PlanPricer::call_node_duration(self, plan, call, a)
     }
 
+    fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64 {
+        PlanPricer::call_duration(self, call, a)
+    }
+
     fn memo_stats(&self) -> MemoStats {
         PlanPricer::memo_stats(self)
     }
@@ -386,6 +393,10 @@ impl ChainPricer for Reference<'_> {
         a: &CallAssignment,
     ) -> f64 {
         NodeCosts::call_node(&mut self.0, plan, call, a)
+    }
+
+    fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64 {
+        self.0.call_duration(call, a)
     }
 }
 
@@ -426,7 +437,7 @@ fn run_chain_on(
     let (mut rng, mut current, mut steps, mut accepted, prior_best, mut trace) = match start_from {
         ChainStart::Greedy => (
             DeterministicRng::from_seed(cfg.seed).derive(stream),
-            greedy_plan(est, space),
+            greedy_plan_with(est, space, |call, a| pricer.call_duration(call, a)),
             0,
             0,
             None,
@@ -867,6 +878,7 @@ pub fn parallel_search_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::greedy_plan;
     use crate::heuristic::heuristic_plan;
     use real_cluster::ClusterSpec;
     use real_dataflow::algo::{ppo, RlhfConfig};
