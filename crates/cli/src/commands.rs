@@ -3,6 +3,7 @@
 
 use crate::args::{ArgError, Args};
 use real_core::prelude::*;
+use real_core::real_dataflow::plan::PlanError;
 use real_sched::{GraphSet, SchedConfig, SchedError, SchedSpec, Scheduler, TenantSpec};
 use std::fmt;
 use std::time::Duration;
@@ -22,6 +23,13 @@ pub enum CliError {
     Io(std::io::Error),
     /// JSON (de)serialization failed.
     Json(serde_json::Error),
+    /// A `--plan` file does not fit the experiment's graph or cluster.
+    Plan {
+        /// The plan file.
+        path: String,
+        /// Why the plan was rejected.
+        error: PlanError,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -33,6 +41,9 @@ impl fmt::Display for CliError {
             CliError::Run(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Json(e) => write!(f, "json error: {e}"),
+            CliError::Plan { path, error } => {
+                write!(f, "{path}: plan does not fit the experiment: {error}")
+            }
         }
     }
 }
@@ -84,6 +95,33 @@ pub fn load_json<T: serde::Deserialize>(path: &str) -> Result<T, CliError> {
         }
         None => CliError::Invalid(format!("{path}: {e}")),
     })
+}
+
+/// Loads a `--plan` file and validates it against `exp`: the assignments
+/// are rebuilt through [`ExecutionPlan::new`] on the experiment's graph and
+/// cluster, and every speculation choice is re-applied through
+/// [`ExecutionPlan::with_spec`] with its draft mesh checked against the
+/// cluster, so a plan saved for another experiment fails with the file and
+/// the reason instead of panicking or being priced in part.
+fn load_plan(path: &str, exp: &Experiment) -> Result<ExecutionPlan, CliError> {
+    let saved: ExecutionPlan = load_json(path)?;
+    let reject = |error| CliError::Plan {
+        path: path.to_string(),
+        error,
+    };
+    let cluster = exp.cluster();
+    let mut plan = ExecutionPlan::new(exp.graph(), cluster, saved.assignments().to_vec())
+        .map_err(reject)?;
+    for (id, choice) in saved.spec_choices() {
+        let mesh = &choice.assignment.mesh;
+        if mesh.node_start() + mesh.n_nodes() > cluster.n_nodes
+            || mesh.gpus_per_node() != cluster.gpus_per_node
+        {
+            return Err(reject(PlanError::ForeignMesh(id)));
+        }
+        plan = plan.with_spec(id, Some(choice.clone())).map_err(reject)?;
+    }
+    Ok(plan)
 }
 
 /// Pre-loads every `graph.json` file referenced by the given tenant specs
@@ -542,7 +580,7 @@ fn plan_to_execute(
     exp: &Experiment,
 ) -> Result<(ExecutionPlan, Option<SearchResult>, String), CliError> {
     if let Some(path) = args.str_opt("plan") {
-        return Ok((load_json(path)?, None, String::new()));
+        return Ok((load_plan(path, exp)?, None, String::new()));
     }
     if args.flag("heuristic") {
         return Ok((exp.plan_heuristic(), None, String::new()));
@@ -796,8 +834,8 @@ pub fn cmd_profile_db(args: &Args) -> Result<String, CliError> {
 /// executing it (the lightweight §5.1 path alone).
 pub fn cmd_estimate(args: &Args) -> Result<String, CliError> {
     let exp = experiment_from(args)?;
-    let plan: ExecutionPlan = if let Some(path) = args.str_opt("plan") {
-        load_json(path)?
+    let plan = if let Some(path) = args.str_opt("plan") {
+        load_plan(path, &exp)?
     } else {
         exp.plan_heuristic()
     };
@@ -1156,6 +1194,104 @@ mod tests {
         ];
         let out = cmd_run(&parse(&argv)).unwrap();
         assert!(out.contains("throughput"));
+    }
+
+    /// Writes `plan` to a JSON file named `name` and returns its path.
+    fn write_plan(name: &str, plan: &ExecutionPlan) -> String {
+        let dir = std::env::temp_dir().join("real-cli-plan-check");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, serde_json::to_string(plan).unwrap()).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    fn heuristic(argv: &[&str]) -> ExecutionPlan {
+        experiment_from(&parse(argv)).unwrap().plan_heuristic()
+    }
+
+    #[test]
+    fn a_plan_on_meshes_outside_the_cluster_is_rejected() {
+        let two_nodes = heuristic(&["estimate", "--nodes", "2", "--batch", "64"]);
+        let path = write_plan("two-nodes.json", &two_nodes);
+        let one_node = ["--nodes", "1", "--batch", "64", "--quick-profile", "--plan", &path];
+        for cmd in ["estimate", "run"] {
+            let argv: Vec<&str> = [cmd].iter().chain(&one_node).copied().collect();
+            let result = if cmd == "run" {
+                cmd_run(&parse(&argv))
+            } else {
+                cmd_estimate(&parse(&argv))
+            };
+            match result {
+                Err(e @ CliError::Plan {
+                    error: PlanError::ForeignMesh(_),
+                    ..
+                }) => assert!(e.to_string().starts_with(&path), "{e}"),
+                other => panic!("{cmd}: expected a foreign-mesh error, got {other:?}"),
+            }
+        }
+
+        // A draft mesh outside the cluster is caught as well.
+        let own = heuristic(&["estimate", "--nodes", "1", "--batch", "64"]);
+        let gen = experiment_from(&parse(&["estimate"]))
+            .unwrap()
+            .graph()
+            .find("actor_gen")
+            .unwrap();
+        let choice = real_core::real_dataflow::SpecChoice {
+            config: SpecDecodeConfig {
+                draft_model: ModelSpec::llama3_1b(),
+                speculation_len: 4,
+                acceptance_curve: AcceptanceCurve::Constant(0.8),
+            },
+            assignment: CallAssignment::new(
+                DeviceMesh::sub_node(&ClusterSpec::h100(2), 1, 0, 2).unwrap(),
+                ParallelStrategy::new(1, 2, 1, 1).unwrap(),
+            )
+            .unwrap(),
+        };
+        let path = write_plan("foreign-draft.json", &own.with_spec(gen, Some(choice)).unwrap());
+        let argv = ["estimate", "--nodes", "1", "--batch", "64", "--quick-profile", "--plan", &path];
+        assert!(matches!(
+            cmd_estimate(&parse(&argv)),
+            Err(CliError::Plan {
+                error: PlanError::ForeignMesh(id),
+                ..
+            }) if id == gen
+        ));
+    }
+
+    #[test]
+    fn a_plan_for_another_graph_is_rejected() {
+        let ppo = heuristic(&["estimate", "--nodes", "2", "--batch", "64"]);
+        let path = write_plan("ppo.json", &ppo);
+        let argv = [
+            "estimate",
+            "--algo",
+            "dpo",
+            "--nodes",
+            "2",
+            "--batch",
+            "64",
+            "--quick-profile",
+            "--plan",
+            &path,
+        ];
+        match cmd_estimate(&parse(&argv)) {
+            Err(CliError::Plan {
+                error: PlanError::WrongLength { got, expected },
+                ..
+            }) => assert_eq!((got, expected), (6, 2)),
+            other => panic!("expected a wrong-length error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_valid_plan_file_estimates_byte_identically() {
+        let base = ["estimate", "--nodes", "1", "--batch", "32", "--quick-profile"];
+        let path = write_plan("valid.json", &heuristic(&base));
+        let with_file: Vec<&str> = base.iter().copied().chain(["--plan", &path]).collect();
+        let from_file = cmd_estimate(&parse(&with_file)).unwrap();
+        assert_eq!(from_file, cmd_estimate(&parse(&base)).unwrap());
     }
 
     #[test]
