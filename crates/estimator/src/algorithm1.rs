@@ -95,7 +95,11 @@ impl Simulator {
     ///   overlapping mesh;
     /// * `estimator/releases` — dependency releases, and
     ///   `estimator/makespan_seconds` — the returned makespan.
-    pub fn makespan_instrumented(&mut self, graph: &AugGraph, metrics: &mut MetricsRegistry) -> f64 {
+    pub fn makespan_instrumented(
+        &mut self,
+        graph: &AugGraph,
+        metrics: &mut MetricsRegistry,
+    ) -> f64 {
         self.run(graph, Some(metrics))
     }
 
@@ -373,7 +377,11 @@ mod tests {
         let left = DeviceMesh::sub_node(&c, 0, 0, 4).unwrap();
         let right = DeviceMesh::sub_node(&c, 0, 4, 4).unwrap();
         let whole = DeviceMesh::full(&c);
-        let g = graph(&[(2.0, &[left], &[]), (2.0, &[right], &[]), (1.0, &[whole], &[])]);
+        let g = graph(&[
+            (2.0, &[left], &[]),
+            (2.0, &[right], &[]),
+            (1.0, &[whole], &[]),
+        ]);
         // left and right overlap whole; whole is ready at 0 but the
         // scheduler pops lowest-ready-time first (ties by index): left at 0,
         // right at 0 (disjoint → parallel), then whole after both.
@@ -476,7 +484,7 @@ mod tests {
     /// slices), which overlap densely.
     fn pick(m: usize) -> DeviceMesh {
         let pool = mesh_pool();
-        if m % 3 == 0 {
+        if m.is_multiple_of(3) {
             pool[m / 3 % pool.len()]
         } else {
             pool[m % 45]

@@ -47,13 +47,11 @@ const NO_NODE: u32 = u32::MAX;
 /// meshes (one for calls and transfers, source + destination for
 /// reallocations, target + draft for speculative generation calls) stored
 /// as ids into the graph's table of distinct meshes, and parents that all
-/// precede it. Nodes are only appended; [`AugGraph::clear`] empties the
-/// graph but keeps every buffer's capacity.
+/// precede it. [`Template::instantiate`] refills the graph in place,
+/// keeping every buffer's capacity.
 #[derive(Debug, Clone)]
 pub struct AugGraph {
-    kinds: Vec<NodeKind>,
-    durations: Vec<f64>,
-    node_meshes: Vec<[u32; 2]>,
+    nodes: Vec<Node>,
     /// CSR offsets: node `i`'s parents are
     /// `parents[parent_start[i]..parent_start[i + 1]]`.
     parent_start: Vec<u32>,
@@ -68,6 +66,15 @@ pub struct AugGraph {
     gathered: Vec<u32>,
 }
 
+/// One node of an [`AugGraph`]; its second mesh id is [`NO_MESH`] when it
+/// occupies one mesh.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    kind: NodeKind,
+    duration: f64,
+    meshes: [u32; 2],
+}
+
 impl Default for AugGraph {
     fn default() -> Self {
         Self::new()
@@ -78,9 +85,7 @@ impl AugGraph {
     /// An empty graph.
     pub fn new() -> Self {
         Self {
-            kinds: Vec::new(),
-            durations: Vec::new(),
-            node_meshes: Vec::new(),
+            nodes: Vec::new(),
             parent_start: vec![0],
             parents: Vec::new(),
             meshes: Vec::new(),
@@ -92,43 +97,39 @@ impl AugGraph {
     }
 
     /// Removes every node and mesh, keeping the buffers' capacity.
-    pub fn clear(&mut self) {
-        self.kinds.clear();
-        self.durations.clear();
-        self.node_meshes.clear();
-        self.parent_start.clear();
-        self.parent_start.push(0);
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.parent_start.truncate(1);
         self.parents.clear();
         self.meshes.clear();
         self.assigns.clear();
         self.call_mesh.clear();
         self.call_node.clear();
-        self.gathered.clear();
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.nodes.len()
     }
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Node `i`'s role.
     pub fn kind(&self, i: usize) -> NodeKind {
-        self.kinds[i]
+        self.nodes[i].kind
     }
 
     /// Node `i`'s estimated duration in seconds.
     pub fn duration(&self, i: usize) -> f64 {
-        self.durations[i]
+        self.nodes[i].duration
     }
 
     /// Ids of the one or two distinct meshes node `i` occupies.
     pub fn node_meshes(&self, i: usize) -> &[u32] {
-        let ids = &self.node_meshes[i];
+        let ids = &self.nodes[i].meshes;
         if ids[1] == NO_MESH {
             &ids[..1]
         } else {
@@ -148,7 +149,7 @@ impl AugGraph {
 
     /// The id of `mesh`, added to the mesh table if new. A plan has at most
     /// a few dozen distinct meshes, so a linear scan beats hashing.
-    pub fn intern(&mut self, mesh: DeviceMesh) -> u32 {
+    fn intern(&mut self, mesh: DeviceMesh) -> u32 {
         match self.meshes.iter().position(|m| *m == mesh) {
             Some(id) => id as u32,
             None => {
@@ -166,7 +167,8 @@ impl AugGraph {
     /// Panics unless `meshes` holds one or two meshes and every parent
     /// precedes the new node (augmented nodes must be topologically
     /// ordered).
-    pub fn push(
+    #[cfg(test)]
+    pub(crate) fn push(
         &mut self,
         kind: NodeKind,
         duration: f64,
@@ -188,12 +190,6 @@ impl AugGraph {
         self.push_gathered(kind, duration, [first, second]) as usize
     }
 
-    /// Appends a node whose only parent is `parent`.
-    fn push_child_of(&mut self, parent: u32, kind: NodeKind, duration: f64, meshes: [u32; 2]) -> u32 {
-        self.parents.push(parent);
-        self.push_node(kind, duration, meshes)
-    }
-
     /// Appends a node whose parents are the gathered list, sorted and
     /// deduplicated first.
     fn push_gathered(&mut self, kind: NodeKind, duration: f64, meshes: [u32; 2]) -> u32 {
@@ -205,13 +201,14 @@ impl AugGraph {
 
     /// Appends a node whose parents were just appended to `parents`.
     fn push_node(&mut self, kind: NodeKind, duration: f64, [first, second]: [u32; 2]) -> u32 {
-        let i = self.kinds.len() as u32;
-        self.kinds.push(kind);
-        self.durations.push(duration);
         let second = if second == first { NO_MESH } else { second };
-        self.node_meshes.push([first, second]);
+        self.nodes.push(Node {
+            kind,
+            duration,
+            meshes: [first, second],
+        });
         self.parent_start.push(self.parents.len() as u32);
-        i
+        (self.nodes.len() - 1) as u32
     }
 }
 
@@ -487,7 +484,8 @@ impl Template {
                         // Transfers occupy the consumer mesh only; the
                         // producer sends from copy engines (mirrors the
                         // runtime engine).
-                        out.push_child_of(dep_node, NodeKind::Transfer, cost, [mesh, NO_MESH])
+                        out.parents.push(dep_node);
+                        out.push_node(NodeKind::Transfer, cost, [mesh, NO_MESH])
                     } else {
                         dep_node
                     };
@@ -512,8 +510,8 @@ impl Template {
                     debug_assert_ne!(pnode, NO_NODE);
                     let cost = costs.realloc(call, &out.assigns[pcall.0], &a);
                     let parent = if cost > 0.0 {
-                        let meshes = [out.call_mesh[pcall.0], mesh];
-                        out.push_child_of(pnode, NodeKind::Realloc, cost, meshes)
+                        out.parents.push(pnode);
+                        out.push_node(NodeKind::Realloc, cost, [out.call_mesh[pcall.0], mesh])
                     } else {
                         pnode
                     };
@@ -610,6 +608,43 @@ mod tests {
             .filter(|&i| g.kind(i) == NodeKind::Realloc)
             .count();
         assert!(reallocs >= 1, "expected a realloc before actor_train");
+    }
+
+    #[test]
+    fn nodes_occupy_distinct_mesh_ids() {
+        let (cluster, graph, est) = setup();
+        // Actor training re-sharded on the same mesh: its reallocation's
+        // source and destination meshes collapse to one id.
+        let train = graph.find("actor_train").unwrap();
+        let resharded = CallAssignment::new(
+            DeviceMesh::full(&cluster),
+            ParallelStrategy::new(1, 8, 2, 8).unwrap(),
+        )
+        .unwrap();
+        let plan = symmetric(&cluster, &graph)
+            .with_assignment(train, resharded)
+            .unwrap();
+        // A speculative generation call also occupies its draft mesh.
+        let gen = graph.find("actor_gen").unwrap();
+        let draft = DeviceMesh::sub_node(&cluster, 1, 0, 2).unwrap();
+        let choice = SpecChoice {
+            config: real_model::SpecDecodeConfig {
+                draft_model: ModelSpec::llama3_1b(),
+                speculation_len: 4,
+                acceptance_curve: real_model::AcceptanceCurve::Constant(0.8),
+            },
+            assignment: CallAssignment::new(draft, ParallelStrategy::new(1, 2, 1, 1).unwrap())
+                .unwrap(),
+        };
+        let plan = plan.with_spec(gen, Some(choice)).unwrap();
+        let g = build(&graph, &plan, &est, 1);
+        assert_eq!(g.meshes(), &[DeviceMesh::full(&cluster), draft]);
+        let first = (0..g.len()).find(|&i| g.kind(i) == NodeKind::Call).unwrap();
+        assert_eq!(g.node_meshes(first), &[0, 1], "generation runs first");
+        let realloc = (0..g.len())
+            .find(|&i| g.kind(i) == NodeKind::Realloc)
+            .unwrap();
+        assert_eq!(g.node_meshes(realloc), &[0]);
     }
 
     #[test]

@@ -29,6 +29,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are the allocator's; the count only touches a
+// const-initialized thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
