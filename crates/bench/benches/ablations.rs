@@ -1026,8 +1026,8 @@ fn search_throughput_gate() {
     // every proposal and polish candidate from scratch; the pricer chain
     // rejects most proposals by the critical-path bound unpriced and skips
     // most polish candidates by the per-call duration threshold. On a
-    // shared 2-vCPU VM the full 1000-step search takes 6.3 s from scratch
-    // vs 0.18 s through the pricer (~35x), with 88% of the pricer chain's
+    // shared 2-vCPU VM the full 1000-step search took 8.8 s from scratch
+    // vs 0.14 s through the pricer (~64x), with 88% of the pricer chain's
     // steps gated and 94% of its polish candidates pruned, so every floor
     // has margin.
     let p = throughput_pair(128, ModelSpec::llama3_70b(), 4096, 1_000);
