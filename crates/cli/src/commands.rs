@@ -110,8 +110,8 @@ fn load_plan(path: &str, exp: &Experiment) -> Result<ExecutionPlan, CliError> {
         error,
     };
     let cluster = exp.cluster();
-    let mut plan = ExecutionPlan::new(exp.graph(), cluster, saved.assignments().to_vec())
-        .map_err(reject)?;
+    let mut plan =
+        ExecutionPlan::new(exp.graph(), cluster, saved.assignments().to_vec()).map_err(reject)?;
     for (id, choice) in saved.spec_choices() {
         let mesh = &choice.assignment.mesh;
         if mesh.node_start() + mesh.n_nodes() > cluster.n_nodes
@@ -1213,7 +1213,15 @@ mod tests {
     fn a_plan_on_meshes_outside_the_cluster_is_rejected() {
         let two_nodes = heuristic(&["estimate", "--nodes", "2", "--batch", "64"]);
         let path = write_plan("two-nodes.json", &two_nodes);
-        let one_node = ["--nodes", "1", "--batch", "64", "--quick-profile", "--plan", &path];
+        let one_node = [
+            "--nodes",
+            "1",
+            "--batch",
+            "64",
+            "--quick-profile",
+            "--plan",
+            &path,
+        ];
         for cmd in ["estimate", "run"] {
             let argv: Vec<&str> = [cmd].iter().chain(&one_node).copied().collect();
             let result = if cmd == "run" {
@@ -1222,10 +1230,12 @@ mod tests {
                 cmd_estimate(&parse(&argv))
             };
             match result {
-                Err(e @ CliError::Plan {
-                    error: PlanError::ForeignMesh(_),
-                    ..
-                }) => assert!(e.to_string().starts_with(&path), "{e}"),
+                Err(
+                    e @ CliError::Plan {
+                        error: PlanError::ForeignMesh(_),
+                        ..
+                    },
+                ) => assert!(e.to_string().starts_with(&path), "{e}"),
                 other => panic!("{cmd}: expected a foreign-mesh error, got {other:?}"),
             }
         }
@@ -1249,8 +1259,20 @@ mod tests {
             )
             .unwrap(),
         };
-        let path = write_plan("foreign-draft.json", &own.with_spec(gen, Some(choice)).unwrap());
-        let argv = ["estimate", "--nodes", "1", "--batch", "64", "--quick-profile", "--plan", &path];
+        let path = write_plan(
+            "foreign-draft.json",
+            &own.with_spec(gen, Some(choice)).unwrap(),
+        );
+        let argv = [
+            "estimate",
+            "--nodes",
+            "1",
+            "--batch",
+            "64",
+            "--quick-profile",
+            "--plan",
+            &path,
+        ];
         assert!(matches!(
             cmd_estimate(&parse(&argv)),
             Err(CliError::Plan {
@@ -1287,7 +1309,14 @@ mod tests {
 
     #[test]
     fn a_valid_plan_file_estimates_byte_identically() {
-        let base = ["estimate", "--nodes", "1", "--batch", "32", "--quick-profile"];
+        let base = [
+            "estimate",
+            "--nodes",
+            "1",
+            "--batch",
+            "32",
+            "--quick-profile",
+        ];
         let path = write_plan("valid.json", &heuristic(&base));
         let with_file: Vec<&str> = base.iter().copied().chain(["--plan", &path]).collect();
         let from_file = cmd_estimate(&parse(&with_file)).unwrap();
