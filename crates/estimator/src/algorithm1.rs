@@ -233,8 +233,9 @@ mod tests {
     use crate::augment::NodeKind;
     use real_cluster::{ClusterSpec, DeviceMesh};
 
-    /// The node list Algorithm 1 used to run over, one owned `Vec` per
-    /// node, kept as the independent oracle for the `D.last` kernel.
+    /// A node of the reference oracle: meshes and parents as owned lists,
+    /// with overlap tested mesh by mesh, independent of the kernel's mesh
+    /// ids, conflict sets and CSR lists.
     struct RefNode {
         kind: NodeKind,
         duration: f64,

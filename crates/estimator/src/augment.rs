@@ -2,11 +2,10 @@
 //! per-iteration call nodes plus parameter-reallocation and data-transfer
 //! nodes, unrolled over a fixed number of iterations.
 //!
-//! The graph is flat ([`AugGraph`]): per-node arrays of kind, duration and
-//! one or two ids into a table of the plan's distinct device meshes, with
-//! every node's parents in one CSR list. [`Template::instantiate`] refills a
-//! caller-owned `AugGraph`, so re-pricing a plan reuses its buffers instead
-//! of allocating a node list.
+//! The graph is flat ([`AugGraph`]): per node a kind, a duration and one or
+//! two ids into a table of the plan's distinct device meshes, with every
+//! node's parents in one CSR list. [`Template::instantiate`] refills a
+//! caller-owned `AugGraph`, so re-pricing a plan reuses its buffers.
 
 use crate::Estimator;
 use real_cluster::DeviceMesh;
