@@ -7,11 +7,17 @@
 //! elastic growth) and `TenantSession` (iterations, cross-mesh resume,
 //! checkpoint/restore) — and records timings, totals, fault/re-plan/async
 //! statistics, the master log and a digest of the kernel trace, with every
-//! float written as its IEEE-754 bit pattern. A refactor of the runtime
+//! float written as its IEEE-754 bit pattern. A `memory` section pins the
+//! §5.1 memory accounting as exact byte counts: every baseline's per-GPU
+//! static and per-call active bytes, its run's `mem_peak` and
+//! `static_utilization`, `Estimator::max_mem` of a searched and a
+//! speculative plan, the per-call option counts of `SearchSpace` at every
+//! pruning level, and two heuristic plans. A refactor of the runtime
 //! must leave the fixture byte-identical. Regenerate deliberately with
 //! `BLESS=1 cargo test -p real-core --test runtime_contract`.
 
 use real_core::prelude::*;
+use real_core::real_runtime::memcheck::mem_profile;
 use real_core::real_runtime::{
     run_multi, MasterLog, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
 };
@@ -402,6 +408,135 @@ fn session_cases() -> Vec<(&'static str, Value)> {
     ]
 }
 
+/// Per-GPU static bytes, per-call active bytes, `mem_peak` and
+/// `static_utilization` of every baseline on PPO 7B + 7B critic.
+fn baseline_memory(nodes: u32) -> Value {
+    let cluster = ClusterSpec::h100(nodes);
+    let graph = ppo_graph(128);
+    let rows = baselines::all(&cluster, &graph, &EngineConfig::deterministic())
+        .into_iter()
+        .map(|(name, setup)| {
+            let row = match setup {
+                Err(e) => Value::String(format!("error: {e}")),
+                Ok(s) => {
+                    let (zero3, dist) = (&s.config.zero3_models, &s.config.dist_optim_models);
+                    let profile = mem_profile(&cluster, &graph, &s.plan, zero3, dist);
+                    let active = graph
+                        .iter()
+                        .map(|(id, def)| {
+                            let bytes = profile.call_active[id.0];
+                            Value::String(format!("{} {bytes}", def.call_name))
+                        })
+                        .collect();
+                    let engine = RuntimeEngine::new(cluster.clone(), graph.clone(), s.config);
+                    let run = match engine.run(&s.plan, 1) {
+                        Ok(r) => obj(vec![
+                            ("mem_peak", Value::from(r.mem_peak)),
+                            ("static_utilization", f64_bits(r.static_utilization)),
+                        ]),
+                        Err(e) => Value::String(format!("error: {e}")),
+                    };
+                    obj(vec![
+                        (
+                            "static_bytes",
+                            Value::Array(profile.static_bytes.iter().map(|&b| b.into()).collect()),
+                        ),
+                        ("call_active", Value::Array(active)),
+                        ("run", run),
+                    ])
+                }
+            };
+            (name.to_string(), row)
+        })
+        .collect();
+    Value::Object(rows)
+}
+
+/// Per-call option counts of `SearchSpace::try_build` at every pruning
+/// level.
+fn option_counts(cluster: &ClusterSpec, graph: &DataflowGraph) -> Value {
+    let levels = [
+        ("light", PruneLevel::Light),
+        ("moderate", PruneLevel::Moderate),
+        ("aggressive", PruneLevel::Aggressive),
+    ];
+    let rows = levels.into_iter().map(|(name, level)| {
+        let counts = match SearchSpace::try_build(cluster, graph, level) {
+            Ok(space) => Value::Array(
+                (0..space.n_calls())
+                    .map(|c| space.options(c).len().into())
+                    .collect(),
+            ),
+            Err(e) => Value::String(format!("error: {e}")),
+        };
+        (name, counts)
+    });
+    obj(rows.collect())
+}
+
+fn heuristic_assignments(exp: &Experiment) -> Value {
+    let plan = exp.plan_heuristic();
+    let rows = exp
+        .graph()
+        .iter()
+        .map(|(id, def)| Value::String(format!("{} {}", def.call_name, plan.assignment(id))));
+    Value::Array(rows.collect())
+}
+
+fn memory_cases() -> Vec<(&'static str, Value)> {
+    let two = ClusterSpec::h100(2);
+    let exp = Experiment::ppo(
+        two.clone(),
+        ModelSpec::llama3_7b(),
+        ModelSpec::llama3_7b().critic(),
+        RlhfConfig::instruct_gpt(128),
+    )
+    .with_quick_profile()
+    .with_seed(11);
+    let (est, _) = exp.prepare();
+    let space = SearchSpace::build(&two, exp.graph(), PruneLevel::Aggressive);
+    let cfg = McmcConfig {
+        max_steps: 300,
+        time_limit: std::time::Duration::from_secs(86_400),
+        seed: 4,
+        record_trace: false,
+        ..McmcConfig::default()
+    };
+    let searched = search(&est, &space, &cfg).best_plan;
+    let speculative = with_draft(&two, exp.graph(), searched.clone(), 1);
+    let estimator = obj(vec![
+        ("searched", Value::from(est.max_mem(&searched))),
+        ("speculative", Value::from(est.max_mem(&speculative))),
+    ]);
+
+    let dpo = algo::dpo(&ModelSpec::llama3_7b(), &RlhfConfig::instruct_gpt(128));
+    let options = obj(vec![
+        ("ppo", option_counts(&two, exp.graph())),
+        ("dpo", option_counts(&two, &dpo)),
+    ]);
+
+    let seventy = Experiment::ppo(
+        ClusterSpec::h100(4),
+        ModelSpec::llama3_70b(),
+        ModelSpec::llama3_7b().critic(),
+        RlhfConfig::instruct_gpt(256),
+    )
+    .with_quick_profile();
+    let heuristic = obj(vec![
+        ("ppo_7b_2_nodes", heuristic_assignments(&exp)),
+        ("ppo_70b_4_nodes", heuristic_assignments(&seventy)),
+    ]);
+
+    let memory = obj(vec![
+        ("baselines_1_node", baseline_memory(1)),
+        ("baselines_2_nodes", baseline_memory(2)),
+        ("estimator_max_mem", estimator),
+        ("search_space_options", options),
+        ("heuristic_plans", heuristic),
+    ]);
+    vec![("memory", memory)]
+}
+
 #[test]
 fn runtime_results_match_the_contract_fixture() {
     let cases: Vec<(String, Value)> = engine_cases()
@@ -409,6 +544,7 @@ fn runtime_results_match_the_contract_fixture() {
         .chain(replan_cases())
         .chain(multi_cases())
         .chain(session_cases())
+        .chain(memory_cases())
         .map(|(k, v)| (k.to_string(), v))
         .collect();
     assert_matches_fixture("runtime_contract.json", "runtime results", cases);
