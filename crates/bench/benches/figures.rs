@@ -169,7 +169,7 @@ fn fig07_end2end(cache: &mut PlanCache) {
                 Ok(b) => {
                     let r = cache.run(&s, &b.plan, b.config, 2);
                     if r.is_none() {
-                        eprintln!("[fig07] {name} @ {}: runtime memcheck OOM", s.name);
+                        eprintln!("[fig07] {name} @ {}: runtime MaxMem check OOM", s.name);
                     }
                     r.map(|r| r.tokens_per_sec)
                 }

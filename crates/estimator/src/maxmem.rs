@@ -1,4 +1,6 @@
-//! `MaxMem(G_p)` (§5.1): peak per-GPU memory of an execution plan.
+//! `MaxMem(G_p)` (§5.1): peak per-GPU memory of an execution plan — the
+//! one memory accounting, shared by the search, the baselines and the
+//! runtime engine's pre-run check.
 //!
 //! Following §5.1 exactly: static memory "consists of the gradients and
 //! optimizer states" and lives on a trainable model's training mesh for the
@@ -6,32 +8,92 @@
 //! together with activations, logits, and KV cache — per call on the call's
 //! mesh. Calls sharing a GPU serialize, so per GPU the peak active term is
 //! the max over that GPU's calls.
+//!
+//! Two engine modes change the rules for the models they name. Under
+//! ZeRO-3 a model's weights (and, when trainable, its gradients and
+//! optimizer state) shard over the whole data-parallel world as static
+//! memory, and each call holds one gathered layer instead of the
+//! replicated weights. Under Megatron's distributed optimizer the Adam
+//! state shards over the DP group. With neither mode the accounting is the
+//! search's.
 
 use real_cluster::{ClusterSpec, DeviceMesh};
-use real_dataflow::{CallAssignment, CallType, DataflowGraph, ExecutionPlan, ModelFunctionCallDef};
-use real_model::MemoryModel;
+use real_dataflow::{
+    CallAssignment, CallId, CallType, DataflowGraph, ExecutionPlan, ModelFunctionCallDef,
+};
+use real_model::{MemoryModel, ParallelStrategy};
+use std::collections::HashSet;
 
-/// Static (gradient + optimizer-state) bytes per GPU that a trainable
-/// model's training call pins on every GPU of its mesh. Pure in
-/// `(def, assignment)` — the memo cache keys on exactly those.
-pub(crate) fn anchor_static_bytes(def: &ModelFunctionCallDef, a: &CallAssignment) -> u64 {
-    MemoryModel::new(def.model.clone()).static_optim_bytes(&a.strategy)
+/// The call whose mesh pins `model`'s static memory: its training call,
+/// or — for a frozen ZeRO-3 model, whose sharded weights are static — its
+/// first call. `None` for a frozen model outside ZeRO-3: its weights are
+/// active memory charged by its calls.
+fn static_anchor(graph: &DataflowGraph, model: &str, zero3: bool) -> Option<CallId> {
+    let calls = graph.calls_of_model(model);
+    let training = calls
+        .iter()
+        .copied()
+        .find(|&c| graph.call(c).call_type.is_training());
+    if zero3 {
+        training.or(calls.first().copied())
+    } else {
+        training
+    }
 }
 
-/// Active bytes one call charges on every GPU of its mesh while running:
-/// weights, activations, logits and KV cache per §5.1. Pure in
-/// `(def, assignment)`.
-pub(crate) fn call_active_bytes(def: &ModelFunctionCallDef, a: &CallAssignment) -> u64 {
+/// The training call anchoring each trainable model's static memory, in
+/// [`DataflowGraph::model_names`] order — the calls whose assignments the
+/// fast path turns into static contributions.
+pub(crate) fn static_anchors(graph: &DataflowGraph) -> Vec<CallId> {
+    graph
+        .model_names()
+        .into_iter()
+        .filter_map(|m| static_anchor(graph, m, false))
+        .collect()
+}
+
+/// Static bytes per GPU that an anchor call's model pins on every GPU of
+/// its mesh: gradients and optimizer state, with the Adam state sharded
+/// over DP under the distributed optimizer, or everything sharded over the
+/// world under ZeRO-3 (the anchor is a training call exactly when the
+/// model is trainable). Pure in `(def, assignment)` and the modes — the
+/// memo cache keys on exactly those.
+pub(crate) fn anchor_static_bytes(
+    def: &ModelFunctionCallDef,
+    a: &CallAssignment,
+    zero3: bool,
+    dist_optim: bool,
+) -> u64 {
     let mm = MemoryModel::new(def.model.clone());
-    let dp = u64::from(a.strategy.dp());
-    match def.call_type {
+    if zero3 {
+        mm.zero3_static_bytes(a.strategy.world_size(), def.call_type.is_training())
+    } else if dist_optim {
+        mm.static_optim_bytes_dist(&a.strategy)
+    } else {
+        mm.static_optim_bytes(&a.strategy)
+    }
+}
+
+/// Active bytes a call of type `call` charges on every GPU of its mesh
+/// while it runs under `s`: weights, activations, logits and KV cache per
+/// §5.1. Under ZeRO-3 the weights already sit sharded in static memory, so
+/// the replicated copy is dropped and one gathered layer's working set is
+/// charged instead.
+pub fn call_active_bytes(
+    mm: &MemoryModel,
+    call: CallType,
+    s: &ParallelStrategy,
+    zero3: bool,
+) -> u64 {
+    let dp = u64::from(s.dp());
+    let active = match call {
         CallType::Generate {
             batch,
             prompt_len,
             gen_len,
-        } => mm.gen_active_bytes(&a.strategy, batch.div_ceil(dp), prompt_len + gen_len),
+        } => mm.gen_active_bytes(s, batch.div_ceil(dp), prompt_len + gen_len),
         CallType::Inference { batch, seq_len } => {
-            mm.infer_active_bytes(&a.strategy, batch.div_ceil(dp) * seq_len)
+            mm.infer_active_bytes(s, batch.div_ceil(dp) * seq_len)
         }
         CallType::TrainStep {
             batch,
@@ -39,9 +101,15 @@ pub(crate) fn call_active_bytes(def: &ModelFunctionCallDef, a: &CallAssignment) 
             n_minibatches,
         } => {
             let per_mini = batch.div_ceil(dp).div_ceil(u64::from(n_minibatches.max(1)));
-            mm.train_active_bytes(&a.strategy, per_mini * seq_len)
+            mm.train_active_bytes(s, per_mini * seq_len)
         }
+    };
+    if !zero3 {
+        return active;
     }
+    active
+        .saturating_sub(mm.weight_bytes_per_gpu(s))
+        .saturating_add(2 * mm.model().layer_params())
 }
 
 /// Calls `range(start, end)` for each of a mesh's global-GPU index ranges.
@@ -131,30 +199,24 @@ impl PeakSweep {
     }
 }
 
-/// Per-GPU static bytes implied by the plan.
-fn static_bytes_per_gpu(
+/// Per-GPU static bytes of the plan under the engine modes, without draft
+/// residency.
+fn static_bytes(
     cluster: &ClusterSpec,
     graph: &DataflowGraph,
     plan: &ExecutionPlan,
+    zero3_models: &HashSet<String>,
+    dist_optim_models: &HashSet<String>,
 ) -> Vec<u64> {
-    let n = cluster.total_gpus() as usize;
-    let mut static_mem = vec![0u64; n];
-    for model_name in graph.model_names() {
-        if !graph.is_trainable(model_name) {
-            // Frozen models (reference/reward) hold no gradients or
-            // optimizer state; their weights are active memory charged by
-            // their calls.
+    let mut static_mem = vec![0u64; cluster.total_gpus() as usize];
+    for model in graph.model_names() {
+        let zero3 = zero3_models.contains(model);
+        let Some(anchor) = static_anchor(graph, model, zero3) else {
             continue;
-        }
-        let calls = graph.calls_of_model(model_name);
-        let anchor = calls
-            .iter()
-            .copied()
-            .find(|&c| graph.call(c).call_type.is_training())
-            .expect("trainable models have a training call");
-        let def = graph.call(anchor);
+        };
         let a = plan.assignment(anchor);
-        let bytes = anchor_static_bytes(def, a);
+        let dist_optim = dist_optim_models.contains(model);
+        let bytes = anchor_static_bytes(graph.call(anchor), a, zero3, dist_optim);
         for gpu in a.mesh.gpus() {
             static_mem[gpu.0 as usize] += bytes;
         }
@@ -162,65 +224,93 @@ fn static_bytes_per_gpu(
     static_mem
 }
 
-/// The training call anchoring each trainable model's static memory, in
-/// [`DataflowGraph::model_names`] order — the calls whose assignments the
-/// fast path turns into static contributions.
-pub(crate) fn static_anchors(graph: &DataflowGraph) -> Vec<real_dataflow::CallId> {
-    graph
-        .model_names()
-        .into_iter()
-        .filter(|m| graph.is_trainable(m))
-        .map(|m| {
-            graph
-                .calls_of_model(m)
-                .into_iter()
-                .find(|&c| graph.call(c).call_type.is_training())
-                .expect("trainable models have a training call")
-        })
-        .collect()
+/// Per-GPU static bytes and per-call active bytes of a plan — the data
+/// behind `MaxMem`, the runtime's pre-run OOM check and the per-GPU memory
+/// counter tracks of its observability export.
+#[derive(Debug, Clone)]
+pub struct MemProfile {
+    /// Bytes resident on each GPU for the whole run: static memory
+    /// (gradients and optimizer state, possibly sharded) plus the weights
+    /// and KV cache of speculation drafts.
+    pub static_bytes: Vec<u64>,
+    /// Active bytes each call (indexed by `CallId.0`) charges on every GPU
+    /// of its mesh while it runs.
+    pub call_active: Vec<u64>,
+    /// Worst single-call active bytes per GPU (calls sharing a GPU
+    /// serialize, so the per-GPU peak is a max, not a sum).
+    pub peak_active: Vec<u64>,
 }
 
-/// Peak bytes over all GPUs: static plus the worst single call's active
-/// bytes on each GPU. Speculative generation calls additionally pin their
-/// draft model's weights + KV cache on the draft mesh; drafts stay resident
-/// while speculation is enabled, so those bytes *sum* with colocated
+impl MemProfile {
+    /// Peak bytes over all GPUs: static plus the worst call's active bytes.
+    pub fn peak(&self) -> u64 {
+        self.static_bytes
+            .iter()
+            .zip(&self.peak_active)
+            .map(|(s, a)| s + a)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// The plan's [`MemProfile`] with the models in `zero3_models` under
+/// ZeRO-3 and those in `dist_optim_models` under the distributed optimizer.
+/// Speculative generation calls additionally pin their draft model's
+/// weights + KV cache on the draft mesh; drafts stay resident while
+/// speculation is enabled, so those bytes *sum* with colocated
 /// contributions like static memory does.
-pub fn max_mem(cluster: &ClusterSpec, graph: &DataflowGraph, plan: &ExecutionPlan) -> u64 {
-    let n = cluster.total_gpus() as usize;
-    let mut static_mem = static_bytes_per_gpu(cluster, graph, plan);
+pub fn mem_profile(
+    cluster: &ClusterSpec,
+    graph: &DataflowGraph,
+    plan: &ExecutionPlan,
+    zero3_models: &HashSet<String>,
+    dist_optim_models: &HashSet<String>,
+) -> MemProfile {
+    let mut static_mem = static_bytes(cluster, graph, plan, zero3_models, dist_optim_models);
     for (id, choice) in plan.spec_choices() {
         let bytes = crate::spec::draft_active_bytes(&graph.call(id).call_type, choice);
         for gpu in choice.assignment.mesh.gpus() {
             static_mem[gpu.0 as usize] += bytes;
         }
     }
-    let mut peak_active = vec![0u64; n];
-
-    for (id, def) in graph.iter() {
-        let a = plan.assignment(id);
-        let active = call_active_bytes(def, a);
-        for gpu in a.mesh.gpus() {
+    let call_active: Vec<u64> = graph
+        .iter()
+        .map(|(id, def)| {
+            let mm = MemoryModel::new(def.model.clone());
+            let zero3 = zero3_models.contains(&def.model_name);
+            call_active_bytes(&mm, def.call_type, &plan.assignment(id).strategy, zero3)
+        })
+        .collect();
+    let mut peak_active = vec![0u64; static_mem.len()];
+    for (id, &active) in call_active.iter().enumerate() {
+        for gpu in plan.assignment(CallId(id)).mesh.gpus() {
             let slot = &mut peak_active[gpu.0 as usize];
             *slot = (*slot).max(active);
         }
     }
-
-    static_mem
-        .iter()
-        .zip(&peak_active)
-        .map(|(s, a)| s + a)
-        .max()
-        .unwrap_or(0)
+    MemProfile {
+        static_bytes: static_mem,
+        call_active,
+        peak_active,
+    }
 }
 
-/// Mean static-memory utilization over GPUs that hold any static memory
-/// (Fig. 17 right: the paper's heuristic for spotting over-provisioning).
+/// Peak bytes over all GPUs under the plain §5.1 accounting: static plus
+/// the worst single call's active bytes on each GPU, with speculation
+/// drafts resident (see [`mem_profile`]).
+pub fn max_mem(cluster: &ClusterSpec, graph: &DataflowGraph, plan: &ExecutionPlan) -> u64 {
+    mem_profile(cluster, graph, plan, &HashSet::new(), &HashSet::new()).peak()
+}
+
+/// Mean static-memory utilization over GPUs under the plain §5.1
+/// accounting (Fig. 17 right: the paper's heuristic for spotting
+/// over-provisioning).
 pub fn static_utilization(
     cluster: &ClusterSpec,
     graph: &DataflowGraph,
     plan: &ExecutionPlan,
 ) -> f64 {
-    let static_mem = static_bytes_per_gpu(cluster, graph, plan);
+    let static_mem = static_bytes(cluster, graph, plan, &HashSet::new(), &HashSet::new());
     let cap = cluster.gpu.mem_capacity as f64;
     let used: Vec<f64> = static_mem.iter().map(|&b| b as f64 / cap).collect();
     let total: f64 = used.iter().sum();
@@ -230,9 +320,8 @@ pub fn static_utilization(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use real_cluster::DeviceMesh;
-    use real_dataflow::{algo, CallAssignment};
-    use real_model::{ModelSpec, ParallelStrategy};
+    use real_dataflow::algo;
+    use real_model::ModelSpec;
     use real_util::units::GIB;
 
     fn setup(nodes: u32, batch: u64) -> (ClusterSpec, DataflowGraph) {
@@ -337,12 +426,68 @@ mod tests {
     fn only_trainable_models_hold_static_memory() {
         let (cluster, graph) = setup(1, 64);
         let plan = symmetric(&cluster, &graph, 1, 8, 8);
-        let static_mem = static_bytes_per_gpu(&cluster, &graph, &plan);
+        let static_mem = static_bytes(&cluster, &graph, &plan, &HashSet::new(), &HashSet::new());
         // Exactly actor + critic optimizer state (§5.1: static = gradients
         // and optimizer states); frozen reference/reward contribute nothing.
         let s = ParallelStrategy::new(1, 8, 1, 8).unwrap();
         let actor = MemoryModel::new(ModelSpec::llama3_7b()).static_optim_bytes(&s);
         let critic = MemoryModel::new(ModelSpec::llama3_7b().critic()).static_optim_bytes(&s);
         assert_eq!(static_mem[0], actor + critic);
+    }
+
+    /// Peak bytes with the given ZeRO-3 and distributed-optimizer models.
+    fn peak_with(
+        cluster: &ClusterSpec,
+        graph: &DataflowGraph,
+        plan: &ExecutionPlan,
+        zero3_models: &HashSet<String>,
+        dist_optim_models: &HashSet<String>,
+    ) -> u64 {
+        mem_profile(cluster, graph, plan, zero3_models, dist_optim_models).peak()
+    }
+
+    #[test]
+    fn no_zero3_matches_estimator() {
+        let (cluster, graph) = setup(1, 64);
+        let plan = symmetric(&cluster, &graph, 1, 8, 8);
+        let ours = peak_with(&cluster, &graph, &plan, &HashSet::new(), &HashSet::new());
+        let theirs = max_mem(&cluster, &graph, &plan);
+        assert_eq!(ours, theirs);
+    }
+
+    #[test]
+    fn zero3_rescues_pure_dp_training() {
+        let (cluster, graph) = setup(1, 512);
+        let plan = symmetric(&cluster, &graph, 8, 1, 16);
+        let plain = peak_with(&cluster, &graph, &plan, &HashSet::new(), &HashSet::new());
+        let mut z: HashSet<String> = HashSet::new();
+        z.insert("actor".into());
+        z.insert("critic".into());
+        let zero3 = peak_with(&cluster, &graph, &plan, &z, &HashSet::new());
+        // Pure DP without ZeRO: full optimizer state replicated → > 200 GiB.
+        assert!(plain > 200 * GIB);
+        // ZeRO-3 shards it 8-way and fits.
+        assert!(zero3 < 80 * GIB, "zero3 {}", zero3 / GIB);
+    }
+
+    #[test]
+    fn zero3_frozen_model_moves_weights_to_sharded_static() {
+        let (cluster, graph) = setup(1, 64);
+        let plan = symmetric(&cluster, &graph, 1, 8, 8);
+        let mut z: HashSet<String> = HashSet::new();
+        z.insert("reference".into());
+        // Frozen reference under ZeRO-3: its weights leave the active term
+        // and reappear as world-sharded static, plus one gathered layer of
+        // working set — the peak moves by at most that working set.
+        let zero3 = peak_with(&cluster, &graph, &plan, &z, &HashSet::new());
+        let plain = peak_with(&cluster, &graph, &plan, &HashSet::new(), &HashSet::new());
+        // Bound the shift: static grows by at most the sharded weights
+        // (2 B/param over world 8), active shrinks by at most the full
+        // replicated shard.
+        let shard = 2 * ModelSpec::llama3_7b().param_count() / 8;
+        let replicated = MemoryModel::new(ModelSpec::llama3_7b())
+            .weight_bytes_per_gpu(&ParallelStrategy::new(1, 8, 1, 8).unwrap());
+        assert!(zero3 <= plain + shard, "zero3 {zero3} plain {plain}");
+        assert!(zero3 + replicated >= plain, "zero3 {zero3} plain {plain}");
     }
 }

@@ -31,6 +31,7 @@ use crate::augment::{self, AugGraph, NodeCosts, Template};
 use crate::maxmem::{self, PeakSweep};
 use crate::{penalized, Estimator};
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan, SpecChoice};
+use real_model::MemoryModel;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -256,14 +257,16 @@ impl CostMemo {
     fn active_bytes(&mut self, est: &Estimator, call: CallId, a: &CallAssignment) -> u64 {
         let counts = (&mut self.hits, &mut self.misses);
         cached(&mut self.actives, counts, (call, *a), || {
-            maxmem::call_active_bytes(est.graph().call(call), a)
+            let def = est.graph().call(call);
+            let mm = MemoryModel::new(def.model.clone());
+            maxmem::call_active_bytes(&mm, def.call_type, &a.strategy, false)
         })
     }
 
     fn static_bytes(&mut self, est: &Estimator, anchor: CallId, a: &CallAssignment) -> u64 {
         let counts = (&mut self.hits, &mut self.misses);
         cached(&mut self.statics, counts, (anchor, *a), || {
-            maxmem::anchor_static_bytes(est.graph().call(anchor), a)
+            maxmem::anchor_static_bytes(est.graph().call(anchor), a, false, false)
         })
     }
 

@@ -88,9 +88,16 @@ impl MemoryModel {
     }
 
     /// Static bytes per GPU under ZeRO-3: everything sharded over the full
-    /// `world` (DeepSpeed-Chat's symmetric strategy).
-    pub fn zero3_static_train_bytes(&self, world: u32) -> u64 {
-        (self.model.param_count() * TRAIN_BYTES_PER_PARAM).div_ceil(u64::from(world.max(1)))
+    /// `world` (DeepSpeed-Chat's symmetric strategy) — weights, gradients
+    /// and Adam state for a `trainable` model, BF16 weights for a frozen
+    /// one.
+    pub fn zero3_static_bytes(&self, world: u32, trainable: bool) -> u64 {
+        let per_param = if trainable {
+            TRAIN_BYTES_PER_PARAM
+        } else {
+            BF16
+        };
+        (self.model.param_count() * per_param).div_ceil(u64::from(world.max(1)))
     }
 
     /// BF16 weight bytes per GPU (the payload parameter reallocation moves).
@@ -202,8 +209,8 @@ mod tests {
     #[test]
     fn zero3_shards_everything() {
         let mm = MemoryModel::new(ModelSpec::llama3_70b());
-        let z16 = mm.zero3_static_train_bytes(16);
-        let z128 = mm.zero3_static_train_bytes(128);
+        let z16 = mm.zero3_static_bytes(16, true);
+        let z128 = mm.zero3_static_bytes(128, true);
         assert!(z16 > 7 * z128);
         // 70B over 128 GPUs: ~10 GB/GPU.
         assert!(z128 > 8 * GIB && z128 < 12 * GIB, "{z128}");

@@ -19,6 +19,7 @@
 use crate::config::EngineConfig;
 use real_cluster::{ClusterSpec, DeviceMesh};
 use real_dataflow::{CallAssignment, CallType, DataflowGraph, ExecutionPlan};
+use real_estimator::maxmem::call_active_bytes;
 use real_model::{MemoryModel, ModelSpec, ParallelStrategy};
 
 /// A baseline's name, plan, and engine configuration.
@@ -40,9 +41,8 @@ fn capacity_budget(cluster: &ClusterSpec) -> u64 {
 }
 
 /// Picks the smallest power-of-two micro-batch count (up to 64) whose
-/// active memory fits next to `static_bytes`. With `zero3` the replicated
-/// weights are ZeRO-sharded (already in `static_bytes`), so they are
-/// excluded from the active term and one gathered layer is charged instead.
+/// active memory fits next to `static_bytes`, with the model's weights
+/// ZeRO-sharded into `static_bytes` when `zero3`.
 fn fit_mbs(
     mm: &MemoryModel,
     call: CallType,
@@ -51,33 +51,10 @@ fn fit_mbs(
     budget: u64,
     zero3: bool,
 ) -> Result<ParallelStrategy, String> {
-    let dp = u64::from(base.dp());
     let mut mbs = 1u32;
     loop {
         let s = base.with_micro_batches(mbs);
-        let mut active = match call {
-            CallType::Generate {
-                batch,
-                prompt_len,
-                gen_len,
-            } => mm.gen_active_bytes(&s, batch.div_ceil(dp), prompt_len + gen_len),
-            CallType::Inference { batch, seq_len } => {
-                mm.infer_active_bytes(&s, batch.div_ceil(dp) * seq_len)
-            }
-            CallType::TrainStep {
-                batch,
-                seq_len,
-                n_minibatches,
-            } => {
-                let per = batch.div_ceil(dp).div_ceil(u64::from(n_minibatches.max(1)));
-                mm.train_active_bytes(&s, per * seq_len)
-            }
-        };
-        if zero3 {
-            active = active
-                .saturating_sub(mm.weight_bytes_per_gpu(&s))
-                .saturating_add(2 * mm.model().layer_params());
-        }
+        let active = call_active_bytes(mm, call, &s, zero3);
         if static_bytes + active <= budget {
             return Ok(s);
         }
@@ -288,6 +265,20 @@ fn halves(cluster: &ClusterSpec) -> Result<(DeviceMesh, DeviceMesh), String> {
     }
 }
 
+/// ZeRO-3 static bytes per GPU of the models `hosted` selects, each
+/// sharded over `world` GPUs.
+fn zero3_static(graph: &DataflowGraph, world: u32, hosted: impl Fn(&str) -> bool) -> u64 {
+    graph
+        .model_names()
+        .into_iter()
+        .filter(|m| hosted(m))
+        .map(|m| {
+            let model = &graph.call(graph.calls_of_model(m)[0]).model;
+            MemoryModel::new(model.clone()).zero3_static_bytes(world, graph.is_trainable(m))
+        })
+        .sum()
+}
+
 /// Which group a model belongs to in the asymmetric baselines.
 fn is_actor_family(model_name: &str) -> bool {
     model_name == "actor" || model_name == "reference"
@@ -312,17 +303,7 @@ pub fn dschat(
         // DeepSpeed-Chat ZeRO-3-shards every model, frozen ones included.
         config.zero3_models.insert(m.to_string());
     }
-    // ZeRO static per GPU: 18 B/param for trainable state, 2 B/param for
-    // frozen weights, everything sharded over the world.
-    let zero_static: u64 = graph
-        .model_names()
-        .iter()
-        .map(|m| {
-            let model = &graph.call(graph.calls_of_model(m)[0]).model;
-            let per_param = if graph.is_trainable(m) { 18 } else { 2 };
-            (model.param_count() * per_param).div_ceil(u64::from(n))
-        })
-        .sum();
+    let zero_static = zero3_static(graph, n, |_| true);
 
     let mut assignments = Vec::with_capacity(graph.n_calls());
     for (_, def) in graph.iter() {
@@ -382,17 +363,8 @@ pub fn openrlhf(
         config.zero3_models.insert(m.to_string());
     }
     // Static per GPU of each group: every model hosted there, ZeRO-sharded.
-    let group_static = |mesh: &DeviceMesh, actor_family: bool| -> u64 {
-        graph
-            .model_names()
-            .iter()
-            .filter(|m| is_actor_family(m) == actor_family)
-            .map(|m| {
-                let model = &graph.call(graph.calls_of_model(m)[0]).model;
-                let per_param = if graph.is_trainable(m) { 18 } else { 2 };
-                (model.param_count() * per_param).div_ceil(u64::from(mesh.n_gpus()))
-            })
-            .sum()
+    let group_static = |mesh: &DeviceMesh, actor_family: bool| {
+        zero3_static(graph, mesh.n_gpus(), |m| is_actor_family(m) == actor_family)
     };
 
     let mut assignments = Vec::with_capacity(graph.n_calls());

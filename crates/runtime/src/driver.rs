@@ -24,7 +24,6 @@
 use crate::config::EngineConfig;
 use crate::exec::{draft_cost_models, execute_call_spec, spec_exec_for, ExecCtx, SpecExec};
 use crate::master::{RunError, RuntimeEngine};
-use crate::memcheck;
 use crate::offpolicy::gen_train_overlap;
 use crate::realloc::{execute_realloc, realloc_volume};
 use crate::replan::{ReplanEvent, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanStats};
@@ -801,7 +800,7 @@ impl Driver {
 fn mem_peak(engine: &RuntimeEngine, plan: &ExecutionPlan) -> Result<u64, RunError> {
     let (cluster, config) = (engine.cluster(), engine.config());
     let (zero3, dist_optim) = (&config.zero3_models, &config.dist_optim_models);
-    let peak = memcheck::max_mem(cluster, engine.graph(), plan, zero3, dist_optim);
+    let peak = maxmem::mem_profile(cluster, engine.graph(), plan, zero3, dist_optim).peak();
     if !config.skip_mem_check && peak > cluster.gpu.mem_capacity {
         return Err(RunError::OutOfMemory {
             peak,

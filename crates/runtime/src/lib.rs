@@ -71,7 +71,6 @@ mod driver;
 pub mod exec;
 pub mod layout;
 pub mod master;
-pub mod memcheck;
 pub mod multi;
 pub mod obs;
 pub mod offpolicy;

@@ -24,11 +24,11 @@
 //! none of this, keeping their exports byte-identical to earlier builds.
 
 use crate::config::EngineConfig;
-use crate::memcheck;
 use crate::replan::{ReplanOutcome, ReplanReason};
 use crate::report::{FaultAbort, RequestFault, RunReport};
 use real_cluster::ClusterSpec;
 use real_dataflow::{DataflowGraph, ExecutionPlan};
+use real_estimator::maxmem;
 use real_obs::{EventStream, Lane, LaneId, MetricsRegistry, Scope};
 use real_sim::{Category, FaultEvent, TraceEvent};
 use std::collections::BTreeMap;
@@ -91,7 +91,7 @@ pub fn record_run(
     let gpn = cluster.gpus_per_node as usize;
     let log = &report.master_log;
     let zero3 = &config.zero3_models;
-    let profile = memcheck::mem_profile(cluster, graph, plan, zero3, &config.dist_optim_models);
+    let profile = maxmem::mem_profile(cluster, graph, plan, zero3, &config.dist_optim_models);
     let mut edges: Vec<Vec<(f64, f64)>> = vec![Vec::new(); cluster.total_gpus() as usize];
     for req in &log.requests {
         let Some(resp) = log.response(req.call, req.iter) else {

@@ -57,7 +57,7 @@ pub fn heuristic_plan(est: &Estimator) -> ExecutionPlan {
         );
         let s =
             ParallelStrategy::new(rest / pp, tp, pp, 1).expect("heuristic degrees are positive");
-        if mm.static_optim_bytes(&s) + mm.weight_bytes_per_gpu(&s) <= budget {
+        if mm.static_train_bytes(&s) <= budget {
             break;
         }
         pp *= 2;

@@ -5,6 +5,7 @@
 use crate::specsearch::SpecMenu;
 use real_cluster::{ClusterSpec, DeviceMesh};
 use real_dataflow::{CallAssignment, CallId, CallType, DataflowGraph, SpecChoice};
+use real_estimator::maxmem::call_active_bytes;
 use real_model::{MemoryModel, ParallelStrategy};
 use serde::{Deserialize, Serialize};
 
@@ -136,7 +137,7 @@ impl SearchSpace {
                         // Static prefilter: weights (+ optimizer state when
                         // trainable) must fit.
                         let static_bytes = if trainable {
-                            mm.static_optim_bytes(&s) + mm.weight_bytes_per_gpu(&s)
+                            mm.static_train_bytes(&s)
                         } else {
                             mm.weight_bytes_per_gpu(&s)
                         };
@@ -146,27 +147,7 @@ impl SearchSpace {
                     }
                     if level == PruneLevel::Aggressive {
                         // Active-memory prefilter for this call alone.
-                        let dp = u64::from(s.dp());
-                        let active = match call.call_type {
-                            CallType::Generate {
-                                batch,
-                                prompt_len,
-                                gen_len,
-                            } => mm.gen_active_bytes(&s, batch.div_ceil(dp), prompt_len + gen_len),
-                            CallType::Inference { batch, seq_len } => {
-                                mm.infer_active_bytes(&s, batch.div_ceil(dp) * seq_len)
-                            }
-                            CallType::TrainStep {
-                                batch,
-                                seq_len,
-                                n_minibatches,
-                            } => {
-                                let per =
-                                    batch.div_ceil(dp).div_ceil(u64::from(n_minibatches.max(1)));
-                                mm.train_active_bytes(&s, per * seq_len)
-                            }
-                        };
-                        if active > capacity {
+                        if call_active_bytes(&mm, call.call_type, &s, false) > capacity {
                             continue;
                         }
                     }

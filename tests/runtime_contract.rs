@@ -17,7 +17,7 @@
 //! `BLESS=1 cargo test -p real-core --test runtime_contract`.
 
 use real_core::prelude::*;
-use real_core::real_runtime::memcheck::mem_profile;
+use real_core::real_estimator::maxmem::mem_profile;
 use real_core::real_runtime::{
     run_multi, MasterLog, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
 };
