@@ -136,7 +136,7 @@ fn search_stages() {
 fn decode_chunk_invariance() {
     let s = setting();
     let exp = ppo_experiment(&s);
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let mut table = Table::new(vec!["decode_chunk", "iteration (s)"]);
     let mut base: Option<f64> = None;
     for chunk in [8u64, 32, 128] {
@@ -160,7 +160,7 @@ fn decode_chunk_invariance() {
 fn jitter_sensitivity() {
     let s = setting();
     let exp = ppo_experiment(&s);
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let mut table = Table::new(vec!["jitter sigma", "iteration (s)"]);
     for sigma in [0.0, 0.02, 0.1] {
         let cfg = EngineConfig {
@@ -181,7 +181,7 @@ fn generation_length_skew() {
     let s = setting();
     let exp = ppo_experiment(&s);
     let (est, _) = exp.prepare();
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let estimated = est.time_cost(&heuristic);
     let mut table = Table::new(vec![
         "gen-length CV",
@@ -243,7 +243,7 @@ fn whatif_fabric() {
             ]);
             continue;
         };
-        let heuristic = exp.plan_heuristic();
+        let heuristic = exp.plan_heuristic().unwrap();
         let searched = exp.run(&planned.plan, 2).expect("fits").tokens_per_sec;
         let baseline = exp.run(&heuristic, 2).expect("fits").tokens_per_sec;
         let gen = planned
@@ -271,7 +271,7 @@ fn fault_rates() {
     let s = setting();
     let exp = ppo_experiment(&s);
     let (est, _) = exp.prepare();
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let estimated = est.time_cost(&heuristic);
     let iters = 2usize;
     // Generous horizon so late-run faults still land inside the schedule.
@@ -323,7 +323,7 @@ fn fault_rates() {
 fn replan_ablation() {
     let s = setting();
     let exp = ppo_experiment(&s);
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let iters = 2usize;
     // Steady-state `tokens_per_sec` hides a one-off stall, so compare
     // effective throughput over the whole run's makespan.
@@ -408,7 +408,7 @@ fn extra_algorithms() {
             println!("{name}: no feasible plan");
             continue;
         };
-        let heuristic = exp.plan_heuristic();
+        let heuristic = exp.plan_heuristic().unwrap();
         let h = exp
             .run(&heuristic, 2)
             .map(|r| r.tokens_per_sec)

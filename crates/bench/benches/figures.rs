@@ -668,7 +668,7 @@ fn fig16_algorithms(_: &mut PlanCache) {
                 continue;
             }
         };
-        let heuristic = exp.plan_heuristic();
+        let heuristic = exp.plan_heuristic().unwrap();
         let h = exp.run(&heuristic, 2).ok().map(|r| r.tokens_per_sec);
         let r = exp.run(&planned.plan, 2).ok().map(|r| r.tokens_per_sec);
         let gain = match (h, r) {

@@ -66,7 +66,9 @@ impl PlanCache {
             let planned = exp
                 .plan_search(&cfg, chains, chains, &SpecMenu::empty(), None)
                 .unwrap_or_else(|e| panic!("no feasible plan for {}: {e}", s.name));
-            let heuristic = exp.plan_heuristic();
+            let heuristic = exp
+                .plan_heuristic()
+                .unwrap_or_else(|e| panic!("no heuristic plan for {}: {e}", s.name));
             PlannedSetting {
                 searched: planned.plan,
                 heuristic,

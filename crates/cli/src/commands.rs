@@ -17,6 +17,8 @@ pub enum CliError {
     Invalid(String),
     /// Planning found no feasible plan.
     NoFeasiblePlan,
+    /// No symmetric heuristic plan fits the cluster.
+    NoSymmetricPlan(NoSymmetricPlan),
     /// The run hit an engine error (OOM).
     Run(RunError),
     /// Filesystem I/O failed.
@@ -38,6 +40,7 @@ impl fmt::Display for CliError {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::Invalid(m) => write!(f, "{m}"),
             CliError::NoFeasiblePlan => write!(f, "search found no memory-feasible plan"),
+            CliError::NoSymmetricPlan(e) => write!(f, "{e}"),
             CliError::Run(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Json(e) => write!(f, "json error: {e}"),
@@ -53,6 +56,11 @@ impl std::error::Error for CliError {}
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
         CliError::Args(e)
+    }
+}
+impl From<NoSymmetricPlan> for CliError {
+    fn from(e: NoSymmetricPlan) -> Self {
+        CliError::NoSymmetricPlan(e)
     }
 }
 impl From<RunError> for CliError {
@@ -524,7 +532,7 @@ pub fn cmd_plan(args: &Args) -> Result<String, CliError> {
     let mut out = plan.render(exp.graph());
     if args.flag("explain") {
         let (est, _) = exp.prepare();
-        let heuristic = exp.plan_heuristic();
+        let heuristic = exp.plan_heuristic()?;
         let cmp = compare(&est, &heuristic, plan);
         out.push_str("\nvs the symmetric heuristic (single-swap contributions):\n");
         out.push_str(&cmp.render());
@@ -583,7 +591,7 @@ fn plan_to_execute(
         return Ok((load_plan(path, exp)?, None, String::new()));
     }
     if args.flag("heuristic") {
-        return Ok((exp.plan_heuristic(), None, String::new()));
+        return Ok((exp.plan_heuristic()?, None, String::new()));
     }
     // Async off-policy wants generation and training on disjoint meshes;
     // the MCMC search optimizes the synchronous TimeCost and tends to
@@ -837,7 +845,7 @@ pub fn cmd_estimate(args: &Args) -> Result<String, CliError> {
     let plan = if let Some(path) = args.str_opt("plan") {
         load_plan(path, &exp)?
     } else {
-        exp.plan_heuristic()
+        exp.plan_heuristic()?
     };
     let (est, _) = exp.prepare();
     let mut t = real_util::Table::new(vec!["call", "assignment", "estimated (s)"]);
@@ -1206,7 +1214,10 @@ mod tests {
     }
 
     fn heuristic(argv: &[&str]) -> ExecutionPlan {
-        experiment_from(&parse(argv)).unwrap().plan_heuristic()
+        experiment_from(&parse(argv))
+            .unwrap()
+            .plan_heuristic()
+            .unwrap()
     }
 
     #[test]
@@ -1402,6 +1413,29 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(table(&one), table(&warm));
+    }
+
+    #[test]
+    fn an_unfittable_heuristic_plan_is_an_error() {
+        for cmd in ["run", "profile", "estimate"] {
+            let argv = [
+                cmd,
+                "--nodes",
+                "1",
+                "--actor",
+                "70b",
+                "--critic",
+                "70b",
+                "--quick-profile",
+                "--heuristic",
+            ];
+            let e = dispatch(&parse(&argv)).unwrap_err();
+            assert!(matches!(e, CliError::NoSymmetricPlan(_)), "{cmd}: {e}");
+            assert_eq!(
+                e.to_string(),
+                "no symmetric plan fits: llama3-70b is too large for 8 GPUs"
+            );
+        }
     }
 
     #[test]

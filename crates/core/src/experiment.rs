@@ -11,8 +11,8 @@ use real_model::ModelSpec;
 use real_profiler::{ProfileConfig, Profiler};
 use real_runtime::{EngineConfig, ReplanPolicy, RunError, RuntimeEngine};
 use real_search::{
-    heuristic_plan, search_speculative, ImpossibleCall, McmcConfig, PruneLevel, SearchResult,
-    SearchSpace, SpecMenu, SpecSearchResult,
+    heuristic_plan, search_speculative, ImpossibleCall, McmcConfig, NoSymmetricPlan, PruneLevel,
+    SearchResult, SearchSpace, SpecMenu, SpecSearchResult,
 };
 use std::collections::HashSet;
 
@@ -401,7 +401,12 @@ impl Experiment {
     }
 
     /// The REAL-Heuristic symmetric plan (§8.1 baseline).
-    pub fn plan_heuristic(&self) -> ExecutionPlan {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NoSymmetricPlan`] when no symmetric configuration fits
+    /// device memory (the workload is too large for the cluster).
+    pub fn plan_heuristic(&self) -> Result<ExecutionPlan, NoSymmetricPlan> {
         let (est, _) = self.prepare();
         heuristic_plan(&est)
     }
@@ -620,7 +625,7 @@ mod tests {
     fn searched_beats_heuristic_here_too() {
         let exp = experiment();
         let planned = exp.plan_auto(&quick_search()).unwrap();
-        let heuristic = exp.plan_heuristic();
+        let heuristic = exp.plan_heuristic().unwrap();
         let searched_t = exp.run(&planned.plan, 2).unwrap().run.iter_time;
         let heuristic_t = exp.run(&heuristic, 2).unwrap().run.iter_time;
         assert!(

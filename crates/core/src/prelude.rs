@@ -31,7 +31,8 @@ pub use real_runtime::{
 };
 pub use real_search::{
     brute_force, compare, greedy_plan, heuristic_plan, parallel_search, resume, search,
-    search_speculative, search_warm, BruteConfig, ChainState, McmcConfig, PlanComparison,
-    PruneLevel, SearchCheckpoint, SearchResult, SearchSpace, SpecMenu, SpecSearchResult,
+    search_speculative, search_warm, BruteConfig, ChainState, McmcConfig, NoSymmetricPlan,
+    PlanComparison, PruneLevel, SearchCheckpoint, SearchResult, SearchSpace, SpecMenu,
+    SpecSearchResult,
 };
 pub use real_sim::{Category, FaultClock, FaultEvent, FaultPlan, Timelines, Trace};

@@ -265,7 +265,7 @@ mod tests {
     fn projection_moves_dead_mesh_assignments_into_the_space() {
         let (cluster, est, _) = setup(2, 512);
         // Incumbent on the full (2-node) cluster.
-        let incumbent = heuristic_plan(&est);
+        let incumbent = heuristic_plan(&est).unwrap();
         // GPU 0 dies: the full-cluster mesh and all node-0 meshes vanish.
         let mut health = ClusterHealth::healthy(&cluster);
         health.mark_dead(GpuId(0));
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn warm_start_is_deterministic_and_stays_in_space() {
         let (cluster, est, _) = setup(2, 512);
-        let incumbent = heuristic_plan(&est);
+        let incumbent = heuristic_plan(&est).unwrap();
         let mut health = ClusterHealth::healthy(&cluster);
         health.mark_dead(GpuId(3));
         let shrunken = SearchSpace::try_build_on(

@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn identical_plans_have_no_diffs() {
         let (est, _) = setup();
-        let plan = heuristic_plan(&est);
+        let plan = heuristic_plan(&est).unwrap();
         let cmp = compare(&est, &plan, &plan);
         assert!(cmp.diffs.is_empty());
         assert!(cmp.spec_diffs.is_empty());
@@ -201,7 +201,7 @@ mod tests {
         use real_model::{ParallelStrategy, SpecDecodeConfig};
 
         let (est, _) = setup();
-        let plain = heuristic_plan(&est);
+        let plain = heuristic_plan(&est).unwrap();
         let cluster = est.cluster();
         let gen = est.graph().find("actor_gen").unwrap();
         let choice = SpecChoice {
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn searched_vs_heuristic_shows_contributions() {
         let (est, space) = setup();
-        let heuristic = heuristic_plan(&est);
+        let heuristic = heuristic_plan(&est).unwrap();
         let result = search(
             &est,
             &space,

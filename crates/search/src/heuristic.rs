@@ -13,13 +13,36 @@ use real_model::{MemoryModel, ParallelStrategy};
 /// for fragmentation, like production launch configs do).
 const MEM_BUDGET: f64 = 0.90;
 
+/// No symmetric 3D strategy over the full cluster fits the heaviest
+/// trainable model's static memory: the workload is too large for the
+/// cluster.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NoSymmetricPlan {
+    /// The heaviest trainable model.
+    pub model: String,
+    /// GPUs in the cluster.
+    pub gpus: u32,
+}
+
+impl std::fmt::Display for NoSymmetricPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "no symmetric plan fits: {} is too large for {} GPUs",
+            self.model, self.gpus
+        )
+    }
+}
+
+impl std::error::Error for NoSymmetricPlan {}
+
 /// Builds the REAL-Heuristic plan for the estimator's workflow.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if no symmetric configuration fits device memory at all (the
-/// workload is simply too large for the cluster).
-pub fn heuristic_plan(est: &Estimator) -> ExecutionPlan {
+/// Returns [`NoSymmetricPlan`] if no symmetric configuration fits device
+/// memory at all (the workload is simply too large for the cluster).
+pub fn heuristic_plan(est: &Estimator) -> Result<ExecutionPlan, NoSymmetricPlan> {
     let cluster = est.cluster();
     let graph = est.graph();
     let mesh = DeviceMesh::full(cluster);
@@ -39,25 +62,30 @@ pub fn heuristic_plan(est: &Estimator) -> ExecutionPlan {
     }
 
     // PP: smallest power-of-two divisor of the remainder such that the
-    // heaviest trainable model's static memory fits; DP takes the rest.
-    let max_static_model = graph
+    // heaviest trainable model's static memory fits (a graph that trains
+    // nothing pins none); DP takes the rest.
+    let heaviest = graph
         .model_names()
         .iter()
         .filter(|m| graph.is_trainable(m))
         .map(|m| graph.call(graph.calls_of_model(m)[0]).model.clone())
         .max_by_key(|m| m.param_count())
-        .expect("RLHF workflows train at least one model");
-    let mm = MemoryModel::new(max_static_model);
+        .map(MemoryModel::new);
     let rest = n / tp;
     let mut pp = 1;
     loop {
-        assert!(
-            pp <= rest,
-            "no symmetric plan fits: model too large for cluster"
-        );
+        if pp > rest {
+            return Err(NoSymmetricPlan {
+                model: heaviest.map_or_else(String::new, |mm| mm.model().name.clone()),
+                gpus: n,
+            });
+        }
         let s =
             ParallelStrategy::new(rest / pp, tp, pp, 1).expect("heuristic degrees are positive");
-        if mm.static_train_bytes(&s) <= budget {
+        if heaviest
+            .as_ref()
+            .is_none_or(|mm| mm.static_train_bytes(&s) <= budget)
+        {
             break;
         }
         pp *= 2;
@@ -84,7 +112,7 @@ pub fn heuristic_plan(est: &Estimator) -> ExecutionPlan {
         };
         assignments.push(assignment);
     }
-    ExecutionPlan::new(graph, cluster, assignments).expect("heuristic plan validates")
+    Ok(ExecutionPlan::new(graph, cluster, assignments).expect("heuristic plan validates"))
 }
 
 /// Builds a provisional full plan for memory checking: decided assignments
@@ -131,7 +159,7 @@ mod tests {
             ModelSpec::llama3_7b().critic(),
             512,
         );
-        let plan = heuristic_plan(&est);
+        let plan = heuristic_plan(&est).unwrap();
         let a = plan.assignment(CallId(0));
         assert_eq!(a.strategy.tp(), 8);
         assert_eq!(a.strategy.pp(), 1, "7B fits without pipeline");
@@ -147,7 +175,7 @@ mod tests {
             ModelSpec::llama3_7b().critic(),
             512,
         );
-        let plan = heuristic_plan(&est);
+        let plan = heuristic_plan(&est).unwrap();
         let first = plan.assignment(CallId(0));
         for a in plan.assignments() {
             assert_eq!(a.mesh, first.mesh);
@@ -165,8 +193,22 @@ mod tests {
             ModelSpec::llama3_7b().critic(),
             512,
         );
-        let plan = heuristic_plan(&est);
+        let plan = heuristic_plan(&est).unwrap();
         assert!(est.mem_ok(&plan));
+    }
+
+    #[test]
+    fn a_model_too_large_for_the_cluster_is_an_error() {
+        // 70B needs 32-way model sharding; one node has 8 GPUs.
+        let est = estimator(
+            1,
+            ModelSpec::llama3_70b(),
+            ModelSpec::llama3_70b().critic(),
+            64,
+        );
+        let e = heuristic_plan(&est).unwrap_err();
+        assert_eq!(e.gpus, 8);
+        assert_eq!(e.model, ModelSpec::llama3_70b().name);
     }
 
     #[test]
@@ -178,7 +220,7 @@ mod tests {
             ModelSpec::llama3_7b().critic(),
             512,
         );
-        let plan = heuristic_plan(&est);
+        let plan = heuristic_plan(&est).unwrap();
         let a = plan.assignment(CallId(0));
         assert_eq!(a.strategy.tp(), 8);
         assert_eq!(a.strategy.pp(), 4, "70B needs 32-way model sharding");

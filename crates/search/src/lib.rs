@@ -36,7 +36,7 @@ pub use brute::{brute_force, BruteConfig};
 pub use checkpoint::{project_onto, ChainState, SearchCheckpoint};
 pub use explain::{compare, CallDiff, PlanComparison, SpecDiff};
 pub use greedy::greedy_plan;
-pub use heuristic::heuristic_plan;
+pub use heuristic::{heuristic_plan, NoSymmetricPlan};
 pub use mcmc::{
     chain_seed, merge_results, parallel_search, parallel_search_on, resume, search, search_warm,
     search_with_memo, search_within, McmcConfig, SearchResult,

@@ -927,7 +927,7 @@ mod tests {
         // The headline claim at small scale: the searched plan is faster
         // than the symmetric heuristic.
         let (est, space) = setup(2, 512);
-        let heuristic = heuristic_plan(&est);
+        let heuristic = heuristic_plan(&est).unwrap();
         let heuristic_time = est.time_cost(&heuristic);
         let result = search(&est, &space, &quick_cfg(5));
         assert!(
@@ -1148,7 +1148,7 @@ mod tests {
             est.time_cost(&cold.best_plan).to_bits()
         );
         // A full-cluster start plan is projected into the mesh.
-        let start = heuristic_plan(&est);
+        let start = heuristic_plan(&est).unwrap();
         assert!(!inside(&start));
         let warm = search_within(&est, &node1, prune, &cfg, Some(&start), &mut memo).unwrap();
         assert!(inside(&warm.best_plan));

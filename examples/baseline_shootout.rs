@@ -43,7 +43,7 @@ fn main() {
         }
     }
 
-    let heuristic = experiment.plan_heuristic();
+    let heuristic = experiment.plan_heuristic().unwrap();
     let h = experiment.run(&heuristic, 2).expect("heuristic fits");
     table.row(vec![
         "ReaL-Heuristic".into(),

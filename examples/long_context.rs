@@ -34,7 +34,7 @@ fn main() {
             ..McmcConfig::default()
         };
         let planned = experiment.plan_auto(&search_cfg).expect("feasible plan");
-        let heuristic = experiment.plan_heuristic();
+        let heuristic = experiment.plan_heuristic().unwrap();
 
         let searched = experiment.run(&planned.plan, 2).expect("fits");
         let baseline = experiment.run(&heuristic, 2).expect("fits");

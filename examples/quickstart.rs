@@ -37,7 +37,7 @@ fn main() {
     );
 
     // Compare against the pre-training-style symmetric heuristic.
-    let heuristic = experiment.plan_heuristic();
+    let heuristic = experiment.plan_heuristic().unwrap();
     let searched_report = experiment
         .run(&planned.plan, 3)
         .expect("searched plan fits");

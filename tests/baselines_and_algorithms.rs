@@ -143,7 +143,7 @@ fn remax_concurrent_generations_beat_serial_execution() {
     let exp = Experiment::remax(cluster, actor, reward, RlhfConfig::instruct_gpt(256))
         .with_quick_profile()
         .with_seed(31);
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let heuristic_time = exp.run(&heuristic, 2).unwrap().run.iter_time;
     let planned = exp.plan_auto(&quick_search(6_000)).expect("feasible plan");
     let searched_time = exp.run(&planned.plan, 2).unwrap().run.iter_time;

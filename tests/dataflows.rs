@@ -293,7 +293,7 @@ fn dsl_hooks_apply_on_every_runtime_path() {
     let (cluster, graph, plan) = (
         exp.cluster().clone(),
         exp.graph().clone(),
-        exp.plan_heuristic(),
+        exp.plan_heuristic().unwrap(),
     );
     let iters = 3;
     let base = RuntimeEngine::new(cluster.clone(), graph.clone(), config.clone())

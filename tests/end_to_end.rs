@@ -50,7 +50,7 @@ fn auto_planned_ppo_runs_and_reports() {
 fn searched_plan_beats_heuristic_end_to_end() {
     let exp = experiment(2, 512);
     let planned = exp.plan_auto(&quick_search(6_000)).expect("feasible plan");
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let searched_time = exp.run(&planned.plan, 2).unwrap().run.iter_time;
     let heuristic_time = exp.run(&heuristic, 2).unwrap().run.iter_time;
     assert!(
@@ -78,7 +78,7 @@ fn generation_dominates_ppo_iterations() {
     // Fig. 1 / Table 6: under a symmetric plan, generation is the longest
     // call of the iteration.
     let exp = experiment(1, 128);
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
     let report = exp.run(&heuristic, 2).unwrap();
     let gen = report.run.call_mean("actor_gen").unwrap();
     for other in ["reward_inf", "ref_inf", "critic_inf", "critic_train"] {
@@ -96,7 +96,7 @@ fn estimator_matches_runtime_within_paper_bound() {
     let exp = experiment(2, 512);
     let (est, _) = exp.prepare();
     let planned = exp.plan_auto(&quick_search(4_000)).expect("feasible plan");
-    let heuristic = exp.plan_heuristic();
+    let heuristic = exp.plan_heuristic().unwrap();
 
     let mut pairs = Vec::new();
     for plan in [&planned.plan, &heuristic] {

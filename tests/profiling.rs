@@ -146,7 +146,7 @@ fn same_seed_runs_produce_byte_identical_profiles() {
                 trace_capacity: 500_000,
                 ..EngineConfig::default()
             });
-        let plan = exp.plan_heuristic();
+        let plan = exp.plan_heuristic().unwrap();
         let report = exp.run(&plan, 1).expect("heuristic plan runs");
         let (est, _) = exp.prepare();
         serde_json::to_string_pretty(&exp.profile_report(&report, &est, 10)).unwrap()
@@ -168,7 +168,7 @@ fn experiment_profile_attributes_and_reports_the_gap() {
             trace_capacity: 500_000,
             ..EngineConfig::default()
         });
-    let plan = exp.plan_heuristic();
+    let plan = exp.plan_heuristic().unwrap();
     let report = exp.run(&plan, 1).expect("heuristic plan runs");
     let (est, _) = exp.prepare();
     let profile = exp.profile_report(&report, &est, 10);

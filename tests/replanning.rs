@@ -33,7 +33,7 @@ fn quick_policy() -> ReplanPolicy {
 #[test]
 fn replan_beats_retry_only_after_permanent_crash() {
     let exp = faulted_experiment(32);
-    let plan = exp.plan_heuristic();
+    let plan = exp.plan_heuristic().unwrap();
 
     // Retry-only: the run waits out the (effectively infinite) restart.
     let waited = exp.run(&plan, 2).expect("plan fits");
@@ -85,7 +85,7 @@ fn replan_beats_retry_only_after_permanent_crash() {
 fn replanned_experiment_is_deterministic() {
     let run = || {
         let exp = faulted_experiment(32).with_replan_policy(quick_policy());
-        let plan = exp.plan_heuristic();
+        let plan = exp.plan_heuristic().unwrap();
         let report = exp.run(&plan, 1).expect("plan fits");
         (
             report.run.total_time,
@@ -108,7 +108,7 @@ fn replan_policy_without_faults_is_inert() {
     )
     .with_quick_profile()
     .with_seed(17);
-    let plan = exp.plan_heuristic();
+    let plan = exp.plan_heuristic().unwrap();
     let plain = exp.run(&plan, 1).unwrap();
     let with_policy = exp
         .clone()

@@ -263,7 +263,7 @@ fn replan_cases() -> Vec<(&'static str, Value)> {
 
     let exp = replan_experiment(FaultPlan::new(23).crash(3, 12.0, 1.0e6))
         .with_replan_policy(policy.clone());
-    let plan = exp.plan_heuristic();
+    let plan = exp.plan_heuristic().unwrap();
     let dead = exp.run(&plan, 2).unwrap().run;
     assert!(
         dead.replan.switches >= 1
@@ -475,7 +475,7 @@ fn option_counts(cluster: &ClusterSpec, graph: &DataflowGraph) -> Value {
 }
 
 fn heuristic_assignments(exp: &Experiment) -> Value {
-    let plan = exp.plan_heuristic();
+    let plan = exp.plan_heuristic().unwrap();
     let rows = exp
         .graph()
         .iter()

@@ -142,7 +142,7 @@ fn chain_cases() -> Vec<(&'static str, Value)> {
         },
     );
 
-    let explained = compare(&est, &heuristic_plan(&est), &searched.best_plan);
+    let explained = compare(&est, &heuristic_plan(&est).unwrap(), &searched.best_plan);
 
     vec![
         ("search", result_json(&searched)),
@@ -162,7 +162,7 @@ fn warm_case() -> (&'static str, Value) {
     let actor = ModelSpec::llama3_7b();
     let graph = algo::ppo(&actor, &actor.critic(), &RlhfConfig::instruct_gpt(256));
     let est = estimator(&cluster, &graph, 21);
-    let incumbent = heuristic_plan(&est);
+    let incumbent = heuristic_plan(&est).unwrap();
     let mut health = ClusterHealth::healthy(&cluster);
     health.mark_dead(GpuId(3));
     health.mark_slow(GpuId(12), 2.0);

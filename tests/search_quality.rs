@@ -174,7 +174,7 @@ fn heuristic_plan_is_feasible_at_every_weak_scaling_point() {
         )
         .with_quick_profile();
         let (est, _) = exp.prepare();
-        let plan = exp.plan_heuristic();
+        let plan = exp.plan_heuristic().unwrap();
         assert!(
             est.mem_ok(&plan),
             "{size} heuristic should fit {nodes} nodes"

@@ -222,7 +222,7 @@ fn run_cases() -> Vec<(&'static str, Value)> {
     let exp = ppo(&one, 32, 17)
         .with_fault_plan(FaultPlan::new(23).crash(3, 12.0, 1.0e6))
         .with_replan_policy(ReplanPolicy::new().with_search_steps(300));
-    let plan = exp.plan_heuristic();
+    let plan = exp.plan_heuristic().unwrap();
     let report = exp.run(&plan, 2).unwrap();
     assert!(
         matches!(
