@@ -106,7 +106,8 @@ pub struct Estimator {
 
 impl Estimator {
     /// Builds an estimator. `profiles` must cover every distinct
-    /// architecture in `graph` (keyed by `ModelSpec::name`).
+    /// architecture in `graph` (keyed by `ModelSpec::name`); the first
+    /// profile's measured links give the communication model.
     ///
     /// # Errors
     ///
@@ -117,6 +118,9 @@ impl Estimator {
         graph: DataflowGraph,
         profiles: Vec<ProfileDb>,
     ) -> Result<Self, EstimatorError> {
+        let comm = profiles
+            .first()
+            .map_or_else(|| CommModel::new(&cluster), ProfileDb::comm_model);
         let map: HashMap<String, ProfileDb> = profiles
             .into_iter()
             .map(|p| (p.model_name().to_string(), p))
@@ -126,11 +130,6 @@ impl Estimator {
                 return Err(EstimatorError::MissingProfile(call.model.name.clone()));
             }
         }
-        let comm = map
-            .values()
-            .next()
-            .map(|p| p.comm_model())
-            .unwrap_or_else(|| CommModel::new(&cluster));
         Ok(Self {
             cluster,
             graph,
@@ -379,6 +378,29 @@ mod tests {
         )
         .unwrap();
         ExecutionPlan::new(graph, cluster, vec![a; graph.n_calls()]).unwrap()
+    }
+
+    #[test]
+    fn the_first_profile_gives_the_comm_model() {
+        // Noisy profiles measure different links per model; every build
+        // must take the first one's, whatever the hash map's order.
+        let cluster = ClusterSpec::h100(2);
+        let actor = ModelSpec::llama3_7b();
+        let critic = actor.critic();
+        let graph = algo::ppo(&actor, &critic, &algo::RlhfConfig::instruct_gpt(64));
+        let noisy = ProfileConfig {
+            noise_sigma: 0.05,
+            ..ProfileConfig::quick()
+        };
+        let mut profiler = Profiler::new(cluster.clone(), noisy, 3);
+        let profiles = vec![profiler.profile(&actor), profiler.profile(&critic)];
+        let p2p = |m: &CommModel| m.p2p(1e9, false).to_bits();
+        let first = p2p(&profiles[0].comm_model());
+        assert_ne!(first, p2p(&profiles[1].comm_model()));
+        for _ in 0..16 {
+            let est = Estimator::new(cluster.clone(), graph.clone(), profiles.clone()).unwrap();
+            assert_eq!(p2p(est.comm()), first);
+        }
     }
 
     #[test]
