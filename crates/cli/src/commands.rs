@@ -1439,6 +1439,30 @@ mod tests {
     }
 
     #[test]
+    fn a_graph_that_trains_nothing_gets_a_heuristic_plan() {
+        let dir = std::env::temp_dir().join("real-cli-heuristic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("generate-only.json");
+        let graph = r#"{"models": [{"role": "actor", "arch": "7b"}], "calls": [
+            {"name": "actor_gen", "model": "actor", "kind": "gen", "batch": 32,
+             "prompt_len": 512, "gen_len": 512, "outputs": ["seq"]}]}"#;
+        std::fs::write(&path, graph).unwrap();
+        let argv = [
+            "run",
+            "--graph",
+            path.to_str().unwrap(),
+            "--nodes",
+            "1",
+            "--iters",
+            "1",
+            "--quick-profile",
+            "--heuristic",
+        ];
+        let out = dispatch(&parse(&argv)).unwrap();
+        assert!(out.contains("actor_gen"), "{out}");
+    }
+
+    #[test]
     fn heuristic_run_works() {
         let argv = [
             "run",
