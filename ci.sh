@@ -27,6 +27,16 @@ for f in crates/*/src/*.rs; do
         exit 1
     fi
 done
+# ... and the reverse: every `real-<crate>::<module>` row of that map must
+# name an existing crates/<crate>/src/<module>.rs, so a deleted module's row
+# cannot linger.
+for row in $(sed -n 's/^| `real-\([a-z]*\)::\([a-z_0-9]*\)` |.*/\1\/src\/\2/p' \
+        docs/ARCHITECTURE.md); do
+    if [ ! -f "crates/$row.rs" ]; then
+        echo "docs drift: module map row for crates/$row.rs names no such file" >&2
+        exit 1
+    fi
+done
 
 # Dataflow-spec drift gate: docs/DATAFLOWS.md is the schema reference for
 # the --graph DSL; every SpecError variant and every public field of the
