@@ -73,19 +73,16 @@ pub fn heuristic_plan(est: &Estimator) -> Result<ExecutionPlan, NoSymmetricPlan>
         .map(MemoryModel::new);
     let rest = n / tp;
     let mut pp = 1;
-    loop {
+    while let Some(mm) = &heaviest {
         if pp > rest {
             return Err(NoSymmetricPlan {
-                model: heaviest.map_or_else(String::new, |mm| mm.model().name.clone()),
+                model: mm.model().name.clone(),
                 gpus: n,
             });
         }
         let s =
             ParallelStrategy::new(rest / pp, tp, pp, 1).expect("heuristic degrees are positive");
-        if heaviest
-            .as_ref()
-            .is_none_or(|mm| mm.static_train_bytes(&s) <= budget)
-        {
+        if mm.static_train_bytes(&s) <= budget {
             break;
         }
         pp *= 2;
