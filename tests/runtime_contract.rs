@@ -12,7 +12,9 @@
 //! static and per-call active bytes, its run's `mem_peak` and
 //! `static_utilization`, `Estimator::max_mem` of a searched and a
 //! speculative plan, the per-call option counts of `SearchSpace` at every
-//! pruning level, and two heuristic plans. A refactor of the runtime
+//! pruning level (plus, for PPO 70B + 7B critic on 16 and 128 nodes, each
+//! call's option count and a digest of its option list), and two
+//! heuristic plans. A refactor of the runtime
 //! must leave the fixture byte-identical. Regenerate deliberately with
 //! `BLESS=1 cargo test -p real-core --test runtime_contract`.
 
@@ -474,6 +476,47 @@ fn option_counts(cluster: &ClusterSpec, graph: &DataflowGraph) -> Value {
     obj(rows.collect())
 }
 
+/// Per call, `<options> <FNV digest of the option list>` of
+/// `SearchSpace::try_build` at every pruning level: the digest feeds each
+/// option's mesh and strategy in list order, so it pins the order too.
+fn option_digests(cluster: &ClusterSpec, graph: &DataflowGraph) -> Value {
+    let levels = [
+        ("light", PruneLevel::Light),
+        ("moderate", PruneLevel::Moderate),
+        ("aggressive", PruneLevel::Aggressive),
+    ];
+    let rows = levels.into_iter().map(|(name, level)| {
+        let lists = match SearchSpace::try_build(cluster, graph, level) {
+            Ok(space) => Value::Array(
+                (0..space.n_calls())
+                    .map(|c| {
+                        let mut h = Fnv::new();
+                        for a in space.options(c) {
+                            let (m, s) = (&a.mesh, &a.strategy);
+                            for word in [
+                                m.node_start(),
+                                m.n_nodes(),
+                                m.gpu_start(),
+                                m.gpu_width(),
+                                s.dp(),
+                                s.tp(),
+                                s.pp(),
+                                s.micro_batches(),
+                            ] {
+                                h.feed(&word.to_le_bytes());
+                            }
+                        }
+                        Value::String(format!("{} {}", space.options(c).len(), h.hex()))
+                    })
+                    .collect(),
+            ),
+            Err(e) => Value::String(format!("error: {e}")),
+        };
+        (name, lists)
+    });
+    obj(rows.collect())
+}
+
 fn heuristic_assignments(exp: &Experiment) -> Value {
     let plan = exp.plan_heuristic().unwrap();
     let rows = exp
@@ -514,6 +557,23 @@ fn memory_cases() -> Vec<(&'static str, Value)> {
         ("ppo", option_counts(&two, exp.graph())),
         ("dpo", option_counts(&two, &dpo)),
     ]);
+    let ppo_70b = |batch| {
+        algo::ppo(
+            &ModelSpec::llama3_70b(),
+            &ModelSpec::llama3_7b().critic(),
+            &RlhfConfig::instruct_gpt(batch),
+        )
+    };
+    let option_lists = obj(vec![
+        (
+            "ppo_70b_16_nodes",
+            option_digests(&ClusterSpec::h100(16), &ppo_70b(4096)),
+        ),
+        (
+            "ppo_70b_128_nodes",
+            option_digests(&ClusterSpec::h100(128), &ppo_70b(8192)),
+        ),
+    ]);
 
     let seventy = Experiment::ppo(
         ClusterSpec::h100(4),
@@ -532,6 +592,7 @@ fn memory_cases() -> Vec<(&'static str, Value)> {
         ("baselines_2_nodes", baseline_memory(2)),
         ("estimator_max_mem", estimator),
         ("search_space_options", options),
+        ("search_space_option_lists", option_lists),
         ("heuristic_plans", heuristic),
     ]);
     vec![("memory", memory)]

@@ -10,7 +10,10 @@
 //! pattern, feasibility and the chain's step/acceptance counts. One more
 //! case pins `Estimator::time_cost_instrumented`'s full metrics snapshot
 //! (Algorithm 1's queue counters) on a searched asymmetric plan with
-//! reallocation and transfer nodes and on a speculative plan. Memo
+//! reallocation and transfer nodes and on a speculative plan. Two more
+//! cases run `search` on PPO 70B + 7B critic at cluster scale: 1024 GPUs
+//! (2,000 steps), and 128 GPUs with a one-step chain whose greedy start is
+//! out of memory, so the polish starts from an infeasible incumbent. Memo
 //! hit/miss counters are deliberately left out: they describe how a price
 //! was found, not what it is. A refactor of the pricing path must leave
 //! the fixture byte-identical. Regenerate deliberately with
@@ -342,6 +345,28 @@ fn instrumented_case() -> (&'static str, Value) {
     )
 }
 
+/// PPO 70B + 7B critic on `nodes` nodes, quick-profiled (seed 1), searched
+/// over its default (Aggressive) space for `max_steps` steps at seed 1.
+fn ppo_70b_search(nodes: u32, batch: u64, max_steps: u64) -> Value {
+    let exp = Experiment::ppo(
+        ClusterSpec::h100(nodes),
+        ModelSpec::llama3_70b(),
+        ModelSpec::llama3_7b().critic(),
+        RlhfConfig::instruct_gpt(batch),
+    )
+    .with_quick_profile();
+    let (est, _) = exp.prepare();
+    let space = exp.try_search_space().unwrap();
+    result_json(&search(&est, &space, &steps_cfg(1, max_steps)))
+}
+
+fn scale_cases() -> Vec<(&'static str, Value)> {
+    vec![
+        ("search_1024_gpus", ppo_70b_search(128, 8192, 2_000)),
+        ("search_infeasible_incumbent", ppo_70b_search(16, 4096, 1)),
+    ]
+}
+
 #[test]
 fn search_results_match_the_contract_fixture() {
     let cases: Vec<(String, Value)> = chain_cases()
@@ -354,6 +379,7 @@ fn search_results_match_the_contract_fixture() {
             price_template_case(),
             instrumented_case(),
         ])
+        .chain(scale_cases())
         .map(|(k, v)| (k.to_string(), v))
         .collect();
     assert_matches_fixture("search_contract.json", "search results", cases);
