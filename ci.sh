@@ -141,3 +141,16 @@ if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 130) }'; then
     echo "memory gate: profile-128 peak_rss_mb '$rss' exceeds 130" >&2
     exit 1
 fi
+
+# Memory gate: the `real plan` path at 1024 GPUs (the benchmark's plan-1024
+# workload) must peak at or under 20 MB of RSS. The search keeps option
+# durations in a dense table instead of the memo, which holds it near
+# 16 MB; with every option's duration memoized it peaked near 25 MB (see
+# docs/SEARCH.md).
+rss=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \
+    --workload plan-1024 --seconds 1 | tail -n 1 |
+    sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 20) }'; then
+    echo "memory gate: plan-1024 peak_rss_mb '$rss' exceeds 20" >&2
+    exit 1
+fi

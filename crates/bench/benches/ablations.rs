@@ -1025,11 +1025,11 @@ fn search_throughput_gate() {
     // The 1024-GPU pair (128 nodes, 70B actor). The reference chain prices
     // every proposal and polish candidate from scratch; the pricer chain
     // rejects most proposals by the critical-path bound unpriced and skips
-    // most polish candidates by the per-call duration threshold. On a
-    // shared 2-vCPU VM the full 1000-step search took 8.8 s from scratch
-    // vs 0.14 s through the pricer (~64x), with 88% of the pricer chain's
-    // steps gated and 94% of its polish candidates pruned, so every floor
-    // has margin.
+    // most polish candidates by the per-call duration thresholds. On a
+    // shared 2-vCPU VM the full 1000-step search took 7.98 s from scratch
+    // vs 0.08 s through the pricer (~105x), with 89% memo hits, 92% of the
+    // pricer chain's steps gated and 95% of its polish candidates pruned,
+    // so every floor has margin.
     let p = throughput_pair(128, ModelSpec::llama3_70b(), 4096, 1_000);
     let speedup = p.reference_secs / p.pricer_secs;
     println!(

@@ -63,6 +63,13 @@ pub struct AugGraph {
     call_mesh: Vec<u32>,
     call_node: Vec<u32>,
     gathered: Vec<u32>,
+    /// The plan's prices, looked up once and read by every unrolled
+    /// iteration: per call its node duration and the reallocation cost of
+    /// its parameter edge, and per data dependency (calls in topological
+    /// order, each call's dependencies in order) its transfer cost.
+    call_duration: Vec<f64>,
+    param_cost: Vec<f64>,
+    dep_cost: Vec<f64>,
 }
 
 /// One node of an [`AugGraph`]; its second mesh id is [`NO_MESH`] when it
@@ -92,6 +99,9 @@ impl AugGraph {
             call_mesh: Vec::new(),
             call_node: Vec::new(),
             gathered: Vec::new(),
+            call_duration: Vec::new(),
+            param_cost: Vec::new(),
+            dep_cost: Vec::new(),
         }
     }
 
@@ -104,6 +114,9 @@ impl AugGraph {
         self.assigns.clear();
         self.call_mesh.clear();
         self.call_node.clear();
+        self.call_duration.clear();
+        self.param_cost.clear();
+        self.dep_cost.clear();
     }
 
     /// Number of nodes.
@@ -447,6 +460,11 @@ impl Template {
     /// edges connect a model's last call in iteration `t` to its first call
     /// in iteration `t+1` (through the reallocation node when layouts
     /// differ). Zero-cost transfers and reallocations add no node.
+    ///
+    /// Every price depends on the plan alone, not on the iteration, so
+    /// `costs` is asked once per call duration, data dependency and
+    /// parameter edge (the wrap-around edge once for all iterations after
+    /// the first), and the unrolled iterations reuse the answers.
     pub fn instantiate<F>(
         &self,
         graph: &DataflowGraph,
@@ -465,12 +483,27 @@ impl Template {
             out.assigns.push(a);
             out.call_mesh.push(mesh);
         }
+        for call in (0..n).map(CallId) {
+            let a = out.assigns[call.0];
+            out.call_duration.push(costs.call_node(plan, call, &a));
+            let src = self.prev_in_iter[call.0]
+                .or((self.iterations > 1).then_some(self.model_last[call.0]));
+            let cost = src.map_or(0.0, |p| costs.realloc(call, &out.assigns[p.0], &a));
+            out.param_cost.push(cost);
+        }
+        for &call in &self.topo {
+            let a = out.assigns[call.0];
+            for &dep in graph.deps(call) {
+                let cost = costs.transfer(dep, &out.assigns[dep.0], &a);
+                out.dep_cost.push(cost);
+            }
+        }
         // call_node[iter * n + call] = node index.
         out.call_node.resize(self.iterations * n, NO_NODE);
 
         for iter in 0..self.iterations {
+            let mut dep_edge = 0;
             for &call in &self.topo {
-                let a = out.assigns[call.0];
                 let mesh = out.call_mesh[call.0];
                 out.gathered.clear();
 
@@ -478,7 +511,8 @@ impl Template {
                 for &dep in graph.deps(call) {
                     let dep_node = out.call_node[iter * n + dep.0];
                     debug_assert_ne!(dep_node, NO_NODE, "topo order places deps first");
-                    let cost = costs.transfer(dep, &out.assigns[dep.0], &a);
+                    let cost = out.dep_cost[dep_edge];
+                    dep_edge += 1;
                     let parent = if cost > 0.0 {
                         // Transfers occupy the consumer mesh only; the
                         // producer sends from copy engines (mirrors the
@@ -507,7 +541,7 @@ impl Template {
                 if let Some((piter, pcall)) = prev {
                     let pnode = out.call_node[piter * n + pcall.0];
                     debug_assert_ne!(pnode, NO_NODE);
-                    let cost = costs.realloc(call, &out.assigns[pcall.0], &a);
+                    let cost = out.param_cost[call.0];
                     let parent = if cost > 0.0 {
                         out.parents.push(pnode);
                         out.push_node(NodeKind::Realloc, cost, [out.call_mesh[pcall.0], mesh])
@@ -517,7 +551,7 @@ impl Template {
                     out.gathered.push(parent);
                 }
 
-                let duration = costs.call_node(plan, call, &a);
+                let duration = out.call_duration[call.0];
                 let draft = match plan.spec_choice(call) {
                     Some(choice) => out.intern(choice.assignment.mesh),
                     None => NO_MESH,

@@ -334,10 +334,12 @@ impl Estimator {
     }
 }
 
-/// The §5.2 cost composition shared by [`Estimator::cost_checked`] and
-/// [`PlanPricer::cost_checked`]: `TimeCost`, multiplied by [`OOM_PENALTY`]
-/// when the plan does not fit, plus whether the penalty applied.
-pub(crate) fn penalized(time_cost: f64, fits: bool) -> (f64, bool) {
+/// The §5.2 cost composition shared by [`Estimator::cost_checked`],
+/// [`PlanPricer::cost_checked`] and a search that prices the time and
+/// memory halves of a proposal separately: `TimeCost`, multiplied by
+/// [`OOM_PENALTY`] when the plan does not fit, plus whether the penalty
+/// applied.
+pub fn penalized(time_cost: f64, fits: bool) -> (f64, bool) {
     if fits {
         (time_cost, false)
     } else {

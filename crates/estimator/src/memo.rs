@@ -657,15 +657,6 @@ impl<'a> PlanPricer<'a> {
         peak.peak()
     }
 
-    fn cost_checked_at<F>(&mut self, plan: &ExecutionPlan, assign: F) -> (f64, bool)
-    where
-        F: Fn(CallId) -> CallAssignment,
-    {
-        let t = self.time_cost_at(plan, &assign);
-        let fits = self.max_mem_at(plan, &assign) <= self.est.cluster().gpu.mem_capacity;
-        penalized(t, fits)
-    }
-
     /// `TimeCost` of the plan; bit-identical to [`Estimator::time_cost`].
     pub fn time_cost(&mut self, plan: &ExecutionPlan) -> f64 {
         self.time_cost_at(plan, |id| *plan.assignment(id))
@@ -681,6 +672,32 @@ impl<'a> PlanPricer<'a> {
         self.max_mem(plan) <= self.est.cluster().gpu.mem_capacity
     }
 
+    /// [`PlanPricer::mem_ok`] of `plan` with `call` reassigned to `a`,
+    /// without materializing the perturbed plan: the memory half of
+    /// [`PlanPricer::cost_checked_perturbed`], so a search can tell that a
+    /// candidate pays the OOM penalty without running Algorithm 1.
+    pub fn mem_ok_perturbed(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        a: CallAssignment,
+    ) -> bool {
+        let peak = self.max_mem_at(plan, |id| if id == call { a } else { *plan.assignment(id) });
+        peak <= self.est.cluster().gpu.mem_capacity
+    }
+
+    /// [`PlanPricer::time_cost`] of `plan` with `call` reassigned to `a`,
+    /// without materializing the perturbed plan: the time half of
+    /// [`PlanPricer::cost_checked_perturbed`].
+    pub fn time_cost_perturbed(
+        &mut self,
+        plan: &ExecutionPlan,
+        call: CallId,
+        a: CallAssignment,
+    ) -> f64 {
+        self.time_cost_at(plan, |id| if id == call { a } else { *plan.assignment(id) })
+    }
+
     /// The §5.2 search cost; bit-identical to [`Estimator::cost`].
     pub fn cost(&mut self, plan: &ExecutionPlan) -> f64 {
         self.cost_checked(plan).0
@@ -689,7 +706,8 @@ impl<'a> PlanPricer<'a> {
     /// The §5.2 search cost plus whether the OOM penalty applied;
     /// bit-identical to [`Estimator::cost_checked`].
     pub fn cost_checked(&mut self, plan: &ExecutionPlan) -> (f64, bool) {
-        self.cost_checked_at(plan, |id| *plan.assignment(id))
+        let t = self.time_cost(plan);
+        penalized(t, self.mem_ok(plan))
     }
 
     /// [`PlanPricer::cost_checked`] of `plan` with `call` reassigned to `a`,
@@ -702,7 +720,8 @@ impl<'a> PlanPricer<'a> {
         call: CallId,
         a: CallAssignment,
     ) -> (f64, bool) {
-        self.cost_checked_at(plan, |id| if id == call { a } else { *plan.assignment(id) })
+        let t = self.time_cost_perturbed(plan, call, a);
+        penalized(t, self.mem_ok_perturbed(plan, call, a))
     }
 
     /// A lower bound on [`PlanPricer::cost_checked_perturbed`] of the same
@@ -724,30 +743,10 @@ impl<'a> PlanPricer<'a> {
             .critical_path_bound_in(self.est.graph(), &work.durations, &mut work.ends)
     }
 
-    /// [`Estimator::call_duration`] of `call` under `a`, read through the
-    /// memo.
-    pub fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64 {
-        self.memo.duration(self.est, call, a)
-    }
-
-    /// The duration `call`'s node takes under `a` in `plan`'s augmented
-    /// graph, read through the memo: the speculation-aware duration where
-    /// `plan` has a [`SpecChoice`] for `call`, the plain one otherwise.
-    pub fn call_node_duration(
-        &mut self,
-        plan: &ExecutionPlan,
-        call: CallId,
-        a: &CallAssignment,
-    ) -> f64 {
-        MemoCosts {
-            est: self.est,
-            memo: &mut self.memo,
-        }
-        .call_node(plan, call, a)
-    }
-
-    /// Fills the workspace's per-call durations with every call's
-    /// [`PlanPricer::call_node_duration`] under `assign`.
+    /// Fills the workspace's per-call durations with every call's node
+    /// duration under `assign`, read through the memo: the
+    /// speculation-aware duration where `plan` has a [`SpecChoice`] for the
+    /// call, the plain one otherwise.
     fn fill_durations<F>(&mut self, plan: &ExecutionPlan, assign: F)
     where
         F: Fn(CallId) -> CallAssignment,
@@ -763,47 +762,59 @@ impl<'a> PlanPricer<'a> {
         }
     }
 
-    /// The least call-node duration `d*` at which
-    /// [`PlanPricer::cost_lower_bound_perturbed`] of `plan` with `call`
-    /// reassigned reaches `target`: every `a` whose
-    /// [`PlanPricer::call_node_duration`] is `>= d*` has a bound `>=
-    /// target`, and every `a` below it has a bound `< target`.
+    /// The polish's two pruning thresholds for `call` in `plan` against
+    /// `target`, `(d*, d*_α)`:
+    ///
+    /// - `d*` is the least call-node duration at which
+    ///   [`PlanPricer::cost_lower_bound_perturbed`] of `plan` with `call`
+    ///   reassigned reaches `target`: every `a` under which `call`'s node
+    ///   takes `>= d*` ([`NodeCosts::call_node`]) has a bound `>= target`,
+    ///   and every `a` below it has a bound `< target`;
+    /// - `d*_α <= d*` is the same for the penalized bound `fl(bound · α)`,
+    ///   α = [`OOM_PENALTY`](crate::OOM_PENALTY). A candidate that does not
+    ///   fit device memory costs `fl(TimeCost · α) >= fl(bound · α)`, so
+    ///   every such candidate at or above `d*_α` costs `>= target`.
     ///
     /// Exact, with no epsilon: the bound is monotone non-decreasing in one
-    /// call's duration in floating point (`fl(+)`, `max` and `fl(x / K)`
-    /// are), so `d*` is found by bisection over the bit patterns of the
-    /// non-negative `f64`s — about 64 bound evaluations, after which each
-    /// candidate costs one memo lookup and one comparison. `+∞` when no
-    /// finite duration reaches `target`.
-    pub fn lower_bound_threshold(
+    /// call's duration in floating point (`fl(+)`, `max`, `fl(x / K)` and
+    /// `fl(x · α)` are), so each threshold is found by bisection over the
+    /// bit patterns of the non-negative `f64`s — about 64 bound evaluations,
+    /// after which each candidate costs one duration read and one
+    /// comparison. `+∞` when no finite duration reaches `target`.
+    pub fn lower_bound_thresholds(
         &mut self,
         plan: &ExecutionPlan,
         call: CallId,
         target: f64,
-    ) -> f64 {
+    ) -> (f64, f64) {
         self.fill_durations(plan, |id| *plan.assignment(id));
         let graph = self.est.graph();
         let (template, work) = (&self.template, &mut self.work);
-        let mut reaches = |bits: u64| {
-            work.durations[call.0] = f64::from_bits(bits);
-            template.critical_path_bound_in(graph, &work.durations, &mut work.ends) >= target
-        };
-        // Non-negative f64s order like their bit patterns. Invariant: the
-        // bound at `lo` misses `target`, the bound at `hi` does not (at
-        // `+∞` the bound is `+∞`).
-        let (mut lo, mut hi) = (0u64, f64::INFINITY.to_bits());
-        if reaches(lo) {
-            return 0.0;
-        }
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if reaches(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
+        let mut least = |scale: f64| {
+            let mut reaches = |bits: u64| {
+                work.durations[call.0] = f64::from_bits(bits);
+                template.critical_path_bound_in(graph, &work.durations, &mut work.ends) * scale
+                    >= target
+            };
+            // Non-negative f64s order like their bit patterns. Invariant:
+            // the bound at `lo` misses `target`, the bound at `hi` does not
+            // (at `+∞` the bound is `+∞`).
+            let (mut lo, mut hi) = (0u64, f64::INFINITY.to_bits());
+            if reaches(lo) {
+                return 0.0;
             }
-        }
-        f64::from_bits(hi)
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if reaches(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            f64::from_bits(hi)
+        };
+        // `fl(b · 1) = b`: the plain threshold is the same search.
+        (least(1.0), least(crate::OOM_PENALTY))
     }
 }
 
@@ -881,6 +892,25 @@ mod tests {
                 est.cost_checked(&materialized),
             );
         }
+    }
+
+    #[test]
+    fn a_price_looks_up_each_sub_result_once() {
+        // PPO at two unrolled iterations: 6 call durations, 11 data
+        // dependencies and 6 parameter edges (2 within the iteration, 4
+        // wrap-arounds), however many iterations read them.
+        let (_, graph, est) = setup();
+        let plan = plan_from(&[1, 9, 17, 33, 65, 129]);
+        let mut pricer = PlanPricer::new(est);
+        pricer.time_cost(&plan);
+        let before = pricer.memo_stats();
+        pricer.time_cost(&plan);
+        let after = pricer.memo_stats().since(before);
+        let deps: usize = (0..graph.n_calls())
+            .map(|c| graph.deps(CallId(c)).len())
+            .sum();
+        assert_eq!(deps, 11);
+        assert_eq!((after.hits, after.misses), (23, 0));
     }
 
     #[test]
@@ -1051,7 +1081,10 @@ mod tests {
         /// The polish's pruning contract: the critical-path bound never
         /// exceeds the penalized cost or the `TimeCost` it stands in for —
         /// plain `<=` on `f64`, no epsilon — on plain and speculative plans,
-        /// under a slowed GPU, at one to three unrolled iterations.
+        /// under a slowed GPU, at one to three unrolled iterations; and on a
+        /// perturbation that does not fit, the penalized bound
+        /// `fl(bound · α)` never exceeds its penalized cost, while the
+        /// perturbed memory check agrees with the estimator's.
         #[test]
         fn critical_path_bound_never_exceeds_the_cost(
             picks in proptest::collection::vec(0usize..10_000, 6),
@@ -1084,16 +1117,23 @@ mod tests {
             let opts = options(cluster);
             let a = opts[alt % opts.len()];
             let bound = pricer.cost_lower_bound_perturbed(&plan, call, a);
-            proptest::prop_assert!(bound <= pricer.cost_checked_perturbed(&plan, call, a).0);
+            let (cost, oom) = pricer.cost_checked_perturbed(&plan, call, a);
+            proptest::prop_assert!(bound <= cost);
             let perturbed = plan.with_assignment(call, a).unwrap();
             proptest::prop_assert!(bound <= est.cost_checked(&perturbed).0);
             proptest::prop_assert!(bound <= est.time_cost(&perturbed));
+            proptest::prop_assert_eq!(pricer.mem_ok_perturbed(&plan, call, a), est.mem_ok(&perturbed));
+            proptest::prop_assert_eq!(oom, !est.mem_ok(&perturbed));
+            if oom {
+                proptest::prop_assert!(bound * crate::OOM_PENALTY <= cost);
+            }
         }
 
-        /// The polish's threshold decides exactly as the full bound: a
-        /// candidate's duration reaches the threshold iff its bound reaches
-        /// the target, for targets around the plan's own cost and at the
-        /// threshold itself.
+        /// The polish's thresholds decide exactly as the full bound: a
+        /// candidate's duration reaches `d*` iff its bound reaches the
+        /// target, and reaches `d*_α` iff its penalized bound `fl(bound · α)`
+        /// does, for targets around the plan's own (possibly penalized)
+        /// cost and at the thresholds themselves.
         #[test]
         fn lower_bound_threshold_decides_exactly_as_the_bound(
             picks in proptest::collection::vec(0usize..10_000, 6),
@@ -1110,15 +1150,17 @@ mod tests {
             let mut pricer = PlanPricer::new(est);
             let call = CallId(perturb);
             let target = pricer.cost(&plan) * scale;
-            let d_star = pricer.lower_bound_threshold(&plan, call, target);
+            let (d_star, d_star_oom) = pricer.lower_bound_thresholds(&plan, call, target);
+            proptest::prop_assert!(d_star_oom <= d_star);
             let opts = options(cluster);
             for alt in &alts {
                 let a = opts[alt % opts.len()];
-                let pruned = pricer.call_node_duration(&plan, call, &a) >= d_star;
+                let d = { est }.call_node(&plan, call, &a);
                 let bound = pricer.cost_lower_bound_perturbed(&plan, call, a);
-                proptest::prop_assert_eq!(pruned, bound >= target);
+                proptest::prop_assert_eq!(d >= d_star, bound >= target);
+                proptest::prop_assert_eq!(d >= d_star_oom, bound * crate::OOM_PENALTY >= target);
             }
-            // `d*` is the least duration that reaches the target.
+            // Each threshold is the least duration that reaches the target.
             pricer.fill_durations(&plan, |id| *plan.assignment(id));
             let own = pricer.work.durations.clone();
             let bound_at = |d: f64| {
@@ -1126,9 +1168,12 @@ mod tests {
                 durations[call.0] = d;
                 pricer.template.critical_path_bound(est.graph(), &durations)
             };
-            proptest::prop_assert!(bound_at(d_star) >= target);
-            if d_star > 0.0 {
-                proptest::prop_assert!(bound_at(f64::from_bits(d_star.to_bits() - 1)) < target);
+            for (threshold, alpha) in [(d_star, 1.0), (d_star_oom, crate::OOM_PENALTY)] {
+                proptest::prop_assert!(bound_at(threshold) * alpha >= target);
+                if threshold > 0.0 {
+                    let below = f64::from_bits(threshold.to_bits() - 1);
+                    proptest::prop_assert!(bound_at(below) * alpha < target);
+                }
             }
         }
     }

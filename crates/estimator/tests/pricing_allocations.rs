@@ -70,9 +70,11 @@ fn price_all(pricer: &mut PlanPricer, plans: &[ExecutionPlan], alts: &[CallAssig
         for call in (0..plan.assignments().len()).map(CallId) {
             for &a in alts {
                 let _ = pricer.cost_checked_perturbed(plan, call, a);
+                let _ = pricer.mem_ok_perturbed(plan, call, a);
+                let _ = pricer.time_cost_perturbed(plan, call, a);
                 let _ = pricer.cost_lower_bound_perturbed(plan, call, a);
             }
-            let _ = pricer.lower_bound_threshold(plan, call, target);
+            let _ = pricer.lower_bound_thresholds(plan, call, target);
         }
     }
 }

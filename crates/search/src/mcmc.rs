@@ -37,16 +37,22 @@
 //! [`search_reference`] chain — `docs/SEARCH.md` spells out the full
 //! contract. The chain rejects a proposal without pricing it when its
 //! [`PlanPricer::cost_lower_bound_perturbed`] already loses the Metropolis
-//! draw, and the post-chain polish skips every candidate whose bound
+//! draw — or when the bound times the OOM penalty α loses it and the
+//! proposal does not fit device memory — and the post-chain polish skips
+//! every candidate whose bound (penalized likewise when it does not fit)
 //! already reaches the best cost; the reference chain does neither.
+//!
+//! Per-option call durations, which the greedy start and the polish read
+//! for every option of the space, come from one dense `DurationTable`
+//! aligned with [`SearchSpace::options`], priced straight through the
+//! [`Estimator`] and kept out of the memo.
 
 use crate::checkpoint::{project_onto, ChainState, SearchCheckpoint};
-use crate::greedy::greedy_plan_with;
+use crate::greedy::DurationTable;
 use crate::space::{PruneLevel, SearchSpace};
 use real_cluster::{partition, DeviceMesh};
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan};
-use real_estimator::augment::NodeCosts;
-use real_estimator::{CostMemo, Estimator, MemoStats, PlanPricer};
+use real_estimator::{penalized, CostMemo, Estimator, MemoStats, PlanPricer, OOM_PENALTY};
 use real_obs::MetricsRegistry;
 use real_util::DeterministicRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -108,10 +114,11 @@ pub struct SearchResult {
     /// `search/steps` / `search/accepted` / `search/oom_penalty_hits`
     /// counters plus the `search/acceptance_rate` gauge, the
     /// `search/bound_rejected` counter (steps rejected by the pricer's
-    /// lower bound without being priced; `search/oom_penalty_hits` counts
-    /// priced proposals only), and the polish's `search/polish_priced` /
-    /// `search/polish_pruned` candidate counters (pruned: skipped by the
-    /// pricer's lower bound).
+    /// lower bound, or by the penalized bound and a failed memory check,
+    /// without being priced; `search/oom_penalty_hits` counts the
+    /// proposals found not to fit, priced or not), and the polish's
+    /// `search/polish_priced` / `search/polish_pruned` candidate counters
+    /// (pruned: skipped by the pricer's lower bound).
     pub telemetry: MetricsRegistry,
     /// Resumable chain state, captured at the end of the chain loop (the
     /// polish refines only `best_plan`). Serialize via
@@ -266,20 +273,24 @@ trait ChainPricer {
         self.cost_checked(plan).0
     }
 
-    /// Price of `plan` with one call reassigned — the proposal shape.
-    fn cost_checked_perturbed(
+    /// Whether `plan` with `call` reassigned to `a` fits device memory.
+    fn mem_ok_perturbed(&mut self, plan: &ExecutionPlan, call: CallId, a: CallAssignment) -> bool {
+        self.mem_ok(&perturbed(plan, call, a))
+    }
+
+    /// `TimeCost` of `plan` with `call` reassigned to `a`. With
+    /// [`ChainPricer::mem_ok_perturbed`] it prices a one-call
+    /// perturbation — the proposal shape — as `penalized(time, fits)`.
+    fn time_cost_perturbed(
         &mut self,
         plan: &ExecutionPlan,
         call: CallId,
         a: CallAssignment,
-    ) -> (f64, bool) {
-        let proposal = plan
-            .with_assignment(call, a)
-            .expect("options are internally consistent");
-        self.cost_checked(&proposal)
+    ) -> f64 {
+        self.time_cost(&perturbed(plan, call, a))
     }
 
-    /// A lower bound on [`ChainPricer::cost_checked_perturbed`] of the same
+    /// A lower bound on [`ChainPricer::time_cost_perturbed`] of the same
     /// arguments, for gating proposals. The default bounds nothing, so a
     /// chain without an override prices every proposal.
     fn cost_lower_bound_perturbed(
@@ -291,25 +302,19 @@ trait ChainPricer {
         f64::NEG_INFINITY
     }
 
-    /// The polish's pruning threshold for `call` against `target`: a
-    /// candidate whose [`ChainPricer::call_node_duration`] reaches it has a
-    /// lower bound `>= target`. The default bounds nothing (`None`), so a
-    /// chain without an override prices every polish candidate.
-    fn polish_threshold(
+    /// The polish's pruning thresholds `(d*, d*_α)` for `call` against
+    /// `target`: a candidate whose call-node duration in `plan` reaches
+    /// `d*` costs `>= target`, and so does one that reaches `d*_α` and
+    /// does not fit device memory. The default bounds nothing (`None`), so
+    /// a chain without an override prices every polish candidate.
+    fn polish_thresholds(
         &mut self,
         _plan: &ExecutionPlan,
         _call: CallId,
         _target: f64,
-    ) -> Option<f64> {
+    ) -> Option<(f64, f64)> {
         None
     }
-
-    /// The duration `call`'s node takes under `a` in `plan`.
-    fn call_node_duration(&mut self, plan: &ExecutionPlan, call: CallId, a: &CallAssignment)
-        -> f64;
-
-    /// [`Estimator::call_duration`] of `call` under `a`.
-    fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64;
 
     fn memo_stats(&self) -> MemoStats {
         MemoStats::default()
@@ -330,13 +335,18 @@ impl ChainPricer for PlanPricer<'_> {
     }
 
     /// Priced without materializing the perturbed plan.
-    fn cost_checked_perturbed(
+    fn mem_ok_perturbed(&mut self, plan: &ExecutionPlan, call: CallId, a: CallAssignment) -> bool {
+        PlanPricer::mem_ok_perturbed(self, plan, call, a)
+    }
+
+    /// Priced without materializing the perturbed plan.
+    fn time_cost_perturbed(
         &mut self,
         plan: &ExecutionPlan,
         call: CallId,
         a: CallAssignment,
-    ) -> (f64, bool) {
-        PlanPricer::cost_checked_perturbed(self, plan, call, a)
+    ) -> f64 {
+        PlanPricer::time_cost_perturbed(self, plan, call, a)
     }
 
     fn cost_lower_bound_perturbed(
@@ -348,26 +358,24 @@ impl ChainPricer for PlanPricer<'_> {
         PlanPricer::cost_lower_bound_perturbed(self, plan, call, a)
     }
 
-    fn polish_threshold(&mut self, plan: &ExecutionPlan, call: CallId, target: f64) -> Option<f64> {
-        Some(PlanPricer::lower_bound_threshold(self, plan, call, target))
-    }
-
-    fn call_node_duration(
+    fn polish_thresholds(
         &mut self,
         plan: &ExecutionPlan,
         call: CallId,
-        a: &CallAssignment,
-    ) -> f64 {
-        PlanPricer::call_node_duration(self, plan, call, a)
-    }
-
-    fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64 {
-        PlanPricer::call_duration(self, call, a)
+        target: f64,
+    ) -> Option<(f64, f64)> {
+        Some(self.lower_bound_thresholds(plan, call, target))
     }
 
     fn memo_stats(&self) -> MemoStats {
         PlanPricer::memo_stats(self)
     }
+}
+
+/// `plan` with `call` reassigned to `a`.
+fn perturbed(plan: &ExecutionPlan, call: CallId, a: CallAssignment) -> ExecutionPlan {
+    plan.with_assignment(call, a)
+        .expect("options are internally consistent")
 }
 
 /// The from-scratch pricing behind [`search_reference`].
@@ -384,19 +392,6 @@ impl ChainPricer for Reference<'_> {
 
     fn mem_ok(&mut self, plan: &ExecutionPlan) -> bool {
         self.0.mem_ok(plan)
-    }
-
-    fn call_node_duration(
-        &mut self,
-        plan: &ExecutionPlan,
-        call: CallId,
-        a: &CallAssignment,
-    ) -> f64 {
-        NodeCosts::call_node(&mut self.0, plan, call, a)
-    }
-
-    fn call_duration(&mut self, call: CallId, a: &CallAssignment) -> f64 {
-        self.0.call_duration(call, a)
     }
 }
 
@@ -425,6 +420,7 @@ fn run_chain_on(
     let start = Instant::now();
     let n_calls = space.n_calls();
     let memo_before = pricer.memo_stats();
+    let mut durations = DurationTable::new(est, space);
 
     // A chain over a speculation space draws from its own substream: the
     // speculative search runs it after a plain chain of the same seed, and
@@ -437,7 +433,7 @@ fn run_chain_on(
     let (mut rng, mut current, mut steps, mut accepted, prior_best, mut trace) = match start_from {
         ChainStart::Greedy => (
             DeterministicRng::from_seed(cfg.seed).derive(stream),
-            greedy_plan_with(est, space, |call, a| pricer.call_duration(call, a)),
+            durations.greedy_plan(),
             0,
             0,
             None,
@@ -490,29 +486,41 @@ fn run_chain_on(
         // toward the step budget. Pricing draws no randomness, so drawing
         // `u` before it leaves the RNG stream unchanged, and a proposal
         // whose lower bound already loses to `u` is rejected unpriced.
+        // An assignment move is priced as a one-call perturbation of the
+        // incumbent, memory first: one that does not fit costs
+        // `fl(TimeCost · α)`, at least `fl(bound · α)`, so when that
+        // penalized bound loses too it is rejected without Algorithm 1.
         let progress = steps as f64 / cfg.max_steps as f64;
         let beta = cfg.beta * (1.0 + 3.0 * progress);
         let u = rng.uniform();
-        let bound = match &proposal {
-            Proposal::Assign(call, a) => pricer.cost_lower_bound_perturbed(&current, *call, *a),
-            Proposal::Spec(_) => f64::NEG_INFINITY,
-        };
-        let proposal_cost = if bound_rejects(u, accept_weight(beta, bound, current_cost)) {
-            bound_rejected += 1;
-            None
-        } else {
-            // An assignment move is priced as a one-call perturbation of the
-            // incumbent: the fast path re-uses every cached sub-result the
-            // perturbation did not touch.
-            let (cost, oom_penalized) = match &proposal {
-                Proposal::Assign(call, a) => pricer.cost_checked_perturbed(&current, *call, *a),
-                Proposal::Spec(plan) => pricer.cost_checked(plan),
-            };
-            if oom_penalized {
-                telemetry.counter_inc("search/oom_penalty_hits", &labels);
+        let loses = |bound: f64| bound_rejects(u, accept_weight(beta, bound, current_cost));
+        let (proposal_cost, oom_penalized) = match &proposal {
+            Proposal::Assign(call, a) => {
+                let bound = pricer.cost_lower_bound_perturbed(&current, *call, *a);
+                if loses(bound) {
+                    (None, false)
+                } else {
+                    let fits = pricer.mem_ok_perturbed(&current, *call, *a);
+                    if !fits && loses(bound * OOM_PENALTY) {
+                        (None, true)
+                    } else {
+                        let time = pricer.time_cost_perturbed(&current, *call, *a);
+                        let (cost, oom) = penalized(time, fits);
+                        (Some(cost), oom)
+                    }
+                }
             }
-            Some(cost)
+            Proposal::Spec(plan) => {
+                let (cost, oom) = pricer.cost_checked(plan);
+                (Some(cost), oom)
+            }
         };
+        if proposal_cost.is_none() {
+            bound_rejected += 1;
+        }
+        if oom_penalized {
+            telemetry.counter_inc("search/oom_penalty_hits", &labels);
+        }
         if let Some(proposal_cost) =
             proposal_cost.filter(|&c| u < accept_weight(beta, c, current_cost).min(1.0))
         {
@@ -573,38 +581,54 @@ fn run_chain_on(
     // only at a strictly lower cost and the pricer's lower bound never
     // exceeds the cost, so skipping every candidate whose bound reaches
     // `best_cost` takes the same moves in the same order as pricing them
-    // all. The bound is monotone in the candidate's own duration, so "bound
-    // reaches `best_cost`" is exactly "duration reaches a per-(call,
-    // best_cost) threshold".
+    // all; so does skipping one that does not fit once `fl(bound · α)`
+    // reaches it. The bound is monotone in the candidate's own duration, so
+    // "bound reaches `best_cost`" is exactly "duration reaches a per-(call,
+    // best_cost) threshold", and likewise for the penalized bound.
+    //
+    // A sweep that comes back to the (call, option) position of the last
+    // assignment move with no move in between has checked every candidate
+    // against the final plan, so the polish stops there; a speculation move
+    // changes the plan and clears the mark.
     let (mut polish_priced, mut polish_pruned) = (0u64, 0u64);
+    let mut last_move: Option<(usize, usize)> = None;
     let mut improved = true;
-    while improved && start.elapsed() < cfg.time_limit {
+    'polish: while improved && start.elapsed() < cfg.time_limit {
         improved = false;
         for call in 0..n_calls {
             if start.elapsed() >= cfg.time_limit {
                 break;
             }
             let call = CallId(call);
-            let mut threshold = pricer.polish_threshold(&best_plan, call, best_cost);
-            for &opt in space.options(call.0) {
+            let row = durations.row(call, best_plan.spec_choice(call));
+            let mut thresholds = pricer.polish_thresholds(&best_plan, call, best_cost);
+            for (i, &opt) in space.options(call.0).iter().enumerate() {
+                if last_move == Some((call.0, i)) {
+                    break 'polish;
+                }
                 if opt == *best_plan.assignment(call) {
                     continue;
                 }
-                if let Some(d_star) = threshold {
-                    if pricer.call_node_duration(&best_plan, call, &opt) >= d_star {
-                        polish_pruned += 1;
-                        continue;
-                    }
+                if thresholds.is_some_and(|(d_star, _)| row[i] >= d_star) {
+                    polish_pruned += 1;
+                    continue;
+                }
+                let fits = pricer.mem_ok_perturbed(&best_plan, call, opt);
+                if !fits && thresholds.is_some_and(|(_, d_star_oom)| row[i] >= d_star_oom) {
+                    polish_pruned += 1;
+                    continue;
                 }
                 polish_priced += 1;
-                let (cost, _) = pricer.cost_checked_perturbed(&best_plan, call, opt);
+                let time = pricer.time_cost_perturbed(&best_plan, call, opt);
+                let (cost, _) = penalized(time, fits);
                 if cost < best_cost {
                     best_plan = best_plan
                         .with_assignment(call, opt)
                         .expect("options are internally consistent");
                     best_cost = cost;
                     improved = true;
-                    threshold = pricer.polish_threshold(&best_plan, call, best_cost);
+                    last_move = Some((call.0, i));
+                    thresholds = pricer.polish_thresholds(&best_plan, call, best_cost);
                     if cfg.record_trace {
                         trace.push((start.elapsed().as_secs_f64(), pricer.time_cost(&best_plan)));
                     }
@@ -638,6 +662,9 @@ fn run_chain_on(
             // costlier one.
             if chosen_cost <= best_cost {
                 let better = chosen_cost < best_cost;
+                if chosen != best_plan {
+                    last_move = None;
+                }
                 best_plan = chosen;
                 best_cost = chosen_cost;
                 improved |= better;
@@ -1083,7 +1110,9 @@ mod tests {
         /// proposal unpriced, pricing it would have rejected it too — at a
         /// random `u`, at the least `u` the gate rejects, and for the
         /// tightest admissible bound — over random 1–2-node plans, calls,
-        /// options and the whole annealing range of β.
+        /// options and the whole annealing range of β. The memory-aware
+        /// gate too: when the penalized bound `fl(bound · α)` loses the
+        /// draw and the proposal does not fit, pricing rejects it.
         #[test]
         fn bound_gate_only_rejects_what_pricing_rejects(
             nodes in 1u32..3,
@@ -1105,11 +1134,20 @@ mod tests {
             let mut pricer = PlanPricer::new(est);
             let current = pricer.cost(&plan);
             let bound = pricer.cost_lower_bound_perturbed(&plan, call, a);
-            let (cost, _) = pricer.cost_checked_perturbed(&plan, call, a);
+            let (cost, oom) = pricer.cost_checked_perturbed(&plan, call, a);
+            proptest::prop_assert_eq!(pricer.mem_ok_perturbed(&plan, call, a), !oom);
             let bound_weight = accept_weight(beta, bound, current);
             let accept_p = accept_weight(beta, cost, current).min(1.0);
             if bound_rejects(u, bound_weight) {
                 proptest::prop_assert!(u >= accept_p, "u {u} gated below accept_p {accept_p}");
+            }
+            let oom_weight = accept_weight(beta, bound * OOM_PENALTY, current);
+            if oom && bound_rejects(u, oom_weight) {
+                proptest::prop_assert!(u >= accept_p, "u {u} gated below accept_p {accept_p}");
+            }
+            let edge = oom_weight * (1.0 + GATE_MARGIN) + f64::MIN_POSITIVE;
+            if oom && edge < 1.0 {
+                proptest::prop_assert!(edge >= accept_p, "edge {edge} below accept_p {accept_p}");
             }
             let edge = bound_weight * (1.0 + GATE_MARGIN) + f64::MIN_POSITIVE;
             if edge < 1.0 {
@@ -1123,6 +1161,45 @@ mod tests {
                 proptest::prop_assert!(!bound_rejects(below, accept_weight(beta, cost, current)));
             }
         }
+    }
+
+    #[test]
+    fn polish_prunes_while_the_incumbent_is_infeasible() {
+        // PPO 70B + 7B critic on 16 nodes: one step leaves the chain on its
+        // out-of-memory greedy start, and no one-call move from there fits,
+        // so the polish keeps a ×α incumbent that no time bound reaches.
+        // Only the memory-aware bound prunes there.
+        let cluster = ClusterSpec::h100(16);
+        let actor = ModelSpec::llama3_70b();
+        let critic = ModelSpec::llama3_7b().critic();
+        let graph = ppo(&actor, &critic, &RlhfConfig::instruct_gpt(4096));
+        let mut profiler = Profiler::new(cluster.clone(), ProfileConfig::quick(), 1);
+        let profiles = vec![profiler.profile(&actor), profiler.profile(&critic)];
+        let est = Estimator::new(cluster.clone(), graph.clone(), profiles).unwrap();
+        let space = SearchSpace::build(&cluster, &graph, PruneLevel::Aggressive);
+        let cfg = steps_only_cfg(1, 1);
+        let a = search(&est, &space, &cfg);
+        let b = search_reference(&est, &space, &cfg);
+        assert!(
+            !est.mem_ok(&a.chain.best),
+            "the polish must start infeasible"
+        );
+        assert!(!a.feasible, "and end infeasible");
+        assert_eq!(a.best_plan, b.best_plan);
+        assert_eq!(a.best_time_cost.to_bits(), b.best_time_cost.to_bits());
+        let counter = |r: &SearchResult, name: &str| {
+            let chain = cfg.seed.to_string();
+            r.telemetry
+                .get(name, &[("chain", chain.as_str())])
+                .unwrap()
+                .scalar()
+        };
+        let (priced, pruned) = (
+            counter(&a, "search/polish_priced"),
+            counter(&a, "search/polish_pruned"),
+        );
+        assert!(pruned > priced, "priced {priced}, pruned {pruned}");
+        assert_eq!(priced + pruned, counter(&b, "search/polish_priced"));
     }
 
     #[test]

@@ -98,6 +98,11 @@ impl SearchSpace {
     /// path passes `ClusterHealth::surviving_meshes` here so the search
     /// never places a call on dead hardware.
     ///
+    /// The filters see a mesh only through its GPU count and TP cap, so
+    /// each call's strategies are filtered once per such shape and the kept
+    /// list is stamped onto every mesh of that shape, mesh by mesh in
+    /// `meshes` order.
+    ///
     /// # Errors
     ///
     /// Returns [`ImpossibleCall`] naming the first call with no valid
@@ -116,6 +121,29 @@ impl SearchSpace {
             let mm = MemoryModel::new(model.clone());
             let trainable = call.call_type.is_training();
             let batch = call.call_type.batch();
+            let keeps = |s: &ParallelStrategy| {
+                if u64::from(s.dp()) > batch {
+                    return false;
+                }
+                if level != PruneLevel::Light {
+                    // Static prefilter: weights (+ optimizer state when
+                    // trainable) must fit.
+                    let static_bytes = if trainable {
+                        mm.static_train_bytes(s)
+                    } else {
+                        mm.weight_bytes_per_gpu(s)
+                    };
+                    if static_bytes > capacity {
+                        return false;
+                    }
+                }
+                // Aggressive: active-memory prefilter for this call alone.
+                level != PruneLevel::Aggressive
+                    || call_active_bytes(&mm, call.call_type, s, false) <= capacity
+            };
+            // The kept strategies per (GPU count, TP cap); a cluster's
+            // meshes come in few shapes (11 at 1024 GPUs).
+            let mut kept: Vec<((u32, u32), Vec<ParallelStrategy>)> = Vec::new();
             let mut opts = Vec::new();
 
             for &mesh in meshes {
@@ -128,34 +156,23 @@ impl SearchSpace {
                         .min(u64::from(cluster.gpus_per_node))
                         .min(u64::from(mesh.gpu_width())) as u32,
                 };
-                let max_pp = model.n_layers.min(u64::from(n)) as u32;
-                for s in ParallelStrategy::enumerate(n, max_tp, max_pp, level.mbs_options()) {
-                    if u64::from(s.dp()) > batch {
-                        continue;
+                let shape = (n, max_tp);
+                let strategies = match kept.iter().position(|(k, _)| *k == shape) {
+                    Some(i) => &kept[i].1,
+                    None => {
+                        let max_pp = model.n_layers.min(u64::from(n)) as u32;
+                        let list =
+                            ParallelStrategy::enumerate(n, max_tp, max_pp, level.mbs_options())
+                                .into_iter()
+                                .filter(|s| keeps(s))
+                                .collect();
+                        kept.push((shape, list));
+                        &kept[kept.len() - 1].1
                     }
-                    if level != PruneLevel::Light {
-                        // Static prefilter: weights (+ optimizer state when
-                        // trainable) must fit.
-                        let static_bytes = if trainable {
-                            mm.static_train_bytes(&s)
-                        } else {
-                            mm.weight_bytes_per_gpu(&s)
-                        };
-                        if static_bytes > capacity {
-                            continue;
-                        }
-                    }
-                    if level == PruneLevel::Aggressive {
-                        // Active-memory prefilter for this call alone.
-                        if call_active_bytes(&mm, call.call_type, &s, false) > capacity {
-                            continue;
-                        }
-                    }
-                    opts.push(
-                        CallAssignment::new(mesh, s)
-                            .expect("enumerated strategies fill their mesh"),
-                    );
-                }
+                };
+                opts.extend(strategies.iter().map(|&s| {
+                    CallAssignment::new(mesh, s).expect("enumerated strategies fill their mesh")
+                }));
             }
             if opts.is_empty() {
                 return Err(ImpossibleCall {
