@@ -121,6 +121,13 @@ cargo bench -q -p real-bench --bench ablations -- search_throughput_gate
 # two-pairing acceptance sweep is the `spec_decode` ablation.
 cargo bench -q -p real-bench --bench ablations -- spec_decode_gate
 
+# Async gate: on PPO 7B + 7B at 8 GPUs the async searched plan under the
+# async master must be no slower than the synchronous searched plan, and
+# the estimator must price it within 25% of the measured iteration time
+# (see docs/DATAFLOWS.md). The two-setting table is the `async_overlap`
+# ablation.
+cargo bench -q -p real-bench --bench ablations -- async_overlap_gate
+
 # Profile-regression gate: re-profile the reference PPO workload and diff
 # phase shares, makespan, and critical-path composition against the
 # committed baseline (see docs/PROFILING.md). The heuristic plan and the

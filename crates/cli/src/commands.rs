@@ -234,8 +234,8 @@ RUN FLAGS:
   --async-offpolicy  overlap next-iteration generation with the current
                    training step on disjoint meshes (staleness-bounded
                    off-policy execution; a graph.json `offpolicy` section
-                   enables this too). Without --plan/--heuristic the run
-                   uses a gen/train split placement when one fits.
+                   enables this too). The search prices the async
+                   schedule, so it places generation for the overlap.
   --staleness N    async off-policy staleness bound            [default 1]
 
 PROFILE FLAGS:
@@ -578,11 +578,11 @@ fn reject_replan_with_async(args: &Args, exp: &Experiment) -> Result<(), CliErro
     Ok(())
 }
 
-/// The plan `run` and `profile` execute: `--plan FILE`, `--heuristic`, the
-/// gen/train split for async off-policy runs, or the search of `real plan`
-/// (the runtime executes whatever speculation it attached: draft/verify
-/// loops on the draft mesh). Returns the plan, the plain search behind it,
-/// if any, and the memo notes of [`plan_searched`].
+/// The plan `run` and `profile` execute: `--plan FILE`, `--heuristic`, or
+/// the search of `real plan`, which prices async off-policy runs under
+/// their staleness bound (the runtime executes whatever speculation it
+/// attached: draft/verify loops on the draft mesh). Returns the plan, the
+/// plain search behind it, if any, and the memo notes of [`plan_searched`].
 fn plan_to_execute(
     args: &Args,
     exp: &Experiment,
@@ -592,12 +592,6 @@ fn plan_to_execute(
     }
     if args.flag("heuristic") {
         return Ok((exp.plan_heuristic()?, None, String::new()));
-    }
-    // Async off-policy wants generation and training on disjoint meshes;
-    // the MCMC search optimizes the synchronous TimeCost and tends to
-    // colocate them, so default to the split placement.
-    if let Some(split) = exp.async_staleness().and_then(|_| exp.plan_split()) {
-        return Ok((split, None, String::new()));
     }
     let (planned, notes) = plan_searched(args, exp)?;
     Ok((planned.plan, Some(planned.search.base), notes))

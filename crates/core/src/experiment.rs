@@ -2,11 +2,10 @@
 //! decorator (Appendix B).
 
 use crate::report::ExperimentReport;
-use real_cluster::{ClusterSpec, DeviceMesh};
+use real_cluster::ClusterSpec;
 use real_dataflow::algo::{self, RlhfConfig};
-use real_dataflow::{CallType, DataflowGraph, ExecutionPlan, GraphSpec, SpecError};
-use real_estimator::{probe, Estimator};
-use real_estimator::{CostMemo, MemoSnapshot};
+use real_dataflow::{DataflowGraph, ExecutionPlan, GraphSpec, SpecError};
+use real_estimator::{CostMemo, Estimator, MemoSnapshot};
 use real_model::ModelSpec;
 use real_profiler::{ProfileConfig, Profiler};
 use real_runtime::{EngineConfig, ReplanPolicy, RunError, RuntimeEngine};
@@ -289,7 +288,10 @@ impl Experiment {
 
     /// Profiles every distinct architecture in the workflow (reusing one
     /// profile per architecture, as the paper does within a model family)
-    /// and returns the estimator plus the simulated profiling time.
+    /// and returns the estimator plus the simulated profiling time. With
+    /// async off-policy enabled the estimator prices the staleness-bounded
+    /// schedule ([`Estimator::with_staleness`]), so the search optimizes
+    /// the run [`Self::run`] executes.
     pub fn prepare(&self) -> (Estimator, f64) {
         let mut profiler =
             Profiler::new(self.cluster.clone(), self.profile_config.clone(), self.seed);
@@ -314,7 +316,10 @@ impl Experiment {
         }
         let est = Estimator::new(self.cluster.clone(), self.graph.clone(), profiles)
             .expect("profiles cover every architecture by construction");
-        (est, secs)
+        match self.async_staleness {
+            Some(s) => (est.with_staleness(s), secs),
+            None => (est, secs),
+        }
     }
 
     /// The pruned per-call option space.
@@ -409,46 +414,6 @@ impl Experiment {
     pub fn plan_heuristic(&self) -> Result<ExecutionPlan, NoSymmetricPlan> {
         let (est, _) = self.prepare();
         heuristic_plan(&est)
-    }
-
-    /// A disjoint-mesh plan for async off-policy runs: generation calls of
-    /// trainable models on one half of the cluster, everything else on the
-    /// other half, each call on a canonical strategy filling its half
-    /// ([`probe::fit_assignment`]). With [`Self::with_async_offpolicy`]
-    /// enabled this lets generation for the next iteration overlap the
-    /// current training step; under the synchronous master it is merely a
-    /// (usually suboptimal) placement. Returns `None` when the cluster
-    /// cannot be halved (a single-GPU node) or no canonical strategy fits
-    /// a half.
-    pub fn plan_split(&self) -> Option<ExecutionPlan> {
-        let c = &self.cluster;
-        let (gen_mesh, rest_mesh) = if c.n_nodes >= 2 && (c.n_nodes / 2).is_power_of_two() {
-            let half = c.n_nodes / 2;
-            (
-                DeviceMesh::whole_nodes(c, 0, half).ok()?,
-                DeviceMesh::whole_nodes(c, half, half).ok()?,
-            )
-        } else if c.gpus_per_node >= 2 {
-            let half = c.gpus_per_node / 2;
-            (
-                DeviceMesh::sub_node(c, 0, 0, half).ok()?,
-                DeviceMesh::sub_node(c, 0, half, half).ok()?,
-            )
-        } else {
-            return None;
-        };
-        let assignments: Vec<_> = self
-            .graph
-            .calls()
-            .iter()
-            .map(|call| {
-                let relaxed = matches!(call.call_type, CallType::Generate { .. })
-                    && self.graph.is_trainable(&call.model_name);
-                let mesh = if relaxed { gen_mesh } else { rest_mesh };
-                probe::fit_assignment(&mesh, call)
-            })
-            .collect::<Option<Vec<_>>>()?;
-        ExecutionPlan::new(&self.graph, c, assignments).ok()
     }
 
     /// Executes a plan on the runtime engine for `iterations` iterations.
@@ -591,6 +556,8 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use real_cluster::DeviceMesh;
+    use real_estimator::probe;
     use std::time::Duration;
 
     fn quick_search() -> McmcConfig {
@@ -720,8 +687,20 @@ mod tests {
 
     #[test]
     fn split_plan_overlaps_async_run() {
-        let exp = experiment().with_quick_profile().with_async_offpolicy(1);
-        let plan = exp.plan_split().expect("8-GPU node halves");
+        let exp = experiment().with_async_offpolicy(1);
+        // Relaxed generation on the node's first half, the rest on the
+        // second, each on its canonical strategy.
+        let (cluster, graph) = (exp.cluster(), exp.graph());
+        let halves = [0, 4].map(|first| DeviceMesh::sub_node(cluster, 0, first, 4).unwrap());
+        let sources = graph.snapshot_sources();
+        let assignments = graph
+            .iter()
+            .map(|(id, call)| {
+                let mesh = halves[usize::from(sources[id.0].is_none())];
+                probe::fit_assignment(&mesh, call).unwrap()
+            })
+            .collect();
+        let plan = ExecutionPlan::new(graph, cluster, assignments).unwrap();
         let report = exp.run(&plan, 4).unwrap();
         assert!(report.run.async_stats.relaxed_calls > 0);
         assert!(report.run.async_stats.gen_train_overlap_secs > 0.0);

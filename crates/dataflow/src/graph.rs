@@ -2,7 +2,7 @@
 //! edges are data dependencies within an iteration plus parameter-version
 //! dependencies across consecutive iterations.
 
-use crate::call::{CallId, ModelFunctionCallDef};
+use crate::call::{CallId, CallType, ModelFunctionCallDef};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -226,6 +226,24 @@ impl DataflowGraph {
             .iter()
             .any(|c| c.model_name == model_name && c.call_type.is_training())
     }
+
+    /// The staleness relaxation of async off-policy execution, per call:
+    /// a generation call of a trainable model samples a parameter snapshot
+    /// taken after its model's last non-generation call in topological
+    /// order, which is returned here; every other call is `None` and keeps
+    /// its model's fresh parameter chain.
+    pub fn snapshot_sources(&self) -> Vec<Option<CallId>> {
+        let relaxed = |c: &ModelFunctionCallDef| {
+            matches!(c.call_type, CallType::Generate { .. }) && self.is_trainable(&c.model_name)
+        };
+        let topo = self.topo_order().expect("validated graphs are acyclic");
+        let last_fresh = |model: &str| {
+            let src = |c: &CallId| self.call(*c).model_name == model && !relaxed(self.call(*c));
+            topo.iter().copied().rfind(src)
+        };
+        let source = |def| relaxed(def).then(|| last_fresh(&def.model_name)).flatten();
+        self.calls.iter().map(source).collect()
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +351,17 @@ mod tests {
     #[test]
     fn empty_rejected() {
         assert_eq!(DataflowGraph::new(vec![]).unwrap_err(), GraphError::Empty);
+    }
+
+    #[test]
+    fn snapshot_sources_relax_trainable_generation_only() {
+        let g = DataflowGraph::new(vec![
+            gen("g", "actor", &["prompts"], &["seq"]),
+            gen("r", "reward", &["seq"], &["rew"]),
+            train("t", "actor", &["seq", "rew"]),
+        ])
+        .unwrap();
+        assert_eq!(g.snapshot_sources(), vec![Some(CallId(2)), None, None]);
     }
 
     #[test]

@@ -12,8 +12,9 @@ use std::fmt;
 /// One call's resources: where it runs and how it parallelizes.
 ///
 /// `Eq + Hash` (both components are plain integers) so assignments can key
-/// memoization tables in the estimator's fast pricing path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// memoization tables in the estimator's fast pricing path; they order by
+/// mesh, then strategy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CallAssignment {
     /// The device mesh executing the call.
     pub mesh: DeviceMesh,

@@ -63,6 +63,8 @@ pub struct AugGraph {
     call_mesh: Vec<u32>,
     call_node: Vec<u32>,
     gathered: Vec<u32>,
+    /// Per mesh id, the latest call node placed on it (async templates).
+    last_call: Vec<u32>,
     /// The plan's prices, looked up once and read by every unrolled
     /// iteration: per call its node duration and the reallocation cost of
     /// its parameter edge, and per data dependency (calls in topological
@@ -99,6 +101,7 @@ impl AugGraph {
             call_mesh: Vec::new(),
             call_node: Vec::new(),
             gathered: Vec::new(),
+            last_call: Vec::new(),
             call_duration: Vec::new(),
             param_cost: Vec::new(),
             dep_cost: Vec::new(),
@@ -114,6 +117,7 @@ impl AugGraph {
         self.assigns.clear();
         self.call_mesh.clear();
         self.call_node.clear();
+        self.last_call.clear();
         self.call_duration.clear();
         self.param_cost.clear();
         self.dep_cost.clear();
@@ -200,6 +204,27 @@ impl AugGraph {
             self.gathered.push(p as u32);
         }
         self.push_gathered(kind, duration, [first, second]) as usize
+    }
+
+    /// Appends a call node on `meshes` whose parents are the gathered list,
+    /// plus, `in_order`, the latest call node on every mesh overlapping one
+    /// of its own.
+    fn push_call(&mut self, duration: f64, meshes: [u32; 2], in_order: bool) -> u32 {
+        let own = meshes.into_iter().filter(|&m| m != NO_MESH);
+        if in_order {
+            self.last_call.resize(self.meshes.len(), NO_NODE);
+            for (m, &last) in self.last_call.iter().enumerate() {
+                let mesh = &self.meshes[m];
+                if last != NO_NODE && own.clone().any(|o| self.meshes[o as usize].overlaps(mesh)) {
+                    self.gathered.push(last);
+                }
+            }
+        }
+        let node = self.push_gathered(NodeKind::Call, duration, meshes);
+        if in_order {
+            own.for_each(|m| self.last_call[m as usize] = node);
+        }
+        node
     }
 
     /// Appends a node whose parents are the gathered list, sorted and
@@ -329,59 +354,87 @@ impl NodeCosts for &Estimator {
 }
 
 /// The plan-independent structure of the augmented graph: topological order
-/// plus each call's parameter-version predecessor links, precomputed once
-/// per (graph, iterations) pair.
+/// plus each call's parameter-version edge, precomputed once per (graph,
+/// iterations, staleness) triple.
 ///
 /// [`build`] recomputed this structure on every invocation — including a
 /// quadratic "which model call precedes me" scan — which the MCMC search
 /// paid per proposal. A `Template` hoists all of it out of the hot loop:
-/// [`Template::instantiate`] only walks the precomputed links and asks a
+/// [`Template::instantiate`] only walks the precomputed edges and asks a
 /// [`NodeCosts`] oracle for edge prices, so re-pricing a plan does no graph
 /// analysis at all.
 #[derive(Debug, Clone)]
 pub struct Template {
     iterations: usize,
     topo: Vec<CallId>,
-    /// Per call: the same model's previous call within one iteration.
-    prev_in_iter: Vec<Option<CallId>>,
-    /// Per call: the same model's last call in topological order (the
-    /// cross-iteration wrap-around predecessor).
-    model_last: Vec<CallId>,
+    /// Per call: the call whose parameters it waits for, and how many
+    /// iterations back (see [`Template::new`]); `None` for no edge at all.
+    param_edge: Vec<Option<ParamEdge>>,
+    /// Whether each call also waits for the calls dispatched before it on
+    /// its GPUs (async templates, see [`Template::instantiate`]).
+    in_order: bool,
+}
+
+/// A call's parameter-version edge in the unrolled graph.
+#[derive(Debug, Clone, Copy)]
+struct ParamEdge {
+    /// The source call.
+    src: CallId,
+    /// How many iterations before the call's own the source ran: 0 within
+    /// the iteration, 1 for the wrap-around, `s + 1` for a snapshot.
+    back: usize,
+    /// Whether the edge is an async snapshot, shipped copy-engine style.
+    snapshot: bool,
 }
 
 impl Template {
-    /// Precomputes the augmented-graph structure for `iterations` unrolled
-    /// iterations of `graph`.
+    /// Precomputes the augmented-graph structure `est` prices: its graph
+    /// unrolled over its iteration count, under its staleness bound.
     ///
-    /// # Panics
-    ///
-    /// Panics if `iterations == 0`.
-    pub fn new(graph: &DataflowGraph, iterations: usize) -> Self {
-        assert!(iterations > 0, "must unroll at least one iteration");
+    /// Synchronously every call waits for its model's previous call in the
+    /// iteration, and a model's first call for the model's last call of the
+    /// previous iteration. Under staleness `s`, each call relaxed by
+    /// [`DataflowGraph::snapshot_sources`] instead waits for its snapshot
+    /// source `s + 1` iterations back (no edge while warming up), and the
+    /// other calls chain over the model's non-relaxed calls only, as the
+    /// runtime's async master does.
+    pub fn new(est: &Estimator) -> Self {
+        let (graph, staleness) = (est.graph(), est.staleness());
         let topo = graph.topo_order().expect("validated graphs are acyclic");
         let n = graph.n_calls();
-        let mut prev_in_iter = vec![None; n];
-        let mut model_last = vec![CallId(usize::MAX); n];
+        let sources = staleness.map_or_else(|| vec![None; n], |_| graph.snapshot_sources());
+        let edge = |src, back, snapshot| {
+            Some(ParamEdge {
+                src,
+                back,
+                snapshot,
+            })
+        };
+        let mut param_edge = vec![None; n];
         for model_name in graph.model_names() {
-            let model_calls = graph.calls_of_model(model_name);
-            let order: Vec<CallId> = topo
+            let chain: Vec<CallId> = topo
                 .iter()
-                .filter(|c| model_calls.contains(c))
+                .filter(|c| graph.call(**c).model_name == model_name && sources[c.0].is_none())
                 .copied()
                 .collect();
-            let last = *order.last().expect("models have at least one call");
-            for (pos, &call) in order.iter().enumerate() {
-                if pos > 0 {
-                    prev_in_iter[call.0] = Some(order[pos - 1]);
-                }
-                model_last[call.0] = last;
+            let last = *chain.last().expect("models have a non-relaxed call");
+            for (pos, &call) in chain.iter().enumerate() {
+                param_edge[call.0] = match pos {
+                    0 => edge(last, 1, false),
+                    _ => edge(chain[pos - 1], 0, false),
+                };
+            }
+        }
+        for (call, src) in sources.into_iter().enumerate() {
+            if let (Some(src), Some(s)) = (src, staleness) {
+                param_edge[call] = edge(src, s as usize + 1, true);
             }
         }
         Self {
-            iterations,
+            iterations: est.iterations(),
             topo,
-            prev_in_iter,
-            model_last,
+            param_edge,
+            in_order: staleness.is_some(),
         }
     }
 
@@ -390,20 +443,28 @@ impl Template {
         self.iterations
     }
 
+    /// `call`'s parameter-version edge in unrolled iteration `iter`, with
+    /// its parent as an index `iteration * n_calls + call` into
+    /// iteration-major per-call tables; `None` when the call has no edge in
+    /// that iteration.
+    fn param_parent(&self, call: CallId, iter: usize) -> Option<(usize, ParamEdge)> {
+        let e = self.param_edge[call.0]?;
+        (iter >= e.back).then(|| ((iter - e.back) * self.param_edge.len() + e.src.0, e))
+    }
+
     /// A lower bound on `TimeCost` that reads only call durations
     /// (`durations[call]`, the value the call node takes in
     /// [`Template::instantiate`]): the longest path through the unrolled
-    /// call nodes over the edges `instantiate` wires — data dependencies,
-    /// the model's previous call in the iteration, and the cross-iteration
-    /// wrap-around from the model's last call — divided by the iteration
-    /// count.
+    /// call nodes over the edges `instantiate` wires — data dependencies
+    /// and the parameter-version edges of [`Template::new`] — divided by
+    /// the iteration count.
     ///
     /// The bound is exact in floating point, with no epsilon: Algorithm 1
     /// starts every node no earlier than each parent's end, the transfer and
-    /// reallocation nodes this path skips only add non-negative time, and
-    /// `fl(x + d)` and `fl(x / K)` are monotone in `x`. So it never exceeds
-    /// the makespan-derived `TimeCost` of the same durations, nor the §5.2
-    /// cost (the OOM penalty is ≥ 1).
+    /// reallocation nodes and the async in-order edges this path skips only
+    /// delay nodes, and `fl(x + d)` and `fl(x / K)` are monotone in `x`. So
+    /// it never exceeds the makespan-derived `TimeCost` of the same
+    /// durations, nor the §5.2 cost (the OOM penalty is ≥ 1).
     ///
     /// # Panics
     ///
@@ -412,7 +473,7 @@ impl Template {
         self.critical_path_bound_in(graph, durations, &mut Vec::new())
     }
 
-    /// [`Template::critical_path_bound`] with its end-time buffers in
+    /// [`Template::critical_path_bound`] with its end-time buffer in
     /// `ends`, so repeated bounds reuse one allocation.
     pub(crate) fn critical_path_bound_in(
         &self,
@@ -422,28 +483,25 @@ impl Template {
     ) -> f64 {
         let n = graph.n_calls();
         assert_eq!(durations.len(), n, "one duration per call");
-        // End times of the current and the previous iteration's call nodes;
-        // topological order writes every entry before this iteration reads it.
+        // End times of every unrolled call node, iteration-major;
+        // topological order writes every entry before an edge reads it.
         ends.clear();
-        ends.resize(2 * n, 0.0);
-        let (mut end, mut prev_end) = ends.split_at_mut(n);
+        ends.resize(self.iterations * n, 0.0);
         let mut longest = 0.0f64;
         for iter in 0..self.iterations {
+            let base = iter * n;
             for &call in &self.topo {
                 let mut start = 0.0f64;
                 for &dep in graph.deps(call) {
-                    start = start.max(end[dep.0]);
+                    start = start.max(ends[base + dep.0]);
                 }
-                if let Some(p) = self.prev_in_iter[call.0] {
-                    start = start.max(end[p.0]);
-                } else if iter > 0 {
-                    start = start.max(prev_end[self.model_last[call.0].0]);
+                if let Some((p, _)) = self.param_parent(call, iter) {
+                    start = start.max(ends[p]);
                 }
                 let e = start + durations[call.0];
-                end[call.0] = e;
+                ends[base + call.0] = e;
                 longest = longest.max(e);
             }
-            std::mem::swap(&mut end, &mut prev_end);
         }
         longest / self.iterations as f64
     }
@@ -456,15 +514,22 @@ impl Template {
     /// serializes colocated work against the draft.
     ///
     /// Node order: for each iteration, every call in topological order,
-    /// preceded by its transfer and reallocation nodes. Parameter-version
-    /// edges connect a model's last call in iteration `t` to its first call
-    /// in iteration `t+1` (through the reallocation node when layouts
-    /// differ). Zero-cost transfers and reallocations add no node.
+    /// preceded by its transfer and reallocation nodes. Each call's
+    /// parameter-version edge ([`Template::new`]) goes through a
+    /// reallocation node when the layouts differ; a snapshot's node, like a
+    /// transfer, occupies the consumer mesh only. Zero-cost transfers and
+    /// reallocations add no node.
+    ///
+    /// Under staleness a relaxed call is ready iterations early, and
+    /// Algorithm 1 would start it ahead of calls dispatched before it on
+    /// its GPUs, which the runtime's in-order per-GPU queues never do. So
+    /// an async template also makes each call wait for the latest earlier
+    /// call on every mesh its own meshes overlap.
     ///
     /// Every price depends on the plan alone, not on the iteration, so
     /// `costs` is asked once per call duration, data dependency and
-    /// parameter edge (the wrap-around edge once for all iterations after
-    /// the first), and the unrolled iterations reuse the answers.
+    /// parameter edge that some unrolled iteration uses, and the unrolled
+    /// iterations reuse the answers.
     pub fn instantiate<F>(
         &self,
         graph: &DataflowGraph,
@@ -486,9 +551,12 @@ impl Template {
         for call in (0..n).map(CallId) {
             let a = out.assigns[call.0];
             out.call_duration.push(costs.call_node(plan, call, &a));
-            let src = self.prev_in_iter[call.0]
-                .or((self.iterations > 1).then_some(self.model_last[call.0]));
-            let cost = src.map_or(0.0, |p| costs.realloc(call, &out.assigns[p.0], &a));
+            let cost = match self.param_edge[call.0] {
+                Some(e) if e.back < self.iterations => {
+                    costs.realloc(call, &out.assigns[e.src.0], &a)
+                }
+                _ => 0.0,
+            };
             out.param_cost.push(cost);
         }
         for &call in &self.topo {
@@ -525,26 +593,20 @@ impl Template {
                     out.gathered.push(parent);
                 }
 
-                // Parameter availability: the model's previous call in this
-                // iteration, or (for the first call of the iteration) its
-                // parameter-version parents in the previous iteration.
-                let prev: Option<(usize, CallId)> = if let Some(p) = self.prev_in_iter[call.0] {
-                    Some((iter, p))
-                } else if iter > 0 {
-                    // Wrap around: last call of the model in the previous
-                    // iteration (captures the parameter-version edge when it
-                    // is a training call, and the layout chain otherwise).
-                    Some((iter - 1, self.model_last[call.0]))
-                } else {
-                    None
-                };
-                if let Some((piter, pcall)) = prev {
-                    let pnode = out.call_node[piter * n + pcall.0];
+                // Parameter availability (+ a reallocation node when
+                // layouts differ).
+                if let Some((p, edge)) = self.param_parent(call, iter) {
+                    let pnode = out.call_node[p];
                     debug_assert_ne!(pnode, NO_NODE);
                     let cost = out.param_cost[call.0];
                     let parent = if cost > 0.0 {
+                        let meshes = if edge.snapshot {
+                            [mesh, NO_MESH]
+                        } else {
+                            [out.call_mesh[edge.src.0], mesh]
+                        };
                         out.parents.push(pnode);
-                        out.push_node(NodeKind::Realloc, cost, [out.call_mesh[pcall.0], mesh])
+                        out.push_node(NodeKind::Realloc, cost, meshes)
                     } else {
                         pnode
                     };
@@ -556,33 +618,23 @@ impl Template {
                     Some(choice) => out.intern(choice.assignment.mesh),
                     None => NO_MESH,
                 };
-                let node = out.push_gathered(NodeKind::Call, duration, [mesh, draft]);
+                let node = out.push_call(duration, [mesh, draft], self.in_order);
                 out.call_node[iter * n + call.0] = node;
             }
         }
     }
 }
 
-/// Builds the augmented graph for `iterations` unrolled iterations (see
+/// Builds the augmented graph `est` prices for `plan` (see
 /// [`Template::instantiate`] for the node order).
 ///
 /// Equivalent to [`Template::new`] + [`Template::instantiate`] with the
 /// estimator as its own [`NodeCosts`]; callers pricing many plans against
 /// one graph should build the template and the [`AugGraph`] once instead.
-pub fn build(
-    graph: &DataflowGraph,
-    plan: &ExecutionPlan,
-    est: &Estimator,
-    iterations: usize,
-) -> AugGraph {
+pub fn build(plan: &ExecutionPlan, est: &Estimator) -> AugGraph {
     let mut out = AugGraph::new();
-    Template::new(graph, iterations).instantiate(
-        graph,
-        plan,
-        |id| *plan.assignment(id),
-        &mut { est },
-        &mut out,
-    );
+    let assign = |id| *plan.assignment(id);
+    Template::new(est).instantiate(est.graph(), plan, assign, &mut { est }, &mut out);
     out
 }
 
@@ -618,7 +670,7 @@ mod tests {
     fn symmetric_plan_has_no_realloc_or_transfer_nodes() {
         let (cluster, graph, est) = setup();
         let plan = symmetric(&cluster, &graph);
-        let g = build(&graph, &plan, &est, 1);
+        let g = build(&plan, &est.clone().with_iterations(1));
         assert_eq!(g.len(), graph.n_calls());
         assert!((0..g.len()).all(|i| g.kind(i) == NodeKind::Call));
         assert_eq!(g.meshes().len(), 1, "every call shares one mesh");
@@ -636,7 +688,7 @@ mod tests {
         )
         .unwrap();
         plan = plan.with_assignment(train, new).unwrap();
-        let g = build(&graph, &plan, &est, 1);
+        let g = build(&plan, &est.clone().with_iterations(1));
         let reallocs = (0..g.len())
             .filter(|&i| g.kind(i) == NodeKind::Realloc)
             .count();
@@ -670,7 +722,7 @@ mod tests {
                 .unwrap(),
         };
         let plan = plan.with_spec(gen, Some(choice)).unwrap();
-        let g = build(&graph, &plan, &est, 1);
+        let g = build(&plan, &est.clone().with_iterations(1));
         assert_eq!(g.meshes(), &[DeviceMesh::full(&cluster), draft]);
         let first = (0..g.len()).find(|&i| g.kind(i) == NodeKind::Call).unwrap();
         assert_eq!(g.node_meshes(first), &[0, 1], "generation runs first");
@@ -684,7 +736,7 @@ mod tests {
     fn unrolling_two_iterations_doubles_call_nodes() {
         let (cluster, graph, est) = setup();
         let plan = symmetric(&cluster, &graph);
-        let g = build(&graph, &plan, &est, 2);
+        let g = build(&plan, &est);
         let calls: Vec<usize> = (0..g.len())
             .filter(|&i| g.kind(i) == NodeKind::Call)
             .collect();
@@ -736,7 +788,7 @@ mod tests {
             .collect();
         for iterations in 1..=3 {
             let est = est.clone().with_iterations(iterations);
-            let bound = Template::new(&graph, iterations).critical_path_bound(&graph, &durations);
+            let bound = Template::new(&est).critical_path_bound(&graph, &durations);
             assert!(bound <= est.time_cost(&plan), "{iterations} iterations");
             // Calls of one model serialize, so the bound is at least the
             // per-iteration sum of any model's call durations.
@@ -752,10 +804,51 @@ mod tests {
     }
 
     #[test]
+    fn async_template_relaxes_generation_to_a_snapshot() {
+        let (cluster, graph, est) = setup();
+        // Generation alone on node 0, every other call on node 1.
+        let gen = graph.find("actor_gen").unwrap();
+        let on_node = |node| {
+            let mesh = DeviceMesh::whole_nodes(&cluster, node, 1).unwrap();
+            CallAssignment::new(mesh, ParallelStrategy::new(1, 8, 1, 4).unwrap()).unwrap()
+        };
+        let assignments = (0..graph.n_calls())
+            .map(|c| on_node(u32::from(c != gen.0)))
+            .collect();
+        let plan = ExecutionPlan::new(&graph, &cluster, assignments).unwrap();
+        let est = est.clone().with_staleness(1);
+        assert_eq!(est.iterations(), 3, "s + 2 iterations unrolled");
+        let g = build(&plan, &est);
+        let gen_mesh = g
+            .meshes()
+            .iter()
+            .position(|m| *m == on_node(0).mesh)
+            .unwrap() as u32;
+        let on_gen = |kind| {
+            (0..g.len())
+                .filter(|&i| g.kind(i) == kind && g.node_meshes(i) == [gen_mesh])
+                .collect::<Vec<_>>()
+        };
+        let gens = on_gen(NodeKind::Call);
+        assert_eq!(gens.len(), 3);
+        // Warm-up: generation waits only for its own earlier dispatch.
+        assert!(g.parents(gens[0]).is_empty());
+        assert_eq!(g.parents(gens[1]), &[gens[0] as u32]);
+        // Iteration 2 samples the snapshot of iteration 0's actor_train,
+        // shipped onto the generation mesh alone.
+        let snapshots = on_gen(NodeKind::Realloc);
+        assert_eq!(snapshots.len(), 1);
+        let src = g.parents(snapshots[0]);
+        assert_eq!(src.len(), 1);
+        assert!((src[0] as usize) < gens[1], "the source ran in iteration 0");
+        assert!(g.parents(gens[2]).contains(&(snapshots[0] as u32)));
+    }
+
+    #[test]
     fn parents_reference_earlier_nodes_only() {
         let (cluster, graph, est) = setup();
         let plan = symmetric(&cluster, &graph);
-        let g = build(&graph, &plan, &est, 3);
+        let g = build(&plan, &est.clone().with_iterations(3));
         for i in 0..g.len() {
             for &p in g.parents(i) {
                 assert!((p as usize) < i, "node {i} has forward parent {p}");

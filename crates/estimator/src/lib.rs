@@ -98,6 +98,9 @@ pub struct Estimator {
     /// Communication model from *measured* link parameters.
     comm: CommModel,
     iterations: usize,
+    /// Async off-policy staleness bound; `None` prices the synchronous
+    /// schedule.
+    staleness: Option<u32>,
     /// Optional live health overlay: when present, per-call durations are
     /// scaled by the mesh's slowdown factor so re-plan searches avoid slow
     /// or dead hardware.
@@ -136,6 +139,7 @@ impl Estimator {
             profiles: map,
             comm,
             iterations: DEFAULT_ITERATIONS,
+            staleness: None,
             health: None,
         })
     }
@@ -215,6 +219,20 @@ impl Estimator {
         self
     }
 
+    /// Prices the runtime's `run_async` schedule under staleness bound `s`
+    /// ([`augment::Template::new`]), unrolling at least `s + 2` iterations
+    /// so that every snapshot edge is priced.
+    pub fn with_staleness(mut self, s: u32) -> Self {
+        self.staleness = Some(s);
+        self.iterations = self.iterations.max(s as usize + 2);
+        self
+    }
+
+    /// The async staleness bound priced, `None` when synchronous.
+    pub fn staleness(&self) -> Option<u32> {
+        self.staleness
+    }
+
     /// The workflow this estimator serves.
     pub fn graph(&self) -> &DataflowGraph {
         &self.graph
@@ -284,7 +302,7 @@ impl Estimator {
     /// unrolled over the configured iterations, divided by the iteration
     /// count (steady-state per-iteration time).
     pub fn time_cost(&self, plan: &ExecutionPlan) -> f64 {
-        let graph = augment::build(&self.graph, plan, self, self.iterations);
+        let graph = augment::build(plan, self);
         algorithm1::makespan(&graph) / self.iterations as f64
     }
 
@@ -305,7 +323,7 @@ impl Estimator {
             };
             metrics.gauge_set("estimator/call_seconds", &[("call", &def.call_name)], secs);
         }
-        let graph = augment::build(&self.graph, plan, self, self.iterations);
+        let graph = augment::build(plan, self);
         let per_iter = algorithm1::makespan_instrumented(&graph, metrics) / self.iterations as f64;
         metrics.gauge_set("estimator/time_cost_seconds", &[], per_iter);
         per_iter

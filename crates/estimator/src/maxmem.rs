@@ -18,9 +18,7 @@
 //! search's.
 
 use real_cluster::{ClusterSpec, DeviceMesh};
-use real_dataflow::{
-    CallAssignment, CallId, CallType, DataflowGraph, ExecutionPlan, ModelFunctionCallDef,
-};
+use real_dataflow::{CallId, CallType, DataflowGraph, ExecutionPlan, ModelFunctionCallDef};
 use real_model::{MemoryModel, ParallelStrategy};
 use std::collections::HashSet;
 
@@ -56,21 +54,21 @@ pub(crate) fn static_anchors(graph: &DataflowGraph) -> Vec<CallId> {
 /// its mesh: gradients and optimizer state, with the Adam state sharded
 /// over DP under the distributed optimizer, or everything sharded over the
 /// world under ZeRO-3 (the anchor is a training call exactly when the
-/// model is trainable). Pure in `(def, assignment)` and the modes — the
+/// model is trainable). Pure in `(def, strategy)` and the modes — the
 /// memo cache keys on exactly those.
 pub(crate) fn anchor_static_bytes(
     def: &ModelFunctionCallDef,
-    a: &CallAssignment,
+    s: &ParallelStrategy,
     zero3: bool,
     dist_optim: bool,
 ) -> u64 {
     let mm = MemoryModel::new(def.model.clone());
     if zero3 {
-        mm.zero3_static_bytes(a.strategy.world_size(), def.call_type.is_training())
+        mm.zero3_static_bytes(s.world_size(), def.call_type.is_training())
     } else if dist_optim {
-        mm.static_optim_bytes_dist(&a.strategy)
+        mm.static_optim_bytes_dist(s)
     } else {
-        mm.static_optim_bytes(&a.strategy)
+        mm.static_optim_bytes(s)
     }
 }
 
@@ -216,7 +214,7 @@ fn static_bytes(
         };
         let a = plan.assignment(anchor);
         let dist_optim = dist_optim_models.contains(model);
-        let bytes = anchor_static_bytes(graph.call(anchor), a, zero3, dist_optim);
+        let bytes = anchor_static_bytes(graph.call(anchor), &a.strategy, zero3, dist_optim);
         for gpu in a.mesh.gpus() {
             static_mem[gpu.0 as usize] += bytes;
         }
@@ -320,7 +318,7 @@ pub fn static_utilization(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use real_dataflow::algo;
+    use real_dataflow::{algo, CallAssignment};
     use real_model::ModelSpec;
     use real_util::units::GIB;
 

@@ -31,7 +31,7 @@ use crate::augment::{self, AugGraph, NodeCosts, Template};
 use crate::maxmem::{self, PeakSweep};
 use crate::{penalized, Estimator};
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan, SpecChoice};
-use real_model::MemoryModel;
+use real_model::{MemoryModel, ParallelStrategy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -166,8 +166,10 @@ pub struct CostMemo {
     durations: HashMap<(CallId, CallAssignment), f64, FxBuild>,
     reallocs: HashMap<(CallId, CallAssignment, CallAssignment), f64, FxBuild>,
     transfers: HashMap<(CallId, CallAssignment, CallAssignment), f64, FxBuild>,
-    actives: HashMap<(CallId, CallAssignment), u64, FxBuild>,
-    statics: HashMap<(CallId, CallAssignment), u64, FxBuild>,
+    /// Memory checks read a call's strategy alone, so one entry serves
+    /// every mesh of one shape.
+    actives: HashMap<(CallId, ParallelStrategy), u64, FxBuild>,
+    statics: HashMap<(CallId, ParallelStrategy), u64, FxBuild>,
     /// Speculative generation durations, keyed by the call, its (target)
     /// assignment, the draft's assignment, and the
     /// [`SpecDecodeConfig`](real_model::SpecDecodeConfig) fingerprint —
@@ -254,19 +256,19 @@ impl CostMemo {
         })
     }
 
-    fn active_bytes(&mut self, est: &Estimator, call: CallId, a: &CallAssignment) -> u64 {
+    fn active_bytes(&mut self, est: &Estimator, call: CallId, s: &ParallelStrategy) -> u64 {
         let counts = (&mut self.hits, &mut self.misses);
-        cached(&mut self.actives, counts, (call, *a), || {
+        cached(&mut self.actives, counts, (call, *s), || {
             let def = est.graph().call(call);
             let mm = MemoryModel::new(def.model.clone());
-            maxmem::call_active_bytes(&mm, def.call_type, &a.strategy, false)
+            maxmem::call_active_bytes(&mm, def.call_type, s, false)
         })
     }
 
-    fn static_bytes(&mut self, est: &Estimator, anchor: CallId, a: &CallAssignment) -> u64 {
+    fn static_bytes(&mut self, est: &Estimator, anchor: CallId, s: &ParallelStrategy) -> u64 {
         let counts = (&mut self.hits, &mut self.misses);
-        cached(&mut self.statics, counts, (anchor, *a), || {
-            maxmem::anchor_static_bytes(est.graph().call(anchor), a, false, false)
+        cached(&mut self.statics, counts, (anchor, *s), || {
+            maxmem::anchor_static_bytes(est.graph().call(anchor), s, false, false)
         })
     }
 
@@ -290,18 +292,6 @@ impl CostMemo {
     /// deterministic order and `f64` prices as raw bits, so a warm restore
     /// is bit-identical to the live cache.
     pub fn snapshot(&self, context: u64) -> MemoSnapshot {
-        fn a_key(a: &CallAssignment) -> (u32, u32, u32, u32, u32, u32, u32, u32) {
-            (
-                a.mesh.node_start(),
-                a.mesh.n_nodes(),
-                a.mesh.gpu_start(),
-                a.mesh.gpu_width(),
-                a.strategy.dp(),
-                a.strategy.tp(),
-                a.strategy.pp(),
-                a.strategy.micro_batches(),
-            )
-        }
         let mut durations: Vec<DurationEntry> = self
             .durations
             .iter()
@@ -311,7 +301,7 @@ impl CostMemo {
                 secs_bits: v.to_bits(),
             })
             .collect();
-        durations.sort_by_key(|e| (e.call, a_key(&e.a)));
+        durations.sort_by_key(|e| (e.call, e.a));
         let edge = |map: &HashMap<(CallId, CallAssignment, CallAssignment), f64, FxBuild>| {
             let mut out: Vec<EdgeEntry> = map
                 .iter()
@@ -322,19 +312,19 @@ impl CostMemo {
                     secs_bits: v.to_bits(),
                 })
                 .collect();
-            out.sort_by_key(|e| (e.call, a_key(&e.src), a_key(&e.dst)));
+            out.sort_by_key(|e| (e.call, e.src, e.dst));
             out
         };
-        let bytes = |map: &HashMap<(CallId, CallAssignment), u64, FxBuild>| {
+        let bytes = |map: &HashMap<(CallId, ParallelStrategy), u64, FxBuild>| {
             let mut out: Vec<BytesEntry> = map
                 .iter()
-                .map(|(&(c, a), &v)| BytesEntry {
+                .map(|(&(c, strategy), &v)| BytesEntry {
                     call: c.0 as u64,
-                    a,
+                    strategy,
                     bytes: v,
                 })
                 .collect();
-            out.sort_by_key(|e| (e.call, a_key(&e.a)));
+            out.sort_by_key(|e| (e.call, e.strategy));
             out
         };
         let mut spec_durations: Vec<SpecDurationEntry> = self
@@ -348,7 +338,7 @@ impl CostMemo {
                 secs_bits: v.to_bits(),
             })
             .collect();
-        spec_durations.sort_by_key(|e| (e.call, a_key(&e.a), a_key(&e.draft), e.config));
+        spec_durations.sort_by_key(|e| (e.call, e.a, e.draft, e.config));
         MemoSnapshot {
             context,
             health_tag: self.health_tag,
@@ -392,10 +382,12 @@ impl CostMemo {
             );
         }
         for e in &snap.actives {
-            memo.actives.insert((CallId(e.call as usize), e.a), e.bytes);
+            memo.actives
+                .insert((CallId(e.call as usize), e.strategy), e.bytes);
         }
         for e in &snap.statics {
-            memo.statics.insert((CallId(e.call as usize), e.a), e.bytes);
+            memo.statics
+                .insert((CallId(e.call as usize), e.strategy), e.bytes);
         }
         for e in &snap.spec_durations {
             memo.spec_durations.insert(
@@ -476,7 +468,7 @@ struct EdgeEntry {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BytesEntry {
     call: u64,
-    a: CallAssignment,
+    strategy: ParallelStrategy,
     bytes: u64,
 }
 
@@ -592,7 +584,7 @@ impl<'a> PlanPricer<'a> {
         memo.sync_health(est.health_fingerprint());
         Self {
             est,
-            template: Template::new(est.graph(), est.iterations()),
+            template: Template::new(est),
             anchors: maxmem::static_anchors(est.graph()),
             memo,
             work: Workspace::default(),
@@ -637,7 +629,7 @@ impl<'a> PlanPricer<'a> {
         peak.clear();
         for &anchor in &self.anchors {
             let a = assign(anchor);
-            let bytes = self.memo.static_bytes(self.est, anchor, &a);
+            let bytes = self.memo.static_bytes(self.est, anchor, &a.strategy);
             peak.add_static(&a.mesh, bytes);
         }
         // Draft residency sums like static memory (see `maxmem::max_mem`).
@@ -651,7 +643,7 @@ impl<'a> PlanPricer<'a> {
         for id in 0..graph.n_calls() {
             let id = CallId(id);
             let a = assign(id);
-            let bytes = self.memo.active_bytes(self.est, id, &a);
+            let bytes = self.memo.active_bytes(self.est, id, &a.strategy);
             peak.add_active(&a.mesh, bytes);
         }
         peak.peak()
@@ -914,6 +906,24 @@ mod tests {
     }
 
     #[test]
+    fn memory_checks_share_one_entry_across_meshes_of_one_strategy() {
+        let (cluster, graph, est) = setup();
+        let strategy = ParallelStrategy::new(1, 8, 1, 4).unwrap();
+        let on_node = |node| {
+            let mesh = DeviceMesh::whole_nodes(cluster, node, 1).unwrap();
+            let a = CallAssignment::new(mesh, strategy).unwrap();
+            ExecutionPlan::new(graph, cluster, vec![a; graph.n_calls()]).unwrap()
+        };
+        let mut pricer = PlanPricer::new(est);
+        let peak = pricer.max_mem(&on_node(0));
+        let before = pricer.memo_stats();
+        assert_eq!(pricer.max_mem(&on_node(1)), peak);
+        let moved = pricer.memo_stats().since(before);
+        assert_eq!(moved.misses, 0, "node 1 reuses node 0's entries");
+        assert_eq!(moved.entries, before.entries);
+    }
+
+    #[test]
     fn health_change_invalidates_the_cache() {
         let (cluster, _, est) = setup();
         let plan = plan_from(&[0; 6]);
@@ -1050,16 +1060,28 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
+    /// The estimator of [`setup`] pricing synchronously for a `staleness`
+    /// draw of 0, and async at staleness `draw - 1` otherwise.
+    fn with_staleness_draw(est: &Estimator, draw: u32) -> Estimator {
+        match draw {
+            0 => est.clone(),
+            s => est.clone().with_staleness(s - 1),
+        }
+    }
+
     proptest::proptest! {
         /// The headline contract: memoized and unmemoized pricing agree
-        /// bit-for-bit on random plans, cold cache and warm.
+        /// bit-for-bit on random plans, cold cache and warm, synchronous
+        /// and async.
         #[test]
         fn memoized_pricing_is_bit_identical_on_random_plans(
             picks in proptest::collection::vec(0usize..10_000, 6),
             perturb in 0usize..6,
             alt in 0usize..10_000,
+            staleness in 0u32..4,
         ) {
             let (cluster, _, est) = setup();
+            let est = &with_staleness_draw(est, staleness);
             let plan = plan_from(&picks);
             let mut pricer = PlanPricer::new(est);
             // Cold.
@@ -1081,7 +1103,8 @@ mod tests {
         /// The polish's pruning contract: the critical-path bound never
         /// exceeds the penalized cost or the `TimeCost` it stands in for —
         /// plain `<=` on `f64`, no epsilon — on plain and speculative plans,
-        /// under a slowed GPU, at one to three unrolled iterations; and on a
+        /// under a slowed GPU, at one to three unrolled iterations, under
+        /// staleness none, 0, 1 or 2; and on a
         /// perturbation that does not fit, the penalized bound
         /// `fl(bound · α)` never exceeds its penalized cost, while the
         /// perturbed memory check agrees with the estimator's.
@@ -1093,9 +1116,10 @@ mod tests {
             iterations in 1usize..4,
             speculative in 0u8..2,
             slow_gpu in 0u32..32,
+            staleness in 0u32..4,
         ) {
             let (cluster, _, est) = setup();
-            let mut est = est.clone().with_iterations(iterations);
+            let mut est = with_staleness_draw(&est.clone().with_iterations(iterations), staleness);
             // Half the draws slow one GPU of the 16-GPU cluster.
             if slow_gpu < cluster.total_gpus() {
                 let mut health = ClusterHealth::healthy(cluster);
@@ -1133,7 +1157,7 @@ mod tests {
         /// candidate's duration reaches `d*` iff its bound reaches the
         /// target, and reaches `d*_α` iff its penalized bound `fl(bound · α)`
         /// does, for targets around the plan's own (possibly penalized)
-        /// cost and at the thresholds themselves.
+        /// cost and at the thresholds themselves, synchronous and async.
         #[test]
         fn lower_bound_threshold_decides_exactly_as_the_bound(
             picks in proptest::collection::vec(0usize..10_000, 6),
@@ -1141,8 +1165,10 @@ mod tests {
             alts in proptest::collection::vec(0usize..10_000, 8),
             scale in 0.25..1.5f64,
             speculative in 0u8..2,
+            staleness in 0u32..4,
         ) {
             let (cluster, _, est) = setup();
+            let est = &with_staleness_draw(est, staleness);
             let mut plan = plan_from(&picks);
             if speculative == 1 {
                 plan = spec_plan(&plan);

@@ -106,7 +106,7 @@ fn warm_pricing_queries_allocate_nothing() {
         .collect();
     let plain = ExecutionPlan::new(&graph, &cluster, assignments).unwrap();
     let kinds: Vec<NodeKind> = {
-        let g = augment::build(&graph, &plain, &est, est.iterations());
+        let g = augment::build(&plain, &est);
         (0..g.len()).map(|i| g.kind(i)).collect()
     };
     assert!(kinds.contains(&NodeKind::Realloc), "no reallocation node");

@@ -199,13 +199,6 @@ impl CostModel {
         self.comm.p2p(bytes, within_node)
     }
 
-    /// Gradient all-reduce across the DP group after the backward pass
-    /// (fp32 gradient buffer over the local shard).
-    pub fn dp_grad_allreduce_time(&self, params_shard: u64, dp: u32, within_node: bool) -> f64 {
-        let bytes = params_shard as f64 * 4.0;
-        self.comm.all_reduce(bytes, dp, within_node)
-    }
-
     /// ZeRO-3 per-layer weight all-gather (DeepSpeed-Chat's symmetric
     /// strategy pays this on every forward and again on every backward).
     pub fn zero3_allgather_time(&self, world: u32, within_node: bool) -> f64 {

@@ -10,8 +10,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
-/// A parallelization strategy for one model function call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A parallelization strategy for one model function call. Strategies
+/// order by `(dp, tp, pp, micro_batches)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ParallelStrategy {
     dp: u32,
     tp: u32,

@@ -6,15 +6,15 @@
 //! `faults`, `replan` and `lifecycle` processes. [`Scope::tenant`] keeps
 //! every lane of one tenant in its own `tenant:<name>` process. Inside a
 //! process, lane kinds sit in disjoint bands of `BAND` thread ids, and
-//! the overlap layers of a fault lane `LAYER_BANDS` bands apart, so no
-//! two lanes can collide.
+//! the overlap layers of a call or fault lane `LAYER_BANDS` bands apart,
+//! so no two lanes can collide.
 
 use crate::events::{EventStream, LaneId};
 
 /// Thread ids per band; GPU, call and node indices stay below it.
 const BAND: u32 = 1 << 16;
 
-/// Bands between two overlap layers of one fault lane.
+/// Bands between two overlap layers of one call or fault lane.
 const LAYER_BANDS: u32 = 1 << 8;
 
 const MASTER_PID: u32 = u32::MAX;
@@ -25,8 +25,9 @@ const TENANT_PID_BASE: u32 = 1 << 20;
 pub enum Lane<'a> {
     /// Kernel spans of a GPU (global index).
     Gpu(usize),
-    /// The master's lane of a call: its index in the graph, its name.
-    Call(usize, &'a str),
+    /// The master's lane of a call: its index in the graph, overlap layer
+    /// and name.
+    Call(usize, usize, &'a str),
     /// Injected windows on a GPU (global index), by overlap layer.
     GpuFault(usize, usize),
     /// Injected windows on a node's link, by overlap layer.
@@ -49,23 +50,44 @@ enum Kind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scope(Kind);
 
-/// The band of a fault lane's overlap `layer`, counted from `first`.
-fn fault_band(first: u32, layer: usize) -> u32 {
-    assert!(layer < 255, "fault layer {layer} out of range");
+/// The band of a lane's overlap `layer`, counted from `first`.
+fn layer_band(first: u32, layer: usize) -> u32 {
+    assert!(layer < 255, "overlap layer {layer} out of range");
     first + layer as u32 * LAYER_BANDS
 }
 
-/// A fault lane's thread label, `+layer` for overflow layers.
-fn fault_label(lane: Lane) -> String {
+/// A call or fault lane's thread label, `+layer` for overflow layers.
+fn layered_label(lane: Lane) -> String {
     let (label, layer) = match lane {
+        Lane::Call(_, layer, name) => (name.to_string(), layer),
         Lane::GpuFault(gpu, layer) => (format!("gpu{gpu}"), layer),
         Lane::LinkFault(node, layer) => (format!("node{node}-link"), layer),
-        _ => unreachable!("not a fault lane"),
+        _ => unreachable!("not a layered lane"),
     };
     if layer == 0 {
         label
     } else {
         format!("{label}+{layer}")
+    }
+}
+
+/// Greedy overlap layering: each span placed goes to the first layer whose
+/// previous span ended by its start, so the spans of one layer never
+/// overlap and keep monotone timestamps. Placing spans in start order
+/// uses the fewest layers.
+#[derive(Debug, Clone, Default)]
+pub struct OverlapLayers(Vec<f64>);
+
+impl OverlapLayers {
+    /// The layer of a span over `[start, end]`.
+    pub fn place(&mut self, start: f64, end: f64) -> usize {
+        let ends = &mut self.0;
+        let layer = ends.iter().position(|&e| e <= start).unwrap_or_else(|| {
+            ends.push(f64::NEG_INFINITY);
+            ends.len() - 1
+        });
+        ends[layer] = end;
+        layer
     }
 }
 
@@ -86,12 +108,14 @@ impl Scope {
     pub fn lane(&self, lane: Lane) -> LaneId {
         let (pid, band, index) = match (&self.0, lane) {
             (Kind::Cluster(gpn), Lane::Gpu(gpu)) => ((gpu / gpn) as u32, 0, gpu % gpn),
-            (Kind::Cluster(_), Lane::Call(index, _)) => (MASTER_PID, 0, index),
+            (Kind::Cluster(_), Lane::Call(index, layer, _)) => {
+                (MASTER_PID, layer_band(0, layer), index)
+            }
             (Kind::Cluster(_), Lane::GpuFault(gpu, layer)) => {
-                (MASTER_PID - 1, fault_band(0, layer), gpu)
+                (MASTER_PID - 1, layer_band(0, layer), gpu)
             }
             (Kind::Cluster(_), Lane::LinkFault(node, layer)) => {
-                (MASTER_PID - 1, fault_band(1, layer), node)
+                (MASTER_PID - 1, layer_band(1, layer), node)
             }
             (Kind::Cluster(_), Lane::Replan) => (MASTER_PID - 2, 0, 0),
             (Kind::Cluster(_), Lane::Lifecycle) => (MASTER_PID - 3, 0, 0),
@@ -100,9 +124,9 @@ impl Scope {
                     Lane::Lifecycle => (0, 0),
                     Lane::Replan => (0, 1),
                     Lane::Gpu(gpu) => (1, gpu),
-                    Lane::Call(index, _) => (2, index),
-                    Lane::GpuFault(gpu, layer) => (fault_band(3, layer), gpu),
-                    Lane::LinkFault(node, layer) => (fault_band(4, layer), node),
+                    Lane::Call(index, layer, _) => (layer_band(2, layer), index),
+                    Lane::GpuFault(gpu, layer) => (layer_band(3, layer), gpu),
+                    Lane::LinkFault(node, layer) => (layer_band(4, layer), node),
                 };
                 (*pid, band, index)
             }
@@ -121,18 +145,18 @@ impl Scope {
             (Kind::Cluster(_), Lane::Gpu(_)) => {
                 (format!("node{}", id.pid), format!("gpu{}", id.tid))
             }
-            (Kind::Cluster(_), Lane::Call(_, name)) => ("master".into(), name.into()),
+            (Kind::Cluster(_), Lane::Call(..)) => ("master".into(), layered_label(lane)),
             (Kind::Cluster(_), Lane::GpuFault(..) | Lane::LinkFault(..)) => {
-                ("faults".into(), fault_label(lane))
+                ("faults".into(), layered_label(lane))
             }
             (Kind::Cluster(_), Lane::Replan) => ("replan".into(), "decisions".into()),
             (Kind::Cluster(_), Lane::Lifecycle) => ("lifecycle".into(), "lifecycle".into()),
             (Kind::Tenant(_, process), lane) => {
                 let thread = match lane {
                     Lane::Gpu(gpu) => format!("gpu{gpu}"),
-                    Lane::Call(_, name) => format!("master:{name}"),
+                    Lane::Call(..) => format!("master:{}", layered_label(lane)),
                     Lane::GpuFault(..) | Lane::LinkFault(..) => {
-                        format!("fault:{}", fault_label(lane))
+                        format!("fault:{}", layered_label(lane))
                     }
                     Lane::Replan => "replan".into(),
                     Lane::Lifecycle => "lifecycle".into(),
@@ -180,8 +204,8 @@ mod tests {
         let mut lanes = vec![Lane::Replan, Lane::Lifecycle];
         for i in [0, 1, 7, 8, 255, 4095] {
             lanes.push(Lane::Gpu(i));
-            lanes.push(Lane::Call(i, name));
             for layer in 0..3 {
+                lanes.push(Lane::Call(i, layer, name));
                 lanes.push(Lane::GpuFault(i, layer));
                 lanes.push(Lane::LinkFault(i, layer));
             }
@@ -210,6 +234,7 @@ mod tests {
         let procs: Vec<_> = s.process_names().collect();
         assert_eq!(procs, vec![(a.counter_pid(0), "tenant:a")]);
         assert!(s.thread_names().any(|(_, _, t)| t == "master:gen"));
+        assert!(s.thread_names().any(|(_, _, t)| t == "master:gen+2"));
         assert!(s.thread_names().any(|(_, _, t)| t == "fault:node7-link+2"));
     }
 
@@ -217,7 +242,7 @@ mod tests {
     fn cluster_scope_is_the_solo_layout() {
         let scope = Scope::cluster(8);
         assert_eq!(scope.lane(Lane::Gpu(9)), LaneId::gpu(1, 1));
-        assert_eq!(scope.lane(Lane::Call(0, "x")), LaneId::master());
+        assert_eq!(scope.lane(Lane::Call(0, 0, "x")), LaneId::master());
         let fault = scope.lane(Lane::LinkFault(2, 1));
         assert_eq!(fault.tid, (1 << 24) + (1 << 16) + 2);
         let mut s = EventStream::default();
@@ -229,5 +254,14 @@ mod tests {
             vec![(1, 1, "gpu1"), (u32::MAX - 1, (1 << 24) + 3, "gpu3+1")]
         );
         assert_eq!(scope.counter_pid(1), 1);
+    }
+
+    #[test]
+    fn overlap_layers_are_greedy_and_never_overlap() {
+        let mut layers = OverlapLayers::default();
+        let spans = [(0.0, 4.0), (1.0, 2.0), (2.0, 3.0), (3.5, 5.0), (4.0, 6.0)];
+        let placed: Vec<usize> = spans.iter().map(|&(a, b)| layers.place(a, b)).collect();
+        // Back-to-back spans share a layer.
+        assert_eq!(placed, vec![0, 1, 1, 1, 0]);
     }
 }

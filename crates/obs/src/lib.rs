@@ -46,6 +46,6 @@ pub mod profile;
 pub use chrome::{from_chrome_value, to_chrome_value};
 pub use critpath::{CritEntry, CriticalPath, Span};
 pub use events::{EventStream, LaneId, StreamEvent, Sym};
-pub use lanes::{Lane, Scope};
+pub use lanes::{Lane, OverlapLayers, Scope};
 pub use metrics::{Histogram, MergeError, MetricValue, MetricsRegistry, MetricsSnapshot, Series};
 pub use profile::{phase_overlap, Phase, PhaseShare, ProfileReport};

@@ -353,8 +353,8 @@ fn union_len(iv: &[(f64, f64)]) -> f64 {
     iv.iter().map(|(a, b)| b - a).sum()
 }
 
-/// Seconds both unions are active at once.
-fn intersection_len(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
+/// Seconds two disjoint, sorted interval unions are active at once.
+pub fn intersection_len(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     let (mut i, mut j, mut total) = (0, 0, 0.0);
     while i < a.len() && j < b.len() {
         let lo = a[i].0.max(b[j].0);

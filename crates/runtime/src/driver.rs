@@ -30,7 +30,7 @@ use crate::replan::{ReplanEvent, ReplanOutcome, ReplanPolicy, ReplanReason, Repl
 use crate::report::{AsyncStats, CallTiming, FaultAbort, FaultStats, RequestFault, RunReport};
 use crate::workers::{MasterLog, Request, Response};
 use real_cluster::{ClusterHealth, CommModel, GpuId};
-use real_dataflow::{CallAssignment, CallId, CallType, ExecutionPlan, ModelFunctionCallDef};
+use real_dataflow::{CallAssignment, CallId, ExecutionPlan, ModelFunctionCallDef};
 use real_estimator::{maxmem, CostMemo, Estimator};
 use real_model::{CostModel, ModelSpec};
 use real_search::{compare, search_warm, McmcConfig, SearchSpace};
@@ -109,15 +109,6 @@ impl Env {
     }
 }
 
-/// The staleness-`s` parameter-version gate.
-#[derive(Debug, Clone)]
-struct Staleness {
-    bound: u32,
-    /// Per call: the snapshot source (the model's last non-generation
-    /// call) of relaxed generation calls, `None` for fresh-chain calls.
-    src: Vec<Option<CallId>>,
-}
-
 /// One tenant's run state and the master loop over it (module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct Driver {
@@ -140,7 +131,10 @@ pub(crate) struct Driver {
     /// The layout actually holding each model's parameters and when they
     /// become available there.
     param_layout: HashMap<String, (CallAssignment, f64)>,
-    stale: Option<Staleness>,
+    /// Under the staleness gate: per call, its snapshot source
+    /// ([`real_dataflow::DataflowGraph::snapshot_sources`]); the bound is
+    /// `async_stats.staleness_bound`.
+    stale: Option<Vec<Option<CallId>>>,
     async_stats: AsyncStats,
     mem_peak: u64,
 }
@@ -213,29 +207,11 @@ impl Driver {
     }
 
     /// Switches the parameter-version gate to staleness `bound`: every
-    /// generation call of a trainable model samples the snapshot of its
-    /// model's last non-generation call `bound + 1` iterations back.
+    /// relaxed call samples the snapshot of its source call
+    /// ([`real_dataflow::DataflowGraph::snapshot_sources`]) `bound + 1`
+    /// iterations back.
     pub(crate) fn with_staleness(mut self, bound: u32) -> Self {
-        let graph = self.env.engine.graph();
-        let relaxed = |c: CallId| {
-            let def = graph.call(c);
-            matches!(def.call_type, CallType::Generate { .. })
-                && graph.is_trainable(&def.model_name)
-        };
-        let src = (0..graph.n_calls())
-            .map(|i| {
-                relaxed(CallId(i)).then(|| {
-                    let model = &graph.call(CallId(i)).model_name;
-                    self.env
-                        .topo
-                        .iter()
-                        .copied()
-                        .rfind(|&c| graph.call(c).model_name == *model && !relaxed(c))
-                        .expect("trainable model has a train call")
-                })
-            })
-            .collect();
-        self.stale = Some(Staleness { bound, src });
+        self.stale = Some(self.env.engine.graph().snapshot_sources());
         self.async_stats.staleness_bound = bound;
         self
     }
@@ -369,10 +345,11 @@ impl Driver {
         // snapshot version (`None` while warming up on initial weights),
         // every other call for its model's live layout, reallocating when
         // the layouts differ.
+        let back = 1 + i64::from(self.async_stats.staleness_bound);
         let snapshot_src = self
             .stale
             .as_ref()
-            .and_then(|s| s.src[call.0].map(|src| (iter as i64 - 1 - i64::from(s.bound), src)));
+            .and_then(|s| s[call.0].map(|src| (iter as i64 - back, src)));
         if let Some((version, src)) = snapshot_src {
             if version >= 0 {
                 let pdone = self.completion[version as usize][src.0];

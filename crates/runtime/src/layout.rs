@@ -3,7 +3,6 @@
 //! Megatron rank order (TP fastest, then DP, then PP) composed with the
 //! node-major mesh rank order keeps TP groups on consecutive GPUs.
 
-use real_cluster::GpuId;
 use real_dataflow::CallAssignment;
 use real_model::parallel::Coords;
 
@@ -51,11 +50,6 @@ impl Layout {
         &self.dp_groups[pp as usize][tp as usize]
     }
 
-    /// All GPUs of one replica's stage (same as the TP group).
-    pub fn stage_gpus(&self, pp: u32, dp: u32) -> &[usize] {
-        self.tp_group(pp, dp)
-    }
-
     /// Whether a set of GPUs sits on one node.
     pub fn within_node(&self, gpus: &[usize]) -> bool {
         let node = |g: usize| g as u32 / self.gpus_per_node;
@@ -77,12 +71,6 @@ impl Layout {
     pub fn node_of(&self, gpu: usize) -> u32 {
         gpu as u32 / self.gpus_per_node
     }
-}
-
-/// Convenience: the global index of a mesh-local rank.
-pub fn gpu_index(a: &CallAssignment, rank: u32) -> usize {
-    let GpuId(g) = a.mesh.gpu_at(rank);
-    g as usize
 }
 
 #[cfg(test)]

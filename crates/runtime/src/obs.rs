@@ -29,7 +29,7 @@ use crate::report::{FaultAbort, RequestFault, RunReport};
 use real_cluster::ClusterSpec;
 use real_dataflow::{DataflowGraph, ExecutionPlan};
 use real_estimator::maxmem;
-use real_obs::{EventStream, Lane, LaneId, MetricsRegistry, Scope};
+use real_obs::{EventStream, Lane, LaneId, MetricsRegistry, OverlapLayers, Scope};
 use real_sim::{Category, FaultEvent, TraceEvent};
 use std::collections::BTreeMap;
 
@@ -164,7 +164,10 @@ fn record_kernels(stream: &mut EventStream, scope: &Scope, trace: &[TraceEvent],
 /// One master lane per function call (calls overlap in time, so one lane
 /// could not keep begin/end nesting balanced), a span per answered request
 /// with its backoff windows nested inside, and a flow arrow from each
-/// dispatch to the lane of the first GPU executing it. Returns the lanes.
+/// dispatch to the lane of the first GPU executing it. An async run
+/// dispatches a relaxed call before the call's previous request ends; such
+/// a span goes to an overflow layer of its call's lane ([`OverlapLayers`]).
+/// Returns the first layer's lanes.
 fn record_calls(
     stream: &mut EventStream,
     scope: &Scope,
@@ -175,8 +178,9 @@ fn record_calls(
     let log = &report.master_log;
     let lanes: Vec<LaneId> = graph
         .iter()
-        .map(|(id, def)| scope.name(stream, Lane::Call(id.0, &def.call_name)))
+        .map(|(id, def)| scope.name(stream, Lane::Call(id.0, 0, &def.call_name)))
         .collect();
+    let mut layers = vec![OverlapLayers::default(); lanes.len()];
 
     // Retry backoff windows, grouped per (call, iter). Attempts are
     // sequential, so the windows of one request never overlap.
@@ -191,7 +195,10 @@ fn record_calls(
         let Some(resp) = log.response(req.call, req.iter) else {
             continue;
         };
-        let lane = lanes[req.call.0];
+        let lane = match layers[req.call.0].place(req.dispatch_time, resp.completed_at) {
+            0 => lanes[req.call.0],
+            layer => scope.name(stream, Lane::Call(req.call.0, layer, &req.handle)),
+        };
         let category = format!("call/{}", graph.call(req.call).call_type.label());
         let name = format!("{}#{}", req.handle, req.iter);
         stream.begin(lane, &name, &category, req.dispatch_time);
@@ -218,7 +225,7 @@ fn record_calls(
 /// Injected windows as spans on the fault lanes. Random plans may schedule
 /// overlapping windows on one GPU; spans on a lane must keep monotone
 /// timestamps, so overlapping windows are layered onto overflow lanes
-/// greedily by start time.
+/// ([`OverlapLayers`], by start time).
 fn record_faults(stream: &mut EventStream, scope: &Scope, events: &[FaultEvent]) {
     // Per target (is-link, GPU or node index): windows as (start, end, name).
     type Window = (f64, f64, String);
@@ -262,16 +269,9 @@ fn record_faults(stream: &mut EventStream, scope: &Scope, events: &[FaultEvent])
     }
     for ((link, index), mut spans) in windows {
         spans.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let mut layer_ends: Vec<f64> = Vec::new();
+        let mut layers = OverlapLayers::default();
         for (start, end, name) in spans {
-            let layer = layer_ends
-                .iter()
-                .position(|&e| e <= start)
-                .unwrap_or_else(|| {
-                    layer_ends.push(f64::NEG_INFINITY);
-                    layer_ends.len() - 1
-                });
-            layer_ends[layer] = end;
+            let layer = layers.place(start, end);
             let lane = if link {
                 Lane::LinkFault(index, layer)
             } else {

@@ -6,25 +6,16 @@
 //! waits for the training step of iteration `i - 1`. That edge is a
 //! *policy* choice, not a dataflow necessity: off-policy RLHF variants
 //! tolerate generating with parameters a few versions old. This mode
-//! relaxes exactly that edge, and nothing else, under a user-set staleness
-//! bound `s` (the staleness parameter-version gate of the runtime's one
-//! iteration driver, shared with every other entry point):
-//!
-//! - every **generation call of a trainable model** samples from a
-//!   parameter *snapshot*: its cross-iteration edge points at the model's
-//!   last non-generation call of iteration `i - 1 - s` (the snapshot
-//!   version), or at the initial weights while `i <= s` (warm-up);
-//! - every **other call** keeps a fresh-parameter chain among the model's
-//!   non-generation calls, so training always consumes the weights its
-//!   own previous step produced;
-//! - data dependencies *within* an iteration are untouched — training for
-//!   iteration `i` still consumes the sequences generation for iteration
-//!   `i` produced.
-//!
-//! When the plan places generation and training on disjoint meshes, the
-//! relaxed edge lets generation for iteration `i + 1` run concurrently
-//! with training for iteration `i`: the per-GPU FIFO timelines overlap
-//! them naturally because neither occupies the other's workers.
+//! relaxes exactly that edge under a user-set staleness bound `s`: each
+//! call [`real_dataflow::DataflowGraph::snapshot_sources`] relaxes (the
+//! generation calls of trainable models) samples the snapshot its source
+//! call produced in iteration `i - 1 - s`, or the initial weights while
+//! `i <= s`; every other call keeps the fresh chain among its model's
+//! non-relaxed calls, and data dependencies are untouched. When the plan
+//! places generation and training on disjoint meshes, generation for
+//! iteration `i + 1` then runs during training for iteration `i`. The
+//! estimator prices the same schedule
+//! ([`real_estimator::Estimator::with_staleness`]).
 //!
 //! # Snapshot shipment
 //!
@@ -53,6 +44,7 @@ use crate::driver::run_solo;
 use crate::master::{RunError, RuntimeEngine};
 use crate::report::{CallTiming, RunReport};
 use real_dataflow::{CallType, ExecutionPlan};
+use real_obs::profile::intersection_len;
 use std::collections::HashMap;
 
 impl RuntimeEngine {
@@ -134,24 +126,6 @@ fn merge_intervals(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
         }
     }
     out
-}
-
-/// Total length of the intersection of two disjoint, sorted interval sets.
-fn intersection_len(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    let (mut i, mut j, mut total) = (0, 0, 0.0);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            total += hi - lo;
-        }
-        if a[i].1 < b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
 }
 
 #[cfg(test)] // names the unit tests take via `super::*`

@@ -71,7 +71,7 @@ pub fn brute_force(est: &Estimator, space: &SearchSpace, cfg: &BruteConfig) -> B
     let min_dur: Vec<f64> = (0..n)
         .map(|c| est.call_duration(CallId(c), &small.options(c)[0]))
         .collect();
-    let template = Template::new(graph, est.iterations());
+    let template = Template::new(est);
 
     let mut pricer = PlanPricer::new(est);
     let mut best_plan: Option<ExecutionPlan> = None;

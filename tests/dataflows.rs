@@ -172,8 +172,26 @@ fn async_experiment() -> (Experiment, ExecutionPlan) {
     let exp = Experiment::from_graph(ClusterSpec::h100(1), &spec)
         .unwrap()
         .with_quick_profile();
-    let plan = exp.plan_split().expect("8-GPU node splits in half");
+    let plan = split_plan(&exp);
     (exp, plan)
+}
+
+/// The placement the async tests overlap on: every relaxed generation call
+/// on the node's first half, everything else on the second half, each on
+/// its canonical strategy.
+fn split_plan(exp: &Experiment) -> ExecutionPlan {
+    let (cluster, graph) = (exp.cluster(), exp.graph());
+    let gen = DeviceMesh::sub_node(cluster, 0, 0, 4).unwrap();
+    let rest = DeviceMesh::sub_node(cluster, 0, 4, 4).unwrap();
+    let sources = graph.snapshot_sources();
+    let assignments = graph
+        .iter()
+        .map(|(id, call)| {
+            let mesh = if sources[id.0].is_some() { gen } else { rest };
+            probe::fit_assignment(&mesh, call).expect("a half node fits every call")
+        })
+        .collect();
+    ExecutionPlan::new(graph, cluster, assignments).unwrap()
 }
 
 #[test]
