@@ -14,8 +14,10 @@
 //! speculative plan, the per-call option counts of `SearchSpace` at every
 //! pruning level (plus, for PPO 70B + 7B critic on 16 and 128 nodes, each
 //! call's option count and a digest of its option list), and two
-//! heuristic plans. A refactor of the runtime
-//! must leave the fixture byte-identical. Regenerate deliberately with
+//! heuristic plans. Two `serve` cases pin every bit of a `ServeReport`:
+//! one preemption with a same-mesh resume, and a burst whose victim resumes
+//! on another mesh and pays a reallocation prologue. A refactor of the
+//! runtime or of the serving loop must leave the fixture byte-identical. Regenerate deliberately with
 //! `BLESS=1 cargo test -p real-core --test runtime_contract`.
 
 use real_core::prelude::*;
@@ -23,11 +25,12 @@ use real_core::real_estimator::maxmem::mem_profile;
 use real_core::real_runtime::{
     run_multi, MasterLog, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
 };
+use real_serve::{ArrivalSpec, TemplateSpec, WorkloadSpec};
 use serde_json::Value;
 
 mod contract;
 
-use contract::{assert_matches_fixture, bits, f64_bits, obj, Fnv};
+use contract::{assert_matches_fixture, bits, f64_bits, obj, to_bits_json, Fnv};
 
 /// 64-bit FNV-1a over the trace's `(label, gpu, start, end)` tuples.
 fn trace_digest(trace: &Trace) -> String {
@@ -598,6 +601,89 @@ fn memory_cases() -> Vec<(&'static str, Value)> {
     vec![("memory", memory)]
 }
 
+fn serve_template(
+    name: &str,
+    algo: &str,
+    actor: &str,
+    priority: f64,
+    iterations: usize,
+    batch: u64,
+) -> TemplateSpec {
+    TemplateSpec {
+        tenant: real_sched::TenantSpec {
+            name: name.into(),
+            id: None,
+            priority: Some(priority),
+            algo: Some(algo.into()),
+            actor: Some(actor.into()),
+            critic: None,
+            batch: Some(batch),
+            graph: None,
+            iterations: Some(iterations),
+            faults: None,
+            elastic: None,
+        },
+        weight: None,
+    }
+}
+
+/// Two nodes, one arrival per `templates` entry at `times`, in order.
+fn serve_trace(
+    seed: u64,
+    times: Vec<f64>,
+    templates: Vec<TemplateSpec>,
+) -> real_serve::ServeReport {
+    let spec = WorkloadSpec {
+        nodes: 2,
+        seed: Some(seed),
+        horizon_secs: Some(100_000.0),
+        arrivals: ArrivalSpec::Trace {
+            templates: Some((0..times.len()).collect()),
+            times_secs: times,
+        },
+        templates,
+        admission: None,
+    };
+    real_serve::serve(&spec, &real_sched::GraphSet::new()).unwrap()
+}
+
+fn serve_cases() -> Vec<(&'static str, Value)> {
+    // The workload of `trace_contract`'s serve case: the victim resumes on
+    // its own mesh, for free.
+    let one = serve_trace(
+        5,
+        vec![0.0, 5.0],
+        vec![
+            serve_template("lowpri", "dpo", "7b", 0.1, 4, 64),
+            serve_template("highpri", "dpo", "7b", 10.0, 1, 32),
+        ],
+    );
+    assert_eq!(one.preemptions, 1, "{one:?}");
+
+    // Two small ReMax tenants take a node each; the burst preempts the
+    // long one, whose home is still leased when the short one finishes,
+    // so it resumes on the other node and pays a prologue.
+    let burst = serve_trace(
+        1,
+        vec![0.0, 0.1, 1.0],
+        vec![
+            serve_template("short", "remax", "1b", 0.1, 2, 4),
+            serve_template("long", "remax", "1b", 0.1, 10, 4),
+            serve_template("burst", "dpo", "7b", 10.0, 3, 64),
+        ],
+    );
+    assert!(burst.preemptions > 0, "{burst:?}");
+    assert!(burst.resumes > 0, "{burst:?}");
+    assert!(
+        burst.tenants.iter().any(|t| t.realloc_secs > 0.0),
+        "{burst:?}"
+    );
+    vec![
+        ("serve_one_preemption", to_bits_json(&one)),
+        ("serve_cross_mesh_resume", to_bits_json(&burst)),
+    ]
+}
+
 #[test]
 fn runtime_results_match_the_contract_fixture() {
     let cases: Vec<(String, Value)> = engine_cases()
@@ -606,6 +692,7 @@ fn runtime_results_match_the_contract_fixture() {
         .chain(multi_cases())
         .chain(session_cases())
         .chain(memory_cases())
+        .chain(serve_cases())
         .map(|(k, v)| (k.to_string(), v))
         .collect();
     assert_matches_fixture("runtime_contract.json", "runtime results", cases);
