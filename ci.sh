@@ -161,3 +161,15 @@ if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 20) }'; then
     echo "memory gate: plan-1024 peak_rss_mb '$rss' exceeds 20" >&2
     exit 1
 fi
+
+# Memory gate: the `real serve` path over 8,000 arrivals (the benchmark's
+# serve-day workload) must peak at or under 25 MB of RSS. A finished tenant
+# keeps only its report row, which holds it near 15 MB; keeping every
+# finished tenant's session took it to 56 MB (see docs/SERVING.md).
+rss=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \
+    --workload serve-day --seconds 1 | tail -n 1 |
+    sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 25) }'; then
+    echo "memory gate: serve-day peak_rss_mb '$rss' exceeds 25" >&2
+    exit 1
+fi

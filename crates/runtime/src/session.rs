@@ -98,9 +98,7 @@ impl std::error::Error for SessionError {}
 #[derive(Debug, Clone)]
 pub struct TenantSession {
     id: u64,
-    /// Boxed: the serving loop keeps one slot per arrival, most of them
-    /// empty or finished.
-    driver: Box<Driver>,
+    driver: Driver,
     prologue_rng: DeterministicRng,
     tl: Timelines,
     iter_secs: Vec<f64>,
@@ -143,7 +141,7 @@ impl TenantSession {
             .unlogged();
         Ok(Self {
             id,
-            driver: Box::new(driver),
+            driver,
             prologue_rng: tenant.derive("prologue"),
             tl: Timelines::new(cluster.total_gpus() as usize),
             iter_secs: Vec::with_capacity(iterations),

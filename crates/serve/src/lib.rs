@@ -18,9 +18,9 @@
 //! When a bursty high-priority arrival lands on a full cluster, the
 //! [`preemption_gate`] — the re-plan gate's cost/benefit rule generalized
 //! to "is the avoided wait worth two reallocation prologues" — may suspend
-//! a low-priority tenant at its next iteration boundary via a
-//! [`real_runtime::SessionCheckpoint`], lease its mesh out, and resume it
-//! later (free on its old mesh; one Fig. 6 prologue elsewhere).
+//! a low-priority tenant at its next iteration boundary, lease its mesh
+//! out, and resume its session later (free on its old mesh; one Fig. 6
+//! prologue elsewhere).
 //!
 //! The result is a byte-deterministic [`ServeReport`]: admission and
 //! rejection rates, queue-wait and stretch percentiles, preemption counts,

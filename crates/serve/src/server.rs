@@ -6,9 +6,17 @@
 //! Each arrival gets an admission-time feasibility probe against the
 //! pre-priced template table ([`crate::admission::TemplatePrices`]) and is
 //! admitted, queued, or rejected; checkpointed preemption suspends a
-//! low-priority running tenant at its next iteration boundary (capturing a
-//! [`real_runtime::SessionCheckpoint`]) when the cost/benefit gate says the
-//! avoided wait is worth two reallocation prologues.
+//! low-priority running tenant at its next iteration boundary, keeping its
+//! session to resume from, when the cost/benefit gate says the avoided wait
+//! is worth two reallocation prologues.
+//!
+//! # Memory
+//!
+//! Every arrival keeps its [`ServedTenant`] report row for the whole run;
+//! only a running or suspended tenant also holds a
+//! [`real_runtime::TenantSession`]. At its finish the session is folded into
+//! the row and dropped, so the loop's memory grows with the live tenants,
+//! not with the arrivals served so far.
 //!
 //! # Determinism
 //!
@@ -27,18 +35,18 @@
 //!   Lower-priority waiters may backfill around a blocked head-of-line.
 //! - Preemption marks the victim; the suspension happens at the victim's
 //!   next iteration boundary (sessions are never interrupted mid-iteration,
-//!   which is what makes checkpoints replayable).
+//!   which is what makes a suspended session resumable bit for bit).
 
 use crate::admission::{
     preemption_gate, price_template, AdmissionDecision, RejectReason, TemplatePrices,
 };
 use crate::report::{Segment, ServeReport, ServedTenant, UtilPoint};
-use crate::workload::{AdmissionConfig, Arrival, WorkloadError, WorkloadSpec};
+use crate::workload::{AdmissionConfig, WorkloadError, WorkloadSpec};
 use real_cluster::{ClusterSpec, DeviceMesh};
 use real_dataflow::{DataflowGraph, ExecutionPlan};
 use real_estimator::CostMemo;
 use real_obs::profile::PercentileSummary;
-use real_runtime::{EngineConfig, SessionCheckpoint, SessionError, TenantSession};
+use real_runtime::{EngineConfig, SessionError, TenantSession};
 use real_sched::{GraphSet, SpecError};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -141,34 +149,32 @@ enum Phase {
     Rejected,
 }
 
-/// Per-arrival live state.
+/// Per-arrival state. The report row is kept for the whole run and filled
+/// in as the arrival moves through the loop; everything needed to execute
+/// the tenant lives in `live`, which is dropped at its finish.
 struct Served {
-    arrival: Arrival,
-    priority: f64,
-    iterations: usize,
-    decision: AdmissionDecision,
+    row: ServedTenant,
     phase: Phase,
-    session: Option<TenantSession>,
-    /// Checkpoint captured at the last suspension (the resumable state a
-    /// real platform would persist; kept for the report's preemption
-    /// accounting and verified restorable in tests).
-    checkpoint: Option<SessionCheckpoint>,
-    admitted_at: Option<f64>,
-    finish: Option<f64>,
-    queue_wait: f64,
     wait_since: f64,
-    /// The mesh of the current/last lease.
-    home: Option<DeviceMesh>,
-    leased: bool,
+    /// `Some` exactly while the tenant is running or suspended. Boxed, so
+    /// the slot of a finished or waiting arrival costs one word and the
+    /// per-event scans over every slot stay cheap: with `Live` inline a
+    /// slot was 512 bytes and `serve-day`'s op ran about a quarter slower.
+    live: Option<Box<Live>>,
+}
+
+/// A running or suspended tenant's execution state.
+struct Live {
+    session: TenantSession,
+    /// The mesh of the current lease (the last one while suspended).
+    home: DeviceMesh,
     /// Wall instant = `wall_offset + session.rel_time()`.
     wall_offset: f64,
     seg_start: f64,
     seg_iters: usize,
     seg_realloc: f64,
-    segments: Vec<Segment>,
     /// Pending preemption: the beneficiary's `served` index.
     preempt_for: Option<usize>,
-    preemptions: usize,
 }
 
 struct Server {
@@ -181,7 +187,8 @@ struct Server {
     heap: BinaryHeap<Reverse<Event>>,
     seq: u64,
     gate_rejections: usize,
-    preemptions: usize,
+    /// Plan-switching resumes of finished sessions.
+    resumes: usize,
     util: Vec<UtilPoint>,
     leased_gpus: u32,
 }
@@ -228,46 +235,48 @@ pub fn serve(spec: &WorkloadSpec, graphs: &GraphSet) -> Result<ServeReport, Serv
         served: Vec::with_capacity(arrivals.len()),
         free: vec![true; n_gpus],
         heap: BinaryHeap::new(),
-        seq: 0,
+        seq: arrivals.len() as u64,
         gate_rejections: 0,
-        preemptions: 0,
+        resumes: 0,
         util: vec![UtilPoint {
             at_secs: 0.0,
             leased_gpus: 0,
         }],
         leased_gpus: 0,
     };
-    for (i, a) in arrivals.iter().enumerate() {
+    for (i, a) in arrivals.into_iter().enumerate() {
         server.push(Event {
             at: a.at,
             kind: KIND_ARRIVAL,
             seq: i as u64,
             tenant: i,
         });
-        server.served.push(Served {
-            arrival: a.clone(),
-            priority: server.templates[a.template].priority,
-            iterations: server.templates[a.template].iterations,
+        let template = &server.templates[a.template];
+        let row = ServedTenant {
+            name: a.name,
+            id: a.id,
+            template: a.template,
+            priority: template.priority,
+            iterations: template.iterations,
             decision: AdmissionDecision::Queued,
-            phase: Phase::Pending,
-            session: None,
-            checkpoint: None,
-            admitted_at: None,
-            finish: None,
-            queue_wait: 0.0,
-            wait_since: a.at,
-            home: None,
-            leased: false,
-            wall_offset: 0.0,
-            seg_start: 0.0,
-            seg_iters: 0,
-            seg_realloc: 0.0,
-            segments: Vec::new(),
-            preempt_for: None,
+            arrival_secs: a.at,
+            admitted_secs: None,
+            finish_secs: None,
+            queue_wait_secs: 0.0,
+            service_secs: 0.0,
+            realloc_secs: 0.0,
             preemptions: 0,
+            stretch: 0.0,
+            segments: Vec::new(),
+            iter_secs: Vec::new(),
+        };
+        server.served.push(Served {
+            row,
+            phase: Phase::Pending,
+            wait_since: a.at,
+            live: None,
         });
     }
-    server.seq = arrivals.len() as u64;
 
     while let Some(Reverse(ev)) = server.heap.pop() {
         match ev.kind {
@@ -287,6 +296,14 @@ impl Server {
         self.templates[template].prices.as_ref()
     }
 
+    fn live(&self, si: usize) -> &Live {
+        self.served[si].live.as_ref().expect("a live tenant")
+    }
+
+    fn live_mut(&mut self, si: usize) -> &mut Live {
+        self.served[si].live.as_mut().expect("a live tenant")
+    }
+
     fn record_util(&mut self, now: f64) {
         self.util.push(UtilPoint {
             at_secs: now,
@@ -294,24 +311,20 @@ impl Server {
         });
     }
 
-    fn lease(&mut self, si: usize, mesh: DeviceMesh, now: f64) {
+    fn lease(&mut self, mesh: DeviceMesh, now: f64) {
         for g in mesh.gpus() {
             debug_assert!(self.free[g.0 as usize], "lease over a leased GPU");
             self.free[g.0 as usize] = false;
         }
         self.leased_gpus += mesh.n_gpus();
-        self.served[si].home = Some(mesh);
-        self.served[si].leased = true;
         self.record_util(now);
     }
 
-    fn release(&mut self, si: usize, now: f64) {
-        let mesh = self.served[si].home.expect("release without a lease");
+    fn release(&mut self, mesh: DeviceMesh, now: f64) {
         for g in mesh.gpus() {
             self.free[g.0 as usize] = true;
         }
         self.leased_gpus -= mesh.n_gpus();
-        self.served[si].leased = false;
         self.record_util(now);
     }
 
@@ -319,16 +332,15 @@ impl Server {
     /// at least the in-flight iteration recorded — the loop runs sessions
     /// one iteration ahead).
     fn mean_iter(&self, si: usize) -> f64 {
-        let sess = self.served[si].session.as_ref().expect("running session");
-        let v = sess.iter_secs();
+        let v = self.live(si).session.iter_secs();
         v.iter().sum::<f64>() / v.len() as f64
     }
 
     /// Estimated wall instant a running tenant finishes.
     fn est_finish(&self, si: usize) -> f64 {
-        let s = &self.served[si];
-        let sess = s.session.as_ref().expect("running session");
-        s.wall_offset + sess.rel_time() + sess.remaining() as f64 * self.mean_iter(si)
+        let live = self.live(si);
+        let sess = &live.session;
+        live.wall_offset + sess.rel_time() + sess.remaining() as f64 * self.mean_iter(si)
     }
 
     /// Projected wait for a fresh arrival: the estimated instant enough
@@ -347,24 +359,19 @@ impl Server {
             if prices.fit_on(&free).is_some() {
                 break;
             }
-            if let Some(mesh) = self.served[idx].home {
-                for g in mesh.gpus() {
-                    free[g.0 as usize] = true;
-                }
+            for g in self.live(idx).home.gpus() {
+                free[g.0 as usize] = true;
             }
             fit_wait = (finish - now).max(fit_wait);
         }
-        let me = &self.served[si];
+        let me = &self.served[si].row;
         let ahead: f64 = (0..self.served.len())
             .filter(|&i| i != si && self.served[i].phase == Phase::Waiting)
-            .filter(|&i| {
-                let w = &self.served[i];
-                w.priority > me.priority
-                    || (w.priority == me.priority && w.arrival.id < me.arrival.id)
-            })
-            .filter_map(|i| {
-                self.prices(self.served[i].arrival.template)
-                    .map(|p| p.best_step_secs() * self.served[i].iterations as f64)
+            .map(|i| &self.served[i].row)
+            .filter(|w| w.priority > me.priority || (w.priority == me.priority && w.id < me.id))
+            .filter_map(|w| {
+                self.prices(w.template)
+                    .map(|p| p.best_step_secs() * w.iterations as f64)
             })
             .sum();
         fit_wait + ahead
@@ -372,9 +379,9 @@ impl Server {
 
     fn reject(&mut self, si: usize, reason: RejectReason, now: f64) {
         let s = &mut self.served[si];
-        s.queue_wait += now - s.wait_since;
+        s.row.queue_wait_secs += now - s.wait_since;
         s.phase = Phase::Rejected;
-        s.decision = AdmissionDecision::Rejected { reason };
+        s.row.decision = AdmissionDecision::Rejected { reason };
     }
 
     /// Admits (or resumes) tenant `si` on `plan`, leasing `mesh`, and runs
@@ -386,40 +393,45 @@ impl Server {
         plan: &ExecutionPlan,
         now: f64,
     ) -> Result<(), ServeError> {
-        {
-            let s = &mut self.served[si];
-            s.queue_wait += now - s.wait_since;
-            if let Some(session) = s.session.as_mut() {
-                let rel0 = session.rel_time();
-                let prologue = session.resume_on(plan);
-                s.wall_offset = now - rel0;
-                s.seg_realloc = prologue;
-            } else {
-                let template = &self.templates[s.arrival.template];
+        let s = &mut self.served[si];
+        s.row.queue_wait_secs += now - s.wait_since;
+        let (session, wall_offset, seg_realloc) = match s.live.take() {
+            Some(mut live) => {
+                let rel0 = live.session.rel_time();
+                let prologue = live.session.resume_on(plan);
+                (live.session, now - rel0, prologue)
+            }
+            None => {
+                let template = &self.templates[s.row.template];
                 let session = TenantSession::new(
                     &self.cluster,
                     template.graph.clone(),
                     plan.clone(),
                     template.config.clone(),
-                    s.arrival.id,
-                    s.iterations,
+                    s.row.id,
+                    s.row.iterations,
                     self.seed,
                 )?;
-                s.session = Some(session);
-                s.admitted_at = Some(now);
-                s.decision = if s.queue_wait == 0.0 {
+                s.row.admitted_secs = Some(now);
+                s.row.decision = if s.row.queue_wait_secs == 0.0 {
                     AdmissionDecision::Admitted
                 } else {
                     AdmissionDecision::Queued
                 };
-                s.wall_offset = now;
-                s.seg_realloc = 0.0;
+                (session, now, 0.0)
             }
-            s.phase = Phase::Running;
-            s.seg_start = now;
-            s.seg_iters = 0;
-        }
-        self.lease(si, mesh, now);
+        };
+        s.phase = Phase::Running;
+        s.live = Some(Box::new(Live {
+            session,
+            home: mesh,
+            wall_offset,
+            seg_start: now,
+            seg_iters: 0,
+            seg_realloc,
+            preempt_for: None,
+        }));
+        self.lease(mesh, now);
         self.step(si);
         Ok(())
     }
@@ -427,10 +439,9 @@ impl Server {
     /// Runs the next iteration of a running session and schedules its
     /// boundary event.
     fn step(&mut self, si: usize) {
-        let s = &mut self.served[si];
-        let session = s.session.as_mut().expect("stepping a live session");
-        session.run_iteration();
-        let at = s.wall_offset + session.rel_time();
+        let live = self.live_mut(si);
+        live.session.run_iteration();
+        let at = live.wall_offset + live.session.rel_time();
         let seq = self.seq;
         self.seq += 1;
         self.push(Event {
@@ -441,18 +452,42 @@ impl Server {
         });
     }
 
-    fn close_segment(&mut self, si: usize, now: f64) {
-        let mesh = self.served[si].home.expect("segment on a lease");
-        let s = &mut self.served[si];
-        s.segments.push(Segment {
-            start_secs: s.seg_start,
+    /// Closes tenant `si`'s service segment into its report row and
+    /// releases its lease.
+    fn end_segment(&mut self, si: usize, now: f64) {
+        let Served { row, live, .. } = &mut self.served[si];
+        let live = live.as_ref().expect("a segment on a lease");
+        row.segments.push(Segment {
+            start_secs: live.seg_start,
             end_secs: now,
-            iters: s.seg_iters,
-            realloc_secs: s.seg_realloc,
-            allocation: mesh.to_string(),
+            iters: live.seg_iters,
+            realloc_secs: live.seg_realloc,
+            allocation: live.home.to_string(),
         });
-        s.seg_iters = 0;
-        s.seg_realloc = 0.0;
+        let home = live.home;
+        self.release(home, now);
+    }
+
+    /// Folds finished tenant `si`'s session into its report row and drops
+    /// it: from here on the arrival costs only its row.
+    fn finish(&mut self, si: usize, now: f64) {
+        let session = self.served[si].live.take().expect("a live tenant").session;
+        self.resumes += session.resumes();
+        let s = &mut self.served[si];
+        let row = &mut s.row;
+        let solo_service = self.templates[row.template]
+            .prices
+            .as_ref()
+            .map(|p| p.solo_step_secs * row.iterations as f64)
+            .unwrap_or(0.0);
+        s.phase = Phase::Finished;
+        row.finish_secs = Some(now);
+        row.service_secs = session.iter_secs().iter().sum();
+        row.realloc_secs = session.realloc_secs();
+        row.iter_secs = session.iter_secs().to_vec();
+        if solo_service > 0.0 {
+            row.stretch = (now - row.arrival_secs) / solo_service;
+        }
     }
 
     /// Tries to mark a running victim for checkpointed preemption on behalf
@@ -461,44 +496,41 @@ impl Server {
     /// mesh admits the arrival *and* passes the cost/benefit gate is
     /// marked. Returns `true` when a victim was marked.
     fn try_preempt(&mut self, si: usize) -> bool {
-        let me = &self.served[si];
-        let Some(prices) = self.prices(me.arrival.template) else {
+        let me = &self.served[si].row;
+        let Some(prices) = self.prices(me.template) else {
             return false;
         };
         let mut victims: Vec<usize> = (0..self.served.len())
             .filter(|&i| {
                 let v = &self.served[i];
-                v.phase == Phase::Running
-                    && v.preempt_for.is_none()
-                    && v.priority < me.priority
-                    && v.session.as_ref().expect("running").remaining() > 0
+                v.phase == Phase::Running && {
+                    let live = self.live(i);
+                    live.preempt_for.is_none()
+                        && v.row.priority < me.priority
+                        && live.session.remaining() > 0
+                }
             })
             .collect();
         victims.sort_by(|&a, &b| {
-            self.served[a]
-                .priority
-                .total_cmp(&self.served[b].priority)
-                .then(self.served[b].arrival.id.cmp(&self.served[a].arrival.id))
+            let (ra, rb) = (&self.served[a].row, &self.served[b].row);
+            ra.priority.total_cmp(&rb.priority).then(rb.id.cmp(&ra.id))
         });
         let mut evaluated = false;
         let mut marked = None;
         for vi in victims {
-            let v = &self.served[vi];
+            let (v, live) = (&self.served[vi].row, self.live(vi));
             let mut free = self.free.clone();
-            if let Some(mesh) = v.home {
-                for g in mesh.gpus() {
-                    free[g.0 as usize] = true;
-                }
+            for g in live.home.gpus() {
+                free[g.0 as usize] = true;
             }
             let Some(candidate) = prices.fit_on(&free) else {
                 continue;
             };
             evaluated = true;
-            let victim_remaining =
-                v.session.as_ref().expect("running").remaining() as f64 * self.mean_iter(vi);
+            let victim_remaining = live.session.remaining() as f64 * self.mean_iter(vi);
             let arrival_service = candidate.step_secs * me.iterations as f64;
             let victim_prologue = self
-                .prices(v.arrival.template)
+                .prices(v.template)
                 .map(|p| p.prologue_secs)
                 .unwrap_or(0.0);
             if preemption_gate(
@@ -514,7 +546,7 @@ impl Server {
             }
         }
         if let Some(vi) = marked {
-            self.served[vi].preempt_for = Some(si);
+            self.live_mut(vi).preempt_for = Some(si);
             true
         } else {
             if evaluated {
@@ -526,7 +558,7 @@ impl Server {
 
     fn on_arrival(&mut self, si: usize, now: f64) -> Result<(), ServeError> {
         self.served[si].phase = Phase::Waiting;
-        let template = self.served[si].arrival.template;
+        let template = self.served[si].row.template;
         if self.prices(template).is_none() {
             self.reject(si, RejectReason::Infeasible, now);
             return Ok(());
@@ -547,9 +579,9 @@ impl Server {
         }
         let prices = self.prices(template).expect("checked above");
         let wait = self.projected_wait(si, prices, now);
-        let me = &self.served[si];
-        let service = prices.best_step_secs() * me.iterations as f64;
-        let solo = prices.solo_step_secs * me.iterations as f64;
+        let iterations = self.served[si].row.iterations as f64;
+        let service = prices.best_step_secs() * iterations;
+        let solo = prices.solo_step_secs * iterations;
         let projected = (wait + service) / solo;
         if projected > self.admission.max_stretch {
             self.reject(si, RejectReason::StretchBound, now);
@@ -559,37 +591,25 @@ impl Server {
 
     fn on_iter_end(&mut self, si: usize, now: f64) -> Result<(), ServeError> {
         debug_assert_eq!(self.served[si].phase, Phase::Running);
-        self.served[si].seg_iters += 1;
-        let done = self.served[si]
-            .session
-            .as_ref()
-            .expect("running session")
-            .is_done();
+        let live = self.live_mut(si);
+        live.seg_iters += 1;
+        let done = live.session.is_done();
+        let beneficiary = live.preempt_for.take();
         if done {
-            self.close_segment(si, now);
-            self.release(si, now);
-            let s = &mut self.served[si];
-            s.phase = Phase::Finished;
-            s.finish = Some(now);
+            self.end_segment(si, now);
+            self.finish(si, now);
             return self.drain_queue(now);
         }
-        if let Some(beneficiary) = self.served[si].preempt_for.take() {
+        if let Some(beneficiary) = beneficiary {
             if self.served[beneficiary].phase == Phase::Waiting {
-                // Suspend at this boundary: checkpoint, free the mesh, and
-                // let the queue drain admit the beneficiary.
-                let ckpt = self.served[si]
-                    .session
-                    .as_ref()
-                    .expect("running")
-                    .checkpoint();
-                self.close_segment(si, now);
-                self.release(si, now);
+                // Suspend at this boundary: free the mesh, keep the session
+                // to resume from, and let the queue drain admit the
+                // beneficiary.
+                self.end_segment(si, now);
                 let s = &mut self.served[si];
-                s.checkpoint = Some(ckpt);
                 s.phase = Phase::Suspended;
                 s.wait_since = now;
-                s.preemptions += 1;
-                self.preemptions += 1;
+                s.row.preemptions += 1;
                 return self.drain_queue(now);
             }
             // Beneficiary got capacity some other way; keep running.
@@ -609,29 +629,26 @@ impl Server {
             .collect();
         waiting.sort_by(|&a, &b| {
             let (sa, sb) = (&self.served[a], &self.served[b]);
-            sb.priority
-                .total_cmp(&sa.priority)
+            sb.row
+                .priority
+                .total_cmp(&sa.row.priority)
                 .then_with(|| {
                     let fresh = |s: &Served| u8::from(s.phase != Phase::Suspended);
                     fresh(sa).cmp(&fresh(sb))
                 })
-                .then(sa.arrival.id.cmp(&sb.arrival.id))
+                .then(sa.row.id.cmp(&sb.row.id))
         });
         for si in waiting {
-            let template = self.served[si].arrival.template;
+            let template = self.served[si].row.template;
             if self.prices(template).is_none() {
                 continue;
             }
             if self.served[si].phase == Phase::Suspended {
-                // Prefer the checkpointed mesh: a same-plan resume is free.
-                let home = self.served[si].home.expect("suspended had a lease");
+                // Prefer the last mesh: a same-plan resume is free.
+                let live = self.live(si);
+                let home = live.home;
                 if home.gpus().all(|g| self.free[g.0 as usize]) {
-                    let plan = self.served[si]
-                        .session
-                        .as_ref()
-                        .expect("suspended session")
-                        .plan()
-                        .clone();
+                    let plan = live.session.plan().clone();
                     self.admit(si, home, &plan, now)?;
                     continue;
                 }
@@ -648,8 +665,8 @@ impl Server {
             // Fresh admission: late stretch check on the realized wait.
             if !self.admission.admit_all {
                 let prices = self.prices(template).expect("checked above");
-                let me = &self.served[si];
-                let waited = now - me.arrival.at;
+                let me = &self.served[si].row;
+                let waited = now - me.arrival_secs;
                 let service = prices.best_step_secs() * me.iterations as f64;
                 let solo = prices.solo_step_secs * me.iterations as f64;
                 let over = (waited + service) / solo > self.admission.max_stretch;
@@ -671,49 +688,12 @@ impl Server {
     }
 
     fn into_report(self, spec: &WorkloadSpec) -> ServeReport {
+        debug_assert!(
+            self.served.iter().all(|s| s.live.is_none()),
+            "every admitted tenant finishes"
+        );
         let total_gpus = self.cluster.total_gpus();
-        let mut tenants = Vec::with_capacity(self.served.len());
-        let mut resumes = 0;
-        for s in &self.served {
-            let (service_secs, realloc_secs, iter_secs) = match &s.session {
-                Some(sess) => {
-                    resumes += sess.resumes();
-                    (
-                        sess.iter_secs().iter().sum(),
-                        sess.realloc_secs(),
-                        sess.iter_secs().to_vec(),
-                    )
-                }
-                None => (0.0, 0.0, Vec::new()),
-            };
-            let solo_service = self.templates[s.arrival.template]
-                .prices
-                .as_ref()
-                .map(|p| p.solo_step_secs * s.iterations as f64)
-                .unwrap_or(0.0);
-            let stretch = match s.finish {
-                Some(f) if solo_service > 0.0 => (f - s.arrival.at) / solo_service,
-                _ => 0.0,
-            };
-            tenants.push(ServedTenant {
-                name: s.arrival.name.clone(),
-                id: s.arrival.id,
-                template: s.arrival.template,
-                priority: s.priority,
-                iterations: s.iterations,
-                decision: s.decision,
-                arrival_secs: s.arrival.at,
-                admitted_secs: s.admitted_at,
-                finish_secs: s.finish,
-                queue_wait_secs: s.queue_wait,
-                service_secs,
-                realloc_secs,
-                preemptions: s.preemptions,
-                stretch,
-                segments: s.segments.clone(),
-                iter_secs,
-            });
-        }
+        let tenants: Vec<ServedTenant> = self.served.into_iter().map(|s| s.row).collect();
         let arrivals = tenants.len();
         let admitted = tenants
             .iter()
@@ -757,8 +737,8 @@ impl Server {
             rejected,
             admission_rate: rate(admitted + queued, arrivals),
             rejection_rate: rate(rejected, arrivals),
-            preemptions: self.preemptions,
-            resumes,
+            preemptions: tenants.iter().map(|t| t.preemptions).sum(),
+            resumes: self.resumes,
             gate_rejections: self.gate_rejections,
             makespan_secs,
             weighted_flow_secs,
