@@ -503,11 +503,9 @@ impl Server {
         let mut victims: Vec<usize> = (0..self.served.len())
             .filter(|&i| {
                 let v = &self.served[i];
-                v.phase == Phase::Running && {
+                v.phase == Phase::Running && v.row.priority < me.priority && {
                     let live = self.live(i);
-                    live.preempt_for.is_none()
-                        && v.row.priority < me.priority
-                        && live.session.remaining() > 0
+                    live.preempt_for.is_none() && live.session.remaining() > 0
                 }
             })
             .collect();

@@ -110,7 +110,6 @@ fn peak_heap_grows_by_report_rows_not_sessions() {
     let small = serve_peak(N);
     let large = serve_peak(2 * N);
     let per_arrival = (large - small) / N as isize;
-    eprintln!("peak live heap: {small} B at {N} arrivals, {large} B at {} ({per_arrival} B per extra arrival)", 2 * N);
     assert!(
         per_arrival < 2048,
         "peak live heap grew {per_arrival} B per served arrival ({small} B -> {large} B): \
