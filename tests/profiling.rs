@@ -185,3 +185,150 @@ fn experiment_profile_attributes_and_reports_the_gap() {
     assert!(!profile.critical_path.is_empty());
     assert!(profile.crit_span_seconds <= profile.makespan + 1e-6);
 }
+
+fn assignment(mesh: DeviceMesh, dp: u32, tp: u32, pp: u32, mbs: u32) -> CallAssignment {
+    CallAssignment::new(mesh, ParallelStrategy::new(dp, tp, pp, mbs).unwrap()).unwrap()
+}
+
+fn traced_ppo(cluster: &ClusterSpec, batch: u64, seed: u64) -> Experiment {
+    Experiment::ppo(
+        cluster.clone(),
+        ModelSpec::llama3_7b(),
+        ModelSpec::llama3_7b().critic(),
+        RlhfConfig::instruct_gpt(batch),
+    )
+    .with_quick_profile()
+    .with_seed(seed)
+    .with_engine_config(EngineConfig {
+        seed,
+        trace_capacity: 1 << 16,
+        ..EngineConfig::default()
+    })
+}
+
+fn uniform(exp: &Experiment, a: CallAssignment) -> ExecutionPlan {
+    ExecutionPlan::new(exp.graph(), exp.cluster(), vec![a; exp.graph().n_calls()]).unwrap()
+}
+
+/// Finished runs that exercise every emitter of the run recorder: plain
+/// PPO with reallocations, speculative generation (gen sub-rows), a
+/// crash with retries (backoff and fault spans), a dead-worker re-plan
+/// (decision lane) and an async `s = 1` run (overflow call lanes).
+fn emitter_runs() -> Vec<(&'static str, Experiment, ExperimentReport)> {
+    let mut runs = Vec::new();
+    let two = ClusterSpec::h100(2);
+    let exp = traced_ppo(&two, 32, 5);
+    let mut plan = uniform(&exp, assignment(DeviceMesh::full(&two), 2, 8, 1, 4));
+    let train = exp.graph().find("actor_train").unwrap();
+    plan = plan
+        .with_assignment(
+            train,
+            assignment(DeviceMesh::whole_nodes(&two, 0, 1).unwrap(), 1, 4, 2, 8),
+        )
+        .unwrap();
+    let report = exp.run(&plan, 2).unwrap();
+    runs.push(("plain", exp.clone(), report));
+
+    let base = uniform(
+        &exp,
+        assignment(DeviceMesh::whole_nodes(&two, 0, 1).unwrap(), 1, 8, 1, 8),
+    );
+    let draft = real_core::real_dataflow::SpecChoice {
+        config: SpecDecodeConfig {
+            draft_model: ModelSpec::llama3_1b(),
+            speculation_len: 4,
+            acceptance_curve: AcceptanceCurve::Constant(0.8),
+        },
+        assignment: assignment(DeviceMesh::sub_node(&two, 1, 0, 2).unwrap(), 1, 2, 1, 1),
+    };
+    let gen = exp.graph().find("actor_gen").unwrap();
+    let spec = base.with_spec(gen, Some(draft)).unwrap();
+    let report = exp.run(&spec, 2).unwrap();
+    runs.push(("speculative", exp, report));
+
+    let one = ClusterSpec::h100(1);
+    let faults = FaultPlan::new(5)
+        .crash(3, 9.0, 2.0)
+        .slowdown(5, 2.0, 40.0, 2.5)
+        .degrade_link(0, 5.0, 25.0, 2.0);
+    let exp = traced_ppo(&one, 32, 9).with_fault_plan(faults);
+    let sym = uniform(&exp, assignment(DeviceMesh::full(&one), 1, 8, 1, 8));
+    let report = exp.run(&sym, 2).unwrap();
+    assert!(
+        report.run.faults.backoff_seconds > 0.0,
+        "{:?}",
+        report.run.faults
+    );
+    runs.push(("faulted", exp, report));
+
+    let exp = traced_ppo(&one, 32, 17)
+        .with_fault_plan(FaultPlan::new(23).crash(3, 12.0, 1.0e6))
+        .with_replan_policy(ReplanPolicy::new().with_search_steps(300));
+    let plan = exp.plan_heuristic().unwrap();
+    let report = exp.run(&plan, 2).unwrap();
+    assert!(report.run.replan.switches >= 1, "{:?}", report.run.replan);
+    runs.push(("replanned", exp, report));
+
+    let exp = traced_ppo(&one, 16, 13).with_async_offpolicy(1);
+    let gen_mesh = DeviceMesh::sub_node(&one, 0, 0, 4).unwrap();
+    let rest = DeviceMesh::sub_node(&one, 0, 4, 4).unwrap();
+    let split = ExecutionPlan::new(
+        exp.graph(),
+        &one,
+        exp.graph()
+            .calls()
+            .iter()
+            .map(|c| {
+                let mesh = if matches!(c.call_type, CallType::Generate { .. }) {
+                    gen_mesh
+                } else {
+                    rest
+                };
+                assignment(mesh, 1, 4, 1, 4)
+            })
+            .collect(),
+    )
+    .unwrap();
+    let report = exp.run(&split, 4).unwrap();
+    assert!(report.run.async_stats.relaxed_calls > 0);
+    runs.push(("async_s1", exp, report));
+    runs
+}
+
+/// The profile of a run equals the profile of its exported event stream,
+/// byte for byte, on every emitter; so do the phase overlaps.
+#[test]
+fn profile_report_equals_the_profile_of_the_run_stream() {
+    use real_core::real_obs::{phase_overlap, Phase};
+    for (name, exp, report) in emitter_runs() {
+        let (est, _) = exp.prepare();
+        let direct = exp.profile_report(&report, &est, 10);
+        let stream = exp.event_stream(&report);
+        let mut replayed = ProfileReport::from_stream(&stream, 10);
+        replayed.estimator_gap = exp.estimator_gap(&report, &est);
+        assert_eq!(
+            serde_json::to_string(&direct).unwrap(),
+            serde_json::to_string(&replayed).unwrap(),
+            "{name}"
+        );
+        let direct_stream = exp.event_stream(&report);
+        for a in Phase::ALL {
+            for b in Phase::ALL {
+                assert_eq!(
+                    phase_overlap(&direct_stream, a, b).to_bits(),
+                    phase_overlap(&stream, a, b).to_bits(),
+                    "{name}: {a:?}/{b:?}"
+                );
+            }
+        }
+        // Each run reaches the emitter it stands for.
+        let phase = |p: &str| direct.phases.iter().find(|s| s.phase == p).unwrap().seconds;
+        match name {
+            "speculative" => assert!(!direct.gen_breakdown.is_empty()),
+            "faulted" => assert!(phase("retry-backoff") > 0.0),
+            "async_s1" => assert!(stream.thread_names().any(|(_, _, t)| t.ends_with("+1"))),
+            "replanned" => assert!(stream.thread_names().any(|(_, _, t)| t == "decisions")),
+            _ => assert!(phase("realloc") > 0.0),
+        }
+    }
+}
