@@ -138,14 +138,16 @@ cargo bench -q -p real-bench --bench ablations -- async_overlap_gate
     --baseline baselines/ppo-1node-quick.json --check --tolerance-pct 2
 
 # Memory gate: the `real profile` path at 128 GPUs (the benchmark's
-# profile-128 workload) must peak under 130 MB of RSS. The interned event
-# stream keeps it near 100 MB; owned per-event strings took it to 247 MB
-# (see docs/PROFILING.md).
+# profile-128 workload) must peak at or under 90 MB of RSS. The profile
+# reads 40-byte spans recorded straight off the run, beside the one event
+# stream the workload exports, which holds it near 66 MB; building a
+# second stream for the profile took it to 103 MB, and owned per-event
+# strings to 247 MB (see docs/PROFILING.md).
 rss=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \
     --workload profile-128 --seconds 2 | tail -n 1 |
     sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')
-if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 130) }'; then
-    echo "memory gate: profile-128 peak_rss_mb '$rss' exceeds 130" >&2
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 90) }'; then
+    echo "memory gate: profile-128 peak_rss_mb '$rss' exceeds 90" >&2
     exit 1
 fi
 

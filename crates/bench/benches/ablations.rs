@@ -773,7 +773,7 @@ fn async_overlap() {
     for (actor, critic, nodes, batch) in [("7b", "7b", 1u32, 32u64), ("13b", "7b", 2, 128)] {
         let p = async_pair(nodes, actor, critic, batch);
         let overlap = real_core::real_obs::phase_overlap(
-            &p.exp.event_stream(&p.run),
+            &p.exp.spans(&p.run),
             real_core::real_obs::Phase::Generation,
             real_core::real_obs::Phase::Training,
         );

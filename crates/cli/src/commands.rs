@@ -4,6 +4,7 @@
 use crate::args::{ArgError, Args};
 use real_core::prelude::*;
 use real_core::real_dataflow::plan::PlanError;
+use real_core::real_obs::ProfileReport;
 use real_sched::{GraphSet, SchedConfig, SchedError, SchedSpec, Scheduler, TenantSpec};
 use std::fmt;
 use std::time::Duration;
@@ -622,9 +623,8 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     if !report.run.async_stats.is_empty() {
         out.push_str(&report.run.async_stats.render_line());
         out.push('\n');
-        let stream = exp.event_stream(&report);
         let overlap = real_core::real_obs::profile::phase_overlap(
-            &stream,
+            &exp.spans(&report),
             real_core::real_obs::Phase::Generation,
             real_core::real_obs::Phase::Training,
         );
@@ -739,15 +739,16 @@ pub fn cmd_baselines(args: &Args) -> Result<String, CliError> {
 /// a fresh run or a saved trace, with an optional regression gate against
 /// a committed baseline report.
 pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
-    use real_core::real_obs::{phase_overlap, Phase, ProfileReport};
+    use real_core::real_obs::{critpath, phase_overlap, Phase};
     let top_k: usize = args.num_or("top", 10)?;
-    // One stream feeds the overlap line and the report. Analyzing a saved
-    // Chrome trace leaves the estimator gap empty: it needs the live
-    // experiment.
-    let (stream, estimator_gap) = if let Some(path) = args.str_opt("trace") {
+    // A saved Chrome trace is replayed into its spans and leaves the
+    // estimator gap empty: it needs the live experiment.
+    let (report, overlap, dropped) = if let Some(path) = args.str_opt("trace") {
         let value: serde_json::Value = load_json(path)?;
         let stream = real_core::real_obs::from_chrome_value(&value).map_err(CliError::Invalid)?;
-        (stream, Vec::new())
+        let spans = critpath::reconstruct_spans(&stream);
+        let overlap = phase_overlap(&spans, Phase::Generation, Phase::Training);
+        (ProfileReport::from_spans(&spans, top_k), overlap, 0)
     } else {
         let exp = experiment_from(args)?;
         reject_replan_with_async(args, &exp)?;
@@ -763,27 +764,55 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
         let iters: usize = args.num_or("iters", 2)?;
         let run = exp.run(&plan, iters)?;
         let (est, _) = exp.prepare();
-        (exp.event_stream(&run), exp.estimator_gap(&run, &est))
+        let overlap = phase_overlap(&exp.spans(&run), Phase::Generation, Phase::Training);
+        let report = exp.profile_report(&run, &est, top_k);
+        (report, overlap, run.run.trace.dropped())
     };
-    let overlap = format!(
-        "gen/train phase overlap: {:.2}s\n",
-        phase_overlap(&stream, Phase::Generation, Phase::Training)
-    );
-    let mut report = ProfileReport::from_stream(&stream, top_k);
-    report.estimator_gap = estimator_gap;
+    profile_output(args, &report, overlap, dropped)
+}
 
+/// The output of `real profile` for a finished report: the `--out` file,
+/// the rendered (or `--json`) report, and the `--baseline` diff or
+/// `--check` gate. A profile of a kernel trace that dropped `dropped`
+/// events covers only the recorded part of the run: the text output says
+/// so (the JSON output on stderr), and `--check` refuses it.
+fn profile_output(
+    args: &Args,
+    report: &ProfileReport,
+    overlap: f64,
+    dropped: u64,
+) -> Result<String, CliError> {
     if let Some(path) = args.str_opt("out") {
-        std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
+        std::fs::write(path, serde_json::to_string_pretty(report)?)?;
     }
+    let truncated = (dropped > 0).then(|| {
+        format!(
+            "warning: kernel trace dropped {dropped} event(s) after filling its capacity; \
+             phase shares, critical path and GPU views cover only the recorded part of the run\n"
+        )
+    });
     let mut out = if args.flag("json") {
-        serde_json::to_string_pretty(&report)?
+        if let Some(warning) = &truncated {
+            eprint!("{warning}");
+        }
+        serde_json::to_string_pretty(report)?
     } else {
         let mut rendered = report.render();
-        rendered.push_str(&overlap);
+        rendered.push_str(&format!("gen/train phase overlap: {overlap:.2}s\n"));
+        if let Some(warning) = &truncated {
+            rendered.push('\n');
+            rendered.push_str(warning);
+        }
         rendered
     };
     if let Some(bpath) = args.str_opt("baseline") {
         let baseline: ProfileReport = load_json(bpath)?;
+        if args.flag("check") && truncated.is_some() {
+            return Err(CliError::Invalid(format!(
+                "kernel trace dropped {dropped} event(s); a truncated profile cannot be \
+                 checked against baseline {bpath}"
+            )));
+        }
         let tolerance: f64 = args.num_or("tolerance-pct", 5.0)?;
         let violations = report.check_against(&baseline, tolerance);
         if violations.is_empty() {
@@ -1672,6 +1701,48 @@ mod tests {
         assert!(
             matches!(&err, CliError::Invalid(m) if m.contains("makespan drifted")),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn profile_of_a_truncated_kernel_trace_warns_and_fails_the_check() {
+        use real_core::real_obs::LaneId;
+        let mut stream = EventStream::with_capacity(0);
+        stream.span(LaneId::master(), "actor_gen#0", "call/gen", 0.0, 4.0);
+        stream.span(LaneId::gpu(0, 0), "fwd", "compute", 0.5, 3.0);
+        let report = ProfileReport::from_stream(&stream, 5);
+        let dir = std::env::temp_dir().join("real-cli-profile-truncated");
+        std::fs::create_dir_all(&dir).unwrap();
+        let baseline = dir.join("baseline.json");
+        std::fs::write(&baseline, serde_json::to_string(&report).unwrap()).unwrap();
+
+        let warning = "warning: kernel trace dropped 7 event(s)";
+        let out = profile_output(&parse(&["profile"]), &report, 0.0, 7).unwrap();
+        assert!(out.contains(warning), "{out}");
+        let clean = profile_output(&parse(&["profile"]), &report, 0.0, 0).unwrap();
+        assert!(!clean.contains("warning"), "{clean}");
+
+        // The report matches its baseline exactly, yet a truncated trace
+        // cannot pass the gate.
+        let check = [
+            "profile",
+            "--baseline",
+            baseline.to_str().unwrap(),
+            "--check",
+        ];
+        let ok = profile_output(&parse(&check), &report, 0.0, 0).unwrap();
+        assert!(ok.contains("baseline check OK"), "{ok}");
+        let err = profile_output(&parse(&check), &report, 0.0, 7).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Invalid(m) if m.contains("dropped 7 event(s)")),
+            "{err}"
+        );
+        // Without --check the drift report still carries the warning.
+        let diff = ["profile", "--baseline", baseline.to_str().unwrap()];
+        let out = profile_output(&parse(&diff), &report, 0.0, 7).unwrap();
+        assert!(
+            out.contains(warning) && out.contains("baseline check OK"),
+            "{out}"
         );
     }
 

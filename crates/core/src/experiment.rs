@@ -492,6 +492,24 @@ impl Experiment {
         )
     }
 
+    /// The closed spans of a finished run, recorded straight off it: the
+    /// spans of [`Experiment::event_stream`], without the stream's
+    /// counters, instants and flows. Phase attribution, the critical path
+    /// and [`real_obs::phase_overlap`] read these.
+    pub fn spans(&self, report: &ExperimentReport) -> real_obs::SpanSet {
+        let mut spans = real_obs::SpanSet::default();
+        real_runtime::obs::record_run(
+            &mut spans,
+            &real_obs::Scope::cluster(self.cluster.gpus_per_node as usize),
+            &self.cluster,
+            &self.graph,
+            &report.plan,
+            &self.engine_config,
+            &report.run,
+        );
+        spans
+    }
+
     /// Metrics for a finished run: per-category busy seconds, throughput
     /// gauges, request/response counters, and per-call duration histograms.
     /// When `search` statistics are supplied (e.g. the plain search of
@@ -516,14 +534,15 @@ impl Experiment {
     /// estimator-vs-simulated gap (Fig. 12) computed against `est` for the
     /// placements the run actually used. Pass the estimator returned by
     /// [`Experiment::prepare`] (or the one used for planning) to avoid
-    /// re-profiling.
+    /// re-profiling. The report is built from [`Experiment::spans`]; no
+    /// event stream is assembled.
     pub fn profile_report(
         &self,
         report: &ExperimentReport,
         est: &Estimator,
         top_k: usize,
     ) -> real_obs::ProfileReport {
-        let mut profile = real_obs::ProfileReport::from_stream(&self.event_stream(report), top_k);
+        let mut profile = real_obs::ProfileReport::from_spans(&self.spans(report), top_k);
         profile.estimator_gap = self.estimator_gap(report, est);
         profile
     }

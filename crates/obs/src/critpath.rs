@@ -1,14 +1,15 @@
-//! Critical-path extraction from an [`EventStream`].
+//! Closed spans and critical-path extraction.
 //!
 //! The paper's performance argument is about *where the makespan comes
 //! from*: parameter reallocation wins by shortening the chain of spans that
 //! actually gates the end-to-end time, not by shaving concurrent work that
-//! was hidden anyway. This module reconstructs closed spans from a stream
-//! and walks the timeline backwards from the makespan, at every point
-//! following the latest-finishing span that could have gated it. The result
-//! tiles `[0, makespan]` exactly with *span* segments (some recorded span
-//! was still running) and *wait* segments (nothing was running anywhere —
-//! pure schedule gaps), so
+//! was hidden anyway. This module keeps a run's closed spans in a
+//! [`SpanSet`] (recorded straight off the run, or replayed from an
+//! [`EventStream`]) and walks the timeline backwards from the makespan, at
+//! every point following the latest-finishing span that could have gated
+//! it. The result tiles `[0, makespan]` exactly with *span* segments (some
+//! recorded span was still running) and *wait* segments (nothing was
+//! running anywhere — pure schedule gaps), so
 //!
 //! ```text
 //! span_seconds + wait_seconds == makespan
@@ -18,22 +19,23 @@
 //! makespan. Aggregating span segments by `(name, category)` yields the
 //! top-k table the `real profile` report prints.
 
-use crate::events::{EventStream, LaneId, StreamEvent, Sym};
+use crate::events::{EventStream, LaneId, LaneNames, Recorder, StreamEvent, Sym, Symbols};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Tolerance for float comparisons on the virtual clock.
 pub const EPS: f64 = 1e-9;
 
-/// A closed span reconstructed from a stream's begin/end events. Its name
-/// and category borrow from the stream's symbol table.
+/// A closed span. Its name and category are [`Sym`] ids into the symbol
+/// table of the [`SpanSet`] holding it; resolve them with [`SpanSet::str`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Span<'s> {
+pub struct Span {
     /// Lane the span was recorded on.
     pub lane: LaneId,
     /// Span name (e.g. `actor_gen#0`).
-    pub name: &'s str,
+    pub name: Sym,
     /// Span category (e.g. `compute`, `call/gen`).
-    pub category: &'s str,
+    pub category: Sym,
     /// Start time (virtual seconds).
     pub start: f64,
     /// End time (virtual seconds).
@@ -42,20 +44,123 @@ pub struct Span<'s> {
     pub depth: u32,
 }
 
-impl Span<'_> {
+impl Span {
     /// Wall duration of the span.
     pub fn duration(&self) -> f64 {
         self.end - self.start
     }
 }
 
-/// Reconstructs every *closed* span from the stream, in end order of the
-/// per-lane stacks (record order of the `End` events). Spans left open and
-/// events other than `Begin`/`End` are ignored.
-pub fn reconstruct_spans(stream: &EventStream) -> Vec<Span<'_>> {
-    let mut stacks: std::collections::BTreeMap<LaneId, Vec<(Sym, Sym, f64, u32)>> =
-        std::collections::BTreeMap::new();
-    let mut spans = Vec::new();
+/// The closed spans of a run, in the order they closed, with the symbol
+/// table their names and categories index and the names of their lanes.
+///
+/// A span set is a [`Recorder`]: a run recorded into it keeps only what a
+/// profile reads. Begins and ends are matched on per-lane stacks, so an
+/// end closes the innermost open span of its lane; spans left open,
+/// instants, counters and flows are not kept.
+#[derive(Debug, Clone, Default)]
+pub struct SpanSet {
+    spans: Vec<Span>,
+    symbols: Symbols,
+    lanes: LaneNames,
+    /// Per-lane stacks of open spans: (name, category, start).
+    open: BTreeMap<LaneId, Vec<(Sym, Sym, f64)>>,
+    flows: u64,
+}
+
+impl SpanSet {
+    /// The closed spans, in the order they closed.
+    pub fn spans(&self) -> &[Span] {
+        &self.spans
+    }
+
+    /// The string an id of this set stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` was not interned by this set.
+    pub fn str(&self, id: Sym) -> &str {
+        self.symbols.str(id)
+    }
+
+    /// The name of process `pid`, if it was named.
+    pub fn process_name(&self, pid: u32) -> Option<&str> {
+        self.lanes.process(pid)
+    }
+
+    /// The name of `lane`'s thread, if it was named.
+    pub fn thread_name(&self, lane: LaneId) -> Option<&str> {
+        self.lanes.thread(lane)
+    }
+
+    fn open(&mut self, lane: LaneId, name: Sym, category: Sym, ts: f64) {
+        self.open
+            .entry(lane)
+            .or_default()
+            .push((name, category, ts));
+    }
+
+    fn close(&mut self, lane: LaneId, ts: f64) {
+        let Some(stack) = self.open.get_mut(&lane) else {
+            return;
+        };
+        if let Some((name, category, start)) = stack.pop() {
+            self.spans.push(Span {
+                lane,
+                name,
+                category,
+                start,
+                end: ts,
+                depth: stack.len() as u32,
+            });
+        }
+    }
+}
+
+impl Recorder for SpanSet {
+    fn set_lane_name(&mut self, lane: LaneId, process: &str, thread: &str) {
+        self.lanes.set(lane, process, thread);
+    }
+
+    fn begin(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) {
+        let (name, category) = (self.symbols.intern(name), self.symbols.intern(category));
+        self.open(lane, name, category, ts);
+    }
+
+    fn end(&mut self, lane: LaneId, ts: f64) {
+        self.close(lane, ts);
+    }
+
+    fn instant(&mut self, _: LaneId, _: &str, _: &str, _: f64) {}
+
+    fn counter(&mut self, _: u32, _: &str, _: f64, _: f64) {}
+
+    fn keeps_counters(&self) -> bool {
+        false
+    }
+
+    fn flow_start(&mut self, _: u64, _: &str, _: LaneId, _: f64) {
+        self.flows += 1;
+    }
+
+    fn flow_end(&mut self, _: u64, _: &str, _: LaneId, _: f64) {}
+
+    fn flows(&self) -> u64 {
+        self.flows
+    }
+}
+
+/// Replays the stream's begin and end events into a [`SpanSet`] under
+/// the stream's own symbol ids and lane names: every *closed* span, in
+/// record order of the `End` events. Spans left open and events other
+/// than `Begin`/`End` are ignored.
+pub fn reconstruct_spans(stream: &EventStream) -> SpanSet {
+    let (symbols, lanes) = stream.tables();
+    let mut set = SpanSet {
+        symbols: symbols.clone(),
+        lanes: lanes.clone(),
+        ..SpanSet::default()
+    };
     for &event in stream.events() {
         match event {
             StreamEvent::Begin {
@@ -63,34 +168,17 @@ pub fn reconstruct_spans(stream: &EventStream) -> Vec<Span<'_>> {
                 name,
                 category,
                 ts,
-            } => {
-                let stack = stacks.entry(lane).or_default();
-                let depth = stack.len() as u32;
-                stack.push((name, category, ts, depth));
-            }
-            StreamEvent::End { lane, ts } => {
-                if let Some((name, category, start, depth)) =
-                    stacks.get_mut(&lane).and_then(Vec::pop)
-                {
-                    spans.push(Span {
-                        lane,
-                        name: stream.str(name),
-                        category: stream.str(category),
-                        start,
-                        end: ts,
-                        depth,
-                    });
-                }
-            }
+            } => set.open(lane, name, category, ts),
+            StreamEvent::End { lane, ts } => set.close(lane, ts),
             _ => {}
         }
     }
-    spans
+    set
 }
 
 /// The makespan implied by a span set: the latest end time (0 when empty).
-pub fn makespan(spans: &[Span]) -> f64 {
-    spans.iter().fold(0.0, |m, s| m.max(s.end))
+pub fn makespan(spans: &SpanSet) -> f64 {
+    spans.spans.iter().fold(0.0, |m, s| m.max(s.end))
 }
 
 /// One segment of the critical path, in time order.
@@ -152,12 +240,12 @@ impl CriticalPath {
     /// deterministically (latest start, then deepest nesting, then
     /// earliest end, then lane, then name), so the path is byte-stable
     /// across runs of the same trace.
-    pub fn extract(spans: &[Span], makespan: f64) -> Self {
+    pub fn extract(set: &SpanSet, makespan: f64) -> Self {
+        let spans = set.spans();
         // Candidate order: latest start first; the first covering span in
         // this order is the pick. Zero-duration spans never gate anything.
-        let mut order: Vec<usize> = (0..spans.len())
-            .filter(|&i| spans[i].duration() > EPS)
-            .collect();
+        let mut order: Vec<usize> = Vec::with_capacity(spans.len());
+        order.extend((0..spans.len()).filter(|&i| spans[i].duration() > EPS));
         order.sort_by(|&a, &b| {
             let (a, b) = (&spans[a], &spans[b]);
             b.start
@@ -166,7 +254,7 @@ impl CriticalPath {
                 .then(b.depth.cmp(&a.depth))
                 .then(a.end.partial_cmp(&b.end).expect("finite"))
                 .then(a.lane.cmp(&b.lane))
-                .then(a.name.cmp(b.name))
+                .then(set.str(a.name).cmp(set.str(b.name)))
         });
         // suffix_max_end[i] = max end over order[i..]; lets the scan stop
         // early when no remaining candidate can cover the frontier.
@@ -176,7 +264,7 @@ impl CriticalPath {
         }
         // Sorted span ends, for locating the previous activity across a gap.
         let mut ends: Vec<f64> = order.iter().map(|&i| spans[i].end).collect();
-        ends.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        ends.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
 
         let mut segments: Vec<CritSegment> = Vec::new();
         let mut t = makespan;
@@ -241,13 +329,14 @@ impl CriticalPath {
 
     /// Aggregates span segments by `(name, category)` and returns the `k`
     /// entries gating the most time, largest first (name-ordered on ties).
-    pub fn top_spans(&self, spans: &[Span], k: usize) -> Vec<CritEntry> {
-        let mut agg: std::collections::BTreeMap<(&str, &str), (f64, u64)> =
-            std::collections::BTreeMap::new();
+    pub fn top_spans(&self, spans: &SpanSet, k: usize) -> Vec<CritEntry> {
+        let mut agg: BTreeMap<(&str, &str), (f64, u64)> = BTreeMap::new();
         for seg in &self.segments {
             if let Some(i) = seg.span {
-                let s = &spans[i];
-                let e = agg.entry((s.name, s.category)).or_insert((0.0, 0));
+                let s = &spans.spans[i];
+                let e = agg
+                    .entry((spans.str(s.name), spans.str(s.category)))
+                    .or_insert((0.0, 0));
                 e.0 += seg.duration();
                 e.1 += 1;
             }
@@ -277,22 +366,14 @@ impl CriticalPath {
 mod tests {
     use super::*;
 
-    fn span(
-        lane: LaneId,
-        name: &'static str,
-        cat: &'static str,
-        start: f64,
-        end: f64,
-        depth: u32,
-    ) -> Span<'static> {
-        Span {
-            lane,
-            name,
-            category: cat,
-            start,
-            end,
-            depth,
+    /// A set of depth-0 spans, each on its own `(lane, name, category,
+    /// start, end)`.
+    fn set_of(spans: &[(LaneId, &str, &str, f64, f64)]) -> SpanSet {
+        let mut set = SpanSet::default();
+        for &(lane, name, cat, start, end) in spans {
+            set.span(lane, name, cat, start, end);
         }
+        set
     }
 
     #[test]
@@ -304,23 +385,52 @@ mod tests {
         s.end(lane, 2.0);
         s.end(lane, 3.0);
         s.begin(lane, "dangling", "compute", 4.0); // left open: ignored
-        let spans = reconstruct_spans(&s);
+        let set = reconstruct_spans(&s);
+        let spans = set.spans();
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "inner");
+        assert_eq!(set.str(spans[0].name), "inner");
         assert_eq!(spans[0].depth, 1);
-        assert_eq!(spans[1].name, "outer");
+        assert_eq!(set.str(spans[1].name), "outer");
         assert_eq!(spans[1].depth, 0);
-        assert_eq!(makespan(&spans), 3.0);
+        assert_eq!(makespan(&set), 3.0);
+    }
+
+    #[test]
+    fn recording_matches_replaying_the_stream() {
+        let mut stream = EventStream::with_capacity(0);
+        let mut set = SpanSet::default();
+        let (gpu, master) = (LaneId::gpu(0, 1), LaneId::master());
+        for r in [&mut stream as &mut dyn Recorder, &mut set] {
+            r.set_lane_name(gpu, "node0", "gpu1");
+            r.begin(master, "gen#0", "call/gen", 0.0);
+            r.span(gpu, "fwd", "compute", 0.5, 1.5);
+            r.counter(0, "mem", 1.0, 2.0);
+            r.instant(master, "mark", "fault", 1.0);
+            r.span(master, "backoff#1", "backoff", 1.0, 2.0);
+            r.end(master, 3.0);
+            r.begin(gpu, "dangling", "compute", 4.0); // left open: not kept
+        }
+        let replayed = reconstruct_spans(&stream);
+        let resolve = |set: &SpanSet| -> Vec<(LaneId, String, String, f64, f64, u32)> {
+            set.spans()
+                .iter()
+                .map(|s| {
+                    let (name, cat) = (set.str(s.name), set.str(s.category));
+                    (s.lane, name.into(), cat.into(), s.start, s.end, s.depth)
+                })
+                .collect()
+        };
+        assert_eq!(resolve(&set), resolve(&replayed));
+        assert_eq!(set.spans().len(), 3);
+        assert_eq!(set.thread_name(gpu), Some("gpu1"));
+        assert_eq!(replayed.process_name(0), Some("node0"));
     }
 
     #[test]
     fn serial_chain_is_fully_on_path() {
         let l = LaneId::gpu(0, 0);
-        let spans = vec![
-            span(l, "a", "compute", 0.0, 2.0, 0),
-            span(l, "b", "compute", 2.0, 5.0, 0),
-        ];
-        let cp = CriticalPath::extract(&spans, 5.0);
+        let set = set_of(&[(l, "a", "compute", 0.0, 2.0), (l, "b", "compute", 2.0, 5.0)]);
+        let cp = CriticalPath::extract(&set, 5.0);
         assert_eq!(cp.segments.len(), 2);
         assert!((cp.span_seconds - 5.0).abs() < 1e-9);
         assert!(cp.wait_seconds.abs() < 1e-9);
@@ -330,11 +440,8 @@ mod tests {
     fn waits_fill_gaps_and_conserve_makespan() {
         let l = LaneId::gpu(0, 0);
         // Work in [1, 2] and [4, 6]; gaps [0,1] and [2,4] are waits.
-        let spans = vec![
-            span(l, "a", "compute", 1.0, 2.0, 0),
-            span(l, "b", "compute", 4.0, 6.0, 0),
-        ];
-        let cp = CriticalPath::extract(&spans, 6.0);
+        let set = set_of(&[(l, "a", "compute", 1.0, 2.0), (l, "b", "compute", 4.0, 6.0)]);
+        let cp = CriticalPath::extract(&set, 6.0);
         assert!((cp.span_seconds - 3.0).abs() < 1e-9);
         assert!((cp.wait_seconds - 3.0).abs() < 1e-9);
         assert!((cp.span_seconds + cp.wait_seconds - 6.0).abs() < 1e-9);
@@ -349,12 +456,12 @@ mod tests {
     #[test]
     fn parallel_slack_stays_off_path() {
         // GPU 1's short span is hidden behind GPU 0's long one.
-        let spans = vec![
-            span(LaneId::gpu(0, 0), "long", "compute", 0.0, 10.0, 0),
-            span(LaneId::gpu(0, 1), "short", "compute", 2.0, 4.0, 0),
-        ];
-        let cp = CriticalPath::extract(&spans, 10.0);
-        let top = cp.top_spans(&spans, 5);
+        let set = set_of(&[
+            (LaneId::gpu(0, 0), "long", "compute", 0.0, 10.0),
+            (LaneId::gpu(0, 1), "short", "compute", 2.0, 4.0),
+        ]);
+        let cp = CriticalPath::extract(&set, 10.0);
+        let top = cp.top_spans(&set, 5);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].name, "long");
         assert!((top[0].seconds - 10.0).abs() < 1e-9);
@@ -365,33 +472,48 @@ mod tests {
         // A leaf kernel inside an enclosing call, both ending at 4: the
         // path should name the leaf (more specific attribution).
         let l = LaneId::gpu(0, 0);
-        let spans = vec![
-            span(l, "call", "call/gen", 0.0, 4.0, 0),
-            span(l, "kernel", "compute", 3.0, 4.0, 1),
-        ];
-        let cp = CriticalPath::extract(&spans, 4.0);
+        let mut set = SpanSet::default();
+        set.begin(l, "call", "call/gen", 0.0);
+        set.span(l, "kernel", "compute", 3.0, 4.0);
+        set.end(l, 4.0);
+        let cp = CriticalPath::extract(&set, 4.0);
         let names: Vec<&str> = cp
             .segments
             .iter()
-            .filter_map(|g| g.span.map(|i| spans[i].name))
+            .filter_map(|g| g.span.map(|i| set.str(set.spans()[i].name)))
             .collect();
         assert_eq!(names, vec!["call", "kernel"]);
     }
 
     #[test]
+    fn ties_break_on_the_resolved_name() {
+        // Equal spans on one lane whose ids order against their names:
+        // `zeta` is interned first, so only the string order picks `alpha`.
+        let l = LaneId::gpu(0, 0);
+        let mut set = SpanSet::default();
+        set.begin(l, "zeta", "compute", 0.0);
+        set.end(l, 2.0);
+        set.begin(l, "alpha", "compute", 0.0);
+        set.end(l, 2.0);
+        let cp = CriticalPath::extract(&set, 2.0);
+        let first = cp.segments[0].span.expect("a span gates the path");
+        assert_eq!(set.str(set.spans()[first].name), "alpha");
+    }
+
+    #[test]
     fn zero_duration_spans_cannot_stall_extraction() {
         let l = LaneId::gpu(0, 0);
-        let spans = vec![
-            span(l, "tick", "compute", 5.0, 5.0, 0),
-            span(l, "work", "compute", 0.0, 5.0, 0),
-        ];
-        let cp = CriticalPath::extract(&spans, 5.0);
+        let set = set_of(&[
+            (l, "tick", "compute", 5.0, 5.0),
+            (l, "work", "compute", 0.0, 5.0),
+        ]);
+        let cp = CriticalPath::extract(&set, 5.0);
         assert!((cp.span_seconds - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stream_yields_empty_path() {
-        let cp = CriticalPath::extract(&[], 0.0);
+        let cp = CriticalPath::extract(&SpanSet::default(), 0.0);
         assert!(cp.segments.is_empty());
         assert_eq!(cp.span_seconds + cp.wait_seconds, 0.0);
     }

@@ -17,6 +17,10 @@
 //! Names, categories and counter tracks are interned: the stream stores
 //! each distinct string once in a symbol table, and events carry [`Sym`]
 //! ids, so an event owns no heap data. [`EventStream::str`] resolves an id.
+//!
+//! [`Recorder`] is what an emitter writes into. The stream implements it
+//! by keeping every event; [`crate::critpath::SpanSet`] implements it by
+//! keeping only the closed spans, which is all a profile reads.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -106,15 +110,49 @@ pub enum StreamEvent {
     },
 }
 
-/// Each distinct string of a stream, stored once.
+/// What a run recorder writes: lane names, nested spans, instant markers,
+/// counter samples and flow arrows. [`EventStream`] keeps every event;
+/// [`crate::critpath::SpanSet`] keeps only the closed spans, which is all
+/// a profile reads.
+pub trait Recorder {
+    /// Names `lane`'s process and thread.
+    fn set_lane_name(&mut self, lane: LaneId, process: &str, thread: &str);
+    /// Opens a nested span on `lane`.
+    fn begin(&mut self, lane: LaneId, name: &str, category: &str, ts: f64);
+    /// Closes the innermost open span on `lane`.
+    fn end(&mut self, lane: LaneId, ts: f64);
+    /// Records a complete span (begin + end in one call).
+    fn span(&mut self, lane: LaneId, name: &str, category: &str, start: f64, end: f64) {
+        self.begin(lane, name, category, start);
+        self.end(lane, end);
+    }
+    /// Records an instant marker.
+    fn instant(&mut self, lane: LaneId, name: &str, category: &str, ts: f64);
+    /// Records one counter-track sample.
+    fn counter(&mut self, pid: u32, track: &str, ts: f64, value: f64);
+    /// Whether counter samples are kept. Emitters may skip computing the
+    /// samples of a recorder that drops them.
+    fn keeps_counters(&self) -> bool {
+        true
+    }
+    /// Records the start of a flow arrow.
+    fn flow_start(&mut self, id: u64, name: &str, lane: LaneId, ts: f64);
+    /// Records the end of a flow arrow.
+    fn flow_end(&mut self, id: u64, name: &str, lane: LaneId, ts: f64);
+    /// Number of flow arrows started so far. Emitters that number their
+    /// arrows from it keep ids unique across everything one recorder holds.
+    fn flows(&self) -> u64;
+}
+
+/// Each distinct string of a recorder, stored once.
 #[derive(Debug, Clone, Default)]
-struct Symbols {
+pub(crate) struct Symbols {
     strs: Vec<Box<str>>,
     ids: HashMap<Box<str>, Sym>,
 }
 
 impl Symbols {
-    fn intern(&mut self, s: &str) -> Sym {
+    pub(crate) fn intern(&mut self, s: &str) -> Sym {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
@@ -122,6 +160,39 @@ impl Symbols {
         self.strs.push(s.into());
         self.ids.insert(s.into(), id);
         id
+    }
+
+    pub(crate) fn str(&self, id: Sym) -> &str {
+        &self.strs[id.0 as usize]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.strs.len()
+    }
+}
+
+/// Process and thread names of a recorder's lanes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneNames {
+    /// `pid -> process name` (e.g. `node0`).
+    processes: BTreeMap<u32, String>,
+    /// `(pid, tid) -> thread name` (e.g. `gpu3`).
+    threads: BTreeMap<(u32, u32), String>,
+}
+
+impl LaneNames {
+    pub(crate) fn set(&mut self, lane: LaneId, process: &str, thread: &str) {
+        self.processes.insert(lane.pid, process.to_string());
+        self.threads
+            .insert((lane.pid, lane.tid), thread.to_string());
+    }
+
+    pub(crate) fn process(&self, pid: u32) -> Option<&str> {
+        self.processes.get(&pid).map(String::as_str)
+    }
+
+    pub(crate) fn thread(&self, lane: LaneId) -> Option<&str> {
+        self.threads.get(&(lane.pid, lane.tid)).map(String::as_str)
     }
 }
 
@@ -132,10 +203,7 @@ pub struct EventStream {
     symbols: Symbols,
     capacity: usize,
     dropped: u64,
-    /// `pid -> process name` (e.g. `node0`).
-    process_names: BTreeMap<u32, String>,
-    /// `(pid, tid) -> thread name` (e.g. `gpu3`).
-    thread_names: BTreeMap<(u32, u32), String>,
+    lanes: LaneNames,
     /// Per-lane count of currently open spans.
     open: BTreeMap<LaneId, u32>,
     /// Flow arrows started so far (recorded or dropped).
@@ -154,9 +222,7 @@ impl EventStream {
     /// Names a lane `node{n}/gpu{g}`-style for the trace viewer. Metadata is
     /// stored out-of-band and does not count against capacity.
     pub fn set_lane_name(&mut self, lane: LaneId, process: &str, thread: &str) {
-        self.process_names.insert(lane.pid, process.to_string());
-        self.thread_names
-            .insert((lane.pid, lane.tid), thread.to_string());
+        self.lanes.set(lane, process, thread);
     }
 
     /// Appends the event `make` builds, interning its strings, unless the
@@ -258,12 +324,18 @@ impl EventStream {
     ///
     /// Panics when `id` was not interned by this stream.
     pub fn str(&self, id: Sym) -> &str {
-        &self.symbols.strs[id.0 as usize]
+        self.symbols.str(id)
     }
 
     /// Number of distinct strings the stream's events refer to.
     pub fn symbols(&self) -> usize {
-        self.symbols.strs.len()
+        self.symbols.len()
+    }
+
+    /// The symbol table and lane names, for replaying the stream into
+    /// another recorder under the same ids.
+    pub(crate) fn tables(&self) -> (&Symbols, &LaneNames) {
+        (&self.symbols, &self.lanes)
     }
 
     /// Number of flow arrows started so far. Emitters that number their
@@ -284,26 +356,26 @@ impl EventStream {
 
     /// Named processes, sorted by pid.
     pub fn process_names(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.process_names
+        self.lanes
+            .processes
             .iter()
             .map(|(&pid, name)| (pid, name.as_str()))
     }
 
     /// The name of process `pid`, if it was named.
     pub fn process_name(&self, pid: u32) -> Option<&str> {
-        self.process_names.get(&pid).map(String::as_str)
+        self.lanes.process(pid)
     }
 
     /// The name of `lane`'s thread, if it was named.
     pub fn thread_name(&self, lane: LaneId) -> Option<&str> {
-        self.thread_names
-            .get(&(lane.pid, lane.tid))
-            .map(String::as_str)
+        self.lanes.thread(lane)
     }
 
     /// Named threads, sorted by (pid, tid).
     pub fn thread_names(&self) -> impl Iterator<Item = (u32, u32, &str)> {
-        self.thread_names
+        self.lanes
+            .threads
             .iter()
             .map(|(&(pid, tid), name)| (pid, tid, name.as_str()))
     }
@@ -401,6 +473,40 @@ impl EventStream {
             }
         }
         Ok(())
+    }
+}
+
+impl Recorder for EventStream {
+    fn set_lane_name(&mut self, lane: LaneId, process: &str, thread: &str) {
+        EventStream::set_lane_name(self, lane, process, thread);
+    }
+
+    fn begin(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) {
+        EventStream::begin(self, lane, name, category, ts);
+    }
+
+    fn end(&mut self, lane: LaneId, ts: f64) {
+        EventStream::end(self, lane, ts);
+    }
+
+    fn instant(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) {
+        EventStream::instant(self, lane, name, category, ts);
+    }
+
+    fn counter(&mut self, pid: u32, track: &str, ts: f64, value: f64) {
+        EventStream::counter(self, pid, track, ts, value);
+    }
+
+    fn flow_start(&mut self, id: u64, name: &str, lane: LaneId, ts: f64) {
+        EventStream::flow_start(self, id, name, lane, ts);
+    }
+
+    fn flow_end(&mut self, id: u64, name: &str, lane: LaneId, ts: f64) {
+        EventStream::flow_end(self, id, name, lane, ts);
+    }
+
+    fn flows(&self) -> u64 {
+        EventStream::flows(self)
     }
 }
 
@@ -597,6 +703,11 @@ mod tests {
     #[test]
     fn events_hold_no_heap_data() {
         assert!(std::mem::size_of::<StreamEvent>() <= 32);
+    }
+
+    #[test]
+    fn spans_hold_no_heap_data() {
+        assert!(std::mem::size_of::<crate::critpath::Span>() <= 40);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the overlap layers of a call or fault lane `LAYER_BANDS` bands apart,
 //! so no two lanes can collide.
 
-use crate::events::{EventStream, LaneId};
+use crate::events::{LaneId, Recorder};
 
 /// Thread ids per band; GPU, call and node indices stay below it.
 const BAND: u32 = 1 << 16;
@@ -138,8 +138,8 @@ impl Scope {
         }
     }
 
-    /// Names `lane`'s process and thread in `stream`; returns its lane.
-    pub fn name(&self, stream: &mut EventStream, lane: Lane) -> LaneId {
+    /// Names `lane`'s process and thread in `recorder`; returns its lane.
+    pub fn name(&self, recorder: &mut impl Recorder, lane: Lane) -> LaneId {
         let id = self.lane(lane);
         let (process, thread) = match (&self.0, lane) {
             (Kind::Cluster(_), Lane::Gpu(_)) => {
@@ -164,7 +164,7 @@ impl Scope {
                 (process.clone(), thread)
             }
         };
-        stream.set_lane_name(id, &process, &thread);
+        recorder.set_lane_name(id, &process, &thread);
         id
     }
 
@@ -198,6 +198,7 @@ impl LaneId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventStream;
     use std::collections::BTreeSet;
 
     fn every_lane(name: &str) -> Vec<Lane<'_>> {

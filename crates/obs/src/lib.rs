@@ -22,8 +22,10 @@
 //!   importer, for offline analysis of saved traces) for
 //!   [`events::EventStream`], with metadata records naming lanes
 //!   `node{n}/gpu{g}`.
-//! - [`critpath`] — span reconstruction and critical-path extraction: which
-//!   chain of spans actually gated the makespan.
+//! - [`critpath`] — the [`critpath::SpanSet`] of a run's closed spans (a
+//!   [`events::Recorder`] that keeps only what a profile reads, or a
+//!   stream replayed) and critical-path extraction: which chain of spans
+//!   actually gated the makespan.
 //! - [`profile`] — phase attribution (generation/training/inference/
 //!   realloc/transfer/backoff/idle, conserving the makespan), per-GPU
 //!   utilization, comm-vs-compute overlap, and the [`profile::ProfileReport`]
@@ -44,8 +46,8 @@ pub mod metrics;
 pub mod profile;
 
 pub use chrome::{from_chrome_value, to_chrome_value};
-pub use critpath::{CritEntry, CriticalPath, Span};
-pub use events::{EventStream, LaneId, StreamEvent, Sym};
+pub use critpath::{CritEntry, CriticalPath, Span, SpanSet};
+pub use events::{EventStream, LaneId, Recorder, StreamEvent, Sym};
 pub use lanes::{Lane, OverlapLayers, Scope};
 pub use metrics::{Histogram, MergeError, MetricValue, MetricsRegistry, MetricsSnapshot, Series};
 pub use profile::{phase_overlap, Phase, PhaseShare, ProfileReport};

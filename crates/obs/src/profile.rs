@@ -1,11 +1,12 @@
 //! Phase attribution and the `ProfileReport` behind `real profile`.
 //!
-//! Turns a raw [`EventStream`] into the paper's evaluation views: Fig. 8
-//! phase shares (where every second of makespan went), Fig. 10/11 per-GPU
-//! utilization and comm-vs-compute overlap, and the critical-path table
-//! from [`crate::critpath`]. The report serializes deterministically (serde
-//! JSON, fixed field and row order), renders as human tables, and diffs
-//! against a committed baseline for the CI regression gate
+//! Turns a run's closed spans ([`SpanSet`], recorded straight off the run
+//! or replayed from an [`EventStream`]) into the paper's evaluation views:
+//! Fig. 8 phase shares (where every second of makespan went), Fig. 10/11
+//! per-GPU utilization and comm-vs-compute overlap, and the critical-path
+//! table from [`crate::critpath`]. The report serializes deterministically
+//! (serde JSON, fixed field and row order), renders as human tables, and
+//! diffs against a committed baseline for the CI regression gate
 //! (`real profile --baseline b.json --check`).
 //!
 //! # Phase model
@@ -25,7 +26,7 @@
 //!
 //! is a conservation invariant the proptests pin down.
 
-use crate::critpath::{reconstruct_spans, CritEntry, CriticalPath, Span, EPS};
+use crate::critpath::{reconstruct_spans, CritEntry, CriticalPath, SpanSet, EPS};
 use crate::events::EventStream;
 use serde::{Deserialize, Serialize};
 
@@ -109,11 +110,11 @@ pub struct PhaseShare {
 /// Attributes every instant of `[0, makespan]` to one phase via a sorted
 /// boundary sweep over the phase-bearing spans. Returns one entry per
 /// [`Phase`], in `Phase::ALL` order; the seconds sum to the makespan.
-pub fn attribute_phases(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
+pub fn attribute_phases(spans: &SpanSet, makespan: f64) -> Vec<PhaseShare> {
     // Boundary events: (ts, phase index, +1/-1), clamped to the makespan.
     let mut bounds: Vec<(f64, usize, i32)> = Vec::new();
-    for s in spans {
-        if let Some(p) = phase_of_category(s.category) {
+    for s in spans.spans() {
+        if let Some(p) = phase_of_category(spans.str(s.category)) {
             let (a, b) = (s.start.clamp(0.0, makespan), s.end.clamp(0.0, makespan));
             if b - a > 0.0 {
                 bounds.push((a, p.index(), 1));
@@ -190,19 +191,23 @@ fn gen_subrow(name: &str) -> Option<usize> {
 /// (prefill, sampling head, plain decode of other calls). The sub-row
 /// seconds therefore sum to the `generation` row of [`attribute_phases`]
 /// bit-exactly — the conservation invariant the tests pin.
-pub fn attribute_generation(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
-    if !spans.iter().any(|s| gen_subrow(s.name).is_some()) {
+pub fn attribute_generation(spans: &SpanSet, makespan: f64) -> Vec<PhaseShare> {
+    if !spans
+        .spans()
+        .iter()
+        .any(|s| gen_subrow(spans.str(s.name)).is_some())
+    {
         return Vec::new();
     }
     // Boundary events: phase spans tagged `[0, ALL)`, speculative sub-spans
     // tagged `ALL + subrow`.
     const SUB_BASE: usize = Phase::ALL.len();
     let mut bounds: Vec<(f64, usize, i32)> = Vec::new();
-    for s in spans {
-        let tag = if let Some(p) = phase_of_category(s.category) {
+    for s in spans.spans() {
+        let tag = if let Some(p) = phase_of_category(spans.str(s.category)) {
             Some(p.index())
         } else {
-            gen_subrow(s.name).map(|j| SUB_BASE + j)
+            gen_subrow(spans.str(s.name)).map(|j| SUB_BASE + j)
         };
         if let Some(tag) = tag {
             let (a, b) = (s.start.clamp(0.0, makespan), s.end.clamp(0.0, makespan));
@@ -255,7 +260,7 @@ pub fn attribute_generation(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
 }
 
 /// Wall seconds during which spans of phase `a` and spans of phase `b`
-/// were simultaneously active anywhere in the stream — the measured
+/// were simultaneously active anywhere in the run — the measured
 /// generation/training overlap of an async off-policy run, for example.
 /// Unlike [`attribute_phases`] (which tiles the makespan, so precedence
 /// hides concurrency), this reports the raw intersection of the two
@@ -264,10 +269,10 @@ pub fn attribute_generation(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
 /// # Examples
 ///
 /// ```
-/// use real_obs::{EventStream, LaneId};
+/// use real_obs::{LaneId, Recorder, SpanSet};
 /// use real_obs::profile::{phase_overlap, Phase};
 ///
-/// let mut s = EventStream::with_capacity(0);
+/// let mut s = SpanSet::default();
 /// let m = LaneId::master();
 /// // Training [0, 8] overlaps next iteration's generation [5, 9].
 /// s.span(m, "actor_train#0", "call/train", 0.0, 8.0);
@@ -275,13 +280,13 @@ pub fn attribute_generation(spans: &[Span], makespan: f64) -> Vec<PhaseShare> {
 /// let secs = phase_overlap(&s, Phase::Generation, Phase::Training);
 /// assert!((secs - 3.0).abs() < 1e-9);
 /// ```
-pub fn phase_overlap(stream: &EventStream, a: Phase, b: Phase) -> f64 {
-    let spans = reconstruct_spans(stream);
+pub fn phase_overlap(spans: &SpanSet, a: Phase, b: Phase) -> f64 {
     let of = |phase: Phase| {
         merge_intervals(
             spans
+                .spans()
                 .iter()
-                .filter(|s| phase_of_category(s.category) == Some(phase))
+                .filter(|s| phase_of_category(spans.str(s.category)) == Some(phase))
                 .map(|s| (s.start, s.end))
                 .collect(),
         )
@@ -520,23 +525,28 @@ impl Deserialize for ProfileReport {
 }
 
 impl ProfileReport {
-    /// Builds the stream-derivable part of the report (everything except
+    /// Builds the report of a saved or exported stream: its closed spans'
+    /// report (see [`ProfileReport::from_spans`]).
+    pub fn from_stream(stream: &EventStream, top_k: usize) -> Self {
+        Self::from_spans(&reconstruct_spans(stream), top_k)
+    }
+
+    /// Builds the span-derivable part of the report (everything except
     /// [`ProfileReport::estimator_gap`], which needs the estimator and is
     /// filled by the caller when the run was planned in-process).
-    pub fn from_stream(stream: &EventStream, top_k: usize) -> Self {
-        let spans = reconstruct_spans(stream);
-        let makespan = crate::critpath::makespan(&spans);
-        let cp = CriticalPath::extract(&spans, makespan);
-        let critical_path = cp.top_spans(&spans, top_k);
-        let phases = attribute_phases(&spans, makespan);
-        let gen_breakdown = attribute_generation(&spans, makespan);
+    pub fn from_spans(spans: &SpanSet, top_k: usize) -> Self {
+        let makespan = crate::critpath::makespan(spans);
+        let cp = CriticalPath::extract(spans, makespan);
+        let critical_path = cp.top_spans(spans, top_k);
+        let phases = attribute_phases(spans, makespan);
+        let gen_breakdown = attribute_generation(spans, makespan);
 
         // Lane names for the per-GPU views.
         let lane_name = |lane: crate::events::LaneId| -> String {
-            let proc = stream
+            let proc = spans
                 .process_name(lane.pid)
                 .map_or_else(|| format!("pid{}", lane.pid), str::to_string);
-            let thread = stream
+            let thread = spans
                 .thread_name(lane)
                 .map_or_else(|| format!("tid{}", lane.tid), str::to_string);
             format!("{proc}/{thread}")
@@ -546,12 +556,13 @@ impl ProfileReport {
         type LaneIntervals = (Vec<(f64, f64)>, Vec<(f64, f64)>);
         let mut by_lane: std::collections::BTreeMap<crate::events::LaneId, LaneIntervals> =
             std::collections::BTreeMap::new();
-        for s in &spans {
-            if !SIM_CATEGORIES.contains(&s.category) {
+        for s in spans.spans() {
+            let category = spans.str(s.category);
+            if !SIM_CATEGORIES.contains(&category) {
                 continue;
             }
             let entry = by_lane.entry(s.lane).or_default();
-            if COMPUTE_CATEGORIES.contains(&s.category) {
+            if COMPUTE_CATEGORIES.contains(&category) {
                 entry.0.push((s.start, s.end));
             } else {
                 entry.1.push((s.start, s.end));
@@ -863,6 +874,7 @@ mod tests {
         s.span(m, "actor_train#0", "call/train", 0.0, 8.0);
         s.span(m, "actor_gen#1", "call/gen", 5.0, 9.0);
         s.span(m, "actor_gen#2", "call/gen", 7.0, 12.0); // merges with #1
+        let s = reconstruct_spans(&s);
         assert!((phase_overlap(&s, Phase::Generation, Phase::Training) - 3.0).abs() < 1e-9);
         // Symmetric, and zero against a phase with no spans.
         assert!((phase_overlap(&s, Phase::Training, Phase::Generation) - 3.0).abs() < 1e-9);

@@ -1,8 +1,10 @@
 //! Observability assembly for runtime-engine runs.
 //!
-//! * [`record_run`] — the one run recorder behind every Chrome export. It
-//!   records a finished [`crate::RunReport`] into a caller-owned
-//!   [`real_obs::EventStream`], every lane placed by a [`real_obs::Scope`]
+//! * [`record_run`] — the one run recorder behind every Chrome export and
+//!   every profile. It records a finished [`crate::RunReport`] into a
+//!   caller-owned [`real_obs::Recorder`] (an [`real_obs::EventStream`] for
+//!   an export, a [`real_obs::SpanSet`] for a profile, which keeps only
+//!   the closed spans), every lane placed by a [`real_obs::Scope`]
 //!   (the cluster scope for a solo run, [`build_event_stream`]; a tenant
 //!   scope per tenant in `real-sched`'s export): per-GPU kernel spans with
 //!   a `links/*` utilization counter per communication category; a master
@@ -29,7 +31,7 @@ use crate::report::{FaultAbort, RequestFault, RunReport};
 use real_cluster::ClusterSpec;
 use real_dataflow::{DataflowGraph, ExecutionPlan};
 use real_estimator::maxmem;
-use real_obs::{EventStream, Lane, LaneId, MetricsRegistry, OverlapLayers, Scope};
+use real_obs::{EventStream, Lane, LaneId, MetricsRegistry, OverlapLayers, Recorder, Scope};
 use real_sim::{Category, FaultEvent, TraceEvent};
 use std::collections::BTreeMap;
 
@@ -60,9 +62,9 @@ pub fn build_event_stream(
 /// they supply each call's name and type, each call's mesh (flow targets
 /// and memory accounting), the fault plan, and the ZeRO/distributed-
 /// optimizer modes of the memory model. Flow ids continue from
-/// [`EventStream::flows`], so runs recorded into one stream never share one.
+/// [`Recorder::flows`], so runs recorded into one stream never share one.
 pub fn record_run(
-    stream: &mut EventStream,
+    stream: &mut impl Recorder,
     scope: &Scope,
     cluster: &ClusterSpec,
     graph: &DataflowGraph,
@@ -70,7 +72,11 @@ pub fn record_run(
     config: &EngineConfig,
     report: &RunReport,
 ) {
-    record_kernels(stream, scope, report.trace.events(), cluster.total_gpus());
+    let trace = report.trace.events();
+    record_kernels(stream, scope, trace, cluster.total_gpus());
+    if stream.keeps_counters() {
+        record_link_counters(stream, scope, trace);
+    }
     let calls = record_calls(stream, scope, graph, plan, report);
     if let Some(fault_plan) = config.fault_plan.as_ref().filter(|p| !p.is_empty()) {
         record_faults(stream, scope, &fault_plan.events);
@@ -85,9 +91,60 @@ pub fn record_run(
         }
     }
     record_replans(stream, scope, report);
+    if stream.keeps_counters() {
+        record_memory(stream, scope, cluster, graph, plan, config, report);
+    }
+}
 
-    // Per-GPU memory in use: the static (optimizer-state) floor plus each
-    // running call's active bytes, sampled at every call boundary.
+/// GPU kernel lanes (named on first use), a span per kernel.
+fn record_kernels(stream: &mut impl Recorder, scope: &Scope, trace: &[TraceEvent], gpus: u32) {
+    let mut lanes: Vec<Option<LaneId>> = vec![None; gpus as usize];
+    for e in trace {
+        let lane = *lanes[e.gpu].get_or_insert_with(|| scope.name(stream, Lane::Gpu(e.gpu)));
+        stream.span(lane, e.label, e.category.name(), e.start, e.end);
+    }
+}
+
+/// Link-utilization counters from the kernel trace: for each
+/// communication category, a counter track sampling how many links are
+/// simultaneously busy at every busy-interval edge.
+fn record_link_counters(stream: &mut impl Recorder, scope: &Scope, trace: &[TraceEvent]) {
+    let comm =
+        |c: &Category| !matches!(c, Category::Compute | Category::Launch | Category::Realloc);
+    for cat in Category::ALL.into_iter().filter(comm) {
+        let mut edges: Vec<(f64, i64)> = Vec::new();
+        for e in trace.iter().filter(|e| e.category == cat) {
+            edges.push((e.start, 1));
+            edges.push((e.end, -1));
+        }
+        if edges.is_empty() {
+            continue;
+        }
+        edges.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite times")
+                .then(a.1.cmp(&b.1))
+        });
+        let mut active: i64 = 0;
+        let track = format!("links/{cat}");
+        for (ts, delta) in edges {
+            active += delta;
+            stream.counter(scope.counter_pid(0), &track, ts, active as f64);
+        }
+    }
+}
+
+/// Per-GPU memory in use: the static (optimizer-state) floor plus each
+/// running call's active bytes, sampled at every call boundary.
+fn record_memory(
+    stream: &mut impl Recorder,
+    scope: &Scope,
+    cluster: &ClusterSpec,
+    graph: &DataflowGraph,
+    plan: &ExecutionPlan,
+    config: &EngineConfig,
+    report: &RunReport,
+) {
     let gpn = cluster.gpus_per_node as usize;
     let log = &report.master_log;
     let zero3 = &config.zero3_models;
@@ -126,41 +183,6 @@ pub fn record_run(
     }
 }
 
-/// GPU kernel lanes (named on first use) and link-utilization counters
-/// from the kernel trace: for each communication category, a counter
-/// track sampling how many links are simultaneously busy at every
-/// busy-interval edge.
-fn record_kernels(stream: &mut EventStream, scope: &Scope, trace: &[TraceEvent], gpus: u32) {
-    let mut lanes: Vec<Option<LaneId>> = vec![None; gpus as usize];
-    for e in trace {
-        let lane = *lanes[e.gpu].get_or_insert_with(|| scope.name(stream, Lane::Gpu(e.gpu)));
-        stream.span(lane, e.label, e.category.name(), e.start, e.end);
-    }
-    let comm =
-        |c: &Category| !matches!(c, Category::Compute | Category::Launch | Category::Realloc);
-    for cat in Category::ALL.into_iter().filter(comm) {
-        let mut edges: Vec<(f64, i64)> = Vec::new();
-        for e in trace.iter().filter(|e| e.category == cat) {
-            edges.push((e.start, 1));
-            edges.push((e.end, -1));
-        }
-        if edges.is_empty() {
-            continue;
-        }
-        edges.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite times")
-                .then(a.1.cmp(&b.1))
-        });
-        let mut active: i64 = 0;
-        let track = format!("links/{cat}");
-        for (ts, delta) in edges {
-            active += delta;
-            stream.counter(scope.counter_pid(0), &track, ts, active as f64);
-        }
-    }
-}
-
 /// One master lane per function call (calls overlap in time, so one lane
 /// could not keep begin/end nesting balanced), a span per answered request
 /// with its backoff windows nested inside, and a flow arrow from each
@@ -169,7 +191,7 @@ fn record_kernels(stream: &mut EventStream, scope: &Scope, trace: &[TraceEvent],
 /// a span goes to an overflow layer of its call's lane ([`OverlapLayers`]).
 /// Returns the first layer's lanes.
 fn record_calls(
-    stream: &mut EventStream,
+    stream: &mut impl Recorder,
     scope: &Scope,
     graph: &DataflowGraph,
     plan: &ExecutionPlan,
@@ -226,7 +248,7 @@ fn record_calls(
 /// overlapping windows on one GPU; spans on a lane must keep monotone
 /// timestamps, so overlapping windows are layered onto overflow lanes
 /// ([`OverlapLayers`], by start time).
-fn record_faults(stream: &mut EventStream, scope: &Scope, events: &[FaultEvent]) {
+fn record_faults(stream: &mut impl Recorder, scope: &Scope, events: &[FaultEvent]) {
     // Per target (is-link, GPU or node index): windows as (start, end, name).
     type Window = (f64, f64, String);
     let mut windows: BTreeMap<(bool, usize), Vec<Window>> = BTreeMap::new();
@@ -285,7 +307,7 @@ fn record_faults(stream: &mut EventStream, scope: &Scope, events: &[FaultEvent])
 
 /// The re-plan decision lane: one instant per trigger evaluation, plus a
 /// span over each committed switch's reallocation prologue.
-fn record_replans(stream: &mut EventStream, scope: &Scope, report: &RunReport) {
+fn record_replans(stream: &mut impl Recorder, scope: &Scope, report: &RunReport) {
     if report.replan.events.is_empty() {
         return;
     }

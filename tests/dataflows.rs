@@ -213,7 +213,7 @@ fn async_run_overlaps_generation_with_training() {
     assert!(stats.max_observed_staleness <= stats.staleness_bound);
     // Realized (GPU-occupancy) overlap, as the profiler attributes it.
     let realized = real_core::real_obs::phase_overlap(
-        &exp.event_stream(&report),
+        &exp.spans(&report),
         real_core::real_obs::Phase::Generation,
         real_core::real_obs::Phase::Training,
     );

@@ -295,8 +295,9 @@ fn emitter_runs() -> Vec<(&'static str, Experiment, ExperimentReport)> {
     runs
 }
 
-/// The profile of a run equals the profile of its exported event stream,
-/// byte for byte, on every emitter; so do the phase overlaps.
+/// The profile of a run, built from spans recorded straight off it,
+/// equals the profile of its exported event stream byte for byte on every
+/// emitter; so do the phase overlaps of the recorded and replayed spans.
 #[test]
 fn profile_report_equals_the_profile_of_the_run_stream() {
     use real_core::real_obs::{phase_overlap, Phase};
@@ -311,12 +312,12 @@ fn profile_report_equals_the_profile_of_the_run_stream() {
             serde_json::to_string(&replayed).unwrap(),
             "{name}"
         );
-        let direct_stream = exp.event_stream(&report);
+        let (recorded, replayed) = (exp.spans(&report), reconstruct_spans(&stream));
         for a in Phase::ALL {
             for b in Phase::ALL {
                 assert_eq!(
-                    phase_overlap(&direct_stream, a, b).to_bits(),
-                    phase_overlap(&stream, a, b).to_bits(),
+                    phase_overlap(&recorded, a, b).to_bits(),
+                    phase_overlap(&replayed, a, b).to_bits(),
                     "{name}: {a:?}/{b:?}"
                 );
             }

@@ -335,8 +335,9 @@ fn tenant_export_takes_phases_from_the_graph_and_keeps_fault_lanes() {
     let spans = real_obs::critpath::reconstruct_spans(&stream);
     let has = |name: &str, category: &str| {
         spans
+            .spans()
             .iter()
-            .any(|s| s.name.starts_with(name) && s.category == category)
+            .any(|s| spans.str(s.name).starts_with(name) && spans.str(s.category) == category)
     };
     assert!(has("rollout#", "call/gen"));
     assert!(has("update#", "call/train"));

@@ -59,8 +59,10 @@ fn stream_json(stream: &EventStream) -> Value {
         .collect();
     lanes.sort();
 
-    let mut spans: Vec<(critpath::Span, &str)> = critpath::reconstruct_spans(stream)
-        .into_iter()
+    let set = critpath::reconstruct_spans(stream);
+    let mut spans: Vec<(&critpath::Span, &str)> = set
+        .spans()
+        .iter()
         .map(|s| {
             let thread = threads
                 .get(&(s.lane.pid, s.lane.tid))
@@ -73,18 +75,18 @@ fn stream_json(stream: &EventStream) -> Value {
         a.start
             .total_cmp(&b.start)
             .then(a.end.total_cmp(&b.end))
-            .then(a.name.cmp(b.name))
+            .then(set.str(a.name).cmp(set.str(b.name)))
             .then(ta.cmp(tb))
             .then(a.depth.cmp(&b.depth))
     });
     let mut rows: BTreeMap<String, (u64, Fnv)> = BTreeMap::new();
     for (s, thread) in &spans {
         let (count, h) = rows
-            .entry(format!("{} {}", process(s.lane.pid), s.category))
+            .entry(format!("{} {}", process(s.lane.pid), set.str(s.category)))
             .or_insert_with(|| (0, Fnv::new()));
         *count += 1;
         h.feed(thread.as_bytes());
-        h.feed(s.name.as_bytes());
+        h.feed(set.str(s.name).as_bytes());
         h.feed(&s.start.to_bits().to_le_bytes());
         h.feed(&s.end.to_bits().to_le_bytes());
         h.feed(&s.depth.to_le_bytes());
