@@ -140,7 +140,7 @@ cargo bench -q -p real-bench --bench ablations -- async_overlap_gate
 # Memory gate: the `real profile` path at 128 GPUs (the benchmark's
 # profile-128 workload) must peak at or under 90 MB of RSS. The profile
 # reads 40-byte spans recorded straight off the run, beside the one event
-# stream the workload exports, which holds it near 66 MB; building a
+# stream the workload exports, which holds it near 67 MB; building a
 # second stream for the profile took it to 103 MB, and owned per-event
 # strings to 247 MB (see docs/PROFILING.md).
 rss=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \

@@ -63,6 +63,8 @@ pub fn build_event_stream(
 /// and memory accounting), the fault plan, and the ZeRO/distributed-
 /// optimizer modes of the memory model. Flow ids continue from
 /// [`Recorder::flows`], so runs recorded into one stream never share one.
+/// The `links/*` and `mem/*` counters are computed only for a recorder
+/// that keeps counters ([`Recorder::keeps_counters`]).
 pub fn record_run(
     stream: &mut impl Recorder,
     scope: &Scope,
