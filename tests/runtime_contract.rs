@@ -23,93 +23,14 @@
 use real_core::prelude::*;
 use real_core::real_estimator::maxmem::mem_profile;
 use real_core::real_runtime::{
-    run_multi, MasterLog, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
+    run_multi, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
 };
 use real_serve::{ArrivalSpec, TemplateSpec, WorkloadSpec};
 use serde_json::Value;
 
 mod contract;
 
-use contract::{assert_matches_fixture, bits, f64_bits, obj, to_bits_json, Fnv};
-
-/// 64-bit FNV-1a over the trace's `(label, gpu, start, end)` tuples.
-fn trace_digest(trace: &Trace) -> String {
-    let mut h = Fnv::new();
-    for e in trace.events() {
-        h.feed(e.label.as_bytes());
-        h.feed(&(e.gpu as u64).to_le_bytes());
-        h.feed(&e.start.to_bits().to_le_bytes());
-        h.feed(&e.end.to_bits().to_le_bytes());
-    }
-    h.hex()
-}
-
-/// One line per request and response, in log order.
-fn master_log_json(log: &MasterLog) -> Value {
-    let requests = log.requests.iter().map(|q| {
-        let locations: Vec<String> = q
-            .data_locations
-            .iter()
-            .map(|d| format!("{}<-{}@{:?}", d.key, d.produced_by, d.shard_leaders))
-            .collect();
-        Value::String(format!(
-            "{} {}#{} {:016x} x{} [{}]",
-            q.call.0,
-            q.handle,
-            q.iter,
-            q.dispatch_time.to_bits(),
-            q.worker_count,
-            locations.join(" ")
-        ))
-    });
-    let responses = log.responses.iter().map(|p| {
-        Value::String(format!(
-            "{}#{} {:016x}",
-            p.call.0,
-            p.iter,
-            p.completed_at.to_bits()
-        ))
-    });
-    obj(vec![
-        ("requests", Value::Array(requests.collect())),
-        ("responses", Value::Array(responses.collect())),
-    ])
-}
-
-fn report_json(r: &RunReport) -> Value {
-    let timings = r
-        .timings
-        .iter()
-        .map(|t| {
-            Value::String(format!(
-                "{}#{} {:016x} {:016x}",
-                t.call_name,
-                t.iter,
-                t.start.to_bits(),
-                t.end.to_bits()
-            ))
-        })
-        .collect();
-    let totals = r
-        .category_totals
-        .iter()
-        .map(|(c, v)| Value::String(format!("{c:?} {:016x}", v.to_bits())))
-        .collect();
-    obj(vec![
-        ("iterations", Value::from(r.iterations as u64)),
-        ("total_time", f64_bits(r.total_time)),
-        ("iter_time", f64_bits(r.iter_time)),
-        ("idle_total", f64_bits(r.idle_total)),
-        ("category_totals", Value::Array(totals)),
-        ("timings", Value::Array(timings)),
-        ("faults", bits(serde_json::to_value(&r.faults))),
-        ("replan", bits(serde_json::to_value(&r.replan))),
-        ("async_stats", bits(serde_json::to_value(&r.async_stats))),
-        ("master_log", master_log_json(&r.master_log)),
-        ("trace_events", Value::from(r.trace.events().len() as u64)),
-        ("trace_digest", Value::String(trace_digest(&r.trace))),
-    ])
-}
+use contract::{assert_matches_fixture, bits, f64_bits, obj, report_json, to_bits_json, Fnv};
 
 /// Jittered engine config with tracing on.
 fn jittered(seed: u64) -> EngineConfig {
