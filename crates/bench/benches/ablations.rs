@@ -434,12 +434,13 @@ fn extra_algorithms() {
 /// equal static split (GPUs divided evenly in admission order, plans
 /// searched per tenant with the same budget). The objective both are
 /// measured on is the priority-weighted makespan `Σᵢ pᵢ·totalᵢ` of the
-/// joint run. Registered in `main` as `tenant_packing`.
+/// run; both run on the same executor, `real-serve`'s loop. Registered in
+/// `main` as `tenant_packing`.
 fn tenant_packing() {
     use real_core::real_cluster::partition;
-    use real_core::real_runtime::{run_multi, TenantRun};
+    use real_core::real_estimator::MemoStats;
     use real_core::Tenant;
-    use real_sched::{SchedConfig, Scheduler};
+    use real_sched::{SchedConfig, Schedule, Scheduler, TenantPlan};
 
     struct Mix {
         name: &'static str,
@@ -525,7 +526,7 @@ fn tenant_packing() {
         // memory-feasible plan is the static split's OOM outcome
         // (the paper's Fig. 7 red cross).
         let n = tenants.len() as u32;
-        let mut naive_runs = Vec::new();
+        let mut naive_split = Vec::new();
         let mut naive_oom = false;
         for (i, t) in tenants.iter().enumerate() {
             let mesh = equal_mesh(&cluster, i as u32, n);
@@ -555,40 +556,35 @@ fn tenant_packing() {
                 naive_oom = true;
                 break;
             };
-            naive_runs.push(TenantRun {
-                id: t.id(),
+            naive_split.push(TenantPlan {
                 name: t.name().to_string(),
-                graph: t.experiment().graph().clone(),
-                plan: result.best_plan,
-                config: t.experiment().engine_config().clone(),
+                id: t.id(),
+                priority: t.priority(),
                 iterations: t.iterations(),
-                allocation: mesh.gpus().collect(),
+                allocation: mesh,
+                plan: result.best_plan,
+                est_step_secs: result.best_time_cost,
                 solo_step_secs: 0.0,
-                elastic: None,
+                time_shared: false,
             });
         }
         let naive_weighted: Option<f64> = if naive_oom {
             None
         } else {
-            let reports = run_multi(&cluster, &naive_runs, 5).expect("naive split runs");
-            Some(
-                tenants
-                    .iter()
-                    .zip(&reports)
-                    .map(|(t, r)| t.priority() * r.total_time)
-                    .sum(),
-            )
+            // The hand-placed split runs through the same executor.
+            let split = Schedule::new(naive_split, false, MemoStats::default());
+            let naive =
+                real_serve::run_schedule(&cluster, &tenants, split, 5).expect("naive split runs");
+            Some(naive.report.weighted_makespan_secs)
         };
 
         // Scheduler-packed allocation, same refinement budget and seed.
-        let outcome = Scheduler::new(cluster)
-            .with_config(SchedConfig {
-                seed: 5,
-                refine_steps: 1_500,
-                ..SchedConfig::default()
-            })
-            .run(&tenants)
-            .expect("scheduler packs the mix");
+        let scheduler = Scheduler::new(cluster).with_config(SchedConfig {
+            seed: 5,
+            refine_steps: 1_500,
+            ..SchedConfig::default()
+        });
+        let outcome = real_serve::run_sched(&scheduler, &tenants).expect("scheduler packs the mix");
         let packed = &outcome.report;
         let (naive_cell, gain_cell) = match naive_weighted {
             Some(w) => (

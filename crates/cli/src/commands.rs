@@ -5,7 +5,8 @@ use crate::args::{ArgError, Args};
 use real_core::prelude::*;
 use real_core::real_dataflow::plan::PlanError;
 use real_core::real_obs::ProfileReport;
-use real_sched::{GraphSet, SchedConfig, SchedError, SchedSpec, Scheduler, TenantSpec};
+use real_sched::{GraphSet, SchedConfig, SchedSpec, Scheduler, TenantSpec};
+use real_serve::ServeError;
 use std::fmt;
 use std::time::Duration;
 
@@ -752,11 +753,13 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
     } else {
         let exp = experiment_from(args)?;
         reject_replan_with_async(args, &exp)?;
-        // Profiling needs the kernel spans regardless of --trace.
-        let mut engine = exp.engine_config().clone();
-        if engine.trace_capacity == 0 {
-            engine.trace_capacity = 500_000;
-        }
+        // Profiling needs every kernel span regardless of --trace. The
+        // profile keeps 40-byte spans, not a second event stream, so the
+        // kernel trace of a fresh run is not capped.
+        let engine = EngineConfig {
+            trace_capacity: usize::MAX,
+            ..exp.engine_config().clone()
+        };
         let exp = exp.with_engine_config(engine);
         // Speculative plans profile with gen/draft, gen/verify, and
         // gen/fallback sub-rows in the phase attribution.
@@ -1043,40 +1046,51 @@ pub fn cmd_models() -> String {
 }
 
 /// `real sched`: pack the tenants of a `tenants.json` spec onto one
-/// cluster and (unless `--dry-run`) execute them jointly.
+/// cluster and (unless `--dry-run`) run the schedule on the serving loop.
 pub fn cmd_sched(args: &Args) -> Result<String, CliError> {
     let path = args
         .str_opt("tenants")
         .ok_or_else(|| CliError::Invalid("sched needs --tenants tenants.json".into()))?;
     let spec: SchedSpec = load_json(path)?;
     let graphs = preload_graphs(&spec.tenants)?;
-    let (cluster, tenants) = spec
+    let (cluster, mut tenants) = spec
         .build_with_graphs(&graphs)
         .map_err(|e| CliError::Invalid(e.to_string()))?;
+    if args.str_opt("trace").is_some() {
+        // Every tenant traces its kernels, as `real run --trace` does.
+        tenants = tenants
+            .into_iter()
+            .map(|t| {
+                let config = EngineConfig {
+                    trace_capacity: 500_000,
+                    ..t.experiment().engine_config().clone()
+                };
+                let exp = t.experiment().clone().with_engine_config(config);
+                t.with_experiment(exp)
+            })
+            .collect();
+    }
     let config = SchedConfig {
         seed: args.num_or("seed", spec.seed())?,
         refine_steps: args.num_or("steps", 2_000u64)?,
         score_steps: args.num_or("score-steps", 300u64)?,
         max_stretch: args.num_or("max-stretch", 4.0f64)?,
-        trace_capacity: if args.str_opt("trace").is_some() {
-            500_000
-        } else {
-            0
-        },
         ..SchedConfig::default()
     };
     let scheduler = Scheduler::new(cluster).with_config(config);
-    let sched_err = |e: SchedError| match e {
-        SchedError::Run(run) => CliError::Run(run),
-        other => CliError::Invalid(other.to_string()),
-    };
     if args.flag("dry-run") {
-        let schedule = scheduler.plan(&tenants).map_err(sched_err)?;
+        let schedule = scheduler
+            .plan(&tenants)
+            .map_err(|e| CliError::Invalid(e.to_string()))?;
         return Ok(schedule.render());
     }
-    let outcome = scheduler.run(&tenants).map_err(sched_err)?;
+    let outcome = real_serve::run_sched(&scheduler, &tenants).map_err(|e| match e {
+        ServeError::Session(real_core::real_runtime::SessionError::Run(run)) => CliError::Run(run),
+        other => CliError::Invalid(other.to_string()),
+    })?;
     if let Some(path) = args.str_opt("trace") {
-        let stream = real_sched::obs::sched_event_stream(&tenants, &outcome);
+        let stream =
+            real_sched::obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
         std::fs::write(path, real_core::real_obs::chrome::to_chrome_string(&stream))?;
     }
     if let Some(path) = args.str_opt("metrics") {

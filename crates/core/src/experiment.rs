@@ -442,18 +442,9 @@ impl Experiment {
         // reflect the planner's expectations rather than just the nominal
         // simulation.
         let mut prepared: Option<Estimator> = None;
-        if engine_config.fault_plan.is_some() && engine_config.predicted_secs.is_empty() {
+        if engine_config.lacks_deadlines() {
             let (est, _) = self.prepare();
-            engine_config.predicted_secs = self
-                .graph
-                .iter()
-                .map(|(id, def)| {
-                    (
-                        def.call_name.clone(),
-                        est.call_duration(id, plan.assignment(id)),
-                    )
-                })
-                .collect();
+            engine_config.predict_deadlines(&est, plan);
             prepared = Some(est);
         }
         let faulted = engine_config.fault_plan.is_some();

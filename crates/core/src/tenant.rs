@@ -46,6 +46,13 @@ impl Tenant {
         self
     }
 
+    /// Replaces the wrapped experiment, keeping the tenant's identity,
+    /// priority and iterations.
+    pub fn with_experiment(mut self, experiment: Experiment) -> Self {
+        self.experiment = experiment;
+        self
+    }
+
     /// Display name.
     pub fn name(&self) -> &str {
         &self.name

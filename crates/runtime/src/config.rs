@@ -1,6 +1,7 @@
 //! Runtime engine configuration.
 
-use real_dataflow::CallHook;
+use real_dataflow::{CallHook, ExecutionPlan};
+use real_estimator::Estimator;
 use real_sim::FaultPlan;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -60,8 +61,9 @@ pub struct EngineConfig {
     /// Upper bound on a single backoff interval (seconds).
     pub backoff_cap: f64,
     /// Estimator-predicted wall seconds per call name, used to derive
-    /// request deadlines. Filled by the `real-core` facade from the §5 cost
-    /// estimator; unknown calls fall back to the fault-free simulation.
+    /// request deadlines. Filled from the §5 cost estimator by
+    /// [`Self::predict_deadlines`]; unknown calls fall back to the
+    /// fault-free simulation.
     pub predicted_secs: Vec<(String, f64)>,
     /// Per-call user hooks from the `graph.json` DSL: fixed pre/post wall
     /// seconds charged around the named call on its mesh (data loading,
@@ -133,6 +135,31 @@ impl EngineConfig {
     pub fn with_call_hooks(mut self, hooks: Vec<CallHook>) -> Self {
         self.call_hooks = hooks;
         self
+    }
+
+    /// Whether resilient dispatch still lacks the estimator's per-call
+    /// predictions: a fault plan is injected and no predictions were
+    /// supplied.
+    pub fn lacks_deadlines(&self) -> bool {
+        self.fault_plan.is_some() && self.predicted_secs.is_empty()
+    }
+
+    /// Fills [`Self::predicted_secs`] with `est`'s duration of every call
+    /// on its `plan` assignment when [`Self::lacks_deadlines`], so request
+    /// deadlines follow the planner's expectations rather than only the
+    /// nominal simulation. `Experiment::run` and the serving loop's
+    /// admission both fill deadlines here.
+    pub fn predict_deadlines(&mut self, est: &Estimator, plan: &ExecutionPlan) {
+        if self.lacks_deadlines() {
+            self.predicted_secs = est
+                .graph()
+                .iter()
+                .map(|(id, def)| {
+                    let secs = est.call_duration(id, plan.assignment(id));
+                    (def.call_name.clone(), secs)
+                })
+                .collect();
+        }
     }
 
     /// Total (pre, post) hook seconds registered for `call_name`. Multiple

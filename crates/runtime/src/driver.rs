@@ -1,14 +1,14 @@
 //! The master worker's one iteration driver (§6).
 //!
 //! Every runtime entry point — [`RuntimeEngine::run`], `run_async`,
-//! `run_replan`, [`crate::multi::run_multi`] and
-//! [`crate::session::TenantSession`] — executes through [`Driver`]. It owns
-//! one tenant's run state and implements the per-call step once: data
+//! `run_replan` and [`crate::session::TenantSession`] — executes through
+//! [`Driver`]. It owns one tenant's run state, its timelines included, and
+//! implements the per-call step once: data
 //! dependencies (plus a transfer when layouts differ, against the
 //! assignments the producers actually executed on), parameter readiness,
 //! RPC latency and DSL pre hook, the request log, dispatch (plain, or the
 //! resilient retry protocol under a fault clock), post hook, response and
-//! bookkeeping. The entry points differ only in four policy points:
+//! bookkeeping. The entry points differ only in three policy points:
 //!
 //! - **parameter-version gate** — sync (the live `param_layout` map: the
 //!   layout and completion of each model's last executed call), or
@@ -17,9 +17,8 @@
 //! - **iteration floor** — `0`, or a session's relative clock;
 //! - **between-call/iteration hook** — [`Replan`]: the dead-worker wait
 //!   cap and the straggler / degraded-rate boundary triggers, all feeding
-//!   the one re-plan gate ([`Driver::gate`]);
-//! - **timelines** — owned by the caller and passed in, so `run_multi`
-//!   shares one set across tenants while the other entry points own theirs.
+//!   the one re-plan gate ([`Driver::gate`]), which a session also opens
+//!   to offer freed capacity.
 
 use crate::config::EngineConfig;
 use crate::exec::{draft_cost_models, execute_call_spec, spec_exec_for, ExecCtx, SpecExec};
@@ -113,13 +112,12 @@ impl Env {
 #[derive(Debug, Clone)]
 pub(crate) struct Driver {
     env: Env,
+    /// The run's GPU timelines: one per GPU of the cluster, private to it.
+    tl: Timelines,
     pub(crate) rng: DeterministicRng,
     trace: Trace,
     pub(crate) faults: FaultStats,
     pub(crate) replan: ReplanStats,
-    /// Whether requests, responses and call timings are recorded (sessions
-    /// report durations only).
-    logged: bool,
     master_log: MasterLog,
     timings: Vec<CallTiming>,
     completion: Vec<Vec<f64>>,
@@ -177,6 +175,7 @@ impl Driver {
             Trace::disabled()
         };
         Ok(Self {
+            tl: Timelines::new(n_gpus),
             rng,
             trace,
             faults: FaultStats {
@@ -184,7 +183,6 @@ impl Driver {
                 ..FaultStats::default()
             },
             replan: ReplanStats::default(),
-            logged: true,
             master_log: MasterLog::default(),
             timings: Vec::new(),
             completion: vec![vec![0.0; graph.n_calls()]; iterations],
@@ -216,37 +214,18 @@ impl Driver {
         self
     }
 
-    /// Stops recording requests, responses and call timings.
-    pub(crate) fn unlogged(mut self) -> Self {
-        self.logged = false;
-        self
+    pub(crate) fn config(&self) -> &EngineConfig {
+        self.env.engine.config()
     }
 
     pub(crate) fn iterations(&self) -> usize {
         self.iter_end.len()
     }
 
-    /// Mean step seconds through iteration `last_iter`: boundary to
-    /// boundary past the first iteration ([`RunReport::iter_time`]).
-    pub(crate) fn mean_step(&self, last_iter: usize) -> f64 {
-        let iter_end = &self.iter_end;
-        if last_iter == 0 {
-            iter_end[0]
-        } else {
-            (iter_end[last_iter] - iter_end[0]) / last_iter as f64
-        }
-    }
-
     /// Runs iteration `iter`: every call in topological order, none
     /// becoming ready before `floor`, then the boundary triggers of
     /// `replan`.
-    pub(crate) fn run_iteration(
-        &mut self,
-        tl: &mut Timelines,
-        iter: usize,
-        floor: f64,
-        replan: Option<Replan<'_>>,
-    ) {
+    pub(crate) fn run_iteration(&mut self, iter: usize, floor: f64, replan: Option<Replan<'_>>) {
         self.iter_end[iter] = floor;
         let epoch = replan.map(|_| self.faults.clone());
         // The assignment each call executed on this iteration: the plan may
@@ -261,11 +240,11 @@ impl Driver {
                 let cap = replan
                     .filter(|r| capped && self.replan.switches < r.policy.max_replans)
                     .map(|r| r.policy.dead_after_secs);
-                match self.step_call(tl, &mut executed, iter, call, floor, cap) {
+                match self.step_call(&mut executed, iter, call, floor, cap) {
                     Ok(()) => break,
                     Err((at, gpu)) => {
                         let r = replan.expect("only capped dispatches ask to re-plan");
-                        capped = self.try_replan(tl, r, at, iter, ReplanReason::DeadWorker { gpu });
+                        capped = self.try_replan(r, at, iter, ReplanReason::DeadWorker { gpu });
                     }
                 }
             }
@@ -296,7 +275,7 @@ impl Driver {
         } else {
             return;
         };
-        self.try_replan(tl, r, self.iter_end[iter], iter, reason);
+        self.try_replan(r, self.iter_end[iter], iter, reason);
     }
 
     /// Executes `call` of iteration `iter`. With a `wait_cap`, a dispatch
@@ -304,16 +283,15 @@ impl Driver {
     /// and returns `Err((at, gpu))`: the decision instant and the dead GPU.
     fn step_call(
         &mut self,
-        tl: &mut Timelines,
         executed: &mut [CallAssignment],
         iter: usize,
         call: CallId,
         floor: f64,
         wait_cap: Option<f64>,
     ) -> Result<(), (f64, u32)> {
-        let snapshot = wait_cap.map(|_| (tl.clone(), self.rng.clone(), self.faults.clone()));
+        let snapshot = wait_cap.map(|_| (self.tl.clone(), self.rng.clone(), self.faults.clone()));
         let cp = self.trace.checkpoint();
-        let env = &self.env;
+        let (env, tl) = (&self.env, &mut self.tl);
         let (graph, config) = (env.engine.graph(), env.engine.config());
         let def = graph.call(call);
         let a = *self.current.assignment(call);
@@ -443,27 +421,25 @@ impl Driver {
         } else {
             self.param_layout.insert(def.model_name.clone(), (a, end));
         }
-        if self.logged {
-            self.master_log.requests.push(Request {
-                call,
-                handle: def.call_name.clone(),
-                iter,
-                dispatch_time: ready,
-                data_locations: MasterLog::data_locations(graph, &self.current, call),
-                worker_count: a.mesh.n_gpus(),
-            });
-            self.master_log.responses.push(Response {
-                call,
-                iter,
-                completed_at: end,
-            });
-            self.timings.push(CallTiming {
-                call_name: def.call_name.clone(),
-                iter,
-                start: ready,
-                end,
-            });
-        }
+        self.master_log.requests.push(Request {
+            call,
+            handle: def.call_name.clone(),
+            iter,
+            dispatch_time: ready,
+            data_locations: MasterLog::data_locations(graph, &self.current, call),
+            worker_count: a.mesh.n_gpus(),
+        });
+        self.master_log.responses.push(Response {
+            call,
+            iter,
+            completed_at: end,
+        });
+        self.timings.push(CallTiming {
+            call_name: def.call_name.clone(),
+            iter,
+            start: ready,
+            end,
+        });
         executed[call.0] = a;
         self.completion[iter][call.0] = end;
         self.iter_end[iter] = self.iter_end[iter].max(end);
@@ -473,14 +449,7 @@ impl Driver {
     /// Evaluates a fault-driven trigger at `now`: re-searches over the
     /// meshes surviving the cluster health observed on the fault clock and
     /// runs the candidate through [`Self::gate`].
-    fn try_replan(
-        &mut self,
-        tl: &mut Timelines,
-        r: Replan<'_>,
-        now: f64,
-        iter: usize,
-        reason: ReplanReason,
-    ) -> bool {
+    fn try_replan(&mut self, r: Replan<'_>, now: f64, iter: usize, reason: ReplanReason) -> bool {
         let clock = self.env.clock.as_ref().expect("triggers fire on faults");
         let (cluster, graph) = (self.env.engine.cluster(), self.env.engine.graph());
         // Cluster health at the trigger instant: workers past the patience
@@ -504,7 +473,6 @@ impl Driver {
         let seed = self.env.engine.config().seed;
         let remaining = (self.iterations() - iter) as f64;
         self.gate(
-            tl,
             space.ok(),
             &est,
             r.policy,
@@ -534,7 +502,6 @@ impl Driver {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gate(
         &mut self,
-        tl: &mut Timelines,
         space: Option<SearchSpace>,
         est: &Estimator,
         policy: &ReplanPolicy,
@@ -546,7 +513,7 @@ impl Driver {
     ) -> bool {
         self.replan.evaluations += 1;
         let seed = seed(self.replan.evaluations);
-        let outcome = self.evaluate(tl, space, est, policy, now, remaining, seed);
+        let outcome = self.evaluate(space, est, policy, now, remaining, seed);
         let stats = &mut self.replan;
         match outcome {
             ReplanOutcome::Switched { switch_secs, .. } => {
@@ -571,7 +538,6 @@ impl Driver {
     #[allow(clippy::too_many_arguments)]
     fn evaluate(
         &mut self,
-        tl: &mut Timelines,
         space: Option<SearchSpace>,
         est: &Estimator,
         policy: &ReplanPolicy,
@@ -609,10 +575,10 @@ impl Driver {
             };
         }
 
-        let tl_snap = tl.clone();
+        let tl_snap = self.tl.clone();
         let rng_snap = self.rng.clone();
         let cp = self.trace.checkpoint();
-        let (prologue_end, participants, moved) = self.prologue(tl, &candidate, now, None);
+        let (prologue_end, participants, moved) = self.prologue(&candidate, now, None);
         let switch_secs = prologue_end - now;
 
         // Abort only on a *fresh* crash among participants that were up when
@@ -642,7 +608,7 @@ impl Driver {
             None
         };
         if let Some(outcome) = rejected {
-            *tl = tl_snap;
+            self.tl = tl_snap;
             self.rng = rng_snap;
             self.trace.rewind(cp);
             return outcome;
@@ -675,7 +641,6 @@ impl Driver {
     /// [`Self::switch_to`].
     pub(crate) fn prologue(
         &mut self,
-        tl: &mut Timelines,
         target: &ExecutionPlan,
         now: f64,
         rng: Option<&mut DeterministicRng>,
@@ -701,7 +666,7 @@ impl Driver {
                 continue;
             }
             let done = execute_realloc(
-                tl,
+                &mut self.tl,
                 &mut self.trace,
                 &env.comm,
                 &def.model,
@@ -737,18 +702,25 @@ impl Driver {
         self.current = plan;
     }
 
-    /// Folds the run into a report. The timelines policy supplies the
-    /// makespan, per-category busy seconds and idle seconds; `initial` is
-    /// the plan the run started on.
+    /// Folds the run into a report: the makespan and per-category busy
+    /// seconds of the timelines, and the idle seconds up to the makespan of
+    /// the GPUs in `lease`; `initial` is the plan the run started on.
     pub(crate) fn into_report(
         self,
         initial: &ExecutionPlan,
-        total_time: f64,
-        category_totals: Vec<(Category, f64)>,
-        idle_total: f64,
+        lease: impl Iterator<Item = usize>,
     ) -> RunReport {
-        let iterations = self.iterations();
-        let iter_time = self.mean_step(iterations - 1);
+        let total_time = self.tl.makespan();
+        let idle_total = lease
+            .map(|g| total_time - self.tl.gpu(g).total_busy())
+            .sum::<f64>()
+            .max(0.0);
+        // Boundary to boundary past the first iteration.
+        let (iterations, iter_end) = (self.iterations(), &self.iter_end);
+        let iter_time = match iterations {
+            1 => iter_end[0],
+            n => (iter_end[n - 1] - iter_end[0]) / (n - 1) as f64,
+        };
         let (cluster, graph) = (self.env.engine.cluster(), self.env.engine.graph());
         let mut async_stats = self.async_stats;
         if self.stale.is_some() {
@@ -759,7 +731,7 @@ impl Driver {
             total_time,
             iter_time,
             timings: self.timings,
-            category_totals,
+            category_totals: self.tl.totals(),
             idle_total,
             mem_peak: self.mem_peak,
             static_utilization: maxmem::static_utilization(cluster, graph, initial),
@@ -787,7 +759,7 @@ fn mem_peak(engine: &RuntimeEngine, plan: &ExecutionPlan) -> Result<u64, RunErro
     Ok(peak)
 }
 
-/// Runs `plan` for `iterations` iterations on timelines of its own, the
+/// Runs `plan` for `iterations` iterations, leasing the whole cluster: the
 /// shape of every single-tenant entry point of [`RuntimeEngine`].
 pub(crate) fn run_solo(
     engine: &RuntimeEngine,
@@ -801,11 +773,11 @@ pub(crate) fn run_solo(
     if let Some(bound) = staleness {
         driver = driver.with_staleness(bound);
     }
-    let mut tl = Timelines::new(engine.cluster().total_gpus() as usize);
     for iter in 0..iterations {
-        driver.run_iteration(&mut tl, iter, 0.0, replan);
+        driver.run_iteration(iter, 0.0, replan);
     }
-    Ok(driver.into_report(plan, tl.makespan(), tl.totals(), tl.idle_total()))
+    let gpus = engine.cluster().total_gpus() as usize;
+    Ok(driver.into_report(plan, 0..gpus))
 }
 
 /// One request as the retry protocol sees it.

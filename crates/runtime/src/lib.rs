@@ -8,10 +8,10 @@
 //! (with RPC latency), and each model worker is a FIFO
 //! [`real_sim::GpuTimeline`] that executes the requests' kernels, collectives,
 //! reallocation broadcasts, and transfers in arrival order. Every entry
-//! point — [`RuntimeEngine::run`], `run_async`, `run_replan`,
-//! [`run_multi`] and [`TenantSession`] — drives one crate-private iteration
-//! driver, so dependency resolution, reallocation, DSL hooks, and dispatch
-//! are implemented once and differ only in policy.
+//! point — [`RuntimeEngine::run`], `run_async`, `run_replan` and
+//! [`TenantSession`] — drives one crate-private iteration driver, so
+//! dependency resolution, reallocation, DSL hooks, and dispatch are
+//! implemented once and differ only in policy.
 //!
 //! Fidelity is deliberately *finer* than the estimator's closed forms:
 //! execution is simulated per micro-batch, per pipeline stage, and per
@@ -38,11 +38,11 @@
 //! plan with one reallocation prologue, rolling back if the switch itself
 //! faults.
 //!
-//! [`multi`] lifts the master loop to several tenants on one shared
-//! cluster ([`multi::run_multi`], also exported as `master::run_multi`):
-//! round-robin iteration interleaving on the shared timelines, per-tenant
-//! fault domains and RNG substreams, and elastic growth that offers freed
-//! GPUs to the highest-stretch surviving tenant through the re-plan gate.
+//! [`session`] packages one tenant's run as a suspendable
+//! [`TenantSession`] on private timelines: the unit `real-serve`'s event
+//! loop executes for every multi-tenant workload (`real serve` and
+//! `real sched`), with per-tenant fault domains and RNG substreams, and
+//! elastic growth into freed GPUs through the same re-plan gate.
 //!
 //! # Examples
 //!
@@ -71,7 +71,6 @@ mod driver;
 pub mod exec;
 pub mod layout;
 pub mod master;
-pub mod multi;
 pub mod obs;
 pub mod offpolicy;
 pub mod realloc;
@@ -82,7 +81,6 @@ pub mod workers;
 
 pub use config::EngineConfig;
 pub use master::{RunError, RuntimeEngine};
-pub use multi::{run_multi, TenantElastic, TenantRun};
 pub use replan::{ReplanEvent, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanStats};
 pub use report::{AsyncStats, CallTiming, FaultAbort, FaultStats, RequestFault, RunReport};
 pub use session::{SessionCheckpoint, SessionError, TenantSession};

@@ -66,8 +66,6 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-pub use crate::multi::{run_multi, TenantElastic, TenantRun};
-
 /// The runtime engine bound to one cluster and workflow.
 #[derive(Debug, Clone)]
 pub struct RuntimeEngine {

@@ -179,8 +179,8 @@ pub enum ReplanReason {
         /// Degraded completions / dispatched requests in the iteration.
         rate: f64,
     },
-    /// The multi-tenant scheduler offered freed GPUs (a co-tenant finished
-    /// or shrank) to this tenant.
+    /// The serving loop offered this elastic tenant freed GPUs (a co-tenant
+    /// finished) that grow its lease into a larger §4 mesh.
     FreedCapacity {
         /// Number of GPUs offered.
         gpus: u32,

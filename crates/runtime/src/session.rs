@@ -1,20 +1,19 @@
 //! Suspendable per-tenant execution sessions for the serving loop.
 //!
-//! [`run_multi`](crate::multi::run_multi) executes a *fixed batch* of
-//! tenants lock-step by iteration; a serving platform (`real-serve`) instead
-//! faces an open stream where tenants start, pause, and finish at arbitrary
-//! instants. [`TenantSession`] packages one tenant's runtime state — private
-//! timelines, RNG substreams, parameter-layout map, fault clock — behind an
-//! iterate/suspend/resume interface:
+//! The serving loop (`real-serve`) runs every multi-tenant workload: an
+//! open stream of arrivals for `real serve`, and a planned batch that all
+//! arrives at t = 0 for `real sched`. Tenants start, pause, grow and finish
+//! at arbitrary instants. [`TenantSession`] packages one tenant's runtime
+//! state — private timelines, RNG substreams, parameter-layout map, fault
+//! clock, master log — behind an iterate/suspend/resume interface:
 //!
 //! - [`TenantSession::run_iteration`] executes exactly one RLHF iteration
 //!   through the runtime's one iteration driver (the same event-by-event
-//!   master loop as [`RuntimeEngine::run`] and `run_multi`, with the session
-//!   clock as the iteration floor) on the session's *private* timelines, so
-//!   a tenant's iteration durations are a
-//!   pure function of `(plan, tenant id, seed)` — co-tenants, queueing, and
-//!   suspension cannot perturb them. The serving loop maps the session's
-//!   relative clock onto wall time.
+//!   master loop as [`RuntimeEngine::run`]) on the session's *private*
+//!   timelines, so a tenant's iteration durations are a pure function of
+//!   `(plan, tenant id, seed)` — co-tenants, queueing, and suspension
+//!   cannot perturb them. The serving loop maps the session's relative
+//!   clock onto wall time.
 //! - [`TenantSession::checkpoint`] captures the resumable state (completed
 //!   iterations, current plan, exact [`RngState`] stream positions) as a
 //!   serde value — the same machinery as `real-search`'s
@@ -24,6 +23,21 @@
 //!   its old mesh (free — nothing moved) or on a new plan via a Fig. 6
 //!   reallocation prologue priced from a *dedicated* prologue RNG substream,
 //!   so preemption round-trips leave the iteration jitter stream untouched.
+//! - [`TenantSession::grow_into`] offers an elastic tenant a larger §4 mesh
+//!   holding its lease at an iteration boundary, through the runtime's one
+//!   re-plan gate: it switches plans only when the gate approves.
+//! - [`TenantSession::into_report`] folds a finished session into the same
+//!   [`RunReport`] a solo run produces.
+//!
+//! # Iteration floor
+//!
+//! By default a session barriers at its iteration boundaries: no call of
+//! an iteration becomes ready before the previous iteration ended. That is
+//! what lets the serving loop suspend a tenant at a boundary and resume it
+//! bit for bit. A session that is never suspended can drop the barrier
+//! ([`TenantSession::pipelined`]): its calls become ready from the start
+//! of its current lease, as in [`RuntimeEngine::run`], so an iteration's
+//! independent calls may start while the previous one is still running.
 //!
 //! # Determinism contract
 //!
@@ -38,10 +52,12 @@
 use crate::config::EngineConfig;
 use crate::driver::Driver;
 use crate::master::{RunError, RuntimeEngine};
-use crate::report::FaultStats;
-use real_cluster::ClusterSpec;
+use crate::replan::{ReplanPolicy, ReplanReason};
+use crate::report::{FaultStats, RunReport};
+use real_cluster::{partition, ClusterSpec, DeviceMesh};
 use real_dataflow::{DataflowGraph, ExecutionPlan};
-use real_sim::Timelines;
+use real_estimator::Estimator;
+use real_search::SearchSpace;
 use real_util::{DeterministicRng, RngState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -100,7 +116,11 @@ pub struct TenantSession {
     id: u64,
     driver: Driver,
     prologue_rng: DeterministicRng,
-    tl: Timelines,
+    /// Seeds the re-plan gate's searches when capacity is offered.
+    rebalance: DeterministicRng,
+    /// A pipelined session's lease start on the session clock; `None`
+    /// barriers each iteration at the previous boundary.
+    lease_start: Option<f64>,
     iter_secs: Vec<f64>,
     rel_time: f64,
     realloc_secs: f64,
@@ -109,10 +129,9 @@ pub struct TenantSession {
 
 impl TenantSession {
     /// Creates a session for `iterations` RLHF iterations of `graph` under
-    /// `plan`. The session draws jitter from the same
-    /// `(seed, tenant id)`-derived substream convention as
-    /// [`run_multi`](crate::multi::run_multi), so its iteration durations
-    /// are independent of everything except its own identity.
+    /// `plan`. The session draws jitter from a substream derived from
+    /// `(seed, tenant id)`, so its iteration durations are independent of
+    /// everything except its own identity.
     ///
     /// # Errors
     ///
@@ -137,18 +156,27 @@ impl TenantSession {
             .derive_index(id);
         let engine = RuntimeEngine::new(cluster.clone(), graph, config);
         let driver = Driver::new(engine, &plan, iterations, tenant.derive("runtime"))
-            .map_err(SessionError::Run)?
-            .unlogged();
+            .map_err(SessionError::Run)?;
         Ok(Self {
             id,
             driver,
             prologue_rng: tenant.derive("prologue"),
-            tl: Timelines::new(cluster.total_gpus() as usize),
+            rebalance: tenant.derive("rebalance"),
+            lease_start: None,
             iter_secs: Vec::with_capacity(iterations),
             rel_time: 0.0,
             realloc_secs: 0.0,
             resumes: 0,
         })
+    }
+
+    /// Drops the boundary barrier (module docs): from now on an
+    /// iteration's calls become ready from the start of the current lease,
+    /// which moves when the session resumes or grows. For sessions that
+    /// are never suspended; [`Self::restore`] rebuilds a barriered session.
+    pub fn pipelined(mut self) -> Self {
+        self.lease_start = Some(self.rel_time);
+        self
     }
 
     /// Tenant id.
@@ -209,6 +237,12 @@ impl TenantSession {
         &self.driver.faults
     }
 
+    /// The engine configuration the session runs under (its request
+    /// deadline predictions included).
+    pub fn engine_config(&self) -> &EngineConfig {
+        self.driver.config()
+    }
+
     /// Executes the next RLHF iteration on the session's private timelines
     /// and returns its duration in seconds. The runtime's one iteration
     /// driver runs it with the session clock as the iteration floor.
@@ -219,8 +253,8 @@ impl TenantSession {
     pub fn run_iteration(&mut self) -> f64 {
         assert!(!self.is_done(), "session already ran all iterations");
         let iter = self.completed();
-        self.driver
-            .run_iteration(&mut self.tl, iter, self.rel_time, None);
+        let floor = self.lease_start.unwrap_or(self.rel_time);
+        self.driver.run_iteration(iter, floor, None);
         let end = self.driver.iter_end[iter];
         let dur = end - self.rel_time;
         self.iter_secs.push(dur);
@@ -251,19 +285,74 @@ impl TenantSession {
     /// layout on the session clock (drawing jitter from the dedicated
     /// prologue substream) and the prologue duration is returned.
     pub fn resume_on(&mut self, plan: &ExecutionPlan) -> f64 {
+        if let Some(start) = self.lease_start.as_mut() {
+            *start = self.rel_time;
+        }
         if *plan == self.driver.current {
             return 0.0;
         }
         let start = self.rel_time;
-        let (end, _, moved) =
-            self.driver
-                .prologue(&mut self.tl, plan, start, Some(&mut self.prologue_rng));
+        let (end, _, moved) = self
+            .driver
+            .prologue(plan, start, Some(&mut self.prologue_rng));
         self.driver.switch_to(plan.clone(), moved, end);
         let secs = end - start;
         self.rel_time = end;
         self.realloc_secs += secs;
         self.resumes += 1;
         secs
+    }
+
+    /// Offers the session the GPUs of `grown`, a §4 mesh holding its lease,
+    /// at the current iteration boundary as [`ReplanReason::FreedCapacity`]
+    /// of `new_gpus` GPUs. The offer goes through the runtime's one re-plan
+    /// gate ([`ReplanPolicy`] thresholds, `est` pricing): warm-started MCMC
+    /// over the meshes inside `grown`, the estimated-speedup gate, the
+    /// reallocation prologue on the session clock and the measured
+    /// cost/benefit gate. Returns whether the session switched to a plan
+    /// on the grown mesh; a rejected offer leaves it bit-exactly where it
+    /// was, recorded only in its report's decision log. Offers stop once the
+    /// session has switched `policy.max_replans` times or has no
+    /// iterations left.
+    pub fn grow_into(
+        &mut self,
+        grown: &DeviceMesh,
+        new_gpus: u32,
+        policy: &ReplanPolicy,
+        est: &Estimator,
+    ) -> bool {
+        if self.is_done() || self.driver.replan.switches >= policy.max_replans {
+            return false;
+        }
+        let (cluster, graph) = (est.cluster(), est.graph());
+        let meshes = partition::meshes_within(cluster, grown);
+        let space = SearchSpace::try_build_on(cluster, graph, policy.prune, &meshes);
+        let (last, remaining) = (self.completed().saturating_sub(1), self.remaining());
+        let rebalance = &self.rebalance;
+        let switched = self.driver.gate(
+            space.ok(),
+            est,
+            policy,
+            self.rel_time,
+            last,
+            remaining as f64,
+            ReplanReason::FreedCapacity { gpus: new_gpus },
+            |n| rebalance.derive_index(n).next_u64(),
+        );
+        if let (true, Some(start)) = (switched, self.lease_start.as_mut()) {
+            *start = self.rel_time;
+        }
+        switched
+    }
+
+    /// Folds the session into the report a solo run of it would give: its
+    /// timings, master log, trace, fault and re-plan statistics, with the
+    /// makespan and category totals of its private timelines and the idle
+    /// seconds of the GPUs of `lease`. `initial` is the plan the session
+    /// started on. Times are on the session clock.
+    pub fn into_report(self, initial: &ExecutionPlan, lease: &DeviceMesh) -> RunReport {
+        self.driver
+            .into_report(initial, lease.gpus().map(|g| g.0 as usize))
     }
 
     /// Rebuilds a live session from `checkpoint` by deterministic replay:

@@ -14,15 +14,12 @@
 //!    fairness bound (no tenant may run more than `max_stretch` times
 //!    slower than it would alone on the full cluster). The winning split's
 //!    per-tenant plans are then refined by warm-started MCMC.
-//! 2. **Joint execution** ([`Scheduler::run`]): the refined schedule runs
-//!    under [`real_runtime::run_multi`] — tenant timelines interleave on
-//!    one shared virtual clock, fault domains stay per-tenant, and freed
-//!    capacity flows to the highest-stretch survivor through the elastic
-//!    re-plan gate.
-//!
-//! Oversubscription is handled by construction: when no disjoint split
-//! exists, tenants time-share meshes and the shared FIFO timelines
-//! serialize their kernels (slower, never deadlocked).
+//! 2. **Execution** lives in `real-serve` (`real_serve::run_sched`): the
+//!    schedule runs as a serve-loop run in which every tenant arrives at
+//!    t = 0 on its placement. Fault domains stay per-tenant, a tenant whose
+//!    mesh is taken (oversubscription) waits for it, and an elastic tenant
+//!    grows into freed GPUs through the re-plan gate at its iteration
+//!    boundaries.
 //!
 //! Tenant sets load from a serde spec ([`SchedSpec`], `tenants.json` on the
 //! CLI), and results surface as a [`SchedReport`] (per-tenant stretch,
@@ -35,5 +32,5 @@ pub mod scheduler;
 pub mod spec;
 
 pub use report::{SchedReport, TenantOutcome};
-pub use scheduler::{SchedConfig, SchedError, SchedOutcome, Schedule, Scheduler, TenantPlan};
+pub use scheduler::{SchedConfig, SchedError, Schedule, Scheduler, TenantPlan};
 pub use spec::{GraphSet, SchedSpec, SpecError, TenantSpec};

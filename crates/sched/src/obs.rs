@@ -5,12 +5,13 @@
 //! run recorder ([`real_runtime::obs::record_run`]) in the tenant's own
 //! scope ([`Scope::tenant`]): one `tenant:<name>` process holding every
 //! lane of its solo export. In Perfetto each tenant reads as an isolated
-//! program, time-shared GPUs appearing in two groups at disjoint times.
+//! program on its own clock, which starts when the tenant is admitted.
 
 use crate::report::{SchedReport, TenantOutcome};
-use crate::scheduler::SchedOutcome;
+use crate::scheduler::Schedule;
 use real_core::Tenant;
 use real_obs::{EventStream, Lane, MetricsRegistry, Scope};
+use real_runtime::RunReport;
 
 /// Histogram bucket bounds for per-tenant stretch observations
 /// (`sched/stretch_hist`): stretch 1.0 is a solo-speed run, the top bucket
@@ -29,20 +30,23 @@ pub fn queue_wait_secs(t: &TenantOutcome) -> f64 {
 }
 
 /// Builds one event stream with a Chrome process group per tenant: each
-/// tenant's run recorded in its tenant scope, with the graph, plan and
-/// engine config it ran with. Every lane of a tenant's allocation is named
-/// up front, so an idle or untraced tenant still shows its process group.
+/// tenant's run (`reports`, parallel to the schedule) recorded in its
+/// tenant scope, with the graph, plan and engine config it ran with. Every
+/// lane of a tenant's allocation is named up front, so an idle or untraced
+/// tenant still shows its process group.
 ///
 /// # Panics
 ///
-/// Panics if `tenants` does not parallel the outcome's schedule.
-pub fn sched_event_stream(tenants: &[Tenant], outcome: &SchedOutcome) -> EventStream {
-    let placed = &outcome.schedule.tenants;
+/// Panics if `tenants` does not parallel the schedule.
+pub fn sched_event_stream(
+    tenants: &[Tenant],
+    schedule: &Schedule,
+    reports: &[RunReport],
+) -> EventStream {
+    let placed = &schedule.tenants;
     assert_eq!(tenants.len(), placed.len(), "one tenant per scheduled slot");
     let mut stream = EventStream::default();
-    for (index, ((tenant, placed), report)) in
-        tenants.iter().zip(placed).zip(&outcome.reports).enumerate()
-    {
+    for (index, ((tenant, placed), report)) in tenants.iter().zip(placed).zip(reports).enumerate() {
         let scope = Scope::tenant(index, &placed.name);
         for gpu in placed.allocation.gpus() {
             scope.name(&mut stream, Lane::Gpu(gpu.0 as usize));

@@ -36,7 +36,8 @@ pub struct TenantOutcome {
     pub solo_step_secs: f64,
     /// Measured steady-state step seconds.
     pub measured_step_secs: f64,
-    /// Virtual seconds until the tenant's last GPU went idle.
+    /// Virtual seconds from the schedule's start until the tenant's last GPU
+    /// went idle, queue wait included.
     pub total_secs: f64,
     /// Realized slowdown: measured step over solo step.
     pub stretch: f64,
@@ -78,7 +79,7 @@ pub struct SchedReport {
 
 impl SchedReport {
     /// Folds a finished run. `reports` must parallel `schedule.tenants`
-    /// (as produced by [`Scheduler::run`](crate::Scheduler::run)).
+    /// (as `real_serve::run_sched` produces them).
     ///
     /// # Panics
     ///

@@ -1,4 +1,4 @@
-//! The top-level allocation search and the joint run driver.
+//! The top-level allocation search.
 //!
 //! [`Scheduler::plan`] partitions the cluster between tenants:
 //!
@@ -23,23 +23,20 @@
 //! 3. **Oversubscription fallback** — when no disjoint split exists, the
 //!    cluster is oversubscribed: tenants are placed greedily in priority
 //!    order, preferring disjoint meshes but sharing when they must
-//!    ([`TenantPlan::time_shared`]). Shared meshes serialize on the FIFO
-//!    timelines at run time — slower, never deadlocked.
+//!    ([`TenantPlan::time_shared`]). At run time a tenant whose mesh is
+//!    taken waits for it — slower, never deadlocked.
 //! 4. **Refinement** — each placed tenant's greedy plan seeds a
 //!    warm-started MCMC chain over its restricted space (budget
 //!    [`SchedConfig::refine_steps`]), seeded per tenant id so results are
 //!    reproducible and independent of co-tenant membership.
 //!
-//! [`Scheduler::run`] executes the schedule under
-//! [`real_runtime::run_multi`] and folds the per-tenant [`RunReport`]s into
-//! a [`SchedReport`].
+//! `real-serve`'s event loop executes the schedule (`real_serve::run_sched`):
+//! every tenant arrives at t = 0 on its placement.
 
-use crate::report::SchedReport;
 use real_cluster::{partition, ClusterSpec, DeviceMesh};
 use real_core::Tenant;
 use real_dataflow::ExecutionPlan;
 use real_estimator::{CostMemo, Estimator, MemoStats};
-use real_runtime::{run_multi, RunError, RunReport, TenantElastic, TenantRun};
 use real_search::{search_within, McmcConfig, PruneLevel};
 use real_util::DeterministicRng;
 use std::fmt;
@@ -65,11 +62,8 @@ pub struct SchedConfig {
     /// Cap on the number of disjoint splits scored (deterministic prefix
     /// of the lexicographic enumeration).
     pub max_splits: usize,
-    /// Seed for refinement chains and the joint run.
+    /// Seed for refinement chains and the run's tenant substreams.
     pub seed: u64,
-    /// Kernel-trace capacity applied to every tenant at run time (`0`
-    /// leaves each tenant's own engine-config capacity untouched).
-    pub trace_capacity: usize,
 }
 
 impl Default for SchedConfig {
@@ -82,7 +76,6 @@ impl Default for SchedConfig {
             max_stretch: 4.0,
             max_splits: 20_000,
             seed: 1,
-            trace_capacity: 0,
         }
     }
 }
@@ -106,8 +99,6 @@ pub enum SchedError {
         /// Offending tenant name.
         tenant: String,
     },
-    /// The joint run failed.
-    Run(RunError),
 }
 
 impl fmt::Display for SchedError {
@@ -123,18 +114,11 @@ impl fmt::Display for SchedError {
                 f,
                 "tenant `{tenant}` fits no candidate allocation (out of device memory)"
             ),
-            SchedError::Run(e) => write!(f, "joint run failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for SchedError {}
-
-impl From<RunError> for SchedError {
-    fn from(e: RunError) -> Self {
-        SchedError::Run(e)
-    }
-}
 
 /// One tenant's placement in a [`Schedule`].
 #[derive(Debug, Clone)]
@@ -148,7 +132,7 @@ pub struct TenantPlan {
     /// Iterations the tenant will run.
     pub iterations: usize,
     /// The allocated mesh (other tenants may share it when
-    /// [`time_shared`](Self::time_shared)).
+    /// [`time_shared`](Self::time_shared), taking turns on it).
     pub allocation: DeviceMesh,
     /// The refined execution plan, confined to the allocation.
     pub plan: ExecutionPlan,
@@ -194,6 +178,30 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// A schedule of `tenants`, with its objective values and
+    /// oversubscription flag computed from the placements. `stretch_relaxed`
+    /// and `memo` record how the placements were searched (`false` and
+    /// default statistics for a hand-placed schedule).
+    pub fn new(tenants: Vec<TenantPlan>, stretch_relaxed: bool, memo: MemoStats) -> Self {
+        let weighted_makespan = tenants
+            .iter()
+            .map(|p| p.priority * p.est_step_secs * p.iterations as f64)
+            .sum();
+        let max_stretch = tenants
+            .iter()
+            .map(TenantPlan::stretch)
+            .fold(0.0f64, f64::max);
+        let oversubscribed = tenants.iter().any(|p| p.time_shared);
+        Self {
+            tenants,
+            weighted_makespan,
+            max_stretch,
+            oversubscribed,
+            stretch_relaxed,
+            memo,
+        }
+    }
+
     /// Renders the schedule as an aligned table plus objective summary —
     /// the `real sched --dry-run` output.
     pub fn render(&self) -> String {
@@ -247,18 +255,6 @@ impl Schedule {
     }
 }
 
-/// A finished joint run: the schedule it executed, the per-tenant raw
-/// [`RunReport`]s, and the folded [`SchedReport`].
-#[derive(Debug, Clone)]
-pub struct SchedOutcome {
-    /// The schedule that ran.
-    pub schedule: Schedule,
-    /// Per-tenant runtime reports, in admission order.
-    pub reports: Vec<RunReport>,
-    /// Aggregated multi-tenant report.
-    pub report: SchedReport,
-}
-
 /// One candidate placement: a mesh, the greedy plan on it, and its price.
 struct Candidate {
     mesh: DeviceMesh,
@@ -308,65 +304,17 @@ impl Scheduler {
         self.plan_prepared(tenants).map(|(schedule, _)| schedule)
     }
 
-    /// Plans and then executes the schedule under
-    /// [`real_runtime::run_multi`].
+    /// [`Scheduler::plan`], also returning each tenant's §5 estimator (in
+    /// tenant order), so an executor of the schedule does not profile the
+    /// tenants again.
     ///
     /// # Errors
     ///
-    /// Propagates planning errors ([`Scheduler::plan`]) and runtime errors
-    /// as [`SchedError::Run`].
-    pub fn run(&self, tenants: &[Tenant]) -> Result<SchedOutcome, SchedError> {
-        let (schedule, ests) = self.plan_prepared(tenants)?;
-        let mut runs = Vec::with_capacity(tenants.len());
-        for (i, (tenant, placed)) in tenants.iter().zip(&schedule.tenants).enumerate() {
-            let exp = tenant.experiment();
-            let mut config = exp.engine_config().clone();
-            if self.config.trace_capacity > 0 {
-                config.trace_capacity = config.trace_capacity.max(self.config.trace_capacity);
-            }
-            // Resilient dispatch derives request deadlines from predicted
-            // call costs; fill them from the estimator exactly as the
-            // single-tenant `Experiment::run` does.
-            if config.fault_plan.is_some() && config.predicted_secs.is_empty() {
-                config.predicted_secs = exp
-                    .graph()
-                    .iter()
-                    .map(|(id, def)| {
-                        (
-                            def.call_name.clone(),
-                            ests[i].call_duration(id, placed.plan.assignment(id)),
-                        )
-                    })
-                    .collect();
-            }
-            let elastic = exp.replan_policy().map(|policy| TenantElastic {
-                policy: policy.clone(),
-                estimator: ests[i].clone(),
-            });
-            runs.push(TenantRun {
-                id: tenant.id(),
-                name: tenant.name().to_string(),
-                graph: exp.graph().clone(),
-                plan: placed.plan.clone(),
-                config,
-                iterations: tenant.iterations(),
-                allocation: placed.allocation.gpus().collect(),
-                solo_step_secs: placed.solo_step_secs,
-                elastic,
-            });
-        }
-        let reports = run_multi(&self.cluster, &runs, self.config.seed)?;
-        let report = SchedReport::new(&schedule, &reports);
-        Ok(SchedOutcome {
-            schedule,
-            reports,
-            report,
-        })
-    }
-
-    /// The planning pipeline, also returning the per-tenant estimators so
-    /// [`Scheduler::run`] does not profile twice.
-    fn plan_prepared(&self, tenants: &[Tenant]) -> Result<(Schedule, Vec<Estimator>), SchedError> {
+    /// As [`Scheduler::plan`].
+    pub fn plan_prepared(
+        &self,
+        tenants: &[Tenant],
+    ) -> Result<(Schedule, Vec<Estimator>), SchedError> {
         if tenants.is_empty() {
             return Err(SchedError::NoTenants);
         }
@@ -543,29 +491,10 @@ impl Scheduler {
             });
         }
 
-        let weighted_makespan = placements
-            .iter()
-            .map(|p| p.priority * p.est_step_secs * p.iterations as f64)
-            .sum();
-        let max_stretch = placements
-            .iter()
-            .map(TenantPlan::stretch)
-            .fold(0.0f64, f64::max);
-        let oversubscribed = placements.iter().any(|p| p.time_shared);
         let memo = memos
             .iter()
             .fold(MemoStats::default(), |acc, m| acc.merged(m.stats()));
-        Ok((
-            Schedule {
-                tenants: placements,
-                weighted_makespan,
-                max_stretch,
-                oversubscribed,
-                stretch_relaxed,
-                memo,
-            },
-            ests,
-        ))
+        Ok((Schedule::new(placements, stretch_relaxed, memo), ests))
     }
 
     /// Greedy placement for oversubscribed clusters: tenants in priority

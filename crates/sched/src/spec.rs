@@ -87,7 +87,8 @@ pub struct TenantSpec {
     /// Deterministic fault schedule confined to this tenant's fault domain.
     pub faults: Option<FaultPlan>,
     /// Opt into elastic rebalancing: the tenant re-plans through the
-    /// re-plan gate when the scheduler offers it freed capacity.
+    /// re-plan gate when the serving loop offers it freed capacity at one
+    /// of its iteration boundaries.
     pub elastic: Option<bool>,
 }
 

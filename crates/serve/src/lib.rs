@@ -1,8 +1,10 @@
 //! Cluster-as-a-service on the virtual clock: trace-driven arrivals,
 //! admission control, and checkpointed preemption.
 //!
-//! `real-sched` packs a *closed* batch of tenants and runs them to
-//! completion; this crate serves an *open stream*. A [`WorkloadSpec`]
+//! `real-sched` plans where a *closed* batch of tenants runs; this crate
+//! executes every multi-tenant workload on one event loop. It serves an
+//! *open stream*, and it runs `real sched`'s planned batch as a stream
+//! whose tenants all arrive at t = 0 ([`run_sched`]). A [`WorkloadSpec`]
 //! (`workload.json`) describes tenant templates and a seeded arrival
 //! process — Poisson with optional periodic bursts, or a replayed trace —
 //! over a day-long horizon. The [`serve`] event loop prices each template
@@ -22,6 +24,9 @@
 //! out, and resume its session later (free on its old mesh; one Fig. 6
 //! prologue elsewhere).
 //!
+//! A tenant that opts into elastic rebalancing grows into freed GPUs at
+//! its iteration boundaries through the runtime's re-plan gate.
+//!
 //! The result is a byte-deterministic [`ServeReport`]: admission and
 //! rejection rates, queue-wait and stretch percentiles, preemption counts,
 //! a utilization timeline, and full per-tenant lifecycles. `real serve`
@@ -30,6 +35,7 @@
 pub mod admission;
 pub mod obs;
 pub mod report;
+pub mod sched;
 pub mod server;
 pub mod workload;
 
@@ -39,6 +45,7 @@ pub use admission::{
 };
 pub use obs::{serve_event_stream, serve_metrics};
 pub use report::{Segment, ServeReport, ServedTenant, UtilPoint};
+pub use sched::{run_sched, run_schedule, SchedOutcome};
 pub use server::{serve, ServeError};
 pub use workload::{
     AdmissionConfig, AdmissionSpec, Arrival, ArrivalSpec, BurstSpec, TemplateSpec, WorkloadError,

@@ -10,6 +10,21 @@
 //! session to resume from, when the cost/benefit gate says the avoided wait
 //! is worth two reallocation prologues.
 //!
+//! The same loop executes `real sched`'s planned schedules
+//! ([`crate::sched`]): one template per placed tenant, priced on its
+//! allocation alone, every arrival at t = 0 and admitted without rejection
+//! or preemption. A finish hook hands each finished session to the caller;
+//! `serve` drops it.
+//!
+//! # Elastic growth
+//!
+//! A template whose tenant opts into elastic rebalancing (`elastic` in its
+//! spec) grows at its iteration boundaries: when GPUs free at that instant
+//! complete a larger §4 mesh holding its lease, the mesh is offered to its
+//! session as `FreedCapacity` through the runtime's re-plan gate
+//! ([`TenantSession::grow_into`]). On a switch the tenant re-leases the
+//! grown mesh and a new service segment starts; each mesh is offered once.
+//!
 //! # Memory
 //!
 //! Every arrival keeps its [`ServedTenant`] report row for the whole run;
@@ -30,24 +45,30 @@
 //!
 //! - GPU leases are exclusive: a tenant owns its candidate mesh for the
 //!   whole segment (no time-sharing; the queue absorbs overload).
+//! - Request deadlines of a faulted template come from its estimator on
+//!   the admitted plan ([`EngineConfig::predict_deadlines`]), as in
+//!   `real run`.
 //! - The wait queue is ordered by priority, suspended tenants ahead of
 //!   fresh admissions at equal priority, FIFO (arrival id) within that.
 //!   Lower-priority waiters may backfill around a blocked head-of-line.
 //! - Preemption marks the victim; the suspension happens at the victim's
-//!   next iteration boundary (sessions are never interrupted mid-iteration,
-//!   which is what makes a suspended session resumable bit for bit).
+//!   next iteration boundary (sessions are never interrupted mid-iteration
+//!   and barrier at each boundary, which is what makes a suspended session
+//!   resumable bit for bit). With preemption off, sessions pipeline their
+//!   iterations instead ([`TenantSession::pipelined`]).
 
 use crate::admission::{
     preemption_gate, price_template, AdmissionDecision, RejectReason, TemplatePrices,
 };
 use crate::report::{Segment, ServeReport, ServedTenant, UtilPoint};
-use crate::workload::{AdmissionConfig, WorkloadError, WorkloadSpec};
+use crate::workload::{AdmissionConfig, Arrival, WorkloadError, WorkloadSpec};
 use real_cluster::{ClusterSpec, DeviceMesh};
+use real_core::Experiment;
 use real_dataflow::{DataflowGraph, ExecutionPlan};
-use real_estimator::CostMemo;
+use real_estimator::{CostMemo, Estimator};
 use real_obs::profile::PercentileSummary;
-use real_runtime::{EngineConfig, SessionError, TenantSession};
-use real_sched::{GraphSet, SpecError};
+use real_runtime::{EngineConfig, ReplanPolicy, SessionError, TenantSession};
+use real_sched::{GraphSet, SchedError, SpecError};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -61,6 +82,8 @@ pub enum ServeError {
     Spec(SpecError),
     /// A tenant session could not be constructed on an admitted plan.
     Session(SessionError),
+    /// `real sched`'s planning failed before anything ran.
+    Sched(SchedError),
 }
 
 impl fmt::Display for ServeError {
@@ -69,6 +92,7 @@ impl fmt::Display for ServeError {
             ServeError::Workload(e) => write!(f, "{e}"),
             ServeError::Spec(e) => write!(f, "{e}"),
             ServeError::Session(e) => write!(f, "session error: {e}"),
+            ServeError::Sched(e) => write!(f, "{e}"),
         }
     }
 }
@@ -94,14 +118,41 @@ impl From<SessionError> for ServeError {
 }
 
 /// A priced, ready-to-instantiate tenant template.
-struct Template {
+pub(crate) struct Template {
     priority: f64,
     iterations: usize,
     graph: DataflowGraph,
     config: EngineConfig,
+    /// The §5 estimator of the template's graph: it fills fault deadlines
+    /// at admission and prices elastic growth.
+    est: Estimator,
+    /// The re-plan gate thresholds of an elastic template; `None` keeps
+    /// every lease at its admitted size.
+    elastic: Option<ReplanPolicy>,
     /// `None` ⇒ the template fits no mesh: every arrival is rejected
     /// [`RejectReason::Infeasible`].
     prices: Option<TemplatePrices>,
+}
+
+impl Template {
+    /// The template of `exp`'s tenants, priced by `prices` under `est`.
+    pub(crate) fn new(
+        exp: &Experiment,
+        est: Estimator,
+        priority: f64,
+        iterations: usize,
+        prices: Option<TemplatePrices>,
+    ) -> Self {
+        Self {
+            priority,
+            iterations,
+            graph: exp.graph().clone(),
+            config: exp.engine_config().clone(),
+            est,
+            elastic: exp.replan_policy().cloned(),
+            prices,
+        }
+    }
 }
 
 /// One scheduled event. Ordering: earlier instants first; at equal instants
@@ -175,9 +226,11 @@ struct Live {
     seg_realloc: f64,
     /// Pending preemption: the beneficiary's `served` index.
     preempt_for: Option<usize>,
+    /// The last mesh offered for elastic growth.
+    offered: Option<DeviceMesh>,
 }
 
-struct Server {
+pub(crate) struct Server {
     cluster: ClusterSpec,
     seed: u64,
     admission: AdmissionConfig,
@@ -204,96 +257,128 @@ struct Server {
 /// cannot start (admission prices are memory-checked, so this indicates an
 /// estimator/runtime disagreement).
 pub fn serve(spec: &WorkloadSpec, graphs: &GraphSet) -> Result<ServeReport, ServeError> {
-    spec.validate()?;
-    let seed = spec.seed();
-    let admission = spec.admission();
-    let cluster = ClusterSpec::h100(spec.nodes);
-    let arrivals = spec.arrivals();
-
-    // Price every template once; arrivals then probe in O(candidates).
-    let mut templates = Vec::with_capacity(spec.templates.len());
-    for (index, t) in spec.templates.iter().enumerate() {
-        let exp = t.tenant.build_experiment(&cluster, seed, graphs)?;
-        let (est, _) = exp.prepare();
-        let mut memo = CostMemo::new();
-        let prices = price_template(&est, index as u64, seed, admission.probe_steps, &mut memo);
-        templates.push(Template {
-            priority: t.tenant.priority.unwrap_or(1.0),
-            iterations: t.tenant.iterations.unwrap_or(2),
-            graph: exp.graph().clone(),
-            config: exp.engine_config().clone(),
-            prices,
-        });
-    }
-
-    let n_gpus = cluster.total_gpus() as usize;
-    let mut server = Server {
-        cluster,
-        seed,
-        admission,
-        templates,
-        served: Vec::with_capacity(arrivals.len()),
-        free: vec![true; n_gpus],
-        heap: BinaryHeap::new(),
-        seq: arrivals.len() as u64,
-        gate_rejections: 0,
-        resumes: 0,
-        util: vec![UtilPoint {
-            at_secs: 0.0,
-            leased_gpus: 0,
-        }],
-        leased_gpus: 0,
-    };
-    for (i, a) in arrivals.into_iter().enumerate() {
-        server.push(Event {
-            at: a.at,
-            kind: KIND_ARRIVAL,
-            seq: i as u64,
-            tenant: i,
-        });
-        let template = &server.templates[a.template];
-        let row = ServedTenant {
-            name: a.name,
-            id: a.id,
-            template: a.template,
-            priority: template.priority,
-            iterations: template.iterations,
-            decision: AdmissionDecision::Queued,
-            arrival_secs: a.at,
-            admitted_secs: None,
-            finish_secs: None,
-            queue_wait_secs: 0.0,
-            service_secs: 0.0,
-            realloc_secs: 0.0,
-            preemptions: 0,
-            stretch: 0.0,
-            segments: Vec::new(),
-            iter_secs: Vec::new(),
-        };
-        server.served.push(Served {
-            row,
-            phase: Phase::Pending,
-            wait_since: a.at,
-            live: None,
-        });
-    }
-
-    while let Some(Reverse(ev)) = server.heap.pop() {
-        match ev.kind {
-            KIND_ARRIVAL => server.on_arrival(ev.tenant, ev.at)?,
-            _ => server.on_iter_end(ev.tenant, ev.at)?,
-        }
-    }
+    // A finished tenant keeps only its report row.
+    let server = Server::from_spec(spec, graphs)?.run(|_, _, _| {})?;
     Ok(server.into_report(spec))
 }
 
 impl Server {
+    /// The loop of `spec`: its templates priced, its arrivals expanded.
+    fn from_spec(spec: &WorkloadSpec, graphs: &GraphSet) -> Result<Self, ServeError> {
+        spec.validate()?;
+        let seed = spec.seed();
+        let admission = spec.admission();
+        let cluster = ClusterSpec::h100(spec.nodes);
+        let arrivals = spec.arrivals();
+
+        // Price every template once; arrivals then probe in O(candidates).
+        let mut templates = Vec::with_capacity(spec.templates.len());
+        for (index, t) in spec.templates.iter().enumerate() {
+            let exp = t.tenant.build_experiment(&cluster, seed, graphs)?;
+            let (est, _) = exp.prepare();
+            let mut memo = CostMemo::new();
+            let probe_steps = admission.probe_steps;
+            let prices = price_template(&est, index as u64, seed, probe_steps, &mut memo);
+            let priority = t.tenant.priority.unwrap_or(1.0);
+            let iterations = t.tenant.iterations.unwrap_or(2);
+            templates.push(Template::new(&exp, est, priority, iterations, prices));
+        }
+        Ok(Self::new(cluster, seed, admission, templates, arrivals))
+    }
+
+    /// A loop over `arrivals` (each naming its template by index) on
+    /// `cluster`, every GPU free.
+    pub(crate) fn new(
+        cluster: ClusterSpec,
+        seed: u64,
+        admission: AdmissionConfig,
+        templates: Vec<Template>,
+        arrivals: Vec<Arrival>,
+    ) -> Self {
+        let n_gpus = cluster.total_gpus() as usize;
+        let mut server = Server {
+            cluster,
+            seed,
+            admission,
+            templates,
+            served: Vec::with_capacity(arrivals.len()),
+            free: vec![true; n_gpus],
+            heap: BinaryHeap::new(),
+            seq: arrivals.len() as u64,
+            gate_rejections: 0,
+            resumes: 0,
+            util: vec![UtilPoint {
+                at_secs: 0.0,
+                leased_gpus: 0,
+            }],
+            leased_gpus: 0,
+        };
+        for (i, a) in arrivals.into_iter().enumerate() {
+            server.push(Event {
+                at: a.at,
+                kind: KIND_ARRIVAL,
+                seq: i as u64,
+                tenant: i,
+            });
+            let template = &server.templates[a.template];
+            let row = ServedTenant {
+                name: a.name,
+                id: a.id,
+                template: a.template,
+                priority: template.priority,
+                iterations: template.iterations,
+                decision: AdmissionDecision::Queued,
+                arrival_secs: a.at,
+                admitted_secs: None,
+                finish_secs: None,
+                queue_wait_secs: 0.0,
+                service_secs: 0.0,
+                realloc_secs: 0.0,
+                preemptions: 0,
+                stretch: 0.0,
+                segments: Vec::new(),
+                iter_secs: Vec::new(),
+            };
+            server.served.push(Served {
+                row,
+                phase: Phase::Pending,
+                wait_since: a.at,
+                live: None,
+            });
+        }
+        server
+    }
+
+    /// Runs the loop to completion. `finished` receives each tenant's
+    /// report row, its session and its last lease as the tenant finishes;
+    /// the loop keeps only the row.
+    pub(crate) fn run(
+        mut self,
+        mut finished: impl FnMut(&ServedTenant, TenantSession, DeviceMesh),
+    ) -> Result<Self, ServeError> {
+        while let Some(Reverse(ev)) = self.heap.pop() {
+            if ev.kind == KIND_ARRIVAL {
+                self.on_arrival(ev.tenant, ev.at)?;
+            } else if let Some((session, lease)) = self.on_iter_end(ev.tenant, ev.at)? {
+                finished(&self.served[ev.tenant].row, session, lease);
+            }
+        }
+        Ok(self)
+    }
+
     fn push(&mut self, ev: Event) {
         self.heap.push(Reverse(ev));
     }
 
     fn prices(&self, template: usize) -> Option<&TemplatePrices> {
         self.templates[template].prices.as_ref()
+    }
+
+    /// The mesh and plan of `template`'s fastest candidate that is wholly
+    /// free right now.
+    fn free_fit(&self, template: usize) -> Option<(DeviceMesh, ExecutionPlan)> {
+        let c = self.prices(template)?.fit_on(&self.free)?;
+        Some((c.mesh, c.plan.clone()))
     }
 
     fn live(&self, si: usize) -> &Live {
@@ -403,15 +488,22 @@ impl Server {
             }
             None => {
                 let template = &self.templates[s.row.template];
-                let session = TenantSession::new(
+                let mut config = template.config.clone();
+                config.predict_deadlines(&template.est, plan);
+                let mut session = TenantSession::new(
                     &self.cluster,
                     template.graph.clone(),
                     plan.clone(),
-                    template.config.clone(),
+                    config,
                     s.row.id,
                     s.row.iterations,
                     self.seed,
                 )?;
+                // Only a preemptible tenant needs the boundary barrier that
+                // makes its suspension bitwise free.
+                if !self.admission.preemption {
+                    session = session.pipelined();
+                }
                 s.row.admitted_secs = Some(now);
                 s.row.decision = if s.row.queue_wait_secs == 0.0 {
                     AdmissionDecision::Admitted
@@ -430,6 +522,7 @@ impl Server {
             seg_iters: 0,
             seg_realloc,
             preempt_for: None,
+            offered: None,
         }));
         self.lease(mesh, now);
         self.step(si);
@@ -468,10 +561,12 @@ impl Server {
         self.release(home, now);
     }
 
-    /// Folds finished tenant `si`'s session into its report row and drops
-    /// it: from here on the arrival costs only its row.
-    fn finish(&mut self, si: usize, now: f64) {
-        let session = self.served[si].live.take().expect("a live tenant").session;
+    /// Folds finished tenant `si`'s session into its report row and returns
+    /// it with the tenant's last lease: from here on the arrival costs only
+    /// its row.
+    fn finish(&mut self, si: usize, now: f64) -> (TenantSession, DeviceMesh) {
+        let live = self.served[si].live.take().expect("a live tenant");
+        let (session, home) = (live.session, live.home);
         self.resumes += session.resumes();
         let s = &mut self.served[si];
         let row = &mut s.row;
@@ -488,6 +583,7 @@ impl Server {
         if solo_service > 0.0 {
             row.stretch = (now - row.arrival_secs) / solo_service;
         }
+        (session, home)
     }
 
     /// Tries to mark a running victim for checkpointed preemption on behalf
@@ -561,12 +657,7 @@ impl Server {
             self.reject(si, RejectReason::Infeasible, now);
             return Ok(());
         }
-        let hit = self
-            .prices(template)
-            .expect("checked above")
-            .fit_on(&self.free)
-            .map(|c| (c.mesh, c.plan.clone()));
-        if let Some((mesh, plan)) = hit {
+        if let Some((mesh, plan)) = self.free_fit(template) {
             return self.admit(si, mesh, &plan, now);
         }
         if self.admission.admit_all {
@@ -587,7 +678,13 @@ impl Server {
         Ok(())
     }
 
-    fn on_iter_end(&mut self, si: usize, now: f64) -> Result<(), ServeError> {
+    /// Handles tenant `si`'s iteration boundary at `now`; returns the
+    /// session and last lease of a tenant that finished.
+    fn on_iter_end(
+        &mut self,
+        si: usize,
+        now: f64,
+    ) -> Result<Option<(TenantSession, DeviceMesh)>, ServeError> {
         debug_assert_eq!(self.served[si].phase, Phase::Running);
         let live = self.live_mut(si);
         live.seg_iters += 1;
@@ -595,8 +692,9 @@ impl Server {
         let beneficiary = live.preempt_for.take();
         if done {
             self.end_segment(si, now);
-            self.finish(si, now);
-            return self.drain_queue(now);
+            let finished = self.finish(si, now);
+            self.drain_queue(now)?;
+            return Ok(Some(finished));
         }
         if let Some(beneficiary) = beneficiary {
             if self.served[beneficiary].phase == Phase::Waiting {
@@ -608,12 +706,51 @@ impl Server {
                 s.phase = Phase::Suspended;
                 s.wait_since = now;
                 s.row.preemptions += 1;
-                return self.drain_queue(now);
+                self.drain_queue(now)?;
+                return Ok(None);
             }
             // Beneficiary got capacity some other way; keep running.
         }
+        self.try_grow(si, now);
         self.step(si);
-        Ok(())
+        Ok(None)
+    }
+
+    /// Offers elastic running tenant `si` the largest §4 mesh that holds
+    /// its lease and whose other GPUs are free at this boundary; on a
+    /// switch the tenant re-leases the grown mesh in a new segment.
+    fn try_grow(&mut self, si: usize, now: f64) {
+        let Served { row, live, .. } = &mut self.served[si];
+        let template = &self.templates[row.template];
+        let Some(policy) = template.elastic.as_ref() else {
+            return;
+        };
+        let live = live.as_mut().expect("a live tenant");
+        let home = live.home;
+        let free = &self.free;
+        let grown = DeviceMesh::enumerate(&self.cluster)
+            .into_iter()
+            .filter(|m| m.n_gpus() > home.n_gpus() && m.contains_mesh(&home))
+            .filter(|m| m.gpus().all(|g| free[g.0 as usize] || home.contains(g)))
+            .max_by_key(DeviceMesh::n_gpus);
+        let Some(grown) = grown.filter(|m| live.offered != Some(*m)) else {
+            return;
+        };
+        live.offered = Some(grown);
+        let new_gpus = grown.n_gpus() - home.n_gpus();
+        if !live
+            .session
+            .grow_into(&grown, new_gpus, policy, &template.est)
+        {
+            return;
+        }
+        self.end_segment(si, now);
+        let live = self.live_mut(si);
+        live.home = grown;
+        live.seg_start = now;
+        live.seg_iters = 0;
+        live.seg_realloc = 0.0;
+        self.lease(grown, now);
     }
 
     /// Admits every waiting tenant that fits the freed capacity, in
@@ -650,18 +787,8 @@ impl Server {
                     self.admit(si, home, &plan, now)?;
                     continue;
                 }
-                let hit = self
-                    .prices(template)
-                    .expect("checked above")
-                    .fit_on(&self.free)
-                    .map(|c| (c.mesh, c.plan.clone()));
-                if let Some((mesh, plan)) = hit {
-                    self.admit(si, mesh, &plan, now)?;
-                }
-                continue;
-            }
-            // Fresh admission: late stretch check on the realized wait.
-            if !self.admission.admit_all {
+            } else if !self.admission.admit_all {
+                // Fresh admission: late stretch check on the realized wait.
                 let prices = self.prices(template).expect("checked above");
                 let me = &self.served[si].row;
                 let waited = now - me.arrival_secs;
@@ -673,12 +800,7 @@ impl Server {
                     continue;
                 }
             }
-            let hit = self
-                .prices(template)
-                .expect("checked above")
-                .fit_on(&self.free)
-                .map(|c| (c.mesh, c.plan.clone()));
-            if let Some((mesh, plan)) = hit {
+            if let Some((mesh, plan)) = self.free_fit(template) {
                 self.admit(si, mesh, &plan, now)?;
             }
         }
@@ -781,7 +903,11 @@ fn mean_utilization(util: &[UtilPoint], makespan: f64, total_gpus: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::workload::{ArrivalSpec, TemplateSpec};
+    use real_dataflow::algo::RlhfConfig;
+    use real_model::ModelSpec;
+    use real_runtime::ReplanReason;
     use real_sched::TenantSpec;
+    use real_sim::FaultPlan;
 
     fn tenant(name: &str, priority: f64, iterations: usize, batch: u64) -> TenantSpec {
         TenantSpec {
@@ -946,6 +1072,131 @@ mod tests {
             AdmissionDecision::Rejected {
                 reason: RejectReason::Infeasible
             }
+        );
+    }
+
+    /// A faulted template's session takes its request deadlines from the
+    /// template's estimator on the admitted plan, as `real run` does for
+    /// the same plan; with jitter off it then runs that plan exactly as
+    /// `Experiment::run` does, faults included.
+    #[test]
+    fn a_faulted_template_gets_the_deadlines_of_real_run() {
+        let cluster = ClusterSpec::h100(1);
+        let config = EngineConfig {
+            deadline_factor: 1.1,
+            ..EngineConfig::deterministic()
+        };
+        let exp = Experiment::dpo(
+            cluster.clone(),
+            ModelSpec::llama3_7b(),
+            RlhfConfig::instruct_gpt(32),
+        )
+        .with_quick_profile()
+        .with_engine_config(config)
+        .with_fault_plan(FaultPlan::new(2).slowdown(3, 0.0, 1000.0, 1.6));
+        let (est, _) = exp.prepare();
+        let prices = price_template(&est, 0, 5, 200, &mut CostMemo::new());
+        let plan = prices.as_ref().unwrap().candidates[0].plan.clone();
+        let template = Template::new(&exp, est.clone(), 1.0, 2, prices);
+        let arrival = Arrival {
+            at: 0.0,
+            id: 0,
+            name: "faulted".into(),
+            template: 0,
+        };
+        // Without preemption the session pipelines its iterations, as a
+        // solo run does.
+        let admission = AdmissionConfig {
+            preemption: false,
+            ..AdmissionConfig::default()
+        };
+        let mut sessions = Vec::new();
+        Server::new(cluster.clone(), 5, admission, vec![template], vec![arrival])
+            .run(|_, session, _| sessions.push(session))
+            .unwrap();
+        let session = sessions.pop().unwrap();
+
+        let mut expected = exp.engine_config().clone();
+        expected.predict_deadlines(&est, &plan);
+        assert!(!expected.predicted_secs.is_empty());
+        assert_eq!(
+            session.engine_config().predicted_secs,
+            expected.predicted_secs
+        );
+        let run = exp.run(&plan, 2).unwrap().run;
+        assert!(run.faults.timeouts > 0, "{:?}", run.faults);
+        let served = session.into_report(&plan, &DeviceMesh::full(&cluster));
+        assert_eq!(served.faults, run.faults);
+        assert_eq!(served.timings, run.timings);
+    }
+
+    /// An elastic tenant admitted on one node grows into the node its
+    /// co-tenant frees, through the re-plan gate at its next boundary. The
+    /// same workload with the template non-elastic never offers capacity,
+    /// and the co-tenant's row is bit-identical either way.
+    #[test]
+    fn an_elastic_tenant_grows_into_freed_capacity() {
+        let run = |elastic: bool| {
+            let mut short = tenant("short", 1.0, 2, 4);
+            short.algo = Some("remax".into());
+            short.actor = Some("1b".into());
+            let mut long = tenant("long", 1.0, 10, 64);
+            long.elastic = Some(elastic);
+            let mut spec = trace_spec(
+                Vec::new(),
+                vec![
+                    TemplateSpec {
+                        tenant: short,
+                        weight: None,
+                    },
+                    TemplateSpec {
+                        tenant: long,
+                        weight: None,
+                    },
+                ],
+            );
+            spec.seed = Some(1);
+            spec.arrivals = ArrivalSpec::Trace {
+                times_secs: vec![0.0, 0.1],
+                templates: Some(vec![0, 1]),
+            };
+            let mut replans = Vec::new();
+            let server = Server::from_spec(&spec, &GraphSet::new())
+                .unwrap()
+                .run(|_, session, lease| {
+                    let initial = session.plan().clone();
+                    replans.push(session.into_report(&initial, &lease).replan);
+                })
+                .unwrap();
+            (server.into_report(&spec), replans)
+        };
+        let (grown, replans) = run(true);
+        let (fixed, fixed_replans) = run(false);
+
+        // Finish order: the short co-tenant first.
+        let stats = &replans[1];
+        assert!(
+            stats
+                .events
+                .iter()
+                .any(|e| matches!(e.reason, ReplanReason::FreedCapacity { gpus: 8 })),
+            "{stats:?}"
+        );
+        assert_eq!(stats.switches, 1, "{stats:?}");
+        let long = &grown.tenants[1];
+        let allocations: Vec<&str> = long
+            .segments
+            .iter()
+            .map(|s| s.allocation.as_str())
+            .collect();
+        assert_eq!(allocations, ["node1", "node[0-1]"]);
+        assert!(long.finish_secs < fixed.tenants[1].finish_secs);
+
+        assert!(fixed_replans.iter().all(|s| s.evaluations == 0));
+        assert_eq!(fixed.tenants[1].segments.len(), 1);
+        assert_eq!(
+            serde_json::to_string(&grown.tenants[0]).unwrap(),
+            serde_json::to_string(&fixed.tenants[0]).unwrap()
         );
     }
 }

@@ -291,7 +291,9 @@ fn timing_bits(timings: &[real_core::real_runtime::CallTiming]) -> Vec<(String, 
 
 #[test]
 fn dsl_hooks_apply_on_every_runtime_path() {
-    use real_core::real_runtime::{run_multi, TenantRun, TenantSession};
+    use real_core::real_estimator::MemoStats;
+    use real_core::real_runtime::TenantSession;
+    use real_sched::{Schedule, TenantPlan};
 
     // Jitter-free and fixed-length, so every path draws identical events
     // whatever RNG substream it uses.
@@ -341,20 +343,26 @@ fn dsl_hooks_apply_on_every_runtime_path() {
     .unwrap();
     assert_eq!(timing_bits(&replanned.timings), timing_bits(&base.timings));
 
-    // `real sched`: a solo tenant.
-    let solo = TenantRun {
-        id: 0,
+    // `real sched`: a 1-tenant schedule on the whole cluster.
+    let solo = TenantPlan {
         name: "solo".into(),
-        graph: graph.clone(),
-        plan: plan.clone(),
-        config: config.clone(),
+        id: 0,
+        priority: 1.0,
         iterations: iters,
-        allocation: DeviceMesh::full(&cluster).gpus().collect(),
+        allocation: DeviceMesh::full(&cluster),
+        plan: plan.clone(),
+        est_step_secs: 0.0,
         solo_step_secs: 0.0,
-        elastic: None,
+        time_shared: false,
     };
-    let multi = run_multi(&cluster, &[solo], 1).unwrap();
-    assert_eq!(timing_bits(&multi[0].timings), timing_bits(&base.timings));
+    let tenant = Tenant::new("solo", 0, exp.clone().with_engine_config(config.clone()))
+        .with_iterations(iters);
+    let schedule = Schedule::new(vec![solo], false, MemoStats::default());
+    let multi = real_serve::run_schedule(&cluster, &[tenant], schedule, 1).unwrap();
+    assert_eq!(
+        timing_bits(&multi.reports[0].timings),
+        timing_bits(&base.timings)
+    );
 
     // `real serve`: per-iteration durations of a session.
     let mut session = TenantSession::new(&cluster, graph, plan, config, 0, iters, 1).unwrap();

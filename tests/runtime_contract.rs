@@ -3,11 +3,12 @@
 //!
 //! Each case drives one public entry point of `real-runtime` — `run`
 //! (plain, speculative, faulted), `run_async`, `run_replan` (dead-worker
-//! and straggler triggers), `run_multi` (disjoint co-tenant, committed
-//! elastic growth) and `TenantSession` (iterations, cross-mesh resume,
-//! checkpoint/restore) — and records timings, totals, fault/re-plan/async
-//! statistics, the master log and a digest of the kernel trace, with every
-//! float written as its IEEE-754 bit pattern. A `memory` section pins the
+//! and straggler triggers), a hand-placed `real-serve::run_schedule`
+//! (disjoint co-tenant, committed elastic growth) and `TenantSession`
+//! (iterations, cross-mesh resume, checkpoint/restore) — and records
+//! timings, totals, fault/re-plan/async statistics, the master log and a
+//! digest of the kernel trace, with every float written as its IEEE-754
+//! bit pattern. A `memory` section pins the
 //! §5.1 memory accounting as exact byte counts: every baseline's per-GPU
 //! static and per-call active bytes, its run's `mem_peak` and
 //! `static_utilization`, `Estimator::max_mem` of a searched and a
@@ -22,10 +23,10 @@
 
 use real_core::prelude::*;
 use real_core::real_estimator::maxmem::mem_profile;
-use real_core::real_runtime::{
-    run_multi, SessionCheckpoint, TenantElastic, TenantRun, TenantSession,
-};
-use real_serve::{ArrivalSpec, TemplateSpec, WorkloadSpec};
+use real_core::real_estimator::MemoStats;
+use real_core::real_runtime::{SessionCheckpoint, TenantSession};
+use real_sched::{Schedule, TenantPlan};
+use real_serve::{run_schedule, ArrivalSpec, TemplateSpec, WorkloadSpec};
 use serde_json::Value;
 
 mod contract;
@@ -217,30 +218,67 @@ fn replan_cases() -> Vec<(&'static str, Value)> {
     cases
 }
 
-fn tenant_on(cluster: &ClusterSpec, graph: &DataflowGraph, id: u64, node: u32) -> TenantRun {
+/// Tenant `id` running `exp` under `config`, hand-placed on node `node`
+/// with every call at TP 8 and 4 micro-batches.
+fn placed_on(
+    cluster: &ClusterSpec,
+    exp: Experiment,
+    config: EngineConfig,
+    id: u64,
+    node: u32,
+    iterations: usize,
+) -> (Tenant, TenantPlan) {
     let mesh = DeviceMesh::whole_nodes(cluster, node, 1).unwrap();
     let a = assignment(mesh, 1, 8, 1, 4);
-    TenantRun {
+    let graph = exp.graph();
+    let plan = ExecutionPlan::new(graph, cluster, vec![a; graph.n_calls()]).unwrap();
+    let name = format!("tenant{id}");
+    let placement = TenantPlan {
+        name: name.clone(),
         id,
-        name: format!("tenant{id}"),
-        graph: graph.clone(),
-        plan: ExecutionPlan::new(graph, cluster, vec![a; graph.n_calls()]).unwrap(),
-        config: jittered(0),
-        iterations: 2,
-        allocation: mesh.gpus().collect(),
-        solo_step_secs: 0.0,
-        elastic: None,
-    }
+        priority: 1.0,
+        iterations,
+        allocation: mesh,
+        plan,
+        est_step_secs: 0.0,
+        solo_step_secs: 1.0,
+        time_shared: false,
+    };
+    let tenant = Tenant::new(name, id, exp.with_engine_config(config)).with_iterations(iterations);
+    (tenant, placement)
+}
+
+/// Executes a hand-placed schedule through the serving loop.
+fn run_placed(
+    cluster: &ClusterSpec,
+    placed: Vec<(Tenant, TenantPlan)>,
+    seed: u64,
+) -> Vec<RunReport> {
+    let (tenants, plans): (Vec<Tenant>, Vec<TenantPlan>) = placed.into_iter().unzip();
+    let schedule = Schedule::new(plans, false, MemoStats::default());
+    run_schedule(cluster, &tenants, schedule, seed)
+        .unwrap()
+        .reports
 }
 
 fn multi_cases() -> Vec<(&'static str, Value)> {
     let mut cases = Vec::new();
     let cluster = ClusterSpec::h100(2);
+    let ppo = |batch| {
+        let actor = ModelSpec::llama3_7b();
+        Experiment::ppo(
+            cluster.clone(),
+            actor.clone(),
+            actor.critic(),
+            RlhfConfig::instruct_gpt(batch),
+        )
+        .with_quick_profile()
+    };
 
-    let t0 = tenant_on(&cluster, &ppo_graph(64), 0, 0);
-    let mut t1 = tenant_on(&cluster, &ppo_graph(32), 1, 1);
-    t1.config.fault_plan = Some(FaultPlan::new(4).crash(10, 5.0, 3.0));
-    let reports = run_multi(&cluster, &[t0, t1], 7).unwrap();
+    let crash = jittered(0).with_fault_plan(FaultPlan::new(4).crash(10, 5.0, 3.0));
+    let t0 = placed_on(&cluster, ppo(64), jittered(0), 0, 0, 2);
+    let t1 = placed_on(&cluster, ppo(32), crash, 1, 1, 2);
+    let reports = run_placed(&cluster, vec![t0, t1], 7);
     for (name, r) in ["multi_disjoint_t0", "multi_disjoint_t1"]
         .into_iter()
         .zip(&reports)
@@ -256,22 +294,22 @@ fn multi_cases() -> Vec<(&'static str, Value)> {
         )
         .with_quick_profile()
     };
-    let long_exp = dpo(64);
-    let mut long = tenant_on(&cluster, long_exp.graph(), 0, 0);
-    long.iterations = 4;
-    long.solo_step_secs = 1.0;
-    long.elastic = Some(TenantElastic {
-        policy: ReplanPolicy {
-            min_speedup: 1.0,
-            min_benefit_ratio: 0.0,
-            search_steps: 500,
-            ..ReplanPolicy::default()
-        },
-        estimator: long_exp.prepare().0,
-    });
-    let mut short = tenant_on(&cluster, dpo(32).graph(), 1, 1);
-    short.iterations = 1;
-    let reports = run_multi(&cluster, &[long, short], 3).unwrap();
+    let policy = ReplanPolicy {
+        min_speedup: 1.0,
+        min_benefit_ratio: 0.0,
+        search_steps: 500,
+        ..ReplanPolicy::default()
+    };
+    let long = placed_on(
+        &cluster,
+        dpo(64).with_replan_policy(policy),
+        jittered(0),
+        0,
+        0,
+        4,
+    );
+    let short = placed_on(&cluster, dpo(32), jittered(0), 1, 1, 1);
+    let reports = run_placed(&cluster, vec![long, short], 3);
     assert!(reports[0].replan.switches >= 1, "{:?}", reports[0].replan);
     for (name, r) in ["multi_elastic_long", "multi_elastic_short"]
         .into_iter()

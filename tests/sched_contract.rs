@@ -13,6 +13,7 @@
 
 use real_core::prelude::*;
 use real_sched::{SchedConfig, SchedSpec, Scheduler};
+use real_serve::run_sched;
 use serde_json::Value;
 
 mod contract;
@@ -49,10 +50,8 @@ fn quick(seed: u64) -> SchedConfig {
 
 /// Plans and runs `tenants`, then records the report and every run.
 fn sched_row(cluster: &ClusterSpec, config: SchedConfig, tenants: &[Tenant]) -> Value {
-    let outcome = Scheduler::new(cluster.clone())
-        .with_config(config)
-        .run(tenants)
-        .unwrap();
+    let scheduler = Scheduler::new(cluster.clone()).with_config(config);
+    let outcome = run_sched(&scheduler, tenants).unwrap();
     obj(vec![
         ("report", to_bits_json(&outcome.report)),
         (
@@ -122,10 +121,7 @@ fn cases() -> Vec<(String, Value)> {
         ..SchedConfig::default()
     };
     cases.push(("example_tenants", sched_row(&cluster, config, &tenants)));
-    cases
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
+    cases.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
 #[test]

@@ -1,16 +1,19 @@
 //! Integration tests for the multi-tenant scheduler: determinism, fault
 //! isolation, oversubscribed time-sharing, and elastic rebalancing.
 //!
-//! Registered as the `scheduling` test target of `real-sched` (see
-//! `crates/sched/Cargo.toml`), so `cargo test -p real-sched` covers the
-//! whole admission → plan → joint-run pipeline.
+//! Registered as the `scheduling` test target of `real-serve` (see
+//! `crates/serve/Cargo.toml`), whose event loop executes the schedules, so
+//! `cargo test -p real-serve` covers the whole admission → plan → run
+//! pipeline.
 
 use real_cluster::ClusterSpec;
 use real_core::{Experiment, Tenant};
 use real_dataflow::algo::RlhfConfig;
+use real_estimator::MemoStats;
 use real_model::ModelSpec;
-use real_runtime::{ReplanPolicy, RunReport};
-use real_sched::{obs, SchedConfig, SchedSpec, Scheduler};
+use real_runtime::{EngineConfig, ReplanPolicy, RunReport};
+use real_sched::{obs, SchedConfig, SchedSpec, Schedule, Scheduler};
+use real_serve::{run_sched, run_schedule};
 use real_sim::{FaultEvent, FaultPlan};
 
 fn quick_config() -> SchedConfig {
@@ -28,6 +31,16 @@ fn dpo_tenant(cluster: &ClusterSpec, name: &str, id: u64, batch: u64) -> Tenant 
     )
     .with_quick_profile();
     Tenant::new(name, id, exp)
+}
+
+/// `tenant` with kernel tracing on in its own engine config.
+fn traced(tenant: Tenant) -> Tenant {
+    let config = EngineConfig {
+        trace_capacity: 50_000,
+        ..tenant.experiment().engine_config().clone()
+    };
+    let exp = tenant.experiment().clone().with_engine_config(config);
+    tenant.with_experiment(exp)
 }
 
 fn ppo_13b_tenant(cluster: &ClusterSpec, name: &str, id: u64) -> Tenant {
@@ -67,16 +80,15 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport) {
 fn seeded_multi_tenant_runs_replay_bit_identically() {
     let cluster = ClusterSpec::h100(2);
     let tenants = vec![
-        dpo_tenant(&cluster, "prod", 0, 64).with_priority(2.0),
-        dpo_tenant(&cluster, "dev", 1, 32),
+        traced(dpo_tenant(&cluster, "prod", 0, 64).with_priority(2.0)),
+        traced(dpo_tenant(&cluster, "dev", 1, 32)),
     ];
     let sched = Scheduler::new(cluster).with_config(SchedConfig {
         seed: 11,
-        trace_capacity: 50_000,
         ..quick_config()
     });
-    let first = sched.run(&tenants).unwrap();
-    let second = sched.run(&tenants).unwrap();
+    let first = run_sched(&sched, &tenants).unwrap();
+    let second = run_sched(&sched, &tenants).unwrap();
     assert_eq!(first.report, second.report);
     for (a, b) in first.reports.iter().zip(&second.reports) {
         assert_reports_identical(a, b);
@@ -100,26 +112,15 @@ fn cotenant_report_is_byte_identical_to_solo_run_on_same_mesh() {
         seed: 7,
         ..quick_config()
     });
-    let both = sched.run(&tenants).unwrap();
+    let both = run_sched(&sched, &tenants).unwrap();
     assert!(!both.schedule.oversubscribed);
 
-    // Solo replay: same tenant, same id, same mesh — build a 1-tenant run
-    // via run_multi on the allocation the scheduler picked.
-    let placed = &both.schedule.tenants[0];
-    let exp = tenants[0].experiment();
-    let solo_run = real_runtime::TenantRun {
-        id: tenants[0].id(),
-        name: tenants[0].name().to_string(),
-        graph: exp.graph().clone(),
-        plan: placed.plan.clone(),
-        config: exp.engine_config().clone(),
-        iterations: tenants[0].iterations(),
-        allocation: placed.allocation.gpus().collect(),
-        solo_step_secs: placed.solo_step_secs,
-        elastic: None,
-    };
-    let solo = real_runtime::run_multi(&cluster, &[solo_run], 7).unwrap();
-    assert_reports_identical(&both.reports[0], &solo[0]);
+    // Solo replay: same tenant, same id, same mesh — a 1-tenant schedule
+    // holding the placement the scheduler picked.
+    let placed = both.schedule.tenants[0].clone();
+    let solo = Schedule::new(vec![placed], false, MemoStats::default());
+    let solo = run_schedule(&cluster, &tenants[..1], solo, 7).unwrap();
+    assert_reports_identical(&both.reports[0], &solo.reports[0]);
 }
 
 #[test]
@@ -149,7 +150,7 @@ fn faulted_tenant_crash_leaves_cotenant_reports_unchanged() {
 
     // Find dev's allocation first so the crash provably lands inside its
     // fault domain.
-    let baseline = sched.run(&clean(None)).unwrap();
+    let baseline = run_sched(&sched, &clean(None)).unwrap();
     let dev_gpu = baseline.schedule.tenants[1]
         .allocation
         .gpus()
@@ -163,7 +164,7 @@ fn faulted_tenant_crash_leaves_cotenant_reports_unchanged() {
             restart_after: 30.0,
         }],
     };
-    let faulted = sched.run(&clean(Some(faults))).unwrap();
+    let faulted = run_sched(&sched, &clean(Some(faults))).unwrap();
 
     // The crash registered in dev's fault domain...
     assert_eq!(faulted.reports[1].faults.injected, 1);
@@ -175,7 +176,7 @@ fn faulted_tenant_crash_leaves_cotenant_reports_unchanged() {
 fn oversubscribed_tenants_time_share_without_deadlock() {
     // PPO(13B+13B) fits only on a full node, so two such tenants on one
     // node cannot split disjointly; the scheduler must fall back to
-    // time-sharing and the run must complete.
+    // time-sharing, and the second tenant waits for the first.
     let cluster = ClusterSpec::h100(1);
     let tenants = vec![
         ppo_13b_tenant(&cluster, "a", 0),
@@ -185,13 +186,15 @@ fn oversubscribed_tenants_time_share_without_deadlock() {
         refine_steps: 0,
         ..SchedConfig::default()
     });
-    let outcome = sched.run(&tenants).unwrap();
+    let outcome = run_sched(&sched, &tenants).unwrap();
     assert!(outcome.schedule.oversubscribed);
     assert!(outcome.report.oversubscribed);
     for report in &outcome.reports {
         assert_eq!(report.iterations, 1);
         assert!(report.total_time > 0.0);
     }
+    let (first, second) = (&outcome.reports[0], &outcome.reports[1]);
+    assert!(second.total_time >= first.total_time + second.iter_time);
 }
 
 #[test]
@@ -220,7 +223,7 @@ fn freed_capacity_is_offered_to_the_elastic_survivor() {
         seed: 3,
         ..quick_config()
     });
-    let outcome = sched.run(&[long, short]).unwrap();
+    let outcome = run_sched(&sched, &[long, short]).unwrap();
     let long_report = &outcome.reports[0];
     assert!(
         long_report.replan.evaluations >= 1,
@@ -260,16 +263,13 @@ fn example_spec_parses_plans_and_reports() {
 fn sched_observability_covers_every_tenant() {
     let cluster = ClusterSpec::h100(2);
     let tenants = vec![
-        dpo_tenant(&cluster, "prod", 0, 64),
-        dpo_tenant(&cluster, "dev", 1, 32),
+        traced(dpo_tenant(&cluster, "prod", 0, 64)),
+        traced(dpo_tenant(&cluster, "dev", 1, 32)),
     ];
-    let sched = Scheduler::new(cluster).with_config(SchedConfig {
-        trace_capacity: 50_000,
-        ..quick_config()
-    });
-    let outcome = sched.run(&tenants).unwrap();
+    let sched = Scheduler::new(cluster).with_config(quick_config());
+    let outcome = run_sched(&sched, &tenants).unwrap();
 
-    let stream = obs::sched_event_stream(&tenants, &outcome);
+    let stream = obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
     stream.check_invariants().unwrap();
     let procs: Vec<&str> = stream.process_names().map(|(_, name)| name).collect();
     assert!(procs.contains(&"tenant:prod") && procs.contains(&"tenant:dev"));
@@ -320,17 +320,14 @@ fn tenant_export_takes_phases_from_the_graph_and_keeps_fault_lanes() {
     .with_quick_profile()
     .with_fault_plan(crashes);
     let tenants = vec![
-        Tenant::new("dsl", 0, dsl),
-        Tenant::new("faulted", 1, faulted),
+        traced(Tenant::new("dsl", 0, dsl)),
+        traced(Tenant::new("faulted", 1, faulted)),
     ];
-    let sched = Scheduler::new(cluster).with_config(SchedConfig {
-        trace_capacity: 50_000,
-        ..quick_config()
-    });
-    let outcome = sched.run(&tenants).unwrap();
+    let sched = Scheduler::new(cluster).with_config(quick_config());
+    let outcome = run_sched(&sched, &tenants).unwrap();
     assert!(outcome.reports[1].faults.crashes >= 1);
 
-    let stream = obs::sched_event_stream(&tenants, &outcome);
+    let stream = obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
     stream.check_invariants().unwrap();
     let spans = real_obs::critpath::reconstruct_spans(&stream);
     let has = |name: &str, category: &str| {

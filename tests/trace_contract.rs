@@ -25,7 +25,7 @@
 use real_core::prelude::*;
 use real_core::real_obs::{chrome, critpath, StreamEvent};
 use real_sched::{SchedConfig, Scheduler};
-use real_serve::{ArrivalSpec, TemplateSpec, WorkloadSpec};
+use real_serve::{run_sched, ArrivalSpec, TemplateSpec, WorkloadSpec};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -274,7 +274,11 @@ fn sched_case() -> (&'static str, Value) {
             ModelSpec::llama3_7b(),
             RlhfConfig::instruct_gpt(batch),
         )
-        .with_quick_profile();
+        .with_quick_profile()
+        .with_engine_config(EngineConfig {
+            trace_capacity: 50_000,
+            ..EngineConfig::default()
+        });
         (name.to_string(), id, exp)
     };
     let (name, id, prod) = dpo("prod", 0, 64);
@@ -285,20 +289,17 @@ fn sched_case() -> (&'static str, Value) {
         .slowdown(13, 0.0, 20.0, 2.0);
     let dev = Tenant::new(name, id, dev.with_fault_plan(faults));
     let tenants = vec![prod, dev];
-    let outcome = Scheduler::new(cluster)
-        .with_config(SchedConfig {
-            refine_steps: 200,
-            trace_capacity: 50_000,
-            ..SchedConfig::default()
-        })
-        .run(&tenants)
-        .unwrap();
+    let scheduler = Scheduler::new(cluster).with_config(SchedConfig {
+        refine_steps: 200,
+        ..SchedConfig::default()
+    });
+    let outcome = run_sched(&scheduler, &tenants).unwrap();
     assert!(
         outcome.reports[1].faults.crashes >= 1,
         "{:?}",
         outcome.reports[1].faults
     );
-    let stream = real_sched::obs::sched_event_stream(&tenants, &outcome);
+    let stream = real_sched::obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
     ("sched_two_dpo_faulted", stream_json(&stream))
 }
 
