@@ -743,18 +743,18 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
     use real_core::real_obs::{critpath, phase_overlap, Phase};
     let top_k: usize = args.num_or("top", 10)?;
     // A saved Chrome trace is replayed into its spans and leaves the
-    // estimator gap empty: it needs the live experiment.
-    let (report, overlap, dropped) = if let Some(path) = args.str_opt("trace") {
+    // estimator gap empty: it needs the live experiment. A fresh run is
+    // recorded into its spans once; the report and the phase overlap both
+    // read them.
+    let (spans, estimator_gap, dropped) = if let Some(path) = args.str_opt("trace") {
         let value: serde_json::Value = load_json(path)?;
         let stream = real_core::real_obs::from_chrome_value(&value).map_err(CliError::Invalid)?;
-        let spans = critpath::reconstruct_spans(&stream);
-        let overlap = phase_overlap(&spans, Phase::Generation, Phase::Training);
-        (ProfileReport::from_spans(&spans, top_k), overlap, 0)
+        (critpath::reconstruct_spans(&stream), Vec::new(), 0)
     } else {
         let exp = experiment_from(args)?;
         reject_replan_with_async(args, &exp)?;
         // Profiling needs every kernel span regardless of --trace. The
-        // profile keeps 40-byte spans, not a second event stream, so the
+        // profile keeps 32-byte spans, not a second event stream, so the
         // kernel trace of a fresh run is not capped.
         let engine = EngineConfig {
             trace_capacity: usize::MAX,
@@ -767,10 +767,12 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
         let iters: usize = args.num_or("iters", 2)?;
         let run = exp.run(&plan, iters)?;
         let (est, _) = exp.prepare();
-        let overlap = phase_overlap(&exp.spans(&run), Phase::Generation, Phase::Training);
-        let report = exp.profile_report(&run, &est, top_k);
-        (report, overlap, run.run.trace.dropped())
+        let gap = exp.estimator_gap(&run, &est);
+        (exp.spans(&run), gap, run.run.trace.dropped())
     };
+    let overlap = phase_overlap(&spans, Phase::Generation, Phase::Training);
+    let mut report = ProfileReport::from_spans(&spans, top_k);
+    report.estimator_gap = estimator_gap;
     profile_output(args, &report, overlap, dropped)
 }
 
@@ -1089,8 +1091,12 @@ pub fn cmd_sched(args: &Args) -> Result<String, CliError> {
         other => CliError::Invalid(other.to_string()),
     })?;
     if let Some(path) = args.str_opt("trace") {
-        let stream =
-            real_sched::obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
+        let stream = real_sched::obs::sched_event_stream(
+            &tenants,
+            &outcome.schedule,
+            &outcome.reports,
+            &outcome.admitted_secs,
+        );
         std::fs::write(path, real_core::real_obs::chrome::to_chrome_string(&stream))?;
     }
     if let Some(path) = args.str_opt("metrics") {

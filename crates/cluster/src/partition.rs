@@ -19,7 +19,6 @@
 
 use crate::mesh::DeviceMesh;
 use crate::spec::ClusterSpec;
-use crate::GpuId;
 
 /// The §4 mesh enumeration of `cluster`, restricted to meshes wholly inside
 /// the GPU set of `allocation`.
@@ -43,23 +42,6 @@ use crate::GpuId;
 /// ```
 pub fn meshes_within(cluster: &ClusterSpec, allocation: &DeviceMesh) -> Vec<DeviceMesh> {
     DeviceMesh::enumerate_within(cluster, allocation)
-}
-
-/// The §4 mesh enumeration restricted to meshes whose GPUs are all inside
-/// an arbitrary owned GPU set (not necessarily one contiguous mesh) — used
-/// when elastic rebalancing grows a tenant's holdings by whole freed meshes
-/// that need not be adjacent to its original allocation.
-pub fn meshes_within_gpus(cluster: &ClusterSpec, owned: &[GpuId]) -> Vec<DeviceMesh> {
-    let mut mask = vec![false; cluster.total_gpus() as usize];
-    for g in owned {
-        if let Some(slot) = mask.get_mut(g.0 as usize) {
-            *slot = true;
-        }
-    }
-    DeviceMesh::enumerate(cluster)
-        .into_iter()
-        .filter(|m| m.gpus().all(|g| mask[g.0 as usize]))
-        .collect()
 }
 
 /// The §4 mesh enumeration restricted to meshes whose GPUs are all *free*
@@ -162,26 +144,6 @@ mod tests {
         // Widths 1 (4), 2 (2), 4 (1) inside gpus 0..4.
         assert_eq!(inside.len(), 7);
         assert!(inside.iter().all(|m| half.contains_mesh(m)));
-    }
-
-    #[test]
-    fn meshes_within_gpus_matches_mesh_form_for_contiguous_sets() {
-        let c = ClusterSpec::h100(2);
-        let node0 = DeviceMesh::whole_nodes(&c, 0, 1).unwrap();
-        let gpus: Vec<GpuId> = node0.gpus().collect();
-        assert_eq!(meshes_within_gpus(&c, &gpus), meshes_within(&c, &node0));
-    }
-
-    #[test]
-    fn meshes_within_gpus_spans_disjoint_holdings() {
-        let c = ClusterSpec::h100(4);
-        // Own nodes 0 and 2 (not buddy-adjacent): each node's 15 meshes
-        // qualify, but no mesh spans both.
-        let mut gpus: Vec<GpuId> = DeviceMesh::whole_nodes(&c, 0, 1).unwrap().gpus().collect();
-        gpus.extend(DeviceMesh::whole_nodes(&c, 2, 1).unwrap().gpus());
-        let inside = meshes_within_gpus(&c, &gpus);
-        assert_eq!(inside.len(), 30);
-        assert!(inside.iter().all(|m| m.n_nodes() == 1));
     }
 
     #[test]

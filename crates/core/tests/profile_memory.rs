@@ -1,8 +1,10 @@
 //! Profiling a run holds its closed spans, not a copy of its event stream:
 //! `Experiment::profile_report` records the run into a span set, so the
 //! heap it takes at its peak stays below what the run's event stream
-//! alone occupies. A counting global allocator tracks this thread's live
-//! heap bytes and their high-water mark across one `profile_report` call.
+//! alone occupies, and the profile pass over the set works one lane at a
+//! time with 32-bit indices, so what it allocates beyond the set stays
+//! under a few words per span. A counting global allocator tracks this
+//! thread's live heap bytes and their high-water mark across one call.
 
 use real_core::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,8 +71,7 @@ fn peak_extra<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, (PEAK.with(Cell::get) - base) as usize)
 }
 
-#[test]
-fn profile_report_holds_less_than_the_run_stream() {
+fn traced_run() -> (Experiment, ExperimentReport) {
     let exp = Experiment::ppo(
         ClusterSpec::h100(2),
         ModelSpec::llama3_7b(),
@@ -84,6 +85,12 @@ fn profile_report_holds_less_than_the_run_stream() {
     });
     let plan = exp.plan_heuristic().unwrap();
     let report = exp.run(&plan, 2).unwrap();
+    (exp, report)
+}
+
+#[test]
+fn profile_report_holds_less_than_the_run_stream() {
+    let (exp, report) = traced_run();
     let (est, _) = exp.prepare();
     let stream_bytes = std::mem::size_of_val(exp.event_stream(&report).events());
 
@@ -92,5 +99,30 @@ fn profile_report_holds_less_than_the_run_stream() {
     assert!(
         held < stream_bytes,
         "profile_report held {held} B at its peak; the run's stream is {stream_bytes} B"
+    );
+}
+
+/// Bytes per closed span the profile pass may hold beyond the span set:
+/// the critical path's 32-bit candidate order and suffix maxima (12 bytes)
+/// plus its segments, with room to spare but below the 33 bytes per span
+/// of 64-bit indices, a sorted copy of every end and every lane's
+/// intervals held at once.
+const WORKING_BYTES_PER_SPAN: usize = 24;
+
+#[test]
+fn profile_pass_works_in_a_few_words_per_span() {
+    let (exp, report) = traced_run();
+    let (est, _) = exp.prepare();
+    let (spans, set_bytes) = peak_extra(|| exp.spans(&report));
+    let n = spans.spans().len();
+    drop(spans);
+
+    let (profile, held) = peak_extra(|| exp.profile_report(&report, &est, 10));
+    assert!(profile.makespan > 0.0);
+    let bound = set_bytes + WORKING_BYTES_PER_SPAN * n;
+    assert!(
+        held <= bound,
+        "profile_report held {held} B at its peak: its span set is {set_bytes} B \
+         and {n} spans allow {bound} B"
     );
 }

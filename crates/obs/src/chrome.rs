@@ -17,9 +17,10 @@
 //! | lane names          | `M`         | `process_name` / `thread_name`      |
 //!
 //! Virtual-clock seconds are converted to microseconds (the unit Chrome
-//! expects in `ts`). The writer is where interned names, categories and
-//! counter tracks turn back into strings ([`EventStream::str`]); the
-//! importer interns them again as it parses.
+//! expects in `ts`). The writer is where interned names, categories,
+//! lanes and counter tracks turn back into strings and ids
+//! ([`EventStream::str`], [`EventStream::lane`], [`EventStream::track`]);
+//! the importer interns them again as it parses.
 
 use serde::Value;
 
@@ -62,10 +63,11 @@ pub fn to_chrome_value(stream: &EventStream) -> Value {
     }
 
     let text = |id| Value::from(stream.str(id));
+    let lane = |ix| stream.lane(ix);
     for &event in stream.events() {
         events.push(match event {
             StreamEvent::Begin {
-                lane,
+                lane: ix,
                 name,
                 category,
                 ts,
@@ -73,18 +75,18 @@ pub fn to_chrome_value(stream: &EventStream) -> Value {
                 ("ph", Value::from("B")),
                 ("name", text(name)),
                 ("cat", text(category)),
-                ("pid", Value::from(lane.pid)),
-                ("tid", Value::from(lane.tid)),
+                ("pid", Value::from(lane(ix).pid)),
+                ("tid", Value::from(lane(ix).tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
             ]),
-            StreamEvent::End { lane, ts } => obj(vec![
+            StreamEvent::End { lane: ix, ts } => obj(vec![
                 ("ph", Value::from("E")),
-                ("pid", Value::from(lane.pid)),
-                ("tid", Value::from(lane.tid)),
+                ("pid", Value::from(lane(ix).pid)),
+                ("tid", Value::from(lane(ix).tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
             ]),
             StreamEvent::Instant {
-                lane,
+                lane: ix,
                 name,
                 category,
                 ts,
@@ -92,40 +94,48 @@ pub fn to_chrome_value(stream: &EventStream) -> Value {
                 ("ph", Value::from("i")),
                 ("name", text(name)),
                 ("cat", text(category)),
-                ("pid", Value::from(lane.pid)),
-                ("tid", Value::from(lane.tid)),
+                ("pid", Value::from(lane(ix).pid)),
+                ("tid", Value::from(lane(ix).tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
                 ("s", Value::from("t")),
             ]),
-            StreamEvent::Counter {
-                pid,
-                track,
+            StreamEvent::Counter { track, ts, value } => {
+                let (pid, track) = stream.track(track);
+                obj(vec![
+                    ("ph", Value::from("C")),
+                    ("name", Value::from(track)),
+                    ("pid", Value::from(pid)),
+                    ("ts", Value::from(ts * SECS_TO_MICROS)),
+                    ("args", obj(vec![("value", Value::from(value))])),
+                ])
+            }
+            StreamEvent::FlowStart {
+                id,
+                name,
+                lane: ix,
                 ts,
-                value,
             } => obj(vec![
-                ("ph", Value::from("C")),
-                ("name", text(track)),
-                ("pid", Value::from(pid)),
-                ("ts", Value::from(ts * SECS_TO_MICROS)),
-                ("args", obj(vec![("value", Value::from(value))])),
-            ]),
-            StreamEvent::FlowStart { id, name, lane, ts } => obj(vec![
                 ("ph", Value::from("s")),
                 ("name", text(name)),
                 ("cat", Value::from("flow")),
                 ("id", Value::from(id)),
-                ("pid", Value::from(lane.pid)),
-                ("tid", Value::from(lane.tid)),
+                ("pid", Value::from(lane(ix).pid)),
+                ("tid", Value::from(lane(ix).tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
             ]),
-            StreamEvent::FlowEnd { id, name, lane, ts } => obj(vec![
+            StreamEvent::FlowEnd {
+                id,
+                name,
+                lane: ix,
+                ts,
+            } => obj(vec![
                 ("ph", Value::from("f")),
                 ("name", text(name)),
                 ("cat", Value::from("flow")),
                 ("id", Value::from(id)),
                 ("bp", Value::from("e")),
-                ("pid", Value::from(lane.pid)),
-                ("tid", Value::from(lane.tid)),
+                ("pid", Value::from(lane(ix).pid)),
+                ("tid", Value::from(lane(ix).tid)),
                 ("ts", Value::from(ts * SECS_TO_MICROS)),
             ]),
         });
@@ -149,8 +159,8 @@ pub fn to_chrome_string(stream: &EventStream) -> String {
 ///
 /// Returns a description when the value is not an event array, an event
 /// lacks its timestamp or carries a non-finite timestamp or counter value
-/// (naming the event's index), an `E` event closes a lane with no open
-/// span, or the imported stream breaks an
+/// or a flow id beyond `u32` (naming the event's index), an `E` event
+/// closes a lane with no open span, or the imported stream breaks an
 /// [`EventStream::check_invariants`] invariant (a span ending before it
 /// begins, a span left open, an unpaired flow): a malformed or truncated
 /// trace.
@@ -159,7 +169,6 @@ pub fn from_chrome_value(value: &Value) -> Result<EventStream, String> {
         .as_array()
         .ok_or("chrome trace must be a JSON array")?;
     let mut stream = EventStream::with_capacity(0);
-    let mut open: std::collections::BTreeMap<(u32, u32), u32> = std::collections::BTreeMap::new();
     let u32_of = |e: &Value, key: &str| e[key].as_f64().map(|v| v as u32);
     let finite = |i: usize, what: &str, v: f64| {
         if v.is_finite() {
@@ -210,13 +219,11 @@ pub fn from_chrome_value(value: &Value) -> Result<EventStream, String> {
         let category = e["cat"].as_str().unwrap_or_default();
         match ph {
             "B" => {
-                *open.entry((pid, tid)).or_insert(0) += 1;
                 stream.begin(lane, name, category, ts);
             }
             "E" => {
-                match open.get_mut(&(pid, tid)) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => return Err(format!("event {i}: unmatched E event on lane {lane:?}")),
+                if !stream.is_open(lane) {
+                    return Err(format!("event {i}: unmatched E event on lane {lane:?}"));
                 }
                 stream.end(lane, ts);
             }
@@ -229,6 +236,9 @@ pub fn from_chrome_value(value: &Value) -> Result<EventStream, String> {
             }
             _ => {
                 let id = e["id"].as_f64().map_or(0, |v| v as u64);
+                if u32::try_from(id).is_err() {
+                    return Err(format!("event {i}: flow id {id} does not fit in u32"));
+                }
                 if ph == "s" {
                     stream.flow_start(id, name, lane, ts);
                 } else {
@@ -303,27 +313,26 @@ mod tests {
                 category,
                 ts,
             } => (
-                format!("B {lane:?} {} {}", s.str(name), s.str(category)),
+                format!("B {:?} {} {}", s.lane(lane), s.str(name), s.str(category)),
                 ts,
             ),
-            End { lane, ts } => (format!("E {lane:?}"), ts),
+            End { lane, ts } => (format!("E {:?}", s.lane(lane)), ts),
             Instant {
                 lane,
                 name,
                 category,
                 ts,
             } => (
-                format!("i {lane:?} {} {}", s.str(name), s.str(category)),
+                format!("i {:?} {} {}", s.lane(lane), s.str(name), s.str(category)),
                 ts,
             ),
-            Counter {
-                pid,
-                track,
-                ts,
-                value,
-            } => (format!("C {pid} {} {value}", s.str(track)), ts),
-            FlowStart { id, name, lane, ts } => (format!("s {id} {} {lane:?}", s.str(name)), ts),
-            FlowEnd { id, name, lane, ts } => (format!("f {id} {} {lane:?}", s.str(name)), ts),
+            Counter { track, ts, value } => (format!("C {:?} {value}", s.track(track)), ts),
+            FlowStart { id, name, lane, ts } => {
+                (format!("s {id} {} {:?}", s.str(name), s.lane(lane)), ts)
+            }
+            FlowEnd { id, name, lane, ts } => {
+                (format!("f {id} {} {:?}", s.str(name), s.lane(lane)), ts)
+            }
         }
     }
 
@@ -385,6 +394,14 @@ mod tests {
         reject(
             vec![event("i", 1.0), event("s", 2.0)],
             "without matching end",
+        );
+        let mut flow = event("s", 0.0);
+        if let Value::Object(fields) = &mut flow {
+            fields.push(("id".to_string(), Value::from(1u64 << 32)));
+        }
+        reject(
+            vec![flow],
+            "event 0: flow id 4294967296 does not fit in u32",
         );
     }
 

@@ -19,19 +19,22 @@
 //! makespan. Aggregating span segments by `(name, category)` yields the
 //! top-k table the `real profile` report prints.
 
-use crate::events::{EventStream, LaneId, LaneNames, Recorder, StreamEvent, Sym, Symbols};
+use crate::events::{
+    EventStream, LaneId, LaneIx, LaneNames, Recorder, StreamEvent, Sym, Symbols, Table,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Tolerance for float comparisons on the virtual clock.
 pub const EPS: f64 = 1e-9;
 
-/// A closed span. Its name and category are [`Sym`] ids into the symbol
-/// table of the [`SpanSet`] holding it; resolve them with [`SpanSet::str`].
+/// A closed span: 32 bytes, no heap data. Its lane, name and category are
+/// ids into the tables of the [`SpanSet`] holding it; resolve them with
+/// [`SpanSet::lane`] and [`SpanSet::str`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Lane the span was recorded on.
-    pub lane: LaneId,
+    pub lane: LaneIx,
     /// Span name (e.g. `actor_gen#0`).
     pub name: Sym,
     /// Span category (e.g. `compute`, `call/gen`).
@@ -44,6 +47,8 @@ pub struct Span {
     pub depth: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Span>() == 32);
+
 impl Span {
     /// Wall duration of the span.
     pub fn duration(&self) -> f64 {
@@ -51,8 +56,8 @@ impl Span {
     }
 }
 
-/// The closed spans of a run, in the order they closed, with the symbol
-/// table their names and categories index and the names of their lanes.
+/// The closed spans of a run, in the order they closed, with the lane and
+/// symbol tables their ids index and the names of their lanes.
 ///
 /// A span set is a [`Recorder`]: a run recorded into it keeps only what a
 /// profile reads. Begins and ends are matched on per-lane stacks, so an
@@ -62,9 +67,10 @@ impl Span {
 pub struct SpanSet {
     spans: Vec<Span>,
     symbols: Symbols,
-    lanes: LaneNames,
-    /// Per-lane stacks of open spans: (name, category, start).
-    open: BTreeMap<LaneId, Vec<(Sym, Sym, f64)>>,
+    lanes: Table<LaneId>,
+    names: LaneNames,
+    /// Stacks of open spans, indexed by [`LaneIx`]: (name, category, start).
+    open: Vec<Vec<(Sym, Sym, f64)>>,
     flows: u64,
 }
 
@@ -83,25 +89,35 @@ impl SpanSet {
         self.symbols.str(id)
     }
 
+    /// The lane an index of this set stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ix` was not interned by this set.
+    pub fn lane(&self, ix: LaneIx) -> LaneId {
+        self.lanes.key(ix.0)
+    }
+
     /// The name of process `pid`, if it was named.
     pub fn process_name(&self, pid: u32) -> Option<&str> {
-        self.lanes.process(pid)
+        self.names.process(pid)
     }
 
     /// The name of `lane`'s thread, if it was named.
     pub fn thread_name(&self, lane: LaneId) -> Option<&str> {
-        self.lanes.thread(lane)
+        self.names.thread(lane)
     }
 
-    fn open(&mut self, lane: LaneId, name: Sym, category: Sym, ts: f64) {
-        self.open
-            .entry(lane)
-            .or_default()
-            .push((name, category, ts));
+    fn open(&mut self, lane: LaneIx, name: Sym, category: Sym, ts: f64) {
+        let ix = lane.0 as usize;
+        if ix >= self.open.len() {
+            self.open.resize_with(ix + 1, Vec::new);
+        }
+        self.open[ix].push((name, category, ts));
     }
 
-    fn close(&mut self, lane: LaneId, ts: f64) {
-        let Some(stack) = self.open.get_mut(&lane) else {
+    fn close(&mut self, lane: LaneIx, ts: f64) {
+        let Some(stack) = self.open.get_mut(lane.0 as usize) else {
             return;
         };
         if let Some((name, category, start)) = stack.pop() {
@@ -119,16 +135,19 @@ impl SpanSet {
 
 impl Recorder for SpanSet {
     fn set_lane_name(&mut self, lane: LaneId, process: &str, thread: &str) {
-        self.lanes.set(lane, process, thread);
+        self.names.set(lane, process, thread);
     }
 
     fn begin(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) {
+        let lane = LaneIx(self.lanes.intern(lane));
         let (name, category) = (self.symbols.intern(name), self.symbols.intern(category));
         self.open(lane, name, category, ts);
     }
 
     fn end(&mut self, lane: LaneId, ts: f64) {
-        self.close(lane, ts);
+        if let Some(ix) = self.lanes.get(&lane) {
+            self.close(LaneIx(ix), ts);
+        }
     }
 
     fn instant(&mut self, _: LaneId, _: &str, _: &str, _: f64) {}
@@ -151,14 +170,16 @@ impl Recorder for SpanSet {
 }
 
 /// Replays the stream's begin and end events into a [`SpanSet`] under
-/// the stream's own symbol ids and lane names: every *closed* span, in
-/// record order of the `End` events. Spans left open and events other
-/// than `Begin`/`End` are ignored.
+/// the stream's own symbol and lane ids and lane names: every *closed*
+/// span, in record order of the `End` events. Spans left open and events
+/// other than `Begin`/`End` are ignored.
 pub fn reconstruct_spans(stream: &EventStream) -> SpanSet {
-    let (symbols, lanes) = stream.tables();
+    let (symbols, lanes, names) = stream.tables();
     let mut set = SpanSet {
         symbols: symbols.clone(),
         lanes: lanes.clone(),
+        names: names.clone(),
+        open: vec![Vec::new(); lanes.len()],
         ..SpanSet::default()
     };
     for &event in stream.events() {
@@ -244,43 +265,45 @@ impl CriticalPath {
         let spans = set.spans();
         // Candidate order: latest start first; the first covering span in
         // this order is the pick. Zero-duration spans never gate anything.
-        let mut order: Vec<usize> = Vec::with_capacity(spans.len());
-        order.extend((0..spans.len()).filter(|&i| spans[i].duration() > EPS));
-        order.sort_by(|&a, &b| {
-            let (a, b) = (&spans[a], &spans[b]);
+        // The index is the last tie-break, so the order is total and an
+        // unstable sort is deterministic.
+        let n = u32::try_from(spans.len()).expect("fewer than 2^32 spans");
+        let mut order: Vec<u32> = Vec::with_capacity(spans.len());
+        order.extend((0..n).filter(|&i| spans[i as usize].duration() > EPS));
+        order.sort_unstable_by(|&i, &j| {
+            let (a, b) = (&spans[i as usize], &spans[j as usize]);
             b.start
                 .partial_cmp(&a.start)
                 .expect("span times are finite")
                 .then(b.depth.cmp(&a.depth))
                 .then(a.end.partial_cmp(&b.end).expect("finite"))
-                .then(a.lane.cmp(&b.lane))
-                .then(set.str(a.name).cmp(set.str(b.name)))
+                .then_with(|| set.lane(a.lane).cmp(&set.lane(b.lane)))
+                .then_with(|| set.str(a.name).cmp(set.str(b.name)))
+                .then(i.cmp(&j))
         });
-        // suffix_max_end[i] = max end over order[i..]; lets the scan stop
+        let span = |k: usize| &spans[order[k] as usize];
+        // suffix_max_end[k] = max end over order[k..]; lets the scan stop
         // early when no remaining candidate can cover the frontier.
         let mut suffix_max_end = vec![f64::NEG_INFINITY; order.len() + 1];
-        for i in (0..order.len()).rev() {
-            suffix_max_end[i] = suffix_max_end[i + 1].max(spans[order[i]].end);
+        for k in (0..order.len()).rev() {
+            suffix_max_end[k] = suffix_max_end[k + 1].max(span(k).end);
         }
-        // Sorted span ends, for locating the previous activity across a gap.
-        let mut ends: Vec<f64> = order.iter().map(|&i| spans[i].end).collect();
-        ends.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
 
         let mut segments: Vec<CritSegment> = Vec::new();
         let mut t = makespan;
         let mut cursor = 0; // first candidate with start < t - EPS
         while t > EPS {
-            while cursor < order.len() && spans[order[cursor]].start >= t - EPS {
+            while cursor < order.len() && span(cursor).start >= t - EPS {
                 cursor += 1;
             }
             let mut pick = None;
-            let mut i = cursor;
-            while i < order.len() && suffix_max_end[i] >= t - EPS {
-                if spans[order[i]].end >= t - EPS {
-                    pick = Some(order[i]);
+            let mut k = cursor;
+            while k < order.len() && suffix_max_end[k] >= t - EPS {
+                if span(k).end >= t - EPS {
+                    pick = Some(order[k] as usize);
                     break;
                 }
-                i += 1;
+                k += 1;
             }
             match pick {
                 Some(i) => {
@@ -294,11 +317,11 @@ impl CriticalPath {
                 }
                 None => {
                     // Nothing was running: wait back to the latest span end
-                    // strictly before the frontier (or to time zero).
-                    let prev = ends
-                        .partition_point(|&e| e < t - EPS)
-                        .checked_sub(1)
-                        .map_or(0.0, |j| ends[j].max(0.0));
+                    // strictly before the frontier (or to time zero). Every
+                    // candidate from the cursor on ends before `t - EPS`,
+                    // and every earlier one starts at or after `t - EPS`, so
+                    // ends after `t`: that end is the suffix maximum.
+                    let prev = suffix_max_end[cursor].max(0.0);
                     segments.push(CritSegment {
                         span: None,
                         start: prev,
@@ -416,7 +439,8 @@ mod tests {
                 .iter()
                 .map(|s| {
                     let (name, cat) = (set.str(s.name), set.str(s.category));
-                    (s.lane, name.into(), cat.into(), s.start, s.end, s.depth)
+                    let lane = set.lane(s.lane);
+                    (lane, name.into(), cat.into(), s.start, s.end, s.depth)
                 })
                 .collect()
         };

@@ -17,6 +17,12 @@
 //! Names, categories and counter tracks are interned: the stream stores
 //! each distinct string once in a symbol table, and events carry [`Sym`]
 //! ids, so an event owns no heap data. [`EventStream::str`] resolves an id.
+//! Lanes are interned the same way: an event carries a [`LaneIx`], the
+//! index of its [`LaneId`] in the stream's lane table, resolved with
+//! [`EventStream::lane`]; the per-lane open-span counters are a vector
+//! indexed by it. A counter sample carries a [`TrackIx`] for its
+//! `(pid, track name)` pair ([`EventStream::track`]), and a flow arrow a
+//! `u32` id. Every event is 24 bytes.
 //!
 //! [`Recorder`] is what an emitter writes into. The stream implements it
 //! by keeping every event; [`crate::critpath::SpanSet`] implements it by
@@ -42,14 +48,27 @@ pub struct LaneId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
-/// One event in the stream. Timestamps are virtual-clock seconds; strings
-/// are [`Sym`] ids into the stream's symbol table.
+/// An interned lane of one [`EventStream`] or [`crate::critpath::SpanSet`].
+/// Resolve it with [`EventStream::lane`] or [`crate::critpath::SpanSet::lane`]
+/// on the recorder that interned it; indices from different recorders do
+/// not compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LaneIx(pub(crate) u32);
+
+/// An interned counter track of one [`EventStream`]: a process id and a
+/// track name. Resolve it with [`EventStream::track`] on the stream that
+/// recorded it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TrackIx(u32);
+
+/// One event in the stream. Timestamps are virtual-clock seconds; strings,
+/// lanes and counter tracks are ids into the stream's tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamEvent {
     /// Opens a nested span on `lane`.
     Begin {
         /// Lane the span lives on.
-        lane: LaneId,
+        lane: LaneIx,
         /// Span name (e.g. `layer_fwd`).
         name: Sym,
         /// Category (e.g. `compute`, `tp-comm`).
@@ -60,14 +79,14 @@ pub enum StreamEvent {
     /// Closes the innermost open span on `lane`.
     End {
         /// Lane the span lives on.
-        lane: LaneId,
+        lane: LaneIx,
         /// End time.
         ts: f64,
     },
     /// A point-in-time marker.
     Instant {
         /// Lane the marker sits on.
-        lane: LaneId,
+        lane: LaneIx,
         /// Marker name.
         name: Sym,
         /// Category.
@@ -77,10 +96,8 @@ pub enum StreamEvent {
     },
     /// One sample of a named counter track.
     Counter {
-        /// Process the track belongs to.
-        pid: u32,
-        /// Track name (e.g. `mem/node0/gpu1`).
-        track: Sym,
+        /// The track (process and name, e.g. `mem/node0/gpu1`).
+        track: TrackIx,
         /// Sample time.
         ts: f64,
         /// Sampled value.
@@ -89,26 +106,28 @@ pub enum StreamEvent {
     /// Start of a flow arrow (e.g. master dispatches a `Request`).
     FlowStart {
         /// Correlation id shared with the matching [`StreamEvent::FlowEnd`].
-        id: u64,
+        id: u32,
         /// Flow name.
         name: Sym,
         /// Lane the arrow leaves from.
-        lane: LaneId,
+        lane: LaneIx,
         /// Departure time.
         ts: f64,
     },
     /// End of a flow arrow (e.g. a worker `Response` completes).
     FlowEnd {
         /// Correlation id shared with the matching [`StreamEvent::FlowStart`].
-        id: u64,
+        id: u32,
         /// Flow name.
         name: Sym,
         /// Lane the arrow lands on.
-        lane: LaneId,
+        lane: LaneIx,
         /// Arrival time.
         ts: f64,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<StreamEvent>() == 24);
 
 /// What a run recorder writes: lane names, nested spans, instant markers,
 /// counter samples and flow arrows. [`EventStream`] keeps every event;
@@ -196,16 +215,59 @@ impl LaneNames {
     }
 }
 
+/// Each distinct key of a recorder's table, stored once and numbered in
+/// first-use order.
+#[derive(Debug, Clone)]
+pub(crate) struct Table<K> {
+    keys: Vec<K>,
+    ids: HashMap<K, u32>,
+}
+
+impl<K> Default for Table<K> {
+    fn default() -> Self {
+        Self {
+            keys: Vec::new(),
+            ids: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + std::hash::Hash> Table<K> {
+    pub(crate) fn intern(&mut self, key: K) -> u32 {
+        let keys = &mut self.keys;
+        *self.ids.entry(key).or_insert_with(|| {
+            keys.push(key);
+            u32::try_from(keys.len() - 1).expect("fewer than 2^32 table keys")
+        })
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<u32> {
+        self.ids.get(key).copied()
+    }
+
+    pub(crate) fn key(&self, id: u32) -> K {
+        self.keys[id as usize]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+}
+
 /// Bounded, append-only event stream with lane metadata.
 #[derive(Debug, Clone, Default)]
 pub struct EventStream {
     events: Vec<StreamEvent>,
     symbols: Symbols,
+    /// Interned lanes, indexed by [`LaneIx`].
+    lanes: Table<LaneId>,
+    /// Interned `(pid, track name)` pairs, indexed by [`TrackIx`].
+    tracks: Table<(u32, Sym)>,
     capacity: usize,
     dropped: u64,
-    lanes: LaneNames,
-    /// Per-lane count of currently open spans.
-    open: BTreeMap<LaneId, u32>,
+    names: LaneNames,
+    /// Count of currently open spans, indexed by [`LaneIx`].
+    open: Vec<u32>,
     /// Flow arrows started so far (recorded or dropped).
     flows: u64,
 }
@@ -222,31 +284,41 @@ impl EventStream {
     /// Names a lane `node{n}/gpu{g}`-style for the trace viewer. Metadata is
     /// stored out-of-band and does not count against capacity.
     pub fn set_lane_name(&mut self, lane: LaneId, process: &str, thread: &str) {
-        self.lanes.set(lane, process, thread);
+        self.names.set(lane, process, thread);
     }
 
     /// Appends the event `make` builds, interning its strings, unless the
     /// stream is full: a dropped event interns nothing, so capacity bounds
-    /// the symbol table too.
-    fn push(&mut self, make: impl FnOnce(&mut Symbols) -> StreamEvent) -> bool {
+    /// the symbol table too. (A span's lane is interned even when its
+    /// begin is dropped: the open-span counters need it.)
+    fn push(&mut self, make: impl FnOnce(&mut Self) -> StreamEvent) -> bool {
         if self.capacity > 0 && self.events.len() >= self.capacity {
             self.dropped += 1;
             return false;
         }
-        let event = make(&mut self.symbols);
+        let event = make(self);
         self.events.push(event);
         true
+    }
+
+    fn intern_lane(&mut self, lane: LaneId) -> LaneIx {
+        let ix = self.lanes.intern(lane);
+        if ix as usize == self.open.len() {
+            self.open.push(0);
+        }
+        LaneIx(ix)
     }
 
     /// Opens a span. Returns `false` when the event was dropped (stream
     /// full); the matching [`EventStream::end`] must still be called — the
     /// stack is tracked independently of storage so nesting stays balanced.
     pub fn begin(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) -> bool {
-        *self.open.entry(lane).or_insert(0) += 1;
-        self.push(|syms| StreamEvent::Begin {
+        let lane = self.intern_lane(lane);
+        self.open[lane.0 as usize] += 1;
+        self.push(|s| StreamEvent::Begin {
             lane,
-            name: syms.intern(name),
-            category: syms.intern(category),
+            name: s.symbols.intern(name),
+            category: s.symbols.intern(category),
             ts,
         })
     }
@@ -258,11 +330,12 @@ impl EventStream {
     /// Panics when no span is open on `lane` — an unmatched `end` is a
     /// programming error that would corrupt the whole trace.
     pub fn end(&mut self, lane: LaneId, ts: f64) -> bool {
-        let open = self.open.get_mut(&lane);
-        match open {
+        let ix = self.lanes.get(&lane);
+        match ix.map(|ix| &mut self.open[ix as usize]) {
             Some(n) if *n > 0 => *n -= 1,
             _ => panic!("EventStream::end on lane {lane:?} with no open span"),
         }
+        let lane = LaneIx(ix.expect("an open span's lane is interned"));
         self.push(|_| StreamEvent::End { lane, ts })
     }
 
@@ -274,41 +347,53 @@ impl EventStream {
 
     /// Records an instant marker.
     pub fn instant(&mut self, lane: LaneId, name: &str, category: &str, ts: f64) -> bool {
-        self.push(|syms| StreamEvent::Instant {
-            lane,
-            name: syms.intern(name),
-            category: syms.intern(category),
+        self.push(|s| StreamEvent::Instant {
+            lane: s.intern_lane(lane),
+            name: s.symbols.intern(name),
+            category: s.symbols.intern(category),
             ts,
         })
     }
 
     /// Records one counter-track sample.
     pub fn counter(&mut self, pid: u32, track: &str, ts: f64, value: f64) -> bool {
-        self.push(|syms| StreamEvent::Counter {
-            pid,
-            track: syms.intern(track),
-            ts,
-            value,
+        self.push(|s| {
+            let name = s.symbols.intern(track);
+            StreamEvent::Counter {
+                track: TrackIx(s.tracks.intern((pid, name))),
+                ts,
+                value,
+            }
         })
     }
 
     /// Records the start of a flow arrow.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` does not fit in 32 bits.
     pub fn flow_start(&mut self, id: u64, name: &str, lane: LaneId, ts: f64) -> bool {
+        let id = flow_id(id);
         self.flows += 1;
-        self.push(|syms| StreamEvent::FlowStart {
+        self.push(|s| StreamEvent::FlowStart {
             id,
-            name: syms.intern(name),
-            lane,
+            name: s.symbols.intern(name),
+            lane: s.intern_lane(lane),
             ts,
         })
     }
 
     /// Records the end of a flow arrow.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` does not fit in 32 bits.
     pub fn flow_end(&mut self, id: u64, name: &str, lane: LaneId, ts: f64) -> bool {
-        self.push(|syms| StreamEvent::FlowEnd {
+        let id = flow_id(id);
+        self.push(|s| StreamEvent::FlowEnd {
             id,
-            name: syms.intern(name),
-            lane,
+            name: s.symbols.intern(name),
+            lane: s.intern_lane(lane),
             ts,
         })
     }
@@ -327,15 +412,35 @@ impl EventStream {
         self.symbols.str(id)
     }
 
+    /// The lane an index of this stream stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ix` was not interned by this stream.
+    pub fn lane(&self, ix: LaneIx) -> LaneId {
+        self.lanes.key(ix.0)
+    }
+
+    /// The process id and track name a counter track of this stream
+    /// stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ix` was not interned by this stream.
+    pub fn track(&self, ix: TrackIx) -> (u32, &str) {
+        let (pid, name) = self.tracks.key(ix.0);
+        (pid, self.str(name))
+    }
+
     /// Number of distinct strings the stream's events refer to.
     pub fn symbols(&self) -> usize {
         self.symbols.len()
     }
 
-    /// The symbol table and lane names, for replaying the stream into
-    /// another recorder under the same ids.
-    pub(crate) fn tables(&self) -> (&Symbols, &LaneNames) {
-        (&self.symbols, &self.lanes)
+    /// The symbol and lane tables and the lane names, for replaying the
+    /// stream into another recorder under the same ids.
+    pub(crate) fn tables(&self) -> (&Symbols, &Table<LaneId>, &LaneNames) {
+        (&self.symbols, &self.lanes, &self.names)
     }
 
     /// Number of flow arrows started so far. Emitters that number their
@@ -351,12 +456,20 @@ impl EventStream {
 
     /// Total count of spans currently open across all lanes.
     pub fn open_spans(&self) -> u32 {
-        self.open.values().sum()
+        self.open.iter().sum()
+    }
+
+    /// Whether a span is open on `lane`, so [`EventStream::end`] may close
+    /// it.
+    pub(crate) fn is_open(&self, lane: LaneId) -> bool {
+        self.lanes
+            .get(&lane)
+            .is_some_and(|ix| self.open[ix as usize] > 0)
     }
 
     /// Named processes, sorted by pid.
     pub fn process_names(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.lanes
+        self.names
             .processes
             .iter()
             .map(|(&pid, name)| (pid, name.as_str()))
@@ -364,17 +477,17 @@ impl EventStream {
 
     /// The name of process `pid`, if it was named.
     pub fn process_name(&self, pid: u32) -> Option<&str> {
-        self.lanes.process(pid)
+        self.names.process(pid)
     }
 
     /// The name of `lane`'s thread, if it was named.
     pub fn thread_name(&self, lane: LaneId) -> Option<&str> {
-        self.lanes.thread(lane)
+        self.names.thread(lane)
     }
 
     /// Named threads, sorted by (pid, tid).
     pub fn thread_names(&self) -> impl Iterator<Item = (u32, u32, &str)> {
-        self.lanes
+        self.names
             .threads
             .iter()
             .map(|(&(pid, tid), name)| (pid, tid, name.as_str()))
@@ -398,54 +511,55 @@ impl EventStream {
         if self.open_spans() != 0 {
             return Err(format!("{} span(s) left open", self.open_spans()));
         }
-        let mut depth: BTreeMap<LaneId, i64> = BTreeMap::new();
-        let mut last_ts: BTreeMap<LaneId, f64> = BTreeMap::new();
-        let mut flow_starts: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut flow_ends: BTreeMap<u64, u64> = BTreeMap::new();
+        let lanes = self.lanes.len();
+        let mut depth = vec![0i64; lanes];
+        // Per-lane high-water mark of span timestamps.
+        let mut last_ts = vec![f64::NEG_INFINITY; lanes];
+        let mut flow_starts: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut flow_ends: BTreeMap<u32, u64> = BTreeMap::new();
         // Emitters accumulate timestamps in floating point, so a few ulps of
         // backwards drift between adjacent spans is legitimate; only a
         // visible regression is an ordering violation.
         const TS_EPS: f64 = 1e-9;
-        let mut check_lane_ts = |lane: &LaneId, ts: f64| -> Result<(), String> {
-            if let Some(&prev) = last_ts.get(lane) {
-                if ts < prev - TS_EPS {
-                    return Err(format!(
-                        "out-of-order span timestamp on lane {lane:?}: {ts} after {prev}"
-                    ));
-                }
-                if ts <= prev {
-                    return Ok(()); // keep the high-water mark
-                }
+        let mut check_lane_ts = |lane: LaneIx, ts: f64| -> Result<(), String> {
+            let prev = &mut last_ts[lane.0 as usize];
+            if ts < *prev - TS_EPS {
+                return Err(format!(
+                    "out-of-order span timestamp on lane {:?}: {ts} after {prev}",
+                    self.lane(lane)
+                ));
             }
-            last_ts.insert(*lane, ts);
+            if ts > *prev {
+                *prev = ts;
+            }
             Ok(())
         };
         for event in &self.events {
-            match event {
+            match *event {
                 StreamEvent::Begin { lane, ts, .. } => {
-                    *depth.entry(*lane).or_insert(0) += 1;
+                    depth[lane.0 as usize] += 1;
                     if self.dropped == 0 {
-                        check_lane_ts(lane, *ts)?;
+                        check_lane_ts(lane, ts)?;
                     }
                 }
                 StreamEvent::End { lane, ts } => {
-                    let d = depth.entry(*lane).or_insert(0);
+                    let d = &mut depth[lane.0 as usize];
                     *d -= 1;
                     if self.dropped == 0 {
                         if *d < 0 {
-                            return Err(format!("unmatched end on lane {lane:?}"));
+                            return Err(format!("unmatched end on lane {:?}", self.lane(lane)));
                         }
-                        check_lane_ts(lane, *ts)?;
+                        check_lane_ts(lane, ts)?;
                     }
                 }
                 StreamEvent::FlowStart { id, .. } => {
-                    *flow_starts.entry(*id).or_insert(0) += 1;
+                    *flow_starts.entry(id).or_insert(0) += 1;
                 }
                 StreamEvent::FlowEnd { id, .. } => {
-                    *flow_ends.entry(*id).or_insert(0) += 1;
+                    *flow_ends.entry(id).or_insert(0) += 1;
                     if self.dropped == 0
-                        && flow_ends.get(id).copied().unwrap_or(0)
-                            > flow_starts.get(id).copied().unwrap_or(0)
+                        && flow_ends.get(&id).copied().unwrap_or(0)
+                            > flow_starts.get(&id).copied().unwrap_or(0)
                     {
                         return Err(format!("flow {id} ends without a start"));
                     }
@@ -454,8 +568,9 @@ impl EventStream {
             }
         }
         if self.dropped == 0 {
-            for (lane, d) in &depth {
-                if *d != 0 {
+            for (ix, d) in depth.into_iter().enumerate() {
+                if d != 0 {
+                    let lane = self.lanes.key(ix as u32);
                     return Err(format!("lane {lane:?} ends with depth {d}"));
                 }
             }
@@ -474,6 +589,11 @@ impl EventStream {
         }
         Ok(())
     }
+}
+
+/// A flow id as the stream stores it.
+fn flow_id(id: u64) -> u32 {
+    u32::try_from(id).unwrap_or_else(|_| panic!("flow id {id} does not fit in u32"))
 }
 
 impl Recorder for EventStream {
@@ -643,9 +763,9 @@ mod tests {
             // Per-lane begin/end counts balance exactly.
             let mut per_lane: BTreeMap<LaneId, i64> = BTreeMap::new();
             for e in s.events() {
-                match e {
-                    StreamEvent::Begin { lane, .. } => *per_lane.entry(*lane).or_insert(0) += 1,
-                    StreamEvent::End { lane, .. } => *per_lane.entry(*lane).or_insert(0) -= 1,
+                match *e {
+                    StreamEvent::Begin { lane, .. } => *per_lane.entry(s.lane(lane)).or_insert(0) += 1,
+                    StreamEvent::End { lane, .. } => *per_lane.entry(s.lane(lane)).or_insert(0) -= 1,
                     _ => {}
                 }
             }
@@ -659,8 +779,8 @@ mod tests {
             ops in proptest::collection::vec((0usize..5, 0u32..3, 0u32..4), 0..120)
         ) {
             let s = drive(&ops, 0);
-            let mut starts: BTreeMap<u64, u64> = BTreeMap::new();
-            let mut ends: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut starts: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut ends: BTreeMap<u32, u64> = BTreeMap::new();
             for e in s.events() {
                 match e {
                     StreamEvent::FlowStart { id, .. } => *starts.entry(*id).or_insert(0) += 1,
@@ -702,12 +822,12 @@ mod tests {
 
     #[test]
     fn events_hold_no_heap_data() {
-        assert!(std::mem::size_of::<StreamEvent>() <= 32);
+        assert_eq!(std::mem::size_of::<StreamEvent>(), 24);
     }
 
     #[test]
     fn spans_hold_no_heap_data() {
-        assert!(std::mem::size_of::<crate::critpath::Span>() <= 40);
+        assert_eq!(std::mem::size_of::<crate::critpath::Span>(), 32);
     }
 
     #[test]
@@ -725,6 +845,52 @@ mod tests {
             panic!("first event is a begin");
         };
         assert_eq!((s.str(name), s.str(category)), ("layer_fwd", "compute"));
+        let StreamEvent::Counter { track, .. } = s.events()[2] else {
+            panic!("third event is a counter");
+        };
+        assert_eq!(s.track(track), (0, "mem"));
+    }
+
+    #[test]
+    fn lanes_and_tracks_are_interned_per_stream() {
+        let mut s = EventStream::with_capacity(0);
+        let (a, b) = (LaneId::gpu(0, 0), LaneId::gpu(1, 0));
+        s.span(a, "x", "compute", 0.0, 1.0);
+        s.span(b, "x", "compute", 0.0, 1.0);
+        s.instant(a, "m", "compute", 1.0);
+        s.counter(0, "mem", 0.0, 1.0);
+        s.counter(1, "mem", 0.0, 2.0);
+        s.counter(0, "mem", 1.0, 3.0);
+        let lanes: Vec<LaneId> = s
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                StreamEvent::Begin { lane, .. } | StreamEvent::Instant { lane, .. } => {
+                    Some(s.lane(lane))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lanes, vec![a, b, a]);
+        let tracks: Vec<TrackIx> = s
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                StreamEvent::Counter { track, .. } => Some(track),
+                _ => None,
+            })
+            .collect();
+        // One track per (pid, name): pid 0's samples share theirs.
+        assert_eq!(tracks[0], tracks[2]);
+        assert_ne!(tracks[0], tracks[1]);
+        assert_eq!(s.track(tracks[1]), (1, "mem"));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in u32")]
+    fn flow_ids_beyond_u32_are_refused() {
+        let mut s = EventStream::with_capacity(0);
+        s.flow_start(1 << 32, "req", LaneId::master(), 0.0);
     }
 
     #[test]

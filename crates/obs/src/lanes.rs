@@ -8,6 +8,11 @@
 //! process, lane kinds sit in disjoint bands of `BAND` thread ids, and
 //! the overlap layers of a call or fault lane `LAYER_BANDS` bands apart,
 //! so no two lanes can collide.
+//!
+//! A scope also places a run on the export's clock: [`Scope::shifted`]
+//! moves every timestamp recorded through [`Scope::ts`] by a fixed
+//! offset, so a tenant admitted late in a multi-tenant schedule is drawn
+//! from its admission, not from time zero.
 
 use crate::events::{LaneId, Recorder};
 
@@ -46,9 +51,14 @@ enum Kind {
     Tenant(u32, String),
 }
 
-/// Where one run's lanes go (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scope(Kind);
+/// Where one run's lanes go, and where its clock starts on the export's
+/// (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scope {
+    kind: Kind,
+    /// Seconds added to every timestamp of the run.
+    offset: f64,
+}
 
 /// The band of a lane's overlap `layer`, counted from `first`.
 fn layer_band(first: u32, layer: usize) -> u32 {
@@ -95,18 +105,39 @@ impl Scope {
     /// A solo run on a cluster with `gpus_per_node` GPUs per node.
     pub fn cluster(gpus_per_node: usize) -> Self {
         assert!(gpus_per_node > 0, "need at least one GPU per node");
-        Scope(Kind::Cluster(gpus_per_node))
+        Scope {
+            kind: Kind::Cluster(gpus_per_node),
+            offset: 0.0,
+        }
     }
 
     /// Tenant number `index` of an export, named `name`.
     pub fn tenant(index: usize, name: &str) -> Self {
         let pid = TENANT_PID_BASE + u32::try_from(index).expect("tenant index fits a pid");
-        Scope(Kind::Tenant(pid, format!("tenant:{name}")))
+        Scope {
+            kind: Kind::Tenant(pid, format!("tenant:{name}")),
+            offset: 0.0,
+        }
+    }
+
+    /// This scope with the run's clock starting at `secs` on the export's
+    /// clock.
+    pub fn shifted(self, secs: f64) -> Self {
+        Scope {
+            offset: secs,
+            ..self
+        }
+    }
+
+    /// A timestamp of the run, `t` seconds on its own clock, on the
+    /// export's clock.
+    pub fn ts(&self, t: f64) -> f64 {
+        t + self.offset
     }
 
     /// The Chrome lane of `lane`, without naming it.
     pub fn lane(&self, lane: Lane) -> LaneId {
-        let (pid, band, index) = match (&self.0, lane) {
+        let (pid, band, index) = match (&self.kind, lane) {
             (Kind::Cluster(gpn), Lane::Gpu(gpu)) => ((gpu / gpn) as u32, 0, gpu % gpn),
             (Kind::Cluster(_), Lane::Call(index, layer, _)) => {
                 (MASTER_PID, layer_band(0, layer), index)
@@ -141,7 +172,7 @@ impl Scope {
     /// Names `lane`'s process and thread in `recorder`; returns its lane.
     pub fn name(&self, recorder: &mut impl Recorder, lane: Lane) -> LaneId {
         let id = self.lane(lane);
-        let (process, thread) = match (&self.0, lane) {
+        let (process, thread) = match (&self.kind, lane) {
             (Kind::Cluster(_), Lane::Gpu(_)) => {
                 (format!("node{}", id.pid), format!("gpu{}", id.tid))
             }
@@ -170,7 +201,7 @@ impl Scope {
 
     /// The process carrying node `node`'s counter tracks.
     pub fn counter_pid(&self, node: usize) -> u32 {
-        match &self.0 {
+        match &self.kind {
             Kind::Cluster(_) => node as u32,
             Kind::Tenant(pid, _) => *pid,
         }
@@ -255,6 +286,18 @@ mod tests {
             vec![(1, 1, "gpu1"), (u32::MAX - 1, (1 << 24) + 3, "gpu3+1")]
         );
         assert_eq!(scope.counter_pid(1), 1);
+    }
+
+    #[test]
+    fn a_shifted_scope_moves_timestamps_not_lanes() {
+        let scope = Scope::tenant(2, "late");
+        let late = scope.clone().shifted(40.0);
+        assert_eq!(late.lane(Lane::Gpu(3)), scope.lane(Lane::Gpu(3)));
+        assert_eq!(late.ts(1.5), 41.5);
+        // An unshifted scope leaves every timestamp's bits alone.
+        for t in [0.0, 1e-300, 0.1, 12345.678] {
+            assert_eq!(scope.ts(t).to_bits(), f64::to_bits(t));
+        }
     }
 
     #[test]

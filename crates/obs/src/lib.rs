@@ -12,8 +12,9 @@
 //! - [`events`] — a span-based structured event stream over the *virtual*
 //!   clock: nested begin/end spans, instant events, counter tracks, and flow
 //!   events linking a master `Request` dispatch to its worker `Response`.
-//!   Names, categories and counter tracks are interned per stream, so an
-//!   event holds [`events::Sym`] ids and no heap data.
+//!   Names, categories, lanes and counter tracks are interned per stream,
+//!   so an event is 24 bytes of ids ([`events::Sym`], [`events::LaneIx`],
+//!   [`events::TrackIx`]), times and values, and holds no heap data.
 //! - [`lanes`] — the one lane layout: which Chrome process and thread each
 //!   GPU, function call, fault window and control lane of a run gets, for
 //!   a solo run ([`lanes::Scope::cluster`]) or one tenant of several
@@ -47,7 +48,7 @@ pub mod profile;
 
 pub use chrome::{from_chrome_value, to_chrome_value};
 pub use critpath::{CritEntry, CriticalPath, Span, SpanSet};
-pub use events::{EventStream, LaneId, Recorder, StreamEvent, Sym};
+pub use events::{EventStream, LaneId, LaneIx, Recorder, StreamEvent, Sym, TrackIx};
 pub use lanes::{Lane, OverlapLayers, Scope};
 pub use metrics::{Histogram, MergeError, MetricValue, MetricsRegistry, MetricsSnapshot, Series};
 pub use profile::{phase_overlap, Phase, PhaseShare, ProfileReport};

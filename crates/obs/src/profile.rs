@@ -282,14 +282,14 @@ pub fn attribute_generation(spans: &SpanSet, makespan: f64) -> Vec<PhaseShare> {
 /// ```
 pub fn phase_overlap(spans: &SpanSet, a: Phase, b: Phase) -> f64 {
     let of = |phase: Phase| {
-        merge_intervals(
-            spans
-                .spans()
-                .iter()
-                .filter(|s| phase_of_category(spans.str(s.category)) == Some(phase))
-                .map(|s| (s.start, s.end))
-                .collect(),
-        )
+        let mut iv: Vec<(f64, f64)> = spans
+            .spans()
+            .iter()
+            .filter(|s| phase_of_category(spans.str(s.category)) == Some(phase))
+            .map(|s| (s.start, s.end))
+            .collect();
+        merge_intervals(&mut iv);
+        iv
     };
     intersection_len(&of(a), &of(b))
 }
@@ -334,24 +334,27 @@ pub struct OverlapStats {
     pub neither_seconds: f64,
 }
 
-/// Merges `(start, end)` intervals into a disjoint sorted union.
-fn merge_intervals(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+/// Merges `(start, end)` intervals, in place, into a disjoint sorted union.
+fn merge_intervals(iv: &mut Vec<(f64, f64)>) {
     iv.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .expect("finite")
             .then(a.1.partial_cmp(&b.1).expect("finite"))
     });
-    let mut out: Vec<(f64, f64)> = Vec::new();
-    for (a, b) in iv {
+    let mut merged = 0;
+    for k in 0..iv.len() {
+        let (a, b) = iv[k];
         if b <= a {
             continue;
         }
-        match out.last_mut() {
-            Some(last) if a <= last.1 + EPS => last.1 = last.1.max(b),
-            _ => out.push((a, b)),
+        if merged > 0 && a <= iv[merged - 1].1 + EPS {
+            iv[merged - 1].1 = iv[merged - 1].1.max(b);
+        } else {
+            iv[merged] = (a, b);
+            merged += 1;
         }
     }
-    out
+    iv.truncate(merged);
 }
 
 fn union_len(iv: &[(f64, f64)]) -> f64 {
@@ -552,30 +555,39 @@ impl ProfileReport {
             format!("{proc}/{thread}")
         };
 
-        // Group kernel spans by lane: (compute intervals, comm intervals).
-        type LaneIntervals = (Vec<(f64, f64)>, Vec<(f64, f64)>);
-        let mut by_lane: std::collections::BTreeMap<crate::events::LaneId, LaneIntervals> =
-            std::collections::BTreeMap::new();
-        for s in spans.spans() {
-            let category = spans.str(s.category);
-            if !SIM_CATEGORIES.contains(&category) {
-                continue;
-            }
-            let entry = by_lane.entry(s.lane).or_default();
-            if COMPUTE_CATEGORIES.contains(&category) {
-                entry.0.push((s.start, s.end));
-            } else {
-                entry.1.push((s.start, s.end));
-            }
-        }
+        // Kernel spans grouped by lane, one lane's intervals at a time: a
+        // stable sort keeps record order within a lane, and lanes come in
+        // `LaneId` order.
+        let all = spans.spans();
+        let n = u32::try_from(all.len()).expect("fewer than 2^32 spans");
+        let mut kernels: Vec<u32> = Vec::with_capacity(all.len());
+        kernels.extend(
+            (0..n).filter(|&i| SIM_CATEGORIES.contains(&spans.str(all[i as usize].category))),
+        );
+        kernels.sort_by_key(|&i| spans.lane(all[i as usize].lane));
 
         let mut gpus = Vec::new();
         let mut overlap = OverlapStats::default();
         let mut gap_samples: Vec<f64> = Vec::new();
-        for (lane, (compute, comm)) in by_lane {
-            let compute = merge_intervals(compute);
-            let comm = merge_intervals(comm);
-            let busy = merge_intervals(compute.iter().chain(comm.iter()).copied().collect());
+        let (mut compute, mut comm, mut busy) = (Vec::new(), Vec::new(), Vec::new());
+        for lane_kernels in kernels.chunk_by(|&i, &j| all[i as usize].lane == all[j as usize].lane)
+        {
+            compute.clear();
+            comm.clear();
+            for &i in lane_kernels {
+                let s = &all[i as usize];
+                if COMPUTE_CATEGORIES.contains(&spans.str(s.category)) {
+                    compute.push((s.start, s.end));
+                } else {
+                    comm.push((s.start, s.end));
+                }
+            }
+            merge_intervals(&mut compute);
+            merge_intervals(&mut comm);
+            busy.clear();
+            busy.extend_from_slice(&compute);
+            busy.extend_from_slice(&comm);
+            merge_intervals(&mut busy);
 
             let compute_len = union_len(&compute);
             let comm_len = union_len(&comm);
@@ -600,7 +612,7 @@ impl ProfileReport {
             }
             let busy_seconds = union_len(&busy);
             gpus.push(GpuStat {
-                lane: lane_name(lane),
+                lane: lane_name(spans.lane(all[lane_kernels[0] as usize].lane)),
                 busy_seconds,
                 idle_seconds: makespan - busy_seconds,
                 utilization: if makespan > 0.0 {

@@ -33,7 +33,7 @@ use real_dataflow::{CallAssignment, CallId, ExecutionPlan, ModelFunctionCallDef}
 use real_estimator::{maxmem, CostMemo, Estimator};
 use real_model::{CostModel, ModelSpec};
 use real_search::{compare, search_warm, McmcConfig, SearchSpace};
-use real_sim::{Category, FaultClock, Timelines, Trace};
+use real_sim::{Category, FaultClock, KernelLabel, Timelines, Trace};
 use real_util::DeterministicRng;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -912,7 +912,7 @@ fn dispatch_capped<'a>(
                 let s = ctx.tl.gpu(g).busy_until().max(start);
                 if s < abort_at {
                     ctx.trace
-                        .record(g, s, abort_at, Category::Compute, "lost_work");
+                        .record(g, s, abort_at, Category::Compute, KernelLabel::LostWork);
                 }
             }
         }

@@ -13,6 +13,7 @@ use real_cluster::CommModel;
 use real_dataflow::{CallAssignment, CallType, SpecChoice};
 use real_model::cost::{CostModel, KERNELS_PER_LAYER_FWD};
 use real_model::specdec::{self, DecodeShape};
+use real_sim::KernelLabel::{self, *};
 use real_sim::{Category, FaultClock, Timelines, Trace};
 use real_util::DeterministicRng;
 
@@ -58,7 +59,7 @@ impl ExecCtx<'_> {
         ready: f64,
         dur: f64,
         cat: Category,
-        label: &'static str,
+        label: KernelLabel,
     ) -> f64 {
         if dur <= 0.0 {
             return ready.max(
@@ -93,7 +94,7 @@ impl ExecCtx<'_> {
         dst: usize,
         ready: f64,
         dur: f64,
-        label: Option<&'static str>,
+        label: Option<KernelLabel>,
     ) -> f64 {
         if dur <= 0.0 {
             return ready;
@@ -294,18 +295,18 @@ fn forward_pass(
                     let gather =
                         layers as f64 * ctx.cost.zero3_allgather_time(world, a.mesh.n_nodes() == 1);
                     let excess = (gather - compute).max(gather * ZERO3_GATHER_FLOOR);
-                    t = ctx.event(&group, t, excess, Category::DpComm, "zero3_allgather");
+                    t = ctx.event(&group, t, excess, Category::DpComm, Zero3Allgather);
                 }
-                t = ctx.event(&group, t, compute, Category::Compute, "layer_fwd");
+                t = ctx.event(&group, t, compute, Category::Compute, LayerFwd);
                 let ar = layers as f64 * 2.0 * ar_dur(ctx, layout, &group, tokens_mb);
-                t = ctx.event(&group, t, ar, Category::TpComm, "tp_allreduce");
+                t = ctx.event(&group, t, ar, Category::TpComm, TpAllreduce);
 
                 prev_arrive[stage_idx] = t;
                 if stage < pp - 1 {
                     let src = Layout::leader(&group);
                     let dst = Layout::leader(layout.tp_group(stage + 1, d));
                     let dur = p2p_dur(ctx, layout, src, dst, tokens_mb, tp);
-                    arrive = ctx.p2p_event(src, dst, t, dur, Some("pp_p2p"));
+                    arrive = ctx.p2p_event(src, dst, t, dur, Some(PpP2p));
                 } else {
                     replica_end = replica_end.max(t);
                 }
@@ -339,7 +340,7 @@ fn generate(
         realized_gen_len,
         prefill_done,
         ready,
-        "layer_decode",
+        LayerDecode,
     )
 }
 
@@ -360,8 +361,8 @@ fn realized_gen_len(ctx: &mut ExecCtx<'_>, gen_len: u64) -> u64 {
 }
 
 /// The chunked token-by-token decode pipeline shared by plain generation
-/// (`compute_label = "layer_decode"`) and the speculative path's
-/// not-profitable fallback (`"spec_fallback_decode"`) — same events, same
+/// (`compute_label = LayerDecode`) and the speculative path's
+/// not-profitable fallback (`SpecFallbackDecode`) — same events, same
 /// RNG draws; only the compute label differs.
 #[allow(clippy::too_many_arguments)]
 fn decode_loop(
@@ -373,7 +374,7 @@ fn decode_loop(
     realized_gen_len: u64,
     prefill_done: f64,
     ready: f64,
-    compute_label: &'static str,
+    compute_label: KernelLabel,
 ) -> f64 {
     let s = a.strategy;
     let (dp, tp, pp, mbs) = (s.dp(), s.tp(), s.pp(), s.micro_batches());
@@ -423,15 +424,15 @@ fn decode_loop(
                     let launch = (work * layers * u64::from(KERNELS_PER_LAYER_FWD)) as f64
                         * ctx.cost.cluster().gpu.launch_overhead
                         + steps as f64 * ctx.cfg.host_decode_overhead / f64::from(pp);
-                    t = ctx.event(&group, t, launch, Category::Launch, "kernel_launch");
+                    t = ctx.event(&group, t, launch, Category::Launch, KernelLaunch);
                 }
                 let ar = (work * layers) as f64 * 2.0 * ar_dur(ctx, layout, &group, batch_mb);
-                t = ctx.event(&group, t, ar, Category::TpComm, "tp_allreduce_decode");
+                t = ctx.event(&group, t, ar, Category::TpComm, TpAllreduceDecode);
                 if stage < pp - 1 {
                     let src = Layout::leader(&group);
                     let dst = Layout::leader(layout.tp_group(stage + 1, d));
                     let dur = work as f64 * p2p_dur(ctx, layout, src, dst, batch_mb, tp);
-                    t = ctx.p2p_event(src, dst, t, dur, Some("pp_p2p_decode"));
+                    t = ctx.p2p_event(src, dst, t, dur, Some(PpP2pDecode));
                 }
                 stage_end[stage_idx] = t;
             }
@@ -499,7 +500,7 @@ fn generate_spec(
             realized_gen_len,
             prefill_done,
             ready,
-            "spec_fallback_decode",
+            SpecFallbackDecode,
         );
     }
 
@@ -536,7 +537,7 @@ fn generate_spec(
         ready,
         d_prefill,
         Category::Compute,
-        "spec_draft_prefill",
+        SpecDraftPrefill,
     );
 
     // Draft/verify rounds with per-round accepted-token accounting.
@@ -567,14 +568,14 @@ fn generate_spec(
                 t,
                 draft_dur,
                 Category::Compute,
-                "spec_draft_decode",
+                SpecDraftDecode,
             );
             t = ctx.event(
                 &target_gpus,
                 drafted,
                 verify_dur,
                 Category::Compute,
-                "spec_verify_fwd",
+                SpecVerifyFwd,
             );
             pending_rounds = 0;
         }
@@ -632,11 +633,11 @@ fn train(
                             let gather = layers as f64
                                 * ctx.cost.zero3_allgather_time(world, a.mesh.n_nodes() == 1);
                             let excess = (gather - compute).max(gather * ZERO3_GATHER_FLOOR);
-                            t = ctx.event(&group, t, excess, Category::DpComm, "zero3_allgather");
+                            t = ctx.event(&group, t, excess, Category::DpComm, Zero3Allgather);
                         }
-                        t = ctx.event(&group, t, compute, Category::Compute, "layer_fwd");
+                        t = ctx.event(&group, t, compute, Category::Compute, LayerFwd);
                         let ar = layers as f64 * 2.0 * ar_dur(ctx, layout, &group, tokens_mb);
-                        t = ctx.event(&group, t, ar, Category::TpComm, "tp_allreduce");
+                        t = ctx.event(&group, t, ar, Category::TpComm, TpAllreduce);
                         prev_arrive[stage_idx] = t;
                         if stage < pp - 1 {
                             let src = Layout::leader(&group);
@@ -675,11 +676,11 @@ fn train(
                                         .cost
                                         .zero3_reduce_scatter_time(world, a.mesh.n_nodes() == 1));
                             let excess = (gather - compute).max(gather * ZERO3_GATHER_FLOOR);
-                            t = ctx.event(&group, t, excess, Category::DpComm, "zero3_bwd");
+                            t = ctx.event(&group, t, excess, Category::DpComm, Zero3Bwd);
                         }
-                        t = ctx.event(&group, t, compute, Category::Compute, "layer_bwd");
+                        t = ctx.event(&group, t, compute, Category::Compute, LayerBwd);
                         let ar = layers as f64 * 2.0 * ar_dur(ctx, layout, &group, tokens_mb);
-                        t = ctx.event(&group, t, ar, Category::TpComm, "tp_allreduce_bwd");
+                        t = ctx.event(&group, t, ar, Category::TpComm, TpAllreduceBwd);
                         prev_arrive[stage_idx] = t;
                         if stage > 0 {
                             let src = Layout::leader(&group);
@@ -712,7 +713,7 @@ fn train(
                     let dur =
                         ctx.comm
                             .all_reduce(shard as f64 * 4.0, dp, layout.within_node(&group));
-                    let e = ctx.event(&group, final_end, dur, Category::DpComm, "grad_allreduce");
+                    let e = ctx.event(&group, final_end, dur, Category::DpComm, GradAllreduce);
                     sync_end = sync_end.max(e);
                 }
             }
@@ -723,7 +724,7 @@ fn train(
         for d in 0..dp {
             for stage in 0..pp {
                 let group: Vec<usize> = layout.tp_group(stage, d).to_vec();
-                let e = ctx.event(&group, sync_end, optim, Category::Compute, "adam_step");
+                let e = ctx.event(&group, sync_end, optim, Category::Compute, AdamStep);
                 opt_end = opt_end.max(e);
             }
         }

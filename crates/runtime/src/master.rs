@@ -403,7 +403,12 @@ mod tests {
     }
 
     fn trace_labels(report: &RunReport) -> Vec<&'static str> {
-        report.trace.events().iter().map(|e| e.label).collect()
+        report
+            .trace
+            .events()
+            .iter()
+            .map(|e| e.label.as_str())
+            .collect()
     }
 
     #[test]
@@ -426,7 +431,7 @@ mod tests {
         );
         // Draft work lands on the draft mesh (node 1), verify on the target.
         for e in report.trace.events() {
-            match e.label {
+            match e.label.as_str() {
                 "spec_draft_prefill" | "spec_draft_decode" => {
                     assert!((8..10).contains(&e.gpu), "draft span on gpu {}", e.gpu);
                 }

@@ -56,7 +56,8 @@ pub fn build_event_stream(
     stream
 }
 
-/// Records one finished run into `stream`, its lanes placed by `scope`.
+/// Records one finished run into `stream`, its lanes placed by `scope` and
+/// its timestamps moved onto the export's clock by it ([`Scope::ts`]).
 ///
 /// `graph`, `plan` and `config` must be the ones the run executed with:
 /// they supply each call's name and type, each call's mesh (flow targets
@@ -88,7 +89,7 @@ pub fn record_run(
                     FaultAbort::Timeout => format!("timeout#{}", f.attempt),
                     FaultAbort::Crash { gpu } => format!("crash@gpu{gpu}#{}", f.attempt),
                 };
-                stream.instant(calls[call.0], &name, "fault", f.at);
+                stream.instant(calls[call.0], &name, "fault", scope.ts(f.at));
             }
         }
     }
@@ -102,8 +103,10 @@ pub fn record_run(
 fn record_kernels(stream: &mut impl Recorder, scope: &Scope, trace: &[TraceEvent], gpus: u32) {
     let mut lanes: Vec<Option<LaneId>> = vec![None; gpus as usize];
     for e in trace {
-        let lane = *lanes[e.gpu].get_or_insert_with(|| scope.name(stream, Lane::Gpu(e.gpu)));
-        stream.span(lane, e.label, e.category.name(), e.start, e.end);
+        let gpu = e.gpu as usize;
+        let lane = *lanes[gpu].get_or_insert_with(|| scope.name(stream, Lane::Gpu(gpu)));
+        let (start, end) = (scope.ts(e.start), scope.ts(e.end));
+        stream.span(lane, e.label.as_str(), e.category.name(), start, end);
     }
 }
 
@@ -131,7 +134,7 @@ fn record_link_counters(stream: &mut impl Recorder, scope: &Scope, trace: &[Trac
         let track = format!("links/{cat}");
         for (ts, delta) in edges {
             active += delta;
-            stream.counter(scope.counter_pid(0), &track, ts, active as f64);
+            stream.counter(scope.counter_pid(0), &track, scope.ts(ts), active as f64);
         }
     }
 }
@@ -177,10 +180,10 @@ fn record_memory(
         let pid = scope.counter_pid(g / gpn);
         let track = format!("mem/node{}/gpu{}", g / gpn, g % gpn);
         let mut level = floor;
-        stream.counter(pid, &track, 0.0, level);
+        stream.counter(pid, &track, scope.ts(0.0), level);
         for (ts, delta) in ev {
             level += delta;
-            stream.counter(pid, &track, ts, level);
+            stream.counter(pid, &track, scope.ts(ts), level);
         }
     }
 }
@@ -225,23 +228,24 @@ fn record_calls(
         };
         let category = format!("call/{}", graph.call(req.call).call_type.label());
         let name = format!("{}#{}", req.handle, req.iter);
-        stream.begin(lane, &name, &category, req.dispatch_time);
+        let (dispatched, completed) = (scope.ts(req.dispatch_time), scope.ts(resp.completed_at));
+        stream.begin(lane, &name, &category, dispatched);
         for f in backoffs.get(&(req.call.0, req.iter)).into_iter().flatten() {
             stream.span(
                 lane,
                 &format!("backoff#{}", f.attempt),
                 "backoff",
-                f.at,
-                (f.at + f.backoff_secs).min(resp.completed_at),
+                scope.ts(f.at),
+                scope.ts((f.at + f.backoff_secs).min(resp.completed_at)),
             );
         }
-        stream.end(lane, resp.completed_at);
+        stream.end(lane, completed);
         let first = plan.assignment(req.call).mesh.gpus().next();
         let dst = scope.lane(Lane::Gpu(first.expect("non-empty mesh").0 as usize));
         let id = stream.flows();
         let name = format!("req:{}", req.handle);
-        stream.flow_start(id, &name, lane, req.dispatch_time);
-        stream.flow_end(id, &name, dst, resp.completed_at);
+        stream.flow_start(id, &name, lane, dispatched);
+        stream.flow_end(id, &name, dst, completed);
     }
     lanes
 }
@@ -302,7 +306,7 @@ fn record_faults(stream: &mut impl Recorder, scope: &Scope, events: &[FaultEvent
                 Lane::GpuFault(index, layer)
             };
             let lane = scope.name(stream, lane);
-            stream.span(lane, &name, "fault", start, end);
+            stream.span(lane, &name, "fault", scope.ts(start), scope.ts(end));
         }
     }
 }
@@ -335,8 +339,8 @@ fn record_replans(stream: &mut impl Recorder, scope: &Scope, report: &RunReport)
                         lane,
                         "switch prologue",
                         "replan",
-                        ev.at,
-                        ev.at + switch_secs,
+                        scope.ts(ev.at),
+                        scope.ts(ev.at + switch_secs),
                     );
                 }
                 format!("switched x{:.2}", base_time / target_time)
@@ -345,7 +349,12 @@ fn record_replans(stream: &mut impl Recorder, scope: &Scope, report: &RunReport)
             ReplanOutcome::SwitchFaulted { gpu, .. } => format!("switch-faulted@gpu{gpu}"),
             ReplanOutcome::NoSurvivingPlan => "no-surviving-plan".to_string(),
         };
-        stream.instant(lane, &format!("{reason}: {outcome}"), "replan", ev.at);
+        stream.instant(
+            lane,
+            &format!("{reason}: {outcome}"),
+            "replan",
+            scope.ts(ev.at),
+        );
     }
 }
 
@@ -499,7 +508,7 @@ mod tests {
             .filter(|e| {
                 matches!(e,
                 StreamEvent::Begin { lane, category, .. }
-                    if lane.pid == u32::MAX && stream.str(*category).starts_with("call/"))
+                    if stream.lane(*lane).pid == u32::MAX && stream.str(*category).starts_with("call/"))
             })
             .count();
         assert_eq!(call_begins, report.master_log.requests.len());
@@ -508,12 +517,12 @@ mod tests {
         let starts = stream
             .events()
             .iter()
-            .filter(|e| matches!(e, StreamEvent::FlowStart { lane, .. } if lane.pid == u32::MAX))
+            .filter(|e| matches!(e, StreamEvent::FlowStart { lane, .. } if stream.lane(*lane).pid == u32::MAX))
             .count();
         let ends = stream
             .events()
             .iter()
-            .filter(|e| matches!(e, StreamEvent::FlowEnd { lane, .. } if lane.pid != u32::MAX))
+            .filter(|e| matches!(e, StreamEvent::FlowEnd { lane, .. } if stream.lane(*lane).pid != u32::MAX))
             .count();
         assert_eq!(starts, report.master_log.requests.len());
         assert_eq!(ends, starts);
@@ -525,7 +534,7 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 StreamEvent::Counter { track, value, .. }
-                    if stream.str(*track).starts_with("mem/") =>
+                    if stream.track(*track).1.starts_with("mem/") =>
                 {
                     Some(*value)
                 }
@@ -592,14 +601,14 @@ mod tests {
             .filter(|e| {
                 matches!(e,
                     StreamEvent::Begin { lane, category, .. }
-                        if lane.pid == fault_pid() && stream.str(*category) == "fault")
+                        if stream.lane(*lane).pid == fault_pid() && stream.str(*category) == "fault")
             })
             .count();
         assert_eq!(fault_spans, 3);
         // Abort instants land on the master's call lanes.
         assert!(stream.events().iter().any(|e| matches!(e,
             StreamEvent::Instant { lane, category, .. }
-                if lane.pid == u32::MAX && stream.str(*category) == "fault")));
+                if stream.lane(*lane).pid == u32::MAX && stream.str(*category) == "fault")));
 
         let m = run_metrics(&cluster, &report);
         assert_eq!(m.get("runtime/fault_injected", &[]).unwrap().scalar(), 3.0);
@@ -621,11 +630,11 @@ mod tests {
         assert!(!stream
             .events()
             .iter()
-            .any(|e| matches!(e, StreamEvent::Begin { lane, .. } if lane.pid == fault_pid())));
+            .any(|e| matches!(e, StreamEvent::Begin { lane, .. } if stream.lane(*lane).pid == fault_pid())));
         assert!(!stream
             .events()
             .iter()
-            .any(|e| matches!(e, StreamEvent::Instant { lane, .. } if lane.pid == replan_pid())));
+            .any(|e| matches!(e, StreamEvent::Instant { lane, .. } if stream.lane(*lane).pid == replan_pid())));
         let m = run_metrics(&cluster, &report);
         assert!(m.get("runtime/fault_injected", &[]).is_none());
         assert!(m.get("runtime/replan_evaluations", &[]).is_none());
@@ -672,7 +681,7 @@ mod tests {
             .filter(|e| {
                 matches!(e,
                     StreamEvent::Instant { lane, category, .. }
-                        if lane.pid == replan_pid() && stream.str(*category) == "replan")
+                        if stream.lane(*lane).pid == replan_pid() && stream.str(*category) == "replan")
             })
             .count();
         assert_eq!(decisions, report.replan.events.len());

@@ -283,7 +283,7 @@ mod tests {
         assert_eq!(a.timings, b.timings);
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.trace.events(), b.trace.events());
-        let labels: Vec<&str> = a.trace.events().iter().map(|e| e.label).collect();
+        let labels: Vec<&str> = a.trace.events().iter().map(|e| e.label.as_str()).collect();
         assert!(labels.contains(&"spec_draft_decode"), "{labels:?}");
         let realloc = |r: &RunReport| {
             r.category_totals

@@ -11,7 +11,7 @@ use crate::layout::Layout;
 use real_cluster::CommModel;
 use real_dataflow::CallAssignment;
 use real_model::{MemoryModel, ModelSpec};
-use real_sim::{Category, FaultClock, Timelines, Trace};
+use real_sim::{Category, FaultClock, KernelLabel, Timelines, Trace};
 use real_util::DeterministicRng;
 
 /// Executes the reallocation of `model`'s weights from layout `src` to
@@ -112,7 +112,13 @@ pub fn execute_realloc(
                     }
                     let end = tl.collective(&participants, ready, dur, Category::Realloc);
                     if trace.enabled() {
-                        trace.record(s, end - dur, end, Category::Realloc, "param_broadcast");
+                        trace.record(
+                            s,
+                            end - dur,
+                            end,
+                            Category::Realloc,
+                            KernelLabel::ParamBroadcast,
+                        );
                     }
                     done = done.max(end);
                 }

@@ -275,6 +275,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use real_sim::KernelLabel;
 
     fn report() -> RunReport {
         RunReport {
@@ -395,9 +396,10 @@ mod tests {
     fn breakdown_warns_about_dropped_trace_events() {
         let mut r = report();
         let mut trace = Trace::with_capacity(1);
-        trace.record(0, 0.0, 1.0, Category::Compute, "a");
-        trace.record(0, 1.0, 2.0, Category::Compute, "b");
-        trace.record(0, 2.0, 3.0, Category::Compute, "c");
+        for t in 0..3 {
+            let t = f64::from(t);
+            trace.record(0, t, t + 1.0, Category::Compute, KernelLabel::LayerFwd);
+        }
         r.trace = trace;
         let s = r.render_breakdown();
         assert!(s.contains("warning"), "{s}");

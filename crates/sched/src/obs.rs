@@ -4,8 +4,11 @@
 //! [`sched_event_stream`] records every tenant's run with the runtime's
 //! run recorder ([`real_runtime::obs::record_run`]) in the tenant's own
 //! scope ([`Scope::tenant`]): one `tenant:<name>` process holding every
-//! lane of its solo export. In Perfetto each tenant reads as an isolated
-//! program on its own clock, which starts when the tenant is admitted.
+//! lane of its solo export. Each run is on its session clock, which starts
+//! when the tenant is admitted; the scope shifts it by the admission
+//! instant ([`Scope::shifted`]), so in Perfetto every tenant sits on the
+//! schedule's clock and a tenant that queued for its mesh starts where the
+//! one it waited for finished.
 
 use crate::report::{SchedReport, TenantOutcome};
 use crate::scheduler::Schedule;
@@ -31,23 +34,27 @@ pub fn queue_wait_secs(t: &TenantOutcome) -> f64 {
 
 /// Builds one event stream with a Chrome process group per tenant: each
 /// tenant's run (`reports`, parallel to the schedule) recorded in its
-/// tenant scope, with the graph, plan and engine config it ran with. Every
-/// lane of a tenant's allocation is named up front, so an idle or untraced
-/// tenant still shows its process group.
+/// tenant scope from its admission instant on the schedule's clock
+/// (`admitted_secs`, parallel too), with the graph, plan and engine config
+/// it ran with. Every lane of a tenant's allocation is named up front, so
+/// an idle or untraced tenant still shows its process group.
 ///
 /// # Panics
 ///
-/// Panics if `tenants` does not parallel the schedule.
+/// Panics if `tenants` or `admitted_secs` does not parallel the schedule.
 pub fn sched_event_stream(
     tenants: &[Tenant],
     schedule: &Schedule,
     reports: &[RunReport],
+    admitted_secs: &[f64],
 ) -> EventStream {
     let placed = &schedule.tenants;
     assert_eq!(tenants.len(), placed.len(), "one tenant per scheduled slot");
+    assert_eq!(admitted_secs.len(), placed.len(), "one admission per slot");
     let mut stream = EventStream::default();
-    for (index, ((tenant, placed), report)) in tenants.iter().zip(placed).zip(reports).enumerate() {
-        let scope = Scope::tenant(index, &placed.name);
+    let runs = tenants.iter().zip(placed).zip(reports).zip(admitted_secs);
+    for (index, (((tenant, placed), report), &admitted)) in runs.enumerate() {
+        let scope = Scope::tenant(index, &placed.name).shifted(admitted);
         for gpu in placed.allocation.gpus() {
             scope.name(&mut stream, Lane::Gpu(gpu.0 as usize));
         }

@@ -32,6 +32,9 @@ pub struct SchedOutcome {
     /// except `total_time`: the instant on the schedule's clock its last
     /// GPU went idle, so a tenant that queued for its mesh counts its wait.
     pub reports: Vec<RunReport>,
+    /// Per-tenant admission instants on the schedule's clock, in schedule
+    /// order: where each report's session clock starts.
+    pub admitted_secs: Vec<f64>,
     /// Aggregated multi-tenant report.
     pub report: SchedReport,
 }
@@ -115,11 +118,14 @@ fn execute(
         ..AdmissionConfig::default()
     };
     let mut reports: Vec<Option<RunReport>> = vec![None; placed.len()];
+    let mut admitted_secs = vec![0.0; placed.len()];
     Server::new(cluster.clone(), seed, admission, templates, arrivals).run(
         |row, session, lease| {
             let mut run = session.into_report(&placed[row.template].plan, &lease);
-            run.total_time += row.admitted_secs.expect("a finished tenant was admitted");
+            let admitted = row.admitted_secs.expect("a finished tenant was admitted");
+            run.total_time += admitted;
             reports[row.template] = Some(run);
+            admitted_secs[row.template] = admitted;
         },
     )?;
     let reports: Vec<RunReport> = reports
@@ -130,6 +136,7 @@ fn execute(
     Ok(SchedOutcome {
         schedule,
         reports,
+        admitted_secs,
         report,
     })
 }

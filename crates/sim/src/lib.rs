@@ -34,4 +34,4 @@ pub mod trace;
 
 pub use fault::{FaultClock, FaultEvent, FaultPlan, FaultPlanError};
 pub use timeline::{Category, GpuTimeline, Timelines};
-pub use trace::{Trace, TraceCheckpoint, TraceEvent};
+pub use trace::{KernelLabel, Trace, TraceCheckpoint, TraceEvent};

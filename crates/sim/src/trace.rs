@@ -3,20 +3,95 @@
 
 use crate::timeline::Category;
 
-/// One recorded busy interval on one GPU.
+/// What a recorded kernel was: the closed set of labels the runtime
+/// engine records, one byte each. [`KernelLabel::as_str`] is the span name
+/// an export shows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum KernelLabel {
+    /// One layer's forward pass (training, inference, prefill).
+    LayerFwd,
+    /// One layer's backward pass.
+    LayerBwd,
+    /// One layer's decode step.
+    LayerDecode,
+    /// Kernel-launch overhead of a decode step.
+    KernelLaunch,
+    /// Tensor-parallel all-reduce of a forward pass.
+    TpAllreduce,
+    /// Tensor-parallel all-reduce of a backward pass.
+    TpAllreduceBwd,
+    /// Tensor-parallel all-reduce of a decode step.
+    TpAllreduceDecode,
+    /// Pipeline-boundary P2P transfer of a forward pass.
+    PpP2p,
+    /// Pipeline-boundary P2P transfer of a decode step.
+    PpP2pDecode,
+    /// Data-parallel gradient all-reduce.
+    GradAllreduce,
+    /// Optimizer step.
+    AdamStep,
+    /// ZeRO-3 parameter all-gather.
+    Zero3Allgather,
+    /// ZeRO-3 backward all-gather and reduce-scatter.
+    Zero3Bwd,
+    /// Speculative decoding: the draft model's prefill.
+    SpecDraftPrefill,
+    /// Speculative decoding: the draft model's decode rounds.
+    SpecDraftDecode,
+    /// Speculative decoding: the target model's verify passes.
+    SpecVerifyFwd,
+    /// Speculative decoding: the plain decode of a not-profitable call.
+    SpecFallbackDecode,
+    /// Parameter-reallocation broadcast.
+    ParamBroadcast,
+    /// Work an aborted attempt did before the fault killed it.
+    LostWork,
+}
+
+impl KernelLabel {
+    /// The label's name (`layer_fwd`, `tp_allreduce`, ...).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            KernelLabel::LayerFwd => "layer_fwd",
+            KernelLabel::LayerBwd => "layer_bwd",
+            KernelLabel::LayerDecode => "layer_decode",
+            KernelLabel::KernelLaunch => "kernel_launch",
+            KernelLabel::TpAllreduce => "tp_allreduce",
+            KernelLabel::TpAllreduceBwd => "tp_allreduce_bwd",
+            KernelLabel::TpAllreduceDecode => "tp_allreduce_decode",
+            KernelLabel::PpP2p => "pp_p2p",
+            KernelLabel::PpP2pDecode => "pp_p2p_decode",
+            KernelLabel::GradAllreduce => "grad_allreduce",
+            KernelLabel::AdamStep => "adam_step",
+            KernelLabel::Zero3Allgather => "zero3_allgather",
+            KernelLabel::Zero3Bwd => "zero3_bwd",
+            KernelLabel::SpecDraftPrefill => "spec_draft_prefill",
+            KernelLabel::SpecDraftDecode => "spec_draft_decode",
+            KernelLabel::SpecVerifyFwd => "spec_verify_fwd",
+            KernelLabel::SpecFallbackDecode => "spec_fallback_decode",
+            KernelLabel::ParamBroadcast => "param_broadcast",
+            KernelLabel::LostWork => "lost_work",
+        }
+    }
+}
+
+/// One recorded busy interval on one GPU: 24 bytes, no heap data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Global GPU index.
-    pub gpu: usize,
+    pub gpu: u32,
     /// Interval start (seconds of virtual time).
     pub start: f64,
     /// Interval end.
     pub end: f64,
     /// Busy category.
     pub category: Category,
-    /// Free-form label (e.g. `"layer_decode"`, `"tp_allreduce"`).
-    pub label: &'static str,
+    /// What the kernel was.
+    pub label: KernelLabel,
 }
+
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 24);
 
 /// A position in a [`Trace`], taken with [`Trace::checkpoint`] and restored
 /// with [`Trace::rewind`].
@@ -68,11 +143,11 @@ impl Trace {
         start: f64,
         end: f64,
         category: Category,
-        label: &'static str,
+        label: KernelLabel,
     ) {
         if self.events.len() < self.capacity {
             self.events.push(TraceEvent {
-                gpu,
+                gpu: u32::try_from(gpu).expect("GPU index fits in u32"),
                 start,
                 end,
                 category,
@@ -121,7 +196,10 @@ impl Trace {
 
     /// Events on one GPU, in record order.
     pub fn for_gpu(&self, gpu: usize) -> Vec<&TraceEvent> {
-        self.events.iter().filter(|e| e.gpu == gpu).collect()
+        self.events
+            .iter()
+            .filter(|e| e.gpu as usize == gpu)
+            .collect()
     }
 
     /// Renders an ASCII lane for one GPU over `[0, horizon]` with `width`
@@ -132,7 +210,7 @@ impl Trace {
             "need a positive horizon and width"
         );
         let mut lane = vec!['.'; width];
-        for e in self.events.iter().filter(|e| e.gpu == gpu) {
+        for e in self.events.iter().filter(|e| e.gpu as usize == gpu) {
             let glyph = match e.category {
                 Category::Compute => '#',
                 Category::Launch => 'l',
@@ -155,11 +233,12 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use KernelLabel::{AdamStep, LayerFwd, LostWork, TpAllreduce};
 
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(0, 0.0, 1.0, Category::Compute, "k");
+        t.record(0, 0.0, 1.0, Category::Compute, LayerFwd);
         assert!(t.events().is_empty());
         assert!(!t.enabled());
         assert_eq!(t.dropped(), 0);
@@ -169,7 +248,7 @@ mod tests {
     fn capacity_bounds_recording() {
         let mut t = Trace::with_capacity(2);
         for i in 0..5 {
-            t.record(0, i as f64, i as f64 + 1.0, Category::Compute, "k");
+            t.record(0, i as f64, i as f64 + 1.0, Category::Compute, LayerFwd);
         }
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 3);
@@ -178,9 +257,9 @@ mod tests {
     #[test]
     fn per_gpu_filtering() {
         let mut t = Trace::with_capacity(10);
-        t.record(0, 0.0, 1.0, Category::Compute, "a");
-        t.record(1, 0.0, 1.0, Category::TpComm, "b");
-        t.record(0, 1.0, 2.0, Category::PpComm, "c");
+        t.record(0, 0.0, 1.0, Category::Compute, LayerFwd);
+        t.record(1, 0.0, 1.0, Category::TpComm, TpAllreduce);
+        t.record(0, 1.0, 2.0, Category::PpComm, AdamStep);
         assert_eq!(t.for_gpu(0).len(), 2);
         assert_eq!(t.for_gpu(1).len(), 1);
         assert_eq!(t.for_gpu(2).len(), 0);
@@ -189,15 +268,15 @@ mod tests {
     #[test]
     fn checkpoint_and_rewind_discard_speculative_events() {
         let mut t = Trace::with_capacity(2);
-        t.record(0, 0.0, 1.0, Category::Compute, "keep");
+        t.record(0, 0.0, 1.0, Category::Compute, AdamStep);
         let cp = t.checkpoint();
-        t.record(0, 1.0, 2.0, Category::Compute, "drop");
-        t.record(0, 2.0, 3.0, Category::Compute, "over-capacity");
+        t.record(0, 1.0, 2.0, Category::Compute, LostWork);
+        t.record(0, 2.0, 3.0, Category::Compute, LostWork);
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 1);
         t.rewind(cp);
         assert_eq!(t.events().len(), 1);
-        assert_eq!(t.events()[0].label, "keep");
+        assert_eq!(t.events()[0].label, AdamStep);
         assert_eq!(t.dropped(), 0);
         // Rewinding to the same point twice is a no-op.
         t.rewind(cp);
@@ -208,7 +287,7 @@ mod tests {
     #[should_panic(expected = "checkpoint is ahead")]
     fn rewinding_past_a_stale_checkpoint_panics() {
         let mut t = Trace::with_capacity(4);
-        t.record(0, 0.0, 1.0, Category::Compute, "a");
+        t.record(0, 0.0, 1.0, Category::Compute, LayerFwd);
         let cp = t.checkpoint();
         t.rewind(TraceCheckpoint { len: 0, dropped: 0 });
         t.rewind(cp);
@@ -217,8 +296,8 @@ mod tests {
     #[test]
     fn lane_rendering_places_glyphs() {
         let mut t = Trace::with_capacity(10);
-        t.record(0, 0.0, 0.5, Category::Compute, "k");
-        t.record(0, 0.5, 1.0, Category::TpComm, "ar");
+        t.record(0, 0.0, 0.5, Category::Compute, LayerFwd);
+        t.record(0, 0.5, 1.0, Category::TpComm, TpAllreduce);
         let lane = t.render_lane(0, 1.0, 10);
         assert_eq!(lane.len(), 10);
         assert!(lane.starts_with("#####"));

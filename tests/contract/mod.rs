@@ -83,8 +83,8 @@ pub fn assert_matches_fixture(fixture: &str, subject: &str, cases: Vec<(String, 
 fn trace_digest(trace: &real_core::real_sim::Trace) -> String {
     let mut h = Fnv::new();
     for e in trace.events() {
-        h.feed(e.label.as_bytes());
-        h.feed(&(e.gpu as u64).to_le_bytes());
+        h.feed(e.label.as_str().as_bytes());
+        h.feed(&u64::from(e.gpu).to_le_bytes());
         h.feed(&e.start.to_bits().to_le_bytes());
         h.feed(&e.end.to_bits().to_le_bytes());
     }

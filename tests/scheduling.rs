@@ -197,6 +197,50 @@ fn oversubscribed_tenants_time_share_without_deadlock() {
     assert!(second.total_time >= first.total_time + second.iter_time);
 }
 
+/// A queued tenant's trace sits on the schedule's clock: its kernels start
+/// where the tenant it waited for finished, not at t = 0 over it.
+#[test]
+fn time_shared_trace_draws_the_queued_tenant_after_the_first() {
+    let cluster = ClusterSpec::h100(1);
+    let tenants = vec![
+        traced(ppo_13b_tenant(&cluster, "a", 0)),
+        traced(ppo_13b_tenant(&cluster, "b", 1)),
+    ];
+    let sched = Scheduler::new(cluster).with_config(SchedConfig {
+        refine_steps: 0,
+        ..SchedConfig::default()
+    });
+    let outcome = run_sched(&sched, &tenants).unwrap();
+    assert!(outcome.schedule.oversubscribed);
+    assert_eq!(outcome.admitted_secs[0], 0.0);
+    let first_finish = outcome.reports[0].total_time;
+    assert!(outcome.admitted_secs[1] >= first_finish);
+
+    let stream = obs::sched_event_stream(
+        &tenants,
+        &outcome.schedule,
+        &outcome.reports,
+        &outcome.admitted_secs,
+    );
+    stream.check_invariants().unwrap();
+    let set = real_obs::critpath::reconstruct_spans(&stream);
+    let first_kernel = |tenant: &str| {
+        set.spans()
+            .iter()
+            .filter(|s| set.str(s.category) == "compute")
+            .filter(|s| set.process_name(set.lane(s.lane).pid) == Some(tenant))
+            .map(|s| s.start)
+            .fold(f64::INFINITY, f64::min)
+    };
+    assert!(first_kernel("tenant:a") < first_finish);
+    let queued = first_kernel("tenant:b");
+    assert!(queued.is_finite(), "the queued tenant traced its kernels");
+    assert!(
+        queued >= first_finish,
+        "queued tenant's first kernel at {queued} s, before the first tenant's finish at {first_finish} s"
+    );
+}
+
 #[test]
 fn freed_capacity_is_offered_to_the_elastic_survivor() {
     // Tenant `short` finishes after 1 iteration; its node joins the free
@@ -269,7 +313,12 @@ fn sched_observability_covers_every_tenant() {
     let sched = Scheduler::new(cluster).with_config(quick_config());
     let outcome = run_sched(&sched, &tenants).unwrap();
 
-    let stream = obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
+    let stream = obs::sched_event_stream(
+        &tenants,
+        &outcome.schedule,
+        &outcome.reports,
+        &outcome.admitted_secs,
+    );
     stream.check_invariants().unwrap();
     let procs: Vec<&str> = stream.process_names().map(|(_, name)| name).collect();
     assert!(procs.contains(&"tenant:prod") && procs.contains(&"tenant:dev"));
@@ -327,7 +376,12 @@ fn tenant_export_takes_phases_from_the_graph_and_keeps_fault_lanes() {
     let outcome = run_sched(&sched, &tenants).unwrap();
     assert!(outcome.reports[1].faults.crashes >= 1);
 
-    let stream = obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
+    let stream = obs::sched_event_stream(
+        &tenants,
+        &outcome.schedule,
+        &outcome.reports,
+        &outcome.admitted_secs,
+    );
     stream.check_invariants().unwrap();
     let spans = real_obs::critpath::reconstruct_spans(&stream);
     let has = |name: &str, category: &str| {

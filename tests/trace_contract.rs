@@ -64,10 +64,8 @@ fn stream_json(stream: &EventStream) -> Value {
         .spans()
         .iter()
         .map(|s| {
-            let thread = threads
-                .get(&(s.lane.pid, s.lane.tid))
-                .copied()
-                .unwrap_or("");
+            let lane = set.lane(s.lane);
+            let thread = threads.get(&(lane.pid, lane.tid)).copied().unwrap_or("");
             (s, thread)
         })
         .collect();
@@ -82,7 +80,11 @@ fn stream_json(stream: &EventStream) -> Value {
     let mut rows: BTreeMap<String, (u64, Fnv)> = BTreeMap::new();
     for (s, thread) in &spans {
         let (count, h) = rows
-            .entry(format!("{} {}", process(s.lane.pid), set.str(s.category)))
+            .entry(format!(
+                "{} {}",
+                process(set.lane(s.lane).pid),
+                set.str(s.category)
+            ))
             .or_insert_with(|| (0, Fnv::new()));
         *count += 1;
         h.feed(thread.as_bytes());
@@ -98,11 +100,11 @@ fn stream_json(stream: &EventStream) -> Value {
 
     let mut marks: BTreeMap<String, u64> = BTreeMap::new();
     for e in stream.events() {
-        let (pid, kind) = match e {
-            StreamEvent::Instant { lane, .. } => (lane.pid, "instant"),
-            StreamEvent::Counter { pid, .. } => (*pid, "counter"),
+        let (pid, kind) = match *e {
+            StreamEvent::Instant { lane, .. } => (stream.lane(lane).pid, "instant"),
+            StreamEvent::Counter { track, .. } => (stream.track(track).0, "counter"),
             StreamEvent::FlowStart { lane, .. } | StreamEvent::FlowEnd { lane, .. } => {
-                (lane.pid, "flow")
+                (stream.lane(lane).pid, "flow")
             }
             StreamEvent::Begin { .. } | StreamEvent::End { .. } => continue,
         };
@@ -299,7 +301,12 @@ fn sched_case() -> (&'static str, Value) {
         "{:?}",
         outcome.reports[1].faults
     );
-    let stream = real_sched::obs::sched_event_stream(&tenants, &outcome.schedule, &outcome.reports);
+    let stream = real_sched::obs::sched_event_stream(
+        &tenants,
+        &outcome.schedule,
+        &outcome.reports,
+        &outcome.admitted_secs,
+    );
     ("sched_two_dpo_faulted", stream_json(&stream))
 }
 
