@@ -8,13 +8,42 @@
 
 use real_cluster::CommModel;
 use real_dataflow::{CallAssignment, CallType, ModelFunctionCallDef};
-use real_model::MemoryModel;
+use real_model::{MemoryModel, ParallelStrategy};
 use real_profiler::{OpKind, ProfileDb, ProfileKey};
+use serde::{Deserialize, Serialize};
+
+/// Everything [`call_duration`] reads of a [`CallAssignment`]: the strategy,
+/// and whether its TP, DP and pipeline traffic stays within one node. Every
+/// mesh of one width and node span gives one shape, so a cache of durations
+/// keyed by shape holds far fewer entries than one keyed by assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct Shape {
+    /// The 3D strategy plus micro-batch count.
+    pub strategy: ParallelStrategy,
+    /// [`CallAssignment::tp_within_node`].
+    pub tp_within_node: bool,
+    /// [`CallAssignment::dp_within_node`].
+    pub dp_within_node: bool,
+    /// [`CallAssignment::pp_within_node`].
+    pub pp_within_node: bool,
+}
+
+impl Shape {
+    /// The shape of `a`.
+    pub fn of(a: &CallAssignment) -> Self {
+        Self {
+            strategy: a.strategy,
+            tp_within_node: a.tp_within_node(),
+            dp_within_node: a.dp_within_node(),
+            pp_within_node: a.pp_within_node(),
+        }
+    }
+}
 
 /// Estimated duration in seconds for one model function call.
 pub fn call_duration(
     call: &ModelFunctionCallDef,
-    a: &CallAssignment,
+    a: &Shape,
     db: &ProfileDb,
     comm: &CommModel,
 ) -> f64 {
@@ -37,18 +66,18 @@ pub fn call_duration(
 
 /// Tokens-per-element all-reduce for one layer: a layer forward issues two
 /// TP all-reduces over the activation (§2.2).
-fn tp_ar(comm: &CommModel, call: &ModelFunctionCallDef, a: &CallAssignment, tokens: u64) -> f64 {
+fn tp_ar(comm: &CommModel, call: &ModelFunctionCallDef, a: &Shape, tokens: u64) -> f64 {
     let bytes = tokens as f64 * call.model.hidden as f64 * 2.0;
-    comm.all_reduce(bytes, a.strategy.tp(), a.tp_within_node())
+    comm.all_reduce(bytes, a.strategy.tp(), a.tp_within_node)
 }
 
 /// Pipeline boundary P2P of TP-sharded activations.
-fn pp_p2p(comm: &CommModel, call: &ModelFunctionCallDef, a: &CallAssignment, tokens: u64) -> f64 {
+fn pp_p2p(comm: &CommModel, call: &ModelFunctionCallDef, a: &Shape, tokens: u64) -> f64 {
     if a.strategy.pp() <= 1 {
         return 0.0;
     }
     let bytes = tokens as f64 * call.model.hidden as f64 * 2.0 / f64::from(a.strategy.tp());
-    comm.p2p(bytes, a.pp_within_node())
+    comm.p2p(bytes, a.pp_within_node)
 }
 
 fn lookup(db: &ProfileDb, op: OpKind, tp: u32, x: f64) -> f64 {
@@ -57,13 +86,13 @@ fn lookup(db: &ProfileDb, op: OpKind, tp: u32, x: f64) -> f64 {
 }
 
 /// Per-DP-replica sequence count.
-fn replica_batch(batch: u64, a: &CallAssignment) -> u64 {
+fn replica_batch(batch: u64, a: &Shape) -> u64 {
     batch.div_ceil(u64::from(a.strategy.dp()))
 }
 
 fn generate_duration(
     call: &ModelFunctionCallDef,
-    a: &CallAssignment,
+    a: &Shape,
     db: &ProfileDb,
     comm: &CommModel,
     batch: u64,
@@ -81,7 +110,7 @@ fn generate_duration(
 /// seam the spec-aware estimator plugs into.
 pub fn generate_split_duration(
     call: &ModelFunctionCallDef,
-    a: &CallAssignment,
+    a: &Shape,
     db: &ProfileDb,
     comm: &CommModel,
     batch: u64,
@@ -121,7 +150,7 @@ pub fn generate_split_duration(
 
 fn inference_duration(
     call: &ModelFunctionCallDef,
-    a: &CallAssignment,
+    a: &Shape,
     db: &ProfileDb,
     comm: &CommModel,
     batch: u64,
@@ -147,7 +176,7 @@ fn inference_duration(
 
 fn train_duration(
     call: &ModelFunctionCallDef,
-    a: &CallAssignment,
+    a: &Shape,
     db: &ProfileDb,
     comm: &CommModel,
     batch: u64,
@@ -179,7 +208,7 @@ fn train_duration(
     // Per mini-batch: gradient all-reduce across DP plus the optimizer step
     // (PPO mini-batches are sequential parameter updates, §2.1).
     let shard = MemoryModel::new(call.model.clone()).params_per_gpu(s);
-    let grad_ar = comm.all_reduce(shard as f64 * 4.0, s.dp(), a.dp_within_node());
+    let grad_ar = comm.all_reduce(shard as f64 * 4.0, s.dp(), a.dp_within_node);
     let optim = lookup(db, OpKind::OptimStep, 1, shard as f64);
 
     n_mini as f64 * (pipeline + grad_ar + optim)
@@ -226,12 +255,14 @@ mod tests {
         )
     }
 
-    fn assign(cluster: &ClusterSpec, dp: u32, tp: u32, pp: u32, mbs: u32) -> CallAssignment {
-        CallAssignment::new(
-            DeviceMesh::full(cluster),
-            ParallelStrategy::new(dp, tp, pp, mbs).unwrap(),
+    fn assign(cluster: &ClusterSpec, dp: u32, tp: u32, pp: u32, mbs: u32) -> Shape {
+        Shape::of(
+            &CallAssignment::new(
+                DeviceMesh::full(cluster),
+                ParallelStrategy::new(dp, tp, pp, mbs).unwrap(),
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::Estimator;
 use real_cluster::DeviceMesh;
 use real_dataflow::{CallAssignment, CallId, DataflowGraph, ExecutionPlan, SpecChoice};
-use real_model::MemoryModel;
+use real_model::{MemoryModel, ParallelStrategy};
 
 /// What an augmented node does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,8 +249,10 @@ impl AugGraph {
     }
 }
 
-/// Estimated cost of reallocating `model`'s BF16 weights from the source
-/// assignment to the destination assignment.
+/// Estimated cost of reallocating a model's BF16 weights from the source
+/// assignment to the destination assignment, where `shard_bytes` gives the
+/// destination strategy's per-GPU weight bytes (asked for only when the
+/// layouts differ).
 ///
 /// Per §5.1 the estimator "approximates the time with the data size and the
 /// bandwidth": every destination GPU must receive its destination shard; the
@@ -258,15 +260,14 @@ impl AugGraph {
 /// the slowest link involved, plus a latency per pipeline-stage pair.
 pub fn realloc_cost(
     est: &Estimator,
-    model: &real_model::ModelSpec,
     src: &CallAssignment,
     dst: &CallAssignment,
+    shard_bytes: impl FnOnce() -> u64,
 ) -> f64 {
     if src == dst {
         return 0.0;
     }
-    let mm = MemoryModel::new(model.clone());
-    let shard_bytes = mm.weight_bytes_per_gpu(&dst.strategy) as f64;
+    let shard_bytes = shard_bytes() as f64;
     // Same single node for both meshes → NVLink; anything else is
     // conservatively priced at fabric bandwidth.
     let within = src.mesh.n_nodes() == 1
@@ -282,16 +283,14 @@ pub fn realloc_cost(
 /// price 8 bytes per token of payload.
 pub fn transfer_cost_between(
     est: &Estimator,
-    graph: &DataflowGraph,
     from: CallId,
     a: &CallAssignment,
     b: &CallAssignment,
 ) -> f64 {
-    if a.mesh == b.mesh && a.strategy == b.strategy {
+    if a == b {
         return 0.0;
     }
-    let call = graph.call(from);
-    let bytes = call.call_type.total_tokens() as f64 * 8.0;
+    let bytes = est.graph().call(from).call_type.total_tokens() as f64 * 8.0;
     let within = a.mesh.n_nodes() == 1
         && b.mesh.n_nodes() == 1
         && a.mesh.node_start() == b.mesh.node_start();
@@ -300,27 +299,26 @@ pub fn transfer_cost_between(
     est.comm().broadcast(per_src, 2, within)
 }
 
-/// Edge-cost oracle for [`Template::instantiate`].
+/// Call-cost oracle for [`Template::instantiate`].
 ///
 /// The template fixes the *structure* of the augmented graph; an
-/// implementation of this trait supplies the per-node prices. The
-/// direct implementation (on `&Estimator`) calls the estimator's pricing
-/// functions; the memoized one ([`crate::memo::CostMemo`] via
-/// [`crate::PlanPricer`]) consults its cache first. Both must return
-/// bit-identical values for the two paths to produce bit-identical
-/// makespans.
+/// implementation of this trait supplies the call durations and the
+/// reallocation payloads, while the edge prices themselves
+/// ([`realloc_cost`], [`transfer_cost_between`]) are a few flops and are
+/// computed on every instantiation. The direct implementation (on
+/// `&Estimator`) calls the estimator's pricing functions; the memoized one
+/// ([`crate::memo::CostMemo`] via [`crate::PlanPricer`]) consults its cache
+/// first. Both must return bit-identical values for the two paths to
+/// produce bit-identical makespans.
 pub trait NodeCosts {
     /// Duration of `call` under assignment `a` (seconds).
     fn duration(&mut self, call: CallId, a: &CallAssignment) -> f64;
-    /// Cost of reallocating the model of `dst_call` from layout `src` to
-    /// layout `dst` (seconds).
-    fn realloc(&mut self, dst_call: CallId, src: &CallAssignment, dst: &CallAssignment) -> f64;
-    /// Cost of moving `from`'s outputs (under `a`) to a consumer under `b`
-    /// (seconds).
-    fn transfer(&mut self, from: CallId, a: &CallAssignment, b: &CallAssignment) -> f64;
     /// Duration of generation call `call` under `a`, decoding speculatively
     /// under `choice` (seconds).
     fn spec_duration(&mut self, call: CallId, a: &CallAssignment, choice: &SpecChoice) -> f64;
+    /// Per-GPU BF16 weight bytes of `call`'s model under `s`: the payload a
+    /// reallocation to `s` moves.
+    fn weight_bytes(&mut self, call: CallId, s: &ParallelStrategy) -> u64;
 
     /// Duration of `call`'s node under `a`: [`NodeCosts::spec_duration`]
     /// when `plan` decodes `call` speculatively, [`NodeCosts::duration`]
@@ -340,16 +338,12 @@ impl NodeCosts for &Estimator {
         self.call_duration(call, a)
     }
 
-    fn realloc(&mut self, dst_call: CallId, src: &CallAssignment, dst: &CallAssignment) -> f64 {
-        realloc_cost(self, &self.graph().call(dst_call).model, src, dst)
-    }
-
-    fn transfer(&mut self, from: CallId, a: &CallAssignment, b: &CallAssignment) -> f64 {
-        transfer_cost_between(self, self.graph(), from, a, b)
-    }
-
     fn spec_duration(&mut self, call: CallId, a: &CallAssignment, choice: &SpecChoice) -> f64 {
         self.spec_call_duration(call, a, choice)
+    }
+
+    fn weight_bytes(&mut self, call: CallId, s: &ParallelStrategy) -> u64 {
+        MemoryModel::new(self.graph().call(call).model.clone()).weight_bytes_per_gpu(s)
     }
 }
 
@@ -526,13 +520,13 @@ impl Template {
     /// an async template also makes each call wait for the latest earlier
     /// call on every mesh its own meshes overlap.
     ///
-    /// Every price depends on the plan alone, not on the iteration, so
-    /// `costs` is asked once per call duration, data dependency and
-    /// parameter edge that some unrolled iteration uses, and the unrolled
-    /// iterations reuse the answers.
+    /// Every price depends on the plan alone, not on the iteration, so each
+    /// call duration, data dependency and parameter edge that some unrolled
+    /// iteration uses is priced once, and the unrolled iterations reuse the
+    /// answers.
     pub fn instantiate<F>(
         &self,
-        graph: &DataflowGraph,
+        est: &Estimator,
         plan: &ExecutionPlan,
         assign: F,
         costs: &mut dyn NodeCosts,
@@ -540,6 +534,7 @@ impl Template {
     ) where
         F: Fn(CallId) -> CallAssignment,
     {
+        let graph = est.graph();
         let n = graph.n_calls();
         out.clear();
         for call in 0..n {
@@ -553,7 +548,8 @@ impl Template {
             out.call_duration.push(costs.call_node(plan, call, &a));
             let cost = match self.param_edge[call.0] {
                 Some(e) if e.back < self.iterations => {
-                    costs.realloc(call, &out.assigns[e.src.0], &a)
+                    let shard_bytes = || costs.weight_bytes(call, &a.strategy);
+                    realloc_cost(est, &out.assigns[e.src.0], &a, shard_bytes)
                 }
                 _ => 0.0,
             };
@@ -562,7 +558,7 @@ impl Template {
         for &call in &self.topo {
             let a = out.assigns[call.0];
             for &dep in graph.deps(call) {
-                let cost = costs.transfer(dep, &out.assigns[dep.0], &a);
+                let cost = transfer_cost_between(est, dep, &out.assigns[dep.0], &a);
                 out.dep_cost.push(cost);
             }
         }
@@ -634,7 +630,7 @@ impl Template {
 pub fn build(plan: &ExecutionPlan, est: &Estimator) -> AugGraph {
     let mut out = AugGraph::new();
     let assign = |id| *plan.assignment(id);
-    Template::new(est).instantiate(est.graph(), plan, assign, &mut { est }, &mut out);
+    Template::new(est).instantiate(est, plan, assign, &mut { est }, &mut out);
     out
 }
 
@@ -756,7 +752,8 @@ mod tests {
             ParallelStrategy::new(2, 8, 1, 4).unwrap(),
         )
         .unwrap();
-        assert_eq!(realloc_cost(&est, &ModelSpec::llama3_7b(), &a, &a), 0.0);
+        let never = || unreachable!("identical layouts move no weights");
+        assert_eq!(realloc_cost(&est, &a, &a, never), 0.0);
     }
 
     #[test]
@@ -772,7 +769,8 @@ mod tests {
             ParallelStrategy::new(1, 8, 2, 4).unwrap(),
         )
         .unwrap();
-        let c = realloc_cost(&est, &ModelSpec::llama3_7b(), &a, &b);
+        let shard = || MemoryModel::new(ModelSpec::llama3_7b()).weight_bytes_per_gpu(&b.strategy);
+        let c = realloc_cost(&est, &a, &b, shard);
         assert!(c > 0.0);
         // Moving a 7B shard over the fabric: milliseconds-to-seconds scale,
         // far below a full generation call.

@@ -51,10 +51,11 @@ pub mod memo;
 pub mod probe;
 pub mod spec;
 
+pub use assemble::Shape;
 pub use memo::{CostMemo, MemoSnapshot, MemoStats, PlanPricer};
 
-use real_cluster::{ClusterHealth, ClusterSpec, CommModel};
-use real_dataflow::{CallId, DataflowGraph, ExecutionPlan};
+use real_cluster::{ClusterHealth, ClusterSpec, CommModel, DeviceMesh};
+use real_dataflow::{CallAssignment, CallId, DataflowGraph, ExecutionPlan};
 use real_profiler::ProfileDb;
 use std::collections::HashMap;
 use std::fmt;
@@ -172,10 +173,12 @@ impl Estimator {
     /// Digest of the full pricing context *except* the health overlay:
     /// cluster shape, iteration count, every call's name/model/workload, and
     /// the profile databases (including their measurement noise, so a
-    /// re-profiled run never reuses stale prices). A persisted
-    /// [`CostMemo`] snapshot is only restorable against an estimator with
-    /// the same fingerprint; health drift is tracked separately via
-    /// [`Estimator::health_fingerprint`].
+    /// re-profiled run never reuses stale prices), plus the
+    /// [`MemoSnapshot`] layout version, so a snapshot of an older layout
+    /// starts cold instead of restoring keys of another meaning. A
+    /// persisted [`CostMemo`] snapshot is only restorable against an
+    /// estimator with the same fingerprint; health drift is tracked
+    /// separately via [`Estimator::health_fingerprint`].
     pub fn context_fingerprint(&self) -> u64 {
         const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
         fn mix(h: u64, w: u64) -> u64 {
@@ -187,7 +190,8 @@ impl Estimator {
             }
             mix(h, 0xff)
         }
-        let mut h = mix(SEED, u64::from(self.cluster.total_gpus()));
+        let mut h = mix(SEED, memo::SNAPSHOT_LAYOUT);
+        h = mix(h, u64::from(self.cluster.total_gpus()));
         h = mix(h, self.cluster.gpu.mem_capacity);
         h = mix(h, self.iterations as u64);
         for (_, def) in self.graph.iter() {
@@ -261,18 +265,58 @@ impl Estimator {
     }
 
     /// Estimated duration of one call under `assignment` (§5.1 assembly of
-    /// profiled per-layer statistics).
-    pub fn call_duration(&self, call: CallId, assignment: &real_dataflow::CallAssignment) -> f64 {
-        let d = assemble::call_duration(
-            self.graph.call(call),
-            assignment,
-            self.profile_for(call),
-            &self.comm,
-        );
-        match &self.health {
-            Some(h) => d * h.mesh_factor(&assignment.mesh),
+    /// profiled per-layer statistics): [`Estimator::shape_duration`] of its
+    /// shape, times the health overlay's [`Estimator::mesh_factor`] of its
+    /// mesh when there is an overlay.
+    pub fn call_duration(&self, call: CallId, assignment: &CallAssignment) -> f64 {
+        let d = self.shape_duration(call, &Shape::of(assignment));
+        match self.mesh_factor(&assignment.mesh) {
+            Some(factor) => d * factor,
             None => d,
         }
+    }
+
+    /// Estimated duration of one call on a healthy cluster under any
+    /// assignment of shape `shape`.
+    pub fn shape_duration(&self, call: CallId, shape: &Shape) -> f64 {
+        assemble::call_duration(
+            self.graph.call(call),
+            shape,
+            self.profile_for(call),
+            &self.comm,
+        )
+    }
+
+    /// The health overlay's slowdown factor of `mesh`
+    /// ([`ClusterHealth::mesh_factor`], a scan of the mesh's GPUs); `None`
+    /// without an overlay.
+    pub fn mesh_factor(&self, mesh: &DeviceMesh) -> Option<f64> {
+        self.health.as_ref().map(|h| h.mesh_factor(mesh))
+    }
+
+    /// [`Estimator::call_duration`] of `call` under each of `options`, in
+    /// order, appended to `out`. Each distinct [`Shape`] is priced once, and
+    /// each run of consecutive options on one mesh reads its health factor
+    /// once, so a search space's option list (tens of thousands of options
+    /// over a few thousand shapes at 1024 GPUs) costs far less than pricing
+    /// every option.
+    pub fn call_durations(&self, call: CallId, options: &[CallAssignment], out: &mut Vec<f64>) {
+        let mut shapes: HashMap<Shape, f64, memo::FxBuild> = HashMap::default();
+        let mut factor: Option<(DeviceMesh, Option<f64>)> = None;
+        out.extend(options.iter().map(|a| {
+            let shape = Shape::of(a);
+            let d = *shapes
+                .entry(shape)
+                .or_insert_with(|| self.shape_duration(call, &shape));
+            let f = match factor {
+                Some((mesh, f)) if mesh == a.mesh => f,
+                _ => factor.insert((a.mesh, self.mesh_factor(&a.mesh))).1,
+            };
+            match f {
+                Some(f) => d * f,
+                None => d,
+            }
+        }));
     }
 
     /// [`Estimator::call_duration`] of a generation call decoding
@@ -284,7 +328,7 @@ impl Estimator {
     pub fn spec_call_duration(
         &self,
         call: CallId,
-        assignment: &real_dataflow::CallAssignment,
+        assignment: &CallAssignment,
         choice: &real_dataflow::SpecChoice,
     ) -> f64 {
         let d = spec::spec_generate_duration(self, call, assignment, choice);

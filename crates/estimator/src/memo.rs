@@ -1,12 +1,22 @@
 //! Memoized Algorithm-1 sub-results: the search-hot-path cache (§5.2).
 //!
 //! One MCMC proposal perturbs a single call's (mesh, strategy), yet the
-//! naive pricing path re-assembled every call duration, re-priced every
-//! realloc/transfer edge, and re-scanned a per-GPU array the size of the
-//! cluster. All of those sub-results are pure functions of at most a
-//! `(call, assignment)` pair — so [`CostMemo`] caches them under exactly
-//! those keys and [`PlanPricer`] re-prices a whole plan from cache hits
-//! plus the handful of entries the perturbation actually changed.
+//! naive pricing path re-assembled every call duration and re-scanned a
+//! per-GPU array the size of the cluster. [`CostMemo`] caches each
+//! sub-result under exactly the inputs its pricing function reads, and
+//! [`PlanPricer`] re-prices a whole plan from cache hits plus the handful
+//! of entries the perturbation actually changed:
+//!
+//! - a call duration under its [`Shape`] (the strategy and three
+//!   within-node flags), times the health factor of its mesh, cached per
+//!   mesh;
+//! - a call's active and an anchor's static memory under its strategy;
+//! - a speculative duration under its assignment, draft and configuration.
+//!
+//! Reallocation and transfer edges are not cached. Each reads a few
+//! scalars of its two assignments and costs a few flops, less than a
+//! lookup keyed by two assignments, and such a table held most of a
+//! 1024-GPU search's heap.
 //!
 //! # Invalidation
 //!
@@ -24,12 +34,14 @@
 //! with the same graph, profiles, and cluster — e.g. the scheduler's
 //! per-(tenant, mesh) candidate probes, which all price one tenant's
 //! experiment against nested mesh regions and therefore revisit the same
-//! `(call, assignment)` keys constantly.
+//! keys constantly.
 
 use crate::algorithm1::Simulator;
-use crate::augment::{self, AugGraph, NodeCosts, Template};
+use crate::assemble::Shape;
+use crate::augment::{AugGraph, NodeCosts, Template};
 use crate::maxmem::{self, PeakSweep};
 use crate::{penalized, Estimator};
+use real_cluster::DeviceMesh;
 use real_dataflow::{CallAssignment, CallId, ExecutionPlan, SpecChoice};
 use real_model::{MemoryModel, ParallelStrategy};
 use serde::{Deserialize, Serialize};
@@ -105,7 +117,7 @@ impl MemoStats {
 /// come from the search space, not from untrusted input) and costs more
 /// than the table lookup itself.
 #[derive(Default)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -150,12 +162,12 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
-/// The explicit cache of Algorithm-1 sub-results, keyed by
-/// `(call, assignment)` pairs (plus the source assignment for edge costs).
+/// The explicit cache of Algorithm-1 sub-results, each keyed by exactly
+/// what its pricing function reads (see the module docs).
 ///
-/// All five tables store outputs of pure pricing functions, so a hit is
+/// Every table stores outputs of pure pricing functions, so a hit is
 /// bit-identical to recomputation — the property the search's
 /// memo-on/memo-off equivalence tests pin down. Create one per
 /// (graph, profiles, cluster) context and reuse it across every search and
@@ -163,9 +175,12 @@ type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 /// invalidation rule.
 #[derive(Debug, Clone, Default)]
 pub struct CostMemo {
-    durations: HashMap<(CallId, CallAssignment), f64, FxBuild>,
-    reallocs: HashMap<(CallId, CallAssignment, CallAssignment), f64, FxBuild>,
-    transfers: HashMap<(CallId, CallAssignment, CallAssignment), f64, FxBuild>,
+    /// [`Estimator::shape_duration`] per call and shape: one entry serves
+    /// every mesh of one width and node span.
+    durations: HashMap<(CallId, Shape), f64, FxBuild>,
+    /// [`Estimator::mesh_factor`] per mesh, filled only under a health
+    /// overlay.
+    factors: HashMap<DeviceMesh, f64, FxBuild>,
     /// Memory checks read a call's strategy alone, so one entry serves
     /// every mesh of one shape.
     actives: HashMap<(CallId, ParallelStrategy), u64, FxBuild>,
@@ -196,8 +211,7 @@ impl CostMemo {
             misses: self.misses,
             invalidations: self.invalidations,
             entries: (self.durations.len()
-                + self.reallocs.len()
-                + self.transfers.len()
+                + self.factors.len()
                 + self.actives.len()
                 + self.statics.len()
                 + self.spec_durations.len()) as u64,
@@ -215,44 +229,27 @@ impl CostMemo {
             self.invalidations += 1;
         }
         self.durations.clear();
-        self.reallocs.clear();
-        self.transfers.clear();
+        self.factors.clear();
         self.actives.clear();
         self.statics.clear();
         self.spec_durations.clear();
         self.health_tag = Some(tag);
     }
 
+    /// [`Estimator::call_duration`], composed the same way from a cached
+    /// shape duration and, under a health overlay, a cached mesh factor.
     fn duration(&mut self, est: &Estimator, call: CallId, a: &CallAssignment) -> f64 {
+        let shape = Shape::of(a);
         let counts = (&mut self.hits, &mut self.misses);
-        cached(&mut self.durations, counts, (call, *a), || {
-            est.call_duration(call, a)
-        })
-    }
-
-    fn realloc(
-        &mut self,
-        est: &Estimator,
-        dst_call: CallId,
-        src: &CallAssignment,
-        dst: &CallAssignment,
-    ) -> f64 {
+        let d = cached(&mut self.durations, counts, (call, shape), || {
+            est.shape_duration(call, &shape)
+        });
+        if est.health().is_none() {
+            return d;
+        }
         let counts = (&mut self.hits, &mut self.misses);
-        cached(&mut self.reallocs, counts, (dst_call, *src, *dst), || {
-            augment::realloc_cost(est, &est.graph().call(dst_call).model, src, dst)
-        })
-    }
-
-    fn transfer(
-        &mut self,
-        est: &Estimator,
-        from: CallId,
-        a: &CallAssignment,
-        b: &CallAssignment,
-    ) -> f64 {
-        let counts = (&mut self.hits, &mut self.misses);
-        cached(&mut self.transfers, counts, (from, *a, *b), || {
-            augment::transfer_cost_between(est, est.graph(), from, a, b)
+        d * cached(&mut self.factors, counts, a.mesh, || {
+            est.mesh_factor(&a.mesh).expect("an overlay is present")
         })
     }
 
@@ -290,31 +287,19 @@ impl CostMemo {
     /// --memo-out`). `context` must be the owning estimator's
     /// [`Estimator::context_fingerprint`]; entries are emitted in a sorted,
     /// deterministic order and `f64` prices as raw bits, so a warm restore
-    /// is bit-identical to the live cache.
+    /// prices bit-identically to the live cache. Mesh factors are left
+    /// out: one scan of a mesh's GPUs rebuilds each.
     pub fn snapshot(&self, context: u64) -> MemoSnapshot {
         let mut durations: Vec<DurationEntry> = self
             .durations
             .iter()
-            .map(|(&(c, a), &v)| DurationEntry {
+            .map(|(&(c, shape), &v)| DurationEntry {
                 call: c.0 as u64,
-                a,
+                shape,
                 secs_bits: v.to_bits(),
             })
             .collect();
-        durations.sort_by_key(|e| (e.call, e.a));
-        let edge = |map: &HashMap<(CallId, CallAssignment, CallAssignment), f64, FxBuild>| {
-            let mut out: Vec<EdgeEntry> = map
-                .iter()
-                .map(|(&(c, src, dst), &v)| EdgeEntry {
-                    call: c.0 as u64,
-                    src,
-                    dst,
-                    secs_bits: v.to_bits(),
-                })
-                .collect();
-            out.sort_by_key(|e| (e.call, e.src, e.dst));
-            out
-        };
+        durations.sort_by_key(|e| (e.call, e.shape));
         let bytes = |map: &HashMap<(CallId, ParallelStrategy), u64, FxBuild>| {
             let mut out: Vec<BytesEntry> = map
                 .iter()
@@ -343,8 +328,6 @@ impl CostMemo {
             context,
             health_tag: self.health_tag,
             durations,
-            reallocs: edge(&self.reallocs),
-            transfers: edge(&self.transfers),
             actives: bytes(&self.actives),
             statics: bytes(&self.statics),
             spec_durations,
@@ -366,18 +349,8 @@ impl CostMemo {
             ..Self::default()
         };
         for e in &snap.durations {
-            memo.durations
-                .insert((CallId(e.call as usize), e.a), f64::from_bits(e.secs_bits));
-        }
-        for e in &snap.reallocs {
-            memo.reallocs.insert(
-                (CallId(e.call as usize), e.src, e.dst),
-                f64::from_bits(e.secs_bits),
-            );
-        }
-        for e in &snap.transfers {
-            memo.transfers.insert(
-                (CallId(e.call as usize), e.src, e.dst),
+            memo.durations.insert(
+                (CallId(e.call as usize), e.shape),
                 f64::from_bits(e.secs_bits),
             );
         }
@@ -417,6 +390,12 @@ fn cached<K: std::hash::Hash + Eq, V: Copy>(
     v
 }
 
+/// The [`MemoSnapshot`] layout version, folded into
+/// [`Estimator::context_fingerprint`]. Version 2 keys durations by
+/// [`Shape`] and drops the reallocation and transfer tables; bump it
+/// whenever a table's key or value changes meaning.
+pub(crate) const SNAPSHOT_LAYOUT: u64 = 2;
+
 /// A serialized [`CostMemo`]: the persistence format behind `real plan
 /// --memo-out/--memo-in`. Prices are stored as raw `f64` bits and entries
 /// in a deterministic sorted order; the embedded context fingerprint and
@@ -426,8 +405,6 @@ pub struct MemoSnapshot {
     context: u64,
     health_tag: Option<u64>,
     durations: Vec<DurationEntry>,
-    reallocs: Vec<EdgeEntry>,
-    transfers: Vec<EdgeEntry>,
     actives: Vec<BytesEntry>,
     statics: Vec<BytesEntry>,
     spec_durations: Vec<SpecDurationEntry>,
@@ -441,27 +418,14 @@ impl MemoSnapshot {
 
     /// Total entries across all tables.
     pub fn n_entries(&self) -> usize {
-        self.durations.len()
-            + self.reallocs.len()
-            + self.transfers.len()
-            + self.actives.len()
-            + self.statics.len()
-            + self.spec_durations.len()
+        self.durations.len() + self.actives.len() + self.statics.len() + self.spec_durations.len()
     }
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct DurationEntry {
     call: u64,
-    a: CallAssignment,
-    secs_bits: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct EdgeEntry {
-    call: u64,
-    src: CallAssignment,
-    dst: CallAssignment,
+    shape: Shape,
     secs_bits: u64,
 }
 
@@ -485,6 +449,7 @@ struct SpecDurationEntry {
 struct MemoCosts<'a, 'b> {
     est: &'a Estimator,
     memo: &'b mut CostMemo,
+    weights: &'b mut HashMap<(CallId, ParallelStrategy), u64, FxBuild>,
 }
 
 impl NodeCosts for MemoCosts<'_, '_> {
@@ -492,16 +457,16 @@ impl NodeCosts for MemoCosts<'_, '_> {
         self.memo.duration(self.est, call, a)
     }
 
-    fn realloc(&mut self, dst_call: CallId, src: &CallAssignment, dst: &CallAssignment) -> f64 {
-        self.memo.realloc(self.est, dst_call, src, dst)
-    }
-
-    fn transfer(&mut self, from: CallId, a: &CallAssignment, b: &CallAssignment) -> f64 {
-        self.memo.transfer(self.est, from, a, b)
-    }
-
     fn spec_duration(&mut self, call: CallId, a: &CallAssignment, choice: &SpecChoice) -> f64 {
         self.memo.spec_duration(self.est, call, a, choice)
+    }
+
+    fn weight_bytes(&mut self, call: CallId, s: &ParallelStrategy) -> u64 {
+        let est = self.est;
+        *self
+            .weights
+            .entry((call, *s))
+            .or_insert_with(|| { est }.weight_bytes(call, s))
     }
 }
 
@@ -566,9 +531,11 @@ struct Workspace {
     /// The peak-memory interval sweep.
     peak: PeakSweep,
     /// Draft residency per (call, draft assignment, speculation-config
-    /// fingerprint): pure in its key, and kept here because computing it
-    /// builds a memory model.
+    /// fingerprint), and reallocation payloads per (call, strategy): pure
+    /// in their keys, and kept here because computing them builds a memory
+    /// model.
     drafts: HashMap<(CallId, CallAssignment, u64), u64, FxBuild>,
+    weights: HashMap<(CallId, ParallelStrategy), u64, FxBuild>,
 }
 
 impl<'a> PlanPricer<'a> {
@@ -613,10 +580,11 @@ impl<'a> PlanPricer<'a> {
         let mut costs = MemoCosts {
             est: self.est,
             memo: &mut self.memo,
+            weights: &mut self.work.weights,
         };
         let graph = &mut self.work.graph;
         self.template
-            .instantiate(self.est.graph(), plan, assign, &mut costs, graph);
+            .instantiate(self.est, plan, assign, &mut costs, graph);
         self.work.sim.makespan(graph) / self.est.iterations() as f64
     }
 
@@ -746,6 +714,7 @@ impl<'a> PlanPricer<'a> {
         let mut costs = MemoCosts {
             est: self.est,
             memo: &mut self.memo,
+            weights: &mut self.work.weights,
         };
         let durations = &mut self.work.durations;
         durations.clear();
@@ -888,21 +857,27 @@ mod tests {
 
     #[test]
     fn a_price_looks_up_each_sub_result_once() {
-        // PPO at two unrolled iterations: 6 call durations, 11 data
-        // dependencies and 6 parameter edges (2 within the iteration, 4
-        // wrap-arounds), however many iterations read them.
-        let (_, graph, est) = setup();
-        let plan = plan_from(&[1, 9, 17, 33, 65, 129]);
-        let mut pricer = PlanPricer::new(est);
-        pricer.time_cost(&plan);
-        let before = pricer.memo_stats();
-        pricer.time_cost(&plan);
-        let after = pricer.memo_stats().since(before);
+        // PPO at two unrolled iterations: 6 call durations, however many
+        // iterations read them, and under a health overlay 6 mesh factors.
+        // The 11 data dependencies and 6 parameter edges are priced
+        // without the memo.
+        let (cluster, graph, est) = setup();
         let deps: usize = (0..graph.n_calls())
             .map(|c| graph.deps(CallId(c)).len())
             .sum();
         assert_eq!(deps, 11);
-        assert_eq!((after.hits, after.misses), (23, 0));
+        let plan = plan_from(&[1, 9, 17, 33, 65, 129]);
+        let mut health = ClusterHealth::healthy(cluster);
+        health.mark_slow(GpuId(3), 2.0);
+        let degraded = est.clone().with_health(health);
+        for (est, lookups) in [(est, 6), (&degraded, 12)] {
+            let mut pricer = PlanPricer::new(est);
+            pricer.time_cost(&plan);
+            let before = pricer.memo_stats();
+            pricer.time_cost(&plan);
+            let after = pricer.memo_stats().since(before);
+            assert_eq!((after.hits, after.misses), (lookups, 0));
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! preserved because the runtime master prices drafts with the same
 //! [`CostModel`].
 
-use crate::{assemble, Estimator};
+use crate::assemble::{self, Shape};
+use crate::Estimator;
 use real_dataflow::{CallAssignment, CallId, CallType, SpecChoice};
 use real_model::specdec::{self, DecodeShape};
 use real_model::{CostModel, MemoryModel};
@@ -134,11 +135,11 @@ pub fn spec_generate_duration(
         gen_len,
     } = def.call_type
     else {
-        return assemble::call_duration(def, a, est.profile_for(call), est.comm());
+        return assemble::call_duration(def, &Shape::of(a), est.profile_for(call), est.comm());
     };
     let (prefill, decode) = assemble::generate_split_duration(
         def,
-        a,
+        &Shape::of(a),
         est.profile_for(call),
         est.comm(),
         batch,

@@ -26,6 +26,9 @@ pub fn greedy_plan(est: &Estimator, space: &SearchSpace) -> ExecutionPlan {
 /// last read for. A chain reads every option's duration for its greedy
 /// start and for each polish sweep, so the table prices each row once, on
 /// first use, and again only when the call's speculation choice changes.
+/// A plain row prices each distinct duration shape once
+/// ([`Estimator::call_durations`]): at 1024 GPUs, 77,067 options share
+/// 3,395 shapes.
 pub(crate) struct DurationTable<'a> {
     est: &'a Estimator,
     space: &'a SearchSpace,
@@ -59,12 +62,16 @@ impl<'a> DurationTable<'a> {
         let est = self.est;
         let (held, row) = &mut self.rows[call.0];
         if row.is_empty() || held.as_ref() != spec {
-            let options = self.space.options(call.0).iter();
+            let options = self.space.options(call.0);
             row.clear();
-            row.extend(options.map(|a| match spec {
-                Some(choice) => est.spec_call_duration(call, a, choice),
-                None => est.call_duration(call, a),
-            }));
+            match spec {
+                Some(choice) => row.extend(
+                    options
+                        .iter()
+                        .map(|a| est.spec_call_duration(call, a, choice)),
+                ),
+                None => est.call_durations(call, options, row),
+            }
             *held = spec.cloned();
         }
         row
