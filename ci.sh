@@ -154,26 +154,51 @@ if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 60) }'; then
 fi
 
 # Memory gate: the `real plan` path at 1024 GPUs (the benchmark's plan-1024
-# workload) must peak at or under 20 MB of RSS. The search keeps option
-# durations in a dense table instead of the memo, which holds it near
-# 16 MB; with every option's duration memoized it peaked near 25 MB (see
+# workload) must peak at or under 12 MB of RSS. The cost memo keys call
+# durations by shape and does not cache reallocation or transfer edges,
+# and the search keeps option durations in a dense table, which holds it
+# near 8 MB; with edges keyed by pairs of assignments it peaked near
+# 16 MB, and with every option's duration memoized near 25 MB (see
 # docs/SEARCH.md).
 rss=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \
     --workload plan-1024 --seconds 1 | tail -n 1 |
     sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')
-if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 20) }'; then
-    echo "memory gate: plan-1024 peak_rss_mb '$rss' exceeds 20" >&2
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 12) }'; then
+    echo "memory gate: plan-1024 peak_rss_mb '$rss' exceeds 12" >&2
     exit 1
 fi
 
 # Memory gate: the `real serve` path over 8,000 arrivals (the benchmark's
-# serve-day workload) must peak at or under 25 MB of RSS. A finished tenant
-# keeps only its report row, which holds it near 15 MB; keeping every
-# finished tenant's session took it to 56 MB (see docs/SERVING.md).
+# serve-day workload) must peak at or under 12 MB of RSS. A finished tenant
+# keeps only its report row, and the admission probes' cost memo holds no
+# reallocation or transfer edges, which holds it near 8.5 MB; with those
+# edges cached it peaked near 15 MB, and keeping every finished tenant's
+# session took it to 56 MB (see docs/SERVING.md).
 rss=$(cargo run --release -q --offline --manifest-path perf/Cargo.toml -- \
     --workload serve-day --seconds 1 | tail -n 1 |
     sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')
-if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 25) }'; then
-    echo "memory gate: serve-day peak_rss_mb '$rss' exceeds 25" >&2
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 12) }'; then
+    echo "memory gate: serve-day peak_rss_mb '$rss' exceeds 12" >&2
     exit 1
 fi
+
+# Memo round trip: a 2-node search saves its cost memo, and a second search
+# restored from it must say it started warm and print the same plan. Both
+# run under `timeout 60`: loading a snapshot must stay linear in its size
+# (see docs/SPECULATION.md).
+memo_dir=$(mktemp -d)
+timeout 60 ./target/release/real plan --nodes 2 --steps 20000 --quick-profile \
+    --memo-out "$memo_dir/memo.json" > "$memo_dir/cold.txt"
+timeout 60 ./target/release/real plan --nodes 2 --steps 20000 --quick-profile \
+    --memo-in "$memo_dir/memo.json" > "$memo_dir/warm.txt"
+if ! grep -q '^memo: warm start from' "$memo_dir/warm.txt"; then
+    echo "memo round trip: the restored search did not start warm" >&2
+    exit 1
+fi
+grep -v '^memo:' "$memo_dir/cold.txt" > "$memo_dir/cold.plan"
+grep -v '^memo:' "$memo_dir/warm.txt" > "$memo_dir/warm.plan"
+if ! cmp -s "$memo_dir/cold.plan" "$memo_dir/warm.plan"; then
+    echo "memo round trip: the warm search printed a different plan" >&2
+    exit 1
+fi
+rm -rf "$memo_dir"

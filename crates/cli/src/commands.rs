@@ -201,7 +201,8 @@ SEARCH FLAGS (plan/run):
   --memo-stats     print memo-cache hits/misses/hit-rate after the search
   --memo-in FILE   warm-start pricing from a saved cost-memo snapshot; a
                    snapshot from a different pricing context (cluster,
-                   graph, profiles, health) is ignored with a warning
+                   graph, profiles, health) or an older snapshot layout is
+                   ignored with a warning
   --memo-out FILE  save the search's cost memo for the next search
   --spec-decode    make speculative draft/verify decode a search dimension
                    on generation calls (see docs/SPECULATION.md)
@@ -436,12 +437,14 @@ fn spec_menu_from(args: &Args, cluster: &ClusterSpec) -> Result<SpecMenu, CliErr
 /// [`Experiment::plan_search`] with the `--chains`/`--threads` budget and
 /// the speculation menu (empty unless asked for), handles the `--memo-in`
 /// restore (warning on a context mismatch) and the `--memo-out` snapshot,
-/// and returns the planned outcome plus those memo notes.
+/// and returns the planned outcome plus those memo notes. A `--memo-in`
+/// file that is JSON but not a snapshot of this layout (an older
+/// version's, say) starts cold like a context mismatch.
 fn plan_searched(args: &Args, exp: &Experiment) -> Result<(PlannedExperiment, String), CliError> {
     let menu = spec_menu_from(args, exp.cluster())?;
     let (cfg, chains, threads) = mcmc_from(args)?;
     let warm: Option<MemoSnapshot> = match args.str_opt("memo-in") {
-        Some(path) => Some(load_json(path)?),
+        Some(path) => serde_json::from_value(&load_json::<serde_json::Value>(path)?).ok(),
         None => None,
     };
     let planned = exp
@@ -454,7 +457,7 @@ fn plan_searched(args: &Args, exp: &Experiment) -> Result<(PlannedExperiment, St
         } else {
             notes.push_str(&format!(
                 "memo: {path} was priced under a different context \
-                 (cluster/graph/profiles changed); cold start\n"
+                 (cluster/graph/profiles or snapshot layout changed); cold start\n"
             ));
         }
     }
@@ -2354,6 +2357,67 @@ mod tests {
         argv.extend_from_slice(&["--memo-in", memo_path.to_str().unwrap()]);
         let stale = cmd_plan(&parse(&argv)).unwrap();
         assert!(stale.contains("cold start"), "{stale}");
+    }
+
+    #[test]
+    fn an_older_memo_snapshot_layout_starts_cold() {
+        // A snapshot as the previous layout wrote it (durations keyed by
+        // assignment, reallocation and transfer tables), cut to two
+        // entries per table, for this very plan invocation.
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/memo_snapshot_layout1.json"
+        );
+        let dir = std::env::temp_dir().join("real-cli-old-memo");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stripped = dir.join("memo.json");
+        // The same file with every table emptied parses as this layout; the
+        // layout version in the context fingerprint still refuses it.
+        let mut old: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(fixture).unwrap()).unwrap();
+        let serde_json::Value::Object(members) = &mut old else {
+            panic!("a snapshot is an object")
+        };
+        for (_, table) in members.iter_mut() {
+            if let serde_json::Value::Array(entries) = table {
+                entries.clear();
+            }
+        }
+        std::fs::write(&stripped, serde_json::to_string(&old).unwrap()).unwrap();
+        assert!(serde_json::from_value::<MemoSnapshot>(&old).is_ok());
+
+        let plan = |extra: &[&str]| {
+            let mut argv = vec![
+                "plan",
+                "--nodes",
+                "1",
+                "--batch",
+                "32",
+                "--steps",
+                "300",
+                "--time",
+                "10",
+                "--quick-profile",
+            ];
+            argv.extend_from_slice(extra);
+            dispatch(&parse(&argv)).unwrap()
+        };
+        let table = |out: &str| {
+            out.lines()
+                .take_while(|l| !l.starts_with("search:"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let cold = plan(&[]);
+        for path in [fixture, stripped.to_str().unwrap()] {
+            let out = plan(&["--memo-in", path, "--memo-stats"]);
+            assert!(
+                out.contains("snapshot layout changed); cold start"),
+                "{out}"
+            );
+            assert!(!out.contains("warm start"), "{out}");
+            assert_eq!(table(&out), table(&cold));
+        }
     }
 
     #[test]

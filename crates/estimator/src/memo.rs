@@ -46,6 +46,7 @@ use real_dataflow::{CallAssignment, CallId, ExecutionPlan, SpecChoice};
 use real_model::{MemoryModel, ParallelStrategy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::convert::identity;
 
 /// Hit/miss/invalidation counters of a [`CostMemo`], cheap to copy and
 /// merge. Counters are cumulative over the memo's lifetime; callers that
@@ -178,8 +179,8 @@ pub struct CostMemo {
     /// [`Estimator::shape_duration`] per call and shape: one entry serves
     /// every mesh of one width and node span.
     durations: HashMap<(CallId, Shape), f64, FxBuild>,
-    /// [`Estimator::mesh_factor`] per mesh, filled only under a health
-    /// overlay.
+    /// [`ClusterHealth::mesh_factor`](real_cluster::ClusterHealth::mesh_factor)
+    /// per mesh, filled only under a health overlay.
     factors: HashMap<DeviceMesh, f64, FxBuild>,
     /// Memory checks read a call's strategy alone, so one entry serves
     /// every mesh of one shape.
@@ -218,6 +219,12 @@ impl CostMemo {
         }
     }
 
+    /// Entries of the duration table alone: at most one per `(call,`
+    /// [`Shape`]`)` priced since the last invalidation.
+    pub fn duration_entries(&self) -> usize {
+        self.durations.len()
+    }
+
     /// Binds the cache to a health fingerprint, dropping all entries if it
     /// changed since the last bind (the health/fault-overlay invalidation
     /// rule). First bind of a fresh cache is free.
@@ -244,12 +251,12 @@ impl CostMemo {
         let d = cached(&mut self.durations, counts, (call, shape), || {
             est.shape_duration(call, &shape)
         });
-        if est.health().is_none() {
+        let Some(health) = est.health() else {
             return d;
-        }
+        };
         let counts = (&mut self.hits, &mut self.misses);
         d * cached(&mut self.factors, counts, a.mesh, || {
-            est.mesh_factor(&a.mesh).expect("an overlay is present")
+            health.mesh_factor(&a.mesh)
         })
     }
 
@@ -290,47 +297,13 @@ impl CostMemo {
     /// prices bit-identically to the live cache. Mesh factors are left
     /// out: one scan of a mesh's GPUs rebuilds each.
     pub fn snapshot(&self, context: u64) -> MemoSnapshot {
-        let mut durations: Vec<DurationEntry> = self
-            .durations
-            .iter()
-            .map(|(&(c, shape), &v)| DurationEntry {
-                call: c.0 as u64,
-                shape,
-                secs_bits: v.to_bits(),
-            })
-            .collect();
-        durations.sort_by_key(|e| (e.call, e.shape));
-        let bytes = |map: &HashMap<(CallId, ParallelStrategy), u64, FxBuild>| {
-            let mut out: Vec<BytesEntry> = map
-                .iter()
-                .map(|(&(c, strategy), &v)| BytesEntry {
-                    call: c.0 as u64,
-                    strategy,
-                    bytes: v,
-                })
-                .collect();
-            out.sort_by_key(|e| (e.call, e.strategy));
-            out
-        };
-        let mut spec_durations: Vec<SpecDurationEntry> = self
-            .spec_durations
-            .iter()
-            .map(|(&(c, a, draft, config), &v)| SpecDurationEntry {
-                call: c.0 as u64,
-                a,
-                draft,
-                config,
-                secs_bits: v.to_bits(),
-            })
-            .collect();
-        spec_durations.sort_by_key(|e| (e.call, e.a, e.draft, e.config));
         MemoSnapshot {
             context,
             health_tag: self.health_tag,
-            durations,
-            actives: bytes(&self.actives),
-            statics: bytes(&self.statics),
-            spec_durations,
+            durations: sorted(&self.durations, f64::to_bits),
+            actives: sorted(&self.actives, identity),
+            statics: sorted(&self.statics, identity),
+            spec_durations: sorted(&self.spec_durations, f64::to_bits),
         }
     }
 
@@ -341,35 +314,34 @@ impl CostMemo {
     /// an estimator with a different health overlay still drops every entry
     /// through the normal [`CostMemo::sync_health`] rule.
     pub fn from_snapshot(snap: &MemoSnapshot, context: u64) -> Option<Self> {
-        if snap.context != context {
-            return None;
-        }
-        let mut memo = Self {
+        (snap.context == context).then(|| Self {
+            durations: restore(&snap.durations, f64::from_bits),
+            actives: restore(&snap.actives, identity),
+            statics: restore(&snap.statics, identity),
+            spec_durations: restore(&snap.spec_durations, f64::from_bits),
             health_tag: snap.health_tag,
             ..Self::default()
-        };
-        for e in &snap.durations {
-            memo.durations.insert(
-                (CallId(e.call as usize), e.shape),
-                f64::from_bits(e.secs_bits),
-            );
-        }
-        for e in &snap.actives {
-            memo.actives
-                .insert((CallId(e.call as usize), e.strategy), e.bytes);
-        }
-        for e in &snap.statics {
-            memo.statics
-                .insert((CallId(e.call as usize), e.strategy), e.bytes);
-        }
-        for e in &snap.spec_durations {
-            memo.spec_durations.insert(
-                (CallId(e.call as usize), e.a, e.draft, e.config),
-                f64::from_bits(e.secs_bits),
-            );
-        }
-        Some(memo)
+        })
     }
+}
+
+/// A memo table as a snapshot section: its entries in key order, each
+/// value as the `u64` `bits` gives (raw bits for a price).
+fn sorted<K: Copy + Ord, V: Copy>(
+    table: &HashMap<K, V, FxBuild>,
+    bits: impl Fn(V) -> u64,
+) -> Vec<(K, u64)> {
+    let mut out: Vec<(K, u64)> = table.iter().map(|(&k, &v)| (k, bits(v))).collect();
+    out.sort_unstable_by_key(|&(k, _)| k);
+    out
+}
+
+/// The memo table a [`sorted`] snapshot section stands for.
+fn restore<K: Copy + Eq + std::hash::Hash, V>(
+    section: &[(K, u64)],
+    value: impl Fn(u64) -> V,
+) -> HashMap<K, V, FxBuild> {
+    section.iter().map(|&(k, bits)| (k, value(bits))).collect()
 }
 
 /// One memo-table lookup: the cached value on a hit, otherwise `compute`'s
@@ -404,10 +376,10 @@ pub(crate) const SNAPSHOT_LAYOUT: u64 = 2;
 pub struct MemoSnapshot {
     context: u64,
     health_tag: Option<u64>,
-    durations: Vec<DurationEntry>,
-    actives: Vec<BytesEntry>,
-    statics: Vec<BytesEntry>,
-    spec_durations: Vec<SpecDurationEntry>,
+    durations: Vec<((CallId, Shape), u64)>,
+    actives: Vec<((CallId, ParallelStrategy), u64)>,
+    statics: Vec<((CallId, ParallelStrategy), u64)>,
+    spec_durations: Vec<((CallId, CallAssignment, CallAssignment, u64), u64)>,
 }
 
 impl MemoSnapshot {
@@ -420,29 +392,6 @@ impl MemoSnapshot {
     pub fn n_entries(&self) -> usize {
         self.durations.len() + self.actives.len() + self.statics.len() + self.spec_durations.len()
     }
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DurationEntry {
-    call: u64,
-    shape: Shape,
-    secs_bits: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct BytesEntry {
-    call: u64,
-    strategy: ParallelStrategy,
-    bytes: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SpecDurationEntry {
-    call: u64,
-    a: CallAssignment,
-    draft: CallAssignment,
-    config: u64,
-    secs_bits: u64,
 }
 
 /// Memo-backed [`NodeCosts`] oracle for [`Template::instantiate`].
@@ -898,6 +847,42 @@ mod tests {
         assert_eq!(moved.entries, before.entries);
     }
 
+    /// `mesh` moved to the other node of the two-node cluster, when it
+    /// sits on one node: the same shape on other GPUs.
+    fn twin(cluster: &ClusterSpec, mesh: &DeviceMesh) -> Option<DeviceMesh> {
+        let node = 1 - mesh.node_start();
+        match (mesh.n_nodes(), mesh.gpu_width()) {
+            (1, w) if w == cluster.gpus_per_node => DeviceMesh::whole_nodes(cluster, node, 1).ok(),
+            (1, w) => DeviceMesh::sub_node(cluster, node, mesh.gpu_start(), w).ok(),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn meshes_of_one_shape_share_a_duration_entry_but_not_their_health() {
+        let (cluster, graph, est) = setup();
+        let strategy = ParallelStrategy::new(1, 4, 1, 4).unwrap();
+        let on = |mesh| {
+            let a = CallAssignment::new(mesh, strategy).unwrap();
+            ExecutionPlan::new(graph, cluster, vec![a; graph.n_calls()]).unwrap()
+        };
+        let fast = DeviceMesh::sub_node(cluster, 0, 4, 4).unwrap();
+        let slow = twin(cluster, &fast).unwrap();
+        let mut health = ClusterHealth::healthy(cluster);
+        health.mark_slow(GpuId(slow.gpus().next().unwrap().0 + 1), 1.5);
+        let degraded = est.clone().with_health(health);
+        let mut pricer = PlanPricer::new(&degraded);
+        let cost = pricer.time_cost(&on(fast));
+        assert_eq!(cost.to_bits(), degraded.time_cost(&on(fast)).to_bits());
+        let durations = pricer.memo.duration_entries();
+        assert_eq!(durations, graph.n_calls());
+        let slowed = pricer.time_cost(&on(slow));
+        assert_eq!(slowed.to_bits(), degraded.time_cost(&on(slow)).to_bits());
+        assert!(slowed > cost, "the slow GPU must show: {slowed} vs {cost}");
+        assert_eq!(pricer.memo.duration_entries(), durations, "one shape");
+        assert_eq!(pricer.memo.factors.len(), 2, "one factor per mesh");
+    }
+
     #[test]
     fn health_change_invalidates_the_cache() {
         let (cluster, _, est) = setup();
@@ -1045,6 +1030,64 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// Memoized prices equal from-scratch prices bit for bit under a
+        /// health overlay with a dead and a slowed GPU: the plan's
+        /// `TimeCost`, memory verdict and cost, cold and warm, and for
+        /// one-call perturbations the same three plus the lower bound. The
+        /// perturbations include the call's own shape moved to the other
+        /// node, whose health differs, so one duration entry serves meshes
+        /// with different factors.
+        #[test]
+        fn memoized_pricing_matches_from_scratch_under_dead_and_slow_gpus(
+            picks in proptest::collection::vec(0usize..10_000, 6),
+            perturb in 0usize..6,
+            alts in proptest::collection::vec(0usize..10_000, 3),
+            dead in 0u32..16,
+            slow in 0u32..16,
+            factor in 1.0..4.0f64,
+            staleness in 0u32..3,
+        ) {
+            let (cluster, graph, est) = setup();
+            let mut health = ClusterHealth::healthy(cluster);
+            health.mark_dead(GpuId(dead));
+            health.mark_slow(GpuId(slow), factor);
+            let est = &with_staleness_draw(est, staleness).with_health(health);
+            let plan = plan_from(&picks);
+            let mut pricer = PlanPricer::new(est);
+            for _ in 0..2 {
+                let want = est.cost_checked(&plan);
+                let got = pricer.cost_checked(&plan);
+                proptest::prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+                proptest::prop_assert_eq!(got.1, want.1);
+                proptest::prop_assert_eq!(pricer.time_cost(&plan).to_bits(), est.time_cost(&plan).to_bits());
+                proptest::prop_assert_eq!(pricer.mem_ok(&plan), est.mem_ok(&plan));
+            }
+            let call = CallId(perturb);
+            let own = *plan.assignment(call);
+            let opts = options(cluster);
+            let moved = twin(cluster, &own.mesh).map(|m| CallAssignment::new(m, own.strategy).unwrap());
+            let template = Template::new(est);
+            for a in alts.iter().map(|i| opts[i % opts.len()]).chain(moved) {
+                let perturbed = plan.with_assignment(call, a).unwrap();
+                let want = est.cost_checked(&perturbed);
+                let got = pricer.cost_checked_perturbed(&plan, call, a);
+                proptest::prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+                proptest::prop_assert_eq!(got.1, want.1);
+                proptest::prop_assert_eq!(
+                    pricer.time_cost_perturbed(&plan, call, a).to_bits(),
+                    est.time_cost(&perturbed).to_bits()
+                );
+                proptest::prop_assert_eq!(pricer.mem_ok_perturbed(&plan, call, a), est.mem_ok(&perturbed));
+                let durations: Vec<f64> = (0..graph.n_calls())
+                    .map(|id| { est }.call_node(&perturbed, CallId(id), perturbed.assignment(CallId(id))))
+                    .collect();
+                proptest::prop_assert_eq!(
+                    pricer.cost_lower_bound_perturbed(&plan, call, a).to_bits(),
+                    template.critical_path_bound(graph, &durations).to_bits()
+                );
+            }
+        }
+
         /// The headline contract: memoized and unmemoized pricing agree
         /// bit-for-bit on random plans, cold cache and warm, synchronous
         /// and async.

@@ -909,6 +909,7 @@ mod tests {
     use crate::heuristic::heuristic_plan;
     use real_cluster::ClusterSpec;
     use real_dataflow::algo::{ppo, RlhfConfig};
+    use real_estimator::Shape;
     use real_model::ModelSpec;
     use real_profiler::{ProfileConfig, Profiler};
     use std::sync::OnceLock;
@@ -1283,6 +1284,31 @@ mod tests {
         assert_eq!(
             cold.best_time_cost.to_bits(),
             second.best_time_cost.to_bits()
+        );
+    }
+
+    #[test]
+    fn the_memo_holds_at_most_one_duration_per_shape() {
+        // 16 nodes, a fixed step budget: the memo's durations are keyed by
+        // what a duration reads, so there are at most as many as the
+        // space has distinct (call, shape) keys, far fewer than options.
+        let (est, space) = setup(16, 512);
+        let mut memo = CostMemo::new();
+        search_with_memo(&est, &space, &steps_only_cfg(11, 2_000), &mut memo);
+        let shapes: std::collections::HashSet<(usize, Shape)> = (0..space.n_calls())
+            .flat_map(|c| space.options(c).iter().map(move |a| (c, Shape::of(a))))
+            .collect();
+        let options: usize = (0..space.n_calls()).map(|c| space.options(c).len()).sum();
+        assert!(
+            memo.duration_entries() <= shapes.len(),
+            "{} duration entries for {} shapes",
+            memo.duration_entries(),
+            shapes.len()
+        );
+        assert!(
+            4 * shapes.len() < options,
+            "{} shapes, {options} options",
+            shapes.len()
         );
     }
 
