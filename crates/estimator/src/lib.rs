@@ -266,12 +266,12 @@ impl Estimator {
 
     /// Estimated duration of one call under `assignment` (§5.1 assembly of
     /// profiled per-layer statistics): [`Estimator::shape_duration`] of its
-    /// shape, times the health overlay's [`Estimator::mesh_factor`] of its
-    /// mesh when there is an overlay.
+    /// shape, times the health overlay's [`ClusterHealth::mesh_factor`] of
+    /// its mesh when there is an overlay.
     pub fn call_duration(&self, call: CallId, assignment: &CallAssignment) -> f64 {
         let d = self.shape_duration(call, &Shape::of(assignment));
-        match self.mesh_factor(&assignment.mesh) {
-            Some(factor) => d * factor,
+        match &self.health {
+            Some(h) => d * h.mesh_factor(&assignment.mesh),
             None => d,
         }
     }
@@ -287,13 +287,6 @@ impl Estimator {
         )
     }
 
-    /// The health overlay's slowdown factor of `mesh`
-    /// ([`ClusterHealth::mesh_factor`], a scan of the mesh's GPUs); `None`
-    /// without an overlay.
-    pub fn mesh_factor(&self, mesh: &DeviceMesh) -> Option<f64> {
-        self.health.as_ref().map(|h| h.mesh_factor(mesh))
-    }
-
     /// [`Estimator::call_duration`] of `call` under each of `options`, in
     /// order, appended to `out`. Each distinct [`Shape`] is priced once, and
     /// each run of consecutive options on one mesh reads its health factor
@@ -302,20 +295,20 @@ impl Estimator {
     /// every option.
     pub fn call_durations(&self, call: CallId, options: &[CallAssignment], out: &mut Vec<f64>) {
         let mut shapes: HashMap<Shape, f64, memo::FxBuild> = HashMap::default();
-        let mut factor: Option<(DeviceMesh, Option<f64>)> = None;
+        let mut factor: Option<(DeviceMesh, f64)> = None;
         out.extend(options.iter().map(|a| {
             let shape = Shape::of(a);
             let d = *shapes
                 .entry(shape)
                 .or_insert_with(|| self.shape_duration(call, &shape));
+            let Some(h) = &self.health else {
+                return d;
+            };
             let f = match factor {
                 Some((mesh, f)) if mesh == a.mesh => f,
-                _ => factor.insert((a.mesh, self.mesh_factor(&a.mesh))).1,
+                _ => factor.insert((a.mesh, h.mesh_factor(&a.mesh))).1,
             };
-            match f {
-                Some(f) => d * f,
-                None => d,
-            }
+            d * f
         }));
     }
 
