@@ -64,7 +64,7 @@ impl PlanCache {
                 .unwrap_or(4)
                 .min(8);
             let planned = exp
-                .plan_search(&cfg, chains, chains, &SpecMenu::empty(), None)
+                .plan_search(&cfg, chains, chains, &SpecMenu::empty())
                 .unwrap_or_else(|e| panic!("no feasible plan for {}: {e}", s.name));
             let heuristic = exp
                 .plan_heuristic()

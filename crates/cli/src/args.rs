@@ -19,6 +19,8 @@ pub enum ArgError {
     MissingValue(String),
     /// A positional argument appeared where a flag was expected.
     Unexpected(String),
+    /// A `--flag` no command reads.
+    Unknown(String),
     /// A flag value failed to parse.
     BadValue {
         /// Flag name.
@@ -36,6 +38,7 @@ impl fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing subcommand; try `real help`"),
             ArgError::MissingValue(flag) => write!(f, "flag --{flag} needs a value"),
             ArgError::Unexpected(arg) => write!(f, "unexpected argument: {arg}"),
+            ArgError::Unknown(flag) => write!(f, "unknown flag --{flag}"),
             ArgError::BadValue {
                 flag,
                 value,
@@ -67,13 +70,57 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "no-spec",
 ];
 
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "nodes",
+    "actor",
+    "critic",
+    "algo",
+    "batch",
+    "ctx-scale",
+    "seed",
+    "graph",
+    "steps",
+    "time",
+    "chains",
+    "threads",
+    "draft-model",
+    "spec-k",
+    "acceptance",
+    "out",
+    "checkpoint",
+    "from",
+    "iters",
+    "plan",
+    "trace",
+    "metrics",
+    "profile-db",
+    "faults",
+    "max-retries",
+    "replan-steps",
+    "dead-after",
+    "staleness",
+    "top",
+    "baseline",
+    "tolerance-pct",
+    "model",
+    "max-nodes",
+    "tenants",
+    "score-steps",
+    "max-stretch",
+    "workload",
+    "horizon",
+    "probe-steps",
+    "file",
+];
+
 impl Args {
     /// Parses `argv` (without the program name).
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] on a missing command, a flag without a value,
-    /// or a stray positional argument.
+    /// a flag no command reads, or a stray positional argument.
     pub fn parse<I, S>(argv: I) -> Result<Self, ArgError>
     where
         I: IntoIterator<Item = S>,
@@ -92,6 +139,9 @@ impl Args {
             if BOOLEAN_FLAGS.contains(&name) {
                 flags.insert(name.to_string(), "true".to_string());
                 continue;
+            }
+            if !VALUE_FLAGS.contains(&name) {
+                return Err(ArgError::Unknown(name.to_string()));
             }
             match it.next() {
                 Some(v) if !v.starts_with("--") => {
@@ -194,6 +244,37 @@ mod tests {
     fn positional_rejected() {
         let e = Args::parse(["plan", "oops"]).unwrap_err();
         assert_eq!(e, ArgError::Unexpected("oops".into()));
+    }
+
+    #[test]
+    fn unknown_flag_rejected() {
+        let e = Args::parse(["plan", "--nodes", "1", "--stpes", "5"]).unwrap_err();
+        assert_eq!(e, ArgError::Unknown("stpes".into()));
+        let e = Args::parse(["plan", "--memo-in", "x.json"]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown flag --memo-in");
+    }
+
+    /// The flags the parser accepts are exactly the flags `real help`
+    /// documents.
+    #[test]
+    fn known_flags_are_the_usage_flags() {
+        use std::collections::BTreeSet;
+        let usage: BTreeSet<&str> = crate::commands::USAGE
+            .lines()
+            .filter(|line| !line.starts_with("USAGE:"))
+            .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let known: BTreeSet<&str> = BOOLEAN_FLAGS.iter().chain(VALUE_FLAGS).copied().collect();
+        assert_eq!(known.len(), BOOLEAN_FLAGS.len() + VALUE_FLAGS.len());
+        assert_eq!(
+            usage.difference(&known).collect::<Vec<_>>(),
+            Vec::<&&str>::new()
+        );
+        assert_eq!(
+            known.difference(&usage).collect::<Vec<_>>(),
+            Vec::<&&str>::new()
+        );
     }
 
     #[test]

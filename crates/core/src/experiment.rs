@@ -5,7 +5,7 @@ use crate::report::ExperimentReport;
 use real_cluster::ClusterSpec;
 use real_dataflow::algo::{self, RlhfConfig};
 use real_dataflow::{DataflowGraph, ExecutionPlan, GraphSpec, SpecError};
-use real_estimator::{CostMemo, Estimator, MemoSnapshot};
+use real_estimator::{CostMemo, Estimator};
 use real_model::ModelSpec;
 use real_profiler::{ProfileConfig, Profiler};
 use real_runtime::{EngineConfig, ReplanPolicy, RunError, RuntimeEngine};
@@ -75,22 +75,6 @@ pub struct PlannedExperiment {
     pub search: SpecSearchResult,
     /// Simulated seconds spent profiling before the search (Fig. 12 left).
     pub profiling_secs: f64,
-    /// Whether the warm snapshot passed to [`Experiment::plan_search`] was
-    /// accepted (matching context fingerprint); `false` means a cold start.
-    pub warm_start: bool,
-    /// The cost memo the search priced through (chain 0 and the
-    /// refinement) and its pricing context fingerprint.
-    memo: CostMemo,
-    context: u64,
-}
-
-impl PlannedExperiment {
-    /// A snapshot of the cost memo the search priced through, restorable by
-    /// a later search over the same pricing context (`real plan
-    /// --memo-out`).
-    pub fn memo_snapshot(&self) -> MemoSnapshot {
-        self.memo.snapshot(self.context)
-    }
 }
 
 impl Experiment {
@@ -350,7 +334,7 @@ impl Experiment {
     /// Returns [`PlanFailure`] when the workload cannot fit the cluster or
     /// no memory-feasible plan was found within the budget.
     pub fn plan_auto(&self, cfg: &McmcConfig) -> Result<PlannedExperiment, PlanFailure> {
-        self.plan_search(cfg, 1, 1, &SpecMenu::empty(), None)
+        self.plan_search(cfg, 1, 1, &SpecMenu::empty())
     }
 
     /// Automatic planning: profile, build the space, and run
@@ -363,11 +347,7 @@ impl Experiment {
     /// The chosen plan is bit-identical for any `threads >= 1`: chain
     /// outcomes depend only on their per-chain seeds and the merge scans
     /// results in chain order, never in completion order (the `real plan
-    /// --threads` contract, see `docs/SEARCH.md`). `warm` restores a memo
-    /// snapshot from an earlier search; it is accepted only when its context
-    /// fingerprint (cluster, graph, profiles, health overlay) matches, and
-    /// ignored otherwise. Memoization is exact, so warm and cold searches
-    /// choose bit-identical plans.
+    /// --threads` contract, see `docs/SEARCH.md`).
     ///
     /// # Errors
     ///
@@ -379,7 +359,6 @@ impl Experiment {
         n_chains: usize,
         threads: usize,
         menu: &SpecMenu,
-        warm: Option<&MemoSnapshot>,
     ) -> Result<PlannedExperiment, PlanFailure> {
         let space = self
             .try_search_space()
@@ -387,10 +366,7 @@ impl Experiment {
         let (est, profiling_secs) = self.prepare();
         let mut cfg = cfg.clone();
         cfg.seed = self.seed.wrapping_add(cfg.seed);
-        let context = est.context_fingerprint();
-        let restored = warm.and_then(|s| CostMemo::from_snapshot(s, context));
-        let warm_start = restored.is_some();
-        let mut memo = restored.unwrap_or_default();
+        let mut memo = CostMemo::new();
         let search = search_speculative(&est, &space, menu, &cfg, n_chains, threads, &mut memo);
         if !search.best().feasible {
             return Err(PlanFailure::NoFeasiblePlan(Box::new(search.base)));
@@ -399,9 +375,6 @@ impl Experiment {
             plan: search.best().best_plan.clone(),
             search,
             profiling_secs,
-            memo,
-            warm_start,
-            context,
         })
     }
 

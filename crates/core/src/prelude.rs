@@ -19,7 +19,7 @@ pub use real_dataflow::{
     BuiltGraph, CallAssignment, CallHook, CallId, CallType, DataflowGraph, ExecutionPlan,
     GraphSpec, ModelFunctionCallDef, SpecError,
 };
-pub use real_estimator::{probe, CostMemo, Estimator, MemoSnapshot};
+pub use real_estimator::{probe, CostMemo, Estimator};
 pub use real_model::specdec::{AcceptanceCurve, SpecDecodeConfig};
 pub use real_model::{CostModel, MemoryModel, ModelSpec, ParallelStrategy};
 pub use real_obs::{EventStream, MetricsRegistry, MetricsSnapshot};

@@ -10,13 +10,12 @@ use real_cluster::CommModel;
 use real_dataflow::{CallAssignment, CallType, ModelFunctionCallDef};
 use real_model::{MemoryModel, ParallelStrategy};
 use real_profiler::{OpKind, ProfileDb, ProfileKey};
-use serde::{Deserialize, Serialize};
 
 /// Everything [`call_duration`] reads of a [`CallAssignment`]: the strategy,
 /// and whether its TP, DP and pipeline traffic stays within one node. Every
 /// mesh of one width and node span gives one shape, so a cache of durations
 /// keyed by shape holds far fewer entries than one keyed by assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     /// The 3D strategy plus micro-batch count.
     pub strategy: ParallelStrategy,

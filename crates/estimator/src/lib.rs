@@ -52,7 +52,7 @@ pub mod probe;
 pub mod spec;
 
 pub use assemble::Shape;
-pub use memo::{CostMemo, MemoSnapshot, MemoStats, PlanPricer};
+pub use memo::{CostMemo, MemoStats, PlanPricer};
 
 use real_cluster::{ClusterHealth, ClusterSpec, CommModel, DeviceMesh};
 use real_dataflow::{CallAssignment, CallId, DataflowGraph, ExecutionPlan};
@@ -168,48 +168,6 @@ impl Estimator {
             None => 0,
             Some(h) => h.fingerprint().max(1),
         }
-    }
-
-    /// Digest of the full pricing context *except* the health overlay:
-    /// cluster shape, iteration count, every call's name/model/workload, and
-    /// the profile databases (including their measurement noise, so a
-    /// re-profiled run never reuses stale prices), plus the
-    /// [`MemoSnapshot`] layout version, so a snapshot of an older layout
-    /// starts cold instead of restoring keys of another meaning. A
-    /// persisted [`CostMemo`] snapshot is only restorable against an
-    /// estimator with the same fingerprint; health drift is tracked
-    /// separately via [`Estimator::health_fingerprint`].
-    pub fn context_fingerprint(&self) -> u64 {
-        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        fn mix(h: u64, w: u64) -> u64 {
-            (h.rotate_left(5) ^ w).wrapping_mul(SEED)
-        }
-        fn mix_str(mut h: u64, s: &str) -> u64 {
-            for b in s.bytes() {
-                h = mix(h, u64::from(b));
-            }
-            mix(h, 0xff)
-        }
-        let mut h = mix(SEED, memo::SNAPSHOT_LAYOUT);
-        h = mix(h, u64::from(self.cluster.total_gpus()));
-        h = mix(h, self.cluster.gpu.mem_capacity);
-        h = mix(h, self.iterations as u64);
-        for (_, def) in self.graph.iter() {
-            h = mix_str(h, &def.call_name);
-            h = mix_str(h, &def.model.name);
-            h = mix(h, def.model.param_count());
-            h = mix(h, def.call_type.total_tokens());
-        }
-        let mut names: Vec<&String> = self.profiles.keys().collect();
-        names.sort();
-        for name in names {
-            let db = &self.profiles[name];
-            h = mix_str(h, name);
-            h = mix(h, db.n_tables() as u64);
-            h = mix(h, db.n_samples());
-            h = mix(h, db.profiling_secs().to_bits());
-        }
-        h
     }
 
     /// Overrides the number of iterations Algorithm 1 unrolls.

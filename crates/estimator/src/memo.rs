@@ -46,7 +46,6 @@ use real_dataflow::{CallAssignment, CallId, ExecutionPlan, SpecChoice};
 use real_model::{MemoryModel, ParallelStrategy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::convert::identity;
 
 /// Hit/miss/invalidation counters of a [`CostMemo`], cheap to copy and
 /// merge. Counters are cumulative over the memo's lifetime; callers that
@@ -289,59 +288,6 @@ impl CostMemo {
             est.spec_call_duration(call, a, choice)
         })
     }
-
-    /// Serializes the cache for cross-process reuse (`real plan
-    /// --memo-out`). `context` must be the owning estimator's
-    /// [`Estimator::context_fingerprint`]; entries are emitted in a sorted,
-    /// deterministic order and `f64` prices as raw bits, so a warm restore
-    /// prices bit-identically to the live cache. Mesh factors are left
-    /// out: one scan of a mesh's GPUs rebuilds each.
-    pub fn snapshot(&self, context: u64) -> MemoSnapshot {
-        MemoSnapshot {
-            context,
-            health_tag: self.health_tag,
-            durations: sorted(&self.durations, f64::to_bits),
-            actives: sorted(&self.actives, identity),
-            statics: sorted(&self.statics, identity),
-            spec_durations: sorted(&self.spec_durations, f64::to_bits),
-        }
-    }
-
-    /// Restores a cache from a snapshot, verifying it was taken under the
-    /// same pricing context (cluster, graph, model specs, profiles).
-    /// Returns `None` on a context mismatch — the caller starts cold. The
-    /// snapshot's health tag is preserved, so attaching the restored memo to
-    /// an estimator with a different health overlay still drops every entry
-    /// through the normal [`CostMemo::sync_health`] rule.
-    pub fn from_snapshot(snap: &MemoSnapshot, context: u64) -> Option<Self> {
-        (snap.context == context).then(|| Self {
-            durations: restore(&snap.durations, f64::from_bits),
-            actives: restore(&snap.actives, identity),
-            statics: restore(&snap.statics, identity),
-            spec_durations: restore(&snap.spec_durations, f64::from_bits),
-            health_tag: snap.health_tag,
-            ..Self::default()
-        })
-    }
-}
-
-/// A memo table as a snapshot section: its entries in key order, each
-/// value as the `u64` `bits` gives (raw bits for a price).
-fn sorted<K: Copy + Ord, V: Copy>(
-    table: &HashMap<K, V, FxBuild>,
-    bits: impl Fn(V) -> u64,
-) -> Vec<(K, u64)> {
-    let mut out: Vec<(K, u64)> = table.iter().map(|(&k, &v)| (k, bits(v))).collect();
-    out.sort_unstable_by_key(|&(k, _)| k);
-    out
-}
-
-/// The memo table a [`sorted`] snapshot section stands for.
-fn restore<K: Copy + Eq + std::hash::Hash, V>(
-    section: &[(K, u64)],
-    value: impl Fn(u64) -> V,
-) -> HashMap<K, V, FxBuild> {
-    section.iter().map(|&(k, bits)| (k, value(bits))).collect()
 }
 
 /// One memo-table lookup: the cached value on a hit, otherwise `compute`'s
@@ -360,38 +306,6 @@ fn cached<K: std::hash::Hash + Eq, V: Copy>(
     let v = compute();
     table.insert(key, v);
     v
-}
-
-/// The [`MemoSnapshot`] layout version, folded into
-/// [`Estimator::context_fingerprint`]. Version 2 keys durations by
-/// [`Shape`] and drops the reallocation and transfer tables; bump it
-/// whenever a table's key or value changes meaning.
-pub(crate) const SNAPSHOT_LAYOUT: u64 = 2;
-
-/// A serialized [`CostMemo`]: the persistence format behind `real plan
-/// --memo-out/--memo-in`. Prices are stored as raw `f64` bits and entries
-/// in a deterministic sorted order; the embedded context fingerprint and
-/// health tag gate restoration (see [`CostMemo::from_snapshot`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemoSnapshot {
-    context: u64,
-    health_tag: Option<u64>,
-    durations: Vec<((CallId, Shape), u64)>,
-    actives: Vec<((CallId, ParallelStrategy), u64)>,
-    statics: Vec<((CallId, ParallelStrategy), u64)>,
-    spec_durations: Vec<((CallId, CallAssignment, CallAssignment, u64), u64)>,
-}
-
-impl MemoSnapshot {
-    /// The pricing-context fingerprint this snapshot was taken under.
-    pub fn context(&self) -> u64 {
-        self.context
-    }
-
-    /// Total entries across all tables.
-    pub fn n_entries(&self) -> usize {
-        self.durations.len() + self.actives.len() + self.statics.len() + self.spec_durations.len()
-    }
 }
 
 /// Memo-backed [`NodeCosts`] oracle for [`Template::instantiate`].
@@ -973,51 +887,6 @@ mod tests {
                 est.cost_checked(&materialized),
             );
         }
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_identically() {
-        let (_, _, est) = setup();
-        let plan = spec_plan(&plan_from(&[2, 7, 19, 40, 77, 200]));
-        let mut pricer = PlanPricer::new(est);
-        let want = pricer.cost_checked(&plan);
-        let memo = pricer.into_memo();
-        let ctx = est.context_fingerprint();
-
-        let snap = memo.snapshot(ctx);
-        assert!(snap.n_entries() > 0);
-        assert_eq!(snap.context(), ctx);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MemoSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-
-        // Warm restore answers from cache, bit-identically.
-        let restored = CostMemo::from_snapshot(&back, ctx).unwrap();
-        let before = restored.stats();
-        assert_eq!(before.entries, memo.stats().entries);
-        let mut warm = PlanPricer::with_memo(est, restored);
-        assert_eq!(warm.memo_stats().entries, before.entries, "no invalidation");
-        let got = warm.cost_checked(&plan);
-        assert_eq!(got.0.to_bits(), want.0.to_bits());
-        assert_eq!(got.1, want.1);
-        assert_eq!(warm.memo_stats().misses, 0, "warm run must be all hits");
-
-        // A different context refuses restoration.
-        assert!(CostMemo::from_snapshot(&back, ctx ^ 1).is_none());
-    }
-
-    #[test]
-    fn snapshot_is_deterministic_bytes() {
-        let (_, _, est) = setup();
-        let plan = spec_plan(&plan_from(&[3, 5, 8, 13, 21, 34]));
-        let ctx = est.context_fingerprint();
-        let mut p1 = PlanPricer::new(est);
-        p1.cost_checked(&plan);
-        let mut p2 = PlanPricer::new(est);
-        p2.cost_checked(&plan);
-        let s1 = serde_json::to_string(&p1.into_memo().snapshot(ctx)).unwrap();
-        let s2 = serde_json::to_string(&p2.into_memo().snapshot(ctx)).unwrap();
-        assert_eq!(s1, s2);
     }
 
     /// The estimator of [`setup`] pricing synchronously for a `staleness`
