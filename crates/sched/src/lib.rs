@@ -31,6 +31,6 @@ pub mod report;
 pub mod scheduler;
 pub mod spec;
 
-pub use report::{SchedReport, TenantOutcome};
+pub use report::{SchedReport, ServedTimes, TenantOutcome};
 pub use scheduler::{SchedConfig, SchedError, Schedule, Scheduler, TenantPlan};
 pub use spec::{GraphSet, SchedSpec, SpecError, TenantSpec};

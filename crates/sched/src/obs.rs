@@ -10,7 +10,7 @@
 //! schedule's clock and a tenant that queued for its mesh starts where the
 //! one it waited for finished.
 
-use crate::report::{SchedReport, TenantOutcome};
+use crate::report::SchedReport;
 use crate::scheduler::Schedule;
 use real_core::Tenant;
 use real_obs::{EventStream, Lane, MetricsRegistry, Scope};
@@ -24,13 +24,6 @@ pub const STRETCH_BOUNDS: &[f64] = &[1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 2
 /// Histogram bucket bounds for per-tenant queue-wait seconds
 /// (`sched/queue_wait_hist`).
 pub const QUEUE_WAIT_BOUNDS: &[f64] = &[0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0];
-
-/// Seconds a tenant spent not making step progress: total wall time minus
-/// the time its iterations actually took. Time-shared or preempted tenants
-/// accumulate this as queue wait.
-pub fn queue_wait_secs(t: &TenantOutcome) -> f64 {
-    (t.total_secs - t.iterations as f64 * t.measured_step_secs).max(0.0)
-}
 
 /// Builds one event stream with a Chrome process group per tenant: each
 /// tenant's run (`reports`, parallel to the schedule) recorded in its
@@ -111,7 +104,7 @@ pub fn sched_metrics(report: &SchedReport) -> MetricsRegistry {
             "sched/queue_wait_hist",
             &[],
             QUEUE_WAIT_BOUNDS,
-            queue_wait_secs(t),
+            t.queue_wait_secs,
         );
         m.gauge_set("sched/step_seconds", &labels, t.measured_step_secs);
         m.gauge_set("sched/total_seconds", &labels, t.total_secs);

@@ -3,12 +3,12 @@
 //! [`SchedReport`] folds the schedule and the per-tenant
 //! [`RunReport`]s into the numbers an operator
 //! cares about: measured step time and throughput per tenant, realized
-//! stretch (measured step vs. the estimated solo full-cluster step), the
-//! priority-weighted makespan the scheduler optimized, and a Jain fairness
-//! index over inverse stretches — `1.0` means every tenant is slowed down
-//! equally, lower values mean the slowdown is concentrated on few tenants.
+//! stretch (time from arrival to finish, queue wait included, vs. the
+//! estimated solo full-cluster service time), the priority-weighted
+//! makespan the scheduler optimized, and a Jain fairness index over
+//! inverse stretches — `1.0` means every tenant is slowed down equally,
+//! lower values mean the slowdown is concentrated on few tenants.
 
-use crate::obs::queue_wait_secs;
 use crate::scheduler::Schedule;
 use real_estimator::MemoStats;
 use real_obs::profile::PercentileSummary;
@@ -39,8 +39,12 @@ pub struct TenantOutcome {
     /// Virtual seconds from the schedule's start until the tenant's last GPU
     /// went idle, queue wait included.
     pub total_secs: f64,
-    /// Realized slowdown: measured step over solo step.
+    /// Realized slowdown: (finish − arrival) over iterations × solo step,
+    /// as the serving loop measures it, so queue wait counts.
     pub stretch: f64,
+    /// Seconds from arrival until admission onto the allocation (the
+    /// serving loop's queue wait).
+    pub queue_wait_secs: f64,
     /// Measured RLHF iterations per second.
     pub steps_per_sec: f64,
     /// Elastic re-plan switches committed (freed-capacity grabs).
@@ -49,6 +53,15 @@ pub struct TenantOutcome {
     pub faults_injected: usize,
     /// Whether the allocation was time-shared with another tenant.
     pub time_shared: bool,
+}
+
+/// One tenant's times as the serving loop measured them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ServedTimes {
+    /// [`TenantOutcome::stretch`].
+    pub stretch: f64,
+    /// [`TenantOutcome::queue_wait_secs`].
+    pub queue_wait_secs: f64,
 }
 
 /// The aggregated multi-tenant report.
@@ -78,49 +91,45 @@ pub struct SchedReport {
 }
 
 impl SchedReport {
-    /// Folds a finished run. `reports` must parallel `schedule.tenants`
-    /// (as `real_serve::run_sched` produces them).
+    /// Folds a finished run. `reports` and `times` must parallel
+    /// `schedule.tenants` (as `real_serve::run_sched` produces them).
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn new(schedule: &Schedule, reports: &[RunReport]) -> Self {
+    pub fn new(schedule: &Schedule, reports: &[RunReport], times: &[ServedTimes]) -> Self {
         assert_eq!(
             schedule.tenants.len(),
             reports.len(),
             "one report per scheduled tenant"
         );
+        assert_eq!(reports.len(), times.len(), "one time per report");
         let tenants: Vec<TenantOutcome> = schedule
             .tenants
             .iter()
             .zip(reports)
-            .map(|(placed, run)| {
-                let stretch = if placed.solo_step_secs > 0.0 {
-                    run.iter_time / placed.solo_step_secs
+            .zip(times)
+            .map(|((placed, run), times)| TenantOutcome {
+                name: placed.name.clone(),
+                id: placed.id,
+                priority: placed.priority,
+                iterations: run.iterations,
+                allocation: placed.allocation.to_string(),
+                gpus: placed.allocation.n_gpus(),
+                est_step_secs: placed.est_step_secs,
+                solo_step_secs: placed.solo_step_secs,
+                measured_step_secs: run.iter_time,
+                total_secs: run.total_time,
+                stretch: times.stretch,
+                queue_wait_secs: times.queue_wait_secs,
+                steps_per_sec: if run.total_time > 0.0 {
+                    run.iterations as f64 / run.total_time
                 } else {
-                    1.0
-                };
-                TenantOutcome {
-                    name: placed.name.clone(),
-                    id: placed.id,
-                    priority: placed.priority,
-                    iterations: run.iterations,
-                    allocation: placed.allocation.to_string(),
-                    gpus: placed.allocation.n_gpus(),
-                    est_step_secs: placed.est_step_secs,
-                    solo_step_secs: placed.solo_step_secs,
-                    measured_step_secs: run.iter_time,
-                    total_secs: run.total_time,
-                    stretch,
-                    steps_per_sec: if run.total_time > 0.0 {
-                        run.iterations as f64 / run.total_time
-                    } else {
-                        0.0
-                    },
-                    reallocs: run.replan.switches,
-                    faults_injected: run.faults.injected,
-                    time_shared: placed.time_shared,
-                }
+                    0.0
+                },
+                reallocs: run.replan.switches,
+                faults_injected: run.faults.injected,
+                time_shared: placed.time_shared,
             })
             .collect();
         let makespan_secs = tenants.iter().map(|t| t.total_secs).fold(0.0, f64::max);
@@ -129,7 +138,7 @@ impl SchedReport {
         let total_reallocs = tenants.iter().map(|t| t.reallocs).sum();
         let oversubscribed = tenants.iter().any(|t| t.time_shared);
         let stretches: Vec<f64> = tenants.iter().map(|t| t.stretch).collect();
-        let waits: Vec<f64> = tenants.iter().map(queue_wait_secs).collect();
+        let waits: Vec<f64> = tenants.iter().map(|t| t.queue_wait_secs).collect();
         Self {
             fairness_index: jain_index(&tenants),
             percentiles: vec![
@@ -250,6 +259,7 @@ mod tests {
             measured_step_secs: stretch,
             total_secs: 2.0 * stretch,
             stretch,
+            queue_wait_secs: 0.0,
             steps_per_sec: 1.0 / stretch,
             reallocs: 0,
             faults_injected: 0,

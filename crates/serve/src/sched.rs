@@ -19,7 +19,7 @@ use real_cluster::ClusterSpec;
 use real_core::Tenant;
 use real_estimator::Estimator;
 use real_runtime::RunReport;
-use real_sched::{SchedReport, Schedule, Scheduler};
+use real_sched::{SchedReport, Schedule, Scheduler, ServedTimes};
 
 /// A finished `real sched` run: the schedule it executed, the per-tenant
 /// runtime reports, and the folded [`SchedReport`].
@@ -119,6 +119,7 @@ fn execute(
     };
     let mut reports: Vec<Option<RunReport>> = vec![None; placed.len()];
     let mut admitted_secs = vec![0.0; placed.len()];
+    let mut times = vec![ServedTimes::default(); placed.len()];
     Server::new(cluster.clone(), seed, admission, templates, arrivals).run(
         |row, session, lease| {
             let mut run = session.into_report(&placed[row.template].plan, &lease);
@@ -126,13 +127,17 @@ fn execute(
             run.total_time += admitted;
             reports[row.template] = Some(run);
             admitted_secs[row.template] = admitted;
+            times[row.template] = ServedTimes {
+                stretch: row.stretch,
+                queue_wait_secs: row.queue_wait_secs,
+            };
         },
     )?;
     let reports: Vec<RunReport> = reports
         .into_iter()
         .map(|r| r.expect("every admitted tenant finishes"))
         .collect();
-    let report = SchedReport::new(&schedule, &reports);
+    let report = SchedReport::new(&schedule, &reports, &times);
     Ok(SchedOutcome {
         schedule,
         reports,
