@@ -109,7 +109,7 @@ impl SchedReport {
             .iter()
             .zip(reports)
             .zip(times)
-            .map(|((placed, run), times)| TenantOutcome {
+            .map(|((placed, run), served)| TenantOutcome {
                 name: placed.name.clone(),
                 id: placed.id,
                 priority: placed.priority,
@@ -120,8 +120,8 @@ impl SchedReport {
                 solo_step_secs: placed.solo_step_secs,
                 measured_step_secs: run.iter_time,
                 total_secs: run.total_time,
-                stretch: times.stretch,
-                queue_wait_secs: times.queue_wait_secs,
+                stretch: served.stretch,
+                queue_wait_secs: served.queue_wait_secs,
                 steps_per_sec: if run.total_time > 0.0 {
                     run.iterations as f64 / run.total_time
                 } else {
